@@ -1,17 +1,26 @@
 """Exact rational and polynomial arithmetic with fraction-free linear algebra.
 
-Scalars are fractions.Fraction throughout.  Univariate polynomials (Poly1)
-are dense coefficient lists, multivariate polynomials (MPoly) are sparse
-exponent-tuple maps, and matrices are rectangular arrays whose entries all
-live in a single ring (Fraction, Poly1 or MPoly).  Determinants use Bareiss
-fraction-free elimination, so every intermediate value stays in the entry
-ring; the only divisions performed are exact.
+Scalars are fractions.Fraction at the interface.  Univariate polynomials
+(Poly1) are dense coefficient lists, multivariate polynomials (MPoly) are
+sparse exponent-tuple maps, and matrices are rectangular arrays whose entries
+all live in a single ring (Fraction, Poly1 or MPoly).  Determinants use
+Bareiss fraction-free elimination, so every intermediate value stays in the
+entry ring; the only divisions performed are exact.
+
+Rational work runs on Python integers wherever it can.  clear_denominators
+scales a rational matrix by the lcm of its denominators and int_det is the
+one integer Bareiss kernel: ff_det of a rational matrix is int_det of the
+scaled matrix over the scale to the n-th power, the pencil module evaluates
+det(A + tB) at integer points with it and interpolates, and
+distinct_root_count runs a primitive integer remainder sequence instead of a
+Euclidean gcd over Fraction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 import itertools
+import math
 
 Rat = Fraction
 
@@ -238,6 +247,41 @@ def poly_gcd(a: Poly1, b: Poly1) -> Poly1:
     return a.monic()
 
 
+def _primitive(cs):
+    # integer coefficients divided by their content; cs is nonzero, trimmed
+    g = math.gcd(*cs)
+    return [c // g for c in cs]
+
+
+def _pseudo_remainder(a, b):
+    """lc(b)^k * a mod b for integer coefficient lists, deg a >= deg b >= 0."""
+    r = list(a)
+    db = len(b) - 1
+    lb = b[-1]
+    while len(r) > db:
+        lr = r[-1]
+        shift = len(r) - 1 - db
+        r = [lb * x for x in r]
+        for i, y in enumerate(b):
+            r[shift + i] -= lr * y
+        r.pop()  # the leading coefficient cancelled
+        while r and not r[-1]:
+            r.pop()
+    return r
+
+
+def _gcd_degree(a, b) -> int:
+    """Degree of gcd(a, b) by a primitive integer remainder sequence.
+
+    Dividing every remainder by its content keeps the coefficients as small
+    as the gcd allows, where a Euclidean gcd over Fraction lets them grow.
+    """
+    while b:
+        r = _pseudo_remainder(a, b)
+        a, b = b, _primitive(r) if r else []
+    return len(a) - 1
+
+
 def distinct_root_count(p: Poly1) -> tuple[int, int]:
     """Return (degree, number of distinct complex roots) of a nonzero polynomial.
 
@@ -248,8 +292,10 @@ def distinct_root_count(p: Poly1) -> tuple[int, int]:
         raise ValueError("zero polynomial has no well-defined root count")
     if p.degree() == 0:
         return (0, 0)
-    g = poly_gcd(p, p.derivative())
-    return (p.degree(), p.exact_div(g).degree())
+    (a,), _ = clear_denominators([p.coeffs])
+    a = _primitive(a)
+    da = [i * c for i, c in enumerate(a)][1:]
+    return (p.degree(), p.degree() - _gcd_degree(a, _primitive(da)))
 
 
 class MPoly:
@@ -533,11 +579,58 @@ def mat_mul(a, b):
     return out
 
 
+def clear_denominators(rows):
+    """Scale a rational matrix to integers.
+
+    Returns (L * rows as lists of ints, L) with L the least common multiple
+    of the entries' denominators.
+    """
+    # a list, not a generator: CPython 3.11 leaks about 100 bytes on every
+    # math.lcm(*generator) call
+    scale = math.lcm(*[x.denominator for r in rows for x in r])
+    return [[x.numerator * (scale // x.denominator) for x in r] for r in rows], scale
+
+
+def int_det(m) -> int:
+    """Determinant of a square integer matrix by Bareiss elimination.
+
+    Each step divides by the previous pivot, and Bareiss (Math. Comp. 22,
+    1968) shows the quotient is exact, so every entry stays an integer, a
+    minor of the input.  Rows are swapped past zero pivots.
+    """
+    a = [list(r) for r in m]
+    n = len(a)
+    if n == 0:
+        raise ValueError("empty matrix")
+    if any(len(r) != n for r in a):
+        raise ValueError("determinant of a non-square matrix")
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            for i in range(k + 1, n):
+                if a[i][k]:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot_row = a[k][k + 1:]
+        pivot = a[k][k]
+        for i in range(k + 1, n):
+            row = a[i]
+            f = row[k]
+            row[k + 1:] = [(pivot * x - f * y) // prev for x, y in zip(row[k + 1:], pivot_row)]
+        prev = pivot
+    return sign * a[n - 1][n - 1]
+
+
 def ff_det(m):
     """Determinant by Bareiss fraction-free elimination with row pivoting.
 
     Works verbatim over Fraction, Poly1 and MPoly entries: every division
-    performed is exact in the entry ring.
+    performed is exact in the entry ring.  A rational matrix is scaled to
+    integers and handed to int_det.
     """
     a = _rows(m)
     n = len(a)
@@ -547,6 +640,9 @@ def ff_det(m):
         raise ValueError("determinant of a non-square matrix")
     if n == 1:
         return a[0][0]
+    if all(isinstance(x, (int, Fraction)) for r in a for x in r):
+        ints, scale = clear_denominators(a)
+        return Fraction(int_det(ints), scale ** n)
     one = _one_like(a[0][0])
     zero = _zero_like(a[0][0])
     sign = 1

@@ -14,7 +14,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import Poly1, distinct_root_count, ff_det, format_rat, mat_rank
+from .exact import Poly1, clear_denominators, distinct_root_count, format_rat, int_det, mat_rank
+from .exact import ff_det  # noqa: F401  bench/test_bench.py traces and restores this alias
 from .quadrics import SymmetricForm, random_form, restrict
 
 
@@ -73,15 +74,31 @@ class BinaryForm:
 
 
 def _det_binary(q0: SymmetricForm, q1: SymmetricForm) -> BinaryForm:
+    # With L the common denominator and A = L Q0, B = L Q1 integral,
+    # f(t) = det(A + tB) has integer coefficients and degree <= size.  Take
+    # f at t = 0..size by integer Bareiss, interpolate by Newton's divided
+    # differences (at nodes 0..size each step divides by an integer j, and
+    # the quotient is an integer because f is), then expand the Newton form
+    # and divide by L^size.
     size = q0.n + 1
-    rows = [
-        [Poly1([q0.rows[i][j], q1.rows[i][j]]) for j in range(size)]
-        for i in range(size)
+    ints, scale = clear_denominators(q0.rows + q1.rows)
+    a, b = ints[:size], ints[size:]
+    c = [
+        int_det([[x + t * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)])
+        for t in range(size + 1)
     ]
-    det = ff_det(rows)
-    if det.is_zero():
+    for j in range(1, size + 1):
+        for i in range(size, j - 1, -1):
+            c[i] = (c[i] - c[i - 1]) // j
+    coeffs = [c[size]]
+    for k in range(size - 1, -1, -1):
+        # coeffs <- coeffs * (t - k) + c[k]
+        coeffs = [x - k * y for x, y in zip([0] + coeffs, coeffs + [0])]
+        coeffs[0] += c[k]
+    if not any(coeffs):
         raise DegeneratePencilError("every member of the pencil is singular")
-    return BinaryForm(tuple(det.coefficient(d) for d in range(size + 1)))
+    denom = scale ** size
+    return BinaryForm(tuple(Fraction(x, denom) for x in coeffs))
 
 
 def pencil_det_form(p: Pencil) -> BinaryForm:

@@ -22,6 +22,16 @@ from .quadrics import quadric_space_dim, stratum_codim
 BASES = ("H", "mixed", "E")
 
 
+def _rational_coeffs(coeffs, n: int) -> tuple:
+    # a string is iterable too, and "123" would read as (1, 2, 3)
+    if isinstance(coeffs, (str, bytes)):
+        raise ValueError("coefficients must be a sequence of rationals, not a string")
+    out = tuple(parse_rat(c) for c in coeffs)
+    if len(out) != n:
+        raise ValueError("expected %d coefficients" % n)
+    return out
+
+
 @dataclass(frozen=True)
 class DivisorClass:
     """Divisor class on the space of complete quadrics of P^n.
@@ -39,10 +49,7 @@ class DivisorClass:
             raise ValueError("unknown basis %r" % (self.basis,))
         if self.n < 2:
             raise ValueError("need n >= 2")
-        coeffs = tuple(parse_rat(c) for c in self.coeffs)
-        if len(coeffs) != self.n:
-            raise ValueError("expected %d coefficients" % self.n)
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "coeffs", _rational_coeffs(self.coeffs, self.n))
 
     def to_json(self) -> dict:
         return {
@@ -53,7 +60,7 @@ class DivisorClass:
 
     @classmethod
     def from_json(cls, data: dict):
-        return cls(int(data["n"]), data["basis"], tuple(data["coeffs"]))
+        return cls(int(data["n"]), data["basis"], data["coeffs"])
 
 
 @dataclass(frozen=True)
@@ -64,10 +71,7 @@ class CurveClass:
     coeffs: tuple
 
     def __post_init__(self):
-        coeffs = tuple(parse_rat(c) for c in self.coeffs)
-        if len(coeffs) != self.n:
-            raise ValueError("expected %d coefficients" % self.n)
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "coeffs", _rational_coeffs(self.coeffs, self.n))
 
     def to_json(self) -> dict:
         return {"n": self.n, "basis": "Fl", "coeffs": [format_rat(c) for c in self.coeffs]}
@@ -76,7 +80,7 @@ class CurveClass:
     def from_json(cls, data: dict):
         if data.get("basis", "Fl") != "Fl":
             raise ValueError("curve classes use the Fl basis")
-        return cls(int(data["n"]), tuple(data["coeffs"]))
+        return cls(int(data["n"]), data["coeffs"])
 
 
 def fl_curve(n: int, j: int) -> CurveClass:

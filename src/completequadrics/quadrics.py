@@ -18,6 +18,7 @@ from .exact import (
     Rat,
     ff_det,
     format_rat,
+    int_det,
     k_subsets,
     mat_mul,
     mat_rank,
@@ -159,13 +160,19 @@ def random_form(n: int, r: int, seed: int) -> SymmetricForm:
         raise ValueError("rank out of range")
     rng = random.Random(seed)
     size = n + 1
-    d = [Fraction(rng.choice([1, 2, 3, -1, -2, 5])) if i < r else Fraction(0) for i in range(size)]
+    d = [rng.choice([1, 2, 3, -1, -2, 5]) if i < r else 0 for i in range(size)]
     while True:
-        m = [[Fraction(rng.randint(-3, 3)) for _ in range(size)] for _ in range(size)]
-        if ff_det(m):
+        m = [[rng.randint(-3, 3) for _ in range(size)] for _ in range(size)]
+        if int_det(m):
             break
-    diag = [[d[i] if i == j else Fraction(0) for j in range(size)] for i in range(size)]
-    return SymmetricForm(mat_mul(mat_transpose(m), mat_mul(diag, m)))
+    # (M^T D M)_ij = sum over k < r of d_k m_ki m_kj, in integers
+    cols = list(zip(*m[:r]))
+    rows = [[None] * size for _ in range(size)]
+    for i in range(size):
+        di = [dk * x for dk, x in zip(d, cols[i])]
+        for j in range(i, size):
+            rows[i][j] = rows[j][i] = Fraction(sum(x * y for x, y in zip(di, cols[j])))
+    return SymmetricForm(rows)
 
 
 def kernel_basis(q: SymmetricForm):

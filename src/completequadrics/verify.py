@@ -121,20 +121,42 @@ def check_direct_counts(seeds: int = 20) -> CheckResult:
     return CheckResult("degeneration-counts", statement, True, "%d seeds x 13 entries" % seeds)
 
 
-def check_boundary_numbers(seeds: int = 20, max_n: int = 6) -> CheckResult:
-    """Marking-pencil degeneration totals follow the closed form n-k+1."""
-    statement = "random marking pencils on P^(n-k) degenerate n-k+1 times, n <= %d" % max_n
+def check_boundary_numbers(seeds: int = 20, max_n: int = 10) -> CheckResult:
+    """Marking-pencil degeneration totals follow the closed form n-k+1.
+
+    The total is the degree of the determinant form, so it holds by
+    construction; each form is also checked against determinants taken
+    directly: its top coefficient is det Q1, and its value at (1 : -1/2),
+    which is not an interpolation node, is det(Q0 - Q1/2).
+    """
+    statement = (
+        "random marking pencils on P^(n-k) degenerate n-k+1 times, n <= %d; "
+        "each determinant form has top coefficient det Q1 and value "
+        "det(Q0 - Q1/2) at (1 : -1/2)" % max_n
+    )
+    half = Fraction(1, 2)
     for n in range(2, max_n + 1):
         for k in range(1, n):
             for seed in range(seeds):
-                got = pencils.bk_number(n, k, seed)
+                p = pencils.random_pencil(n - k, seed)
+                form = pencils.pencil_det_form(p)
+                got = pencils.count_degenerations(p).total
+                mid = [[x - half * y for x, y in zip(r0, r1)] for r0, r1 in zip(p.q0.rows, p.q1.rows)]
+                value = sum(c * (-half) ** d for d, c in enumerate(form.coeffs))
                 if got != n - k + 1:
-                    return CheckResult(
-                        "boundary-pencil-numbers",
-                        statement,
-                        False,
-                        "n=%d k=%d seed=%d: %d" % (n, k, seed, got),
-                    )
+                    problem = "%d degenerations" % got
+                elif form.coeffs[-1] != ff_det(p.q1.rows):
+                    problem = "top coefficient is not det Q1"
+                elif value != ff_det(mid):
+                    problem = "value at (1 : -1/2) is not det(Q0 - Q1/2)"
+                else:
+                    continue
+                return CheckResult(
+                    "boundary-pencil-numbers",
+                    statement,
+                    False,
+                    "n=%d k=%d seed=%d: %s" % (n, k, seed, problem),
+                )
     return CheckResult("boundary-pencil-numbers", statement, True, "")
 
 

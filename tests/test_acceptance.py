@@ -56,7 +56,7 @@ def test_criterion_03_degeneration_counts():
 
 
 def test_criterion_04_boundary_pencil_numbers():
-    _run(verify.check_boundary_numbers, 30, seeds=20, max_n=6)
+    _run(verify.check_boundary_numbers, 30, seeds=20, max_n=10)
 
 
 def test_criterion_05_canonical_class():

@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 from completequadrics import cli
 
@@ -99,6 +100,22 @@ def test_pencil_count():
     assert data["degenerations"] == 4
 
 
+def test_pencil_n_above_bound_rejected_fast():
+    n = cli.MAX_PENCIL_N + 1
+    start = time.monotonic()
+    code, out, err = run(["pencil", "--n", str(n), "--k", "1"])
+    assert code == 2
+    assert out == ""
+    assert "at most %d" % cli.MAX_PENCIL_N in err
+    assert time.monotonic() - start < 1
+
+
+def test_pencil_n_at_bound_runs():
+    assert cli.MAX_PENCIL_N == 40
+    data = run_json(["pencil", "--n", "40", "--k", "1"])
+    assert data["degenerations"] == 40
+
+
 def test_pencil_verify_table():
     code, out, _ = run(["pencil", "--verify-table", "--seed", "2"])
     assert code == 0
@@ -171,6 +188,20 @@ def test_error_exit_codes():
         assert code == 2, argv
     code, _, _ = run(["bogus"])
     assert code == 2
+
+
+def test_string_coeffs_rejected():
+    # a JSON string is iterable, so "123" must not read as the class (1, 2, 3)
+    for argv in (
+        ["cone", "--divisor", '{"basis":"H","coeffs":"123"}', "--cone", "nef"],
+        ["pair", "--curve", "G", "--divisor", '{"basis":"H","coeffs":"123"}'],
+        ["pair", "--curve", '{"n":3,"coeffs":"121"}', "--divisor",
+         '{"basis":"H","coeffs":["1","1","1"]}'],
+    ):
+        code, out, err = run(argv)
+        assert code == 2, argv
+        assert out == ""
+        assert "not a string" in err
 
 
 def test_console_script_wiring():

@@ -19,8 +19,10 @@ from completequadrics.exact import (
     RingMatrix,
     UnderdeterminedSystem,
     adjugate,
+    clear_denominators,
     distinct_root_count,
     ff_det,
+    int_det,
     format_rat,
     k_subsets,
     mat_mul,
@@ -64,6 +66,47 @@ def test_ff_det_matches_cofactor_rational(m):
 @given(rat_matrix(4))
 def test_ff_det_matches_cofactor_rational_4x4(m):
     assert ff_det(m) == cofactor_det(m)
+
+
+int_entry = st.integers(min_value=-50, max_value=50)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=5).flatmap(
+    lambda n: st.lists(st.lists(int_entry, min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_int_det_matches_cofactor(m):
+    d = int_det(m)
+    assert type(d) is int
+    assert d == cofactor_det(m)
+
+
+def test_int_det_zero_pivots():
+    # a zero pivot forces a row swap, whose sign must be kept
+    assert int_det([[0, 1, 2], [3, 4, 5], [6, 7, 9]]) == cofactor_det([[0, 1, 2], [3, 4, 5], [6, 7, 9]])
+    assert int_det([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
+    assert int_det([[0, 1], [0, 2]]) == 0
+    with pytest.raises(ValueError):
+        int_det([[1, 2]])
+    with pytest.raises(ValueError):
+        int_det([])
+
+
+def test_clear_denominators():
+    rows = [[Fraction(1, 2), Fraction(2, 3)], [Fraction(-5, 6), 4]]
+    ints, scale = clear_denominators(rows)
+    assert scale == 6
+    assert ints == [[3, 4], [-5, 24]]
+    assert all(type(x) is int for r in ints for x in r)
+    assert clear_denominators([[1, 2]]) == ([[1, 2]], 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rat_matrix(5))
+def test_ff_det_rational_is_scaled_int_det(m):
+    ints, scale = clear_denominators(m)
+    d = ff_det(m)
+    assert isinstance(d, Fraction)
+    assert d == Fraction(int_det(ints), scale ** 5) == cofactor_det(m)
 
 
 def random_poly1(rng, deg=2):
@@ -159,6 +202,22 @@ def test_distinct_root_count_random_products(seed):
     for r, m in zip(roots, mults):
         p = p * (t - r) ** m
     assert distinct_root_count(p) == (sum(mults), len(set(roots)))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_distinct_root_count_matches_fraction_gcd(seed):
+    # oracle: the squarefree part p / gcd(p, p') by the Euclidean gcd over
+    # Fraction, on products of rational roots with a rational leading factor
+    rng = random.Random(500 + seed)
+    t = Poly1.variable()
+    p = Poly1([Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9))])
+    for _ in range(rng.randint(1, 6)):
+        root = Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+        p = p * (t - root) ** rng.randint(1, 3)
+    if rng.random() < 0.5:
+        p = p * (t * t + Fraction(rng.randint(1, 5), rng.randint(1, 3)))
+    squarefree = p.exact_div(poly_gcd(p, p.derivative()))
+    assert distinct_root_count(p) == (p.degree(), squarefree.degree())
 
 
 def test_poly_gcd_divides_both():

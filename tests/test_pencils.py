@@ -1,16 +1,18 @@
 """Pencil degeneration counts, with the lattice pairings as cross-check."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from completequadrics import picard
-from completequadrics.exact import Poly1
+from completequadrics.exact import Poly1, ff_det, mat_mul, mat_rank, mat_transpose
 from completequadrics.pencils import (
     DIRECT_CHECK_PAIRS,
     BinaryForm,
     DegeneratePencilError,
     Pencil,
+    _sym_outer,
     bk_number,
     count_degenerations,
     count_tangencies,
@@ -19,7 +21,7 @@ from completequadrics.pencils import (
     pencil_det_form,
     random_pencil,
 )
-from completequadrics.quadrics import SymmetricForm
+from completequadrics.quadrics import SymmetricForm, random_form, restrict
 
 
 def diag(*entries):
@@ -53,6 +55,98 @@ class TestDetForm:
     def test_binary_form_json(self):
         form = pencil_det_form(Pencil(diag(1, 1), SymmetricForm([[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]])))
         assert form.to_json() == ["1", "0", "-1"]
+
+
+def poly1_det_form(p):
+    # oracle: Bareiss over Poly1 with Fraction coefficients, no interpolation
+    size = p.m + 1
+    rows = [[Poly1([p.q0.rows[i][j], p.q1.rows[i][j]]) for j in range(size)] for i in range(size)]
+    det = ff_det(rows)
+    return tuple(det.coefficient(d) for d in range(size + 1))
+
+
+class TestDetFormOracle:
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_random_pencils_match_poly1_bareiss(self, m):
+        for seed in range(20):
+            p = random_pencil(m, seed)
+            form = pencil_det_form(p)
+            assert form.coeffs == poly1_det_form(p)
+            assert all(isinstance(c, Fraction) for c in form.coeffs)
+
+    def test_half_integer_pencils_match_poly1_bareiss(self):
+        # restrictions to subspaces and pencils built from _sym_outer carry
+        # denominators, so the common denominator of the integer path is > 1
+        rng = random.Random(11)
+        half = Fraction(1, 2)
+        checked = 0
+        for _ in range(40):
+            size = rng.randint(2, 5)
+            p = random_pencil(size - 1, rng.randrange(1 << 30))
+            basis = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(size - 1)]
+                     for _ in range(size)]
+            if mat_rank(basis) < size - 1:
+                continue
+            scaled = Pencil(SymmetricForm([[x * half for x in r] for r in p.q0.rows]), p.q1)
+            assert pencil_det_form(scaled).coeffs == poly1_det_form(scaled)
+            checked += 1
+            try:
+                restricted = Pencil(restrict(p.q0, basis), restrict(p.q1, basis))
+            except DegeneratePencilError:
+                continue
+            assert pencil_det_form(restricted).coeffs == poly1_det_form(restricted)
+            checked += 1
+        for _ in range(20):
+            u, v0, v1 = ([Fraction(rng.randint(-3, 3)) for _ in range(2)] for _ in range(3))
+            try:
+                pencil = Pencil(_sym_outer(u, v0), _sym_outer(u, v1))
+            except DegeneratePencilError:
+                continue
+            assert pencil.q0.rows[0][1].denominator in (1, 2)
+            expected = poly1_det_form(pencil)
+            if any(expected):
+                assert pencil_det_form(pencil).coeffs == expected
+                checked += 1
+            else:
+                with pytest.raises(DegeneratePencilError):
+                    pencil_det_form(pencil)
+        assert checked > 60
+
+    def test_identically_singular_half_integer_pencil_rejected(self):
+        # u*v0 and u*v1 on P^2 have rank <= 2, so every member is singular
+        u = [Fraction(1), Fraction(2), Fraction(-1)]
+        p = Pencil(
+            _sym_outer(u, [Fraction(3), Fraction(0), Fraction(1)]),
+            _sym_outer(u, [Fraction(0), Fraction(1), Fraction(1)]),
+        )
+        assert not any(poly1_det_form(p))
+        with pytest.raises(DegeneratePencilError):
+            pencil_det_form(p)
+
+
+def fraction_random_form(n, r, seed):
+    # oracle: the Fraction construction M^T D M through mat_mul, with the
+    # same draws from the generator and invertibility tested by rank
+    rng = random.Random(seed)
+    size = n + 1
+    d = [Fraction(rng.choice([1, 2, 3, -1, -2, 5])) if i < r else Fraction(0) for i in range(size)]
+    while True:
+        m = [[Fraction(rng.randint(-3, 3)) for _ in range(size)] for _ in range(size)]
+        if mat_rank(m) == size:
+            break
+    diag = [[d[i] if i == j else Fraction(0) for j in range(size)] for i in range(size)]
+    return SymmetricForm(mat_mul(mat_transpose(m), mat_mul(diag, m)))
+
+
+@pytest.mark.parametrize(
+    "n,r,seed",
+    [(0, 1, 3), (1, 1, 0), (1, 2, 4), (2, 3, 9), (3, 2, 17), (3, 4, 123456789),
+     (4, 5, 5), (5, 3, 2024), (6, 7, 1), (8, 9, 77)],
+)
+def test_random_form_matches_fraction_construction(n, r, seed):
+    q = random_form(n, r, seed)
+    assert q == fraction_random_form(n, r, seed)
+    assert all(isinstance(x, Fraction) for row in q.rows for x in row)
 
 
 class TestPencilValidation:
