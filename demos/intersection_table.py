@@ -23,7 +23,7 @@ def main():
     print()
 
     counts = direct_table_counts(seed=0)
-    print("13 of the entries recounted by explicit pencils of quadrics:")
+    print("13 of the entries recounted by 6 pencil constructions (some entries repeat one):")
     for label in sorted(counts):
         print("  %-10s counted %d" % (label, counts[label]))
     names = curves_x3()

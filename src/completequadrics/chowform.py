@@ -15,7 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .exact import MPoly, Poly1, ff_det, k_subsets, mat_mul, mat_rank, mat_transpose
+from .exact import (
+    MPoly, Poly1, clear_denominators, ff_det, k_subsets, mat_mul, mat_rank, mat_transpose,
+)
 from .quadrics import SymmetricForm, compound
 
 
@@ -32,18 +34,11 @@ class ProjectivePoint:
         coords = [Fraction(c) for c in coords]
         if not any(coords):
             raise ValueError("projective point needs a nonzero coordinate")
-        den = 1
-        for c in coords:
-            den = den * c.denominator // gcd(den, c.denominator)
-        ints = [int(c * den) for c in coords]
-        g = 0
-        for v in ints:
-            g = gcd(g, abs(v))
-        ints = [v // g for v in ints]
-        first = next(v for v in ints if v)
-        if first < 0:
-            ints = [-v for v in ints]
-        object.__setattr__(self, "coords", tuple(Fraction(v) for v in ints))
+        (ints,), _ = clear_denominators([coords])
+        g = gcd(*ints)
+        if next(v for v in ints if v) < 0:
+            g = -g
+        object.__setattr__(self, "coords", tuple(Fraction(v // g) for v in ints))
 
     def __setattr__(self, name, value):
         raise AttributeError("ProjectivePoint is immutable")
@@ -71,9 +66,6 @@ class PluckerVector:
     k: int
     coords: tuple
 
-    def point(self) -> ProjectivePoint:
-        return ProjectivePoint(self.coords)
-
 
 def plucker(basis) -> PluckerVector:
     """Pluecker vector of the span of the columns of an (n+1) x k matrix."""
@@ -97,50 +89,6 @@ def chow_eval(q: SymmetricForm, k: int, basis) -> Fraction:
     c = compound(q, k).rows
     m = len(p.coords)
     return sum(p.coords[i] * c[i][j] * p.coords[j] for i in range(m) for j in range(m))
-
-
-def is_tangent(q: SymmetricForm, k: int, basis) -> bool:
-    """True when the (k-1)-plane spanned by basis is tangent to the quadric."""
-    return chow_eval(q, k, basis) == 0
-
-
-@dataclass(frozen=True)
-class ProportionalityWitness:
-    """Scale factor between two compound matrices; mu = lam**k for full rank."""
-
-    mu: Fraction
-    lam: Fraction | None
-
-
-def minors_proportional(a: SymmetricForm, b: SymmetricForm, k: int):
-    """Witness that compound(a, k) = mu * compound(b, k), or None.
-
-    A nonsingular quadric is determined by its k-th minors up to scale: when
-    both forms are invertible and a witness exists, the underlying scale
-    a = lam * b is recovered and verified, with mu = lam**k.
-    """
-    if a.n != b.n:
-        raise ValueError("forms must share an ambient space")
-    ca = compound(a, k).rows
-    cb = compound(b, k).rows
-    m = len(ca)
-    flat_a = [ca[i][j] for i in range(m) for j in range(m)]
-    flat_b = [cb[i][j] for i in range(m) for j in range(m)]
-    if not any(flat_b):
-        return ProportionalityWitness(mu=Fraction(1), lam=None) if not any(flat_a) else None
-    idx = next(i for i, v in enumerate(flat_b) if v)
-    mu = flat_a[idx] / flat_b[idx]
-    if any(x != mu * y for x, y in zip(flat_a, flat_b)):
-        return None
-    lam = None
-    if ff_det(a.rows) and ff_det(b.rows):
-        flat_qa = [x for r in a.rows for x in r]
-        flat_qb = [x for r in b.rows for x in r]
-        j = next(i for i, v in enumerate(flat_qb) if v)
-        cand = flat_qa[j] / flat_qb[j]
-        if all(x == cand * y for x, y in zip(flat_qa, flat_qb)) and cand ** k == mu:
-            lam = cand
-    return ProportionalityWitness(mu=mu, lam=lam)
 
 
 def chow_limit(q0: SymmetricForm, q1: SymmetricForm, k: int) -> ProjectivePoint:

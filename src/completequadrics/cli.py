@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import chambers, chowform, pencils, picard, quadrics, schubert, verify
-from .exact import ExactLinalgError
+from .exact import ExactLinalgError, format_rat
 from .picard import CurveClass, DivisorClass
 from .quadrics import SymmetricForm
 
@@ -28,35 +28,48 @@ SCHEMA = "cq/1"
 MAX_PENCIL_N = 40
 
 
-def _fr(x) -> str:
-    return str(Fraction(x))
-
-
 def _emit(obj) -> None:
     sys.stdout.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+
+
+# what json.loads can return, named for error messages
+_JSON_KIND = {dict: "an object", list: "a list", str: "a string", int: "a number",
+              float: "a number", bool: "a boolean", type(None): "null"}
+
+
+def _check_types(data: dict) -> dict:
+    # a field of another JSON type would meet a TypeError in the class
+    # constructors, which main does not report as unusable input
+    for key, kind, what in (("coeffs", list, "a list"), ("matrix", list, "a list"), ("n", int, "an integer")):
+        if key in data and type(data[key]) is not kind:
+            raise ValueError('"%s" must be %s, not %s' % (key, what, _JSON_KIND[type(data[key])]))
+    if not all(isinstance(row, list) for row in data.get("matrix", ())):
+        raise ValueError('"matrix" must be a list of lists')
+    return data
 
 
 def _parse_divisor(text: str) -> DivisorClass:
     data = json.loads(text)
     if not isinstance(data, dict) or "coeffs" not in data or "basis" not in data:
         raise ValueError('divisor JSON needs "basis" and "coeffs"')
-    data.setdefault("n", len(data["coeffs"]))
+    data.setdefault("n", len(_check_types(data)["coeffs"]))
     return DivisorClass.from_json(data)
+
+
+def _parse_curve(text: str) -> CurveClass:
+    data = json.loads(text)
+    if not isinstance(data, dict) or "coeffs" not in data or "n" not in data:
+        raise ValueError('curve JSON needs "n" and "coeffs"')
+    return CurveClass.from_json(_check_types(data))
 
 
 def _parse_form(text: str) -> SymmetricForm:
     data = json.loads(text)
-    if isinstance(data, dict) and "matrix" in data:
-        return SymmetricForm.from_json(data)
     if isinstance(data, list):
-        return SymmetricForm.from_rational(data)
-    raise ValueError("form JSON must be a matrix or {n, matrix}")
-
-
-_DIVISORS_3 = {
-    "H1": picard.H1_3, "H2": picard.H2_3, "H3": picard.H3_3,
-    "E1": picard.E1_3, "E2": picard.E2_3, "E3": picard.E3_3,
-}
+        data = {"matrix": data}
+    if not isinstance(data, dict) or "matrix" not in data:
+        raise ValueError("form JSON must be a matrix or {n, matrix}")
+    return SymmetricForm.from_json(_check_types(data))
 
 
 # -- chow ----------------------------------------------------------------------
@@ -72,8 +85,8 @@ def cmd_chow(args) -> int:
             "schema": SCHEMA,
             "command": "chow-limit",
             "k": args.k,
-            "point": [_fr(c) for c in pt.coords],
-            "support": {"%d,%d" % ij: _fr(v) for ij, v in sorted(support.items())},
+            "point": [format_rat(c) for c in pt.coords],
+            "support": {"%d,%d" % ij: format_rat(v) for ij, v in sorted(support.items())},
         })
         return 0
     m = quadrics.compound(q, args.k)
@@ -82,7 +95,7 @@ def cmd_chow(args) -> int:
         "command": "chow-compound",
         "k": args.k,
         "indexing": "rows and columns are the size-k subsets of {0..n} in lexicographic order",
-        "matrix": [[_fr(e) for e in row] for row in m.rows],
+        "matrix": [[format_rat(e) for e in row] for row in m.rows],
     })
     return 0
 
@@ -98,7 +111,7 @@ def cmd_pencil(args) -> int:
         all_ok = True
         for label in sorted(counts):
             curve, divisor = pencils.DIRECT_CHECK_PAIRS[label]
-            expected = int(picard.pair(curves[curve], _DIVISORS_3[divisor]))
+            expected = int(picard.pair(curves[curve], chambers.GENERATORS[divisor]))
             ok = counts[label] == expected
             all_ok = all_ok and ok
             entries.append({
@@ -168,14 +181,14 @@ def cmd_pair(args) -> int:
     elif name in display_to_key:
         c = curves[display_to_key[name]]
     else:
-        c = CurveClass.from_json(json.loads(name))
+        c = _parse_curve(name)
     d = _parse_divisor(args.divisor)
     _emit({
         "schema": SCHEMA,
         "command": "pair",
         "curve": c.to_json(),
         "divisor": d.to_json(),
-        "value": _fr(picard.pair(c, d)),
+        "value": format_rat(picard.pair(c, d)),
     })
     return 0
 
@@ -224,7 +237,7 @@ def cmd_chamber(args) -> int:
         _emit({
             "schema": SCHEMA,
             "command": "chamber-segment",
-            "t": _fr(t),
+            "t": format_rat(t),
             **report.to_json(),
         })
         return 0

@@ -2,10 +2,12 @@
 
 Scalars are fractions.Fraction at the interface.  Univariate polynomials
 (Poly1) are dense coefficient lists, multivariate polynomials (MPoly) are
-sparse exponent-tuple maps, and matrices are rectangular arrays whose entries
-all live in a single ring (Fraction, Poly1 or MPoly).  Determinants use
-Bareiss fraction-free elimination, so every intermediate value stays in the
-entry ring; the only divisions performed are exact.
+sparse exponent-tuple maps, and matrices are plain sequences of rows whose
+entries all live in a single ring (Fraction, Poly1 or MPoly).  Determinants
+use Bareiss fraction-free elimination, so every intermediate value stays in
+the entry ring; the only divisions performed are exact.  Beside the Bareiss
+kernels there is one rational Gauss-Jordan routine, _rref, which both
+mat_rank and solve_exact run on.
 
 Rational work runs on Python integers wherever it can.  clear_denominators
 scales a rational matrix by the lcm of its denominators and int_det is the
@@ -21,8 +23,6 @@ from __future__ import annotations
 from fractions import Fraction
 import itertools
 import math
-
-Rat = Fraction
 
 
 class ExactLinalgError(Exception):
@@ -436,19 +436,6 @@ class MPoly:
         terms = {e: c for e, c in self.terms.items() if all(e[i] == 0 for i in idx)}
         return MPoly(self.vars, terms)
 
-    def substitute(self, values: dict):
-        """Replace named variables by Fractions; the rest stay symbolic."""
-        out = MPoly(self.vars)
-        for e, c in self.terms.items():
-            coeff = c
-            ne = list(e)
-            for name, val in values.items():
-                i = self.vars.index(name)
-                coeff *= Fraction(val) ** e[i]
-                ne[i] = 0
-            out = out + MPoly(self.vars, {tuple(ne): coeff})
-        return out
-
     def _leading(self):
         # lex leading term
         e = max(self.terms)
@@ -495,55 +482,7 @@ class MPoly:
 # -- matrices ---------------------------------------------------------------
 
 
-class RingMatrix:
-    """Rectangular matrix over a single ring (Fraction, Poly1 or MPoly)."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows):
-        rows = tuple(tuple(r) for r in rows)
-        if rows:
-            w = len(rows[0])
-            if any(len(r) != w for r in rows):
-                raise ValueError("ragged matrix")
-        object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RingMatrix is immutable")
-
-    @property
-    def nrows(self):
-        return len(self.rows)
-
-    @property
-    def ncols(self):
-        return len(self.rows[0]) if self.rows else 0
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i][j]
-
-    def __eq__(self, other):
-        if isinstance(other, RingMatrix):
-            return self.rows == other.rows
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.rows)
-
-    def det(self):
-        return ff_det(self.rows)
-
-    def rank(self):
-        return mat_rank(self.rows)
-
-    def __repr__(self):
-        return "RingMatrix(%r)" % (self.rows,)
-
-
 def _rows(m):
-    if isinstance(m, RingMatrix):
-        return [list(r) for r in m.rows]
     return [list(r) for r in m]
 
 
@@ -665,17 +604,15 @@ def ff_det(m):
     return d if sign == 1 else -d
 
 
-def mat_rank(m) -> int:
-    """Rank of a matrix with Fraction entries (exact Gaussian elimination)."""
-    a = _rows(m)
-    if not a:
-        return 0
-    for row in a:
-        for x in row:
-            if not isinstance(x, (int, Fraction)):
-                raise TypeError("mat_rank expects rational entries")
-    rows, cols = len(a), len(a[0])
-    rank = 0
+def _rref(a, cols):
+    """Gauss-Jordan reduce a rational matrix in place; return its pivot columns.
+
+    Pivots are sought in the first cols columns only, so columns past them
+    (an augmented right-hand side) are carried along.  Row i of the result
+    has a leading 1 in column pivots[i], and that column is zero elsewhere.
+    """
+    rows = len(a)
+    pivots = []
     r = 0
     for c in range(cols):
         pivot = next((i for i in range(r, rows) if a[i][c]), None)
@@ -688,28 +625,23 @@ def mat_rank(m) -> int:
             if i != r and a[i][c]:
                 f = a[i][c]
                 a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
         r += 1
-        rank += 1
         if r == rows:
             break
-    return rank
+    return pivots
 
 
-def adjugate(m):
-    """Adjugate (transposed cofactor matrix); satisfies M adj(M) = det(M) I."""
+def mat_rank(m) -> int:
+    """Rank of a matrix with Fraction entries (exact Gaussian elimination)."""
     a = _rows(m)
-    n = len(a)
-    if n == 0 or any(len(r) != n for r in a):
-        raise ValueError("adjugate of a non-square matrix")
-    if n == 1:
-        return [[_one_like(a[0][0])]]
-    out = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [[a[r][c] for c in range(n) if c != j] for r in range(n) if r != i]
-            d = ff_det(minor)
-            out[j][i] = d if (i + j) % 2 == 0 else -d
-    return out
+    if not a:
+        return 0
+    for row in a:
+        for x in row:
+            if not isinstance(x, (int, Fraction)):
+                raise TypeError("mat_rank expects rational entries")
+    return len(_rref(a, len(a[0])))
 
 
 def solve_exact(a, b):
@@ -726,24 +658,8 @@ def solve_exact(a, b):
     rows = len(a)
     cols = len(a[0]) if rows else 0
     aug = [[Fraction(x) for x in a[i]] + [b[i]] for i in range(rows)]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if aug[i][c]), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = Fraction(1) / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
+    pivots = _rref(aug, cols)
+    for i in range(len(pivots), rows):
         if aug[i][cols]:
             raise InconsistentSystem("no solution")
     if len(pivots) < cols:

@@ -83,13 +83,6 @@ class CurveClass:
         return cls(int(data["n"]), data["coeffs"])
 
 
-def fl_curve(n: int, j: int) -> CurveClass:
-    """The j-th flag curve class Fl_j (dual to H_j)."""
-    if not 1 <= j <= n:
-        raise ValueError("index out of range")
-    return CurveClass(n, tuple(Fraction(int(i == j - 1)) for i in range(n)))
-
-
 class LatticeRelations:
     """Change-of-basis data between the H, E and mixed presentations."""
 
@@ -317,19 +310,3 @@ def table_x3():
         c = CurveClass(3, coeffs)
         rows.append(TableRow(name, tuple(pair(c, d) for d in divisors), cover))
     return rows
-
-
-# the intermediate space X(1) (one blowup of the P^9 of quadric surfaces):
-# rank-2 Picard data used by cone walk sanity checks
-INTERMEDIATE_X1 = {
-    "nef_generators": ("H1", "H2"),
-    "canonical_mixed": (Fraction(-10), Fraction(5)),  # -10 H1 + 5 E1
-    "canonical_nef": (Fraction(0), Fraction(-5)),  # equals -5 H2
-}
-
-
-def eff_to_h_determinant(n: int) -> Fraction:
-    """Determinant of the boundary-to-nef change of basis (equals n + 1)."""
-    from .exact import ff_det
-
-    return ff_det(LatticeRelations(n).basis_matrix("E"))

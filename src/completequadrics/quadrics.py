@@ -11,11 +11,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import (
-    Rat,
     ff_det,
     format_rat,
     int_det,
@@ -57,10 +55,6 @@ class SymmetricForm:
         m = len(entries)
         return cls([[entries[i] if i == j else Fraction(0) for j in range(m)] for i in range(m)])
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i][j]
-
     def __eq__(self, other):
         if isinstance(other, SymmetricForm):
             return self.rows == other.rows
@@ -68,9 +62,6 @@ class SymmetricForm:
 
     def __hash__(self):
         return hash(self.rows)
-
-    def is_rational(self) -> bool:
-        return all(isinstance(x, (int, Fraction)) for r in self.rows for x in r)
 
     def evaluate(self, v):
         """Value of the form at a vector: v^T Q v."""
@@ -173,133 +164,3 @@ def random_form(n: int, r: int, seed: int) -> SymmetricForm:
         for j in range(i, size):
             rows[i][j] = rows[j][i] = Fraction(sum(x * y for x, y in zip(di, cols[j])))
     return SymmetricForm(rows)
-
-
-def kernel_basis(q: SymmetricForm):
-    """Echelon basis of the kernel of a rational form, as matrix columns.
-
-    The basis is canonical: each vector carries a 1 in its own free-variable
-    slot and 0 in the others, so two forms with the same kernel get the same
-    basis.  Returns an (n+1) x d matrix, d = n+1-rank.
-    """
-    size = q.n + 1
-    a = [[Fraction(x) for x in row] for row in q.rows]
-    # row-reduce to identify pivot columns
-    pivots = []
-    r = 0
-    for c in range(size):
-        pivot = next((i for i in range(r, size) if a[i][c]), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        inv = Fraction(1) / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(size):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(size) if c not in pivots]
-    cols = []
-    for fc in free:
-        v = [Fraction(0)] * size
-        v[fc] = Fraction(1)
-        for row, pc in enumerate(pivots):
-            v[pc] = -a[row][fc]
-        cols.append(v)
-    return [[cols[j][i] for j in range(len(cols))] for i in range(size)]
-
-
-@dataclass(frozen=True)
-class StratumDescriptor:
-    """Rank stratum of quadrics on P^n: forms of rank exactly i."""
-
-    n: int
-    i: int
-
-    def __post_init__(self):
-        if not 1 <= self.i <= self.n + 1:
-            raise ValueError("rank out of range")
-
-    @property
-    def codim(self) -> int:
-        return stratum_codim(self.n, self.i)
-
-    def contains(self, q: SymmetricForm) -> bool:
-        return q.n == self.n and form_rank(q) == self.i
-
-
-class CompleteQuadric:
-    """Flag of forms, each living on the singular locus of the previous one.
-
-    Form i+1 is a quadric on Sing(form i) = P(ker form i), which has
-    projective dimension ambient_i - rank_i; ambient dimensions therefore
-    strictly decrease along the flag.
-    """
-
-    __slots__ = ("forms",)
-
-    def __init__(self, forms):
-        forms = tuple(forms)
-        if not forms:
-            raise ValueError("flag must contain at least one form")
-        for i, f in enumerate(forms):
-            if not isinstance(f, SymmetricForm):
-                raise TypeError("flag entries must be SymmetricForm")
-            rank = form_rank(f)
-            if rank < 1:
-                raise ValueError("flag forms must be nonzero")
-            if i + 1 < len(forms):
-                expected = f.n - rank
-                if expected < 0:
-                    raise ValueError("rank exceeds ambient dimension")
-                if forms[i + 1].n != expected:
-                    raise ValueError(
-                        "form %d must live on a P^%d (got P^%d)" % (i + 1, expected, forms[i + 1].n)
-                    )
-        object.__setattr__(self, "forms", forms)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CompleteQuadric is immutable")
-
-    @property
-    def n(self) -> int:
-        return self.forms[0].n
-
-    def rank_sequence(self):
-        return tuple(form_rank(f) for f in self.forms)
-
-    def is_full(self) -> bool:
-        """True when the last form is nonsingular, i.e. the flag is complete."""
-        last = self.forms[-1]
-        return form_rank(last) == last.n + 1
-
-    def to_json(self) -> dict:
-        return {"flag": [f.to_json() for f in self.forms]}
-
-    @classmethod
-    def from_json(cls, data: dict):
-        return cls([SymmetricForm.from_json(f) for f in data["flag"]])
-
-    def __eq__(self, other):
-        if isinstance(other, CompleteQuadric):
-            return self.forms == other.forms
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.forms)
-
-    def __repr__(self):
-        return "CompleteQuadric(ranks=%r, n=%d)" % (self.rank_sequence(), self.n)
-
-
-def random_complete_quadric(n: int, ranks, seed: int) -> CompleteQuadric:
-    """Random flag with the given rank sequence on P^n."""
-    rng = random.Random(seed)
-    forms = []
-    ambient = n
-    for r in ranks:
-        forms.append(random_form(ambient, r, rng.randrange(1 << 30)))
-        ambient = ambient - r
-    return CompleteQuadric(forms)

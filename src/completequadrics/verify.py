@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import chambers, chowform, pencils, picard, quadrics, schubert
-from .exact import MPoly, ff_det, mat_rank
+from .exact import MPoly, ff_det
+from .pencils import _random_subspace
 
 
 @dataclass(frozen=True)
@@ -31,13 +32,6 @@ class CheckResult:
             "passed": self.passed,
             "details": self.details,
         }
-
-
-def _random_subspace(rng, size, k):
-    while True:
-        b = [[Fraction(rng.randint(-3, 3)) for _ in range(k)] for _ in range(size)]
-        if mat_rank(b) == k:
-            return b
 
 
 def check_chow_identity(seed: int = 0, min_pairs: int = 100) -> CheckResult:
@@ -99,18 +93,15 @@ def check_table() -> CheckResult:
 def check_direct_counts(seeds: int = 20) -> CheckResult:
     """Pencil degeneration counts equal the corresponding lattice pairings."""
     statement = (
-        "13 table entries recovered by explicit pencil constructions match "
-        "the intersection pairing over %d seeds" % seeds
+        "6 pencil constructions cover 13 table entries (Gstar.E1 repeats "
+        "G.E3, C1star.E2 and C3.E2 repeat C1.E3, C1star.H3 repeats C1.H2), "
+        "and every entry matches the intersection pairing over %d seeds" % seeds
     )
     curves = picard.curves_x3()
-    divisors = {
-        "H1": picard.H1_3, "H2": picard.H2_3, "H3": picard.H3_3,
-        "E1": picard.E1_3, "E2": picard.E2_3, "E3": picard.E3_3,
-    }
     for seed in range(seeds):
         counts = pencils.direct_table_counts(seed)
         for label, (curve, divisor) in pencils.DIRECT_CHECK_PAIRS.items():
-            expected = picard.pair(curves[curve], divisors[divisor])
+            expected = picard.pair(curves[curve], chambers.GENERATORS[divisor])
             if counts[label] != expected:
                 return CheckResult(
                     "degeneration-counts",
@@ -118,7 +109,8 @@ def check_direct_counts(seeds: int = 20) -> CheckResult:
                     False,
                     "%s: counted %d, pairing %s (seed %d)" % (label, counts[label], expected, seed),
                 )
-    return CheckResult("degeneration-counts", statement, True, "%d seeds x 13 entries" % seeds)
+    details = "%d seeds x 13 entries from 6 constructions" % seeds
+    return CheckResult("degeneration-counts", statement, True, details)
 
 
 def check_boundary_numbers(seeds: int = 20, max_n: int = 10) -> CheckResult:

@@ -18,13 +18,11 @@ from completequadrics.chowform import (
     chow_eval,
     chow_limit,
     flag_wedge,
-    is_tangent,
     limit_support_coefficients,
-    minors_proportional,
     plucker,
     wedge2_example_matrix,
 )
-from completequadrics.quadrics import SymmetricForm, random_form, restrict
+from completequadrics.quadrics import SymmetricForm, compound, random_form, restrict
 
 
 def random_basis(rng, n, k):
@@ -59,40 +57,42 @@ def test_is_tangent_contained_plane():
     q = SymmetricForm.diagonal([1, -1, 0, 0])
     b = [[0, 0], [0, 0], [1, 0], [0, 1]]
     assert chow_eval(q, 2, b) == 0
-    assert is_tangent(q, 2, b)
 
 
 def test_is_tangent_conic_line():
     q = SymmetricForm.diagonal([1, 1, -1])
     tangent_at_p = [[1, 0], [0, 1], [0, 1]]
     secant = [[1, 0], [0, 1], [0, 0]]
-    assert is_tangent(q, 2, tangent_at_p)
-    assert not is_tangent(q, 2, secant)
+    assert chow_eval(q, 2, tangent_at_p) == 0
+    assert chow_eval(q, 2, secant) != 0
     with pytest.raises(ValueError):
         chow_eval(q, 1, tangent_at_p)
 
 
+def scaled(q, lam):
+    return SymmetricForm([[lam * x for x in row] for row in q.rows])
+
+
 def test_minors_proportional_scaling():
+    # every k x k minor of lam * Q is lam^k times the minor of Q
     a = random_form(3, 4, seed=31)
-    b3 = SymmetricForm([[3 * x for x in row] for row in a.rows])
-    w = minors_proportional(b3, a, 2)
-    assert w is not None and w.mu == 9 and w.lam == 3
-    w3 = minors_proportional(b3, a, 3)
-    assert w3 is not None and w3.mu == 27 and w3.lam == 3
-    neg = SymmetricForm([[-x for x in row] for row in a.rows])
-    wneg = minors_proportional(neg, a, 2)
-    assert wneg is not None and wneg.mu == 1 and wneg.lam == -1
+    for lam in (Fraction(3), Fraction(-1), Fraction(-2, 5)):
+        for k in (2, 3):
+            big, small = compound(scaled(a, lam), k).rows, compound(a, k).rows
+            for row_b, row_s in zip(big, small):
+                for x, y in zip(row_b, row_s):
+                    assert x == lam ** k * y
 
 
 def test_minors_proportional_none():
-    eye = SymmetricForm.diagonal([1, 1, 1, 1])
-    other = SymmetricForm.diagonal([1, 1, 1, 2])
-    assert minors_proportional(eye, other, 3) is None
-    # rank below k: both compounds vanish, any scale works
-    r1 = SymmetricForm.diagonal([1, 0, 0, 0])
-    r1b = SymmetricForm.diagonal([0, 0, 0, 5])
-    w = minors_proportional(r1, r1b, 2)
-    assert w is not None and w.mu == 1 and w.lam is None
+    # diag(1,1,1,1) and diag(1,1,1,2) differ by no scale, nor do their minors
+    c_eye = compound(SymmetricForm.diagonal([1, 1, 1, 1]), 3).rows
+    c_other = compound(SymmetricForm.diagonal([1, 1, 1, 2]), 3).rows
+    assert c_eye[0][0] * c_other[3][3] != c_eye[3][3] * c_other[0][0]
+    # rank below k: every 2 x 2 minor vanishes, at every scale
+    for q in (SymmetricForm.diagonal([1, 0, 0, 0]), SymmetricForm.diagonal([0, 0, 0, 5])):
+        for lam in (Fraction(1), Fraction(-1), Fraction(7)):
+            assert all(x == 0 for row in compound(scaled(q, lam), 2).rows for x in row)
 
 
 def test_projective_point_normalization():

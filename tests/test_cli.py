@@ -7,6 +7,8 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 from completequadrics import cli
 
 
@@ -202,6 +204,24 @@ def test_string_coeffs_rejected():
         assert code == 2, argv
         assert out == ""
         assert "not a string" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["cone", "--divisor", '{"basis":"H","coeffs":5}', "--cone", "nef"],
+    ["cone", "--divisor", '{"basis":"H","coeffs":null}', "--cone", "nef"],
+    ["chow", "--form", '{"matrix":5}', "--k", "1"],
+    ["chow", "--form", "[5]", "--k", "1"],
+    ["chow", "--form", '{"matrix":[[1]],"n":null}', "--k", "1"],
+    ["cone", "--divisor", '{"basis":"H","coeffs":[1,1,1],"n":null}', "--cone", "nef"],
+    ["pair", "--curve", "[1,2,1]", "--divisor", '{"basis":"H","coeffs":[1,1,1]}'],
+    ["pair", "--curve", '{"n":3,"coeffs":5}', "--divisor", '{"basis":"H","coeffs":[1,1,1]}'],
+])
+def test_wrongly_typed_json_fields_rejected(argv):
+    # a field of the wrong JSON type is unusable input: exit 2, one line, no traceback
+    code, out, err = run(argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_console_script_wiring():

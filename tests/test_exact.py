@@ -1,8 +1,8 @@
 """Core arithmetic tests.
 
 ff_det is checked against an independent cofactor-expansion oracle over all
-three entry rings; adjugate against its defining identity; root counts
-against explicit factorizations.
+three entry rings, and mat_rank against the largest nonvanishing minor; root
+counts against explicit factorizations.
 """
 
 import random
@@ -16,9 +16,7 @@ from completequadrics.exact import (
     InconsistentSystem,
     MPoly,
     Poly1,
-    RingMatrix,
     UnderdeterminedSystem,
-    adjugate,
     clear_denominators,
     distinct_root_count,
     ff_det,
@@ -144,41 +142,31 @@ def test_ff_det_singular_and_permutation():
     assert ff_det(p) == -1
 
 
-def test_ringmatrix_wrapper():
-    m = RingMatrix([[Fraction(2), Fraction(1)], [Fraction(0), Fraction(3)]])
-    assert m.det() == 6
-    assert m.rank() == 2
-    assert m[1, 1] == 3
-    with pytest.raises(ValueError):
-        RingMatrix([[Fraction(1)], [Fraction(1), Fraction(2)]])
-
-
-@pytest.mark.parametrize("seed", range(8))
-def test_adjugate_identity(seed):
-    rng = random.Random(200 + seed)
-    n = rng.choice([2, 3, 4])
-    m = [[Fraction(rng.randint(-4, 4)) for _ in range(n)] for _ in range(n)]
-    d = ff_det(m)
-    adj = adjugate(m)
-    prod = mat_mul(m, adj)
-    for i in range(n):
-        for j in range(n):
-            assert prod[i][j] == (d if i == j else 0)
-    prod2 = mat_mul(adj, m)
-    for i in range(n):
-        for j in range(n):
-            assert prod2[i][j] == (d if i == j else 0)
-
-
-def test_adjugate_identity_matrix():
-    eye = [[Fraction(int(i == j)) for j in range(4)] for i in range(4)]
-    assert adjugate(eye) == eye
-
-
 def test_mat_rank_examples():
     assert mat_rank([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]) == 1
     assert mat_rank([[Fraction(0)] * 3] * 3) == 0
     assert mat_rank([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)], [Fraction(1), Fraction(1)]]) == 2
+
+
+def minor_rank(m):
+    # oracle: the size of the largest nonvanishing minor, by cofactor expansion
+    for k in range(min(len(m), len(m[0])), 0, -1):
+        for rs in k_subsets(len(m), k):
+            for cs in k_subsets(len(m[0]), k):
+                if cofactor_det([[m[i][j] for j in cs] for i in rs]):
+                    return k
+    return 0
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_mat_rank_matches_minor_oracle(seed):
+    # a product of an r x d and a d x c factor, so small d gives deficient rank
+    rng = random.Random(700 + seed)
+    rows, cols, inner = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+    f = [[Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(inner)] for _ in range(rows)]
+    g = [[Fraction(rng.randint(-2, 2)) for _ in range(cols)] for _ in range(inner)]
+    m = mat_mul(f, g)
+    assert mat_rank(m) == minor_rank(m)
 
 
 def test_distinct_root_count_factored():
@@ -280,7 +268,6 @@ def test_mpoly_ring_operations():
     assert p.min_exponent("y") == 1
     assert p.divide_monomial((1, 1)) == x + 2
     assert p.substitute_zero(["x"]).is_zero()
-    assert (x ** 2 + y).substitute({"y": Fraction(3)}) == x ** 2 + 3
     assert (p * (x + y)).exact_div(x + y) == p
     with pytest.raises(ValueError):
         (x + 1).exact_div(y)

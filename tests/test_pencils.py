@@ -17,7 +17,6 @@ from completequadrics.pencils import (
     count_degenerations,
     count_tangencies,
     direct_table_counts,
-    dual_pencil_checks,
     pencil_det_form,
     random_pencil,
 )
@@ -275,9 +274,3 @@ class TestDirectTableCounts:
         for label, (curve, divisor) in DIRECT_CHECK_PAIRS.items():
             assert counts[label] == picard.pair(curves[curve], divisors[divisor]), label
 
-    def test_dual_checks_subset(self):
-        assert dual_pencil_checks(3) == {
-            "Gstar.E1": 4,
-            "C1star.E2": 3,
-            "C1star.H3": 1,
-        }

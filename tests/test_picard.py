@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from completequadrics.exact import InconsistentSystem, UnderdeterminedSystem
+from completequadrics.exact import InconsistentSystem, UnderdeterminedSystem, ff_det
 from completequadrics.picard import (
     CURVE_TABLE_X3,
     E1_3,
@@ -20,7 +20,6 @@ from completequadrics.picard import (
     H1_3,
     H2_3,
     H3_3,
-    INTERMEDIATE_X1,
     CurveClass,
     DivisorClass,
     LatticeRelations,
@@ -30,8 +29,6 @@ from completequadrics.picard import (
     convert,
     curves_x3,
     derive_class_from_pairings,
-    eff_to_h_determinant,
-    fl_curve,
     is_fano,
     pair,
     table_x3,
@@ -63,6 +60,11 @@ REFERENCE_COVERS = {
 }
 
 
+def fl_curve(n, j):
+    # the flag curve Fl_j, dual to H_j
+    return CurveClass(n, tuple(int(i == j - 1) for i in range(n)))
+
+
 def test_duality_pairings():
     for n in (2, 3, 4, 5):
         rel = LatticeRelations(n)
@@ -74,7 +76,8 @@ def test_duality_pairings():
                 e = DivisorClass(n, "E", tuple(int(a == i - 1) for a in range(n)))
                 expected = 2 * (i == j) - (i == j + 1) - (i == j - 1)
                 assert pair(flj, e) == expected
-        assert eff_to_h_determinant(n) == n + 1
+        # the boundary-to-nef change of basis is the A_n Cartan matrix
+        assert ff_det(rel.basis_matrix("E")) == n + 1
 
 
 def test_conversions_match_blowup_presentation():
@@ -112,9 +115,9 @@ def test_canonical_methods_agree_and_fano(n):
 
 
 def test_intermediate_space_canonical_consistency():
-    # -10 H1 + 5 E1 rewrites to -5 H2 inside the full lattice
-    a, b = INTERMEDIATE_X1["canonical_mixed"]
-    d = DivisorClass(3, "mixed", (a, b, 0))
+    # -10 H1 + 5 E1, the canonical class of the one-blowup space X(1),
+    # rewrites to -5 H2 inside the full lattice
+    d = DivisorClass(3, "mixed", (-10, 5, 0))
     assert convert(d, "H").coeffs == (0, -5, 0)
 
 

@@ -13,14 +13,10 @@ import pytest
 
 from completequadrics.exact import ff_det, k_subsets, mat_mul, mat_rank, mat_transpose
 from completequadrics.quadrics import (
-    CompleteQuadric,
-    StratumDescriptor,
     SymmetricForm,
     compound,
     form_rank,
-    kernel_basis,
     quadric_space_dim,
-    random_complete_quadric,
     random_form,
     restrict,
     stratum_codim,
@@ -134,57 +130,3 @@ def test_random_form_rank_and_determinism(n, r, seed):
     assert q1 == q2
     assert form_rank(q1) == r
     assert random_form(n, r, seed + 1) != q1
-
-
-def test_kernel_basis_canonical():
-    q = SymmetricForm.diagonal([1, 2, 0, 0])
-    q2 = SymmetricForm.diagonal([3, 1, 0, 0])
-    kb = kernel_basis(q)
-    assert kb == kernel_basis(q2)
-    assert len(kb[0]) == 2
-    assert all(all(x == 0 for x in row) for row in mat_mul(q.rows, kb))
-    # a rank-3 form has a 1-dimensional kernel annihilated by the form
-    q3 = random_form(3, 3, seed=9)
-    kb3 = kernel_basis(q3)
-    assert len(kb3[0]) == 1
-    assert all(all(x == 0 for x in row) for row in mat_mul(q3.rows, kb3))
-
-
-def test_stratum_descriptor():
-    s = StratumDescriptor(3, 2)
-    assert s.codim == 3
-    assert s.contains(random_form(3, 2, seed=11))
-    assert not s.contains(random_form(3, 3, seed=11))
-
-
-def test_complete_quadric_flag():
-    # double plane, then a double line on it, then a double point on that
-    a, b = Fraction(2), Fraction(3)
-    flag = CompleteQuadric(
-        [
-            SymmetricForm.diagonal([1, 0, 0, 0]),
-            SymmetricForm.diagonal([1, 0, 0]),
-            SymmetricForm([[a * a, a * b], [a * b, b * b]]),
-        ]
-    )
-    assert flag.rank_sequence() == (1, 1, 1)
-    assert not flag.is_full()
-    assert flag.n == 3
-    assert CompleteQuadric.from_json(flag.to_json()) == flag
-
-
-def test_complete_quadric_rejects_bad_chain():
-    with pytest.raises(ValueError):
-        CompleteQuadric(
-            [SymmetricForm.diagonal([1, 0, 0, 0]), SymmetricForm.diagonal([1, 0])]
-        )
-    with pytest.raises(ValueError):
-        CompleteQuadric([SymmetricForm.diagonal([0, 0])])
-
-
-def test_random_complete_quadric():
-    flag = random_complete_quadric(3, [2, 1], seed=21)
-    assert flag.rank_sequence() == (2, 1)
-    assert [f.n for f in flag.forms] == [3, 1]
-    full = random_complete_quadric(3, [1, 3], seed=22)
-    assert full.is_full()
