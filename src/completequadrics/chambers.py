@@ -4,9 +4,17 @@ The effective cone of the space of complete quadric surfaces is cut into
 eight regions; inside each, the stable base locus of every divisor is the
 same configuration of boundary divisors.  Each region is the cone over a
 triangle of named generators, with half-open walls deciding ownership of
-shared faces.  The classifier solves exactly for the coordinates of a
-divisor in each candidate triple and applies the sign conditions, so wall
-points resolve deterministically.
+shared faces.
+
+The classifier solves no linear system per class.  Each generator triple
+named in REGIONS, and the triple E1, E2, E3 spanning the effective cone,
+gets integer facet rows once, on first use: the rows of the inverse of its
+H-coordinate matrix, each scaled by the lcm of its denominators, so a row's
+dot product with H coordinates has the sign of the matching coordinate in
+the triple.  A class's H vector is scaled to integers once, and every
+region test, position, nef test and forced-locus pairing reads the signs of
+integer dot products with it.  Wall points therefore resolve exactly and
+deterministically.
 
 The duality involution (H1 <-> H3, E1 <-> E3) permutes the regions as
 (3 4)(6 7) and fixes the rest; the region data below is arranged so the
@@ -15,11 +23,12 @@ classification commutes with it everywhere, including on walls and rays.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import InconsistentSystem, solve_exact
+from .exact import clear_denominators
 from .picard import (
     DivisorClass,
     E1_3,
@@ -29,9 +38,9 @@ from .picard import (
     H2_3,
     H3_3,
     class_P,
-    cone_membership,
     convert,
     curves_x3,
+    generator_inverse,
     pair,
     xi,
 )
@@ -49,9 +58,7 @@ GENERATORS = {
 _GEN_ORDER = ("H1", "H2", "H3", "P", "E1", "E2", "E3")
 _GEN_H = {name: convert(d, "H").coeffs for name, d in GENERATORS.items()}
 
-# locus pieces; E13 stands for the surface E1 n E3 inside either divisor
-LOCUS_PIECES = ("E1", "E2", "E3", "E13")
-
+# E13 stands for the surface E1 n E3 inside either divisor
 _LOCUS_LABEL = {
     frozenset(): "empty",
     frozenset({"E13"}): "E1 cap E3",
@@ -144,44 +151,62 @@ class ChamberReport:
         }
 
 
-def _coords_in(d: DivisorClass, gens) -> tuple | None:
-    h = convert(d, "H").coeffs
-    matrix = [[_GEN_H[g][i] for g in gens] for i in range(3)]
-    try:
-        return tuple(solve_exact(matrix, list(h)))
-    except InconsistentSystem:
-        return None
+@functools.cache
+def _facet_rows(gens) -> tuple:
+    """Integer rows giving the signs of a class's coordinates in gens.
+
+    Row i of the inverse generator matrix, scaled by the lcm of its
+    denominators, dotted with H coordinates gives coordinate i times a
+    positive number.  Computed once per generator triple.
+    """
+    inverse = generator_inverse(tuple(GENERATORS[g] for g in gens))
+    return tuple(tuple(clear_denominators([row])[0][0]) for row in inverse)
 
 
-def _cone_accepts(d: DivisorClass, gens, flags) -> bool:
-    coords = _coords_in(d, gens)
-    if coords is None:
-        return False
-    for value, flag in zip(coords, flags):
-        if flag == ">=" and value < 0:
-            return False
-        if flag == ">" and value <= 0:
+# the effective cone is the cone over the boundary divisors
+_EFF = (("E1", "E2", "E3"), (">=", ">=", ">="))
+
+
+def _h_int(d: DivisorClass) -> list:
+    """H coordinates of d times the lcm of their denominators."""
+    if d.n != 3:
+        raise ValueError("chamber decomposition is for the n = 3 space")
+    return clear_denominators([convert(d, "H").coeffs])[0][0]
+
+
+def _dot(row, h):
+    return row[0] * h[0] + row[1] * h[1] + row[2] * h[2]
+
+
+def _cone_accepts(h, gens, flags) -> bool:
+    for row, flag in zip(_facet_rows(gens), flags):
+        value = _dot(row, h)
+        if value < 0 or (value == 0 and flag == ">"):
             return False
     return True
 
 
-def _is_nef(d: DivisorClass) -> bool:
-    return cone_membership(d, "nef").contains
+def _is_nef(h) -> bool:
+    return all(c >= 0 for c in h)
 
 
-def region_accepts(spec: RegionSpec, d: DivisorClass) -> bool:
-    if spec.exclude_nef and _is_nef(d):
+def _region_accepts(spec: RegionSpec, h) -> bool:
+    if spec.exclude_nef and _is_nef(h):
         return False
-    return any(_cone_accepts(d, gens, flags) for gens, flags in spec.cones)
+    return any(_cone_accepts(h, gens, flags) for gens, flags in spec.cones)
+
+
+def _accepting(h) -> list:
+    return [spec for spec in REGIONS if _region_accepts(spec, h)]
 
 
 def accepting_regions(d: DivisorClass) -> list:
-    return [spec.chamber_id for spec in REGIONS if region_accepts(spec, d)]
+    return [spec.chamber_id for spec in _accepting(_h_int(d))]
 
 
-def _position(spec: RegionSpec, d: DivisorClass) -> str:
-    coords = _coords_in(d, spec.position_basis)
-    support = [g for g, c in zip(spec.position_basis, coords) if c != 0]
+def _position(spec: RegionSpec, h) -> str:
+    rows = _facet_rows(spec.position_basis)
+    support = [g for g, row in zip(spec.position_basis, rows) if _dot(row, h)]
     if len(support) == 3:
         return "interior"
     if len(support) == 1:
@@ -199,8 +224,8 @@ _NEF_MODELS = {
 }
 
 
-def _report_for(spec: RegionSpec, d: DivisorClass) -> ChamberReport:
-    position = _position(spec, d)
+def _report_for(spec: RegionSpec, d: DivisorClass, h) -> ChamberReport:
+    position = _position(spec, h)
     model = None
     notes = ()
     certificate = None
@@ -234,15 +259,14 @@ def _report_for(spec: RegionSpec, d: DivisorClass) -> ChamberReport:
 
 def classify(d: DivisorClass) -> ChamberReport:
     """Locate an effective divisor class in the chamber decomposition."""
-    if d.n != 3:
-        raise ValueError("chamber decomposition is for the n = 3 space")
-    if not any(d.coeffs):
+    h = _h_int(d)
+    if not any(h):
         raise ValueError("zero class has no chamber")
-    if not cone_membership(d, "eff").contains:
+    if not _cone_accepts(h, *_EFF):
         raise ValueError("class is not effective")
     for spec in REGIONS:
-        if region_accepts(spec, d):
-            return _report_for(spec, d)
+        if _region_accepts(spec, h):
+            return _report_for(spec, d, h)
     raise RuntimeError("effective class escaped the chamber cover: %r" % (d,))
 
 
@@ -268,6 +292,9 @@ FORCING_CURVES = (
     ("L2", "E2"),
     ("C12", "E13"),
 )
+_FORCING = tuple(
+    (clear_denominators([curves_x3()[name].coeffs])[0][0], piece) for name, piece in FORCING_CURVES
+)
 
 
 def forced_base_loci(d: DivisorClass) -> frozenset:
@@ -276,12 +303,11 @@ def forced_base_loci(d: DivisorClass) -> frozenset:
     Each listed curve moves in a family covering its locus, so a divisor
     pairing negatively with it must contain the whole locus.
     """
-    curves = curves_x3()
-    forced = set()
-    for curve_name, piece in FORCING_CURVES:
-        if pair(curves[curve_name], d) < 0:
-            forced.add(piece)
-    return frozenset(forced)
+    return _forced(_h_int(d))
+
+
+def _forced(h) -> frozenset:
+    return frozenset(piece for row, piece in _FORCING if _dot(row, h) < 0)
 
 
 _XI_GEN = {"H1": "H3", "H3": "H1", "E1": "E3", "E3": "E1"}
@@ -333,8 +359,9 @@ def chamber_census(samples: int, seed: int) -> dict:
     """Classify seeded random effective classes and verify the partition.
 
     Alternates region-targeted samples (so every chamber is exercised) with
-    uniform effective samples.  For each class it checks that exactly one
-    region accepts, that classification commutes with the duality
+    uniform effective samples.  Each class's integer H vector is computed
+    once and serves every test on it.  For each class it checks that exactly
+    one region accepts, that classification commutes with the duality
     involution, that curve-forced loci are contained in the reported locus,
     and that the locus is empty exactly on the nef cone.
     """
@@ -347,10 +374,12 @@ def chamber_census(samples: int, seed: int) -> dict:
             d = _sample_region(rng, (i // 2) % 8 + 1)
         else:
             d = _sample_effective(rng)
-        accepted = accepting_regions(d)
+        d = convert(d, "H")  # the same class, so that xi(d) needs no basis change
+        h = _h_int(d)
+        accepted = _accepting(h)
         if len(accepted) != 1:
-            raise AssertionError("regions %r accept %r" % (accepted, d))
-        report = classify(d)
+            raise AssertionError("regions %r accept %r" % ([spec.chamber_id for spec in accepted], d))
+        report = _report_for(accepted[0], d, h)
         counts[report.chamber_id] += 1
 
         mirror = classify(xi(d))
@@ -363,9 +392,9 @@ def chamber_census(samples: int, seed: int) -> dict:
         if mirror.model_label != _XI_MODEL.get(report.model_label, report.model_label):
             raise AssertionError("duality breaks model label at %r" % (d,))
 
-        if not locus_subset(forced_base_loci(d), report.base_locus):
+        if not locus_subset(_forced(h), report.base_locus):
             raise AssertionError("forced locus exceeds reported locus at %r" % (d,))
-        if (report.base_locus == frozenset()) != _is_nef(d):
+        if (report.base_locus == frozenset()) != _is_nef(h):
             raise AssertionError("empty locus must coincide with nef at %r" % (d,))
     result = {
         "samples": samples,

@@ -38,12 +38,20 @@ class UnderdeterminedSystem(ExactLinalgError):
 
 
 def parse_rat(s) -> Fraction:
-    """Parse "p/q" or "p" (also accepts ints) into a Fraction in lowest terms."""
+    """Parse "p/q", "p" or a decimal such as "0.5" (also accepts ints) into a
+    Fraction in lowest terms.
+
+    Exponent notation is rejected: "1e5000" would build a 5001-digit integer
+    before anything could check its size.
+    """
     if isinstance(s, Fraction):
         return s
     if isinstance(s, int):
         return Fraction(s)
-    return Fraction(str(s).strip())
+    text = str(s).strip()
+    if "e" in text or "E" in text:
+        raise ValueError("exponent notation is not accepted: %r" % text)
+    return Fraction(text)
 
 
 def format_rat(x: Fraction) -> str:

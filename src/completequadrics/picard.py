@@ -6,13 +6,16 @@ classes under the n wedge maps) and the boundary classes E_1..E_n related by
     E_i = 2 H_i - H_{i-1} - H_{i+1},   with H_0 = H_{n+1} = 0,
 
 so the boundary-to-nef change of basis is the Cartan matrix of type A_n (its
-determinant is n+1).  Curves are written in the basis Fl_1..Fl_n dual to the
-H_i; all intersection pairings reduce to this duality, which is what lets
-the whole X_3 intersection table be regenerated from its H columns alone.
+determinant is n+1).  Each basis matrix and its inverse are computed once
+per (n, basis), so a conversion is one matrix-vector product each way.
+Curves are written in the basis Fl_1..Fl_n dual to the H_i; all
+intersection pairings reduce to this duality, which is what lets the whole
+X_3 intersection table be regenerated from its H columns alone.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -118,18 +121,39 @@ class LatticeRelations:
         return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
+def _inverse(m) -> tuple:
+    """Rows of the inverse of a nonsingular square matrix, one solve per column."""
+    n = len(m)
+    cols = [solve_exact(m, [int(i == j) for i in range(n)]) for j in range(n)]
+    return tuple(zip(*cols))
+
+
+@functools.cache
+def _to_h(n: int, basis: str) -> tuple:
+    """The basis matrix of LatticeRelations: a basis's coordinates to H ones."""
+    return tuple(map(tuple, LatticeRelations(n).basis_matrix(basis)))
+
+
+@functools.cache
+def _from_h(n: int, basis: str) -> tuple:
+    """The inverse basis matrix: H coordinates to the basis's coordinates."""
+    return _inverse(_to_h(n, basis))
+
+
+def _mat_vec(m, v) -> tuple:
+    return tuple(sum(a * x for a, x in zip(row, v) if a) for row in m)
+
+
 def convert(d: DivisorClass, basis: str) -> DivisorClass:
     """Rewrite a divisor class in another named basis (exactly)."""
     if basis not in BASES:
         raise ValueError("unknown basis %r" % (basis,))
     if basis == d.basis:
         return d
-    rel = LatticeRelations(d.n)
-    m_from = rel.basis_matrix(d.basis)
-    h = [sum(m_from[i][j] * d.coeffs[j] for j in range(d.n)) for i in range(d.n)]
+    h = d.coeffs if d.basis == "H" else _mat_vec(_to_h(d.n, d.basis), d.coeffs)
     if basis == "H":
-        return DivisorClass(d.n, "H", tuple(h))
-    return DivisorClass(d.n, basis, tuple(solve_exact(rel.basis_matrix(basis), h)))
+        return DivisorClass(d.n, "H", h)
+    return DivisorClass(d.n, basis, _mat_vec(_from_h(d.n, basis), h))
 
 
 def pair(c: CurveClass, d: DivisorClass) -> Fraction:
@@ -168,11 +192,7 @@ def cone_membership(d: DivisorClass, cone: str) -> ConeMembership:
         h = convert(d, "H").coeffs
         contains = interior = False
         for triple in ((H1_3, H2_3, H3_3), (H1_3, H3_3, class_P())):
-            cols = [list(convert(g, "H").coeffs) for g in triple]
-            try:
-                x = solve_exact([[cols[j][i] for j in range(3)] for i in range(3)], h)
-            except Exception:
-                continue
+            x = _mat_vec(generator_inverse(triple), h)
             if all(c >= 0 for c in x):
                 contains = True
                 if all(c > 0 for c in x):
@@ -254,6 +274,18 @@ E3_3 = DivisorClass(3, "E", (0, 0, 1))
 def class_P() -> DivisorClass:
     """The extra movable generator 2(2H_1 - H_2 + 2H_3) on the n = 3 space."""
     return DivisorClass(3, "H", (4, -2, 4))
+
+
+@functools.cache
+def generator_inverse(gens: tuple) -> tuple:
+    """Inverse of the matrix whose columns are the H coordinates of gens.
+
+    Row i of the inverse gives the i-th coordinate of a class in the
+    generator basis from its H coordinates.  Computed once per tuple of
+    generators.
+    """
+    cols = [convert(g, "H").coeffs for g in gens]
+    return _inverse([[c[i] for c in cols] for i in range(len(cols))])
 
 
 # order, Fl coordinates and covered locus of the n = 3 test curves; the

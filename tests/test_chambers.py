@@ -1,10 +1,12 @@
 """Chamber classifier: region ownership, duality, and census invariants."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from completequadrics.chambers import (
+    GENERATORS,
     MODEL_CHOW,
     MODEL_FLIP,
     MODEL_P9,
@@ -12,15 +14,18 @@ from completequadrics.chambers import (
     MODEL_P_RAY,
     MODEL_SMALL,
     MODEL_X3,
+    REGIONS,
     accepting_regions,
     chamber_census,
     classify,
     classify_segment,
+    FORCING_CURVES,
     forced_base_loci,
     locus_label,
     locus_subset,
 )
-from completequadrics.picard import DivisorClass, class_P, convert, curves_x3, pair, xi
+from completequadrics.exact import InconsistentSystem, solve_exact
+from completequadrics.picard import DivisorClass, LatticeRelations, class_P, convert, curves_x3, pair, xi
 
 
 def H(a, b, c):
@@ -232,3 +237,93 @@ class TestCensus:
         assert data["chamber"] == 1
         assert data["base_locus_pieces"] == []
         assert data["model"] == MODEL_X3
+
+
+# -- the solve_exact classifier, kept as the oracle of the integer one ---------
+
+GEN_H = {name: convert(g, "H").coeffs for name, g in GENERATORS.items()}
+GEN_ORDER = ("H1", "H2", "H3", "P", "E1", "E2", "E3")
+
+
+def oracle_coords(h, gens):
+    matrix = [[GEN_H[g][i] for g in gens] for i in range(3)]
+    try:
+        return solve_exact(matrix, list(h))
+    except InconsistentSystem:
+        return None
+
+
+def oracle_cone(h, gens, flags):
+    coords = oracle_coords(h, gens)
+    if coords is None:
+        return False
+    for value, flag in zip(coords, flags):
+        if flag == ">=" and value < 0:
+            return False
+        if flag == ">" and value <= 0:
+            return False
+    return True
+
+
+def oracle_accepting(h):
+    nef = all(c >= 0 for c in h)
+    return [
+        spec
+        for spec in REGIONS
+        if not (spec.exclude_nef and nef) and any(oracle_cone(h, g, f) for g, f in spec.cones)
+    ]
+
+
+def oracle_position(spec, h):
+    coords = oracle_coords(h, spec.position_basis)
+    support = [g for g, c in zip(spec.position_basis, coords) if c != 0]
+    if len(support) == 3:
+        return "interior"
+    if len(support) == 1:
+        return "ray %s" % support[0]
+    support.sort(key=GEN_ORDER.index)
+    return "wall %s,%s" % (support[0], support[1])
+
+
+def half_integer_box(low, high):
+    steps = [Fraction(k, 2) for k in range(2 * low, 2 * high + 1)]
+    return itertools.product(steps, repeat=3)
+
+
+BOX = (-3, 6)
+
+
+class TestIntegerClassifier:
+    def test_box_covers_every_ray_and_wall(self):
+        triples = {spec.position_basis for spec in REGIONS}
+        triples |= {gens for spec in REGIONS for gens, _ in spec.cones}
+        for gens in triples:
+            # each ray's generator and a point inside each wall
+            points = [GEN_H[g] for g in gens]
+            points += [[x + y for x, y in zip(GEN_H[a], GEN_H[b])] for a, b in itertools.combinations(gens, 2)]
+            for point in points:
+                assert all(BOX[0] <= x <= BOX[1] for x in point), (gens, point)
+
+    def test_agrees_with_solve_exact_oracle(self):
+        e_basis = LatticeRelations(3).basis_matrix("E")
+        curves = curves_x3()
+        seen = set()
+        for h in half_integer_box(*BOX):
+            d = DivisorClass(3, "H", h)
+            accepted = oracle_accepting(h)
+            assert accepting_regions(d) == [spec.chamber_id for spec in accepted], h
+            forced = {piece for name, piece in FORCING_CURVES if pair(curves[name], d) < 0}
+            assert forced_base_loci(d) == forced, h
+            effective = all(c >= 0 for c in solve_exact(e_basis, list(h)))
+            if not any(h) or not effective:
+                with pytest.raises(ValueError):
+                    classify(d)
+                continue
+            spec = accepted[0]
+            report = classify(d)
+            assert (report.chamber_id, report.position) == (spec.chamber_id, oracle_position(spec, h)), h
+            assert report.base_locus == spec.base_locus
+            seen.add((report.chamber_id, report.position))
+        # every chamber is met on its interior and on some wall or ray
+        assert {cid for cid, pos in seen if pos == "interior"} == set(range(1, 9))
+        assert {cid for cid, pos in seen if pos != "interior"} == set(range(1, 9))

@@ -1,6 +1,7 @@
 """End-to-end tests of the cq command line interface."""
 
 import contextlib
+import hashlib
 import io
 import json
 import subprocess
@@ -118,6 +119,39 @@ def test_pencil_n_at_bound_runs():
     assert data["degenerations"] == 40
 
 
+def test_census_above_bound_rejected_before_any_work(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli.chambers, "chamber_census", lambda *a: calls.append(a))
+    code, out, err = run(["chamber", "--census", str(cli.MAX_CENSUS + 1)])
+    assert code == 2
+    assert out == ""
+    assert "at most %d" % cli.MAX_CENSUS in err
+    assert calls == []
+
+
+def test_census_at_bound_accepted(monkeypatch):
+    # the full-size census takes tens of seconds, so only its admission is run
+    assert cli.MAX_CENSUS >= 10000
+    calls = []
+
+    def census(samples, seed):
+        calls.append((samples, seed))
+        return {"samples": samples}
+
+    monkeypatch.setattr(cli.chambers, "chamber_census", census)
+    data = run_json(["chamber", "--census", str(cli.MAX_CENSUS), "--seed", "5"])
+    assert calls == [(cli.MAX_CENSUS, 5)]
+    assert data["samples"] == cli.MAX_CENSUS
+
+
+def test_census_10000_output_pinned():
+    # stdout recorded before the classifier moved to integer facet rows
+    code, out, err = run(["chamber", "--census", "10000", "--seed", "0"])
+    assert code == 0, err
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "fe59aa600a6eeaa079f1f220398647328e84dfe2ff32b65686717a688e2018a3"
+
+
 def test_pencil_verify_table():
     code, out, _ = run(["pencil", "--verify-table", "--seed", "2"])
     assert code == 0
@@ -204,6 +238,27 @@ def test_string_coeffs_rejected():
         assert code == 2, argv
         assert out == ""
         assert "not a string" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["cone", "--divisor", '{"basis":"H","coeffs":["1e5000","1","1"]}', "--cone", "nef"],
+    ["cone", "--divisor", '{"basis":"H","coeffs":["1E3","1","1"]}', "--cone", "nef"],
+    ["chamber", "--segment", "1e-5000"],
+])
+def test_exponent_notation_rejected_fast(argv):
+    start = time.monotonic()
+    code, out, err = run(argv)
+    assert code == 2
+    assert out == ""
+    assert "exponent" in err
+    assert time.monotonic() - start < 1
+
+
+def test_decimal_coefficients_still_accepted():
+    data = run_json(["cone", "--divisor", '{"basis":"H","coeffs":["0.5","1","1"]}',
+                     "--cone", "nef"])
+    assert data["divisor"]["coeffs"] == ["1/2", "1", "1"]
+    assert run_json(["chamber", "--segment", "0.5"])["t"] == "1/2"
 
 
 @pytest.mark.parametrize("argv", [

@@ -286,7 +286,16 @@ def test_rat_serialization():
     assert format_rat(Fraction(-3, 6)) == "-1/2"
     assert parse_rat("-1/2") == Fraction(-1, 2)
     assert parse_rat("4") == 4
+    assert parse_rat(" 0.5 ") == Fraction(1, 2)
+    assert parse_rat(-7) == -7
     assert format_rat(Fraction(4)) == "4"
+
+
+@pytest.mark.parametrize("text", ["1e5000", "1E3", "2.5e-1", "-1e2", "nan", "inf"])
+def test_parse_rat_rejects_exponents_and_floats(text):
+    # "1e5000" would otherwise build a 5001-digit integer before any size check
+    with pytest.raises(ValueError):
+        parse_rat(text)
 
 
 def test_k_subsets_lex_order():

@@ -6,13 +6,15 @@ class is checked through two independent derivations (closed nef-basis form
 versus blowup discrepancies).
 """
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from completequadrics.exact import InconsistentSystem, UnderdeterminedSystem, ff_det
+from completequadrics.exact import InconsistentSystem, UnderdeterminedSystem, ff_det, solve_exact
 from completequadrics.picard import (
+    BASES,
     CURVE_TABLE_X3,
     E1_3,
     E2_3,
@@ -20,6 +22,7 @@ from completequadrics.picard import (
     H1_3,
     H2_3,
     H3_3,
+    ConeMembership,
     CurveClass,
     DivisorClass,
     LatticeRelations,
@@ -33,6 +36,8 @@ from completequadrics.picard import (
     pair,
     table_x3,
     xi,
+    _from_h,
+    _to_h,
 )
 
 # reference values: rows G, G*, C1, C1*, C2, C3, C1_2, L2 against
@@ -98,6 +103,51 @@ def test_conversion_roundtrip(seed):
         there = convert(d, basis)
         assert convert(there, "H") == d
     assert convert(convert(d, "E"), "mixed") == convert(d, "mixed")
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_cached_e_inverse_is_inverse_cartan(n):
+    # the E basis matrix is the A_n Cartan matrix, whose inverse has a closed form
+    assert [list(r) for r in _to_h(n, "E")] == LatticeRelations(n).basis_matrix("E")
+    closed = tuple(
+        tuple(Fraction(min(i, j) * (n + 1 - max(i, j)), n + 1) for j in range(1, n + 1))
+        for i in range(1, n + 1)
+    )
+    assert _from_h(n, "E") == closed
+    assert _from_h(n, "E") is _from_h(n, "E")
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_convert_round_trips_every_basis(n):
+    rng = random.Random(700 + n)
+    rel = LatticeRelations(n)
+    for _ in range(8):
+        for basis in BASES:
+            coeffs = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n))
+            d = DivisorClass(n, basis, coeffs)
+            h = convert(d, "H").coeffs
+            for other in BASES:
+                there = convert(d, other)
+                assert there.basis == other
+                # the solve the cached inverse replaced
+                assert list(there.coeffs) == solve_exact(rel.basis_matrix(other), h)
+                assert convert(there, basis) == d
+                for third in BASES:
+                    assert convert(there, third) == convert(d, third)
+
+
+def test_movable_membership_matches_solve_exact():
+    pieces = [
+        [convert(g, "H").coeffs for g in triple]
+        for triple in ((H1_3, H2_3, H3_3), (H1_3, H3_3, class_P()))
+    ]
+    for h in itertools.product(range(-3, 7), repeat=3):
+        coords = [solve_exact([[c[i] for c in cols] for i in range(3)], h) for cols in pieces]
+        expected = ConeMembership(
+            any(all(x >= 0 for x in xs) for xs in coords),
+            any(all(x > 0 for x in xs) for xs in coords),
+        )
+        assert cone_membership(DivisorClass(3, "H", h), "mov") == expected, h
 
 
 def test_canonical_class_n3():
