@@ -11,9 +11,9 @@ named in REGIONS, and the triple E1, E2, E3 spanning the effective cone,
 gets integer facet rows once, on first use: the rows of the inverse of its
 H-coordinate matrix, each scaled by the lcm of its denominators, so a row's
 dot product with H coordinates has the sign of the matching coordinate in
-the triple.  A class's H vector is scaled to integers once, and every
-region test, position, nef test and forced-locus pairing reads the signs of
-integer dot products with it.  Wall points therefore resolve exactly and
+the triple.  Each public call scales the class's H vector to integers once,
+and every region test, position, nef test and forced-locus pairing in it
+reads the signs of integer dot products with that vector.  Wall points therefore resolve exactly and
 deterministically.
 
 The duality involution (H1 <-> H3, E1 <-> E3) permutes the regions as
@@ -196,12 +196,9 @@ def _region_accepts(spec: RegionSpec, h) -> bool:
     return any(_cone_accepts(h, gens, flags) for gens, flags in spec.cones)
 
 
-def _accepting(h) -> list:
-    return [spec for spec in REGIONS if _region_accepts(spec, h)]
-
-
 def accepting_regions(d: DivisorClass) -> list:
-    return [spec.chamber_id for spec in _accepting(_h_int(d))]
+    h = _h_int(d)
+    return [spec.chamber_id for spec in REGIONS if _region_accepts(spec, h)]
 
 
 def _position(spec: RegionSpec, h) -> str:
@@ -303,10 +300,7 @@ def forced_base_loci(d: DivisorClass) -> frozenset:
     Each listed curve moves in a family covering its locus, so a divisor
     pairing negatively with it must contain the whole locus.
     """
-    return _forced(_h_int(d))
-
-
-def _forced(h) -> frozenset:
+    h = _h_int(d)
     return frozenset(piece for row, piece in _FORCING if _dot(row, h) < 0)
 
 
@@ -359,8 +353,9 @@ def chamber_census(samples: int, seed: int) -> dict:
     """Classify seeded random effective classes and verify the partition.
 
     Alternates region-targeted samples (so every chamber is exercised) with
-    uniform effective samples.  Each class's integer H vector is computed
-    once and serves every test on it.  For each class it checks that exactly
+    uniform effective samples.  Each class goes through the public tests
+    (accepting_regions, classify, forced_base_loci), each of which reads
+    the class's integer H vector.  For each class it checks that exactly
     one region accepts, that classification commutes with the duality
     involution, that curve-forced loci are contained in the reported locus,
     and that the locus is empty exactly on the nef cone.
@@ -375,11 +370,10 @@ def chamber_census(samples: int, seed: int) -> dict:
         else:
             d = _sample_effective(rng)
         d = convert(d, "H")  # the same class, so that xi(d) needs no basis change
-        h = _h_int(d)
-        accepted = _accepting(h)
+        accepted = accepting_regions(d)
         if len(accepted) != 1:
-            raise AssertionError("regions %r accept %r" % ([spec.chamber_id for spec in accepted], d))
-        report = _report_for(accepted[0], d, h)
+            raise AssertionError("regions %r accept %r" % (accepted, d))
+        report = classify(d)
         counts[report.chamber_id] += 1
 
         mirror = classify(xi(d))
@@ -392,9 +386,9 @@ def chamber_census(samples: int, seed: int) -> dict:
         if mirror.model_label != _XI_MODEL.get(report.model_label, report.model_label):
             raise AssertionError("duality breaks model label at %r" % (d,))
 
-        if not locus_subset(_forced(h), report.base_locus):
+        if not locus_subset(forced_base_loci(d), report.base_locus):
             raise AssertionError("forced locus exceeds reported locus at %r" % (d,))
-        if (report.base_locus == frozenset()) != _is_nef(h):
+        if (report.base_locus == frozenset()) != _is_nef(_h_int(d)):
             raise AssertionError("empty locus must coincide with nef at %r" % (d,))
     result = {
         "samples": samples,

@@ -27,9 +27,9 @@ SCHEMA = "cq/1"
 MAX_PENCIL_N = 40
 
 # Largest sample count `cq chamber --census` accepts.  A census classifies
-# about 8000 samples a second on one 2.1 GHz Xeon core, so this bound runs
-# in under 40 s there; larger counts are rejected with exit 2.
-MAX_CENSUS = 300_000
+# about 6000 samples a second on one 2.1 GHz Xeon core, so this bound runs
+# in about 40 s there; larger counts are rejected with exit 2.
+MAX_CENSUS = 250_000
 
 
 def _emit(obj) -> None:

@@ -6,8 +6,8 @@ sparse exponent-tuple maps, and matrices are plain sequences of rows whose
 entries all live in a single ring (Fraction, Poly1 or MPoly).  Determinants
 use Bareiss fraction-free elimination, so every intermediate value stays in
 the entry ring; the only divisions performed are exact.  Beside the Bareiss
-kernels there is one rational Gauss-Jordan routine, _rref, which both
-mat_rank and solve_exact run on.
+kernels there is one rational Gauss-Jordan routine, _rref, which mat_rank,
+solve_exact and mat_inverse run on.
 
 Rational work runs on Python integers wherever it can.  clear_denominators
 scales a rational matrix by the lcm of its denominators and int_det is the
@@ -38,16 +38,20 @@ class UnderdeterminedSystem(ExactLinalgError):
 
 
 def parse_rat(s) -> Fraction:
-    """Parse "p/q", "p" or a decimal such as "0.5" (also accepts ints) into a
-    Fraction in lowest terms.
+    """Parse "p/q", "p" or a decimal such as "0.5" (also accepts ints and
+    floats) into a Fraction in lowest terms.
 
-    Exponent notation is rejected: "1e5000" would build a 5001-digit integer
-    before anything could check its size.
+    Exponent notation is rejected in text: "1e5000" would build a 5001-digit
+    integer before anything could check its size.  A float is read from its
+    shortest repr, exponent included ("1e-05" is 1/100000): a finite float
+    has at most about 309 digits.
     """
     if isinstance(s, Fraction):
         return s
     if isinstance(s, int):
         return Fraction(s)
+    if isinstance(s, float):
+        return Fraction(repr(s))
     text = str(s).strip()
     if "e" in text or "E" in text:
         raise ValueError("exponent notation is not accepted: %r" % text)
@@ -650,6 +654,19 @@ def mat_rank(m) -> int:
             if not isinstance(x, (int, Fraction)):
                 raise TypeError("mat_rank expects rational entries")
     return len(_rref(a, len(a[0])))
+
+
+def mat_inverse(m) -> tuple:
+    """Rows of the inverse of a nonsingular square rational matrix, from one
+    Gauss-Jordan elimination of [m | I]."""
+    a = _rows(m)
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("inverse of a non-square matrix")
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
+    if len(_rref(aug, n)) < n:
+        raise ValueError("singular matrix has no inverse")
+    return tuple(tuple(row[n:]) for row in aug)
 
 
 def solve_exact(a, b):

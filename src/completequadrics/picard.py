@@ -6,8 +6,9 @@ classes under the n wedge maps) and the boundary classes E_1..E_n related by
     E_i = 2 H_i - H_{i-1} - H_{i+1},   with H_0 = H_{n+1} = 0,
 
 so the boundary-to-nef change of basis is the Cartan matrix of type A_n (its
-determinant is n+1).  Each basis matrix and its inverse are computed once
-per (n, basis), so a conversion is one matrix-vector product each way.
+determinant is n+1).  Each basis matrix is computed once per (n, basis):
+conversion into H is one matrix-vector product, conversion out of H one
+exact solve.
 Curves are written in the basis Fl_1..Fl_n dual to the H_i; all
 intersection pairings reduce to this duality, which is what lets the whole
 X_3 intersection table be regenerated from its H columns alone.
@@ -19,7 +20,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import format_rat, parse_rat, solve_exact
+from .exact import format_rat, mat_inverse, parse_rat, solve_exact
 from .quadrics import quadric_space_dim, stratum_codim
 
 BASES = ("H", "mixed", "E")
@@ -121,23 +122,10 @@ class LatticeRelations:
         return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
-def _inverse(m) -> tuple:
-    """Rows of the inverse of a nonsingular square matrix, one solve per column."""
-    n = len(m)
-    cols = [solve_exact(m, [int(i == j) for i in range(n)]) for j in range(n)]
-    return tuple(zip(*cols))
-
-
 @functools.cache
 def _to_h(n: int, basis: str) -> tuple:
     """The basis matrix of LatticeRelations: a basis's coordinates to H ones."""
     return tuple(map(tuple, LatticeRelations(n).basis_matrix(basis)))
-
-
-@functools.cache
-def _from_h(n: int, basis: str) -> tuple:
-    """The inverse basis matrix: H coordinates to the basis's coordinates."""
-    return _inverse(_to_h(n, basis))
 
 
 def _mat_vec(m, v) -> tuple:
@@ -153,7 +141,9 @@ def convert(d: DivisorClass, basis: str) -> DivisorClass:
     h = d.coeffs if d.basis == "H" else _mat_vec(_to_h(d.n, d.basis), d.coeffs)
     if basis == "H":
         return DivisorClass(d.n, "H", h)
-    return DivisorClass(d.n, basis, _mat_vec(_from_h(d.n, basis), h))
+    # one solve, not a cached inverse: at large n a one-shot conversion would
+    # pay n times the elimination work to build the inverse
+    return DivisorClass(d.n, basis, tuple(solve_exact(_to_h(d.n, basis), h)))
 
 
 def pair(c: CurveClass, d: DivisorClass) -> Fraction:
@@ -285,7 +275,7 @@ def generator_inverse(gens: tuple) -> tuple:
     generators.
     """
     cols = [convert(g, "H").coeffs for g in gens]
-    return _inverse([[c[i] for c in cols] for i in range(len(cols))])
+    return mat_inverse([[c[i] for c in cols] for i in range(len(cols))])
 
 
 # order, Fl coordinates and covered locus of the n = 3 test curves; the

@@ -261,6 +261,16 @@ def test_decimal_coefficients_still_accepted():
     assert run_json(["chamber", "--segment", "0.5"])["t"] == "1/2"
 
 
+def test_json_float_coefficients_still_accepted():
+    # a JSON number arrives as a float whose str may use an exponent
+    data = run_json(["cone", "--divisor", '{"basis":"H","coeffs":[0.00001,1,1]}',
+                     "--cone", "nef"])
+    assert data["divisor"]["coeffs"] == ["1/100000", "1", "1"]
+    data = run_json(["cone", "--divisor", '{"basis":"H","coeffs":[1e16,1,1]}',
+                     "--cone", "nef"])
+    assert data["divisor"]["coeffs"] == [str(10 ** 16), "1", "1"]
+
+
 @pytest.mark.parametrize("argv", [
     ["cone", "--divisor", '{"basis":"H","coeffs":5}', "--cone", "nef"],
     ["cone", "--divisor", '{"basis":"H","coeffs":null}', "--cone", "nef"],

@@ -23,6 +23,7 @@ from completequadrics.exact import (
     int_det,
     format_rat,
     k_subsets,
+    mat_inverse,
     mat_mul,
     mat_rank,
     mat_transpose,
@@ -245,6 +246,24 @@ def test_solve_exact_roundtrip(a, x):
     assert got == [Fraction(v) for v in x]
 
 
+@settings(max_examples=40, deadline=None)
+@given(rat_matrix(3))
+def test_mat_inverse_matches_solve_exact(a):
+    if ff_det(a) == 0:
+        with pytest.raises(ValueError):
+            mat_inverse(a)
+        return
+    inverse = mat_inverse(a)
+    for j in range(3):
+        column = solve_exact(a, [int(i == j) for i in range(3)])
+        assert [row[j] for row in inverse] == column
+
+
+def test_mat_inverse_rejects_non_square():
+    with pytest.raises(ValueError):
+        mat_inverse([[1, 2, 3], [4, 5, 6]])
+
+
 def test_poly1_ring_operations():
     t = Poly1.variable()
     assert (t + 1) * (t - 1) == t * t - 1
@@ -288,6 +307,9 @@ def test_rat_serialization():
     assert parse_rat("4") == 4
     assert parse_rat(" 0.5 ") == Fraction(1, 2)
     assert parse_rat(-7) == -7
+    # a float is read exactly from its repr, exponent included
+    assert parse_rat(0.00001) == Fraction(1, 100000)
+    assert parse_rat(1e16) == 10 ** 16
     assert format_rat(Fraction(4)) == "4"
 
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from completequadrics.exact import InconsistentSystem, UnderdeterminedSystem, ff_det, solve_exact
+from completequadrics.exact import InconsistentSystem, UnderdeterminedSystem, ff_det, mat_inverse, solve_exact
 from completequadrics.picard import (
     BASES,
     CURVE_TABLE_X3,
@@ -36,8 +36,8 @@ from completequadrics.picard import (
     pair,
     table_x3,
     xi,
-    _from_h,
     _to_h,
+    generator_inverse,
 )
 
 # reference values: rows G, G*, C1, C1*, C2, C3, C1_2, L2 against
@@ -106,15 +106,29 @@ def test_conversion_roundtrip(seed):
 
 
 @pytest.mark.parametrize("n", range(2, 9))
-def test_cached_e_inverse_is_inverse_cartan(n):
+def test_e_inverse_is_inverse_cartan(n):
     # the E basis matrix is the A_n Cartan matrix, whose inverse has a closed form
     assert [list(r) for r in _to_h(n, "E")] == LatticeRelations(n).basis_matrix("E")
+    assert _to_h(n, "E") is _to_h(n, "E")
     closed = tuple(
         tuple(Fraction(min(i, j) * (n + 1 - max(i, j)), n + 1) for j in range(1, n + 1))
         for i in range(1, n + 1)
     )
-    assert _from_h(n, "E") == closed
-    assert _from_h(n, "E") is _from_h(n, "E")
+    assert mat_inverse(_to_h(n, "E")) == closed
+    # column j of the inverse is H_j in E coordinates
+    for j in range(n):
+        h_j = DivisorClass(n, "H", tuple(int(i == j) for i in range(n)))
+        assert convert(h_j, "E").coeffs == tuple(row[j] for row in closed)
+
+
+def test_generator_inverse_is_cached_inverse():
+    triple = (H1_3, H3_3, class_P())
+    inverse = generator_inverse(triple)
+    assert generator_inverse(triple) is inverse
+    cols = [convert(g, "H").coeffs for g in triple]
+    matrix = [[c[i] for c in cols] for i in range(3)]
+    identity = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
+    assert [[sum(inverse[i][k] * matrix[k][j] for k in range(3)) for j in range(3)] for i in range(3)] == identity
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -129,7 +143,6 @@ def test_convert_round_trips_every_basis(n):
             for other in BASES:
                 there = convert(d, other)
                 assert there.basis == other
-                # the solve the cached inverse replaced
                 assert list(there.coeffs) == solve_exact(rel.basis_matrix(other), h)
                 assert convert(there, basis) == d
                 for third in BASES:
