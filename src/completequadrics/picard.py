@@ -8,10 +8,9 @@ classes under the n wedge maps) and the boundary classes E_1..E_n related by
 so the boundary-to-nef change of basis is the Cartan matrix of type A_n (its
 determinant is n+1).  Each basis matrix is computed once per (n, basis):
 conversion into H is one matrix-vector product, conversion out of H one
-exact solve.
-Curves are written in the basis Fl_1..Fl_n dual to the H_i; all
-intersection pairings reduce to this duality, which is what lets the whole
-X_3 intersection table be regenerated from its H columns alone.
+exact solve.  Curves are written in the basis Fl_1..Fl_n dual to the H_i;
+all intersection pairings reduce to this duality, which is what lets the
+whole X_3 intersection table be regenerated from its H columns alone.
 """
 
 from __future__ import annotations
