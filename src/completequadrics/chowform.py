@@ -43,9 +43,6 @@ class ProjectivePoint:
     def __setattr__(self, name, value):
         raise AttributeError("ProjectivePoint is immutable")
 
-    def support(self):
-        return tuple(i for i, c in enumerate(self.coords) if c)
-
     def __eq__(self, other):
         if isinstance(other, ProjectivePoint):
             return self.coords == other.coords

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 
@@ -30,6 +31,23 @@ MAX_PENCIL_N = 40
 # about 6000 samples a second on one 2.1 GHz Xeon core, so this bound runs
 # in about 40 s there; larger counts are rejected with exit 2.
 MAX_CENSUS = 250_000
+
+# Largest `cq chow` input.  A compound has C(n+1,k) rows and computes half
+# of their C(n+1,k)^2 pairings as k x k determinants; with --limit-toward
+# the determinants are over polynomials and cost about 30 times more.
+# Neither the row count nor n alone bounds the time (a 70 x 70 form with
+# k = 69 has 70 rows of 69 x 69 minors), so both are bounded.  The slowest
+# admitted shape, n = 7 with k = 6 and one-digit rational entries, takes
+# 3 to 5 s with --limit-toward on one 2.1 GHz Xeon core; n = 7 with k = 5
+# (56 rows) took 8 s there and is rejected with exit 2.
+MAX_CHOW_N = 7
+MAX_COMPOUND = 35
+
+# Largest n `cq canonical --n` and a JSON divisor or curve class accept.
+# Converting a class out of the H basis is a dense rational elimination,
+# cubic in n: about 2.1 s at n = 100 and 3.9 s at n = 120 on one 2.1 GHz
+# Xeon core, so larger n is rejected with exit 2.
+MAX_LATTICE_N = 100
 
 
 def _emit(obj) -> None:
@@ -52,11 +70,17 @@ def _check_types(data: dict) -> dict:
     return data
 
 
+def _check_lattice_n(n: int) -> None:
+    if n > MAX_LATTICE_N:
+        raise ValueError("n is at most %d (got %d)" % (MAX_LATTICE_N, n))
+
+
 def _parse_divisor(text: str) -> DivisorClass:
     data = json.loads(text)
     if not isinstance(data, dict) or "coeffs" not in data or "basis" not in data:
         raise ValueError('divisor JSON needs "basis" and "coeffs"')
     data.setdefault("n", len(_check_types(data)["coeffs"]))
+    _check_lattice_n(data["n"])
     return DivisorClass.from_json(data)
 
 
@@ -64,7 +88,8 @@ def _parse_curve(text: str) -> CurveClass:
     data = json.loads(text)
     if not isinstance(data, dict) or "coeffs" not in data or "n" not in data:
         raise ValueError('curve JSON needs "n" and "coeffs"')
-    return CurveClass.from_json(_check_types(data))
+    _check_lattice_n(_check_types(data)["n"])
+    return CurveClass.from_json(data)
 
 
 def _parse_form(text: str) -> SymmetricForm:
@@ -79,10 +104,20 @@ def _parse_form(text: str) -> SymmetricForm:
 # -- chow ----------------------------------------------------------------------
 
 
+def _check_chow_size(q: SymmetricForm, k: int) -> None:
+    if q.n > MAX_CHOW_N:
+        raise ValueError("chow forms have n at most %d (got %d)" % (MAX_CHOW_N, q.n))
+    if 1 <= k <= q.n + 1 and math.comb(q.n + 1, k) > MAX_COMPOUND:
+        raise ValueError("chow --k %d: the compound would have C(%d,%d) = %d rows, at most %d"
+                         % (k, q.n + 1, k, math.comb(q.n + 1, k), MAX_COMPOUND))
+
+
 def cmd_chow(args) -> int:
     q = _parse_form(args.form)
+    _check_chow_size(q, args.k)
     if args.limit_toward is not None:
         q1 = _parse_form(args.limit_toward)
+        _check_chow_size(q1, args.k)
         pt = chowform.chow_limit(q, q1, args.k)
         support = chowform.limit_support_coefficients(pt)
         _emit({
@@ -166,6 +201,7 @@ def cmd_cone(args) -> int:
 
 
 def cmd_canonical(args) -> int:
+    _check_lattice_n(args.n)
     k = picard.convert(picard.canonical(args.n, args.method), args.basis)
     _emit({
         "schema": SCHEMA,
@@ -450,8 +486,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("chow", help="compound matrices and limit Chow forms")
-    p.add_argument("--form", required=True, help="symmetric form as JSON")
-    p.add_argument("--k", type=int, required=True, help="minor size")
+    p.add_argument("--form", required=True,
+                   help="symmetric form as JSON, n at most %d" % MAX_CHOW_N)
+    p.add_argument("--k", type=int, required=True,
+                   help="minor size; C(n+1,k) at most %d" % MAX_COMPOUND)
     p.add_argument("--limit-toward", help="second form: compute the pencil limit")
     p.set_defaults(func=cmd_chow)
 
@@ -469,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_cone)
 
     p = sub.add_parser("canonical", help="canonical class of the n-th space")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True, help="at most %d" % MAX_LATTICE_N)
     p.add_argument("--basis", choices=("H", "mixed", "E"), default="H")
     p.add_argument("--method", choices=("nefbasis", "blowup"), default="nefbasis")
     p.set_defaults(func=cmd_canonical)

@@ -15,7 +15,15 @@ one integer Bareiss kernel: ff_det of a rational matrix is int_det of the
 scaled matrix over the scale to the n-th power, the pencil module evaluates
 det(A + tB) at integer points with it and interpolates, and
 distinct_root_count runs a primitive integer remainder sequence instead of a
-Euclidean gcd over Fraction.
+Euclidean gcd over Fraction.  mat_mul of two rational matrices multiplies
+the scaled integer matrices and divides once by the product of the scales.
+
+Over Poly1 and MPoly, ff_det keeps its own Bareiss loop, the oracle the
+integer paths are tested against.  Its first step would divide by the unit,
+so it divides nothing; for a 2 x 2 matrix that step is the whole
+elimination.  MPoly ring operations build their results through the private
+MPoly._make, which only drops zero coefficients, where the public
+constructor validates every exponent tuple and coefficient again.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 import itertools
 import math
+import operator
 
 
 class ExactLinalgError(Exception):
@@ -87,14 +96,6 @@ class Poly1:
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly1 is immutable")
-
-    @classmethod
-    def constant(cls, c, var="t"):
-        return cls([c], var=var)
-
-    @classmethod
-    def variable(cls, var="t"):
-        return cls([0, 1], var=var)
 
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -179,12 +180,6 @@ class Poly1:
 
     def __hash__(self):
         return hash((self.var if self.coeffs else "", self.coeffs))
-
-    def __call__(self, x):
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def derivative(self):
         return Poly1([i * c for i, c in enumerate(self.coeffs)][1:], var=self.var)
@@ -333,6 +328,16 @@ class MPoly:
                 clean[e] = clean.get(e, Fraction(0)) + c
         object.__setattr__(self, "terms", {e: c for e, c in clean.items() if c})
 
+    @classmethod
+    def _make(cls, vars, terms):
+        # ring operations build terms from validated operands: the exponents
+        # are already int tuples of the right length and the coefficients
+        # Fractions, so only the zero coefficients need dropping
+        p = object.__new__(cls)
+        object.__setattr__(p, "vars", vars)
+        object.__setattr__(p, "terms", {e: c for e, c in terms.items() if c})
+        return p
+
     def __setattr__(self, name, value):
         raise AttributeError("MPoly is immutable")
 
@@ -370,13 +375,13 @@ class MPoly:
             return NotImplemented
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            terms[e] = terms.get(e, Fraction(0)) + c
-        return MPoly(self.vars, terms)
+            terms[e] = terms[e] + c if e in terms else c
+        return MPoly._make(self.vars, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return MPoly._make(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._wrap(other)
@@ -395,8 +400,9 @@ class MPoly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, Fraction(0)) + c1 * c2
-        return MPoly(self.vars, terms)
+                c = c1 * c2
+                terms[e] = terms[e] + c if e in terms else c
+        return MPoly._make(self.vars, terms)
 
     __rmul__ = __mul__
 
@@ -466,7 +472,7 @@ class MPoly:
             qe = tuple(a - b for a, b in zip(re, de))
             if any(x < 0 for x in qe):
                 raise ValueError("inexact multivariate division")
-            t = MPoly(self.vars, {qe: rc / dc})
+            t = MPoly._make(self.vars, {qe: rc / dc})
             quo = quo + t
             rem = rem - t * other
         return quo
@@ -498,10 +504,6 @@ def _rows(m):
     return [list(r) for r in m]
 
 
-def _one_like(x):
-    return x ** 0
-
-
 def _zero_like(x):
     return x * 0
 
@@ -517,12 +519,23 @@ def mat_transpose(m):
     return [list(col) for col in zip(*m)]
 
 
+def _is_rational(rows) -> bool:
+    return all(isinstance(x, (int, Fraction)) for r in rows for x in r)
+
+
 def mat_mul(a, b):
+    """Matrix product.  Two rational operands are multiplied in integers:
+    (La a)(Lb b) over La Lb, with La, Lb the lcms of their denominators."""
     a, b = _rows(a), _rows(b)
     if not a or not b:
         return []
     if len(a[0]) != len(b):
         raise ValueError("shape mismatch in matrix product")
+    if _is_rational(a) and _is_rational(b):
+        (ia, la), (ib, lb) = clear_denominators(a), clear_denominators(b)
+        scale = la * lb
+        ibt = list(zip(*ib))
+        return [[Fraction(sum(map(operator.mul, row, col)), scale) for col in ibt] for row in ia]
     bt = list(zip(*b))
     out = []
     for row in a:
@@ -591,13 +604,11 @@ def ff_det(m):
         raise ValueError("determinant of a non-square matrix")
     if n == 1:
         return a[0][0]
-    if all(isinstance(x, (int, Fraction)) for r in a for x in r):
+    if _is_rational(a):
         ints, scale = clear_denominators(a)
         return Fraction(int_det(ints), scale ** n)
-    one = _one_like(a[0][0])
     zero = _zero_like(a[0][0])
     sign = 1
-    prev = one
     for k in range(n - 1):
         if not a[k][k]:
             for i in range(k + 1, n):
@@ -607,11 +618,17 @@ def ff_det(m):
                     break
             else:
                 return zero
+        pivot = a[k][k]
+        pivot_row = a[k][k + 1:]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = _exact_div(a[k][k] * a[i][j] - a[i][k] * a[k][j], prev)
-            a[i][k] = zero
-        prev = a[k][k]
+            row = a[i]
+            f = row[k]
+            step = [pivot * x - f * y for x, y in zip(row[k + 1:], pivot_row)]
+            if k:  # the divisor of the first step is the unit
+                step = [_exact_div(x, prev) for x in step]
+            row[k + 1:] = step
+            row[k] = zero
+        prev = pivot
     d = a[n - 1][n - 1]
     return d if sign == 1 else -d
 

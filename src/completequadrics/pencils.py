@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import Poly1, clear_denominators, distinct_root_count, format_rat, int_det, mat_rank
+from .exact import Poly1, clear_denominators, distinct_root_count, int_det, mat_rank
 from .exact import ff_det  # noqa: F401  bench/test_bench.py traces and restores this alias
 from .quadrics import SymmetricForm, random_form, restrict
 
@@ -65,9 +65,6 @@ class BinaryForm:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    def to_json(self):
-        return [format_rat(c) for c in self.coeffs]
 
 
 def _det_binary(q0: SymmetricForm, q1: SymmetricForm) -> BinaryForm:

@@ -14,8 +14,8 @@ import random
 from fractions import Fraction
 
 from .exact import (
+    clear_denominators,
     ff_det,
-    format_rat,
     int_det,
     k_subsets,
     mat_mul,
@@ -63,18 +63,6 @@ class SymmetricForm:
     def __hash__(self):
         return hash(self.rows)
 
-    def evaluate(self, v):
-        """Value of the form at a vector: v^T Q v."""
-        if len(v) != self.n + 1:
-            raise ValueError("vector length mismatch")
-        return sum(self.rows[i][j] * v[i] * v[j] for i in range(self.n + 1) for j in range(self.n + 1))
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "matrix": [[format_rat(x) for x in r] for r in self.rows],
-        }
-
     @classmethod
     def from_json(cls, data: dict):
         form = cls.from_rational(data["matrix"])
@@ -114,18 +102,31 @@ def compound(q: SymmetricForm, k: int) -> SymmetricForm:
     Rows and columns are indexed by the lexicographically ordered k-element
     subsets of {0..n}; entry (S, T) is det Q[S, T].  The rank of the
     compound of a rank-r rational form is C(r, k).
+
+    Q is symmetric, so det Q[S, T] = det Q[T, S]: only the pairs S <= T are
+    computed and mirrored.  A rational form is scaled to integers once, by
+    the lcm L of its denominators, and each minor is int_det of the scaled
+    submatrix over L**k; Poly1 and MPoly forms take each minor by ff_det.
     """
     if not 1 <= k <= q.n + 1:
         raise ValueError("k out of range")
-    subsets = k_subsets(q.n + 1, k)
     if k == 1:
         return SymmetricForm(q.rows)
-    rows = []
-    for s in subsets:
-        row = []
-        for t in subsets:
-            row.append(ff_det([[q.rows[i][j] for j in t] for i in s]))
-        rows.append(row)
+    subsets = k_subsets(q.n + 1, k)
+    if all(isinstance(x, (int, Fraction)) for r in q.rows for x in r):
+        ints, scale = clear_denominators(q.rows)
+        den = scale ** k
+
+        def minor(s, t):
+            return Fraction(int_det([[ints[i][j] for j in t] for i in s]), den)
+    else:
+        def minor(s, t):
+            return ff_det([[q.rows[i][j] for j in t] for i in s])
+    size = len(subsets)
+    rows = [[None] * size for _ in range(size)]
+    for a, s in enumerate(subsets):
+        for b in range(a, size):
+            rows[a][b] = rows[b][a] = minor(s, subsets[b])
     return SymmetricForm(rows)
 
 

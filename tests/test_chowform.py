@@ -99,7 +99,6 @@ def test_projective_point_normalization():
     p = ProjectivePoint([Fraction(2, 3), Fraction(-4, 3)])
     assert p.coords == (1, -2)
     assert ProjectivePoint([-2, 4]) == p
-    assert p.support() == (0, 1)
     with pytest.raises(ValueError):
         ProjectivePoint([0, 0])
 

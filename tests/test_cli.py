@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import subprocess
 import sys
 import time
@@ -96,6 +97,119 @@ def test_chow_limit_support():
                      ["0", "0", "1", "0"], ["0", "0", "0", "1"]])
     data = run_json(["chow", "--form", q0, "--k", "2", "--limit-toward", q1])
     assert data["support"] == {"0,0": "1"}
+
+
+# a 4 x 4 form with denominators, and the pencil Q0 + t Q1 with Q0 of rank 2
+CHOW_FORM = json.dumps([["1/2", "1/3", "-2", "0"], ["1/3", "5/7", "1", "-3/4"],
+                        ["-2", "1", "0", "2/5"], ["0", "-3/4", "2/5", "-1"]])
+CHOW_Q0 = json.dumps([["0", "1/2", "0", "0"], ["1/2", "0", "0", "0"],
+                      ["0", "0", "0", "0"], ["0", "0", "0", "0"]])
+CHOW_Q1 = json.dumps([["2", "1/3", "0", "1"], ["1/3", "-1", "1/2", "0"],
+                      ["0", "1/2", "3", "-2/5"], ["1", "0", "-2/5", "1"]])
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (["chow", "--form", CHOW_FORM, "--k", "2"],
+     "3b47728fd213422ceeb1f488761ce9943a8cf1338c94e35a33d6729cbc29ffa3"),
+    (["chow", "--form", CHOW_FORM, "--k", "3"],
+     "bd681abdb772d34754a7e435cc3372e0af0b4cd70eaacaac4a20f6c6b29efcea"),
+    (["chow", "--form", CHOW_Q0, "--k", "3", "--limit-toward", CHOW_Q1],
+     "48a5aea90cf90dadb880cd720962f7774f643317135699c748d04b61a2c46e02"),
+])
+def test_chow_output_pinned(argv, digest):
+    # stdout recorded while compound still took every minor, both (S, T) and
+    # (T, S), by its own ff_det call
+    code, out, err = run(argv)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def diagonal_form(size):
+    return json.dumps([[str(i + 1) if i == j else "0" for j in range(size)] for i in range(size)])
+
+
+def stub_chow(monkeypatch):
+    calls = []
+
+    def compound(q, k):
+        calls.append(("compound", q.n, k))
+        return q
+
+    def chow_limit(q0, q1, k):
+        calls.append(("limit", q0.n, k))
+        return cli.chowform.ProjectivePoint([1])
+
+    monkeypatch.setattr(cli.quadrics, "compound", compound)
+    monkeypatch.setattr(cli.chowform, "chow_limit", chow_limit)
+    return calls
+
+
+def test_chow_at_bounds_accepted(monkeypatch):
+    # C(7, 3) = 35 rows at the largest n with k = 3, and the largest n at k = 2
+    assert (cli.MAX_CHOW_N, cli.MAX_COMPOUND) == (7, 35)
+    assert math.comb(7, 3) == cli.MAX_COMPOUND
+    calls = stub_chow(monkeypatch)
+    for size, k in ((7, 3), (8, 2), (8, 6)):
+        run_json(["chow", "--form", diagonal_form(size), "--k", str(k)])
+        run_json(["chow", "--form", diagonal_form(size), "--k", str(k),
+                  "--limit-toward", diagonal_form(size)])
+    assert calls == [(kind, size - 1, k) for size, k in ((7, 3), (8, 2), (8, 6))
+                     for kind in ("compound", "limit")]
+
+
+@pytest.mark.parametrize("size,k,message", [
+    (8, 3, "C(8,3) = 56 rows, at most 35"),
+    (8, 4, "C(8,4) = 70 rows, at most 35"),
+    (9, 1, "n at most 7 (got 8)"),
+    (70, 69, "n at most 7 (got 69)"),
+])
+def test_chow_past_bounds_rejected_before_any_work(monkeypatch, size, k, message):
+    calls = stub_chow(monkeypatch)
+    for extra in ([], ["--limit-toward", diagonal_form(size)]):
+        code, out, err = run(["chow", "--form", diagonal_form(size), "--k", str(k)] + extra)
+        assert code == 2
+        assert out == ""
+        assert message in err
+    assert calls == []
+
+
+def test_chow_limit_toward_form_bounded(monkeypatch):
+    calls = stub_chow(monkeypatch)
+    code, out, err = run(["chow", "--form", diagonal_form(2), "--k", "1",
+                          "--limit-toward", diagonal_form(9)])
+    assert code == 2 and out == ""
+    assert "n at most 7 (got 8)" in err
+    assert calls == []
+
+
+def test_lattice_n_at_bound_accepted(monkeypatch):
+    # converting out of H at n = 100 takes seconds, so only its admission is run
+    assert cli.MAX_LATTICE_N == 100
+    calls = []
+    monkeypatch.setattr(cli.picard, "convert", lambda d, basis: calls.append((d.n, basis)) or d)
+    run_json(["canonical", "--n", "100", "--basis", "E"])
+    ones = ["1"] * 100
+    run_json(["cone", "--divisor", json.dumps({"basis": "H", "coeffs": ones}), "--cone", "eff"])
+    assert calls == [(100, "E"), (100, "E")]
+
+
+@pytest.mark.parametrize("argv", [
+    ["canonical", "--n", "101", "--basis", "E"],
+    ["canonical", "--n", "101", "--basis", "mixed", "--method", "blowup"],
+    ["cone", "--divisor", json.dumps({"basis": "H", "coeffs": ["1"] * 101}), "--cone", "eff"],
+    ["cone", "--divisor", json.dumps({"basis": "E", "coeffs": ["1"] * 101}), "--cone", "nef"],
+    ["pair", "--curve", json.dumps({"n": 101, "coeffs": ["1"] * 101}),
+     "--divisor", json.dumps({"basis": "H", "coeffs": ["1"] * 101})],
+])
+def test_lattice_n_past_bound_rejected_before_any_work(monkeypatch, argv):
+    calls = []
+    monkeypatch.setattr(cli.picard, "convert", lambda *a: calls.append(a))
+    monkeypatch.setattr(cli.picard, "canonical", lambda *a: calls.append(a))
+    code, out, err = run(argv)
+    assert code == 2
+    assert out == ""
+    assert "n is at most 100 (got 101)" in err
+    assert calls == []
 
 
 def test_pencil_count():

@@ -134,6 +134,19 @@ def test_ff_det_matches_cofactor_mpoly(seed):
     assert ff_det(m) == cofactor_det(m)
 
 
+@pytest.mark.parametrize("size", [2, 3])
+@pytest.mark.parametrize("seed", range(6))
+def test_ff_det_matches_cofactor_small_polynomial(size, seed):
+    # a 2 x 2 determinant is the first Bareiss step alone, the one whose
+    # division by the unit is skipped; a zero corner forces a row swap first
+    rng = random.Random(700 + seed)
+    for make in (random_poly1, random_mpoly):
+        m = [[make(rng) for _ in range(size)] for _ in range(size)]
+        assert ff_det(m) == cofactor_det(m)
+        m[0][0] = m[0][0] * 0
+        assert ff_det(m) == cofactor_det(m)
+
+
 def test_ff_det_singular_and_permutation():
     assert ff_det([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]) == 0
     # column of zeros below a zero pivot
@@ -171,7 +184,7 @@ def test_mat_rank_matches_minor_oracle(seed):
 
 
 def test_distinct_root_count_factored():
-    t = Poly1.variable()
+    t = Poly1([0, 1])
     p = (t * t + 1) * (t - 3) ** 2
     assert distinct_root_count(p) == (4, 3)
     assert distinct_root_count((t - 1) ** 5) == (5, 1)
@@ -186,7 +199,7 @@ def test_distinct_root_count_random_products(seed):
     rng = random.Random(300 + seed)
     roots = [Fraction(rng.randint(-4, 4)) for _ in range(rng.randint(1, 4))]
     mults = [rng.randint(1, 3) for _ in roots]
-    t = Poly1.variable()
+    t = Poly1([0, 1])
     p = Poly1([1])
     for r, m in zip(roots, mults):
         p = p * (t - r) ** m
@@ -198,7 +211,7 @@ def test_distinct_root_count_matches_fraction_gcd(seed):
     # oracle: the squarefree part p / gcd(p, p') by the Euclidean gcd over
     # Fraction, on products of rational roots with a rational leading factor
     rng = random.Random(500 + seed)
-    t = Poly1.variable()
+    t = Poly1([0, 1])
     p = Poly1([Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9))])
     for _ in range(rng.randint(1, 6)):
         root = Fraction(rng.randint(-6, 6), rng.randint(1, 5))
@@ -210,7 +223,7 @@ def test_distinct_root_count_matches_fraction_gcd(seed):
 
 
 def test_poly_gcd_divides_both():
-    t = Poly1.variable()
+    t = Poly1([0, 1])
     a = (t - 1) * (t + 2) ** 2
     b = (t + 2) * (t - 5)
     g = poly_gcd(a, b)
@@ -265,7 +278,7 @@ def test_mat_inverse_rejects_non_square():
 
 
 def test_poly1_ring_operations():
-    t = Poly1.variable()
+    t = Poly1([0, 1])
     assert (t + 1) * (t - 1) == t * t - 1
     assert (t + 1) ** 0 == Poly1([1])
     assert Poly1([]) ** 0 == Poly1([1])
@@ -275,7 +288,7 @@ def test_poly1_ring_operations():
     assert p.shift_down(2) == Poly1([3, 1])
     with pytest.raises(ValueError):
         Poly1([1, 1]).shift_down(1)
-    assert (t ** 2 + t)(Fraction(1, 2)) == Fraction(3, 4)
+    assert (t ** 2 + t).coeffs == (0, 1, 1)
 
 
 def test_mpoly_ring_operations():
@@ -299,6 +312,58 @@ def test_mpoly_exact_div_roundtrip(seed):
     if b.is_zero():
         return
     assert (a * b).exact_div(b) == a
+
+
+def test_mpoly_results_drop_zero_coefficients():
+    vars = ("x", "y")
+    x, y = MPoly.variable("x", vars), MPoly.variable("y", vars)
+    assert (x - x).is_zero() and (x - x).terms == {}
+    assert (x * 0).terms == {} and (0 * x).terms == {}
+    assert (x + 1) - x == 1
+    assert ((x + 1) - x).terms == {(0, 0): 1}
+    assert ((x + y) * (x - y) - x ** 2).terms == {(0, 2): -1}
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_mpoly_results_match_validating_constructor(seed):
+    rng = random.Random(500 + seed)
+    a, b = random_mpoly(rng), random_mpoly(rng)
+    results = [a + b, a - b, -a, a * b, a * b - b * a, a + 0, 2 * a, a - a]
+    if not b.is_zero():
+        results.append((a * b).exact_div(b))
+    for r in results:
+        checked = MPoly(r.vars, r.terms)
+        assert r == checked and checked == r
+        assert hash(r) == hash(checked)
+        assert r.terms == checked.terms
+        assert all(c and type(c) is Fraction for c in r.terms.values())
+        assert all(type(e) is tuple and all(type(v) is int for v in e) for e in r.terms)
+
+
+def fraction_product(a, b):
+    # oracle: the plain sum of Fraction products
+    return [[sum((Fraction(x) * Fraction(y) for x, y in zip(row, col)), Fraction(0))
+             for col in zip(*b)] for row in a]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_mat_mul_rational_matches_fraction_sum(seed):
+    rng = random.Random(600 + seed)
+    p, q, r = (rng.randint(1, 5) for _ in range(3))
+
+    def entry():
+        if rng.random() < 0.3:
+            return rng.randint(-4, 4)
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 15))
+
+    a = [[entry() for _ in range(q)] for _ in range(p)]
+    b = [[entry() for _ in range(r)] for _ in range(q)]
+    out = mat_mul(a, b)
+    assert out == fraction_product(a, b)
+    assert all(type(x) is Fraction for row in out for x in row)
+    # the integer path scales by both lcms: a product that reduces to lowest terms
+    half = [[Fraction(1, 2), Fraction(1, 3)]]
+    assert mat_mul(half, [[Fraction(2)], [Fraction(3)]]) == [[Fraction(2)]]
 
 
 def test_rat_serialization():

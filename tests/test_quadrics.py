@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from completequadrics.exact import ff_det, k_subsets, mat_mul, mat_rank, mat_transpose
+from completequadrics.exact import MPoly, Poly1, ff_det, k_subsets, mat_mul, mat_rank, mat_transpose
 from completequadrics.quadrics import (
     SymmetricForm,
     compound,
@@ -36,12 +36,14 @@ def test_symmetric_form_validation():
     q = SymmetricForm.diagonal([1, 0, 0, 0])
     assert q.n == 3
     assert form_rank(q) == 1
-    assert q.evaluate([Fraction(2), 0, 0, 0]) == 4
+    # the value v^T Q v is the restriction of Q to the point v
+    assert restrict(q, [[Fraction(2)], [0], [0], [0]]).rows == ((4,),)
 
 
 def test_form_json_roundtrip():
     q = SymmetricForm.from_rational([["1", "1/2"], ["1/2", "0"]])
-    assert SymmetricForm.from_json(q.to_json()) == q
+    assert SymmetricForm.from_json({"n": 1, "matrix": [["1", "1/2"], ["1/2", "0"]]}) == q
+    assert SymmetricForm.from_json({"matrix": [[1, 0.5], [0.5, 0]]}) == q
     with pytest.raises(ValueError):
         SymmetricForm.from_json({"n": 3, "matrix": [["1", "0"], ["0", "1"]]})
 
@@ -79,6 +81,63 @@ def test_compound_congruence_cauchy_binet(seed):
     cb = minor_matrix(b, k)
     rhs = mat_mul(mat_transpose(cb), mat_mul(compound(q, k).rows, cb))
     assert [list(r) for r in lhs] == rhs
+
+
+def per_pair_compound(q, k):
+    # oracle: one ff_det for every pair (S, T), both halves computed
+    subsets = k_subsets(q.n + 1, k)
+    return [[ff_det([[q.rows[i][j] for j in t] for i in s]) for t in subsets] for s in subsets]
+
+
+def random_symmetric(size, entry):
+    rows = [[None] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i, size):
+            rows[i][j] = rows[j][i] = entry()
+    return SymmetricForm(rows)
+
+
+def rational_form(rng, size):
+    return random_symmetric(size, lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 12)))
+
+
+def poly1_pencil(rng, size):
+    q0, q1 = rational_form(rng, size), rational_form(rng, size)
+    return SymmetricForm([[Poly1([a, b]) for a, b in zip(r0, r1)] for r0, r1 in zip(q0.rows, q1.rows)])
+
+
+def mpoly_form(rng, size):
+    vars = ("x", "y")
+
+    def entry():
+        terms = {(rng.randint(0, 1), rng.randint(0, 1)): rng.randint(-2, 2) for _ in range(rng.randint(0, 2))}
+        return MPoly(vars, terms)
+
+    return random_symmetric(size, entry)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("make", [rational_form, poly1_pencil, mpoly_form])
+def test_compound_matches_per_pair_oracle(make, seed, n):
+    q = make(random.Random(1000 * n + seed), n + 1)
+    for k in range(1, n + 2):
+        rows = compound(q, k).rows
+        expect = per_pair_compound(q, k)
+        assert [list(r) for r in rows] == expect
+        # the same printed entries, so the same cq chow output
+        assert [[repr(x) for x in r] for r in rows] == [[repr(x) for x in r] for r in expect]
+        assert all(type(x) is type(y) for r, e in zip(rows, expect) for x, y in zip(r, e))
+
+
+def test_compound_rational_denominators_and_ints():
+    # integer entries next to Fractions, and an lcm far above every entry's
+    # own denominator
+    q = SymmetricForm([[1, Fraction(1, 7), 0], [Fraction(1, 7), Fraction(2, 11), 3], [0, 3, Fraction(-5, 13)]])
+    for k in (2, 3):
+        rows = compound(q, k).rows
+        assert [list(r) for r in rows] == per_pair_compound(q, k)
+        assert all(type(x) is Fraction for r in rows for x in r)
 
 
 def test_restrict_basic():
