@@ -16,9 +16,9 @@ from fractions import Fraction
 from math import gcd
 
 from .exact import (
-    MPoly, Poly1, clear_denominators, ff_det, k_subsets, mat_mul, mat_rank, mat_transpose,
+    MPoly, clear_denominators, ff_det, int_det_poly, k_subsets, mat_mul, mat_rank, mat_transpose,
 )
-from .quadrics import SymmetricForm, compound
+from .quadrics import SymmetricForm, _minor_rows, compound
 
 
 class ProjectivePoint:
@@ -96,20 +96,26 @@ def chow_limit(q0: SymmetricForm, q1: SymmetricForm, k: int) -> ProjectivePoint:
     point in the projectivized space of wedge-coordinate quadrics.  The
     coordinates are the limit matrix entries in row-major order (no radical
     is taken, so a nonreduced limit keeps its multiplicity structure).
+
+    Both forms are scaled to integers by one lcm L, so each minor is
+    int_det_poly of the scaled submatrices; that multiplies every entry by
+    L**k, a positive factor the projective point drops.
     """
     if q0.n != q1.n:
         raise ValueError("forms must share an ambient space")
     size = q0.n + 1
-    pencil = SymmetricForm(
-        [[Poly1([q0.rows[i][j], q1.rows[i][j]]) for j in range(size)] for i in range(size)]
-    )
-    c = compound(pencil, k).rows
-    vals = [e.valuation() for row in c for e in row if not e.is_zero()]
+    ints, _ = clear_denominators(q0.rows + q1.rows)
+    a, b = ints[:size], ints[size:]
+
+    def minor(s, t):
+        return int_det_poly([[a[i][j] for j in t] for i in s], [[b[i][j] for j in t] for i in s])
+
+    entries = [e for row in _minor_rows(q0.n, k, minor) for e in row]
+    vals = [next(d for d, c in enumerate(e) if c) for e in entries if any(e)]
     if not vals:
         raise ValueError("family has identically vanishing k-th minors")
     shift = min(vals)
-    coords = [e.shift_down(shift).coefficient(0) for row in c for e in row]
-    return ProjectivePoint(coords)
+    return ProjectivePoint([e[shift] for e in entries])
 
 
 def limit_support_coefficients(point: ProjectivePoint) -> dict:

@@ -34,12 +34,12 @@ MAX_CENSUS = 250_000
 
 # Largest `cq chow` input.  A compound has C(n+1,k) rows and computes half
 # of their C(n+1,k)^2 pairings as k x k determinants; with --limit-toward
-# the determinants are over polynomials and cost about 30 times more.
+# each pairing takes k + 1 integer determinants, which are interpolated.
 # Neither the row count nor n alone bounds the time (a 70 x 70 form with
-# k = 69 has 70 rows of 69 x 69 minors), so both are bounded.  The slowest
-# admitted shape, n = 7 with k = 6 and one-digit rational entries, takes
-# 3 to 5 s with --limit-toward on one 2.1 GHz Xeon core; n = 7 with k = 5
-# (56 rows) took 8 s there and is rejected with exit 2.
+# k = 69 has 70 rows of 69 x 69 minors), so both are bounded.  On one
+# 2.1 GHz Xeon core with one-digit entries, the slowest admitted shape,
+# n = 7 with k = 6, takes about 0.15 s with --limit-toward (0.3 s for the
+# whole command), and n = 9 with k = 5 (252 rows) takes about 6 s.
 MAX_CHOW_N = 7
 MAX_COMPOUND = 35
 

@@ -1,34 +1,37 @@
 """Exact rational and polynomial arithmetic with fraction-free linear algebra.
 
-Scalars are fractions.Fraction at the interface.  Univariate polynomials
-(Poly1) are dense coefficient lists, multivariate polynomials (MPoly) are
-sparse exponent-tuple maps, and matrices are plain sequences of rows whose
-entries all live in a single ring (Fraction, Poly1 or MPoly).  Determinants
-use Bareiss fraction-free elimination, so every intermediate value stays in
-the entry ring; the only divisions performed are exact.  Beside the Bareiss
-kernels there is one rational Gauss-Jordan routine, _rref, which mat_rank,
-solve_exact and mat_inverse run on.
+Scalars are fractions.Fraction at the interface.  Polynomials in one
+variable are coefficient sequences, lowest degree first; multivariate
+polynomials (MPoly) are sparse exponent-tuple maps.  Matrices are plain
+sequences of rows whose entries all live in a single ring (Fraction or
+MPoly).  Determinants use Bareiss fraction-free elimination, so every
+intermediate value stays in the entry ring; the only divisions performed
+are exact.  Beside the Bareiss kernels there is one rational Gauss-Jordan
+routine, _rref, which mat_rank, solve_exact and mat_inverse run on.
 
 Rational work runs on Python integers wherever it can.  clear_denominators
 scales a rational matrix by the lcm of its denominators and int_det is the
 one integer Bareiss kernel: ff_det of a rational matrix is int_det of the
-scaled matrix over the scale to the n-th power, the pencil module evaluates
-det(A + tB) at integer points with it and interpolates, and
-distinct_root_count runs a primitive integer remainder sequence instead of a
-Euclidean gcd over Fraction.  mat_mul of two rational matrices multiplies
-the scaled integer matrices and divides once by the product of the scales.
+scaled matrix over the scale to the n-th power, and int_det_poly gives the
+coefficients of det(A + tB) by evaluating int_det at integer points and
+interpolating, for pencil determinant forms and for the minors of Chow-form
+limits.  poly_gcd runs a primitive integer remainder sequence instead of a
+Euclidean gcd over Fraction, and distinct_root_count reads the squarefree
+degree from it.  mat_mul of two rational matrices multiplies the scaled
+integer matrices and divides once by the product of the scales.
 
-Over Poly1 and MPoly, ff_det keeps its own Bareiss loop, the oracle the
-integer paths are tested against.  Its first step would divide by the unit,
-so it divides nothing; for a 2 x 2 matrix that step is the whole
-elimination.  MPoly ring operations build their results through the private
-MPoly._make, which only drops zero coefficients, where the public
-constructor validates every exponent tuple and coefficient again.
+Over MPoly, ff_det keeps its own Bareiss loop, which the wedge-contraction
+limits run on.  Its first step would divide by the unit, so it divides
+nothing; for a 2 x 2 matrix that step is the whole elimination.  MPoly ring
+operations build their results through the private MPoly._make, which only
+drops zero coefficients, where the public constructor validates every
+exponent tuple and coefficient again.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+import functools
 import itertools
 import math
 import operator
@@ -78,190 +81,23 @@ def _coerce_scalar(x):
     return None
 
 
-class Poly1:
-    """Dense univariate polynomial over Fraction.
-
-    Coefficients are stored lowest degree first with trailing zeros trimmed,
-    so equal polynomials compare equal.  The zero polynomial has degree -1.
-    """
-
-    __slots__ = ("var", "coeffs")
-
-    def __init__(self, coeffs=(), var="t"):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "var", var)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly1 is immutable")
-
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def coefficient(self, k: int) -> Fraction:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return Fraction(0)
-
-    def _check(self, other):
-        if self.coeffs and other.coeffs and self.var != other.var:
-            raise ValueError("mixed polynomial variables %r, %r" % (self.var, other.var))
-
-    def _wrap(self, other):
-        c = _coerce_scalar(other)
-        if c is not None:
-            return Poly1([c], var=self.var)
-        if isinstance(other, Poly1):
-            return other
-        return None
-
-    def __add__(self, other):
-        other = self._wrap(other)
-        if other is None:
-            return NotImplemented
-        self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly1(
-            [self.coefficient(i) + other.coefficient(i) for i in range(n)],
-            var=self.var if self.coeffs else other.var,
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Poly1([-c for c in self.coeffs], var=self.var)
-
-    def __sub__(self, other):
-        other = self._wrap(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._wrap(other)
-        if other is None:
-            return NotImplemented
-        self._check(other)
-        if not self.coeffs or not other.coeffs:
-            return Poly1([], var=self.var if self.coeffs else other.var)
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return Poly1(out, var=self.var)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, m: int):
-        if m < 0:
-            raise ValueError("negative power")
-        out = Poly1([1], var=self.var)
-        for _ in range(m):
-            out = out * self
-        return out
-
-    def __eq__(self, other):
-        other = self._wrap(other)
-        if other is None:
-            return NotImplemented
-        return self.coeffs == other.coeffs and (not self.coeffs or not other.coeffs or self.var == other.var)
-
-    def __hash__(self):
-        return hash((self.var if self.coeffs else "", self.coeffs))
-
-    def derivative(self):
-        return Poly1([i * c for i, c in enumerate(self.coeffs)][1:], var=self.var)
-
-    def valuation(self) -> int:
-        """Largest m with var**m dividing self; 0 for the zero polynomial."""
-        for i, c in enumerate(self.coeffs):
-            if c:
-                return i
-        return 0
-
-    def shift_down(self, m: int):
-        """Divide by var**m; requires valuation >= m."""
-        if any(self.coeffs[i] for i in range(min(m, len(self.coeffs)))):
-            raise ValueError("not divisible by %s**%d" % (self.var, m))
-        return Poly1(self.coeffs[m:], var=self.var)
-
-    def __divmod__(self, other):
-        other = self._wrap(other)
-        if other is None:
-            return NotImplemented
-        self._check(other)
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        d = other.degree()
-        lead = other.coeffs[-1]
-        quo = [Fraction(0)] * max(0, len(rem) - d)
-        while len(rem) - 1 >= d and any(rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
-            q = rem[-1] / lead
-            k = len(rem) - 1 - d
-            quo[k] = q
-            for i in range(d + 1):
-                rem[k + i] -= q * other.coeffs[i]
-        return Poly1(quo, var=self.var), Poly1(rem, var=self.var)
-
-    def exact_div(self, other):
-        q, r = divmod(self, other)
-        if not r.is_zero():
-            raise ValueError("inexact polynomial division")
-        return q
-
-    def monic(self):
-        if self.is_zero():
-            return self
-        lead = self.coeffs[-1]
-        return Poly1([c / lead for c in self.coeffs], var=self.var)
-
-    def __repr__(self):
-        if self.is_zero():
-            return "0"
-        bits = []
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if i == 0:
-                bits.append(format_rat(c))
-            else:
-                head = "" if c == 1 else ("-" if c == -1 else format_rat(c) + "*")
-                bits.append("%s%s" % (head, self.var if i == 1 else "%s^%d" % (self.var, i)))
-        return " + ".join(bits).replace("+ -", "- ")
-
-
-def poly_gcd(a: Poly1, b: Poly1) -> Poly1:
-    """Monic gcd over the rationals by the Euclidean algorithm."""
-    while not b.is_zero():
-        a, b = b, divmod(a, b)[1]
-    return a.monic()
-
-
 def _primitive(cs):
-    # integer coefficients divided by their content; cs is nonzero, trimmed
+    # integer coefficients divided by their content, the leading one positive
     g = math.gcd(*cs)
+    if cs and cs[-1] < 0:
+        g = -g
     return [c // g for c in cs]
 
 
+def _trim(cs):
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
 def _pseudo_remainder(a, b):
-    """lc(b)^k * a mod b for integer coefficient lists, deg a >= deg b >= 0."""
+    """lc(b)^k * a mod b for integer coefficient lists, b nonzero."""
     r = list(a)
     db = len(b) - 1
     lb = b[-1]
@@ -277,32 +113,38 @@ def _pseudo_remainder(a, b):
     return r
 
 
-def _gcd_degree(a, b) -> int:
-    """Degree of gcd(a, b) by a primitive integer remainder sequence.
+def poly_gcd(a, b) -> list:
+    """Primitive gcd of two integer polynomials by a primitive remainder sequence.
 
-    Dividing every remainder by its content keeps the coefficients as small
-    as the gcd allows, where a Euclidean gcd over Fraction lets them grow.
+    Polynomials are coefficient sequences, lowest degree first; the result
+    is a list with coprime integer coefficients and a positive leading
+    coefficient, empty when both inputs are zero.  Dividing every remainder
+    by its content keeps the coefficients as small as the gcd allows, where
+    a Euclidean gcd over Fraction lets them grow.
     """
+    a, b = _primitive(_trim(a)), _primitive(_trim(b))
     while b:
         r = _pseudo_remainder(a, b)
-        a, b = b, _primitive(r) if r else []
-    return len(a) - 1
+        a, b = b, _primitive(r)
+    return a
 
 
-def distinct_root_count(p: Poly1) -> tuple[int, int]:
+def distinct_root_count(coeffs) -> tuple[int, int]:
     """Return (degree, number of distinct complex roots) of a nonzero polynomial.
 
-    The distinct-root count is the degree of the squarefree part
-    p / gcd(p, p'), so no root finding or factoring is involved.
+    coeffs are its rational coefficients, lowest degree first; trailing
+    zeros are dropped, so the degree is that of the polynomial, not the
+    length of the sequence.  The distinct-root count is the degree of the
+    squarefree part p / gcd(p, p'), so no root finding or factoring is
+    involved.
     """
-    if p.is_zero():
+    (a,), _ = clear_denominators([list(coeffs)])
+    a = _trim(a)
+    if not a:
         raise ValueError("zero polynomial has no well-defined root count")
-    if p.degree() == 0:
-        return (0, 0)
-    (a,), _ = clear_denominators([p.coeffs])
-    a = _primitive(a)
+    degree = len(a) - 1
     da = [i * c for i, c in enumerate(a)][1:]
-    return (p.degree(), p.degree() - _gcd_degree(a, _primitive(da)))
+    return (degree, degree - (len(poly_gcd(a, da)) - 1))
 
 
 class MPoly:
@@ -504,10 +346,6 @@ def _rows(m):
     return [list(r) for r in m]
 
 
-def _zero_like(x):
-    return x * 0
-
-
 def _exact_div(a, b):
     if isinstance(a, (int, Fraction)):
         return Fraction(a) / b
@@ -537,10 +375,8 @@ def mat_mul(a, b):
         ibt = list(zip(*ib))
         return [[Fraction(sum(map(operator.mul, row, col)), scale) for col in ibt] for row in ia]
     bt = list(zip(*b))
-    out = []
-    for row in a:
-        out.append([sum((x * y for x, y in zip(row, col)), _zero_like(row[0])) for col in bt])
-    return out
+    # each entry folds from its first product, so no zero is built in the ring
+    return [[functools.reduce(operator.add, map(operator.mul, row, col)) for col in bt] for row in a]
 
 
 def clear_denominators(rows):
@@ -589,12 +425,37 @@ def int_det(m) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def int_det_poly(a, b) -> list:
+    """Integer coefficients of det(A + tB), lowest degree first.
+
+    A and B are square integer matrices of one size n, and the list has
+    n + 1 entries, trailing zeros included.  The determinant is taken by
+    int_det at t = 0..n and interpolated by Newton's divided differences:
+    at the nodes 0..n each step divides by an integer j, and the quotient is
+    an integer because the polynomial has integer coefficients.
+    """
+    n = len(a)
+    c = [
+        int_det([[x + t * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)])
+        for t in range(n + 1)
+    ]
+    for j in range(1, n + 1):
+        for i in range(n, j - 1, -1):
+            c[i] = (c[i] - c[i - 1]) // j
+    coeffs = [c[n]]
+    for k in range(n - 1, -1, -1):
+        # coeffs <- coeffs * (t - k) + c[k]
+        coeffs = [x - k * y for x, y in zip([0] + coeffs, coeffs + [0])]
+        coeffs[0] += c[k]
+    return coeffs
+
+
 def ff_det(m):
     """Determinant by Bareiss fraction-free elimination with row pivoting.
 
-    Works verbatim over Fraction, Poly1 and MPoly entries: every division
-    performed is exact in the entry ring.  A rational matrix is scaled to
-    integers and handed to int_det.
+    Works verbatim over MPoly entries: every division performed is exact in
+    the entry ring.  A rational matrix is scaled to integers and handed to
+    int_det.
     """
     a = _rows(m)
     n = len(a)
@@ -607,7 +468,7 @@ def ff_det(m):
     if _is_rational(a):
         ints, scale = clear_denominators(a)
         return Fraction(int_det(ints), scale ** n)
-    zero = _zero_like(a[0][0])
+    zero = a[0][0] * 0
     sign = 1
     for k in range(n - 1):
         if not a[k][k]:

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import Poly1, clear_denominators, distinct_root_count, int_det, mat_rank
+from .exact import clear_denominators, distinct_root_count, int_det_poly, mat_rank
 from .exact import ff_det  # noqa: F401  bench/test_bench.py traces and restores this alias
 from .quadrics import SymmetricForm, random_form, restrict
 
@@ -68,27 +68,12 @@ class BinaryForm:
 
 
 def _det_binary(q0: SymmetricForm, q1: SymmetricForm) -> BinaryForm:
-    # With L the common denominator and A = L Q0, B = L Q1 integral,
-    # f(t) = det(A + tB) has integer coefficients and degree <= size.  Take
-    # f at t = 0..size by integer Bareiss, interpolate by Newton's divided
-    # differences (at nodes 0..size each step divides by an integer j, and
-    # the quotient is an integer because f is), then expand the Newton form
-    # and divide by L^size.
+    # With L the common denominator, A = L Q0 and B = L Q1 are integral, so
+    # det(A + tB) has integer coefficients; dividing them by L^size gives
+    # the coefficients of det(Q0 + tQ1).
     size = q0.n + 1
     ints, scale = clear_denominators(q0.rows + q1.rows)
-    a, b = ints[:size], ints[size:]
-    c = [
-        int_det([[x + t * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)])
-        for t in range(size + 1)
-    ]
-    for j in range(1, size + 1):
-        for i in range(size, j - 1, -1):
-            c[i] = (c[i] - c[i - 1]) // j
-    coeffs = [c[size]]
-    for k in range(size - 1, -1, -1):
-        # coeffs <- coeffs * (t - k) + c[k]
-        coeffs = [x - k * y for x, y in zip([0] + coeffs, coeffs + [0])]
-        coeffs[0] += c[k]
+    coeffs = int_det_poly(ints[:size], ints[size:])
     if not any(coeffs):
         raise DegeneratePencilError("every member of the pencil is singular")
     denom = scale ** size
@@ -109,9 +94,8 @@ class DegenerationCount:
 def _count_binary_roots(f: BinaryForm) -> DegenerationCount:
     # roots of the degree-d form on the (s:t) line: dehomogenize at s = 1,
     # then (0:1) is an extra root exactly when the top coefficient vanishes
-    dehom = Poly1(f.coeffs)
     at_infinity = 1 if f.coeffs[-1] == 0 else 0
-    _, finite_distinct = distinct_root_count(dehom)
+    _, finite_distinct = distinct_root_count(f.coeffs)
     return DegenerationCount(total=f.degree, distinct=finite_distinct + at_infinity)
 
 

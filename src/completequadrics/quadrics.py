@@ -103,16 +103,12 @@ def compound(q: SymmetricForm, k: int) -> SymmetricForm:
     subsets of {0..n}; entry (S, T) is det Q[S, T].  The rank of the
     compound of a rank-r rational form is C(r, k).
 
-    Q is symmetric, so det Q[S, T] = det Q[T, S]: only the pairs S <= T are
-    computed and mirrored.  A rational form is scaled to integers once, by
-    the lcm L of its denominators, and each minor is int_det of the scaled
-    submatrix over L**k; Poly1 and MPoly forms take each minor by ff_det.
+    A rational form is scaled to integers once, by the lcm L of its
+    denominators, and each minor is int_det of the scaled submatrix over
+    L**k; MPoly forms take each minor by ff_det.
     """
-    if not 1 <= k <= q.n + 1:
-        raise ValueError("k out of range")
     if k == 1:
         return SymmetricForm(q.rows)
-    subsets = k_subsets(q.n + 1, k)
     if all(isinstance(x, (int, Fraction)) for r in q.rows for x in r):
         ints, scale = clear_denominators(q.rows)
         den = scale ** k
@@ -122,12 +118,25 @@ def compound(q: SymmetricForm, k: int) -> SymmetricForm:
     else:
         def minor(s, t):
             return ff_det([[q.rows[i][j] for j in t] for i in s])
+    return SymmetricForm(_minor_rows(q.n, k, minor))
+
+
+def _minor_rows(n: int, k: int, minor) -> list:
+    """Rows of the matrix of minor(S, T) over the k-subsets S, T of {0..n}.
+
+    Rows and columns follow the lexicographic subset order.  The minors of
+    a symmetric matrix satisfy minor(S, T) = minor(T, S), so only the pairs
+    S <= T are computed and mirrored.
+    """
+    if not 1 <= k <= n + 1:
+        raise ValueError("k out of range")
+    subsets = k_subsets(n + 1, k)
     size = len(subsets)
     rows = [[None] * size for _ in range(size)]
     for a, s in enumerate(subsets):
         for b in range(a, size):
             rows[a][b] = rows[b][a] = minor(s, subsets[b])
-    return SymmetricForm(rows)
+    return rows
 
 
 def stratum_codim(n: int, i: int) -> int:

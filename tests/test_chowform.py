@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from completequadrics.exact import MPoly, ff_det, mat_rank
+from completequadrics.exact import MPoly, ff_det, k_subsets, mat_rank
 from completequadrics.chowform import (
     PluckerVector,
     ProjectivePoint,
@@ -178,6 +178,59 @@ def test_chow_limit_identically_singular():
     q0 = SymmetricForm.diagonal([1, 0, 0, 0])
     with pytest.raises(ValueError):
         chow_limit(q0, q0, 2)
+
+
+def per_minor_chow_limit(q0, q1, k):
+    # oracle: every minor of q0 + t q1, both halves, by Bareiss over
+    # polynomials in t; the common power of t divided out, then t = 0
+    pencil = [[MPoly(("t",), {(0,): x, (1,): y}) for x, y in zip(r0, r1)]
+              for r0, r1 in zip(q0.rows, q1.rows)]
+    subsets = k_subsets(q0.n + 1, k)
+    minors = [ff_det([[pencil[i][j] for j in u] for i in s]) for s in subsets for u in subsets]
+    nonzero = [e for e in minors if not e.is_zero()]
+    if not nonzero:
+        raise ValueError("identically vanishing")
+    shift = min(e.min_exponent("t") for e in nonzero)
+    coords = [e.divide_monomial((shift,)).terms.get((0,), 0) if e else 0 for e in minors]
+    return ProjectivePoint(coords), shift
+
+
+def random_rational_form(rng, n, rank):
+    # M^T D M with rational M and rank-many nonzero rational weights in D
+    size = n + 1
+    m = [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(size)] for _ in range(rank)]
+    d = [Fraction(rng.choice([1, -2, 3, 5]), rng.randint(1, 3)) for _ in range(rank)]
+    return SymmetricForm(
+        [[sum(d[r] * m[r][i] * m[r][j] for r in range(rank)) for j in range(size)] for i in range(size)]
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_chow_limit_matches_per_minor_oracle(n):
+    rng = random.Random(70 + n)
+    shifted = vanishing = 0
+    for rank in range(1, n + 2):
+        q0 = random_rational_form(rng, n, rank)
+        # a generic q1; q1 = c q0 + w w^T, whose minors past rank + 1 vanish;
+        # and q1 = c q0, whose minors past the rank vanish
+        w = random_rational_form(rng, n, 1)
+        scaled = [[Fraction(-2, 3) * x for x in row] for row in q0.rows]
+        for q1 in (
+            random_rational_form(rng, n, n + 1),
+            SymmetricForm([[x + y for x, y in zip(r0, r1)] for r0, r1 in zip(scaled, w.rows)]),
+            SymmetricForm(scaled),
+        ):
+            for k in range(1, n + 2):
+                try:
+                    expected, shift = per_minor_chow_limit(q0, q1, k)
+                except ValueError:
+                    vanishing += 1
+                    with pytest.raises(ValueError, match="identically vanishing"):
+                        chow_limit(q0, q1, k)
+                    continue
+                shifted += shift > 0
+                assert chow_limit(q0, q1, k) == expected
+    assert shifted and vanishing
 
 
 def wedge_vars():

@@ -1,10 +1,12 @@
 """Core arithmetic tests.
 
-ff_det is checked against an independent cofactor-expansion oracle over all
-three entry rings, and mat_rank against the largest nonvanishing minor; root
-counts against explicit factorizations.
+ff_det is checked against an independent cofactor-expansion oracle over
+rationals and over polynomials in one and in two variables, and mat_rank
+against the largest nonvanishing minor; root counts against explicit
+factorizations and the integer gcd against a Euclidean gcd over Fraction.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -15,12 +17,12 @@ from hypothesis import strategies as st
 from completequadrics.exact import (
     InconsistentSystem,
     MPoly,
-    Poly1,
     UnderdeterminedSystem,
     clear_denominators,
     distinct_root_count,
     ff_det,
     int_det,
+    int_det_poly,
     format_rat,
     k_subsets,
     mat_inverse,
@@ -108,8 +110,26 @@ def test_ff_det_rational_is_scaled_int_det(m):
     assert d == Fraction(int_det(ints), scale ** 5) == cofactor_det(m)
 
 
+@pytest.mark.parametrize("seed", range(12))
+def test_int_det_poly_matches_univariate_cofactor(seed):
+    # oracle: cofactor expansion of A + tB over MPoly in t; a singular B
+    # leaves a zero top coefficient, which the list keeps
+    rng = random.Random(800 + seed)
+    size = rng.randint(1, 5)
+    a = [[rng.randint(-9, 9) for _ in range(size)] for _ in range(size)]
+    b = [[rng.randint(-9, 9) for _ in range(size)] for _ in range(size)]
+    if seed % 3 == 0:
+        b[0] = [0] * size
+    pencil = [[MPoly(("t",), {(0,): x, (1,): y}) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    det = cofactor_det(pencil)
+    coeffs = int_det_poly(a, b)
+    assert coeffs == [det.terms.get((d,), 0) for d in range(size + 1)]
+    assert all(type(c) is int for c in coeffs)
+
+
 def random_poly1(rng, deg=2):
-    return Poly1([Fraction(rng.randint(-3, 3)) for _ in range(deg + 1)])
+    # a polynomial in the one variable t
+    return MPoly(("t",), {(d,): rng.randint(-3, 3) for d in range(deg + 1)})
 
 
 def random_mpoly(rng, vars=("x", "y")):
@@ -183,14 +203,53 @@ def test_mat_rank_matches_minor_oracle(seed):
     assert mat_rank(m) == minor_rank(m)
 
 
+T = MPoly.variable("t", ("t",))
+
+
+def coeffs_of(p):
+    # coefficients of a polynomial in t, lowest degree first
+    return [p.terms.get((d,), Fraction(0)) for d in range(p.degree_in("t") + 1)]
+
+
+def _trimmed(cs):
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def fraction_remainder(a, b):
+    # a mod b by long division over Fraction; b nonzero and trimmed
+    rem = _trimmed(Fraction(c) for c in a)
+    while len(rem) >= len(b):
+        q = rem[-1] / b[-1]
+        shift = len(rem) - len(b)
+        for i, y in enumerate(b):
+            rem[shift + i] -= q * y
+        rem = _trimmed(rem)
+    return rem
+
+
+def fraction_gcd(a, b):
+    # oracle: the monic gcd by the Euclidean algorithm over Fraction
+    a, b = _trimmed(Fraction(c) for c in a), _trimmed(Fraction(c) for c in b)
+    while b:
+        a, b = b, fraction_remainder(a, b)
+    return [c / a[-1] for c in a]
+
+
 def test_distinct_root_count_factored():
-    t = Poly1([0, 1])
-    p = (t * t + 1) * (t - 3) ** 2
-    assert distinct_root_count(p) == (4, 3)
-    assert distinct_root_count((t - 1) ** 5) == (5, 1)
-    assert distinct_root_count(Poly1([7])) == (0, 0)
-    with pytest.raises(ValueError):
-        distinct_root_count(Poly1([]))
+    p = (T * T + 1) * (T - 3) ** 2
+    assert distinct_root_count(coeffs_of(p)) == (4, 3)
+    assert distinct_root_count(coeffs_of((T - 1) ** 5)) == (5, 1)
+    assert distinct_root_count([7]) == (0, 0)
+    # trailing zeros are a root at infinity, which the caller counts
+    assert distinct_root_count([6, -5, 1, 0]) == (2, 2)
+    assert distinct_root_count([Fraction(3, 2), 0, Fraction(-3, 2), 0, 0]) == (2, 2)
+    assert distinct_root_count([7, 0]) == (0, 0)
+    for zero in ([], [0], [Fraction(0), 0]):
+        with pytest.raises(ValueError):
+            distinct_root_count(zero)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -199,11 +258,10 @@ def test_distinct_root_count_random_products(seed):
     rng = random.Random(300 + seed)
     roots = [Fraction(rng.randint(-4, 4)) for _ in range(rng.randint(1, 4))]
     mults = [rng.randint(1, 3) for _ in roots]
-    t = Poly1([0, 1])
-    p = Poly1([1])
+    p = MPoly.constant(1, ("t",))
     for r, m in zip(roots, mults):
-        p = p * (t - r) ** m
-    assert distinct_root_count(p) == (sum(mults), len(set(roots)))
+        p = p * (T - r) ** m
+    assert distinct_root_count(coeffs_of(p)) == (sum(mults), len(set(roots)))
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -211,24 +269,41 @@ def test_distinct_root_count_matches_fraction_gcd(seed):
     # oracle: the squarefree part p / gcd(p, p') by the Euclidean gcd over
     # Fraction, on products of rational roots with a rational leading factor
     rng = random.Random(500 + seed)
-    t = Poly1([0, 1])
-    p = Poly1([Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9))])
+    p = MPoly.constant(Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9)), ("t",))
     for _ in range(rng.randint(1, 6)):
         root = Fraction(rng.randint(-6, 6), rng.randint(1, 5))
-        p = p * (t - root) ** rng.randint(1, 3)
+        p = p * (T - root) ** rng.randint(1, 3)
     if rng.random() < 0.5:
-        p = p * (t * t + Fraction(rng.randint(1, 5), rng.randint(1, 3)))
-    squarefree = p.exact_div(poly_gcd(p, p.derivative()))
-    assert distinct_root_count(p) == (p.degree(), squarefree.degree())
+        p = p * (T * T + Fraction(rng.randint(1, 5), rng.randint(1, 3)))
+    cs = coeffs_of(p)
+    derivative = [i * c for i, c in enumerate(cs)][1:]
+    squarefree_degree = len(cs) - len(fraction_gcd(cs, derivative))
+    assert distinct_root_count(cs) == (len(cs) - 1, squarefree_degree)
 
 
 def test_poly_gcd_divides_both():
-    t = Poly1([0, 1])
-    a = (t - 1) * (t + 2) ** 2
-    b = (t + 2) * (t - 5)
+    a = [int(c) for c in coeffs_of((T - 1) * (T + 2) ** 2)]
+    b = [int(c) for c in coeffs_of((T + 2) * (T - 5))]
     g = poly_gcd(a, b)
-    assert g == (t + 2).monic()
-    assert divmod(a, g)[1].is_zero() and divmod(b, g)[1].is_zero()
+    assert g == [2, 1]
+    assert fraction_remainder(a, g) == [] and fraction_remainder(b, g) == []
+    assert poly_gcd([], []) == []
+    assert poly_gcd([0, 0], [-3, -6, 0]) == [1, 2]
+    # random products with a common factor: the primitive gcd with a
+    # positive leading coefficient is the Fraction gcd scaled to integers
+    rng = random.Random(900)
+    for _ in range(30):
+        common, f, h = (
+            MPoly(("t",), {(d,): rng.randint(-5, 5) for d in range(rng.randint(0, 3))})
+            for _ in range(3)
+        )
+        a, b = ([int(c) for c in coeffs_of(common * x)] for x in (f, h))
+        g = poly_gcd(a, b)
+        if not g:
+            assert not a and not b
+            continue
+        assert math.gcd(*g) == 1 and g[-1] > 0
+        assert [Fraction(c, g[-1]) for c in g] == fraction_gcd(a, b)
 
 
 def test_solve_exact_unique():
@@ -275,20 +350,6 @@ def test_mat_inverse_matches_solve_exact(a):
 def test_mat_inverse_rejects_non_square():
     with pytest.raises(ValueError):
         mat_inverse([[1, 2, 3], [4, 5, 6]])
-
-
-def test_poly1_ring_operations():
-    t = Poly1([0, 1])
-    assert (t + 1) * (t - 1) == t * t - 1
-    assert (t + 1) ** 0 == Poly1([1])
-    assert Poly1([]) ** 0 == Poly1([1])
-    assert (2 * t).derivative() == Poly1([2])
-    p = Poly1([0, 0, 3, 1])
-    assert p.valuation() == 2
-    assert p.shift_down(2) == Poly1([3, 1])
-    with pytest.raises(ValueError):
-        Poly1([1, 1]).shift_down(1)
-    assert (t ** 2 + t).coeffs == (0, 1, 1)
 
 
 def test_mpoly_ring_operations():

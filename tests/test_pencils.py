@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from completequadrics import picard
-from completequadrics.exact import Poly1, ff_det, mat_mul, mat_rank, mat_transpose
+from completequadrics.exact import MPoly, ff_det, mat_mul, mat_rank, mat_transpose
 from completequadrics.pencils import (
     DIRECT_CHECK_PAIRS,
     BinaryForm,
@@ -38,10 +38,10 @@ class TestDetForm:
         # det(s I + t diag(1,2,3,4)) = (s+t)(s+2t)(s+3t)(s+4t); expanding the
         # product of linear polynomials is the independent route
         form = pencil_det_form(Pencil(I4, diag(1, 2, 3, 4)))
-        prod = Poly1([1])
+        prod = MPoly.constant(1, ("t",))
         for k in (1, 2, 3, 4):
-            prod = prod * Poly1([1, k])
-        assert form.coeffs == tuple(prod.coefficient(d) for d in range(5))
+            prod = prod * MPoly(("t",), {(0,): 1, (1,): k})
+        assert form.coeffs == tuple(prod.terms[(d,)] for d in range(5))
         assert form.coeffs == (1, 10, 35, 50, 24)
         assert form.degree == 4
 
@@ -56,12 +56,14 @@ class TestDetForm:
         assert [str(c) for c in form.coeffs] == ["1", "0", "-1"]
 
 
-def poly1_det_form(p):
-    # oracle: Bareiss over Poly1 with Fraction coefficients, no interpolation
+def bareiss_det_form(p):
+    # oracle: Bareiss over polynomials in t with Fraction coefficients, no
+    # interpolation
     size = p.m + 1
-    rows = [[Poly1([p.q0.rows[i][j], p.q1.rows[i][j]]) for j in range(size)] for i in range(size)]
+    rows = [[MPoly(("t",), {(0,): x, (1,): y}) for x, y in zip(r0, r1)]
+            for r0, r1 in zip(p.q0.rows, p.q1.rows)]
     det = ff_det(rows)
-    return tuple(det.coefficient(d) for d in range(size + 1))
+    return tuple(det.terms.get((d,), Fraction(0)) for d in range(size + 1))
 
 
 class TestDetFormOracle:
@@ -70,7 +72,7 @@ class TestDetFormOracle:
         for seed in range(20):
             p = random_pencil(m, seed)
             form = pencil_det_form(p)
-            assert form.coeffs == poly1_det_form(p)
+            assert form.coeffs == bareiss_det_form(p)
             assert all(isinstance(c, Fraction) for c in form.coeffs)
 
     def test_half_integer_pencils_match_poly1_bareiss(self):
@@ -87,13 +89,13 @@ class TestDetFormOracle:
             if mat_rank(basis) < size - 1:
                 continue
             scaled = Pencil(SymmetricForm([[x * half for x in r] for r in p.q0.rows]), p.q1)
-            assert pencil_det_form(scaled).coeffs == poly1_det_form(scaled)
+            assert pencil_det_form(scaled).coeffs == bareiss_det_form(scaled)
             checked += 1
             try:
                 restricted = Pencil(restrict(p.q0, basis), restrict(p.q1, basis))
             except DegeneratePencilError:
                 continue
-            assert pencil_det_form(restricted).coeffs == poly1_det_form(restricted)
+            assert pencil_det_form(restricted).coeffs == bareiss_det_form(restricted)
             checked += 1
         for _ in range(20):
             u, v0, v1 = ([Fraction(rng.randint(-3, 3)) for _ in range(2)] for _ in range(3))
@@ -102,7 +104,7 @@ class TestDetFormOracle:
             except DegeneratePencilError:
                 continue
             assert pencil.q0.rows[0][1].denominator in (1, 2)
-            expected = poly1_det_form(pencil)
+            expected = bareiss_det_form(pencil)
             if any(expected):
                 assert pencil_det_form(pencil).coeffs == expected
                 checked += 1
@@ -118,7 +120,7 @@ class TestDetFormOracle:
             _sym_outer(u, [Fraction(3), Fraction(0), Fraction(1)]),
             _sym_outer(u, [Fraction(0), Fraction(1), Fraction(1)]),
         )
-        assert not any(poly1_det_form(p))
+        assert not any(bareiss_det_form(p))
         with pytest.raises(DegeneratePencilError):
             pencil_det_form(p)
 

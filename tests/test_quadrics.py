@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from completequadrics.exact import MPoly, Poly1, ff_det, k_subsets, mat_mul, mat_rank, mat_transpose
+from completequadrics.exact import MPoly, ff_det, k_subsets, mat_mul, mat_rank, mat_transpose
 from completequadrics.quadrics import (
     SymmetricForm,
     compound,
@@ -102,8 +102,10 @@ def rational_form(rng, size):
 
 
 def poly1_pencil(rng, size):
+    # the pencil q0 + t q1 as a form over polynomials in the one variable t
     q0, q1 = rational_form(rng, size), rational_form(rng, size)
-    return SymmetricForm([[Poly1([a, b]) for a, b in zip(r0, r1)] for r0, r1 in zip(q0.rows, q1.rows)])
+    return SymmetricForm([[MPoly(("t",), {(0,): a, (1,): b}) for a, b in zip(r0, r1)]
+                          for r0, r1 in zip(q0.rows, q1.rows)])
 
 
 def mpoly_form(rng, size):
