@@ -22,9 +22,9 @@ from .quadrics import SymmetricForm
 SCHEMA = "cq/1"
 
 # Largest ambient dimension `cq pencil --n` accepts.  The time of a count
-# grows steeply with n (with k = 1, on one 2.0 GHz core: about 0.1 s at
-# n = 20, 0.5 s at n = 30 and 2 s at n = 40), so larger n is rejected with
-# exit 2 rather than left to run for minutes.
+# grows steeply with n (with k = 1, on one 2.1 GHz Xeon core: about 0.05 s
+# at n = 20, 0.3 s at n = 30 and 1.8 s at n = 40), so larger n is rejected
+# with exit 2 rather than left to run for minutes.
 MAX_PENCIL_N = 40
 
 # Largest sample count `cq chamber --census` accepts.  A census classifies
@@ -36,12 +36,15 @@ MAX_CENSUS = 250_000
 # of their C(n+1,k)^2 pairings as k x k determinants; with --limit-toward
 # each pairing takes k + 1 integer determinants, which are interpolated.
 # Neither the row count nor n alone bounds the time (a 70 x 70 form with
-# k = 69 has 70 rows of 69 x 69 minors), so both are bounded.  On one
-# 2.1 GHz Xeon core with one-digit entries, the slowest admitted shape,
-# n = 7 with k = 6, takes about 0.15 s with --limit-toward (0.3 s for the
-# whole command), and n = 9 with k = 5 (252 rows) takes about 6 s.
-MAX_CHOW_N = 7
-MAX_COMPOUND = 35
+# k = 69 has 70 rows of 69 x 69 minors), so both are bounded.  Every shape
+# with n <= 8 is admitted (C(9,4) = 126 rows).  On one 2.1 GHz Xeon core,
+# the whole command with --limit-toward and one-digit integer entries takes
+# about 3-4 s at the slowest admitted shape, n = 9 with k = 7 (120 rows),
+# and 4.8 s with one-digit fractions; n = 10 with k = 9 takes about 2 s.
+# Rejected: n = 9 with k = 6 (210 rows) about 7 s, n = 11 with k = 10 about
+# 4-5.5 s, and n = 11 with k = 4 (495 rows) about 15 s.
+MAX_CHOW_N = 10
+MAX_COMPOUND = 126
 
 # Largest n `cq canonical --n` and a JSON divisor or curve class accept.
 # Converting a class out of the H basis is a dense rational elimination,

@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .exact import clear_denominators, distinct_root_count, int_det_poly, mat_rank
 from .exact import ff_det  # noqa: F401  bench/test_bench.py traces and restores this alias
@@ -55,6 +56,13 @@ class Pencil:
     def m(self) -> int:
         return self.q0.n
 
+    @cached_property
+    def det_form(self) -> BinaryForm:
+        """det(s Q0 + t Q1), computed on first use and kept."""
+        # kept in the instance __dict__, outside the fields, so equality and
+        # the hash still read q0 and q1 only; a raise is not kept
+        return _det_binary(self.q0, self.q1)
+
 
 @dataclass(frozen=True)
 class BinaryForm:
@@ -82,7 +90,7 @@ def _det_binary(q0: SymmetricForm, q1: SymmetricForm) -> BinaryForm:
 
 def pencil_det_form(p: Pencil) -> BinaryForm:
     """The binary form det(s Q0 + t Q1), of degree m+1 when not identically zero."""
-    return _det_binary(p.q0, p.q1)
+    return p.det_form
 
 
 @dataclass(frozen=True)
@@ -133,19 +141,17 @@ def _retry(builder, rng, tries: int = 64):
     raise DegeneratePencilError("no generic draw found: %s" % (last,))
 
 
+def _smooth_pencil(r, m: int) -> Pencil:
+    # one draw of two smooth forms on P^m; the form check raises for a pencil
+    # of singular members, and the form it computes stays on the pencil
+    p = Pencil(random_form(m, m + 1, r.randrange(1 << 30)), random_form(m, m + 1, r.randrange(1 << 30)))
+    pencil_det_form(p)
+    return p
+
+
 def random_pencil(m: int, seed: int) -> Pencil:
     """Random pencil of smooth quadrics on P^m with a nonzero determinant form."""
-    rng = random.Random(seed)
-
-    def build(r):
-        p = Pencil(
-            random_form(m, m + 1, r.randrange(1 << 30)),
-            random_form(m, m + 1, r.randrange(1 << 30)),
-        )
-        pencil_det_form(p)
-        return p
-
-    return _retry(build, rng)
+    return _retry(lambda r: _smooth_pencil(r, m), random.Random(seed))
 
 
 def _random_point(rng, size):
@@ -220,9 +226,7 @@ def direct_table_counts(seed: int) -> dict:
 
     # G: a pencil of smooth quadric surfaces
     def g_pencil(r):
-        p = Pencil(random_form(3, 4, r.randrange(1 << 30)), random_form(3, 4, r.randrange(1 << 30)))
-        pencil_det_form(p)
-        return p
+        return _smooth_pencil(r, 3)
 
     out["G.H1"] = tangency(g_pencil, 1, 4)
     out["G.H2"] = tangency(g_pencil, 2, 4)
@@ -231,9 +235,7 @@ def direct_table_counts(seed: int) -> dict:
 
     # C1: marking conics on a fixed double plane
     def conic_pencil(r):
-        p = Pencil(random_form(2, 3, r.randrange(1 << 30)), random_form(2, 3, r.randrange(1 << 30)))
-        pencil_det_form(p)
-        return p
+        return _smooth_pencil(r, 2)
 
     out["C1.H2"] = tangency(conic_pencil, 1, 3)
     out["C1.H3"] = tangency(conic_pencil, 2, 3)

@@ -144,24 +144,29 @@ def stub_chow(monkeypatch):
     return calls
 
 
+ADMITTED_CHOW = ((9, 4), (10, 7), (11, 2), (11, 9))
+
+
 def test_chow_at_bounds_accepted(monkeypatch):
-    # C(7, 3) = 35 rows at the largest n with k = 3, and the largest n at k = 2
-    assert (cli.MAX_CHOW_N, cli.MAX_COMPOUND) == (7, 35)
-    assert math.comb(7, 3) == cli.MAX_COMPOUND
+    # C(9, 4) = 126 rows, the largest compound at n = 8; n = 9 with k = 7
+    # (120 rows) is the slowest admitted limit; n = 10 is the largest n
+    assert (cli.MAX_CHOW_N, cli.MAX_COMPOUND) == (10, 126)
+    assert math.comb(9, 4) == cli.MAX_COMPOUND
     calls = stub_chow(monkeypatch)
-    for size, k in ((7, 3), (8, 2), (8, 6)):
+    for size, k in ADMITTED_CHOW:
         run_json(["chow", "--form", diagonal_form(size), "--k", str(k)])
         run_json(["chow", "--form", diagonal_form(size), "--k", str(k),
                   "--limit-toward", diagonal_form(size)])
-    assert calls == [(kind, size - 1, k) for size, k in ((7, 3), (8, 2), (8, 6))
+    assert calls == [(kind, size - 1, k) for size, k in ADMITTED_CHOW
                      for kind in ("compound", "limit")]
 
 
 @pytest.mark.parametrize("size,k,message", [
-    (8, 3, "C(8,3) = 56 rows, at most 35"),
-    (8, 4, "C(8,4) = 70 rows, at most 35"),
-    (9, 1, "n at most 7 (got 8)"),
-    (70, 69, "n at most 7 (got 69)"),
+    (10, 4, "C(10,4) = 210 rows, at most 126"),
+    (10, 5, "C(10,5) = 252 rows, at most 126"),
+    (11, 3, "C(11,3) = 165 rows, at most 126"),
+    (12, 1, "n at most 10 (got 11)"),
+    (70, 69, "n at most 10 (got 69)"),
 ])
 def test_chow_past_bounds_rejected_before_any_work(monkeypatch, size, k, message):
     calls = stub_chow(monkeypatch)
@@ -176,9 +181,9 @@ def test_chow_past_bounds_rejected_before_any_work(monkeypatch, size, k, message
 def test_chow_limit_toward_form_bounded(monkeypatch):
     calls = stub_chow(monkeypatch)
     code, out, err = run(["chow", "--form", diagonal_form(2), "--k", "1",
-                          "--limit-toward", diagonal_form(9)])
+                          "--limit-toward", diagonal_form(12)])
     assert code == 2 and out == ""
-    assert "n at most 7 (got 8)" in err
+    assert "n at most 10 (got 11)" in err
     assert calls == []
 
 

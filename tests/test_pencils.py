@@ -2,16 +2,18 @@
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
-from completequadrics import picard
+from completequadrics import pencils, picard
 from completequadrics.exact import MPoly, ff_det, mat_mul, mat_rank, mat_transpose
 from completequadrics.pencils import (
     DIRECT_CHECK_PAIRS,
     BinaryForm,
     DegeneratePencilError,
     Pencil,
+    _det_binary,
     _sym_outer,
     bk_number,
     count_degenerations,
@@ -123,6 +125,40 @@ class TestDetFormOracle:
         assert not any(bareiss_det_form(p))
         with pytest.raises(DegeneratePencilError):
             pencil_det_form(p)
+        # a raise is not cached: the second call eliminates and raises again
+        with mock.patch.object(pencils, "int_det_poly", wraps=pencils.int_det_poly) as spy:
+            with pytest.raises(DegeneratePencilError):
+                pencil_det_form(p)
+        assert spy.call_count == 1
+
+
+class TestDetFormKept:
+    def test_bk_number_takes_one_form_per_draw(self):
+        # the draw check and the degeneration count share one elimination
+        for m in (1, 3, 6):
+            for seed in (0, 5):
+                with mock.patch.object(pencils, "int_det_poly", wraps=pencils.int_det_poly) as spy:
+                    assert bk_number(m + 1, 1, seed) == m + 1
+                assert spy.call_count == 1
+
+    def test_kept_form_matches_fresh_elimination(self):
+        for m in (1, 2, 5):
+            for seed in (0, 3):
+                p = random_pencil(m, seed)
+                assert p.det_form == _det_binary(p.q0, p.q1)
+                assert pencil_det_form(p) is p.det_form
+
+    def test_equality_and_hash_ignore_kept_form(self):
+        p = random_pencil(3, 7)
+        fresh = Pencil(p.q0, p.q1)
+        assert "det_form" in vars(p) and "det_form" not in vars(fresh)
+        assert p == fresh and hash(p) == hash(fresh)
+        assert p.det_form == fresh.det_form
+
+    def test_pencil_stays_frozen(self):
+        p = random_pencil(2, 1)
+        with pytest.raises(AttributeError):
+            p.q0 = p.q1
 
 
 def fraction_random_form(n, r, seed):
