@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd
 
 from .exact import (
-    MPoly, clear_denominators, ff_det, int_det_poly, k_subsets, mat_mul, mat_rank, mat_transpose,
+    MPoly, clear_denominators, ff_det, int_det_poly, k_subsets, mat_mul, mat_transpose,
 )
 from .quadrics import SymmetricForm, _minor_rows, compound
 
@@ -65,12 +65,13 @@ class PluckerVector:
 
 
 def plucker(basis) -> PluckerVector:
-    """Pluecker vector of the span of the columns of an (n+1) x k matrix."""
+    """Pluecker vector of the span of the columns of an (n+1) x k matrix,
+    which has full column rank exactly when some maximal minor is nonzero."""
     b = [list(r) for r in basis]
     k = len(b[0]) if b else 0
-    if k == 0 or mat_rank(b) != k:
+    coords = tuple(ff_det([b[i] for i in s]) for s in k_subsets(len(b), k)) if k else ()
+    if not any(coords):
         raise ValueError("basis must have full column rank")
-    coords = tuple(ff_det([b[i] for i in s]) for s in k_subsets(len(b), k))
     return PluckerVector(n=len(b) - 1, k=k, coords=coords)
 
 

@@ -15,7 +15,7 @@ import re
 import sys
 
 from . import chambers, chowform, pencils, picard, quadrics, schubert, verify
-from .exact import ExactLinalgError, format_rat, parse_rat
+from .exact import ExactLinalgError, clear_denominators, format_rat, parse_rat
 from .picard import CurveClass, DivisorClass
 from .quadrics import SymmetricForm
 
@@ -46,11 +46,35 @@ MAX_CENSUS = 250_000
 MAX_CHOW_N = 10
 MAX_COMPOUND = 126
 
+# Largest `cq chow` entry, in bits, measured on the integers the computation
+# runs on: the form, or both forms of a --limit-toward pencil, scaled by the
+# lcm of all their denominators (the lcm of many small distinct denominators
+# is itself large).  Each numerator and denominator is held to the same bound
+# before the lcm is taken.  At the slowest admitted shape, n = 9 with k = 7 and
+# --limit-toward, on one 2.1 GHz Xeon core, over several runs: 2.5-3.8 s
+# with 4-bit integer entries, 3.8-5.4 s with 32-bit and 5.1-7.8 s with
+# 64-bit ones; rejected, 7.3 s with two-digit fractions (138 bits after
+# scaling), 10.5 s with 133-bit and 22 s with 266-bit integer entries.
+MAX_CHOW_BITS = 64
+
 # Largest n `cq canonical --n` and a JSON divisor or curve class accept.
-# Converting a class out of the H basis is a dense rational elimination,
-# cubic in n: about 2.1 s at n = 100 and 3.9 s at n = 120 on one 2.1 GHz
-# Xeon core, so larger n is rejected with exit 2.
+# Converting a class out of the H basis is one integer Bareiss elimination
+# of the basis matrix (exact.solve_exact), cubic in n: about 0.05 s at
+# n = 100, 0.08 s at n = 120 and 0.3 s at n = 200 on one 2.1 GHz Xeon core.
+# Larger n is rejected with exit 2.
 MAX_LATTICE_N = 100
+
+# Largest `cq schubert` input.  A Pieri step (a product with sigma1) takes
+# time in proportion to the terms of the class, and G(k,n) has C(n+1,k+1)
+# Schubert classes, so that count is bounded; a power takes one step per unit
+# of its exponent, so the exponent is bounded too.  On one 2.1 GHz Xeon core
+# the slowest admitted power, sigma1^90 on G(8,18) (92378 classes), takes
+# about 1.1 s; rejected, sigma1^50 on G(9,19) (184756 classes) takes 1.2 s.
+# A power of an integer is bounded by the bits of its result: a 2^20-bit
+# power takes about 0.05 s there.
+MAX_SCHUBERT_CLASSES = 100_000
+MAX_SCHUBERT_EXP = 100
+MAX_SCHUBERT_INT_BITS = 1 << 20
 
 
 def _emit(obj) -> None:
@@ -115,12 +139,26 @@ def _check_chow_size(q: SymmetricForm, k: int) -> None:
                          % (k, q.n + 1, k, math.comb(q.n + 1, k), MAX_COMPOUND))
 
 
+def _check_chow_entries(*forms) -> None:
+    rows = [row for q in forms for row in q.rows]
+    # each numerator and denominator is bounded first, so that the lcm of the
+    # denominators is small enough to take
+    bits = max(max(abs(x.numerator), x.denominator).bit_length() for row in rows for x in row)
+    if bits <= MAX_CHOW_BITS:
+        ints, _ = clear_denominators(rows)
+        bits = max(abs(x) for row in ints for x in row).bit_length()
+    if bits > MAX_CHOW_BITS:
+        raise ValueError("chow entries and the integers they scale to have at most %d bits (got %d)"
+                         % (MAX_CHOW_BITS, bits))
+
+
 def cmd_chow(args) -> int:
     q = _parse_form(args.form)
     _check_chow_size(q, args.k)
     if args.limit_toward is not None:
         q1 = _parse_form(args.limit_toward)
         _check_chow_size(q1, args.k)
+        _check_chow_entries(q, q1)
         pt = chowform.chow_limit(q, q1, args.k)
         support = chowform.limit_support_coefficients(pt)
         _emit({
@@ -131,6 +169,7 @@ def cmd_chow(args) -> int:
             "support": {"%d,%d" % ij: format_rat(v) for ij, v in sorted(support.items())},
         })
         return 0
+    _check_chow_entries(q)
     m = quadrics.compound(q, args.k)
     _emit({
         "schema": SCHEMA,
@@ -412,6 +451,9 @@ class _ExprParser:
 
     def power(self, base, exp):
         if isinstance(base, int):
+            if abs(base).bit_length() * exp > MAX_SCHUBERT_INT_BITS:
+                raise ValueError("an integer power would have more than %d bits"
+                                 % MAX_SCHUBERT_INT_BITS)
             return base ** exp
         if exp < 1:
             raise ValueError("class powers need a positive exponent")
@@ -423,7 +465,19 @@ class _ExprParser:
 
 def evaluate_expression(expr: str, k: int, n: int):
     """Evaluate a Schubert-calculus expression in G(k, n)."""
-    return _ExprParser(_tokenize(expr), k, n).parse()
+    tokens = _tokenize(expr)
+    for op, exp in zip(tokens, tokens[1:]):
+        if op == "^" and exp.isdigit() and int(exp) > MAX_SCHUBERT_EXP:
+            raise ValueError("exponents are at most %d (got %s)" % (MAX_SCHUBERT_EXP, exp))
+    return _ExprParser(tokens, k, n).parse()
+
+
+def _check_grassmannian(k: int, n: int) -> None:
+    schubert.grass_dim(k, n)  # raises unless 0 <= k < n
+    # C(n+1,k+1) >= n + 1, so a large n is rejected before math.comb sees it
+    if n >= MAX_SCHUBERT_CLASSES or math.comb(n + 1, k + 1) > MAX_SCHUBERT_CLASSES:
+        raise ValueError("G(%d,%d) has C(%d,%d) Schubert classes, at most %d"
+                         % (k, n, n + 1, k + 1, MAX_SCHUBERT_CLASSES))
 
 
 def cmd_schubert(args) -> int:
@@ -431,6 +485,7 @@ def cmd_schubert(args) -> int:
         k, n = (int(p) for p in args.grassmannian.split(","))
     except ValueError:
         raise ValueError('--grassmannian expects "k,n"')
+    _check_grassmannian(k, n)
     value = evaluate_expression(args.expr, k, n)
     out = {
         "schema": SCHEMA,
@@ -534,8 +589,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_chamber)
 
     p = sub.add_parser("schubert", help="evaluate a Schubert calculus expression")
-    p.add_argument("--grassmannian", required=True, help='"k,n" for G(k,n)')
-    p.add_argument("--expr", required=True)
+    p.add_argument("--grassmannian", required=True,
+                   help='"k,n" for G(k,n), at most %d Schubert classes C(n+1,k+1)'
+                   % MAX_SCHUBERT_CLASSES)
+    p.add_argument("--expr", required=True, help="exponents at most %d" % MAX_SCHUBERT_EXP)
     p.set_defaults(func=cmd_schubert)
 
     p = sub.add_parser("verify-all", help="run every bundled verification check")

@@ -4,21 +4,22 @@ Scalars are fractions.Fraction at the interface.  Polynomials in one
 variable are coefficient sequences, lowest degree first; multivariate
 polynomials (MPoly) are sparse exponent-tuple maps.  Matrices are plain
 sequences of rows whose entries all live in a single ring (Fraction or
-MPoly).  Determinants use Bareiss fraction-free elimination, so every
+MPoly).  Elimination is Bareiss fraction-free elimination, so every
 intermediate value stays in the entry ring; the only divisions performed
-are exact.  Beside the Bareiss kernels there is one rational Gauss-Jordan
-routine, _rref, which mat_rank, solve_exact and mat_inverse run on.
+are exact.
 
 Rational work runs on Python integers wherever it can.  clear_denominators
-scales a rational matrix by the lcm of its denominators and int_det is the
-one integer Bareiss kernel: ff_det of a rational matrix is int_det of the
-scaled matrix over the scale to the n-th power, and int_det_poly gives the
-coefficients of det(A + tB) by evaluating int_det at integer points and
-interpolating, for pencil determinant forms and for the minors of Chow-form
-limits.  poly_gcd runs a primitive integer remainder sequence instead of a
-Euclidean gcd over Fraction, and distinct_root_count reads the squarefree
-degree from it.  mat_mul of two rational matrices multiplies the scaled
-integer matrices and divides once by the product of the scales.
+scales a rational matrix by the lcm of its denominators, and _echelon, a
+rank-revealing Bareiss elimination, is the one integer elimination that
+int_det, mat_rank, solve_exact and mat_inverse run on.  ff_det of a rational
+matrix is int_det of the scaled matrix over the scale to the n-th power, and
+int_det_poly gives the coefficients of det(A + tB) by evaluating int_det at
+integer points and interpolating, for pencil determinant forms and for the
+minors of Chow-form limits.  poly_gcd runs a primitive integer remainder
+sequence instead of a Euclidean gcd over Fraction, and distinct_root_count
+reads the squarefree degree from it.  mat_mul of two rational matrices
+multiplies the scaled integer matrices and divides once by the product of
+the scales.
 
 Over MPoly, ff_det keeps its own Bareiss loop, which the wedge-contraction
 limits run on.  Its first step would divide by the unit, so it divides
@@ -391,38 +392,61 @@ def clear_denominators(rows):
     return [[x.numerator * (scale // x.denominator) for x in r] for r in rows], scale
 
 
-def int_det(m) -> int:
-    """Determinant of a square integer matrix by Bareiss elimination.
+def _echelon(a, cols):
+    """Bareiss-eliminate an integer matrix in place to row echelon form;
+    return the pivot columns and the sign of the row swaps.
 
-    Each step divides by the previous pivot, and Bareiss (Math. Comp. 22,
-    1968) shows the quotient is exact, so every entry stays an integer, a
-    minor of the input.  Rows are swapped past zero pivots.
+    Pivots are sought in the first cols columns, skipping a column with no
+    pivot left; later columns (a right-hand side) are carried along.  Each
+    step divides by the previous pivot, exactly (Bareiss, Math. Comp. 22,
+    1968), so every entry stays an integer.  Entries below pivots are stale.
     """
+    rows = len(a)
+    pivots = []
+    sign = prev = 1
+    for c in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
+        if not a[r][c]:
+            swap = next((i for i in range(r + 1, rows) if a[i][c]), None)
+            if swap is None:
+                continue
+            a[r], a[swap] = a[swap], a[r]
+            sign = -sign
+        pivot = a[r][c]
+        pivot_row = a[r][c + 1:]
+        for i in range(r + 1, rows):
+            row = a[i]
+            f = row[c]
+            row[c + 1:] = [(pivot * x - f * y) // prev for x, y in zip(row[c + 1:], pivot_row)]
+        prev = pivot
+        pivots.append(c)
+    return pivots, sign
+
+
+def _back_substitute(a, n, col):
+    """Solve the first n rows of a full-rank _echelon result against column
+    col.  With d the last pivot, d x is integral (Cramer's rule), so only
+    exact integer divisions are taken before the final x = (d x) / d."""
+    d = a[n - 1][n - 1]
+    y = [0] * n
+    for k in range(n - 1, -1, -1):
+        row = a[k]
+        y[k] = (d * row[col] - sum(map(operator.mul, row[k + 1:n], y[k + 1:]))) // row[k]
+    return [Fraction(v, d) for v in y]
+
+
+def int_det(m) -> int:
+    """Determinant of a square integer matrix by Bareiss elimination (_echelon)."""
     a = [list(r) for r in m]
     n = len(a)
     if n == 0:
         raise ValueError("empty matrix")
     if any(len(r) != n for r in a):
         raise ValueError("determinant of a non-square matrix")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if not a[k][k]:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot_row = a[k][k + 1:]
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            row = a[i]
-            f = row[k]
-            row[k + 1:] = [(pivot * x - f * y) // prev for x, y in zip(row[k + 1:], pivot_row)]
-        prev = pivot
-    return sign * a[n - 1][n - 1]
+    pivots, sign = _echelon(a, n)
+    return sign * a[n - 1][n - 1] if len(pivots) == n else 0
 
 
 def int_det_poly(a, b) -> list:
@@ -494,57 +518,29 @@ def ff_det(m):
     return d if sign == 1 else -d
 
 
-def _rref(a, cols):
-    """Gauss-Jordan reduce a rational matrix in place; return its pivot columns.
-
-    Pivots are sought in the first cols columns only, so columns past them
-    (an augmented right-hand side) are carried along.  Row i of the result
-    has a leading 1 in column pivots[i], and that column is zero elsewhere.
-    """
-    rows = len(a)
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if a[i][c]), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        inv = Fraction(1) / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return pivots
-
-
 def mat_rank(m) -> int:
-    """Rank of a matrix with Fraction entries (exact Gaussian elimination)."""
+    """Rank of a matrix with Fraction entries, from its integer elimination."""
     a = _rows(m)
     if not a:
         return 0
-    for row in a:
-        for x in row:
-            if not isinstance(x, (int, Fraction)):
-                raise TypeError("mat_rank expects rational entries")
-    return len(_rref(a, len(a[0])))
+    if not _is_rational(a):
+        raise TypeError("mat_rank expects rational entries")
+    ints, _ = clear_denominators(a)
+    return len(_echelon(ints, len(a[0]))[0])
 
 
 def mat_inverse(m) -> tuple:
     """Rows of the inverse of a nonsingular square rational matrix, from one
-    Gauss-Jordan elimination of [m | I]."""
+    integer elimination of [L m | L I], with L the lcm of m's denominators."""
     a = _rows(m)
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("inverse of a non-square matrix")
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
-    if len(_rref(aug, n)) < n:
+    ints, scale = clear_denominators(a)
+    aug = [row + [scale * (i == j) for j in range(n)] for i, row in enumerate(ints)]
+    if len(_echelon(aug, n)[0]) < n:
         raise ValueError("singular matrix has no inverse")
-    return tuple(tuple(row[n:]) for row in aug)
+    return tuple(zip(*[_back_substitute(aug, n, n + j) for j in range(n)]))
 
 
 def solve_exact(a, b):
@@ -560,17 +556,14 @@ def solve_exact(a, b):
         raise ValueError("rhs length mismatch")
     rows = len(a)
     cols = len(a[0]) if rows else 0
-    aug = [[Fraction(x) for x in a[i]] + [b[i]] for i in range(rows)]
-    pivots = _rref(aug, cols)
+    aug, _ = clear_denominators([row + [v] for row, v in zip(a, b)])
+    pivots, _ = _echelon(aug, cols)
     for i in range(len(pivots), rows):
         if aug[i][cols]:
             raise InconsistentSystem("no solution")
     if len(pivots) < cols:
         raise UnderdeterminedSystem("solution set has %d free variables" % (cols - len(pivots)))
-    x = [Fraction(0)] * cols
-    for row, c in enumerate(pivots):
-        x[c] = aug[row][cols]
-    return x
+    return _back_substitute(aug, cols, cols) if cols else []
 
 
 def k_subsets(n: int, k: int):

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import math
+import random
 import subprocess
 import sys
 import time
@@ -81,6 +82,64 @@ def test_schubert_class_output():
 
 def test_schubert_bigger_grassmannian():
     assert run_json(["schubert", "--grassmannian", "2,5", "--expr", "sigma1^9"])["value"] == 42
+
+
+def stub_sigma(monkeypatch):
+    calls = []
+    sigma = cli.schubert.sigma
+    monkeypatch.setattr(cli.schubert, "sigma", lambda *a: calls.append(a) or sigma(*a))
+    return calls
+
+
+def test_schubert_at_bounds_accepted(monkeypatch):
+    # P^99999 has C(100000, 1) Schubert classes, G(8,18) C(19, 9) = 92378
+    assert (cli.MAX_SCHUBERT_CLASSES, cli.MAX_SCHUBERT_EXP) == (100_000, 100)
+    assert math.comb(19, 9) <= cli.MAX_SCHUBERT_CLASSES < math.comb(20, 10)
+    data = run_json(["schubert", "--grassmannian", "0,99999", "--expr", "sigma1^100"])
+    assert data["class"]["terms"] == {"100": 1}
+    assert run_json(["schubert", "--grassmannian", "0,100", "--expr", "sigma1^100"])["value"] == 1
+    data = run_json(["schubert", "--grassmannian", "8,18", "--expr", "sigma1^2"])
+    assert data["class"]["terms"] == {"2": 1, "1,1": 1}
+    assert run_json(["schubert", "--grassmannian", "1,3", "--expr", "3^100"])["value"] == 3 ** 100
+
+
+@pytest.mark.parametrize("grassmannian,expr,message", [
+    ("0,100000", "sigma1", "G(0,100000) has C(100001,1) Schubert classes, at most 100000"),
+    ("9,19", "sigma1^50", "G(9,19) has C(20,10) Schubert classes, at most 100000"),
+    ("10,30", "sigma1^50", "G(10,30) has C(31,11) Schubert classes, at most 100000"),
+    ("1,3", "sigma1^101", "exponents are at most 100 (got 101)"),
+    ("1,3", "sigma2 + 2^101*sigma1,1", "exponents are at most 100 (got 101)"),
+])
+def test_schubert_past_bounds_rejected_before_any_work(monkeypatch, grassmannian, expr, message):
+    calls = stub_sigma(monkeypatch)
+    code, out, err = run(["schubert", "--grassmannian", grassmannian, "--expr", expr])
+    assert code == 2 and out == ""
+    assert err == "error: %s\n" % message
+    assert calls == []
+
+
+def test_schubert_integer_power_bits_bounded():
+    # 2^10484 has 10485 bits, so its 100th power has at most 2^20 bits
+    assert cli.MAX_SCHUBERT_INT_BITS == 1 << 20
+    assert cli.evaluate_expression("%d^100" % 2 ** 10484, 1, 3) == 2 ** 1048400
+    # nested powers: 2^1000000 is admitted, its square is not
+    assert cli.evaluate_expression("((2^100)^100)^100", 1, 3) == 2 ** 1000000
+    for expr in ("%d^100" % 2 ** 10485, "(((2^100)^100)^100)^2"):
+        with pytest.raises(ValueError, match="more than 1048576 bits"):
+            cli.evaluate_expression(expr, 1, 3)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--grassmannian", "1," + "9" * 4000, "--expr", "sigma1"],
+    ["--grassmannian", "1,3", "--expr", "sigma1^" + "9" * 4000],
+    ["--grassmannian", "1,3", "--expr", "(((%s^100)^100)^100)^100" % ("9" * 4000)],
+])
+def test_schubert_oversized_input_rejected_fast(argv):
+    start = time.monotonic()
+    code, out, err = run(["schubert"] + argv)
+    assert time.monotonic() - start < 1
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
 
 
 def test_chow_compound_identity():
@@ -187,6 +246,68 @@ def test_chow_limit_toward_form_bounded(monkeypatch):
     assert calls == []
 
 
+# each admitted alone, but scaled by one lcm the pencil has 2^30 * 2^40
+SMALL_Q0 = diagonal_form(2).replace('"1"', '"1/%d"' % 2 ** 40)
+LARGE_Q1 = diagonal_form(2).replace('"2"', '"%d"' % 2 ** 30)
+
+
+def test_chow_entries_at_bound_accepted(monkeypatch):
+    # 64 bits after scaling: 2^64 - 1 itself, and 2^63 - 1 next to a half
+    assert cli.MAX_CHOW_BITS == 64
+    calls = stub_chow(monkeypatch)
+    for form in ([[str(2 ** 64 - 1), "0"], ["0", "1"]], [[str(2 ** 63 - 1), "0"], ["0", "1/2"]]):
+        run_json(["chow", "--form", json.dumps(form), "--k", "1"])
+        run_json(["chow", "--form", json.dumps(form), "--k", "1", "--limit-toward", diagonal_form(2)])
+    for form in (SMALL_Q0, LARGE_Q1):
+        run_json(["chow", "--form", form, "--k", "1"])
+    assert calls == [("compound", 1, 1), ("limit", 1, 1)] * 2 + [("compound", 1, 1)] * 2
+
+
+def prime_denominator_form():
+    # every upper entry 1/p for its own prime p <= 73, so each entry is
+    # small, but the lcm of the denominators has 96 bits
+    primes = iter([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73])
+    m = [[None] * 6 for _ in range(6)]
+    for i in range(6):
+        for j in range(i, 6):
+            m[i][j] = m[j][i] = "1/%d" % next(primes)
+    return json.dumps(m)
+
+
+@pytest.mark.parametrize("argv,bits", [
+    (["--form", json.dumps([[str(2 ** 64), "0"], ["0", "1"]])], 65),
+    (["--form", prime_denominator_form()], 95),
+    # a denominator past the bound, although the form scales to 1
+    (["--form", json.dumps([["1/%d" % 2 ** 70, "0"], ["0", "1/%d" % 2 ** 70]])], 71),
+    (["--form", SMALL_Q0, "--limit-toward", LARGE_Q1], 71),
+], ids=["integer", "lcm", "denominator", "pencil"])
+def test_chow_entries_past_bound_rejected_before_any_work(monkeypatch, argv, bits):
+    calls = stub_chow(monkeypatch)
+    code, out, err = run(["chow", "--k", "1"] + argv)
+    assert code == 2 and out == ""
+    assert err == "error: chow entries and the integers they scale to have at most 64 bits (got %d)\n" % bits
+    assert calls == []
+
+
+def test_chow_oversized_entries_rejected_fast():
+    # two 11 x 11 forms of 4000-digit fractions with distinct denominators
+    rng = random.Random(0)
+
+    def form():
+        m = [[None] * 11 for _ in range(11)]
+        for i in range(11):
+            for j in range(i, 11):
+                m[i][j] = m[j][i] = "%d/%d" % (rng.randrange(10 ** 3999, 10 ** 4000),
+                                               rng.randrange(10 ** 3999, 10 ** 4000))
+        return json.dumps(m)
+
+    start = time.monotonic()
+    code, out, err = run(["chow", "--form", form(), "--k", "2", "--limit-toward", form()])
+    assert time.monotonic() - start < 1
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "at most 64 bits" in err
+
+
 def test_lattice_n_at_bound_accepted(monkeypatch):
     # converting out of H at n = 100 takes seconds, so only its admission is run
     assert cli.MAX_LATTICE_N == 100
@@ -215,6 +336,18 @@ def test_lattice_n_past_bound_rejected_before_any_work(monkeypatch, argv):
     assert out == ""
     assert "n is at most 100 (got 101)" in err
     assert calls == []
+
+
+@pytest.mark.parametrize("basis,digest", [
+    ("E", "e8db33faab96fd00ca3448f8017ca1e4cd894dc4996947722a3bbfbf1b0319a5"),
+    ("mixed", "175e6ddf8af2472b7ca83cc2eb17ba2fdcabb995bca92d4fc062b1e6ab8df4ce"),
+])
+def test_canonical_n100_output_pinned(basis, digest):
+    # stdout recorded while conversions out of H ran on a rational
+    # Gauss-Jordan elimination
+    code, out, err = run(["canonical", "--n", "100", "--basis", basis])
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_pencil_count():

@@ -2,8 +2,10 @@
 
 ff_det is checked against an independent cofactor-expansion oracle over
 rationals and over polynomials in one and in two variables, and mat_rank
-against the largest nonvanishing minor; root counts against explicit
-factorizations and the integer gcd against a Euclidean gcd over Fraction.
+and solve_exact against the largest nonvanishing minor, also where the
+elimination skips columns; mat_inverse by multiplying back; root counts
+against explicit factorizations and the integer gcd against a Euclidean gcd
+over Fraction.
 """
 
 import math
@@ -334,17 +336,63 @@ def test_solve_exact_roundtrip(a, x):
     assert got == [Fraction(v) for v in x]
 
 
-@settings(max_examples=40, deadline=None)
-@given(rat_matrix(3))
-def test_mat_inverse_matches_solve_exact(a):
+def test_solve_exact_pivot_rows_found_by_swaps():
+    # a zero first row and a zero leading entry make the elimination swap
+    # rows, and the two rows past the pivots are consistent
+    tall = [[0, 0, 0], [0, 0, 3], [2, 1, 0], [4, 5, 1], [1, 0, 1]]
+    x = [Fraction(1, 2), Fraction(-2, 3), Fraction(5)]
+    assert solve_exact(tall, [sum(c * v for c, v in zip(row, x)) for row in tall]) == x
+
+
+def test_skipped_pivot_columns_examples():
+    # a zero leading column and a repeated column: the pivots sit in columns
+    # 1 and 3
+    m = [[0, 1, 1, 2], [0, 2, 2, 5], [0, 3, 3, 7]]
+    assert mat_rank(m) == minor_rank(m) == 2
+    assert int_det([r[:3] for r in m]) == int_det([r[1:] for r in m]) == 0
+    # the right side is inconsistent only in the last row, below the skipped
+    # leading column
+    a = [[0, 1], [0, 2], [0, 3]]
+    with pytest.raises(InconsistentSystem):
+        solve_exact(a, [1, 2, 4])
+    with pytest.raises(UnderdeterminedSystem):
+        solve_exact(a, [1, 2, 3])
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_skipped_pivot_columns_match_minor_oracle(seed):
+    # a rank-deficient product with a zero column and a repeated column put in
+    # at random places, so pivot columns are not contiguous; a random right
+    # side is inconsistent exactly when it raises the rank
+    rng = random.Random(1100 + seed)
+    rows, inner = rng.randint(1, 4), rng.randint(1, 3)
+    f = [[Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(inner)] for _ in range(rows)]
+    g = [[Fraction(rng.randint(-2, 2)) for _ in range(inner)] for _ in range(inner)]
+    cols = mat_transpose(mat_mul(f, g))
+    cols.insert(rng.randint(0, len(cols)), [Fraction(0)] * rows)
+    cols.insert(rng.randint(0, len(cols)), list(rng.choice(cols)))
+    a = mat_transpose(cols)
+    rank = minor_rank(a)
+    assert mat_rank(a) == rank
+    if rows == len(cols):
+        assert int_det(clear_denominators(a)[0]) == cofactor_det(a) == 0
+    b = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(rows)]
+    consistent = minor_rank([row + [v] for row, v in zip(a, b)]) == rank
+    with pytest.raises(UnderdeterminedSystem if consistent else InconsistentSystem):
+        solve_exact(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=4).flatmap(rat_matrix))
+def test_mat_inverse_is_two_sided(a):
+    n = len(a)
     if ff_det(a) == 0:
         with pytest.raises(ValueError):
             mat_inverse(a)
         return
     inverse = mat_inverse(a)
-    for j in range(3):
-        column = solve_exact(a, [int(i == j) for i in range(3)])
-        assert [row[j] for row in inverse] == column
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    assert mat_mul(a, inverse) == mat_mul(inverse, a) == identity
 
 
 def test_mat_inverse_rejects_non_square():
