@@ -165,21 +165,18 @@ def _wedge_q_limit(n: int, k: int, live: tuple):
         d.append(d[-1] * MPoly.variable("q%d" % r, vars))
     qmat = [[d[i] if i == j else zero for j in range(size)] for i in range(size)]
     big = mat_mul(mat_transpose(m), mat_mul(qmat, m))
-    comp = compound(SymmetricForm(big), k).rows
-    comp = [list(row) for row in comp]
     qnames = ["q%d" % r for r in range(1, size)]
-    nonzero = [e for row in comp for e in row if not e.is_zero()]
-    shift = [0] * len(vars)
-    for name in qnames:
-        i = vars.index(name)
-        shift[i] = min(e.min_exponent(name) for e in nonzero)
-    dim = len(comp)
-    for i in range(dim):
-        for j in range(dim):
-            if not comp[i][j].is_zero():
-                comp[i][j] = comp[i][j].divide_monomial(shift)
-            comp[i][j] = comp[i][j].substitute_zero(qnames)
-    return SymmetricForm(comp)
+    comp = _divide_content(compound(SymmetricForm(big), k).rows, qnames)
+    return SymmetricForm([[e.substitute_zero(qnames) for e in row] for row in comp])
+
+
+def _divide_content(rows, names):
+    """Divide every entry of an MPoly matrix by the largest monomial in the
+    named variables that divides all of its nonzero entries."""
+    nonzero = [e for row in rows for e in row if not e.is_zero()]
+    shift = [min(e.min_exponent(v) for e in nonzero) if v in names else 0
+             for v in nonzero[0].vars]
+    return [[e if e.is_zero() else e.divide_monomial(shift) for e in row] for row in rows]
 
 
 def flag_wedge(n: int, k: int, j: int):
@@ -192,17 +189,8 @@ def flag_wedge(n: int, k: int, j: int):
     """
     if not (1 <= k <= n and 1 <= j <= n):
         raise ValueError("k and j must lie in 1..n")
-    limit = _wedge_q_limit(n, k, (j,))
     name = "t%d" % j
-    entries = [e for row in limit.rows for e in row if not e.is_zero()]
-    tmin = min(e.min_exponent(name) for e in entries)
-    if tmin:
-        shift = [0] * len(entries[0].vars)
-        shift[entries[0].vars.index(name)] = tmin
-        cleared = [
-            [e if e.is_zero() else e.divide_monomial(shift) for e in row] for row in limit.rows
-        ]
-        limit = SymmetricForm(cleared)
+    limit = SymmetricForm(_divide_content(_wedge_q_limit(n, k, (j,)).rows, [name]))
     constant = all(e.degree_in(name) <= 0 for row in limit.rows for e in row)
     return limit, constant
 

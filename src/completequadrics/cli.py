@@ -9,6 +9,7 @@ or input data were unusable.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import re
@@ -64,18 +65,20 @@ MAX_CHOW_BITS = 64
 # Larger n is rejected with exit 2.
 MAX_LATTICE_N = 100
 
-# Largest `cq schubert` input.  A Pieri step (a product with sigma1) takes
-# time in proportion to the terms of the class, and G(k,n) has C(n+1,k+1)
-# Schubert classes, so that count is bounded; a power takes one step per unit
-# of its exponent, so the exponent is bounded too.  On one 2.1 GHz Xeon core
-# the slowest admitted power, sigma1^90 on G(8,18) (92378 classes), takes
-# about 1.1 s; rejected, sigma1^50 on G(9,19) (184756 classes) takes 1.2 s.
-# A power of an integer is bounded by the bits of its result: a 2^20-bit
-# power takes about 0.05 s there.
+# Largest `cq schubert` input.  G(k,n) has C(n+1,k+1) Schubert classes, and a
+# class operation (a Pieri step, a sum, a pairing or a scalar multiple) takes
+# time in proportion to the terms of its classes; MAX_SCHUBERT_EXP bounds each
+# exponent and the operations of a whole expression.  On one Xeon core the
+# slowest admitted expression found, sigma1^46 followed by 55 products with 2
+# on G(8,18) (92378 classes), takes about 2.0 s, and sigma1^100 there 1.4 s;
+# rejected, sigma1^50 on G(9,19) (184756 classes) takes 1.2 s.  Integers and
+# class coefficients have at most MAX_SCHUBERT_INT_BITS bits, so at most the
+# 4300 digits Python prints.  Parentheses and unary minus signs, the only
+# recursion of the evaluator, nest at most MAX_SCHUBERT_DEPTH deep.
 MAX_SCHUBERT_CLASSES = 100_000
 MAX_SCHUBERT_EXP = 100
-MAX_SCHUBERT_INT_BITS = 1 << 20
-
+MAX_SCHUBERT_INT_BITS = 14_284
+MAX_SCHUBERT_DEPTH = 100
 
 def _emit(obj) -> None:
     sys.stdout.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
@@ -86,14 +89,26 @@ _JSON_KIND = {dict: "an object", list: "a list", str: "a string", int: "a number
               float: "a number", bool: "a boolean", type(None): "null"}
 
 
+def _load_json(text: str):
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON input is nested too deeply") from None
+
+
 def _check_types(data: dict) -> dict:
     # a field of another JSON type would meet a TypeError in the class
     # constructors, which main does not report as unusable input
-    for key, kind, what in (("coeffs", list, "a list"), ("matrix", list, "a list"), ("n", int, "an integer")):
+    for key, kind, what in (("basis", str, "a string"), ("coeffs", list, "a list"),
+                            ("matrix", list, "a list"), ("n", int, "an integer")):
         if key in data and type(data[key]) is not kind:
             raise ValueError('"%s" must be %s, not %s' % (key, what, _JSON_KIND[type(data[key])]))
     if not all(isinstance(row, list) for row in data.get("matrix", ())):
         raise ValueError('"matrix" must be a list of lists')
+    # a nested entry would reach the error message whole
+    entries = itertools.chain(data.get("coeffs", ()), *data.get("matrix", ()))
+    if any(isinstance(x, (list, dict)) for x in entries):
+        raise ValueError("matrix and coefficient entries must be numbers or strings")
     return data
 
 
@@ -103,7 +118,7 @@ def _check_lattice_n(n: int) -> None:
 
 
 def _parse_divisor(text: str) -> DivisorClass:
-    data = json.loads(text)
+    data = _load_json(text)
     if not isinstance(data, dict) or "coeffs" not in data or "basis" not in data:
         raise ValueError('divisor JSON needs "basis" and "coeffs"')
     data.setdefault("n", len(_check_types(data)["coeffs"]))
@@ -112,7 +127,7 @@ def _parse_divisor(text: str) -> DivisorClass:
 
 
 def _parse_curve(text: str) -> CurveClass:
-    data = json.loads(text)
+    data = _load_json(text)
     if not isinstance(data, dict) or "coeffs" not in data or "n" not in data:
         raise ValueError('curve JSON needs "n" and "coeffs"')
     _check_lattice_n(_check_types(data)["n"])
@@ -120,7 +135,7 @@ def _parse_curve(text: str) -> CurveClass:
 
 
 def _parse_form(text: str) -> SymmetricForm:
-    data = json.loads(text)
+    data = _load_json(text)
     if isinstance(data, list):
         data = {"matrix": data}
     if not isinstance(data, dict) or "matrix" not in data:
@@ -361,6 +376,8 @@ class _ExprParser:
         self.pos = 0
         self.k = k
         self.n = n
+        self.depth = 0
+        self.class_ops = 0
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -407,30 +424,51 @@ class _ExprParser:
 
     def atom(self):
         tok = self.take()
-        if tok == "(":
-            value = self.expr()
-            if self.take() != ")":
+        if tok in ("(", "-"):
+            self.depth += 1  # the grammar recurses only here
+            if self.depth > MAX_SCHUBERT_DEPTH:
+                raise ValueError("parentheses and unary minus signs nest at most %d deep"
+                                 % MAX_SCHUBERT_DEPTH)
+            value = self.expr() if tok == "(" else self.mul(-1, self.atom())
+            if tok == "(" and self.take() != ")":
                 raise ValueError("missing closing parenthesis")
+            self.depth -= 1
             return value
-        if tok == "-":
-            return self.mul(-1, self.atom())
         if tok.isdigit():
-            return int(tok)
+            return self.bounded(int(tok))
         if tok.startswith("sigma"):
             parts = tuple(int(p) for p in tok[5:].split(","))
             return schubert.sigma(self.k, self.n, *parts)
         raise ValueError("unexpected token %r" % tok)
 
+    def bounded(self, value):
+        coeffs = value.terms.values() if isinstance(value, schubert.SchubertClass) else [value]
+        if max(map(abs, coeffs), default=0).bit_length() > MAX_SCHUBERT_INT_BITS:
+            raise ValueError("integers and class coefficients have at most %d bits"
+                             % MAX_SCHUBERT_INT_BITS)
+        return value
+
+    def count_class_op(self, *operands):
+        # an operation on a class with terms in c codimensions does the work
+        # of c operations on homogeneous classes, so it counts c times
+        codims = [max(1, len({sum(p) for p in x.terms})) for x in operands
+                  if isinstance(x, schubert.SchubertClass)]
+        self.class_ops += max(codims, default=0)
+        if self.class_ops > MAX_SCHUBERT_EXP:
+            raise ValueError("an expression takes at most %d class operations (Pieri steps, "
+                             "sums, pairings and scalar multiples)" % MAX_SCHUBERT_EXP)
+
     def add(self, a, b):
-        if isinstance(a, int) and isinstance(b, int):
-            return a + b
-        if isinstance(a, int) or isinstance(b, int):
+        if isinstance(a, int) != isinstance(b, int):
             raise ValueError("cannot add an integer to a class")
-        return a + b
+        self.count_class_op(a, b)
+        return self.bounded(a + b)
 
     def mul(self, a, b):
-        if isinstance(a, int) and isinstance(b, int):
-            return a * b
+        self.count_class_op(a, b)
+        return self.bounded(self.product(a, b))
+
+    def product(self, a, b):
         if isinstance(a, int):
             return a * b
         if isinstance(b, int):
@@ -451,10 +489,8 @@ class _ExprParser:
 
     def power(self, base, exp):
         if isinstance(base, int):
-            if abs(base).bit_length() * exp > MAX_SCHUBERT_INT_BITS:
-                raise ValueError("an integer power would have more than %d bits"
-                                 % MAX_SCHUBERT_INT_BITS)
-            return base ** exp
+            # a MAX_SCHUBERT_INT_BITS-bit base to the 100th power takes about 0.1 s
+            return self.bounded(base ** exp)
         if exp < 1:
             raise ValueError("class powers need a positive exponent")
         value = base
@@ -592,7 +628,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grassmannian", required=True,
                    help='"k,n" for G(k,n), at most %d Schubert classes C(n+1,k+1)'
                    % MAX_SCHUBERT_CLASSES)
-    p.add_argument("--expr", required=True, help="exponents at most %d" % MAX_SCHUBERT_EXP)
+    p.add_argument("--expr", required=True,
+                   help="exponents and class operations at most %d" % MAX_SCHUBERT_EXP)
     p.set_defaults(func=cmd_schubert)
 
     p = sub.add_parser("verify-all", help="run every bundled verification check")

@@ -10,8 +10,8 @@ are exact.
 
 Rational work runs on Python integers wherever it can.  clear_denominators
 scales a rational matrix by the lcm of its denominators, and _echelon, a
-rank-revealing Bareiss elimination, is the one integer elimination that
-int_det, mat_rank, solve_exact and mat_inverse run on.  ff_det of a rational
+rank-revealing Bareiss elimination, is the one elimination routine: int_det,
+mat_rank, solve_exact and mat_inverse run it on integers.  ff_det of a rational
 matrix is int_det of the scaled matrix over the scale to the n-th power, and
 int_det_poly gives the coefficients of det(A + tB) by evaluating int_det at
 integer points and interpolating, for pencil determinant forms and for the
@@ -21,12 +21,12 @@ reads the squarefree degree from it.  mat_mul of two rational matrices
 multiplies the scaled integer matrices and divides once by the product of
 the scales.
 
-Over MPoly, ff_det keeps its own Bareiss loop, which the wedge-contraction
-limits run on.  Its first step would divide by the unit, so it divides
-nothing; for a 2 x 2 matrix that step is the whole elimination.  MPoly ring
-operations build their results through the private MPoly._make, which only
-drops zero coefficients, where the public constructor validates every
-exponent tuple and coefficient again.
+ff_det of an MPoly matrix, which the wedge-contraction limits take, runs
+on _echelon too: MPoly // is exact division, and // 1, the first step's
+divisor, returns the dividend, so a 2 x 2 determinant does no long division.
+MPoly ring operations build their results through the private MPoly._make,
+which only drops zero coefficients, where the public constructor validates
+every exponent tuple and coefficient again.
 """
 
 from __future__ import annotations
@@ -74,12 +74,6 @@ def parse_rat(s) -> Fraction:
 def format_rat(x: Fraction) -> str:
     """Render a Fraction as "p/q", or "p" when the denominator is 1."""
     return str(Fraction(x))
-
-
-def _coerce_scalar(x):
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    return None
 
 
 def _primitive(cs):
@@ -203,9 +197,8 @@ class MPoly:
         return bool(self.terms)
 
     def _wrap(self, other):
-        c = _coerce_scalar(other)
-        if c is not None:
-            return MPoly.constant(c, self.vars)
+        if isinstance(other, (int, Fraction)):
+            return MPoly.constant(other, self.vars)
         if isinstance(other, MPoly):
             if other.vars != self.vars:
                 raise ValueError("mixed variable rings")
@@ -283,19 +276,21 @@ class MPoly:
     def divide_monomial(self, exps):
         """Exactly divide by vars**exps (a monomial)."""
         exps = tuple(int(x) for x in exps)
+        if len(exps) != len(self.vars):
+            raise ValueError("exponent tuple length mismatch")
         terms = {}
         for e, c in self.terms.items():
             ne = tuple(a - b for a, b in zip(e, exps))
             if any(x < 0 for x in ne):
                 raise ValueError("not divisible by the monomial")
             terms[ne] = c
-        return MPoly(self.vars, terms)
+        return MPoly._make(self.vars, terms)
 
     def substitute_zero(self, names):
         """Set each named variable to 0, dropping every term that uses one."""
         idx = [self.vars.index(n) for n in names]
         terms = {e: c for e, c in self.terms.items() if all(e[i] == 0 for i in idx)}
-        return MPoly(self.vars, terms)
+        return MPoly._make(self.vars, terms)
 
     def _leading(self):
         # lex leading term
@@ -319,6 +314,12 @@ class MPoly:
             quo = quo + t
             rem = rem - t * other
         return quo
+
+    def __floordiv__(self, other):
+        """Exact division, as exact_div; // 1 returns self unchanged."""
+        if isinstance(other, int) and other == 1:
+            return self
+        return self.exact_div(other)
 
     def __repr__(self):
         if not self.terms:
@@ -345,12 +346,6 @@ class MPoly:
 
 def _rows(m):
     return [list(r) for r in m]
-
-
-def _exact_div(a, b):
-    if isinstance(a, (int, Fraction)):
-        return Fraction(a) / b
-    return a.exact_div(b)
 
 
 def mat_transpose(m):
@@ -393,13 +388,13 @@ def clear_denominators(rows):
 
 
 def _echelon(a, cols):
-    """Bareiss-eliminate an integer matrix in place to row echelon form;
-    return the pivot columns and the sign of the row swaps.
+    """Bareiss-eliminate an integer or MPoly matrix in place to row echelon
+    form; return the pivot columns and the sign of the row swaps.
 
     Pivots are sought in the first cols columns, skipping a column with no
     pivot left; later columns (a right-hand side) are carried along.  Each
     step divides by the previous pivot, exactly (Bareiss, Math. Comp. 22,
-    1968), so every entry stays an integer.  Entries below pivots are stale.
+    1968), so entries stay in their ring.  Entries below pivots are stale.
     """
     rows = len(a)
     pivots = []
@@ -438,7 +433,8 @@ def _back_substitute(a, n, col):
 
 
 def int_det(m) -> int:
-    """Determinant of a square integer matrix by Bareiss elimination (_echelon)."""
+    """Determinant of a square integer (or, from ff_det, MPoly) matrix by
+    Bareiss elimination (_echelon); a singular one gives its ring's zero."""
     a = [list(r) for r in m]
     n = len(a)
     if n == 0:
@@ -446,7 +442,10 @@ def int_det(m) -> int:
     if any(len(r) != n for r in a):
         raise ValueError("determinant of a non-square matrix")
     pivots, sign = _echelon(a, n)
-    return sign * a[n - 1][n - 1] if len(pivots) == n else 0
+    if len(pivots) < n:
+        return a[0][0] * 0
+    d = a[n - 1][n - 1]
+    return d if sign > 0 else -d  # no MPoly product by the sign
 
 
 def int_det_poly(a, b) -> list:
@@ -475,47 +474,20 @@ def int_det_poly(a, b) -> list:
 
 
 def ff_det(m):
-    """Determinant by Bareiss fraction-free elimination with row pivoting.
+    """Determinant of a square matrix whose entries are all rational or all MPoly.
 
-    Works verbatim over MPoly entries: every division performed is exact in
-    the entry ring.  A rational matrix is scaled to integers and handed to
-    int_det.
+    A rational matrix is scaled to integers and handed to int_det, and so is
+    an MPoly matrix: _echelon's divisions are exact in either ring.
     """
     a = _rows(m)
-    n = len(a)
-    if n == 0:
-        raise ValueError("empty matrix")
-    if any(len(r) != n for r in a):
-        raise ValueError("determinant of a non-square matrix")
-    if n == 1:
-        return a[0][0]
+    if len(a) == 1 == len(a[0]):
+        return a[0][0]  # as given, an int entry included
     if _is_rational(a):
         ints, scale = clear_denominators(a)
-        return Fraction(int_det(ints), scale ** n)
-    zero = a[0][0] * 0
-    sign = 1
-    for k in range(n - 1):
-        if not a[k][k]:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return zero
-        pivot = a[k][k]
-        pivot_row = a[k][k + 1:]
-        for i in range(k + 1, n):
-            row = a[i]
-            f = row[k]
-            step = [pivot * x - f * y for x, y in zip(row[k + 1:], pivot_row)]
-            if k:  # the divisor of the first step is the unit
-                step = [_exact_div(x, prev) for x in step]
-            row[k + 1:] = step
-            row[k] = zero
-        prev = pivot
-    d = a[n - 1][n - 1]
-    return d if sign == 1 else -d
+        return Fraction(int_det(ints), scale ** len(a))
+    if {type(x) for r in a for x in r} != {MPoly}:
+        raise TypeError("ff_det expects all-rational or all-MPoly entries")
+    return int_det(a)
 
 
 def mat_rank(m) -> int:

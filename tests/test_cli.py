@@ -119,20 +119,107 @@ def test_schubert_past_bounds_rejected_before_any_work(monkeypatch, grassmannian
 
 
 def test_schubert_integer_power_bits_bounded():
-    # 2^10484 has 10485 bits, so its 100th power has at most 2^20 bits
-    assert cli.MAX_SCHUBERT_INT_BITS == 1 << 20
-    assert cli.evaluate_expression("%d^100" % 2 ** 10484, 1, 3) == 2 ** 1048400
-    # nested powers: 2^1000000 is admitted, its square is not
-    assert cli.evaluate_expression("((2^100)^100)^100", 1, 3) == 2 ** 1000000
-    for expr in ("%d^100" % 2 ** 10485, "(((2^100)^100)^100)^2"):
-        with pytest.raises(ValueError, match="more than 1048576 bits"):
+    # a 14284-bit integer has at most 4300 digits, all Python will print
+    assert cli.MAX_SCHUBERT_INT_BITS == 14_284
+    assert len(str(2 ** 14284 - 1)) == 4300
+    # (2^142)^100 has 14201 bits, (2^143)^100 14301
+    assert cli.evaluate_expression("%d^100" % 2 ** 142, 1, 3) == 2 ** 14200
+    # nested powers: 2^10000 is admitted, its 100th power is not
+    assert cli.evaluate_expression("(2^100)^100", 1, 3) == 2 ** 10000
+    for expr in ("%d^100" % 2 ** 143, "((2^100)^100)^100"):
+        with pytest.raises(ValueError, match="at most 14284 bits"):
             cli.evaluate_expression(expr, 1, 3)
+
+
+TOP = 2 ** 14284 - 1  # the largest admitted integer
+
+
+def value_or_terms(data):
+    return data["value"] if "value" in data else data["class"]["terms"]
+
+
+@pytest.mark.parametrize("expr,value", [
+    ("%d" % TOP, TOP),
+    ("%d+%d" % (2 ** 14283, 2 ** 14283 - 1), TOP),
+    ("%d*%d" % (2 ** 7142, 2 ** 7141), 2 ** 14283),
+    ("%d*sigma1" % TOP, {"1": TOP}),
+    # sigma1^4 is twice the point class of G(1,3)
+    ("%d*sigma1^4" % 2 ** 14282, 2 ** 14283),
+], ids=["literal", "sum", "product", "scalar-multiple", "pairing"])
+def test_schubert_integers_at_bound_accepted(expr, value):
+    assert value_or_terms(run_json(["schubert", "--grassmannian", "1,3", "--expr", expr])) == value
+
+
+@pytest.mark.parametrize("expr", [
+    "%d" % 2 ** 14284,
+    "%d+%d" % (2 ** 14283, 2 ** 14283),
+    "%d*%d" % (2 ** 7142, 2 ** 7142),
+    "2*(%d*sigma1)" % 2 ** 14283,
+    "%d*sigma1^4" % 2 ** 14283,
+], ids=["literal", "sum", "product", "scalar-multiple", "pairing"])
+def test_schubert_integers_past_bound_rejected(expr):
+    code, out, err = run(["schubert", "--grassmannian", "1,3", "--expr", expr])
+    assert code == 2 and out == ""
+    assert err == "error: integers and class coefficients have at most 14284 bits\n"
+
+
+# P^100 is G(0,100); there sigma1^100 (99 Pieri steps) is the point class
+@pytest.mark.parametrize("expr,value", [
+    ("sigma1^100*sigma1", {}),
+    ("sigma1^100+sigma1", {"1": 1, "100": 1}),
+    ("2*sigma1^100", 2),
+    ("(-(sigma1^50))*sigma1^50", -1),
+    # a Pieri step on a class in two codimensions counts twice: 1 + 2 * 49
+    ("(sigma1+sigma0)" + "*sigma1" * 49, {"49": 1, "50": 1}),
+], ids=["pieri", "sum", "scalar-multiple", "pairing", "two-codimensions"])
+def test_schubert_class_operations_at_bound_accepted(expr, value):
+    assert value_or_terms(run_json(["schubert", "--grassmannian", "0,100", "--expr", expr])) == value
+
+
+@pytest.mark.parametrize("expr", [
+    "sigma1^100*sigma1*sigma1",
+    "sigma1^100+sigma1+sigma1",
+    "2*(2*sigma1^100)",
+    "(-(-(sigma1^50)))*sigma1^50",
+    "(sigma1+sigma0)" + "*sigma1" * 50,
+], ids=["pieri", "sum", "scalar-multiple", "pairing", "two-codimensions"])
+def test_schubert_class_operations_past_bound_rejected(expr):
+    code, out, err = run(["schubert", "--grassmannian", "0,100", "--expr", expr])
+    assert code == 2 and out == ""
+    assert err == ("error: an expression takes at most 100 class operations "
+                   "(Pieri steps, sums, pairings and scalar multiples)\n")
+
+
+@pytest.mark.parametrize("expr,value", [
+    ("(" * 100 + "sigma1" + ")" * 100, {"1": 1}),
+    ("-" * 100 + "2", 2),
+    ("-(" * 50 + "2" + ")" * 50, 2),
+], ids=["parentheses", "minus-signs", "both"])
+def test_schubert_nesting_at_bound_accepted(expr, value):
+    assert cli.MAX_SCHUBERT_DEPTH == 100
+    assert value_or_terms(run_json(["schubert", "--grassmannian", "1,3", "--expr=" + expr])) == value
+
+
+@pytest.mark.parametrize("expr", [
+    "(" * 101 + "1" + ")" * 101,
+    "-" * 101 + "1",
+    "-(" * 50 + "-2" + ")" * 50,
+    "(" * 1200 + "1" + ")" * 1200,
+    "-" * 3000 + "1",
+], ids=["parentheses", "minus-signs", "both", "1200-parentheses", "3000-minus-signs"])
+def test_schubert_nesting_past_bound_rejected(expr):
+    code, out, err = run(["schubert", "--grassmannian", "1,3", "--expr=" + expr])
+    assert code == 2 and out == ""
+    assert err == "error: parentheses and unary minus signs nest at most 100 deep\n"
 
 
 @pytest.mark.parametrize("argv", [
     ["--grassmannian", "1," + "9" * 4000, "--expr", "sigma1"],
     ["--grassmannian", "1,3", "--expr", "sigma1^" + "9" * 4000],
     ["--grassmannian", "1,3", "--expr", "(((%s^100)^100)^100)^100" % ("9" * 4000)],
+    ["--grassmannian", "1,3", "--expr", "((2^100)^100)^100"],
+    ["--grassmannian", "1,3", "--expr", "*".join(["((3^66)^100)^99"] * 40)],
+    ["--grassmannian", "1,3", "--expr", "*".join(["(3^66)^100"] * 40)],
 ])
 def test_schubert_oversized_input_rejected_fast(argv):
     start = time.monotonic()
@@ -532,6 +619,8 @@ def test_json_float_coefficients_still_accepted():
     ["cone", "--divisor", '{"basis":"H","coeffs":[1,1,1],"n":null}', "--cone", "nef"],
     ["pair", "--curve", "[1,2,1]", "--divisor", '{"basis":"H","coeffs":[1,1,1]}'],
     ["pair", "--curve", '{"n":3,"coeffs":5}', "--divisor", '{"basis":"H","coeffs":[1,1,1]}'],
+    ["cone", "--divisor", '{"basis":["H"],"coeffs":[1,1,1]}', "--cone", "nef"],
+    ["pair", "--curve", '{"n":3,"basis":{},"coeffs":[1,2,1]}', "--divisor", '{"basis":"H","coeffs":[1,1,1]}'],
 ])
 def test_wrongly_typed_json_fields_rejected(argv):
     # a field of the wrong JSON type is unusable input: exit 2, one line, no traceback
@@ -539,6 +628,44 @@ def test_wrongly_typed_json_fields_rejected(argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+DEEP = "[" * 3000 + "1" + "]" * 3000
+DIVISOR = '{"basis":"H","coeffs":[1,1,1]}'
+
+
+@pytest.mark.parametrize("argv", [
+    ["chow", "--form", DEEP, "--k", "1"],
+    ["chow", "--form", '{"matrix":%s}' % DEEP, "--k", "1"],
+    ["chow", "--form", "[[1]]", "--limit-toward", DEEP, "--k", "1"],
+    ["cone", "--divisor", '{"basis":"H","coeffs":%s}' % DEEP, "--cone", "nef"],
+    ["chamber", "--divisor", DEEP],
+    ["pair", "--curve", '{"n":3,"coeffs":%s}' % DEEP, "--divisor", DIVISOR],
+    ["pair", "--curve", "G", "--divisor", DEEP],
+], ids=["form", "form-matrix", "limit-toward", "divisor-coeffs", "divisor", "curve", "pair-divisor"])
+def test_deeply_nested_json_rejected(argv):
+    code, out, err = run(argv)
+    assert code == 2 and out == ""
+    assert err == "error: JSON input is nested too deeply\n"
+
+
+@pytest.mark.parametrize("nested,flat", [
+    (["chow", "--form", "[[[1]]]", "--k", "1"], ["chow", "--form", "[[1]]", "--k", "1"]),
+    (["chow", "--form", '{"matrix":[[1,0],[0,[1]]]}', "--k", "1"],
+     ["chow", "--form", '{"matrix":[[1,0],[0,1]]}', "--k", "1"]),
+    (["chow", "--form", "[[1]]", "--limit-toward", "[[[1]]]", "--k", "1"],
+     ["chow", "--form", "[[1]]", "--limit-toward", "[[1]]", "--k", "1"]),
+    (["cone", "--divisor", '{"basis":"H","coeffs":[[1],1,1]}', "--cone", "nef"],
+     ["cone", "--divisor", DIVISOR, "--cone", "nef"]),
+    (["pair", "--curve", '{"n":3,"coeffs":[1,{},1]}', "--divisor", DIVISOR],
+     ["pair", "--curve", '{"n":3,"coeffs":[1,2,1]}', "--divisor", DIVISOR]),
+])
+def test_nested_json_entries_rejected(nested, flat):
+    # one level deeper than a matrix of numbers or a list of coefficients
+    code, out, err = run(nested)
+    assert code == 2 and out == ""
+    assert err == "error: matrix and coefficient entries must be numbers or strings\n"
+    assert run(flat)[0] == 0
 
 
 def test_console_script_wiring():

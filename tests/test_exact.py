@@ -158,15 +158,20 @@ def test_ff_det_matches_cofactor_mpoly(seed):
 
 @pytest.mark.parametrize("size", [2, 3])
 @pytest.mark.parametrize("seed", range(6))
-def test_ff_det_matches_cofactor_small_polynomial(size, seed):
-    # a 2 x 2 determinant is the first Bareiss step alone, the one whose
-    # division by the unit is skipped; a zero corner forces a row swap first
+def test_ff_det_matches_cofactor_small_polynomial(size, seed, monkeypatch):
+    # a 2 x 2 determinant is the first Bareiss step alone, whose division by
+    # the unit does no long division; a zero corner forces a row swap first
+    calls = []
+    exact_div = MPoly.exact_div
+    monkeypatch.setattr(MPoly, "exact_div", lambda a, b: calls.append(b) or exact_div(a, b))
     rng = random.Random(700 + seed)
     for make in (random_poly1, random_mpoly):
         m = [[make(rng) for _ in range(size)] for _ in range(size)]
         assert ff_det(m) == cofactor_det(m)
         m[0][0] = m[0][0] * 0
         assert ff_det(m) == cofactor_det(m)
+    if size == 2:
+        assert calls == []
 
 
 def test_ff_det_singular_and_permutation():
@@ -176,6 +181,15 @@ def test_ff_det_singular_and_permutation():
     # pivoting must track the sign of the row swap
     p = [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]
     assert ff_det(p) == -1
+    # over MPoly the second column has no pivot after the first step; the
+    # determinant is the zero of the ring, not the integer 0
+    x, y = MPoly.variable("x", ("x", "y")), MPoly.variable("y", ("x", "y"))
+    m = [[x, y, x + 1], [2 * x, 2 * y, y], [x * x, x * y, x]]
+    d = ff_det(m)
+    assert isinstance(d, MPoly) and d.is_zero()
+    assert d == cofactor_det(m)
+    with pytest.raises(TypeError):
+        ff_det([[x, 1], [1, x]])
 
 
 def test_mat_rank_examples():
@@ -408,10 +422,15 @@ def test_mpoly_ring_operations():
     assert p.degree_in("x") == 2
     assert p.min_exponent("y") == 1
     assert p.divide_monomial((1, 1)) == x + 2
+    with pytest.raises(ValueError):
+        p.divide_monomial((1,))
     assert p.substitute_zero(["x"]).is_zero()
     assert (p * (x + y)).exact_div(x + y) == p
-    with pytest.raises(ValueError):
-        (x + 1).exact_div(y)
+    assert (p * (x + y)) // (x + y) == p
+    assert p // 1 is p
+    for divide in (MPoly.exact_div, MPoly.__floordiv__):
+        with pytest.raises(ValueError, match="inexact multivariate division"):
+            divide(x + 1, y)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -437,9 +456,11 @@ def test_mpoly_results_drop_zero_coefficients():
 def test_mpoly_results_match_validating_constructor(seed):
     rng = random.Random(500 + seed)
     a, b = random_mpoly(rng), random_mpoly(rng)
-    results = [a + b, a - b, -a, a * b, a * b - b * a, a + 0, 2 * a, a - a]
+    x = MPoly.variable("x", a.vars)
+    results = [a + b, a - b, -a, a * b, a * b - b * a, a + 0, 2 * a, a - a,
+               (x * a).divide_monomial((1, 0)), a.substitute_zero(["y"])]
     if not b.is_zero():
-        results.append((a * b).exact_div(b))
+        results += [(a * b).exact_div(b), (a * b) // b]
     for r in results:
         checked = MPoly(r.vars, r.terms)
         assert r == checked and checked == r
