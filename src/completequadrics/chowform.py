@@ -7,6 +7,11 @@ This module evaluates that identity, follows Chow forms along degenerating
 one-parameter families, and detects which wedge powers stay constant along
 coordinate flag degenerations (the mechanism behind the boundary
 contractions of the space of complete quadrics).
+
+Rational evaluation runs on Python integers: plucker scales the basis once
+and takes every maximal minor by int_det, and chow_eval clears the
+denominators of the Pluecker vector and of the compound matrix once each,
+sums the quadratic form in integers and builds one Fraction at the end.
 """
 
 from __future__ import annotations
@@ -14,9 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+import operator
 
 from .exact import (
-    MPoly, clear_denominators, ff_det, int_det_poly, k_subsets, mat_mul, mat_transpose,
+    MPoly, _is_rational, clear_denominators, int_det, int_det_poly, k_subsets, mat_mul,
+    mat_transpose,
 )
 from .quadrics import SymmetricForm, _minor_rows, compound
 
@@ -65,28 +72,51 @@ class PluckerVector:
 
 
 def plucker(basis) -> PluckerVector:
-    """Pluecker vector of the span of the columns of an (n+1) x k matrix,
-    which has full column rank exactly when some maximal minor is nonzero."""
+    """Pluecker vector of the span of the columns of an (n+1) x k rational
+    matrix, which has full column rank exactly when some maximal minor is
+    nonzero.
+
+    The basis is scaled to integers once, by the lcm L of its denominators,
+    and each maximal minor is int_det of the scaled rows over L**k.
+    """
     b = [list(r) for r in basis]
+    if not _is_rational(b):
+        raise TypeError("plucker expects rational entries")
     k = len(b[0]) if b else 0
-    coords = tuple(ff_det([b[i] for i in s]) for s in k_subsets(len(b), k)) if k else ()
+    coords = ()
+    if k:
+        ints, scale = clear_denominators(b)
+        den = scale ** k
+        coords = tuple(Fraction(int_det([ints[i] for i in s]), den) for s in k_subsets(len(b), k))
     if not any(coords):
         raise ValueError("basis must have full column rank")
     return PluckerVector(n=len(b) - 1, k=k, coords=coords)
 
 
 def chow_eval(q: SymmetricForm, k: int, basis) -> Fraction:
-    """Evaluate the k-th Chow form of q on the span of basis.
+    """Evaluate the k-th Chow form of a rational form q on the span of basis.
 
     Equals det of the restricted form: p^T compound(q, k) p = det(B^T Q B)
     with p = plucker(B).  Zero exactly when the (k-1)-plane is tangent.
+
+    The Pluecker vector p and the compound matrix C are scaled to integers
+    v = Lp p and Lc C once each.  C is symmetric, so the form is summed in
+    integers over the pairs S <= T only, as
+    sum_S v_S (C_SS v_S + 2 sum_{T > S} C_ST v_T), and divided once by
+    Lp**2 Lc.  Neither side of the identity is computed from the other.
     """
+    if not _is_rational(q.rows):
+        raise TypeError("chow_eval expects a rational form")
     p = plucker(basis)
     if p.k != k:
         raise ValueError("basis spans a plane of the wrong dimension")
-    c = compound(q, k).rows
-    m = len(p.coords)
-    return sum(p.coords[i] * c[i][j] * p.coords[j] for i in range(m) for j in range(m))
+    (v,), lp = clear_denominators([p.coords])
+    c, lc = clear_denominators(compound(q, k).rows)
+    total = 0
+    for s, (vs, row) in enumerate(zip(v, c)):
+        if vs:
+            total += vs * (row[s] * vs + 2 * sum(map(operator.mul, row[s + 1:], v[s + 1:])))
+    return Fraction(total, lp * lp * lc)
 
 
 def chow_limit(q0: SymmetricForm, q1: SymmetricForm, k: int) -> ProjectivePoint:

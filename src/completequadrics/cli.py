@@ -413,6 +413,10 @@ class _ExprParser:
         return value
 
     def factor(self):
+        # a unary minus applies to the whole power: -x^k is -(x^k)
+        if self.peek() == "-":
+            self.take()
+            return self.nested(lambda: self.mul(-1, self.factor()))
         base = self.atom()
         if self.peek() == "^":
             self.take()
@@ -422,17 +426,22 @@ class _ExprParser:
             return self.power(base, int(exp))
         return base
 
+    def nested(self, parse):
+        # the grammar recurses only through here
+        self.depth += 1
+        if self.depth > MAX_SCHUBERT_DEPTH:
+            raise ValueError("parentheses and unary minus signs nest at most %d deep"
+                             % MAX_SCHUBERT_DEPTH)
+        value = parse()
+        self.depth -= 1
+        return value
+
     def atom(self):
         tok = self.take()
-        if tok in ("(", "-"):
-            self.depth += 1  # the grammar recurses only here
-            if self.depth > MAX_SCHUBERT_DEPTH:
-                raise ValueError("parentheses and unary minus signs nest at most %d deep"
-                                 % MAX_SCHUBERT_DEPTH)
-            value = self.expr() if tok == "(" else self.mul(-1, self.atom())
-            if tok == "(" and self.take() != ")":
+        if tok == "(":
+            value = self.nested(self.expr)
+            if self.take() != ")":
                 raise ValueError("missing closing parenthesis")
-            self.depth -= 1
             return value
         if tok.isdigit():
             return self.bounded(int(tok))

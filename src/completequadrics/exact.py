@@ -19,7 +19,11 @@ minors of Chow-form limits.  poly_gcd runs a primitive integer remainder
 sequence instead of a Euclidean gcd over Fraction, and distinct_root_count
 reads the squarefree degree from it.  mat_mul of two rational matrices
 multiplies the scaled integer matrices and divides once by the product of
-the scales.
+the scales.  The same pattern carries the Chow-form layers: quadrics.compound
+and chowform.plucker take each minor by int_det of one scaled matrix,
+quadrics.restrict forms B^T Q B as one integer product, and
+chowform.chow_eval sums its quadratic form in integers, each building one
+Fraction per answer.
 
 ff_det of an MPoly matrix, which the wedge-contraction limits take, runs
 on _echelon too: MPoly // is exact division, and // 1, the first step's
@@ -197,12 +201,14 @@ class MPoly:
         return bool(self.terms)
 
     def _wrap(self, other):
-        if isinstance(other, (int, Fraction)):
-            return MPoly.constant(other, self.vars)
+        # MPoly first: most operands are one, and isinstance against
+        # Fraction, whose metaclass is ABCMeta, runs __instancecheck__
         if isinstance(other, MPoly):
             if other.vars != self.vars:
                 raise ValueError("mixed variable rings")
             return other
+        if isinstance(other, (int, Fraction)):
+            return MPoly.constant(other, self.vars)
         return None
 
     def __add__(self, other):
@@ -235,7 +241,7 @@ class MPoly:
         terms = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(operator.add, e1, e2))
                 c = c1 * c2
                 terms[e] = terms[e] + c if e in terms else c
         return MPoly._make(self.vars, terms)

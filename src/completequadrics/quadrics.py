@@ -10,17 +10,17 @@ flag of forms, each living on the singular locus of the previous one.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from fractions import Fraction
 
 from .exact import (
+    _is_rational,
     clear_denominators,
     ff_det,
     int_det,
     k_subsets,
-    mat_mul,
     mat_rank,
-    mat_transpose,
     parse_rat,
 )
 
@@ -80,11 +80,16 @@ def form_rank(q: SymmetricForm) -> int:
 
 
 def restrict(q: SymmetricForm, basis) -> SymmetricForm:
-    """Restrict a form on P^n to the subspace spanned by the columns of basis.
+    """Restrict a rational form on P^n to the subspace spanned by the
+    columns of basis.
 
     basis is an (n+1) x k rational matrix of rank k; the result is the k x k
-    form B^T Q B on the P^(k-1) it spans.
+    form B^T Q B on the P^(k-1) it spans.  Q and B are scaled to integers
+    once each, by the lcms Lq and Lb of their denominators, and each entry
+    i <= j of the integer product is divided once by Lq Lb**2 and mirrored.
     """
+    if not _is_rational(q.rows):
+        raise TypeError("restrict expects a rational form")
     b = [list(r) for r in basis]
     if len(b) != q.n + 1:
         raise ValueError("basis row count must be n+1")
@@ -93,7 +98,17 @@ def restrict(q: SymmetricForm, basis) -> SymmetricForm:
         raise ValueError("empty basis")
     if mat_rank(b) != k:
         raise ValueError("basis columns are linearly dependent")
-    return SymmetricForm(mat_mul(mat_transpose(b), mat_mul(q.rows, b)))
+    qi, lq = clear_denominators(q.rows)
+    bi, lb = clear_denominators(b)
+    scale = lq * lb * lb
+    cols = list(zip(*bi))
+    # the columns of (Lq Q)(Lb B)
+    qcols = [[sum(map(operator.mul, row, col)) for row in qi] for col in cols]
+    rows = [[None] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            rows[i][j] = rows[j][i] = Fraction(sum(map(operator.mul, cols[i], qcols[j])), scale)
+    return SymmetricForm(rows)
 
 
 def compound(q: SymmetricForm, k: int) -> SymmetricForm:
@@ -109,7 +124,7 @@ def compound(q: SymmetricForm, k: int) -> SymmetricForm:
     """
     if k == 1:
         return SymmetricForm(q.rows)
-    if all(isinstance(x, (int, Fraction)) for r in q.rows for x in r):
+    if _is_rational(q.rows):
         ints, scale = clear_denominators(q.rows)
         den = scale ** k
 

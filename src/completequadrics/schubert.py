@@ -19,10 +19,15 @@ def grass_dim(k: int, n: int) -> int:
     return (k + 1) * (n - k)
 
 
+def _strip_zeros(parts: tuple) -> tuple:
+    end = len(parts)
+    while end and not parts[end - 1]:
+        end -= 1
+    return parts[:end]
+
+
 def _normalize_partition(parts) -> tuple:
-    parts = tuple(int(p) for p in parts)
-    while parts and parts[-1] == 0:
-        parts = parts[:-1]
+    parts = _strip_zeros(tuple(int(p) for p in parts))
     if any(p < 0 for p in parts):
         raise ValueError("partition parts must be nonnegative")
     if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
@@ -58,6 +63,20 @@ class SchubertClass:
             self, "_terms", tuple(sorted((p, c) for p, c in clean.items() if c))
         )
 
+    @classmethod
+    def _make(cls, k: int, n: int, terms: dict) -> "SchubertClass":
+        # class operations build terms from validated operands: the parts
+        # are already weakly decreasing ints inside the box, and distinct
+        # keys stay distinct once their trailing zeros are stripped, so only
+        # the padding, the zero coefficients and the order need fixing
+        out = object.__new__(cls)
+        object.__setattr__(out, "k", k)
+        object.__setattr__(out, "n", n)
+        object.__setattr__(out, "_terms", tuple(sorted(
+            (_strip_zeros(p), c) for p, c in terms.items() if c
+        )))
+        return out
+
     def __setattr__(self, name, value):
         raise AttributeError("SchubertClass is immutable")
 
@@ -88,10 +107,10 @@ class SchubertClass:
         merged = dict(self._terms)
         for p, c in other._terms:
             merged[p] = merged.get(p, 0) + c
-        return SchubertClass(self.k, self.n, merged)
+        return SchubertClass._make(self.k, self.n, merged)
 
     def __rmul__(self, scalar: int):
-        return SchubertClass(self.k, self.n, {p: scalar * c for p, c in self._terms})
+        return SchubertClass._make(self.k, self.n, {p: int(scalar * c) for p, c in self._terms})
 
     def __eq__(self, other):
         return (
@@ -145,7 +164,7 @@ def pieri1(cls: SchubertClass) -> SchubertClass:
                 continue
             grown = tuple(padded[:i] + [padded[i] + 1] + padded[i + 1:])
             out[grown] = out.get(grown, 0) + coeff
-    return SchubertClass(cls.k, cls.n, out)
+    return SchubertClass._make(cls.k, cls.n, out)
 
 
 def sigma1_power(k: int, n: int, m: int) -> SchubertClass:

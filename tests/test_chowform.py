@@ -6,11 +6,13 @@ equals the determinant of the restricted form -- is checked on seeded random
 wedge-coordinate supports computed from the defining minors.
 """
 
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
+from completequadrics import chowform, exact, quadrics
 from completequadrics.exact import MPoly, ff_det, k_subsets, mat_rank
 from completequadrics.chowform import (
     PluckerVector,
@@ -40,6 +42,115 @@ def test_chow_eval_equals_restricted_determinant(n):
         for k in range(1, n + 1):
             b = random_basis(rng, n, k)
             assert chow_eval(q, k, b) == ff_det(restrict(q, b).rows)
+
+
+def outcome(f, *args):
+    try:
+        return str(f(*args))
+    except (ValueError, TypeError) as exc:
+        return "%s: %s" % (type(exc).__name__, exc)
+
+
+def pinned_lines():
+    # seeded rational forms (half rank-controlled and rescaled by
+    # non-unit denominators, half with random rational entries) and
+    # rational bases, a quarter of them with a dependent column
+    rng = random.Random(1010)
+    lines = []
+    for n in range(2, 6):
+        size = n + 1
+        for trial in range(4):
+            if trial % 2:
+                rows = [[None] * size for _ in range(size)]
+                for i in range(size):
+                    for j in range(i, size):
+                        rows[i][j] = rows[j][i] = Fraction(rng.randint(-6, 6), rng.randint(1, 7))
+                q = SymmetricForm(rows)
+            else:
+                base = random_form(n, rng.randint(1, size), seed=rng.randint(0, 10 ** 6))
+                den = [rng.randint(1, 5) for _ in range(size)]
+                q = SymmetricForm([[x / (den[i] * den[j]) for j, x in enumerate(row)]
+                                   for i, row in enumerate(base.rows)])
+            for k in range(1, size + 1):
+                span = rng.choice([1, 4])
+                b = [[Fraction(rng.randint(-span, span), rng.randint(1, 5)) for _ in range(k)]
+                     for _ in range(size)]
+                if rng.random() < 0.25:
+                    # a dependent last column (the zero column when k = 1)
+                    for row in b:
+                        row[-1] = 2 * row[0] if k > 1 else Fraction(0)
+                lines.append("%d %d %d" % (n, trial, k))
+                lines.append(outcome(chow_eval, q, k, b))
+                lines.append(outcome(chow_eval, q, k % size + 1, b))
+                lines.append(outcome(lambda: plucker(b).coords))
+                lines.append(outcome(lambda: restrict(q, b).rows))
+    return lines
+
+
+def test_values_pinned():
+    # chow_eval, plucker and restrict values and error messages, n = 2..5
+    # and every k, against a digest recorded from the per-minor rational
+    # evaluation (ff_det per minor, rational mat_mul, Fraction double sum)
+    lines = pinned_lines()
+    assert len(lines) == 360
+    assert sum(line.startswith("ValueError: basis must have full") for line in lines) == 69
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "fcb420c4a323186bac0e3b129321835499eba0d24886f663767e1a8435805eee"
+
+
+def test_rank_check_before_dimension_check():
+    q = random_form(3, 4, seed=7)
+    dependent = [[Fraction(1), Fraction(2)], [Fraction(1, 2), Fraction(1)], [0, 0], [3, 6]]
+    for k in (1, 2, 3):
+        with pytest.raises(ValueError, match="full column rank"):
+            chow_eval(q, k, dependent)
+    with pytest.raises(ValueError, match="wrong dimension"):
+        chow_eval(q, 3, [[1, 0], [0, 1], [0, 0], [0, 0]])
+
+
+def test_int_entry_basis():
+    q = random_form(3, 4, seed=8)
+    for k, b in ((1, [[1], [2], [0], [-1]]), (2, [[1, 0], [2, 1], [0, 3], [-1, 0]])):
+        rational = [[Fraction(x) for x in row] for row in b]
+        assert plucker(b) == plucker(rational)
+        assert chow_eval(q, k, b) == chow_eval(q, k, rational) == ff_det(restrict(q, b).rows)
+        assert restrict(q, b) == restrict(q, rational)
+
+
+def test_mpoly_form_rejected():
+    vars = ("t",)
+    t = MPoly.variable("t", vars)
+    one = MPoly.constant(1, vars)
+    zero = MPoly(vars)
+    q = SymmetricForm([[one, t, zero], [t, one, zero], [zero, zero, one]])
+    b = [[1, 0], [0, 1], [0, 0]]
+    with pytest.raises(TypeError):
+        chow_eval(q, 2, b)
+    with pytest.raises(TypeError):
+        restrict(q, b)
+    with pytest.raises(TypeError):
+        plucker([[one, zero], [zero, t], [zero, zero]])
+
+
+def test_chow_eval_does_not_use_the_restriction(monkeypatch):
+    # Cauchy-Binet would let the left side be computed as det(B^T Q B),
+    # which would make the chow-form-identity check a tautology
+    def refuse(*args, **kwargs):
+        raise AssertionError("chow_eval must not form B^T Q B")
+
+    monkeypatch.setattr(quadrics, "restrict", refuse)
+    monkeypatch.setattr(exact, "mat_mul", refuse)
+    monkeypatch.setattr(chowform, "mat_mul", refuse)
+    F = Fraction
+    q = SymmetricForm([[F(1, 2), F(-1, 3), F(0), F(2)],
+                       [F(-1, 3), F(5, 4), F(1, 6), F(0)],
+                       [F(0), F(1, 6), F(-2), F(3, 5)],
+                       [F(2), F(0), F(3, 5), F(7, 9)]])
+    b2 = [[F(1), F(0)], [F(1, 2), F(2, 3)], [F(-3), F(1)], [F(0), F(5, 7)]]
+    b3 = [[F(1), F(0), F(2)], [F(1, 2), F(2, 3), F(0)], [F(-3), F(1), F(1, 4)],
+          [F(0), F(5, 7), F(-1)]]
+    assert chow_eval(q, 2, b2) == F(-1194743, 31752)
+    assert chow_eval(q, 3, b3) == F(28381374319, 114307200)
 
 
 def test_plucker_coordinates_lex():

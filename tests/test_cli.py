@@ -213,6 +213,34 @@ def test_schubert_nesting_past_bound_rejected(expr):
     assert err == "error: parentheses and unary minus signs nest at most 100 deep\n"
 
 
+@pytest.mark.parametrize("expr,value", [
+    ("-2^2", -4),
+    ("-(2)^2", -4),
+    ("(-2)^2", 4),
+    ("--2^3", 8),
+    ("2*-3^2", -18),
+    ("-sigma1^2", {"2": -1, "1,1": -1}),
+])
+def test_schubert_unary_minus_binds_looser_than_power(expr, value):
+    # -x^k is -(x^k), as in ordinary arithmetic
+    assert value_or_terms(run_json(["schubert", "--grassmannian", "1,3", "--expr=" + expr])) == value
+
+
+@pytest.mark.parametrize("grassmannian,expr,digest", [
+    ("8,18", "sigma1^90", "e1fb68bf13c849b44dc943c4ea602b1260b629585b4326b4bc52fc8ab0761363"),
+    ("1,3", "sigma1^4", "7f61451ea87496d8fd8d93475571d3a935d52c2c878bad2b229c0dc3e51b1dbd"),
+    ("3,8", "(sigma1^6+2*sigma3,3)*sigma1*sigma1",
+     "ff22459cf3e07846bdf0ab3191ac4181bee4bff2674e11d4d1662b545cdddb42"),
+    ("2,5", "-(sigma2,1)*sigma1^6", "3a9d16dd8a92f73237f6dcd53192460c9e3653a191dcd56f0f9de3456ceed31b"),
+])
+def test_schubert_output_pinned(grassmannian, expr, digest):
+    # stdout recorded while every class operation rebuilt its result
+    # through the validating SchubertClass constructor
+    code, out, err = run(["schubert", "--grassmannian", grassmannian, "--expr=" + expr])
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("argv", [
     ["--grassmannian", "1," + "9" * 4000, "--expr", "sigma1"],
     ["--grassmannian", "1,3", "--expr", "sigma1^" + "9" * 4000],

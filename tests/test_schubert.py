@@ -137,3 +137,18 @@ class TestDegrees:
 
 def test_p_pairs_with_rank_two_curve_to_four():
     assert p_dot_r2() == 4
+
+
+def test_operation_results_match_validating_constructor():
+    # sums, scalar multiples and Pieri steps skip the partition checks; their
+    # results must be what the public constructor builds from the same terms
+    rng = random.Random(11)
+    for k, n in ((0, 4), (1, 3), (2, 5), (3, 7)):
+        for _ in range(5):
+            a = sigma1_power(k, n, rng.randint(0, grass_dim(k, n)))
+            b = sigma1_power(k, n, rng.randint(0, grass_dim(k, n)))
+            for result in (a + b, a + (-1) * a, 3 * a, 0 * a, pieri1(a), pieri1(a + b)):
+                rebuilt = SchubertClass(k, n, result.terms)
+                assert result == rebuilt and hash(result) == hash(rebuilt)
+                assert result._terms == rebuilt._terms
+                assert all(c and (not p or p[-1]) for p, c in result._terms)
