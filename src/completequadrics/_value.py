@@ -1,0 +1,58 @@
+"""Immutable records compared and hashed by their fields.
+
+The stdlib's frozen record decorator gives the same semantics, but its
+module imports ``inspect`` and every decorated class compiles its generated
+methods with ``exec`` on each start: about two thirds of the package's
+import time.  Here each record writes its own ``__init__``, which lands in
+the cached bytecode.  A named tuple is not used either: it would compare
+equal to a plain tuple, and to a record of another type with equal fields.
+"""
+
+from operator import attrgetter
+
+# Sets a field of a record under construction, past Record.__setattr__.  It
+# keeps the fields in the instance's compact per-class layout, where
+# vars(self).update(...) would give every instance a dict of its own (about
+# 250 bytes for three fields, against about 105).
+set_field = object.__setattr__
+
+
+class Record:
+    """Base of an immutable record whose fields are named in ``_fields``.
+
+    A subclass writes its own ``__init__`` and sets each field there with
+    ``set_field``.  Records of one class are equal when their fields are; a
+    record never equals an object of another class.  The hash is the hash
+    of the tuple of fields, and the repr is ``Name(field=value, ...)``.
+    Assigning or deleting an attribute raises AttributeError; values kept in
+    ``__dict__`` outside the fields (a ``cached_property``) take no part in
+    equality or the hash.
+    """
+
+    _fields = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        get = attrgetter(*cls._fields)
+        # attrgetter of a single name returns the bare value, not a 1-tuple
+        cls._astuple = staticmethod(get if len(cls._fields) > 1 else lambda obj: (get(obj),))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple(self) == other._astuple(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._astuple(self))
+
+    def __repr__(self):
+        return "%s(%s)" % (
+            self.__class__.__qualname__,
+            ", ".join("%s=%r" % (f, getattr(self, f)) for f in self._fields),
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % (name,))
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % (name,))

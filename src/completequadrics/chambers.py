@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._value import Record, set_field
 from .exact import clear_denominators
 from .picard import (
     DivisorClass,
@@ -91,16 +91,20 @@ def locus_subset(forced, reported) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class RegionSpec:
-    chamber_id: int
-    # acceptance cones: tuples (generator names, per-coordinate flags),
+class RegionSpec(Record):
+    # cones: acceptance cones, tuples (generator names, per-coordinate flags),
     # flag ">=" closed or ">" strict; a point is accepted by the region if
-    # some cone accepts it (and, for the last region, it is not nef)
-    cones: tuple
-    position_basis: tuple  # generator names used only for reporting
-    base_locus: frozenset
-    exclude_nef: bool = False
+    # some cone accepts it (and, for the last region, it is not nef).
+    # position_basis: generator names used only for reporting.
+    _fields = ("chamber_id", "cones", "position_basis", "base_locus", "exclude_nef")
+
+    def __init__(self, chamber_id: int, cones: tuple, position_basis: tuple,
+                 base_locus: frozenset, exclude_nef: bool = False):
+        set_field(self, "chamber_id", chamber_id)
+        set_field(self, "cones", cones)
+        set_field(self, "position_basis", position_basis)
+        set_field(self, "base_locus", base_locus)
+        set_field(self, "exclude_nef", exclude_nef)
 
 
 REGIONS = (
@@ -129,15 +133,21 @@ MODEL_FLIP = "X3+ (flip)"
 MODEL_P_RAY = "G(2,5)/(Z/2)"
 
 
-@dataclass(frozen=True)
-class ChamberReport:
-    chamber_id: int
-    position: str  # "interior", "ray X" or "wall X,Y" in the region's triple
-    base_locus: frozenset
-    base_locus_label: str
-    model_label: str | None
-    notes: tuple = ()
-    certificate: dict | None = None
+class ChamberReport(Record):
+    # position: "interior", "ray X" or "wall X,Y" in the region's triple
+    _fields = ("chamber_id", "position", "base_locus", "base_locus_label", "model_label",
+               "notes", "certificate")
+
+    def __init__(self, chamber_id: int, position: str, base_locus: frozenset,
+                 base_locus_label: str, model_label: str | None, notes: tuple = (),
+                 certificate: dict | None = None):
+        set_field(self, "chamber_id", chamber_id)
+        set_field(self, "position", position)
+        set_field(self, "base_locus", base_locus)
+        set_field(self, "base_locus_label", base_locus_label)
+        set_field(self, "model_label", model_label)
+        set_field(self, "notes", notes)
+        set_field(self, "certificate", certificate)
 
     def to_json(self) -> dict:
         return {

@@ -10,22 +10,23 @@ contractions of the space of complete quadrics).
 
 Rational evaluation runs on Python integers: plucker scales the basis once
 and takes every maximal minor by int_det, and chow_eval clears the
-denominators of the Pluecker vector and of the compound matrix once each,
-sums the quadratic form in integers and builds one Fraction at the end.
+denominators of the Pluecker vector once, takes the integer minors of the
+scaled form, sums the quadratic form in integers and builds one Fraction at
+the end.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 import operator
 
+from ._value import Record, set_field
 from .exact import (
     MPoly, _is_rational, clear_denominators, int_det, int_det_poly, k_subsets, mat_mul,
     mat_transpose,
 )
-from .quadrics import SymmetricForm, _minor_rows, compound
+from .quadrics import SymmetricForm, _int_minors, _minor_rows, compound
 
 
 class ProjectivePoint:
@@ -62,13 +63,15 @@ class ProjectivePoint:
         return "ProjectivePoint(%s)" % (", ".join(str(c) for c in self.coords))
 
 
-@dataclass(frozen=True)
-class PluckerVector:
+class PluckerVector(Record):
     """Maximal minors of a basis matrix, in lexicographic subset order."""
 
-    n: int
-    k: int
-    coords: tuple
+    _fields = ("n", "k", "coords")
+
+    def __init__(self, n: int, k: int, coords: tuple):
+        set_field(self, "n", n)
+        set_field(self, "k", k)
+        set_field(self, "coords", coords)
 
 
 def plucker(basis) -> PluckerVector:
@@ -99,11 +102,12 @@ def chow_eval(q: SymmetricForm, k: int, basis) -> Fraction:
     Equals det of the restricted form: p^T compound(q, k) p = det(B^T Q B)
     with p = plucker(B).  Zero exactly when the (k-1)-plane is tangent.
 
-    The Pluecker vector p and the compound matrix C are scaled to integers
-    v = Lp p and Lc C once each.  C is symmetric, so the form is summed in
-    integers over the pairs S <= T only, as
-    sum_S v_S (C_SS v_S + 2 sum_{T > S} C_ST v_T), and divided once by
-    Lp**2 Lc.  Neither side of the identity is computed from the other.
+    The Pluecker vector p is scaled to integers v = Lp p once.  The compound
+    matrix is never built in Fractions: with L the lcm of the denominators
+    of q, C = L**k compound(q, k) holds the integer minors int_det(L Q[S, T]).
+    C is symmetric, so the form is summed in integers over the pairs S <= T
+    only, as sum_S v_S (C_SS v_S + 2 sum_{T > S} C_ST v_T), and divided once
+    by Lp**2 L**k.  Neither side of the identity is computed from the other.
     """
     if not _is_rational(q.rows):
         raise TypeError("chow_eval expects a rational form")
@@ -111,12 +115,13 @@ def chow_eval(q: SymmetricForm, k: int, basis) -> Fraction:
     if p.k != k:
         raise ValueError("basis spans a plane of the wrong dimension")
     (v,), lp = clear_denominators([p.coords])
-    c, lc = clear_denominators(compound(q, k).rows)
+    minor, den = _int_minors(q.rows, k)
+    c = _minor_rows(q.n, k, minor)
     total = 0
     for s, (vs, row) in enumerate(zip(v, c)):
         if vs:
             total += vs * (row[s] * vs + 2 * sum(map(operator.mul, row[s + 1:], v[s + 1:])))
-    return Fraction(total, lp * lp * lc)
+    return Fraction(total, lp * lp * den)
 
 
 def chow_limit(q0: SymmetricForm, q1: SymmetricForm, k: int) -> ProjectivePoint:

@@ -22,8 +22,8 @@ multiplies the scaled integer matrices and divides once by the product of
 the scales.  The same pattern carries the Chow-form layers: quadrics.compound
 and chowform.plucker take each minor by int_det of one scaled matrix,
 quadrics.restrict forms B^T Q B as one integer product, and
-chowform.chow_eval sums its quadratic form in integers, each building one
-Fraction per answer.
+chowform.chow_eval sums its quadratic form over those integer minors, each
+building one Fraction per answer.
 
 ff_det of an MPoly matrix, which the wedge-contraction limits take, runs
 on _echelon too: MPoly // is exact division, and // 1, the first step's

@@ -11,10 +11,10 @@ is what ties the lattice pairings of the picard module to geometry.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+from ._value import Record, set_field
 from .exact import clear_denominators, distinct_root_count, int_det_poly, mat_rank
 from .exact import ff_det  # noqa: F401  bench/test_bench.py traces and restores this alias
 from .quadrics import SymmetricForm, random_form, restrict
@@ -37,20 +37,20 @@ def _proportional(a: SymmetricForm, b: SymmetricForm) -> bool:
     return all(x == mu * y for x, y in zip(fa, fb))
 
 
-@dataclass(frozen=True)
-class Pencil:
+class Pencil(Record):
     """Pencil s Q0 + t Q1 of quadrics on a common P^m."""
 
-    q0: SymmetricForm
-    q1: SymmetricForm
+    _fields = ("q0", "q1")
 
-    def __post_init__(self):
-        if self.q0.n != self.q1.n:
+    def __init__(self, q0: SymmetricForm, q1: SymmetricForm):
+        if q0.n != q1.n:
             raise ValueError("pencil members must share an ambient space")
-        if not any(_flat(self.q0)) or not any(_flat(self.q1)):
+        if not any(_flat(q0)) or not any(_flat(q1)):
             raise DegeneratePencilError("pencil member is the zero form")
-        if _proportional(self.q0, self.q1):
+        if _proportional(q0, q1):
             raise DegeneratePencilError("pencil members are proportional")
+        set_field(self, "q0", q0)
+        set_field(self, "q1", q1)
 
     @property
     def m(self) -> int:
@@ -64,11 +64,13 @@ class Pencil:
         return _det_binary(self.q0, self.q1)
 
 
-@dataclass(frozen=True)
-class BinaryForm:
+class BinaryForm(Record):
     """Homogeneous binary form sum c_d s^(deg-d) t^d, coeffs = (c_0, .., c_deg)."""
 
-    coeffs: tuple
+    _fields = ("coeffs",)
+
+    def __init__(self, coeffs: tuple):
+        set_field(self, "coeffs", coeffs)
 
     @property
     def degree(self) -> int:
@@ -93,10 +95,13 @@ def pencil_det_form(p: Pencil) -> BinaryForm:
     return p.det_form
 
 
-@dataclass(frozen=True)
-class DegenerationCount:
-    total: int  # with multiplicity, including the member at infinity
-    distinct: int
+class DegenerationCount(Record):
+    # total: with multiplicity, including the member at infinity
+    _fields = ("total", "distinct")
+
+    def __init__(self, total: int, distinct: int):
+        set_field(self, "total", total)
+        set_field(self, "distinct", distinct)
 
 
 def _count_binary_roots(f: BinaryForm) -> DegenerationCount:

@@ -16,9 +16,9 @@ whole X_3 intersection table be regenerated from its H columns alone.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._value import Record, set_field
 from .exact import format_rat, mat_inverse, parse_rat, solve_exact
 from .quadrics import quadric_space_dim, stratum_codim
 
@@ -35,24 +35,23 @@ def _rational_coeffs(coeffs, n: int) -> tuple:
     return out
 
 
-@dataclass(frozen=True)
-class DivisorClass:
+class DivisorClass(Record):
     """Divisor class on the space of complete quadrics of P^n.
 
     basis "H" is H_1..H_n, basis "E" is E_1..E_n, and basis "mixed" is the
     blowup presentation H_1, E_1, .., E_{n-1}.
     """
 
-    n: int
-    basis: str
-    coeffs: tuple
+    _fields = ("n", "basis", "coeffs")
 
-    def __post_init__(self):
-        if self.basis not in BASES:
-            raise ValueError("unknown basis %r" % (self.basis,))
-        if self.n < 2:
+    def __init__(self, n: int, basis: str, coeffs: tuple):
+        if basis not in BASES:
+            raise ValueError("unknown basis %r" % (basis,))
+        if n < 2:
             raise ValueError("need n >= 2")
-        object.__setattr__(self, "coeffs", _rational_coeffs(self.coeffs, self.n))
+        set_field(self, "n", n)
+        set_field(self, "basis", basis)
+        set_field(self, "coeffs", _rational_coeffs(coeffs, n))
 
     def to_json(self) -> dict:
         return {
@@ -66,15 +65,14 @@ class DivisorClass:
         return cls(int(data["n"]), data["basis"], data["coeffs"])
 
 
-@dataclass(frozen=True)
-class CurveClass:
+class CurveClass(Record):
     """Curve class in the basis Fl_1..Fl_n dual to the nef basis."""
 
-    n: int
-    coeffs: tuple
+    _fields = ("n", "coeffs")
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _rational_coeffs(self.coeffs, self.n))
+    def __init__(self, n: int, coeffs: tuple):
+        set_field(self, "n", n)
+        set_field(self, "coeffs", _rational_coeffs(coeffs, n))
 
     def to_json(self) -> dict:
         return {"n": self.n, "basis": "Fl", "coeffs": [format_rat(c) for c in self.coeffs]}
@@ -153,10 +151,12 @@ def pair(c: CurveClass, d: DivisorClass) -> Fraction:
     return sum(ci * hi for ci, hi in zip(c.coeffs, h))
 
 
-@dataclass(frozen=True)
-class ConeMembership:
-    contains: bool
-    interior: bool
+class ConeMembership(Record):
+    _fields = ("contains", "interior")
+
+    def __init__(self, contains: bool, interior: bool):
+        set_field(self, "contains", contains)
+        set_field(self, "interior", interior)
 
 
 def cone_membership(d: DivisorClass, cone: str) -> ConeMembership:
@@ -311,11 +311,14 @@ def curves_x3() -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class TableRow:
-    curve: str
-    entries: tuple  # pairings with H1, H2, H3, E1, E2, E3
-    cover: str
+class TableRow(Record):
+    # entries: pairings with H1, H2, H3, E1, E2, E3
+    _fields = ("curve", "entries", "cover")
+
+    def __init__(self, curve: str, entries: tuple, cover: str):
+        set_field(self, "curve", curve)
+        set_field(self, "entries", entries)
+        set_field(self, "cover", cover)
 
 
 def table_x3():

@@ -125,15 +125,29 @@ def compound(q: SymmetricForm, k: int) -> SymmetricForm:
     if k == 1:
         return SymmetricForm(q.rows)
     if _is_rational(q.rows):
-        ints, scale = clear_denominators(q.rows)
-        den = scale ** k
+        int_minor, den = _int_minors(q.rows, k)
 
         def minor(s, t):
-            return Fraction(int_det([[ints[i][j] for j in t] for i in s]), den)
+            return Fraction(int_minor(s, t), den)
     else:
         def minor(s, t):
             return ff_det([[q.rows[i][j] for j in t] for i in s])
     return SymmetricForm(_minor_rows(q.n, k, minor))
+
+
+def _int_minors(rows, k: int) -> tuple:
+    """(minor, den) for the k x k minors of a rational matrix, in integers.
+
+    The matrix is scaled once by the lcm L of its denominators; minor(S, T)
+    is int_det of the scaled submatrix on rows S and columns T, and the
+    minor of the matrix itself is minor(S, T) / den with den = L**k.
+    """
+    ints, scale = clear_denominators(rows)
+
+    def minor(s, t):
+        return int_det([[ints[i][j] for j in t] for i in s])
+
+    return minor, scale ** k
 
 
 def _minor_rows(n: int, k: int, minor) -> list:

@@ -10,20 +10,22 @@ while the acceptance gate runs the full sizes.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import chambers, chowform, pencils, picard, quadrics, schubert
+from ._value import Record, set_field
 from .exact import MPoly, ff_det
 from .pencils import _random_subspace
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    statement: str
-    passed: bool
-    details: str = ""
+class CheckResult(Record):
+    _fields = ("name", "statement", "passed", "details")
+
+    def __init__(self, name: str, statement: str, passed: bool, details: str = ""):
+        set_field(self, "name", name)
+        set_field(self, "statement", statement)
+        set_field(self, "passed", passed)
+        set_field(self, "details", details)
 
     def to_json(self) -> dict:
         return {
