@@ -5,13 +5,9 @@ the same numbers geometrically, then the derivation of the nef classes H2
 and H3 from nothing but their intersection numbers against three curves.
 """
 
-from completequadrics import convert, curves_x3, derive_class_from_pairings, pair, table_x3
-from completequadrics.pencils import direct_table_counts, DIRECT_CHECK_PAIRS
-from completequadrics.picard import (
-    CURVE_DISPLAY, H1_3, H2_3, H3_3, E1_3, E2_3, E3_3,
-)
-
-DIVISORS = {"H1": H1_3, "H2": H2_3, "H3": H3_3, "E1": E1_3, "E2": E2_3, "E3": E3_3}
+from completequadrics import convert, curves_x3, derive_class_from_pairings, table_x3
+from completequadrics.picard import CURVE_DISPLAY, H2_3, H3_3
+from completequadrics.verify import direct_count_entries
 
 
 def main():
@@ -22,15 +18,11 @@ def main():
         print("%-6s %s   %s" % (CURVE_DISPLAY[row.curve], cells, row.cover))
     print()
 
-    counts = direct_table_counts(seed=0)
+    entries = direct_count_entries(seed=0)
     print("13 of the entries recounted by 6 pencil constructions (some entries repeat one):")
-    for label in sorted(counts):
-        print("  %-10s counted %d" % (label, counts[label]))
-    names = curves_x3()
-    agree = all(
-        counts[label] == pair(names[c], DIVISORS[d])
-        for label, (c, d) in DIRECT_CHECK_PAIRS.items()
-    )
+    for label, count, _ in sorted(entries):
+        print("  %-10s counted %d" % (label, count))
+    agree = all(count == pairing for _, count, pairing in entries)
     print("  every count equals the lattice pairing:", agree)
     print()
 

@@ -26,9 +26,11 @@ class Record:
     of the tuple of fields, and the repr is ``Name(field=value, ...)``.
     Assigning or deleting an attribute raises AttributeError; values kept in
     ``__dict__`` outside the fields (a ``cached_property``) take no part in
-    equality or the hash.
+    equality or the hash.  Record declares no slots of its own, so a
+    subclass that lists its fields in ``__slots__`` has no ``__dict__``.
     """
 
+    __slots__ = ()
     _fields = ()
 
     def __init_subclass__(cls, **kwargs):

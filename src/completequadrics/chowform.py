@@ -8,11 +8,10 @@ one-parameter families, and detects which wedge powers stay constant along
 coordinate flag degenerations (the mechanism behind the boundary
 contractions of the space of complete quadrics).
 
-Rational evaluation runs on Python integers: plucker scales the basis once
-and takes every maximal minor by int_det, and chow_eval clears the
-denominators of the Pluecker vector once, takes the integer minors of the
-scaled form, sums the quadratic form in integers and builds one Fraction at
-the end.
+Rational evaluation runs on Python integers: plucker and chow_eval share
+one scaling of the basis and its maximal minors by int_det (_int_plucker),
+chow_eval takes the integer minors of the scaled form, sums the quadratic
+form in integers and builds one Fraction at the end.
 """
 
 from __future__ import annotations
@@ -29,14 +28,14 @@ from .exact import (
 from .quadrics import SymmetricForm, _int_minors, _minor_rows, compound
 
 
-class ProjectivePoint:
+class ProjectivePoint(Record):
     """Point of a projective space with a canonical rational normalization.
 
     Coordinates are scaled to coprime integers whose first nonzero entry is
     positive, so equal points compare equal as tuples.
     """
 
-    __slots__ = ("coords",)
+    __slots__ = _fields = ("coords",)
 
     def __init__(self, coords):
         coords = [Fraction(c) for c in coords]
@@ -46,18 +45,7 @@ class ProjectivePoint:
         g = gcd(*ints)
         if next(v for v in ints if v) < 0:
             g = -g
-        object.__setattr__(self, "coords", tuple(Fraction(v // g) for v in ints))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ProjectivePoint is immutable")
-
-    def __eq__(self, other):
-        if isinstance(other, ProjectivePoint):
-            return self.coords == other.coords
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.coords)
+        set_field(self, "coords", tuple(Fraction(v // g) for v in ints))
 
     def __repr__(self):
         return "ProjectivePoint(%s)" % (", ".join(str(c) for c in self.coords))
@@ -77,23 +65,30 @@ class PluckerVector(Record):
 def plucker(basis) -> PluckerVector:
     """Pluecker vector of the span of the columns of an (n+1) x k rational
     matrix, which has full column rank exactly when some maximal minor is
-    nonzero.
+    nonzero."""
+    n, k, minors, den = _int_plucker(basis)
+    return PluckerVector(n=n, k=k, coords=tuple(Fraction(m, den) for m in minors))
 
-    The basis is scaled to integers once, by the lcm L of its denominators,
-    and each maximal minor is int_det of the scaled rows over L**k.
+
+def _int_plucker(basis) -> tuple:
+    """(n, k, minors, den) for an (n+1) x k rational basis, in integers.
+
+    The basis is scaled once by the lcm L of its denominators; minors are
+    int_det of the scaled rows on each k-subset, in lexicographic order, and
+    the Pluecker coordinates are minors / den with den = L**k.
     """
     b = [list(r) for r in basis]
     if not _is_rational(b):
         raise TypeError("plucker expects rational entries")
     k = len(b[0]) if b else 0
-    coords = ()
+    minors, den = [], 1
     if k:
         ints, scale = clear_denominators(b)
+        minors = [int_det([ints[i] for i in s]) for s in k_subsets(len(b), k)]
         den = scale ** k
-        coords = tuple(Fraction(int_det([ints[i] for i in s]), den) for s in k_subsets(len(b), k))
-    if not any(coords):
+    if not any(minors):
         raise ValueError("basis must have full column rank")
-    return PluckerVector(n=len(b) - 1, k=k, coords=coords)
+    return len(b) - 1, k, minors, den
 
 
 def chow_eval(q: SymmetricForm, k: int, basis) -> Fraction:
@@ -102,26 +97,26 @@ def chow_eval(q: SymmetricForm, k: int, basis) -> Fraction:
     Equals det of the restricted form: p^T compound(q, k) p = det(B^T Q B)
     with p = plucker(B).  Zero exactly when the (k-1)-plane is tangent.
 
-    The Pluecker vector p is scaled to integers v = Lp p once.  The compound
-    matrix is never built in Fractions: with L the lcm of the denominators
-    of q, C = L**k compound(q, k) holds the integer minors int_det(L Q[S, T]).
-    C is symmetric, so the form is summed in integers over the pairs S <= T
-    only, as sum_S v_S (C_SS v_S + 2 sum_{T > S} C_ST v_T), and divided once
-    by Lp**2 L**k.  Neither side of the identity is computed from the other.
+    Neither p nor the compound matrix is built in Fractions.  With Lb and L
+    the lcms of the denominators of B and q, v = Lb**k p holds the integer
+    maximal minors of Lb B, and C = L**k compound(q, k) the integer minors
+    int_det(L Q[S, T]).  C is symmetric, so the form is summed in integers
+    over the pairs S <= T only, as sum_S v_S (C_SS v_S + 2 sum_{T > S} C_ST v_T),
+    and divided once by Lb**(2k) L**k.  Neither side of the identity is
+    computed from the other.
     """
     if not _is_rational(q.rows):
         raise TypeError("chow_eval expects a rational form")
-    p = plucker(basis)
-    if p.k != k:
+    _, kb, v, lv = _int_plucker(basis)
+    if kb != k:
         raise ValueError("basis spans a plane of the wrong dimension")
-    (v,), lp = clear_denominators([p.coords])
     minor, den = _int_minors(q.rows, k)
     c = _minor_rows(q.n, k, minor)
     total = 0
     for s, (vs, row) in enumerate(zip(v, c)):
         if vs:
             total += vs * (row[s] * vs + 2 * sum(map(operator.mul, row[s + 1:], v[s + 1:])))
-    return Fraction(total, lp * lp * den)
+    return Fraction(total, lv * lv * den)
 
 
 def chow_limit(q0: SymmetricForm, q1: SymmetricForm, k: int) -> ProjectivePoint:

@@ -201,21 +201,11 @@ def cmd_chow(args) -> int:
 
 def cmd_pencil(args) -> int:
     if args.verify_table:
-        counts = pencils.direct_table_counts(args.seed)
-        curves = picard.curves_x3()
-        entries = []
-        all_ok = True
-        for label in sorted(counts):
-            curve, divisor = pencils.DIRECT_CHECK_PAIRS[label]
-            expected = int(picard.pair(curves[curve], chambers.GENERATORS[divisor]))
-            ok = counts[label] == expected
-            all_ok = all_ok and ok
-            entries.append({
-                "entry": label,
-                "count": counts[label],
-                "pairing": expected,
-                "ok": ok,
-            })
+        entries = [
+            {"entry": label, "count": count, "pairing": int(pairing), "ok": count == pairing}
+            for label, count, pairing in sorted(verify.direct_count_entries(args.seed))
+        ]
+        all_ok = all(e["ok"] for e in entries)
         _emit({
             "schema": SCHEMA,
             "command": "pencil-verify-table",

@@ -17,13 +17,12 @@ int_det_poly gives the coefficients of det(A + tB) by evaluating int_det at
 integer points and interpolating, for pencil determinant forms and for the
 minors of Chow-form limits.  poly_gcd runs a primitive integer remainder
 sequence instead of a Euclidean gcd over Fraction, and distinct_root_count
-reads the squarefree degree from it.  mat_mul of two rational matrices
-multiplies the scaled integer matrices and divides once by the product of
-the scales.  The same pattern carries the Chow-form layers: quadrics.compound
-and chowform.plucker take each minor by int_det of one scaled matrix,
-quadrics.restrict forms B^T Q B as one integer product, and
-chowform.chow_eval sums its quadratic form over those integer minors, each
-building one Fraction per answer.
+reads the squarefree degree from it.  The same pattern carries the
+Chow-form layers: quadrics.compound and chowform.plucker take each minor by
+int_det of one scaled matrix, quadrics.restrict forms B^T Q B as one integer
+product, and chowform.chow_eval sums its quadratic form over those integer
+minors, each building one Fraction per answer.  mat_mul, which only the
+MPoly wedge-contraction limits call, folds each entry in the entries' ring.
 
 ff_det of an MPoly matrix, which the wedge-contraction limits take, runs
 on _echelon too: MPoly // is exact division, and // 1, the first step's
@@ -40,6 +39,8 @@ import functools
 import itertools
 import math
 import operator
+
+from ._value import Record, set_field
 
 
 class ExactLinalgError(Exception):
@@ -146,17 +147,19 @@ def distinct_root_count(coeffs) -> tuple[int, int]:
     return (degree, degree - (len(poly_gcd(a, da)) - 1))
 
 
-class MPoly:
+class MPoly(Record):
     """Sparse multivariate polynomial over Fraction.
 
     terms maps exponent tuples (one slot per variable in vars) to nonzero
-    coefficients.  All operands of a binary operation must share vars.
+    coefficients.  All operands of a binary operation must share vars.  It
+    keeps its own equality, which holds against an int or Fraction constant,
+    and hashes its terms as a frozenset.
     """
 
-    __slots__ = ("vars", "terms")
+    __slots__ = _fields = ("vars", "terms")
 
     def __init__(self, vars, terms=None):
-        object.__setattr__(self, "vars", tuple(vars))
+        set_field(self, "vars", tuple(vars))
         clean = {}
         for exps, c in (terms or {}).items():
             c = Fraction(c)
@@ -167,7 +170,7 @@ class MPoly:
                 if any(x < 0 for x in e):
                     raise ValueError("negative exponent")
                 clean[e] = clean.get(e, Fraction(0)) + c
-        object.__setattr__(self, "terms", {e: c for e, c in clean.items() if c})
+        set_field(self, "terms", {e: c for e, c in clean.items() if c})
 
     @classmethod
     def _make(cls, vars, terms):
@@ -175,12 +178,9 @@ class MPoly:
         # are already int tuples of the right length and the coefficients
         # Fractions, so only the zero coefficients need dropping
         p = object.__new__(cls)
-        object.__setattr__(p, "vars", vars)
-        object.__setattr__(p, "terms", {e: c for e, c in terms.items() if c})
+        set_field(p, "vars", vars)
+        set_field(p, "terms", {e: c for e, c in terms.items() if c})
         return p
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MPoly is immutable")
 
     @classmethod
     def constant(cls, c, vars):
@@ -364,18 +364,12 @@ def _is_rational(rows) -> bool:
 
 
 def mat_mul(a, b):
-    """Matrix product.  Two rational operands are multiplied in integers:
-    (La a)(Lb b) over La Lb, with La, Lb the lcms of their denominators."""
+    """Matrix product over the entries' own ring."""
     a, b = _rows(a), _rows(b)
     if not a or not b:
         return []
     if len(a[0]) != len(b):
         raise ValueError("shape mismatch in matrix product")
-    if _is_rational(a) and _is_rational(b):
-        (ia, la), (ib, lb) = clear_denominators(a), clear_denominators(b)
-        scale = la * lb
-        ibt = list(zip(*ib))
-        return [[Fraction(sum(map(operator.mul, row, col)), scale) for col in ibt] for row in ia]
     bt = list(zip(*b))
     # each entry folds from its first product, so no zero is built in the ring
     return [[functools.reduce(operator.add, map(operator.mul, row, col)) for col in bt] for row in a]

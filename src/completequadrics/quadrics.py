@@ -14,6 +14,7 @@ import operator
 import random
 from fractions import Fraction
 
+from ._value import Record, set_field
 from .exact import (
     _is_rational,
     clear_denominators,
@@ -25,10 +26,10 @@ from .exact import (
 )
 
 
-class SymmetricForm:
+class SymmetricForm(Record):
     """Symmetric matrix of a quadric form on P^n (matrix size n+1)."""
 
-    __slots__ = ("n", "rows")
+    __slots__ = _fields = ("n", "rows")
 
     def __init__(self, rows):
         rows = tuple(tuple(r) for r in rows)
@@ -39,11 +40,8 @@ class SymmetricForm:
             for j in range(i + 1, m):
                 if rows[i][j] != rows[j][i]:
                     raise ValueError("matrix is not symmetric")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "n", m - 1)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SymmetricForm is immutable")
+        set_field(self, "rows", rows)
+        set_field(self, "n", m - 1)
 
     @classmethod
     def from_rational(cls, rows):
@@ -55,23 +53,12 @@ class SymmetricForm:
         m = len(entries)
         return cls([[entries[i] if i == j else Fraction(0) for j in range(m)] for i in range(m)])
 
-    def __eq__(self, other):
-        if isinstance(other, SymmetricForm):
-            return self.rows == other.rows
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.rows)
-
     @classmethod
     def from_json(cls, data: dict):
         form = cls.from_rational(data["matrix"])
         if "n" in data and int(data["n"]) != form.n:
             raise ValueError("declared n does not match matrix size")
         return form
-
-    def __repr__(self):
-        return "SymmetricForm(n=%d, rows=%r)" % (self.n, self.rows)
 
 
 def form_rank(q: SymmetricForm) -> int:

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 
+from ._value import Record, set_field
+
 
 def grass_dim(k: int, n: int) -> int:
     """Dimension of G(k, n), the area of the Schubert box."""
@@ -42,10 +44,10 @@ def _check_box(parts: tuple, k: int, n: int):
         raise ValueError("partition is wider than n-k columns")
 
 
-class SchubertClass:
+class SchubertClass(Record):
     """Integer combination of Schubert classes on a fixed G(k, n)."""
 
-    __slots__ = ("k", "n", "_terms")
+    __slots__ = _fields = ("k", "n", "_terms")
 
     def __init__(self, k: int, n: int, terms=None):
         if not 0 <= k < n:
@@ -57,11 +59,9 @@ class SchubertClass:
             coeff = int(coeff)
             if coeff:
                 clean[parts] = clean.get(parts, 0) + coeff
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(
-            self, "_terms", tuple(sorted((p, c) for p, c in clean.items() if c))
-        )
+        set_field(self, "k", k)
+        set_field(self, "n", n)
+        set_field(self, "_terms", tuple(sorted((p, c) for p, c in clean.items() if c)))
 
     @classmethod
     def _make(cls, k: int, n: int, terms: dict) -> "SchubertClass":
@@ -70,15 +70,12 @@ class SchubertClass:
         # keys stay distinct once their trailing zeros are stripped, so only
         # the padding, the zero coefficients and the order need fixing
         out = object.__new__(cls)
-        object.__setattr__(out, "k", k)
-        object.__setattr__(out, "n", n)
-        object.__setattr__(out, "_terms", tuple(sorted(
+        set_field(out, "k", k)
+        set_field(out, "n", n)
+        set_field(out, "_terms", tuple(sorted(
             (_strip_zeros(p), c) for p, c in terms.items() if c
         )))
         return out
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SchubertClass is immutable")
 
     @property
     def terms(self) -> dict:
@@ -111,15 +108,6 @@ class SchubertClass:
 
     def __rmul__(self, scalar: int):
         return SchubertClass._make(self.k, self.n, {p: int(scalar * c) for p, c in self._terms})
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SchubertClass)
-            and (self.k, self.n, self._terms) == (other.k, other.n, other._terms)
-        )
-
-    def __hash__(self):
-        return hash((self.k, self.n, self._terms))
 
     def __repr__(self):
         if not self._terms:

@@ -1,14 +1,20 @@
 """Named verification checks for the library's headline computations.
 
-Each check certifies one mathematical statement end to end and reports a
-pass/fail result with a short human-readable statement of what was
-verified.  The acceptance test suite and the verify-all command both drive
-these functions; scales are parameters so interactive runs can be light
-while the acceptance gate runs the full sizes.
+Each check certifies one mathematical statement end to end and returns a
+CheckResult.  A check states its name and its human-readable statement once,
+in a functools.partial of CheckResult, and every exit passes only whether it
+passed and its details.  The acceptance test suite and the verify-all
+command both drive these functions; scales are parameters so interactive
+runs can be light while the acceptance gate runs the full sizes.
+
+direct_count_entries is the one place that sets each pencil count beside
+the lattice pairing of its table entry; check_direct_counts,
+`cq pencil --verify-table` and the intersection-table demo all read it.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 
@@ -28,20 +34,15 @@ class CheckResult(Record):
         set_field(self, "details", details)
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "statement": self.statement,
-            "passed": self.passed,
-            "details": self.details,
-        }
+        return {f: getattr(self, f) for f in self._fields}
 
 
 def check_chow_identity(seed: int = 0, min_pairs: int = 100) -> CheckResult:
     """Wedge-coordinate evaluation equals the restricted determinant."""
-    statement = (
+    result = functools.partial(CheckResult, "chow-form-identity", (
         "plucker(B)^T compound(Q,k) plucker(B) = det(B^T Q B) for random "
         "forms and subspaces, n in {2,3,4}, all k"
-    )
+    ))
     rng = random.Random(seed)
     combos = [(n, k) for n in (2, 3, 4) for k in range(1, n + 1)]
     done = 0
@@ -52,14 +53,9 @@ def check_chow_identity(seed: int = 0, min_pairs: int = 100) -> CheckResult:
             lhs = chowform.chow_eval(q, k, b)
             rhs = ff_det(quadrics.restrict(q, b).rows)
             if lhs != rhs:
-                return CheckResult(
-                    "chow-form-identity",
-                    statement,
-                    False,
-                    "mismatch at n=%d k=%d: %s != %s" % (n, k, lhs, rhs),
-                )
+                return result(False, "mismatch at n=%d k=%d: %s != %s" % (n, k, lhs, rhs))
             done += 1
-    return CheckResult("chow-form-identity", statement, True, "%d pairs" % done)
+    return result(True, "%d pairs" % done)
 
 
 _EXPECTED_TABLE = {
@@ -76,43 +72,43 @@ _EXPECTED_TABLE = {
 
 def check_table() -> CheckResult:
     """All 48 intersection numbers, E-columns derived through the lattice."""
-    statement = "8-curve x 6-divisor intersection table recomputed from the pairing"
+    result = functools.partial(
+        CheckResult, "intersection-table",
+        "8-curve x 6-divisor intersection table recomputed from the pairing")
     rows = {row.curve: row for row in picard.table_x3()}
     if set(rows) != set(_EXPECTED_TABLE):
-        return CheckResult("intersection-table", statement, False, "row set differs")
+        return result(False, "row set differs")
     for name, (entries, cover) in _EXPECTED_TABLE.items():
         got = tuple(int(x) for x in rows[name].entries)
         if got != entries or rows[name].cover != cover:
-            return CheckResult(
-                "intersection-table",
-                statement,
-                False,
-                "row %s: %r vs %r" % (name, rows[name], entries),
-            )
-    return CheckResult("intersection-table", statement, True, "48 entries")
+            return result(False, "row %s: %r vs %r" % (name, rows[name], entries))
+    return result(True, "48 entries")
+
+
+def direct_count_entries(seed: int) -> list:
+    """(label, count, pairing) for each table entry that the pencil
+    constructions of pencils.direct_table_counts count at one seed, in
+    DIRECT_CHECK_PAIRS order; pairing is the lattice pairing of the entry's
+    curve and divisor, which the count should equal."""
+    counts = pencils.direct_table_counts(seed)
+    curves = picard.curves_x3()
+    return [(label, counts[label], picard.pair(curves[curve], chambers.GENERATORS[divisor]))
+            for label, (curve, divisor) in pencils.DIRECT_CHECK_PAIRS.items()]
 
 
 def check_direct_counts(seeds: int = 20) -> CheckResult:
     """Pencil degeneration counts equal the corresponding lattice pairings."""
-    statement = (
+    result = functools.partial(CheckResult, "degeneration-counts", (
         "6 pencil constructions cover 13 table entries (Gstar.E1 repeats "
         "G.E3, C1star.E2 and C3.E2 repeat C1.E3, C1star.H3 repeats C1.H2), "
         "and every entry matches the intersection pairing over %d seeds" % seeds
-    )
-    curves = picard.curves_x3()
+    ))
     for seed in range(seeds):
-        counts = pencils.direct_table_counts(seed)
-        for label, (curve, divisor) in pencils.DIRECT_CHECK_PAIRS.items():
-            expected = picard.pair(curves[curve], chambers.GENERATORS[divisor])
-            if counts[label] != expected:
-                return CheckResult(
-                    "degeneration-counts",
-                    statement,
-                    False,
-                    "%s: counted %d, pairing %s (seed %d)" % (label, counts[label], expected, seed),
-                )
-    details = "%d seeds x 13 entries from 6 constructions" % seeds
-    return CheckResult("degeneration-counts", statement, True, details)
+        for label, count, pairing in direct_count_entries(seed):
+            if count != pairing:
+                return result(False, "%s: counted %d, pairing %s (seed %d)"
+                              % (label, count, pairing, seed))
+    return result(True, "%d seeds x 13 entries from 6 constructions" % seeds)
 
 
 def check_boundary_numbers(seeds: int = 20, max_n: int = 10) -> CheckResult:
@@ -123,11 +119,11 @@ def check_boundary_numbers(seeds: int = 20, max_n: int = 10) -> CheckResult:
     directly: its top coefficient is det Q1, and its value at (1 : -1/2),
     which is not an interpolation node, is det(Q0 - Q1/2).
     """
-    statement = (
+    result = functools.partial(CheckResult, "boundary-pencil-numbers", (
         "random marking pencils on P^(n-k) degenerate n-k+1 times, n <= %d; "
         "each determinant form has top coefficient det Q1 and value "
         "det(Q0 - Q1/2) at (1 : -1/2)" % max_n
-    )
+    ))
     half = Fraction(1, 2)
     for n in range(2, max_n + 1):
         for k in range(1, n):
@@ -145,39 +141,36 @@ def check_boundary_numbers(seeds: int = 20, max_n: int = 10) -> CheckResult:
                     problem = "value at (1 : -1/2) is not det(Q0 - Q1/2)"
                 else:
                     continue
-                return CheckResult(
-                    "boundary-pencil-numbers",
-                    statement,
-                    False,
-                    "n=%d k=%d seed=%d: %s" % (n, k, seed, problem),
-                )
-    return CheckResult("boundary-pencil-numbers", statement, True, "")
+                return result(False, "n=%d k=%d seed=%d: %s" % (n, k, seed, problem))
+    return result(True)
 
 
 def check_canonical(max_n: int = 8) -> CheckResult:
     """Both canonical-class routes agree and the spaces are Fano."""
-    statement = (
+    result = functools.partial(CheckResult, "canonical-class", (
         "canonical class from the blowup formula equals the nef-basis closed "
         "form, 2 <= n <= %d, and -K is ample" % max_n
-    )
+    ))
     for n in range(2, max_n + 1):
         a = picard.canonical(n, "blowup")
         b = picard.canonical(n, "nefbasis")
         if picard.convert(a, "H") != picard.convert(b, "H"):
-            return CheckResult("canonical-class", statement, False, "n=%d routes differ" % n)
+            return result(False, "n=%d routes differ" % n)
         if not picard.is_fano(n):
-            return CheckResult("canonical-class", statement, False, "n=%d not Fano" % n)
+            return result(False, "n=%d not Fano" % n)
     k3 = picard.canonical(3, "nefbasis")
     if picard.convert(k3, "H").coeffs != (-2, -1, -2):
-        return CheckResult("canonical-class", statement, False, "n=3 nef coefficients wrong")
+        return result(False, "n=3 nef coefficients wrong")
     if picard.convert(k3, "mixed").coeffs != (-10, 5, 2):
-        return CheckResult("canonical-class", statement, False, "n=3 mixed coefficients wrong")
-    return CheckResult("canonical-class", statement, True, "")
+        return result(False, "n=3 mixed coefficients wrong")
+    return result(True)
 
 
 def check_class_derivation() -> CheckResult:
     """Divisor classes recovered from their test-curve intersection numbers."""
-    statement = "H2 = 2H1 - E1 and H3 = 3H1 - 2E1 - E2 derived from curve pairings"
+    result = functools.partial(
+        CheckResult, "class-derivation",
+        "H2 = 2H1 - E1 and H3 = 3H1 - 2E1 - E2 derived from curve pairings")
     curves = picard.curves_x3()
     g, c2, l2 = curves["G"], curves["C2"], curves["L2"]
     h2 = picard.derive_class_from_pairings([(g, 2), (c2, 0), (l2, 0)], n=3, basis="mixed")
@@ -188,15 +181,15 @@ def check_class_derivation() -> CheckResult:
         and picard.convert(h2, "H") == picard.H2_3
         and picard.convert(h3, "H") == picard.H3_3
     )
-    return CheckResult("class-derivation", statement, ok, "" if ok else "%r %r" % (h2, h3))
+    return result(ok, "" if ok else "%r %r" % (h2, h3))
 
 
 def check_rank2_pairing() -> CheckResult:
     """The movable generator pairs with the rank-2 pencil curve to 4."""
-    statement = (
+    result = functools.partial(CheckResult, "rank2-curve-pairing", (
         "2<sigma2+sigma11, sigma1^2> = 4 in G(1,3), matching the lattice "
         "pairing of P with the rank-2 curve; sigma1^4 matches the tableaux count"
-    )
+    ))
     half = schubert.sigma(1, 3, 2) + schubert.sigma(1, 3, 1, 1)
     sq = schubert.sigma1_power(1, 3, 2)
     lattice = picard.pair(picard.curves_x3()["R2"], picard.class_P())
@@ -209,26 +202,21 @@ def check_rank2_pairing() -> CheckResult:
         and schubert.sigma1_power_degree(1, 4, 6) == 5
         and schubert.rectangle_tableaux(2, 3) == 5
     )
-    return CheckResult("rank2-curve-pairing", statement, ok, "")
+    return result(ok)
 
 
 def check_wedge_contraction(max_n: int = 4) -> CheckResult:
     """The k-th wedge limit is constant exactly on the non-k flag directions."""
-    statement = (
+    result = functools.partial(CheckResult, "wedge-contraction", (
         "flag_wedge(n,k,j) is projectively constant iff j != k for "
         "2 <= n <= %d; the n=3, k=2 limit is the rank-one outer product" % max_n
-    )
+    ))
     for n in range(2, max_n + 1):
         for k in range(1, n + 1):
             for j in range(1, n + 1):
                 _, constant = chowform.flag_wedge(n, k, j)
                 if constant != (j != k):
-                    return CheckResult(
-                        "wedge-contraction",
-                        statement,
-                        False,
-                        "n=%d k=%d j=%d constant=%s" % (n, k, j, constant),
-                    )
+                    return result(False, "n=%d k=%d j=%d constant=%s" % (n, k, j, constant))
     m = chowform.wedge2_example_matrix()
     vars = m.rows[0][0].vars
     one = MPoly.constant(1, vars)
@@ -239,16 +227,11 @@ def check_wedge_contraction(max_n: int = 4) -> CheckResult:
     for i in range(6):
         for j in range(6):
             if m.rows[i][j] != v[i] * v[j]:
-                return CheckResult(
-                    "wedge-contraction", statement, False, "entry (%d,%d) not rank one" % (i, j)
-                )
-    if m.rows[0][1] != t2 or m.rows[0][3] != t1 * t2 or m.rows[1][3] != t1 * t2 * t2:
-        return CheckResult("wedge-contraction", statement, False, "spot entries differ")
-    details = (
+                return result(False, "entry (%d,%d) not rank one" % (i, j))
+    return result(True, (
         "entry (2,2) of the limit matrix is t2^2, as the rank-one structure "
         "forces; a transcription showing 1 there is inconsistent"
-    )
-    return CheckResult("wedge-contraction", statement, True, details)
+    ))
 
 
 def _proportional_support(got: dict, expected: dict) -> bool:
@@ -261,10 +244,10 @@ def _proportional_support(got: dict, expected: dict) -> bool:
 
 def check_chow_limits(draws: int = 20, seed: int = 0) -> CheckResult:
     """Limit Chow forms of the two basic degenerating families."""
-    statement = (
+    result = functools.partial(CheckResult, "chow-limits", (
         "rank-2 limits are supported on p0^2; rank-1 limits reproduce the "
         "marking conic in line coordinates, %d random draws each" % draws
-    )
+    ))
     rng = random.Random(seed)
 
     def rank2(a, b, c):
@@ -301,7 +284,7 @@ def check_chow_limits(draws: int = 20, seed: int = 0) -> CheckResult:
             abc[0] = 1
         pt = chowform.chow_limit(*rank2(*abc), 2)
         if chowform.limit_support_coefficients(pt) != {(0, 0): 1}:
-            return CheckResult("chow-limits", statement, False, "rank-2 support at %r" % (abc,))
+            return result(False, "rank-2 support at %r" % (abc,))
 
         co = [rng.randint(-5, 5) for _ in range(6)]
         if not any(co):
@@ -310,67 +293,58 @@ def check_chow_limits(draws: int = 20, seed: int = 0) -> CheckResult:
         pairs = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
         expected = {p: Fraction(v) for p, v in zip(pairs, co) if v}
         if not _proportional_support(chowform.limit_support_coefficients(pt), expected):
-            return CheckResult("chow-limits", statement, False, "rank-1 support at %r" % (co,))
-    return CheckResult("chow-limits", statement, True, "")
+            return result(False, "rank-1 support at %r" % (co,))
+    return result(True)
 
 
 def check_chamber_partition(samples: int = 10000, seed: int = 0) -> CheckResult:
     """The eight-region classifier behaves as a partition with its symmetries."""
-    statement = (
+    result = functools.partial(CheckResult, "chamber-partition", (
         "classification examples land in regions 1, 2 and 7; %d-sample census "
         "finds exactly one region per class, hits all eight, commutes with "
         "duality and contains every curve-forced locus" % samples
+    ))
+    examples = (
+        ("nef", picard.DivisorClass(3, "H", (1, 1, 1)), 1, frozenset()),
+        ("flip", picard.DivisorClass(3, "H", (5, -2, 5)), 2, frozenset({"E13"})),  # H1 + H3 + P
+        ("union", picard.DivisorClass(3, "E", (1, 1, 0)), 7, frozenset({"E1", "E2"})),
     )
-    h = picard.DivisorClass(3, "H", (1, 1, 1))
-    flip = picard.DivisorClass(3, "H", (5, -2, 5))  # H1 + H3 + P
-    union = picard.DivisorClass(3, "E", (1, 1, 0))
-    r1, r2, r7 = chambers.classify(h), chambers.classify(flip), chambers.classify(union)
-    if (r1.chamber_id, r1.base_locus) != (1, frozenset()):
-        return CheckResult("chamber-partition", statement, False, "nef example misclassified")
-    if (r2.chamber_id, r2.base_locus) != (2, frozenset({"E13"})):
-        return CheckResult("chamber-partition", statement, False, "flip example misclassified")
-    if (r7.chamber_id, r7.base_locus) != (7, frozenset({"E1", "E2"})):
-        return CheckResult("chamber-partition", statement, False, "union example misclassified")
+    for label, d, chamber_id, locus in examples:
+        report = chambers.classify(d)
+        if (report.chamber_id, report.base_locus) != (chamber_id, locus):
+            return result(False, "%s example misclassified" % label)
     try:
         census = chambers.chamber_census(samples, seed)
     except AssertionError as exc:
-        return CheckResult("chamber-partition", statement, False, str(exc))
+        return result(False, str(exc))
     if not census["all_eight_hit"]:
-        return CheckResult("chamber-partition", statement, False, "some chamber unseen")
-    return CheckResult(
-        "chamber-partition",
-        statement,
-        True,
-        "counts " + " ".join("%s:%d" % (c, census["chamber_counts"][c]) for c in sorted(census["chamber_counts"])),
-    )
+        return result(False, "some chamber unseen")
+    counts = census["chamber_counts"]
+    return result(True, "counts " + " ".join("%s:%d" % (c, counts[c]) for c in sorted(counts)))
 
 
 def check_degree_gap() -> CheckResult:
     """Scope disclosure for the one enumerative number not computed here."""
-    statement = (
+    return CheckResult("degree-gap-disclosure", (
         "deg Chow2(1,X3) = 92 is not reproduced: it needs the full "
         "intersection ring of the space, beyond the lattice-level pairings "
         "implemented here; the remaining checks stand in as the suite"
-    )
-    return CheckResult("degree-gap-disclosure", statement, True, "documented in README")
+    ), True, "documented in README")
 
 
 def run_all(seed: int = 0, quick: bool = False) -> list:
     """Run every check in order; quick mode shrinks the sampling sizes."""
-    if quick:
-        sizes = dict(pairs=30, seeds=3, bk_seeds=3, draws=5, census=600)
-    else:
-        sizes = dict(pairs=100, seeds=20, bk_seeds=20, draws=20, census=10000)
+    pairs, seeds, draws, samples = (30, 3, 5, 600) if quick else (100, 20, 20, 10000)
     return [
-        check_chow_identity(seed=seed, min_pairs=sizes["pairs"]),
+        check_chow_identity(seed=seed, min_pairs=pairs),
         check_table(),
-        check_direct_counts(seeds=sizes["seeds"]),
-        check_boundary_numbers(seeds=sizes["bk_seeds"]),
+        check_direct_counts(seeds=seeds),
+        check_boundary_numbers(seeds=seeds),
         check_canonical(),
         check_class_derivation(),
         check_rank2_pairing(),
         check_wedge_contraction(),
-        check_chow_limits(draws=sizes["draws"], seed=seed),
-        check_chamber_partition(samples=sizes["census"], seed=seed),
+        check_chow_limits(draws=draws, seed=seed),
+        check_chamber_partition(samples=samples, seed=seed),
         check_degree_gap(),
     ]

@@ -3,9 +3,12 @@
 Every record type keeps the semantics of a frozen record class: value
 equality within one type only, the hash of the tuple of its fields, a
 ``Name(field=value, ...)`` repr, and no assignment or deletion.  The reprs
-below were recorded before the records became plain classes.
+below were recorded before the records became plain classes.  The value
+classes SymmetricForm, ProjectivePoint, SchubertClass and MPoly are records
+too; MPoly keeps its own equality (it equals a constant), hash and repr.
 """
 
+import ast
 import pathlib
 import subprocess
 import sys
@@ -15,10 +18,13 @@ import pytest
 
 import completequadrics
 from completequadrics.chambers import REGIONS, ChamberReport, RegionSpec
-from completequadrics.chowform import PluckerVector
+from completequadrics._value import Record
+from completequadrics.chowform import PluckerVector, ProjectivePoint
+from completequadrics.exact import MPoly
 from completequadrics.pencils import BinaryForm, DegenerationCount, Pencil
 from completequadrics.picard import ConeMembership, CurveClass, DivisorClass, TableRow
 from completequadrics.quadrics import SymmetricForm
+from completequadrics.schubert import SchubertClass
 from completequadrics.verify import CheckResult
 
 SRC = pathlib.Path(completequadrics.__file__).resolve().parent.parent
@@ -54,12 +60,27 @@ RECORDS = [
       "certificate": None}),
     (CheckResult("chow-identity", "a statement", True, "ok"),
      {"name": "chow-identity", "statement": "a statement", "passed": True, "details": "ok"}),
+    (SymmetricForm.diagonal([1, "1/2"]),
+     {"n": 1, "rows": ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1, 2)))}),
+    (ProjectivePoint((0, 2, -4)), {"coords": (Fraction(0), Fraction(1), Fraction(-2))}),
+    (SchubertClass(1, 3, {(2,): 1, (1, 1): 2}), {"k": 1, "n": 3, "_terms": (((1, 1), 2), ((2,), 1))}),
+    (MPoly(("x", "y"), {(1, 0): 2}), {"vars": ("x", "y"), "terms": {(1, 0): Fraction(2)}}),
 ]
 IDS = [type(r).__name__ for r, _ in RECORDS]
 
+# constructors that take other arguments than the fields they set
+MAKE = {
+    SymmetricForm: lambda n, rows: SymmetricForm(rows),
+    SchubertClass: lambda k, n, _terms: SchubertClass(k, n, dict(_terms)),
+}
+
+
+def _make(record, *args, **kwargs):
+    return MAKE.get(type(record), type(record))(*args, **kwargs)
+
 
 def test_every_record_type_is_covered():
-    assert len({type(r) for r, _ in RECORDS}) == 11
+    assert len({type(r) for r, _ in RECORDS}) == 15
     assert RECORDS[8][0] == REGIONS[7]
 
 
@@ -84,14 +105,16 @@ def test_fields_in_order(record, fields):
 @pytest.mark.parametrize("record, fields", RECORDS, ids=IDS)
 def test_hash_is_hash_of_field_tuple(record, fields):
     values = tuple(fields.values())
-    assert hash(record) == hash(values)
-    assert {record: 1}[type(record)(*values)] == 1
+    # MPoly's terms are a dict, which it hashes as a frozenset of its items
+    hashed = (record.vars, frozenset(record.terms.items())) if type(record) is MPoly else values
+    assert hash(record) == hash(hashed)
+    assert {record: 1}[_make(record, *values)] == 1
 
 
 @pytest.mark.parametrize("record, fields", RECORDS, ids=IDS)
 def test_equal_only_to_same_type(record, fields):
     values = tuple(fields.values())
-    assert record == type(record)(*values)
+    assert record == _make(record, *values)
     assert record != values
     assert values != record
     assert record.__eq__(values) is NotImplemented
@@ -117,7 +140,9 @@ def test_fields_cannot_be_assigned_or_deleted(record, fields):
         record.extra = 1
 
 
-@pytest.mark.parametrize("record, fields", RECORDS, ids=IDS)
+@pytest.mark.parametrize("record, fields", [
+    (r, f) for r, f in RECORDS if type(r) not in MAKE and type(r) is not MPoly
+], ids=[i for (r, _), i in zip(RECORDS, IDS) if type(r) not in MAKE and type(r) is not MPoly])
 def test_positional_arity_is_checked(record, fields):
     values = tuple(fields.values())
     # every type but BinaryForm has at least two fields without a default
@@ -129,7 +154,7 @@ def test_positional_arity_is_checked(record, fields):
 
 @pytest.mark.parametrize("record, fields", RECORDS, ids=IDS)
 def test_keyword_construction(record, fields):
-    assert type(record)(**fields) == record
+    assert _make(record, **fields) == record
 
 
 def test_defaults():
@@ -157,6 +182,11 @@ def test_defaults():
      "PluckerVector(n=2, k=2, coords=(Fraction(1, 1), Fraction(-1, 2), Fraction(0, 1)))"),
     (ConeMembership(True, False), "ConeMembership(contains=True, interior=False)"),
     (BinaryForm((Fraction(1),)), "BinaryForm(coeffs=(Fraction(1, 1),))"),
+    (SymmetricForm.diagonal([1, "1/2"]),
+     "SymmetricForm(n=1, rows=((Fraction(1, 1), Fraction(0, 1)), (Fraction(0, 1), Fraction(1, 2))))"),
+    (ProjectivePoint((0, 2, -4)), "ProjectivePoint(0, 1, -2)"),
+    (SchubertClass(1, 3, {(2,): 1, (1, 1): 2}), "SchubertClass(k=1, n=3, 2s[1, 1] + s[2])"),
+    (MPoly(("x", "y"), {(1, 0): 2, (0, 2): "1/2"}), "2*x + 1/2*y^2"),
 ])
 def test_repr_pinned(record, text):
     assert repr(record) == text
@@ -192,3 +222,15 @@ def test_constructor_checks_kept_in_order():
         Pencil(SymmetricForm.diagonal([0, 0]), SymmetricForm.diagonal([1, 1]))
     with pytest.raises(ValueError, match="proportional"):
         Pencil(SymmetricForm.diagonal([1, 2]), SymmetricForm.diagonal([2, 4]))
+
+
+def test_only_record_defines_setattr_or_delattr():
+    # every immutable class of the package derives from Record instead
+    found = []
+    for path in sorted((SRC / "completequadrics").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                found += [(path.name, node.name, item.name) for item in node.body
+                          if isinstance(item, ast.FunctionDef)
+                          and item.name in ("__setattr__", "__delattr__")]
+    assert found == [("_value.py", "Record", "__setattr__"), ("_value.py", "Record", "__delattr__")]

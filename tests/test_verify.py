@@ -1,6 +1,14 @@
-"""Smoke tests for the bundled verification checks (quick scales)."""
+"""The bundled verification checks: quick-scale smoke runs, and the result
+each check reports at every failure exit."""
 
-from completequadrics import verify
+from fractions import Fraction
+
+import pytest
+
+from completequadrics import chambers, chowform, pencils, picard, quadrics, schubert, verify
+from completequadrics.chambers import ChamberReport
+from completequadrics.pencils import DegenerationCount
+from completequadrics.picard import DivisorClass, TableRow
 
 EXPECTED_ORDER = [
     "chow-form-identity",
@@ -34,3 +42,208 @@ def test_statements_are_informative():
     for res in verify.run_all(seed=2, quick=True):
         assert len(res.statement) > 20
         assert res.name == res.name.lower()
+
+
+# -- failing checks ------------------------------------------------------------
+#
+# Each case forces one failure exit of a check by patching what the check
+# reads, and pins the result the check reports there.  The statements and
+# details were recorded before each check named itself once.
+
+STATEMENTS = {
+    "chow-form-identity": (
+        "plucker(B)^T compound(Q,k) plucker(B) = det(B^T Q B) for random forms and "
+        "subspaces, n in {2,3,4}, all k"),
+    "intersection-table": "8-curve x 6-divisor intersection table recomputed from the pairing",
+    "degeneration-counts": (
+        "6 pencil constructions cover 13 table entries (Gstar.E1 repeats G.E3, C1star.E2 "
+        "and C3.E2 repeat C1.E3, C1star.H3 repeats C1.H2), and every entry matches the "
+        "intersection pairing over 2 seeds"),
+    "boundary-pencil-numbers": (
+        "random marking pencils on P^(n-k) degenerate n-k+1 times, n <= 2; each "
+        "determinant form has top coefficient det Q1 and value det(Q0 - Q1/2) at (1 : -1/2)"),
+    "canonical-class": (
+        "canonical class from the blowup formula equals the nef-basis closed form, "
+        "2 <= n <= 2, and -K is ample"),
+    "class-derivation": "H2 = 2H1 - E1 and H3 = 3H1 - 2E1 - E2 derived from curve pairings",
+    "rank2-curve-pairing": (
+        "2<sigma2+sigma11, sigma1^2> = 4 in G(1,3), matching the lattice pairing of P "
+        "with the rank-2 curve; sigma1^4 matches the tableaux count"),
+    "wedge-contraction": (
+        "flag_wedge(n,k,j) is projectively constant iff j != k for 2 <= n <= 2; the "
+        "n=3, k=2 limit is the rank-one outer product"),
+    "chow-limits": (
+        "rank-2 limits are supported on p0^2; rank-1 limits reproduce the marking conic "
+        "in line coordinates, 1 random draws each"),
+    "chamber-partition": (
+        "classification examples land in regions 1, 2 and 7; 50-sample census finds "
+        "exactly one region per class, hits all eight, commutes with duality and "
+        "contains every curve-forced locus"),
+}
+
+
+def _fake_report(chamber_id):
+    return ChamberReport(chamber_id, "interior", frozenset(), "empty", None)
+
+
+def _patch_identity(mp):
+    mp.setattr(chowform, "chow_eval", lambda q, k, b: Fraction(1))
+    mp.setattr(verify, "ff_det", lambda rows: Fraction(2))
+
+
+def _patch_table_rows(mp):
+    rows = picard.table_x3()
+    mp.setattr(picard, "table_x3", lambda: rows[1:])
+
+
+def _patch_table_entry(mp):
+    rows = picard.table_x3()
+    mp.setattr(picard, "table_x3", lambda: [TableRow("G", (1, 2, 3, 0, 0, 5), "X3")] + rows[1:])
+
+
+def _patch_counts(mp):
+    real = pencils.direct_table_counts
+
+    def counts(seed):
+        out = real(seed)
+        out["C3.E2"] += seed
+        return out
+
+    mp.setattr(pencils, "direct_table_counts", counts)
+
+
+def _patch_ff_det(mp, off):
+    real = verify.ff_det
+    mp.setattr(verify, "ff_det", lambda rows: real(rows) + off(rows))
+
+
+def _patch_canonical_blowup(mp):
+    real = picard.canonical
+    mp.setattr(picard, "canonical", lambda n, method="nefbasis": (
+        DivisorClass(n, "H", (0,) * n) if method == "blowup" else real(n, method)))
+
+
+def _patch_canonical_n3(mp):
+    real = picard.canonical
+    mp.setattr(picard, "canonical", lambda n, method="nefbasis": (
+        picard.H1_3 if n == 3 else real(n, method)))
+
+
+def _patch_convert_mixed(mp):
+    real = picard.convert
+    mp.setattr(picard, "convert", lambda d, basis: (
+        DivisorClass(3, "mixed", (0, 0, 0)) if basis == "mixed" else real(d, basis)))
+
+
+def _patch_wedge_matrix(mp):
+    m = chowform.wedge2_example_matrix()
+    rows = [list(r) for r in m.rows]
+    rows[2][2] = rows[0][0]
+    mp.setattr(chowform, "wedge2_example_matrix", lambda: quadrics.SymmetricForm(rows))
+
+
+def _patch_classify(mp, wrong):
+    real = chambers.classify
+    mp.setattr(chambers, "classify", lambda d: _fake_report(8) if wrong(d) else real(d))
+
+
+def _raise_assertion(samples, seed):
+    raise AssertionError("sample 3 lands in two regions")
+
+
+def _boundary():
+    return verify.check_boundary_numbers(seeds=1, max_n=2)
+
+
+def _canonical():
+    return verify.check_canonical(max_n=2)
+
+
+def _wedge():
+    return verify.check_wedge_contraction(max_n=2)
+
+
+def _limits():
+    return verify.check_chow_limits(draws=1, seed=0)
+
+
+def _partition():
+    return verify.check_chamber_partition(samples=50)
+
+
+_ZERO_MIXED = "DivisorClass(n=3, basis='mixed', coeffs=(%s))" % ", ".join(["Fraction(0, 1)"] * 3)
+
+FAILURES = [
+    ("identity-mismatch", "chow-form-identity", _patch_identity,
+     lambda: verify.check_chow_identity(seed=0, min_pairs=1), "mismatch at n=2 k=1: 1 != 2"),
+    ("table-row-set", "intersection-table", _patch_table_rows, verify.check_table,
+     "row set differs"),
+    ("table-row", "intersection-table", _patch_table_entry, verify.check_table,
+     "row G: TableRow(curve='G', entries=(1, 2, 3, 0, 0, 5), cover='X3') vs (1, 2, 3, 0, 0, 4)"),
+    ("direct-count", "degeneration-counts", _patch_counts,
+     lambda: verify.check_direct_counts(seeds=2), "C3.E2: counted 4, pairing 3 (seed 1)"),
+    ("boundary-total", "boundary-pencil-numbers",
+     lambda mp: mp.setattr(pencils, "count_degenerations", lambda p: DegenerationCount(0, 0)),
+     _boundary, "n=2 k=1 seed=0: 0 degenerations"),
+    ("boundary-top", "boundary-pencil-numbers", lambda mp: _patch_ff_det(mp, lambda rows: 1),
+     _boundary, "n=2 k=1 seed=0: top coefficient is not det Q1"),
+    # only the midpoint determinant is taken of a list of lists
+    ("boundary-value", "boundary-pencil-numbers",
+     lambda mp: _patch_ff_det(mp, lambda rows: isinstance(rows, list)),
+     _boundary, "n=2 k=1 seed=0: value at (1 : -1/2) is not det(Q0 - Q1/2)"),
+    ("canonical-routes", "canonical-class", _patch_canonical_blowup, _canonical,
+     "n=2 routes differ"),
+    ("canonical-fano", "canonical-class",
+     lambda mp: mp.setattr(picard, "is_fano", lambda n: False), _canonical, "n=2 not Fano"),
+    ("canonical-nef", "canonical-class", _patch_canonical_n3, _canonical,
+     "n=3 nef coefficients wrong"),
+    ("canonical-mixed", "canonical-class", _patch_convert_mixed, _canonical,
+     "n=3 mixed coefficients wrong"),
+    ("class-derivation", "class-derivation",
+     lambda mp: mp.setattr(picard, "derive_class_from_pairings",
+                           lambda rows, n, basis: DivisorClass(3, "mixed", (0, 0, 0))),
+     verify.check_class_derivation, _ZERO_MIXED + " " + _ZERO_MIXED),
+    ("rank2", "rank2-curve-pairing", lambda mp: mp.setattr(schubert, "p_dot_r2", lambda: 2),
+     verify.check_rank2_pairing, ""),
+    ("wedge-constant", "wedge-contraction",
+     lambda mp: mp.setattr(chowform, "flag_wedge", lambda n, k, j: (None, True)),
+     _wedge, "n=2 k=1 j=1 constant=True"),
+    ("wedge-rank-one", "wedge-contraction", _patch_wedge_matrix, _wedge,
+     "entry (2,2) not rank one"),
+    ("limits-rank2", "chow-limits",
+     lambda mp: mp.setattr(chowform, "limit_support_coefficients", lambda pt: {}),
+     _limits, "rank-2 support at [1, 1, -5]"),
+    ("limits-rank1", "chow-limits",
+     lambda mp: mp.setattr(chowform, "limit_support_coefficients", lambda pt: {(0, 0): 1}),
+     _limits, "rank-1 support at [-1, 3, 2, 1, -1, 2]"),
+    ("chamber-nef", "chamber-partition",
+     lambda mp: _patch_classify(mp, lambda d: d.coeffs == (1, 1, 1)),
+     _partition, "nef example misclassified"),
+    ("chamber-flip", "chamber-partition",
+     lambda mp: _patch_classify(mp, lambda d: d.coeffs == (5, -2, 5)),
+     _partition, "flip example misclassified"),
+    ("chamber-union", "chamber-partition",
+     lambda mp: _patch_classify(mp, lambda d: d.basis == "E"),
+     _partition, "union example misclassified"),
+    ("chamber-census", "chamber-partition",
+     lambda mp: mp.setattr(chambers, "chamber_census", _raise_assertion),
+     _partition, "sample 3 lands in two regions"),
+    ("chamber-unseen", "chamber-partition",
+     lambda mp: mp.setattr(chambers, "chamber_census", lambda s, seed: {"all_eight_hit": False}),
+     _partition, "some chamber unseen"),
+]
+
+
+@pytest.mark.parametrize("name, patch, check, details", [c[1:] for c in FAILURES],
+                         ids=[c[0] for c in FAILURES])
+def test_failure_reported(monkeypatch, name, patch, check, details):
+    patch(monkeypatch)
+    res = check()
+    assert (res.name, res.statement, res.passed, res.details) == (
+        name, STATEMENTS[name], False, details)
+
+
+def test_every_check_with_a_failure_exit_is_forced():
+    # degree-gap-disclosure has no failure exit
+    names = {c[1] for c in FAILURES}
+    assert names == set(STATEMENTS) == set(EXPECTED_ORDER) - {"degree-gap-disclosure"}
