@@ -8,13 +8,12 @@ shared faces.
 
 The classifier solves no linear system per class.  Each generator triple
 named in REGIONS, and the triple E1, E2, E3 spanning the effective cone,
-gets integer facet rows once, on first use: the rows of the inverse of its
-H-coordinate matrix, each scaled by the lcm of its denominators, so a row's
+takes its integer facet rows from picard.facet_rows once, by name: a row's
 dot product with H coordinates has the sign of the matching coordinate in
-the triple.  Each public call scales the class's H vector to integers once,
-and every region test, position, nef test and forced-locus pairing in it
-reads the signs of integer dot products with that vector.  Wall points therefore resolve exactly and
-deterministically.
+the triple.  Each public call scales the class's H vector to integers once
+(picard.integer_h), and every region test, position, nef test and
+forced-locus pairing in it reads the signs of integer dot products with
+that vector.  Wall points therefore resolve exactly and deterministically.
 
 The duality involution (H1 <-> H3, E1 <-> E3) permutes the regions as
 (3 4)(6 7) and fixes the rest; the region data below is arranged so the
@@ -40,7 +39,8 @@ from .picard import (
     class_P,
     convert,
     curves_x3,
-    generator_inverse,
+    facet_rows,
+    integer_h,
     pair,
     xi,
 )
@@ -55,7 +55,7 @@ GENERATORS = {
     "E3": E3_3,
 }
 
-_GEN_ORDER = ("H1", "H2", "H3", "P", "E1", "E2", "E3")
+_GEN_ORDER = tuple(GENERATORS)
 _GEN_H = {name: convert(d, "H").coeffs for name, d in GENERATORS.items()}
 
 # E13 stands for the surface E1 n E3 inside either divisor
@@ -163,14 +163,8 @@ class ChamberReport(Record):
 
 @functools.cache
 def _facet_rows(gens) -> tuple:
-    """Integer rows giving the signs of a class's coordinates in gens.
-
-    Row i of the inverse generator matrix, scaled by the lcm of its
-    denominators, dotted with H coordinates gives coordinate i times a
-    positive number.  Computed once per generator triple.
-    """
-    inverse = generator_inverse(tuple(GENERATORS[g] for g in gens))
-    return tuple(tuple(clear_denominators([row])[0][0]) for row in inverse)
+    # picard's facet rows of a triple of generator names, looked up once
+    return facet_rows(tuple(GENERATORS[g] for g in gens))
 
 
 # the effective cone is the cone over the boundary divisors
@@ -178,10 +172,9 @@ _EFF = (("E1", "E2", "E3"), (">=", ">=", ">="))
 
 
 def _h_int(d: DivisorClass) -> list:
-    """H coordinates of d times the lcm of their denominators."""
     if d.n != 3:
         raise ValueError("chamber decomposition is for the n = 3 space")
-    return clear_denominators([convert(d, "H").coeffs])[0][0]
+    return integer_h(d)
 
 
 def _dot(row, h):

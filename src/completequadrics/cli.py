@@ -80,8 +80,9 @@ MAX_SCHUBERT_EXP = 100
 MAX_SCHUBERT_INT_BITS = 14_284
 MAX_SCHUBERT_DEPTH = 100
 
-def _emit(obj) -> None:
-    sys.stdout.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+def _emit(command: str, **fields) -> None:
+    out = {"schema": SCHEMA, "command": command, **fields}
+    sys.stdout.write(json.dumps(out, sort_keys=True, indent=2) + "\n")
 
 
 # what json.loads can return, named for error messages
@@ -176,23 +177,21 @@ def cmd_chow(args) -> int:
         _check_chow_entries(q, q1)
         pt = chowform.chow_limit(q, q1, args.k)
         support = chowform.limit_support_coefficients(pt)
-        _emit({
-            "schema": SCHEMA,
-            "command": "chow-limit",
-            "k": args.k,
-            "point": [format_rat(c) for c in pt.coords],
-            "support": {"%d,%d" % ij: format_rat(v) for ij, v in sorted(support.items())},
-        })
+        _emit(
+            "chow-limit",
+            k=args.k,
+            point=[format_rat(c) for c in pt.coords],
+            support={"%d,%d" % ij: format_rat(v) for ij, v in sorted(support.items())},
+        )
         return 0
     _check_chow_entries(q)
     m = quadrics.compound(q, args.k)
-    _emit({
-        "schema": SCHEMA,
-        "command": "chow-compound",
-        "k": args.k,
-        "indexing": "rows and columns are the size-k subsets of {0..n} in lexicographic order",
-        "matrix": [[format_rat(e) for e in row] for row in m.rows],
-    })
+    _emit(
+        "chow-compound",
+        k=args.k,
+        indexing="rows and columns are the size-k subsets of {0..n} in lexicographic order",
+        matrix=[[format_rat(e) for e in row] for row in m.rows],
+    )
     return 0
 
 
@@ -206,27 +205,14 @@ def cmd_pencil(args) -> int:
             for label, count, pairing in sorted(verify.direct_count_entries(args.seed))
         ]
         all_ok = all(e["ok"] for e in entries)
-        _emit({
-            "schema": SCHEMA,
-            "command": "pencil-verify-table",
-            "seed": args.seed,
-            "entries": entries,
-            "all_ok": all_ok,
-        })
+        _emit("pencil-verify-table", seed=args.seed, entries=entries, all_ok=all_ok)
         return 0 if all_ok else 1
     if args.n is None or args.k is None:
         raise ValueError("pencil needs --n and --k (or --verify-table)")
     if args.n > MAX_PENCIL_N:
         raise ValueError("pencil --n is at most %d (got %d)" % (MAX_PENCIL_N, args.n))
     count = pencils.bk_number(args.n, args.k, args.seed)
-    _emit({
-        "schema": SCHEMA,
-        "command": "pencil-count",
-        "n": args.n,
-        "k": args.k,
-        "seed": args.seed,
-        "degenerations": count,
-    })
+    _emit("pencil-count", n=args.n, k=args.k, seed=args.seed, degenerations=count)
     return 0
 
 
@@ -236,26 +222,14 @@ def cmd_pencil(args) -> int:
 def cmd_cone(args) -> int:
     d = _parse_divisor(args.divisor)
     res = picard.cone_membership(d, args.cone)
-    _emit({
-        "schema": SCHEMA,
-        "command": "cone",
-        "cone": args.cone,
-        "divisor": d.to_json(),
-        "contains": res.contains,
-        "interior": res.interior,
-    })
+    _emit("cone", cone=args.cone, divisor=d.to_json(), contains=res.contains, interior=res.interior)
     return 0
 
 
 def cmd_canonical(args) -> int:
     _check_lattice_n(args.n)
     k = picard.convert(picard.canonical(args.n, args.method), args.basis)
-    _emit({
-        "schema": SCHEMA,
-        "command": "canonical",
-        "method": args.method,
-        "divisor": k.to_json(),
-    })
+    _emit("canonical", method=args.method, divisor=k.to_json())
     return 0
 
 
@@ -270,22 +244,16 @@ def cmd_pair(args) -> int:
     else:
         c = _parse_curve(name)
     d = _parse_divisor(args.divisor)
-    _emit({
-        "schema": SCHEMA,
-        "command": "pair",
-        "curve": c.to_json(),
-        "divisor": d.to_json(),
-        "value": format_rat(picard.pair(c, d)),
-    })
+    _emit("pair", curve=c.to_json(), divisor=d.to_json(), value=format_rat(picard.pair(c, d)))
     return 0
 
 
 def cmd_table(args) -> int:
     rows = picard.table_x3()
+    cols = ["H1", "H2", "H3", "E1", "E2", "E3"]
     if args.text:
         names = [picard.CURVE_DISPLAY[r.curve] for r in rows]
         width = max(len(s) for s in names) + 2
-        cols = ["H1", "H2", "H3", "E1", "E2", "E3"]
         out = ["".ljust(width) + "".join(c.rjust(5) for c in cols) + "   covers"]
         for r, name in zip(rows, names):
             line = name.ljust(width)
@@ -294,11 +262,10 @@ def cmd_table(args) -> int:
             out.append(line)
         sys.stdout.write("\n".join(out) + "\n")
         return 0
-    _emit({
-        "schema": SCHEMA,
-        "command": "table",
-        "columns": ["H1", "H2", "H3", "E1", "E2", "E3"],
-        "rows": [
+    _emit(
+        "table",
+        columns=cols,
+        rows=[
             {
                 "curve": picard.CURVE_DISPLAY[r.curve],
                 "entries": [int(e) for e in r.entries],
@@ -306,7 +273,7 @@ def cmd_table(args) -> int:
             }
             for r in rows
         ],
-    })
+    )
     return 0
 
 
@@ -318,22 +285,17 @@ def cmd_chamber(args) -> int:
         if args.census > MAX_CENSUS:
             raise ValueError("chamber --census is at most %d (got %d)" % (MAX_CENSUS, args.census))
         res = chambers.chamber_census(args.census, args.seed)
-        _emit({"schema": SCHEMA, "command": "chamber-census", "seed": args.seed, **res})
+        _emit("chamber-census", seed=args.seed, **res)
         return 0
     if args.segment is not None:
         t = parse_rat(args.segment)
         report = chambers.classify_segment(t)
-        _emit({
-            "schema": SCHEMA,
-            "command": "chamber-segment",
-            "t": format_rat(t),
-            **report.to_json(),
-        })
+        _emit("chamber-segment", t=format_rat(t), **report.to_json())
         return 0
     if args.divisor is None:
         raise ValueError("chamber needs one of --divisor, --census, --segment")
     report = chambers.classify(_parse_divisor(args.divisor))
-    _emit({"schema": SCHEMA, "command": "chamber", **report.to_json()})
+    _emit("chamber", **report.to_json())
     return 0
 
 
@@ -522,12 +484,7 @@ def cmd_schubert(args) -> int:
         raise ValueError('--grassmannian expects "k,n"')
     _check_grassmannian(k, n)
     value = evaluate_expression(args.expr, k, n)
-    out = {
-        "schema": SCHEMA,
-        "command": "schubert",
-        "grassmannian": "G(%d,%d)" % (k, n),
-        "expr": args.expr,
-    }
+    out = {"grassmannian": "G(%d,%d)" % (k, n), "expr": args.expr}
     if isinstance(value, schubert.SchubertClass):
         dim = schubert.grass_dim(k, n)
         if value.codim() == dim:
@@ -538,7 +495,7 @@ def cmd_schubert(args) -> int:
             out["class"] = value.to_json()
     else:
         out["value"] = value
-    _emit(out)
+    _emit("schubert", **out)
     return 0
 
 
@@ -549,14 +506,13 @@ def cmd_verify_all(args) -> int:
     results = verify.run_all(seed=args.seed, quick=args.quick)
     failed = [r for r in results if not r.passed]
     if args.json:
-        _emit({
-            "schema": SCHEMA,
-            "command": "verify-all",
-            "seed": args.seed,
-            "quick": args.quick,
-            "checks": [r.to_json() for r in results],
-            "all_passed": not failed,
-        })
+        _emit(
+            "verify-all",
+            seed=args.seed,
+            quick=args.quick,
+            checks=[r.to_json() for r in results],
+            all_passed=not failed,
+        )
     else:
         for r in results:
             sys.stdout.write("%s %s: %s\n" % ("PASS" if r.passed else "FAIL", r.name, r.statement))

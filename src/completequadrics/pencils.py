@@ -136,9 +136,12 @@ def count_tangencies(p: Pencil, basis) -> DegenerationCount:
     return _count_binary_roots(_det_binary(r0, r1))
 
 
-def _retry(builder, rng, tries: int = 64):
+_TRIES = 64  # draws before a builder is given up
+
+
+def _retry(builder, rng):
     last = None
-    for _ in range(tries):
+    for _ in range(_TRIES):
         try:
             return builder(rng)
         except DegeneratePencilError as exc:
@@ -194,8 +197,9 @@ def _sym_outer(u, v):
     )
 
 
-def _rank2_product_pencil(rng, size):
-    """Pencil u * v_t with u fixed and v_t moving (a pencil of split forms)."""
+def _rank2_product_pencil(rng, m: int) -> Pencil:
+    """Pencil u * v_t on P^m with u fixed and v_t moving (a pencil of split forms)."""
+    size = m + 1
 
     def build(r):
         u = [Fraction(r.randint(-3, 3)) for _ in range(size)]
@@ -206,78 +210,53 @@ def _rank2_product_pencil(rng, size):
     return _retry(build, rng)
 
 
+# one entry per n = 3 table entry, drawn in this order: label curve.divisor,
+# the pencil draw, the m of the P^m it draws on, and the number k of random
+# vectors spanning the subspace that tangencies are counted on (None: count
+# the degenerations of the pencil).  G is a pencil of smooth quadric
+# surfaces, C1 one of marking conics on a fixed double plane, C2 a fixed
+# plane times a pencil of planes, and L2 two fixed planes with one of the
+# two marked points on their axis moving.
+_DIRECT_ENTRIES = (
+    ("G.H1", _smooth_pencil, 3, 1),
+    ("G.H2", _smooth_pencil, 3, 2),
+    ("G.H3", _smooth_pencil, 3, 3),
+    ("G.E3", _smooth_pencil, 3, None),
+    ("C1.H2", _smooth_pencil, 2, 1),
+    ("C1.H3", _smooth_pencil, 2, 2),
+    ("C1.E3", _smooth_pencil, 2, None),
+    ("C1star.E2", _smooth_pencil, 2, None),
+    ("C1star.H3", _smooth_pencil, 2, 1),
+    ("C3.E2", _smooth_pencil, 2, None),
+    ("C2.H1", _rank2_product_pencil, 3, 1),
+    ("L2.H3", _rank2_product_pencil, 1, 1),
+    ("Gstar.E1", _smooth_pencil, 3, None),
+)
+
+# table entry -> (curve name, divisor name) for the cross-module comparison
+DIRECT_CHECK_PAIRS = {label: tuple(label.split(".")) for label, _, _, _ in _DIRECT_ENTRIES}
+
+
+def _entry_count(r, draw, m, k) -> int:
+    p = draw(r, m)
+    if k is None:
+        return count_degenerations(p).total
+    b = _random_point(r, m + 1) if k == 1 else _random_subspace(r, m + 1, k)
+    return count_tangencies(p, b).total
+
+
 def direct_table_counts(seed: int) -> dict:
     """13 entries of the n = 3 table, counted by 6 pencil constructions.
 
-    The six are tangencies and degenerations of a pencil of quadric surfaces
-    (g_pencil) and of a pencil of conics (conic_pencil), and point
-    tangencies of the split pencils u * v_t on P^3 and P^1.  G.E3 and
-    Gstar.E1 both count the degenerations of g_pencil, C1.E3, C1star.E2 and
-    C3.E2 all count those of conic_pencil, and C1star.H3 repeats C1.H2.
-    Tangency conditions are restrictions to random subspaces of the right
-    dimension; totals count multiplicity so generic position is only needed
-    to keep the draws nondegenerate.
+    Each entry of _DIRECT_ENTRIES is one retried draw from one seeded
+    stream: the drawn pencil's tangency count with the span of k random
+    vectors, or its degeneration count.  C1star, C3 and Gstar build no
+    family of their own: G.E3 and Gstar.E1 both count the degenerations of
+    the pencil of quadric surfaces, C1.E3, C1star.E2 and C3.E2 all count
+    those of the pencil of conics, and C1star.H3 repeats C1.H2.  Totals
+    count multiplicity so generic position is only needed to keep the draws
+    nondegenerate.
     """
     rng = random.Random(seed)
-    out = {}
-
-    def tangency(pencil_builder, k, size):
-        def build(r):
-            p = pencil_builder(r)
-            b = _random_point(r, size) if k == 1 else _random_subspace(r, size, k)
-            return count_tangencies(p, b).total
-
-        return _retry(build, rng)
-
-    # G: a pencil of smooth quadric surfaces
-    def g_pencil(r):
-        return _smooth_pencil(r, 3)
-
-    out["G.H1"] = tangency(g_pencil, 1, 4)
-    out["G.H2"] = tangency(g_pencil, 2, 4)
-    out["G.H3"] = tangency(g_pencil, 3, 4)
-    out["G.E3"] = _retry(lambda r: count_degenerations(g_pencil(r)).total, rng)
-
-    # C1: marking conics on a fixed double plane
-    def conic_pencil(r):
-        return _smooth_pencil(r, 2)
-
-    out["C1.H2"] = tangency(conic_pencil, 1, 3)
-    out["C1.H3"] = tangency(conic_pencil, 2, 3)
-    out["C1.E3"] = _retry(lambda r: count_degenerations(conic_pencil(r)).total, rng)
-
-    # C1*: repeats of C1.E3 and C1.H2 (no dual-plane family is built)
-    out["C1star.E2"] = _retry(lambda r: count_degenerations(conic_pencil(r)).total, rng)
-    out["C1star.H3"] = tangency(conic_pencil, 1, 3)
-
-    # C3: a repeat of C1.E3
-    out["C3.E2"] = _retry(lambda r: count_degenerations(conic_pencil(r)).total, rng)
-
-    # C2: a fixed plane times a pencil of planes
-    out["C2.H1"] = tangency(lambda r: _rank2_product_pencil(r, 4), 1, 4)
-
-    # L2: two fixed planes, one of the two marked points on their axis moving
-    out["L2.H3"] = tangency(lambda r: _rank2_product_pencil(r, 2), 1, 2)
-
-    # G*: a repeat of G.E3 (no pencil of dual quadrics is built)
-    out["Gstar.E1"] = _retry(lambda r: count_degenerations(g_pencil(r)).total, rng)
-
-    return out
-
-
-# table entry -> (curve name, divisor name) for the cross-module comparison
-DIRECT_CHECK_PAIRS = {
-    "G.H1": ("G", "H1"),
-    "G.H2": ("G", "H2"),
-    "G.H3": ("G", "H3"),
-    "G.E3": ("G", "E3"),
-    "C1.H2": ("C1", "H2"),
-    "C1.H3": ("C1", "H3"),
-    "C1.E3": ("C1", "E3"),
-    "C1star.E2": ("C1star", "E2"),
-    "C1star.H3": ("C1star", "H3"),
-    "C3.E2": ("C3", "E2"),
-    "C2.H1": ("C2", "H1"),
-    "L2.H3": ("L2", "H3"),
-    "Gstar.E1": ("Gstar", "E1"),
-}
+    return {label: _retry(lambda r: _entry_count(r, draw, m, k), rng)
+            for label, draw, m, k in _DIRECT_ENTRIES}

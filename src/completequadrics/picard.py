@@ -11,6 +11,11 @@ conversion into H is one matrix-vector product, conversion out of H one
 exact solve.  Curves are written in the basis Fl_1..Fl_n dual to the H_i;
 all intersection pairings reduce to this duality, which is what lets the
 whole X_3 intersection table be regenerated from its H columns alone.
+
+A class is placed against a tuple of generators in one way only: the
+integer facet rows of the tuple (facet_rows, computed once per tuple)
+dotted with the class's integer H vector (integer_h).  The movable-cone
+test here and the chamber classifier both read these signs.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import functools
 from fractions import Fraction
 
 from ._value import Record, set_field
-from .exact import format_rat, mat_inverse, parse_rat, solve_exact
+from .exact import UnderdeterminedSystem, clear_denominators, format_rat, mat_inverse, parse_rat, solve_exact
 from .quadrics import quadric_space_dim, stratum_codim
 
 BASES = ("H", "mixed", "E")
@@ -84,45 +89,26 @@ class CurveClass(Record):
         return cls(int(data["n"]), data["coeffs"])
 
 
-class LatticeRelations:
-    """Change-of-basis data between the H, E and mixed presentations."""
-
-    def __init__(self, n: int):
-        if n < 2:
-            raise ValueError("need n >= 2")
-        self.n = n
-
-    def e_in_h(self, i: int):
-        """H coefficients of E_i (a row of the A_n Cartan matrix)."""
-        if not 1 <= i <= self.n:
-            raise ValueError("index out of range")
-        row = [Fraction(0)] * self.n
-        row[i - 1] = Fraction(2)
-        if i - 2 >= 0:
-            row[i - 2] = Fraction(-1)
-        if i < self.n:
-            row[i] = Fraction(-1)
-        return row
-
-    def basis_matrix(self, basis: str):
-        """Columns are the basis vectors written in H coordinates."""
-        n = self.n
-        if basis == "H":
-            return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        if basis == "E":
-            cols = [self.e_in_h(i) for i in range(1, n + 1)]
-        elif basis == "mixed":
-            cols = [[Fraction(int(i == 0)) for i in range(n)]]
-            cols += [self.e_in_h(i) for i in range(1, n)]
-        else:
-            raise ValueError("unknown basis %r" % (basis,))
-        return [[cols[j][i] for j in range(n)] for i in range(n)]
-
-
 @functools.cache
 def _to_h(n: int, basis: str) -> tuple:
-    """The basis matrix of LatticeRelations: a basis's coordinates to H ones."""
-    return tuple(map(tuple, LatticeRelations(n).basis_matrix(basis)))
+    """Matrix taking a basis's coordinates to H ones, computed once.
+
+    Its columns are the basis vectors in H coordinates: E_i is column i of
+    the A_n Cartan matrix, and the mixed basis H_1, E_1, .., E_{n-1} is the
+    unit column of H_1 followed by the first n-1 Cartan columns.
+    """
+    if n < 2:
+        raise ValueError("need n >= 2")
+    if basis not in BASES:
+        raise ValueError("unknown basis %r" % (basis,))
+    cartan = [[2 * (i == j) - (abs(i - j) == 1) for j in range(n)] for i in range(n)]
+    if basis == "H":
+        m = [[int(i == j) for j in range(n)] for i in range(n)]
+    elif basis == "E":
+        m = cartan
+    else:
+        m = [[int(i == 0)] + row[:-1] for i, row in enumerate(cartan)]
+    return tuple(tuple(Fraction(x) for x in row) for row in m)
 
 
 def _mat_vec(m, v) -> tuple:
@@ -164,10 +150,10 @@ def cone_membership(d: DivisorClass, cone: str) -> ConeMembership:
 
     nef: nonnegative H coefficients; eff: nonnegative E coefficients; mov
     (n=3 only): the cone generated by H_1, H_2, H_3 and P, tested as the
-    union of the simplicial cones (H_1,H_2,H_3) and (H_1,H_3,P).  The
-    interior flag asks for strictly positive coefficients in an accepting
-    generator triple, so points of the shared internal wall (H_1,H_3) are
-    not flagged interior.
+    union of the simplicial cones (H_1,H_2,H_3) and (H_1,H_3,P), each read
+    through its integer facet rows.  The interior flag asks for strictly
+    positive coefficients in an accepting generator triple, so points of
+    the shared internal wall (H_1,H_3) are not flagged interior.
     """
     if cone == "nef":
         h = convert(d, "H").coeffs
@@ -178,10 +164,10 @@ def cone_membership(d: DivisorClass, cone: str) -> ConeMembership:
     if cone == "mov":
         if d.n != 3:
             raise ValueError("movable cone data is only available for n = 3")
-        h = convert(d, "H").coeffs
+        h = integer_h(d)
         contains = interior = False
         for triple in ((H1_3, H2_3, H3_3), (H1_3, H3_3, class_P())):
-            x = _mat_vec(generator_inverse(triple), h)
+            x = _mat_vec(facet_rows(triple), h)
             if all(c >= 0 for c in x):
                 contains = True
                 if all(c > 0 for c in x):
@@ -225,20 +211,16 @@ def derive_class_from_pairings(rows, n: int, basis: str = "H") -> DivisorClass:
     in the requested basis.  Curve sets that do not span raise
     UnderdeterminedSystem, contradictory conditions raise InconsistentSystem.
     """
-    rel = LatticeRelations(n)
-    basis_cols = rel.basis_matrix(basis)
+    to_h = _to_h(n, basis)
     mat = []
     rhs = []
     for curve, value in rows:
         if curve.n != n:
             raise ValueError("curve lives on the wrong space")
-        mat.append(
-            [
-                sum(curve.coeffs[i] * basis_cols[i][j] for i in range(n))
-                for j in range(n)
-            ]
-        )
+        mat.append([sum(c * row[j] for c, row in zip(curve.coeffs, to_h)) for j in range(n)])
         rhs.append(parse_rat(value))
+    if not mat:
+        raise UnderdeterminedSystem("solution set has %d free variables" % n)
     return DivisorClass(n, basis, tuple(solve_exact(mat, rhs)))
 
 
@@ -266,15 +248,23 @@ def class_P() -> DivisorClass:
 
 
 @functools.cache
-def generator_inverse(gens: tuple) -> tuple:
-    """Inverse of the matrix whose columns are the H coordinates of gens.
+def facet_rows(gens: tuple) -> tuple:
+    """Integer rows giving the signs of a class's coordinates in gens.
 
-    Row i of the inverse gives the i-th coordinate of a class in the
-    generator basis from its H coordinates.  Computed once per tuple of
-    generators.
+    Row i of the inverse of the matrix whose columns are the H coordinates
+    of gens, scaled by the lcm of its denominators: its dot product with the
+    H coordinates of a class is the class's i-th coordinate in gens times a
+    positive number.  Computed once per tuple of generators.
     """
     cols = [convert(g, "H").coeffs for g in gens]
-    return mat_inverse([[c[i] for c in cols] for i in range(len(cols))])
+    inverse = mat_inverse([[c[i] for c in cols] for i in range(len(cols))])
+    return tuple(tuple(clear_denominators([row])[0][0]) for row in inverse)
+
+
+def integer_h(d: DivisorClass) -> list:
+    """H coordinates of d times the lcm of their denominators, the integer
+    vector that facet_rows are dotted with."""
+    return clear_denominators([convert(d, "H").coeffs])[0][0]
 
 
 # order, Fl coordinates and covered locus of the n = 3 test curves; the

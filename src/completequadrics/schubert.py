@@ -125,14 +125,6 @@ class SchubertClass(Record):
             "terms": {",".join(str(x) for x in p) if p else "0": c for p, c in self._terms},
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "SchubertClass":
-        terms = {}
-        for key, coeff in data["terms"].items():
-            parts = tuple(int(x) for x in key.split(",")) if key not in ("", "0") else ()
-            terms[parts] = int(coeff)
-        return cls(int(data["k"]), int(data["n"]), terms)
-
 
 def sigma(k: int, n: int, *parts) -> SchubertClass:
     """The single Schubert class of the given partition on G(k, n)."""

@@ -25,7 +25,7 @@ from completequadrics.chambers import (
     locus_subset,
 )
 from completequadrics.exact import InconsistentSystem, solve_exact
-from completequadrics.picard import DivisorClass, LatticeRelations, class_P, convert, curves_x3, pair, xi
+from completequadrics.picard import DivisorClass, _to_h, class_P, cone_membership, convert, curves_x3, pair, xi
 
 
 def H(a, b, c):
@@ -305,7 +305,7 @@ class TestIntegerClassifier:
                 assert all(BOX[0] <= x <= BOX[1] for x in point), (gens, point)
 
     def test_agrees_with_solve_exact_oracle(self):
-        e_basis = LatticeRelations(3).basis_matrix("E")
+        e_basis = _to_h(3, "E")
         curves = curves_x3()
         seen = set()
         for h in half_integer_box(*BOX):
@@ -327,3 +327,19 @@ class TestIntegerClassifier:
         # every chamber is met on its interior and on some wall or ray
         assert {cid for cid, pos in seen if pos == "interior"} == set(range(1, 9))
         assert {cid for cid, pos in seen if pos != "interior"} == set(range(1, 9))
+
+    def test_movable_cone_is_chambers_one_and_two(self):
+        # picard's movable cone and the chamber table agree: Mov is the
+        # closure of the chambers with empty or E1 cap E3 base locus
+        checked = 0
+        for h in half_integer_box(-4, 4):
+            if not any(h):
+                continue
+            d = DivisorClass(3, "H", h)
+            try:
+                inside = classify(d).chamber_id in (1, 2)
+            except ValueError:  # not effective
+                inside = False
+            assert cone_membership(d, "mov").contains == inside, h
+            checked += 1
+        assert checked == 4912

@@ -6,12 +6,15 @@ class is checked through two independent derivations (closed nef-basis form
 versus blowup discrepancies).
 """
 
+import ast
 import itertools
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 
+import completequadrics
 from completequadrics.exact import InconsistentSystem, UnderdeterminedSystem, ff_det, mat_inverse, solve_exact
 from completequadrics.picard import (
     BASES,
@@ -25,19 +28,19 @@ from completequadrics.picard import (
     ConeMembership,
     CurveClass,
     DivisorClass,
-    LatticeRelations,
     canonical,
     class_P,
     cone_membership,
     convert,
     curves_x3,
     derive_class_from_pairings,
+    facet_rows,
+    integer_h,
     is_fano,
     pair,
     table_x3,
     xi,
     _to_h,
-    generator_inverse,
 )
 
 # reference values: rows G, G*, C1, C1*, C2, C3, C1_2, L2 against
@@ -65,6 +68,11 @@ REFERENCE_COVERS = {
 }
 
 
+def cartan(n):
+    # the A_n Cartan matrix, written out
+    return [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)] for i in range(n)]
+
+
 def fl_curve(n, j):
     # the flag curve Fl_j, dual to H_j
     return CurveClass(n, tuple(int(i == j - 1) for i in range(n)))
@@ -72,7 +80,6 @@ def fl_curve(n, j):
 
 def test_duality_pairings():
     for n in (2, 3, 4, 5):
-        rel = LatticeRelations(n)
         for j in range(1, n + 1):
             flj = fl_curve(n, j)
             for i in range(1, n + 1):
@@ -82,7 +89,7 @@ def test_duality_pairings():
                 expected = 2 * (i == j) - (i == j + 1) - (i == j - 1)
                 assert pair(flj, e) == expected
         # the boundary-to-nef change of basis is the A_n Cartan matrix
-        assert ff_det(rel.basis_matrix("E")) == n + 1
+        assert ff_det(_to_h(n, "E")) == n + 1
 
 
 def test_conversions_match_blowup_presentation():
@@ -108,7 +115,7 @@ def test_conversion_roundtrip(seed):
 @pytest.mark.parametrize("n", range(2, 9))
 def test_e_inverse_is_inverse_cartan(n):
     # the E basis matrix is the A_n Cartan matrix, whose inverse has a closed form
-    assert [list(r) for r in _to_h(n, "E")] == LatticeRelations(n).basis_matrix("E")
+    assert [list(r) for r in _to_h(n, "E")] == cartan(n)
     assert _to_h(n, "E") is _to_h(n, "E")
     closed = tuple(
         tuple(Fraction(min(i, j) * (n + 1 - max(i, j)), n + 1) for j in range(1, n + 1))
@@ -121,20 +128,44 @@ def test_e_inverse_is_inverse_cartan(n):
         assert convert(h_j, "E").coeffs == tuple(row[j] for row in closed)
 
 
-def test_generator_inverse_is_cached_inverse():
+def test_mixed_basis_matrix():
+    # columns H_1, E_1, .., E_{n-1}: the Cartan columns with E_n replaced by H_1
+    for n in range(2, 7):
+        expected = [[int(i == 0)] + row[:-1] for i, row in enumerate(cartan(n))]
+        assert [list(r) for r in _to_h(n, "mixed")] == expected
+        assert [list(r) for r in _to_h(n, "H")] == [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def test_basis_matrix_errors():
+    with pytest.raises(ValueError, match="need n >= 2"):
+        derive_class_from_pairings([], 1, basis="bogus")
+    with pytest.raises(ValueError, match="unknown basis"):
+        derive_class_from_pairings([], 3, basis="bogus")
+
+
+def test_facet_rows_are_cached_integer_inverse_rows():
     triple = (H1_3, H3_3, class_P())
-    inverse = generator_inverse(triple)
-    assert generator_inverse(triple) is inverse
+    rows = facet_rows(triple)
+    assert facet_rows(triple) is rows
+    assert all(type(x) is int for row in rows for x in row)
     cols = [convert(g, "H").coeffs for g in triple]
     matrix = [[c[i] for c in cols] for i in range(3)]
-    identity = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
-    assert [[sum(inverse[i][k] * matrix[k][j] for k in range(3)) for j in range(3)] for i in range(3)] == identity
+    # each row is a positive multiple of a row of the inverse
+    product = [[sum(rows[i][k] * matrix[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
+    assert all((product[i][j] > 0) if i == j else (product[i][j] == 0) for i in range(3) for j in range(3))
+
+
+def test_integer_h_is_a_positive_multiple():
+    d = DivisorClass(3, "E", (Fraction(1, 2), Fraction(1, 3), 0))
+    h = integer_h(d)
+    assert all(type(x) is int for x in h)
+    assert h == [4, 1, -2]
+    assert [Fraction(x, 6) for x in h] == list(convert(d, "H").coeffs)
 
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_convert_round_trips_every_basis(n):
     rng = random.Random(700 + n)
-    rel = LatticeRelations(n)
     for _ in range(8):
         for basis in BASES:
             coeffs = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n))
@@ -143,7 +174,7 @@ def test_convert_round_trips_every_basis(n):
             for other in BASES:
                 there = convert(d, other)
                 assert there.basis == other
-                assert list(there.coeffs) == solve_exact(rel.basis_matrix(other), h)
+                assert list(there.coeffs) == solve_exact(_to_h(n, other), h)
                 assert convert(there, basis) == d
                 for third in BASES:
                     assert convert(there, third) == convert(d, third)
@@ -249,6 +280,12 @@ def test_derive_class_flags_bad_systems():
         derive_class_from_pairings([(g, 2), (g, 3), (c2, 0)], n=3)
 
 
+def test_derive_class_with_no_conditions_is_underdetermined():
+    for n, basis in ((3, "H"), (4, "mixed")):
+        with pytest.raises(UnderdeterminedSystem, match="solution set has %d free variables" % n):
+            derive_class_from_pairings([], n, basis)
+
+
 def test_xi_involution():
     assert xi(H1_3) == H3_3
     assert xi(H2_3) == H2_3
@@ -276,3 +313,16 @@ def test_json_roundtrip():
     c = CurveClass(3, ("1", "2", "1"))
     assert CurveClass.from_json(c.to_json()) == c
     assert d.to_json()["coeffs"] == ["12", "-6", "-4"]
+
+
+def test_only_picard_inverts_a_matrix():
+    # the generator-matrix inverse behind facet_rows stays in one module:
+    # no other module imports exact.mat_inverse or reads it off exact
+    package = pathlib.Path(completequadrics.__file__).resolve().parent
+    users = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            imported = isinstance(node, ast.ImportFrom) and any(a.name == "mat_inverse" for a in node.names)
+            if imported or (isinstance(node, ast.Attribute) and node.attr == "mat_inverse"):
+                users.add(path.name)
+    assert users == {"picard.py"}
