@@ -6,14 +6,17 @@ same configuration of boundary divisors.  Each region is the cone over a
 triangle of named generators, with half-open walls deciding ownership of
 shared faces.
 
-The classifier solves no linear system per class.  Each generator triple
-named in REGIONS, and the triple E1, E2, E3 spanning the effective cone,
-takes its integer facet rows from picard.facet_rows once, by name: a row's
-dot product with H coordinates has the sign of the matching coordinate in
-the triple.  Each public call scales the class's H vector to integers once
-(picard.integer_h), and every region test, position, nef test and
-forced-locus pairing in it reads the signs of integer dot products with
-that vector.  Wall points therefore resolve exactly and deterministically.
+The classifier solves no linear system per class.  Every facet row it
+reads (of each generator triple named in REGIONS, from picard.facet_rows,
+and of the effective cone over E1, E2, E3, from picard.effective_rows)
+and every forcing-curve pairing lies on one of eleven planes through the
+origin.  Each public call scales the class's H vector to integers once
+(picard.integer_h) and takes its sign pattern: the signs of its dot
+products with the eleven plane normals.  Region tests, position, nef and
+effectivity tests and forced loci are then read from one placement per
+sign pattern, built on first use and cached; eleven central planes cut
+R^3 into at most 443 faces, so at most 443 placements exist.  Wall points
+therefore resolve exactly and deterministically.
 
 The duality involution (H1 <-> H3, E1 <-> E3) permutes the regions as
 (3 4)(6 7) and fixes the rest; the region data below is arranged so the
@@ -23,6 +26,7 @@ classification commutes with it everywhere, including on walls and rays.
 from __future__ import annotations
 
 import functools
+import math
 import random
 from fractions import Fraction
 
@@ -39,6 +43,7 @@ from .picard import (
     class_P,
     convert,
     curves_x3,
+    effective_rows,
     facet_rows,
     integer_h,
     pair,
@@ -56,7 +61,8 @@ GENERATORS = {
 }
 
 _GEN_ORDER = tuple(GENERATORS)
-_GEN_H = {name: convert(d, "H").coeffs for name, d in GENERATORS.items()}
+# the generators' H coordinates, all integers
+_GEN_H = {name: tuple(int(c) for c in convert(d, "H").coeffs) for name, d in GENERATORS.items()}
 
 # E13 stands for the surface E1 n E3 inside either divisor
 _LOCUS_LABEL = {
@@ -161,29 +167,55 @@ class ChamberReport(Record):
         }
 
 
-@functools.cache
-def _facet_rows(gens) -> tuple:
-    # picard's facet rows of a triple of generator names, looked up once
-    return facet_rows(tuple(GENERATORS[g] for g in gens))
-
-
-# the effective cone is the cone over the boundary divisors
+# the effective cone is the cone over the boundary divisors; its rows are
+# picard's closed-form effective_rows(3), not facet_rows of the triple
 _EFF = (("E1", "E2", "E3"), (">=", ">=", ">="))
+_NEF = (("H1", "H2", "H3"), (">=", ">=", ">="))
 
 
-def _h_int(d: DivisorClass) -> list:
+@functools.cache
+def _plane_table() -> tuple:
+    """The distinct planes of the classifier's rows, and where each row lies.
+
+    Every facet row of a triple in REGIONS or _EFF, and every forcing-curve
+    row, is a positive or negative multiple of one of a few primitive
+    integer normals (11 of them for 33 facet rows).  Returns the normals,
+    the (plane index, orientation) pair of each triple's rows, and the
+    (plane index, orientation, piece) of each forcing curve: a row's dot
+    product with a class has the sign of orientation times the sign of the
+    plane's.  Built on first use.
+    """
+    normals = {}
+
+    def place(row):
+        orient = 1 if next(x for x in row if x) > 0 else -1
+        g = math.gcd(*row)
+        normal = tuple(orient * x // g for x in row)
+        return normals.setdefault(normal, len(normals)), orient
+
+    triples = [gens for spec in REGIONS for gens, _ in spec.cones]
+    triples += [spec.position_basis for spec in REGIONS]
+    rows = {gens: facet_rows(tuple(GENERATORS[g] for g in gens)) for gens in dict.fromkeys(triples)}
+    rows[_EFF[0]] = effective_rows(3)
+    facets = {gens: tuple(place(row) for row in triple) for gens, triple in rows.items()}
+    curves = curves_x3()
+    forcing = tuple(
+        place(clear_denominators([curves[name].coeffs])[0][0]) + (piece,) for name, piece in FORCING_CURVES
+    )
+    return tuple(normals), facets, forcing
+
+
+def _signs(d: DivisorClass) -> tuple:
+    """Signs of the class's integer H vector against each plane normal."""
     if d.n != 3:
         raise ValueError("chamber decomposition is for the n = 3 space")
-    return integer_h(d)
+    x, y, z = integer_h(d)
+    return tuple([((v := a * x + b * y + c * z) > 0) - (v < 0) for a, b, c in _plane_table()[0]])
 
 
-def _dot(row, h):
-    return row[0] * h[0] + row[1] * h[1] + row[2] * h[2]
-
-
-def _cone_accepts(h, gens, flags) -> bool:
-    for row, flag in zip(_facet_rows(gens), flags):
-        value = _dot(row, h)
+def _cone_accepts(signs, gens, flags) -> bool:
+    for (plane, orient), flag in zip(_plane_table()[1][gens], flags):
+        value = orient * signs[plane]
         if value < 0 or (value == 0 and flag == ">"):
             return False
     return True
@@ -193,20 +225,15 @@ def _is_nef(h) -> bool:
     return all(c >= 0 for c in h)
 
 
-def _region_accepts(spec: RegionSpec, h) -> bool:
-    if spec.exclude_nef and _is_nef(h):
+def _region_accepts(spec: RegionSpec, signs, nef: bool) -> bool:
+    if spec.exclude_nef and nef:
         return False
-    return any(_cone_accepts(h, gens, flags) for gens, flags in spec.cones)
+    return any(_cone_accepts(signs, gens, flags) for gens, flags in spec.cones)
 
 
-def accepting_regions(d: DivisorClass) -> list:
-    h = _h_int(d)
-    return [spec.chamber_id for spec in REGIONS if _region_accepts(spec, h)]
-
-
-def _position(spec: RegionSpec, h) -> str:
-    rows = _facet_rows(spec.position_basis)
-    support = [g for g, row in zip(spec.position_basis, rows) if _dot(row, h)]
+def _position(spec: RegionSpec, signs) -> str:
+    facets = _plane_table()[1][spec.position_basis]
+    support = [g for g, (plane, _) in zip(spec.position_basis, facets) if signs[plane]]
     if len(support) == 3:
         return "interior"
     if len(support) == 1:
@@ -224,16 +251,13 @@ _NEF_MODELS = {
 }
 
 
-def _report_for(spec: RegionSpec, d: DivisorClass, h) -> ChamberReport:
-    position = _position(spec, h)
+def _report_for(spec: RegionSpec, position: str) -> ChamberReport:
+    # shared by a whole sign pattern, so it carries no certificate
     model = None
     notes = ()
-    certificate = None
     if spec.chamber_id == 1:
         model = _NEF_MODELS.get(position)
         if position == "wall H1,H3":
-            cert_value = pair(curves_x3()["C12"], d)
-            certificate = {"pair(C12,D)": str(cert_value)}
             notes = ("small contraction; exceptional locus is E1 cap E3",)
         elif model is None:
             notes = ("nef boundary face; the induced contraction is not named here",)
@@ -253,21 +277,60 @@ def _report_for(spec: RegionSpec, d: DivisorClass, h) -> ChamberReport:
         base_locus_label=locus_label(spec.base_locus),
         model_label=model,
         notes=notes,
-        certificate=certificate,
     )
+
+
+class _Placement(Record):
+    # one sign pattern's answers: the accepting chamber ids, classify's
+    # report (None when it raises, with the ValueError message in failure,
+    # or failure None when the class escaped the cover) and the forced pieces
+    _fields = ("accepted", "report", "failure", "forced")
+
+    def __init__(self, accepted: tuple, report, failure, forced: frozenset):
+        set_field(self, "accepted", accepted)
+        set_field(self, "report", report)
+        set_field(self, "failure", failure)
+        set_field(self, "forced", forced)
+
+
+@functools.cache
+def _placement(signs: tuple) -> _Placement:
+    """Every public answer for one sign pattern, built once.
+
+    Eleven central planes cut R^3 into at most 443 faces, so the cache holds
+    at most that many patterns.
+    """
+    nef = _cone_accepts(signs, *_NEF)
+    accepted = [spec for spec in REGIONS if _region_accepts(spec, signs, nef)]
+    forced = frozenset(piece for plane, orient, piece in _plane_table()[2] if orient * signs[plane] < 0)
+    report = failure = None
+    if not any(signs):
+        failure = "zero class has no chamber"
+    elif not _cone_accepts(signs, *_EFF):
+        failure = "class is not effective"
+    elif accepted:
+        report = _report_for(accepted[0], _position(accepted[0], signs))
+    return _Placement(tuple(spec.chamber_id for spec in accepted), report, failure, forced)
+
+
+def accepting_regions(d: DivisorClass) -> list:
+    return list(_placement(_signs(d)).accepted)
 
 
 def classify(d: DivisorClass) -> ChamberReport:
     """Locate an effective divisor class in the chamber decomposition."""
-    h = _h_int(d)
-    if not any(h):
-        raise ValueError("zero class has no chamber")
-    if not _cone_accepts(h, *_EFF):
-        raise ValueError("class is not effective")
-    for spec in REGIONS:
-        if _region_accepts(spec, h):
-            return _report_for(spec, d, h)
-    raise RuntimeError("effective class escaped the chamber cover: %r" % (d,))
+    placement = _placement(_signs(d))
+    report = placement.report
+    if report is None:
+        if placement.failure is not None:
+            raise ValueError(placement.failure)
+        raise RuntimeError("effective class escaped the chamber cover: %r" % (d,))
+    if report.model_label == MODEL_SMALL:
+        # the small-contraction wall's certificate (the last field) is this
+        # class's own pairing; the other fields are the shared report's
+        certificate = {"pair(C12,D)": str(pair(curves_x3()["C12"], d))}
+        return ChamberReport(*report._astuple(report)[:-1], certificate=certificate)
+    return report
 
 
 def classify_segment(t) -> ChamberReport:
@@ -292,9 +355,6 @@ FORCING_CURVES = (
     ("L2", "E2"),
     ("C12", "E13"),
 )
-_FORCING = tuple(
-    (clear_denominators([curves_x3()[name].coeffs])[0][0], piece) for name, piece in FORCING_CURVES
-)
 
 
 def forced_base_loci(d: DivisorClass) -> frozenset:
@@ -303,8 +363,7 @@ def forced_base_loci(d: DivisorClass) -> frozenset:
     Each listed curve moves in a family covering its locus, so a divisor
     pairing negatively with it must contain the whole locus.
     """
-    h = _h_int(d)
-    return frozenset(piece for row, piece in _FORCING if _dot(row, h) < 0)
+    return _placement(_signs(d)).forced
 
 
 _XI_GEN = {"H1": "H3", "H3": "H1", "E1": "E3", "E3": "E1"}
@@ -326,39 +385,52 @@ def _xi_position(position: str) -> str:
     return "%s %s" % (kind, ",".join(mapped))
 
 
-def _sample_region(rng, chamber_id: int) -> DivisorClass:
+def _drawn(coeffs, gens, den: int) -> tuple:
+    # coeffs are den times the class's coordinates in gens; the class is
+    # built once, in H, and returned with its integer H vector times den
+    cols = [_GEN_H[g] for g in gens]
+    h = [sum(c * col[i] for c, col in zip(coeffs, cols)) for i in range(3)]
+    return DivisorClass(3, "H", tuple(Fraction(x, den) for x in h)), h
+
+
+def _sample_region(rng, chamber_id: int) -> tuple:
+    """A class from a region's cone, with its H vector times 2."""
     spec = REGIONS[chamber_id - 1]
     gens, flags = spec.cones[rng.randrange(len(spec.cones))]
     while True:
+        # each coordinate is num / den with den 1 or 2; twice it is an integer
         coeffs = []
         for flag in flags:
             low = 1 if flag == ">" else 0
-            coeffs.append(Fraction(rng.randint(low, 6), rng.choice((1, 1, 2))))
+            coeffs.append(rng.randint(low, 6) * (2 // rng.choice((1, 1, 2))))
         if spec.chamber_id == 1 and not any(coeffs):
             continue
         if spec.exclude_nef and coeffs[2] == 0:
             continue  # the E2 coordinate must be positive to leave the nef cone
-        h = [sum(c * _GEN_H[g][i] for c, g in zip(coeffs, gens)) for i in range(3)]
-        return DivisorClass(3, "H", tuple(h))
+        return _drawn(coeffs, gens, 2)
 
 
-def _sample_effective(rng) -> DivisorClass:
+def _sample_effective(rng) -> tuple:
+    """A class with random nonnegative E coordinates, with its H vector times 3."""
     while True:
-        coeffs = tuple(
-            Fraction(0) if rng.random() < 0.15 else Fraction(rng.randint(1, 12), rng.choice((1, 1, 3)))
+        # each E coordinate is 0 or num / den with den 1 or 3; three times
+        # it is an integer
+        coeffs = [
+            0 if rng.random() < 0.15 else rng.randint(1, 12) * (3 // rng.choice((1, 1, 3)))
             for _ in range(3)
-        )
+        ]
         if any(coeffs):
-            return DivisorClass(3, "E", coeffs)
+            return _drawn(coeffs, _EFF[0], 3)
 
 
 def chamber_census(samples: int, seed: int) -> dict:
     """Classify seeded random effective classes and verify the partition.
 
     Alternates region-targeted samples (so every chamber is exercised) with
-    uniform effective samples.  Each class goes through the public tests
-    (accepting_regions, classify, forced_base_loci), each of which reads
-    the class's integer H vector.  For each class it checks that exactly
+    uniform effective samples.  Each class is drawn as an integer vector
+    over a fixed denominator and built once, in H.  It goes through the
+    public tests (accepting_regions, classify, forced_base_loci), each of
+    which reads the class's sign pattern.  For each class it checks that exactly
     one region accepts, that classification commutes with the duality
     involution, that curve-forced loci are contained in the reported locus,
     and that the locus is empty exactly on the nef cone.
@@ -368,11 +440,12 @@ def chamber_census(samples: int, seed: int) -> dict:
     rng = random.Random(seed)
     counts = {cid: 0 for cid in range(1, 9)}
     for i in range(samples):
+        # d is drawn in H, so that xi(d) needs no basis change; h is its
+        # integer H vector times a positive denominator
         if i % 2 == 0:
-            d = _sample_region(rng, (i // 2) % 8 + 1)
+            d, h = _sample_region(rng, (i // 2) % 8 + 1)
         else:
-            d = _sample_effective(rng)
-        d = convert(d, "H")  # the same class, so that xi(d) needs no basis change
+            d, h = _sample_effective(rng)
         accepted = accepting_regions(d)
         if len(accepted) != 1:
             raise AssertionError("regions %r accept %r" % (accepted, d))
@@ -391,7 +464,7 @@ def chamber_census(samples: int, seed: int) -> dict:
 
         if not locus_subset(forced_base_loci(d), report.base_locus):
             raise AssertionError("forced locus exceeds reported locus at %r" % (d,))
-        if (report.base_locus == frozenset()) != _is_nef(_h_int(d)):
+        if (report.base_locus == frozenset()) != _is_nef(h):
             raise AssertionError("empty locus must coincide with nef at %r" % (d,))
     result = {
         "samples": samples,

@@ -13,9 +13,11 @@ all intersection pairings reduce to this duality, which is what lets the
 whole X_3 intersection table be regenerated from its H columns alone.
 
 A class is placed against a tuple of generators in one way only: the
-integer facet rows of the tuple (facet_rows, computed once per tuple)
-dotted with the class's integer H vector (integer_h).  The movable-cone
-test here and the chamber classifier both read these signs.
+integer facet rows of the tuple dotted with the class's integer H vector
+(integer_h).  The rows come from facet_rows (computed once per tuple) or,
+for the effective cone over E_1..E_n, from the closed form effective_rows
+(once per n).  The effective- and movable-cone tests here and the chamber
+classifier all read these signs.
 """
 
 from __future__ import annotations
@@ -148,7 +150,8 @@ class ConeMembership(Record):
 def cone_membership(d: DivisorClass, cone: str) -> ConeMembership:
     """Membership in the nef, effective or (n=3) movable cone.
 
-    nef: nonnegative H coefficients; eff: nonnegative E coefficients; mov
+    nef: nonnegative H coefficients; eff: nonnegative E coefficients, read
+    through the closed-form rows effective_rows(n) without a solve; mov
     (n=3 only): the cone generated by H_1, H_2, H_3 and P, tested as the
     union of the simplicial cones (H_1,H_2,H_3) and (H_1,H_3,P), each read
     through its integer facet rows.  The interior flag asks for strictly
@@ -159,7 +162,7 @@ def cone_membership(d: DivisorClass, cone: str) -> ConeMembership:
         h = convert(d, "H").coeffs
         return ConeMembership(all(c >= 0 for c in h), all(c > 0 for c in h))
     if cone == "eff":
-        e = convert(d, "E").coeffs
+        e = _mat_vec(effective_rows(d.n), integer_h(d))
         return ConeMembership(all(c >= 0 for c in e), all(c > 0 for c in e))
     if cone == "mov":
         if d.n != 3:
@@ -259,6 +262,21 @@ def facet_rows(gens: tuple) -> tuple:
     cols = [convert(g, "H").coeffs for g in gens]
     inverse = mat_inverse([[c[i] for c in cols] for i in range(len(cols))])
     return tuple(tuple(clear_denominators([row])[0][0]) for row in inverse)
+
+
+@functools.cache
+def effective_rows(n: int) -> tuple:
+    """Integer rows (n+1) C^-1 of the inverse A_n Cartan matrix.
+
+    Entry (i, j), counted from 1, is min(i, j)(n+1-max(i, j)).  Row i dotted
+    with the H coordinates of a class is n+1 times its E_i coordinate, so
+    these are facet rows of the effective cone, the cone over E_1..E_n.
+    Built from the closed form, once per n: inverting the generator matrix
+    as facet_rows does is cubic in n.
+    """
+    return tuple(
+        tuple(min(i, j) * (n + 1 - max(i, j)) for j in range(1, n + 1)) for i in range(1, n + 1)
+    )
 
 
 def integer_h(d: DivisorClass) -> list:

@@ -1,10 +1,19 @@
 """Chamber classifier: region ownership, duality, and census invariants."""
 
+import hashlib
 import itertools
+import json
+import os
+import pathlib
+import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import completequadrics
+from completequadrics import chambers
 from completequadrics.chambers import (
     GENERATORS,
     MODEL_CHOW,
@@ -15,6 +24,7 @@ from completequadrics.chambers import (
     MODEL_SMALL,
     MODEL_X3,
     REGIONS,
+    RegionSpec,
     accepting_regions,
     chamber_census,
     classify,
@@ -25,7 +35,21 @@ from completequadrics.chambers import (
     locus_subset,
 )
 from completequadrics.exact import InconsistentSystem, solve_exact
-from completequadrics.picard import DivisorClass, _to_h, class_P, cone_membership, convert, curves_x3, pair, xi
+from completequadrics.picard import (
+    DivisorClass,
+    _to_h,
+    class_P,
+    cone_membership,
+    convert,
+    curves_x3,
+    effective_rows,
+    facet_rows,
+    integer_h,
+    pair,
+    xi,
+)
+
+SRC = pathlib.Path(completequadrics.__file__).resolve().parent.parent
 
 
 def H(a, b, c):
@@ -343,3 +367,250 @@ class TestIntegerClassifier:
             assert cone_membership(d, "mov").contains == inside, h
             checked += 1
         assert checked == 4912
+
+
+# -- the row-based classifier, kept as the reference of the sign patterns ------
+
+MODELS_ON_NEF_FACES = {
+    "interior": MODEL_X3,
+    "ray H1": MODEL_P9,
+    "ray H2": MODEL_CHOW,
+    "ray H3": MODEL_P9_DUAL,
+    "wall H1,H3": MODEL_SMALL,
+}
+
+
+def reference_rows(gens):
+    return facet_rows(tuple(GENERATORS[g] for g in gens))
+
+
+def dot(row, h):
+    return sum(a * x for a, x in zip(row, h))
+
+
+def reference_cone_accepts(h, gens, flags):
+    for row, flag in zip(reference_rows(gens), flags):
+        value = dot(row, h)
+        if value < 0 or (value == 0 and flag == ">"):
+            return False
+    return True
+
+
+def reference_position(spec, h):
+    support = [g for g, row in zip(spec.position_basis, reference_rows(spec.position_basis)) if dot(row, h)]
+    if len(support) == 3:
+        return "interior"
+    if len(support) == 1:
+        return "ray %s" % support[0]
+    support.sort(key=GEN_ORDER.index)
+    return "wall %s,%s" % (support[0], support[1])
+
+
+def reference_answers(d):
+    """accepting_regions, forced_base_loci and classify's answer, from rows."""
+    h = integer_h(d)
+    nef = all(c >= 0 for c in h)
+    accepted = [
+        spec
+        for spec in REGIONS
+        if not (spec.exclude_nef and nef) and any(reference_cone_accepts(h, g, f) for g, f in spec.cones)
+    ]
+    curves = curves_x3()
+    forced = frozenset(piece for name, piece in FORCING_CURVES if dot(curves[name].coeffs, h) < 0)
+    if not any(h) or not reference_cone_accepts(h, ("E1", "E2", "E3"), (">=",) * 3):
+        return [spec.chamber_id for spec in accepted], forced, ValueError
+    spec = accepted[0]
+    position = reference_position(spec, h)
+    model, certificate = None, None
+    if spec.chamber_id == 1:
+        model = MODELS_ON_NEF_FACES.get(position)
+        if position == "wall H1,H3":
+            certificate = {"pair(C12,D)": str(pair(curves["C12"], d))}
+    elif spec.chamber_id == 2:
+        model = {"ray P": MODEL_P_RAY, "interior": MODEL_FLIP}.get(position)
+    report = (spec.chamber_id, position, spec.base_locus, model, certificate)
+    return [spec.chamber_id for spec in accepted], forced, report
+
+
+class TestSignPatternPlacement:
+    def test_plane_table(self):
+        normals, facets, forcing = chambers._plane_table()
+        # 11 triples of 3 facet rows each, on 11 distinct primitive planes
+        assert len(facets) == 11 and len(normals) == len(set(normals)) == 11
+        assert {plane for rows in facets.values() for plane, _ in rows} == set(range(11))
+        assert len(forcing) == len(FORCING_CURVES)
+        # each facet row is a positive multiple of its orientation times its plane
+        for gens, rows in facets.items():
+            source = effective_rows(3) if gens == ("E1", "E2", "E3") else reference_rows(gens)
+            for row, (plane, orient) in zip(source, rows):
+                scale = next(r // (orient * x) for r, x in zip(row, normals[plane]) if x)
+                assert scale > 0 and list(row) == [scale * orient * x for x in normals[plane]]
+
+    def test_public_results_match_the_row_reference(self):
+        for h in half_integer_box(-4, 6):
+            d = DivisorClass(3, "H", h)
+            accepted, forced, expected = reference_answers(d)
+            assert accepting_regions(d) == accepted, h
+            assert forced_base_loci(d) == forced, h
+            if expected is ValueError:
+                with pytest.raises(ValueError):
+                    classify(d)
+                continue
+            r = classify(d)
+            got = (r.chamber_id, r.position, r.base_locus, r.model_label, r.certificate)
+            assert got == expected, h
+            assert r.base_locus_label == locus_label(r.base_locus)
+        # at most one placement per face of the arrangement of 11 planes
+        assert chambers._placement.cache_info().currsize <= 4 * 11 * 10 + 3
+
+    def test_wall_certificate_is_not_shared(self):
+        a, b = classify(H(2, 0, 5)), classify(H(2, 0, 5))
+        assert a == b and a.certificate is not b.certificate
+
+    def test_accepting_regions_returns_a_fresh_list(self):
+        accepting_regions(H(1, 1, 1)).append(9)
+        assert accepting_regions(H(1, 1, 1)) == [1]
+
+
+# -- integer draws against the Fraction draws they replaced --------------------
+
+def fraction_draw(rng, i):
+    """Sample i of a census as the Fraction code drew it, in H coordinates."""
+    if i % 2 == 0:
+        spec = REGIONS[(i // 2) % 8]
+        gens, flags = spec.cones[rng.randrange(len(spec.cones))]
+        while True:
+            coeffs = [Fraction(rng.randint(1 if f == ">" else 0, 6), rng.choice((1, 1, 2))) for f in flags]
+            if spec.chamber_id == 1 and not any(coeffs):
+                continue
+            if spec.exclude_nef and coeffs[2] == 0:
+                continue
+            h = [sum(c * GEN_H[g][k] for c, g in zip(coeffs, gens)) for k in range(3)]
+            return DivisorClass(3, "H", tuple(h))
+    while True:
+        coeffs = tuple(
+            Fraction(0) if rng.random() < 0.15 else Fraction(rng.randint(1, 12), rng.choice((1, 1, 3)))
+            for _ in range(3)
+        )
+        if any(coeffs):
+            return convert(DivisorClass(3, "E", coeffs), "H")
+
+
+def test_integer_draws_equal_the_fraction_draws():
+    for seed in range(4):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for i in range(400):
+            if i % 2 == 0:
+                d, h = chambers._sample_region(ours, (i // 2) % 8 + 1)
+                den = 2
+            else:
+                d, h = chambers._sample_effective(ours)
+                den = 3
+            assert d == fraction_draw(theirs, i)
+            assert d.basis == "H" and [Fraction(x, den) for x in h] == list(d.coeffs)
+        assert ours.random() == theirs.random()
+
+
+# sha256 of json.dumps([chamber_census(50, s)["chamber_counts"] for s in
+# range(128)], sort_keys=True), recorded with the Fraction draws and the
+# row-based classifier
+CENSUS_POOL_DIGEST = "a868d865c86341761c45375735d232e7bc2b2a6f9bac2c9e7084184d6c87c1e7"
+
+
+def test_census_counts_pinned():
+    counts = [chamber_census(50, s)["chamber_counts"] for s in range(128)]
+    assert hashlib.sha256(json.dumps(counts, sort_keys=True).encode()).hexdigest() == CENSUS_POOL_DIGEST
+
+
+# -- every census failure exit, forced on the first sample ---------------------
+
+SEED = 2
+
+
+@pytest.fixture
+def first_class():
+    """The census's first class at SEED, drawn by the Fraction code."""
+    d = fraction_draw(random.Random(SEED), 0)
+    # a nef class off the H1 = H3 plane, so its mirror has another sign pattern
+    assert all(c >= 0 for c in d.coeffs) and d.coeffs[0] != d.coeffs[2]
+    assert "Fraction(" in repr(d)
+    return d
+
+
+@pytest.fixture
+def fresh_placements():
+    chambers._placement.cache_clear()
+    yield
+    chambers._placement.cache_clear()
+
+
+def census_failure():
+    with pytest.raises(AssertionError) as info:
+        chamber_census(1, SEED)
+    return str(info.value)
+
+
+def replaced(record, **fields):
+    values = {f: getattr(record, f) for f in record._fields}
+    values.update(fields)
+    return type(record)(**values)
+
+
+def patch_placement(monkeypatch, d, change):
+    # the placement of d's sign pattern gets the fields change(placement)
+    # returns; every other pattern keeps its own
+    real = chambers._placement
+    target = chambers._signs(d)
+
+    def placement(signs):
+        found = real(signs)
+        return replaced(found, **change(found)) if signs == target else found
+
+    monkeypatch.setattr(chambers, "_placement", placement)
+
+
+def test_several_regions_accept(monkeypatch, fresh_placements, first_class):
+    monkeypatch.setattr(chambers, "REGIONS", REGIONS + (REGIONS[0],))
+    assert census_failure() == "regions [1, 1] accept %r" % (first_class,)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("chamber_id", 5, "duality maps chamber 1 to 5 at %r"),
+    ("base_locus", frozenset({"E2"}), "duality breaks base locus at %r"),
+    ("position", "ray P", "duality breaks position at %r"),
+    ("model_label", MODEL_FLIP, "duality breaks model label at %r"),
+])
+def test_duality_breaks(monkeypatch, first_class, field, value, message):
+    mirror = xi(first_class)
+    patch_placement(monkeypatch, mirror, lambda p: {"report": replaced(p.report, **{field: value})})
+    assert census_failure() == message % (first_class,)
+
+
+def test_forced_locus_exceeds_reported(monkeypatch, first_class):
+    patch_placement(monkeypatch, first_class, lambda p: {"forced": frozenset({"E2"})})
+    assert census_failure() == "forced locus exceeds reported locus at %r" % (first_class,)
+
+
+def test_empty_locus_differs_from_nef(monkeypatch, fresh_placements, first_class):
+    spec = REGIONS[0]
+    moved = RegionSpec(spec.chamber_id, spec.cones, spec.position_basis, frozenset({"E2"}))
+    monkeypatch.setattr(chambers, "REGIONS", (moved,) + REGIONS[1:])
+    assert census_failure() == "empty locus must coincide with nef at %r" % (first_class,)
+
+
+def test_import_builds_no_rows_or_placements():
+    # facet rows, plane table and placements are built on first use, not at
+    # import, so the benchmark's set-up time cannot absorb them
+    code = (
+        "import completequadrics\n"
+        "from completequadrics import chambers, picard\n"
+        "caches = (picard.facet_rows, picard.effective_rows, chambers._plane_table, chambers._placement)\n"
+        "print([f.cache_info().currsize for f in caches])\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[0, 0, 0, 0]\n"

@@ -34,6 +34,7 @@ from completequadrics.picard import (
     convert,
     curves_x3,
     derive_class_from_pairings,
+    effective_rows,
     facet_rows,
     integer_h,
     is_fano,
@@ -192,6 +193,31 @@ def test_movable_membership_matches_solve_exact():
             any(all(x > 0 for x in xs) for xs in coords),
         )
         assert cone_membership(DivisorClass(3, "H", h), "mov") == expected, h
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_effective_membership_matches_e_coordinates(n):
+    rows = effective_rows(n)
+    assert effective_rows(n) is rows
+    assert all(type(x) is int for row in rows for x in row)
+    # the rows are n + 1 times the inverse of the E basis matrix
+    assert [[Fraction(x, n + 1) for x in row] for row in rows] == [list(r) for r in mat_inverse(_to_h(n, "E"))]
+    rng = random.Random(900 + n)
+    for k in range(48):
+        # interior, boundary (some E coordinates zero) and outside classes,
+        # handed over in each basis
+        kind = k % 3
+        e = [Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(n)]
+        if kind == 1:
+            for i in rng.sample(range(n), rng.randint(1, n - 1)):
+                e[i] = 0
+        elif kind == 2:
+            e[rng.randrange(n)] = Fraction(-rng.randint(1, 9), rng.randint(1, 4))
+        d = convert(DivisorClass(n, "E", e), BASES[k // 3 % 3])
+        oracle = convert(d, "E").coeffs
+        expected = ConeMembership(all(c >= 0 for c in oracle), all(c > 0 for c in oracle))
+        assert expected == ConeMembership(kind != 2, kind == 0)
+        assert cone_membership(d, "eff") == expected, (n, d)
 
 
 def test_canonical_class_n3():
