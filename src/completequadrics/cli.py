@@ -23,8 +23,8 @@ from .quadrics import SymmetricForm
 SCHEMA = "cq/1"
 
 # Largest ambient dimension `cq pencil --n` accepts.  The time of a count
-# grows steeply with n (with k = 1, on one 2.1 GHz Xeon core: about 0.05 s
-# at n = 20, 0.3 s at n = 30 and 1.8 s at n = 40), so larger n is rejected
+# grows steeply with n (with k = 1, on one 2.1 GHz Xeon core: about 0.02 s
+# at n = 20, 0.1 s at n = 30 and 0.35 s at n = 40), so larger n is rejected
 # with exit 2 rather than left to run for minutes.
 MAX_PENCIL_N = 40
 
@@ -69,12 +69,12 @@ MAX_LATTICE_N = 100
 # class operation (a Pieri step, a sum, a pairing or a scalar multiple) takes
 # time in proportion to the terms of its classes; MAX_SCHUBERT_EXP bounds each
 # exponent and the operations of a whole expression.  On one Xeon core the
-# slowest admitted expression found, sigma1^46 followed by 55 products with 2
-# on G(8,18) (92378 classes), takes about 2.0 s, and sigma1^100 there 1.4 s;
-# rejected, sigma1^50 on G(9,19) (184756 classes) takes 1.2 s.  Integers and
-# class coefficients have at most MAX_SCHUBERT_INT_BITS bits, so at most the
-# 4300 digits Python prints.  Parentheses and unary minus signs, the only
-# recursion of the evaluator, nest at most MAX_SCHUBERT_DEPTH deep.
+# slowest admitted expression found, sigma1^100 on G(8,18) (92378 classes),
+# takes about 0.55 s, and sigma1^46 followed by 55 products with 2 there
+# 0.45 s; rejected, sigma1^50 on G(9,19) (184756 classes) takes 0.55 s.
+# Integers and class coefficients have at most MAX_SCHUBERT_INT_BITS bits, so
+# at most the 4300 digits Python prints.  Parentheses and unary minus signs,
+# the only recursion of the evaluator, nest at most MAX_SCHUBERT_DEPTH deep.
 MAX_SCHUBERT_CLASSES = 100_000
 MAX_SCHUBERT_EXP = 100
 MAX_SCHUBERT_INT_BITS = 14_284

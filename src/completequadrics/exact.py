@@ -10,14 +10,18 @@ are exact.
 
 Rational work runs on Python integers wherever it can.  clear_denominators
 scales a rational matrix by the lcm of its denominators, and _echelon, a
-rank-revealing Bareiss elimination, is the one elimination routine: int_det,
-mat_rank, solve_exact and mat_inverse run it on integers.  ff_det of a rational
-matrix is int_det of the scaled matrix over the scale to the n-th power, and
-int_det_poly gives the coefficients of det(A + tB) by evaluating int_det at
-integer points and interpolating, for pencil determinant forms and for the
-minors of Chow-form limits.  poly_gcd runs a primitive integer remainder
-sequence instead of a Euclidean gcd over Fraction, and distinct_root_count
-reads the squarefree degree from it.  The same pattern carries the
+rank-revealing Bareiss elimination, is the one general elimination routine:
+int_det, mat_rank, solve_exact and mat_inverse run it on integers.  ff_det of
+a rational matrix is int_det of the scaled matrix over the scale to the n-th
+power, and int_det_poly gives the coefficients of det(A + tB) by evaluating
+the determinant at integer points and interpolating, for pencil determinant
+forms and for the minors of Chow-form limits.  When A and B are symmetric,
+as a pencil's forms are, each point runs _sym_det, a symmetric Bareiss
+elimination over the upper triangle, instead of int_det.  poly_gcd runs a
+primitive integer remainder sequence instead of a Euclidean gcd over
+Fraction.  distinct_root_count certifies a squarefree polynomial by one gcd
+modulo the prime 2^61 - 1 and reads the squarefree degree from poly_gcd only
+when that certificate fails.  The same pattern carries the
 Chow-form layers: quadrics.compound and chowform.plucker take each minor by
 int_det of one scaled matrix, quadrics.restrict forms B^T Q B as one integer
 product, and chowform.chow_eval sums its quadratic form over those integer
@@ -129,6 +133,22 @@ def poly_gcd(a, b) -> list:
     return a
 
 
+# the prime of the squarefree certificate in distinct_root_count
+_CERT_P = (1 << 61) - 1
+
+
+def _gcd_degree_mod_p(a, b) -> int:
+    """Degree of gcd(a, b) over the integers mod _CERT_P, for coefficient
+    lists reduced mod _CERT_P and trimmed there, a nonzero.
+
+    lc(b) is a unit mod _CERT_P, so the integer pseudo-remainder reduced mod
+    _CERT_P is a unit times the remainder of a by b there.
+    """
+    while b:
+        a, b = b, _trim([c % _CERT_P for c in _pseudo_remainder(a, b)])
+    return len(a) - 1
+
+
 def distinct_root_count(coeffs) -> tuple[int, int]:
     """Return (degree, number of distinct complex roots) of a nonzero polynomial.
 
@@ -137,6 +157,13 @@ def distinct_root_count(coeffs) -> tuple[int, int]:
     length of the sequence.  The distinct-root count is the degree of the
     squarefree part p / gcd(p, p'), so no root finding or factoring is
     involved.
+
+    A squarefree polynomial is certified modulo the prime P = 2^61 - 1 first.
+    With a the integer polynomial, when P does not divide lc(a) and
+    gcd(a mod P, a' mod P) is a constant, the integer gcd g is a constant
+    too: lc(g) divides lc(a), so reducing mod P keeps the degree of g.  In
+    every other case the primitive remainder sequence of poly_gcd gives the
+    exact answer.
     """
     (a,), _ = clear_denominators([list(coeffs)])
     a = _trim(a)
@@ -144,6 +171,9 @@ def distinct_root_count(coeffs) -> tuple[int, int]:
         raise ValueError("zero polynomial has no well-defined root count")
     degree = len(a) - 1
     da = [i * c for i, c in enumerate(a)][1:]
+    if a[-1] % _CERT_P and not _gcd_degree_mod_p(
+            [c % _CERT_P for c in a], _trim([c % _CERT_P for c in da])):
+        return (degree, degree)
     return (degree, degree - (len(poly_gcd(a, da)) - 1))
 
 
@@ -448,20 +478,89 @@ def int_det(m) -> int:
     return d if sign > 0 else -d  # no MPoly product by the sign
 
 
+def _sym_swap(u, k, r):
+    # exchange indices k < r of the trailing block u[k:], rows and columns
+    # alike: in the upper triangle a_kk trades with a_rr, a_ky with a_yr for
+    # k < y < r, and a_ky with a_ry for y > r, while a_kr stays
+    rk, rr = u[k], u[r]
+    rk[0], rr[0] = rr[0], rk[0]
+    for y in range(k + 1, r):
+        rk[y - k], u[y][r - y] = u[y][r - y], rk[y - k]
+    rk[r - k + 1:], rr[1:] = rr[1:], rk[r - k + 1:]
+
+
+def _sym_add(u, k, c):
+    # add row and column c > k to row and column k; only row k changes in
+    # the upper triangle, and its diagonal gains a_kc twice and a_cc once
+    row = u[k]
+    u[k] = [x + (u[c][y - c] if y >= c else u[y][c - y]) for y, x in enumerate(row, k)]
+    u[k][0] += row[c - k] + u[c][0]
+
+
+def _sym_det(u) -> int:
+    """Determinant of a symmetric integer matrix by symmetric Bareiss elimination.
+
+    u holds the upper triangle, u[i] = [a_ii, a_i,i+1, ..., a_i,n-1], and is
+    eliminated in place.  A Bareiss step keeps the trailing block symmetric,
+    so only its entries j >= i are updated.  A zero diagonal pivot is
+    exchanged, row and column together, with a later nonzero diagonal entry.
+    When every remaining diagonal entry is zero, row and column c, where
+    a_kc != 0, are added to row and column k: a congruence, which leaves the
+    determinant unchanged and makes the pivot 2 a_kc.  A zero trailing row
+    makes the determinant 0.  Both moves act on rows and columns not yet
+    eliminated, so each step still divides exactly by the previous pivot.
+    """
+    n = len(u)
+    prev = 1
+    for k in range(n - 1):
+        row = u[k]
+        if not row[0]:
+            r = next((i for i in range(k + 1, n) if u[i][0]), None)
+            if r is not None:
+                _sym_swap(u, k, r)
+            else:
+                c = next((c for c, x in enumerate(row, k) if x), None)
+                if c is None:
+                    return 0
+                _sym_add(u, k, c)
+            row = u[k]
+        pivot = row[0]
+        for i in range(k + 1, n):
+            f = row[i - k]
+            u[i] = [(pivot * x - f * y) // prev for x, y in zip(u[i], row[i - k:])]
+        prev = pivot
+    return u[n - 1][0]
+
+
+def _is_symmetric(a) -> bool:
+    # square, and each row equals its column; stops at the first that does
+    # not, and a short row makes the strict zip raise
+    return len(a[0]) == len(a) and all(map(operator.eq, map(tuple, a), zip(*a, strict=True)))
+
+
 def int_det_poly(a, b) -> list:
     """Integer coefficients of det(A + tB), lowest degree first.
 
     A and B are square integer matrices of one size n, and the list has
-    n + 1 entries, trailing zeros included.  The determinant is taken by
-    int_det at t = 0..n and interpolated by Newton's divided differences:
-    at the nodes 0..n each step divides by an integer j, and the quotient is
-    an integer because the polynomial has integer coefficients.
+    n + 1 entries, trailing zeros included.  The determinant is taken at
+    t = 0..n, by the symmetric elimination _sym_det when A and B both equal
+    their transposes, as a pencil's forms do, else by int_det, and is
+    interpolated by Newton's divided differences: at the nodes 0..n each
+    step divides by an integer j, and the quotient is an integer because the
+    polynomial has integer coefficients.
     """
     n = len(a)
-    c = [
-        int_det([[x + t * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)])
-        for t in range(n + 1)
-    ]
+    if a and _is_symmetric(a) and _is_symmetric(b):
+        c = [
+            _sym_det([[x + t * y for x, y in zip(ra[i:], rb[i:])]
+                      for i, (ra, rb) in enumerate(zip(a, b))])
+            for t in range(n + 1)
+        ]
+    else:
+        c = [
+            int_det([[x + t * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)])
+            for t in range(n + 1)
+        ]
     for j in range(1, n + 1):
         for i in range(n, j - 1, -1):
             c[i] = (c[i] - c[i - 1]) // j

@@ -66,15 +66,12 @@ class SchubertClass(Record):
     @classmethod
     def _make(cls, k: int, n: int, terms: dict) -> "SchubertClass":
         # class operations build terms from validated operands: the parts
-        # are already weakly decreasing ints inside the box, and distinct
-        # keys stay distinct once their trailing zeros are stripped, so only
-        # the padding, the zero coefficients and the order need fixing
+        # are already weakly decreasing positive ints inside the box, so only
+        # the zero coefficients and the order need fixing
         out = object.__new__(cls)
         set_field(out, "k", k)
         set_field(out, "n", n)
-        set_field(out, "_terms", tuple(sorted(
-            (_strip_zeros(p), c) for p, c in terms.items() if c
-        )))
+        set_field(out, "_terms", tuple(sorted((p, c) for p, c in terms.items() if c)))
         return out
 
     @property
@@ -136,13 +133,14 @@ def pieri1(cls: SchubertClass) -> SchubertClass:
     out = {}
     rows, cols = cls.k + 1, cls.n - cls.k
     for parts, coeff in cls._terms:
-        padded = list(parts) + [0] * (rows - len(parts))
-        for i in range(rows):
-            if padded[i] >= cols:
-                continue
-            if i > 0 and padded[i] == padded[i - 1]:
-                continue
-            grown = tuple(padded[:i] + [padded[i] + 1] + padded[i + 1:])
+        # a box ends a row narrower than the box and than the row above, or
+        # starts the first empty row
+        for i, part in enumerate(parts):
+            if part < cols and (i == 0 or parts[i - 1] > part):
+                grown = parts[:i] + (part + 1,) + parts[i + 1:]
+                out[grown] = out.get(grown, 0) + coeff
+        if len(parts) < rows:
+            grown = parts + (1,)
             out[grown] = out.get(grown, 0) + coeff
     return SchubertClass._make(cls.k, cls.n, out)
 

@@ -5,17 +5,21 @@ rationals and over polynomials in one and in two variables, and mat_rank
 and solve_exact against the largest nonvanishing minor, also where the
 elimination skips columns; mat_inverse by multiplying back; root counts
 against explicit factorizations and the integer gcd against a Euclidean gcd
-over Fraction.
+over Fraction.  The symmetric elimination is checked against int_det,
+int_det_poly against per-point int_det interpolated over Fraction, and the
+mod-P squarefree certificate against the remainder sequence alone.
 """
 
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from completequadrics import exact
 from completequadrics.exact import (
     InconsistentSystem,
     MPoly,
@@ -92,6 +96,120 @@ def test_int_det_zero_pivots():
         int_det([[1, 2]])
     with pytest.raises(ValueError):
         int_det([])
+
+
+def _upper(m):
+    return [list(r[i:]) for i, r in enumerate(m)]
+
+
+def _sparse_symmetric(rng, n):
+    # entries mostly zero, so zero pivots and zero trailing diagonals occur
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if rng.random() < 0.4:
+                m[i][j] = m[j][i] = rng.randint(-3, 3)
+    return m
+
+
+def _spy_moves(monkeypatch):
+    # record each symmetric swap and congruence step _sym_det takes
+    moves = []
+    for name in ("_sym_swap", "_sym_add"):
+        move = getattr(exact, name)
+        monkeypatch.setattr(exact, name, lambda u, k, j, name=name, move=move: (
+            moves.append((name, k, j)), move(u, k, j)))
+    return moves
+
+
+def test_sym_det_matches_int_det_on_sparse_symmetric(monkeypatch):
+    moves = _spy_moves(monkeypatch)
+    kinds = set()
+    for seed in range(400):
+        rng = random.Random(1500 + seed)
+        m = _sparse_symmetric(rng, rng.randint(1, 8))
+        del moves[:]
+        d = exact._sym_det(_upper(m))
+        assert type(d) is int
+        assert d == int_det(m), m
+        kinds.update(name for name, _, _ in moves)
+        kinds.add("singular" if d == 0 else "nonsingular")
+    assert kinds == {"_sym_swap", "_sym_add", "singular", "nonsingular"}
+
+
+@pytest.mark.parametrize("m, det, taken", [
+    # a00 = 0: exchanged with the later nonzero a22
+    ([[0, 1, 0], [1, 0, 2], [0, 2, 3]], -3, [("_sym_swap", 0, 2)]),
+    # every diagonal entry zero: row and column 1 added to 0, pivot 2 a01
+    ([[0, 1], [1, 0]], -1, [("_sym_add", 0, 1)]),
+    ([[0, 0, 2], [0, 0, 3], [2, 3, 0]], 0, [("_sym_add", 0, 2)]),
+    # after the first step the trailing diagonal is all zero
+    ([[1, 1, 1], [1, 1, 2], [1, 2, 1]], -1, [("_sym_add", 1, 2)]),
+    # zero trailing rows: at the first step, and after one
+    ([[0, 0], [0, 0]], 0, []),
+    ([[0, 0, 0], [0, 0, 4], [0, 4, 0]], 0, []),
+    ([[2, 4, 6], [4, 8, 12], [6, 12, 18]], 0, []),
+    # singular after a swap
+    ([[0, 0], [0, 5]], 0, [("_sym_swap", 0, 1)]),
+    ([[1, 1, 0], [1, 1, 0], [0, 0, 3]], 0, [("_sym_swap", 1, 2)]),
+    ([[7]], 7, []),
+    ([[0]], 0, []),
+])
+def test_sym_det_forced_branches(monkeypatch, m, det, taken):
+    moves = _spy_moves(monkeypatch)
+    assert cofactor_det(m) == det
+    assert exact._sym_det(_upper(m)) == det
+    assert moves == taken
+
+
+def _interpolation_oracle(a, b):
+    # per-point int_det at t = 0..n, interpolated by Lagrange over Fraction
+    n = len(a)
+    values = [int_det([[x + t * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)])
+              for t in range(n + 1)]
+    coeffs = [Fraction(0)] * (n + 1)
+    for i, v in enumerate(values):
+        basis = [Fraction(1)]
+        denom = 1
+        for j in range(n + 1):
+            if j != i:
+                basis = [x - j * y for x, y in zip([0] + basis, basis + [0])]
+                denom *= i - j
+        coeffs = [c + Fraction(v, denom) * x for c, x in zip(coeffs, basis)]
+    assert all(c.denominator == 1 for c in coeffs)
+    return [int(c) for c in coeffs]
+
+
+@pytest.mark.parametrize("shape", ["both", "only_a", "only_b", "neither"])
+def test_int_det_poly_matches_per_point_oracle(shape):
+    rng = random.Random("pencil:" + shape)
+    for _ in range(60):
+        n = rng.randint(1, 7)
+        a, b = _sparse_symmetric(rng, n), _sparse_symmetric(rng, n)
+        if shape in ("only_b", "neither"):
+            a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        if shape in ("only_a", "neither"):
+            b = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        coeffs = int_det_poly(a, b)
+        assert coeffs == _interpolation_oracle(a, b)
+        assert len(coeffs) == n + 1 and all(type(c) is int for c in coeffs)
+
+
+def test_int_det_poly_takes_the_symmetric_path_for_symmetric_pairs(monkeypatch):
+    calls = []
+    sym_det = exact._sym_det
+    monkeypatch.setattr(exact, "_sym_det", lambda u: calls.append(len(u)) or sym_det(u))
+    sym = [[1, 2], [2, 0]]
+    assert int_det_poly(sym, [[0, 1], [1, 1]]) == [-4, -3, -1]
+    assert calls == [2, 2, 2]
+    assert int_det_poly(sym, [[0, 1], [0, 1]]) == _interpolation_oracle(sym, [[0, 1], [0, 1]])
+    assert calls == [2, 2, 2]
+    with pytest.raises(ValueError):
+        int_det_poly([], [])
+    # ragged or non-square input raises as int_det does
+    for ragged in ([[1, 2, 3], [2, 5, 6], [3, 6]], [[1, 2], [2, 3, 4]], [[1, 2]], [[]], [[], []]):
+        with pytest.raises(ValueError):
+            int_det_poly(ragged, ragged)
 
 
 def test_clear_denominators():
@@ -295,6 +413,57 @@ def test_distinct_root_count_matches_fraction_gcd(seed):
     derivative = [i * c for i, c in enumerate(cs)][1:]
     squarefree_degree = len(cs) - len(fraction_gcd(cs, derivative))
     assert distinct_root_count(cs) == (len(cs) - 1, squarefree_degree)
+
+
+P = 2 ** 61 - 1  # the certificate's prime
+
+
+def _reference_root_count(cs):
+    # the primitive remainder sequence alone, without the certificate
+    (a,), _ = clear_denominators([list(cs)])
+    a = _trimmed(a)
+    derivative = [i * c for i, c in enumerate(a)][1:]
+    return (len(a) - 1, len(a) - len(poly_gcd(a, derivative)))
+
+
+@pytest.mark.parametrize("coeffs, count, falls_back", [
+    # a repeated root: gcd(a, a') is not constant mod P either
+    (coeffs_of((T - 1) ** 2 * (T + 2)), (3, 2), True),
+    # t (t - P) is squarefree over Q, but t^2 mod P
+    ([0, -P, 1], (2, 2), True),
+    # a leading coefficient divisible by P: P t^2 - 1 and 2P t^3 + t
+    ([-1, 0, P], (2, 2), True),
+    ([0, 1, 0, 2 * P], (3, 3), True),
+    ([Fraction(-1, 3), 0, Fraction(P, 3)], (2, 2), True),
+    # squarefree, certified without the remainder sequence
+    (coeffs_of((T - 1) * (T - 2) * (T * T + 1)), (4, 4), False),
+    ([Fraction(1, 2), Fraction(-3, 4), 5], (2, 2), False),
+    ([0, 1], (1, 1), False),
+    ([7], (0, 0), False),
+])
+def test_distinct_root_count_certificate_and_fallback(coeffs, count, falls_back):
+    with mock.patch.object(exact, "poly_gcd", wraps=exact.poly_gcd) as spy:
+        assert distinct_root_count(coeffs) == count
+    assert spy.call_count == falls_back
+    assert _reference_root_count(coeffs) == count
+
+
+def test_distinct_root_count_agrees_with_poly_gcd_on_products():
+    rng = random.Random(2300)
+    fallbacks = []
+    for _ in range(200):
+        p = MPoly.constant(rng.choice([1, -1, 2, 3, -6, P]), ("t",))
+        for _ in range(rng.randint(1, 4)):
+            root = Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3]))
+            p = p * (T - root) ** rng.randint(1, 3)
+        if rng.random() < 0.3:
+            p = p * (T * T + rng.randint(1, 4))
+        cs = coeffs_of(p)
+        with mock.patch.object(exact, "poly_gcd", wraps=exact.poly_gcd) as spy:
+            assert distinct_root_count(cs) == _reference_root_count(cs)
+        fallbacks.append(spy.call_count)
+    # both the certificate and the remainder sequence answered some
+    assert set(fallbacks) == {0, 1}
 
 
 def test_poly_gcd_divides_both():

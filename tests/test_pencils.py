@@ -133,6 +133,21 @@ class TestDetFormOracle:
         assert spy.call_count == 1
 
 
+def test_ladder_pencil_outputs_pinned():
+    # the pencils on P^4..P^16 of seeds 0..15, the pool of the benchmark's
+    # pencil-ladder workload: determinant forms and degeneration counts,
+    # recorded before the symmetric elimination and the squarefree
+    # certificate replaced the general paths
+    lines = []
+    for m in range(4, 17):
+        for seed in range(16):
+            p = random_pencil(m, seed)
+            c = count_degenerations(p)
+            lines.append(repr((m, seed, [str(x) for x in p.det_form.coeffs], c.total, c.distinct)))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "ca035469265334d94eb3ad7cb80a5b169a6538a1da2681892d6b65f946ff6982"
+
+
 class TestDetFormKept:
     def test_bk_number_takes_one_form_per_draw(self):
         # the draw check and the degeneration count share one elimination

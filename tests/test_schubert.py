@@ -74,6 +74,25 @@ class TestPieri:
             b = SchubertClass(2, 5, {(3,): rng.randint(-4, 4), (2, 1): rng.randint(-4, 4)})
             assert pieri1(a + b) == pieri1(a) + pieri1(b)
 
+    def test_matches_padded_row_reference(self):
+        # reference: pad to k+1 rows and try a box at the end of each row
+        def reference(parts, k, n):
+            rows, cols = k + 1, n - k
+            padded = list(parts) + [0] * (rows - len(parts))
+            out = {}
+            for i in range(rows):
+                if padded[i] < cols and (i == 0 or padded[i] < padded[i - 1]):
+                    grown = padded[:i] + [padded[i] + 1] + padded[i + 1:]
+                    out[tuple(grown)] = out.get(tuple(grown), 0) + 1
+            return SchubertClass(k, n, out)
+
+        for k, n in ((0, 1), (0, 4), (1, 3), (2, 5), (3, 5), (2, 7)):
+            boxes = [()]
+            for parts in boxes:  # grows while it is read: every partition in the box
+                assert pieri1(sigma(k, n, *parts)) == reference(parts, k, n), (k, n, parts)
+                boxes += [p for p in pieri1(sigma(k, n, *parts)).terms if p not in boxes]
+            assert len(boxes) == math.comb(n + 1, k + 1)
+
 
 class TestDuality:
     def test_self_dual_classes_on_lines_in_p3(self):
