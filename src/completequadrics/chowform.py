@@ -11,21 +11,24 @@ contractions of the space of complete quadrics).
 Rational evaluation runs on Python integers: plucker and chow_eval share
 one scaling of the basis and its maximal minors by int_det (_int_plucker),
 chow_eval takes the integer minors of the scaled form, sums the quadratic
-form in integers and builds one Fraction at the end.
+form in integers and builds one Fraction at the end.  Flag degenerations
+stay in integers too: flag_wedge compares integer Pluecker vectors, and
+_flag_limit interpolates integer compounds in the degeneration parameter.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+import itertools
 import operator
 
 from ._value import Record, set_field
 from .exact import (
-    MPoly, _is_rational, clear_denominators, int_det, int_det_poly, k_subsets, mat_mul,
+    _interpolate, _is_rational, clear_denominators, int_det, int_det_poly, k_subsets, mat_mul,
     mat_transpose,
 )
-from .quadrics import SymmetricForm, _int_minors, _minor_rows, compound
+from .quadrics import SymmetricForm, _int_minors, _minor_rows
 
 
 class ProjectivePoint(Record):
@@ -170,67 +173,104 @@ def limit_support_coefficients(point: ProjectivePoint) -> dict:
 
 
 # -- flag degenerations ------------------------------------------------------
+#
+# M is the unipotent upper-triangular matrix with t_j in slot (j-1, j), and
+# D = diag(1, x, x^2, ..., x^n) scans across the coordinate hyperplane flags
+# as x -> 0.  The k-th compound of M^T D M is a polynomial in x whose lowest
+# term, x^(k(k-1)/2), belongs to the subset {0..k-1} alone, so its limit is
+# the rank-one form v v^T with v the Pluecker vector of the first k rows of
+# M (Cauchy-Binet).  flag_wedge reads constancy off v; the wedge-contraction
+# check compares v v^T with the limit _flag_limit takes directly.
 
 
-def _wedge_vars(n: int):
-    return tuple("t%d" % j for j in range(1, n + 1)) + tuple("q%d" % r for r in range(1, n + 1))
+def _flag_matrix(n: int, ts) -> list:
+    """The unipotent (n+1) x (n+1) flag matrix with ts[j-1] in slot (j-1, j)."""
+    m = [[int(i == j) for j in range(n + 1)] for i in range(n + 1)]
+    for j, t in enumerate(ts, 1):
+        m[j - 1][j] = t
+    return m
 
 
-def _wedge_q_limit(n: int, k: int, live: tuple):
-    """Compound of M^T q M with the common q-monomial content removed, at q = 0.
+def _flag_plucker(n: int, k: int, ts) -> list:
+    """Integer Pluecker vector of the first k rows of the flag matrix."""
+    return _int_plucker(mat_transpose(_flag_matrix(n, ts)[:k]))[2]
 
-    M is unipotent upper-triangular with the live t_j in slot (j, j+1) and
-    q = diag(1, q1, q1 q2, ...) scans across all coordinate hyperplane
-    flags at once.
+
+def _flag_limit(n: int, k: int, ts) -> list:
+    """Rows of the x -> 0 limit of the k-th compound of M^T D M, in integers.
+
+    Each entry is a polynomial in x of degree at most n + (n-1) + ... +
+    (n-k+1); it is taken at x = 0..deg by integer minors and rebuilt by
+    interpolation, on the pairs S <= T that _minor_rows computes, and
+    mirrored.  Every coefficient below x^(k(k-1)/2) vanishes, or this raises
+    AssertionError, and the limit is the x^(k(k-1)/2) coefficient.
     """
-    vars = _wedge_vars(n)
-    one = MPoly.constant(1, vars)
-    zero = MPoly(vars)
-    size = n + 1
-    m = [[one if i == j else zero for j in range(size)] for i in range(size)]
-    for j in live:
-        m[j - 1][j] = MPoly.variable("t%d" % j, vars)
-    d = [one]
-    for r in range(1, size):
-        d.append(d[-1] * MPoly.variable("q%d" % r, vars))
-    qmat = [[d[i] if i == j else zero for j in range(size)] for i in range(size)]
-    big = mat_mul(mat_transpose(m), mat_mul(qmat, m))
-    qnames = ["q%d" % r for r in range(1, size)]
-    comp = _divide_content(compound(SymmetricForm(big), k).rows, qnames)
-    return SymmetricForm([[e.substitute_zero(qnames) for e in row] for row in comp])
+    m = _flag_matrix(n, ts)
+    mt = mat_transpose(m)
+    deg = sum(range(n - k + 1, n + 1))
+    low = k * (k - 1) // 2
+    values = []
+    for x in range(deg + 1):
+        d = [[x ** i * e for e in row] for i, row in enumerate(m)]
+        values.append(_minor_rows(n, k, _int_minors(mat_mul(mt, d), k)[0]))
+    size = len(values[0])
+    rows = [[None] * size for _ in range(size)]
+    for a in range(size):
+        for b in range(a, size):
+            coeffs = _interpolate([v[a][b] for v in values])
+            if any(coeffs[:low]):
+                raise AssertionError("compound has a term below x^%d" % low)
+            rows[a][b] = rows[b][a] = coeffs[low]
+    return rows
 
 
-def _divide_content(rows, names):
-    """Divide every entry of an MPoly matrix by the largest monomial in the
-    named variables that divides all of its nonzero entries."""
-    nonzero = [e for row in rows for e in row if not e.is_zero()]
-    shift = [min(e.min_exponent(v) for e in nonzero) if v in names else 0
-             for v in nonzero[0].vars]
-    return [[e if e.is_zero() else e.divide_monomial(shift) for e in row] for row in rows]
+def flag_wedge(n: int, k: int, j: int) -> bool:
+    """Whether the limit k-th Chow form along the flag degeneration moved by
+    t_j is projectively independent of t_j.
 
-
-def flag_wedge(n: int, k: int, j: int):
-    """Limit k-th Chow form along the flag degeneration moved by t_j.
-
-    Returns (matrix, constant): the limit wedge-coordinate quadric as a
-    matrix over MPoly in t_j, and whether it is projectively independent of
-    t_j.  The limit is constant exactly when j != k, which is what makes
-    the k-th wedge map contract the j-th flag curve.
+    The limit is v v^T with v = _flag_plucker(n, k, t), where only t_j is
+    nonzero.  v is affine in t_j, which sits in one entry of M, and its
+    first coordinate is 1, so v is projectively constant exactly when
+    v(t_j = 0) == v(t_j = 1).  That holds exactly when j != k, which is what
+    makes the k-th wedge map contract the j-th flag curve.
     """
     if not (1 <= k <= n and 1 <= j <= n):
         raise ValueError("k and j must lie in 1..n")
-    name = "t%d" % j
-    limit = SymmetricForm(_divide_content(_wedge_q_limit(n, k, (j,)).rows, [name]))
-    constant = all(e.degree_in(name) <= 0 for row in limit.rows for e in row)
-    return limit, constant
+
+    def v(t):
+        ts = [0] * n
+        ts[j - 1] = t
+        return _flag_plucker(n, k, ts)
+
+    return v(0) == v(1)
 
 
-def wedge2_example_matrix() -> SymmetricForm:
+def wedge2_example_matrix() -> list:
     """The limit second wedge of a fully degenerating flag family on P^3.
 
-    All three flag parameters are live; the result is the rank-one outer
-    product v v^T with v = (1, t2, 0, t1*t2, 0, 0).  Rank-one consistency
-    forces the (2,2) entry (1-indexed) to be t2^2: it is the square of the
-    (1,2) entry divided by the (1,1) entry, not a unit.
+    All three flag parameters are live.  Each entry of the direct limit
+    _flag_limit(3, 2, t) has degree at most 2 in each t_j, which lies in one
+    row and one column of M^T D M, so it is rebuilt from its values on
+    t in {0, 1, 2}^3, one variable at a time, as a dict from exponent tuples
+    in (t1, t2, t3) to nonzero integer coefficients.  The result is the
+    rank-one outer product v v^T with v = (1, t2, 0, t1*t2, 0, 0): rank-one
+    consistency forces the (2,2) entry (1-indexed) to be t2^2, the square of
+    the (1,2) entry over the (1,1) entry, not a unit.
     """
-    return _wedge_q_limit(3, 2, (1, 2, 3))
+    grid = {t: _flag_limit(3, 2, t) for t in itertools.product(range(3), repeat=3)}
+    return [[_grid_poly({t: m[r][c] for t, m in grid.items()}) for c in range(6)]
+            for r in range(6)]
+
+
+def _grid_poly(values: dict) -> dict:
+    """{exponent tuple: coefficient} of the integer polynomial of degree <= 2
+    in each variable that takes values[t] at every t in {0, 1, 2}^3."""
+    for axis in range(3):
+        # interpolate along one axis, whose slot in each key turns from a
+        # grid value of that variable into its exponent
+        lines = {}
+        for t, v in values.items():
+            lines.setdefault(t[:axis] + t[axis + 1:], [0, 0, 0])[t[axis]] = v
+        values = {rest[:axis] + (e,) + rest[axis:]: c
+                  for rest, line in lines.items() for e, c in enumerate(_interpolate(line))}
+    return {e: c for e, c in values.items() if c}

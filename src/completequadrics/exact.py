@@ -1,12 +1,10 @@
-"""Exact rational and polynomial arithmetic with fraction-free linear algebra.
+"""Exact rational arithmetic with fraction-free linear algebra.
 
 Scalars are fractions.Fraction at the interface.  Polynomials in one
-variable are coefficient sequences, lowest degree first; multivariate
-polynomials (MPoly) are sparse exponent-tuple maps.  Matrices are plain
-sequences of rows whose entries all live in a single ring (Fraction or
-MPoly).  Elimination is Bareiss fraction-free elimination, so every
-intermediate value stays in the entry ring; the only divisions performed
-are exact.
+variable are coefficient sequences, lowest degree first.  Matrices are plain
+sequences of rows of rational entries.  Elimination is Bareiss
+fraction-free elimination, so every intermediate value stays an integer;
+the only divisions performed are exact.
 
 Rational work runs on Python integers wherever it can.  clear_denominators
 scales a rational matrix by the lcm of its denominators, and _echelon, a
@@ -14,37 +12,26 @@ rank-revealing Bareiss elimination, is the one general elimination routine:
 int_det, mat_rank, solve_exact and mat_inverse run it on integers.  ff_det of
 a rational matrix is int_det of the scaled matrix over the scale to the n-th
 power, and int_det_poly gives the coefficients of det(A + tB) by evaluating
-the determinant at integer points and interpolating, for pencil determinant
-forms and for the minors of Chow-form limits.  When A and B are symmetric,
-as a pencil's forms are, each point runs _sym_det, a symmetric Bareiss
-elimination over the upper triangle, instead of int_det.  poly_gcd runs a
-primitive integer remainder sequence instead of a Euclidean gcd over
-Fraction.  distinct_root_count certifies a squarefree polynomial by one gcd
-modulo the prime 2^61 - 1 and reads the squarefree degree from poly_gcd only
-when that certificate fails.  The same pattern carries the
+the determinant at integer points and interpolating (_interpolate), for
+pencil determinant forms and for the minors of Chow-form limits.  When A and
+B are symmetric, as a pencil's forms are, each point runs _sym_det, a
+symmetric Bareiss elimination over the upper triangle, instead of int_det.
+poly_gcd runs a primitive integer remainder sequence instead of a Euclidean
+gcd over Fraction.  distinct_root_count certifies a squarefree polynomial by
+one gcd modulo the prime 2^61 - 1 and reads the squarefree degree from
+poly_gcd only when that certificate fails.  The same pattern carries the
 Chow-form layers: quadrics.compound and chowform.plucker take each minor by
 int_det of one scaled matrix, quadrics.restrict forms B^T Q B as one integer
 product, and chowform.chow_eval sums its quadratic form over those integer
-minors, each building one Fraction per answer.  mat_mul, which only the
-MPoly wedge-contraction limits call, folds each entry in the entries' ring.
-
-ff_det of an MPoly matrix, which the wedge-contraction limits take, runs
-on _echelon too: MPoly // is exact division, and // 1, the first step's
-divisor, returns the dividend, so a 2 x 2 determinant does no long division.
-MPoly ring operations build their results through the private MPoly._make,
-which only drops zero coefficients, where the public constructor validates
-every exponent tuple and coefficient again.
+minors, each building one Fraction per answer.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-import functools
 import itertools
 import math
 import operator
-
-from ._value import Record, set_field
 
 
 class ExactLinalgError(Exception):
@@ -177,206 +164,6 @@ def distinct_root_count(coeffs) -> tuple[int, int]:
     return (degree, degree - (len(poly_gcd(a, da)) - 1))
 
 
-class MPoly(Record):
-    """Sparse multivariate polynomial over Fraction.
-
-    terms maps exponent tuples (one slot per variable in vars) to nonzero
-    coefficients.  All operands of a binary operation must share vars.  It
-    keeps its own equality, which holds against an int or Fraction constant,
-    and hashes its terms as a frozenset.
-    """
-
-    __slots__ = _fields = ("vars", "terms")
-
-    def __init__(self, vars, terms=None):
-        set_field(self, "vars", tuple(vars))
-        clean = {}
-        for exps, c in (terms or {}).items():
-            c = Fraction(c)
-            if c:
-                e = tuple(int(x) for x in exps)
-                if len(e) != len(self.vars):
-                    raise ValueError("exponent tuple length mismatch")
-                if any(x < 0 for x in e):
-                    raise ValueError("negative exponent")
-                clean[e] = clean.get(e, Fraction(0)) + c
-        set_field(self, "terms", {e: c for e, c in clean.items() if c})
-
-    @classmethod
-    def _make(cls, vars, terms):
-        # ring operations build terms from validated operands: the exponents
-        # are already int tuples of the right length and the coefficients
-        # Fractions, so only the zero coefficients need dropping
-        p = object.__new__(cls)
-        set_field(p, "vars", vars)
-        set_field(p, "terms", {e: c for e, c in terms.items() if c})
-        return p
-
-    @classmethod
-    def constant(cls, c, vars):
-        vars = tuple(vars)
-        return cls(vars, {tuple([0] * len(vars)): Fraction(c)})
-
-    @classmethod
-    def variable(cls, name, vars):
-        vars = tuple(vars)
-        e = [0] * len(vars)
-        e[vars.index(name)] = 1
-        return cls(vars, {tuple(e): Fraction(1)})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def _wrap(self, other):
-        # MPoly first: most operands are one, and isinstance against
-        # Fraction, whose metaclass is ABCMeta, runs __instancecheck__
-        if isinstance(other, MPoly):
-            if other.vars != self.vars:
-                raise ValueError("mixed variable rings")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return MPoly.constant(other, self.vars)
-        return None
-
-    def __add__(self, other):
-        other = self._wrap(other)
-        if other is None:
-            return NotImplemented
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = terms[e] + c if e in terms else c
-        return MPoly._make(self.vars, terms)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return MPoly._make(self.vars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        other = self._wrap(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._wrap(other)
-        if other is None:
-            return NotImplemented
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(operator.add, e1, e2))
-                c = c1 * c2
-                terms[e] = terms[e] + c if e in terms else c
-        return MPoly._make(self.vars, terms)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, m: int):
-        if m < 0:
-            raise ValueError("negative power")
-        out = MPoly.constant(1, self.vars)
-        for _ in range(m):
-            out = out * self
-        return out
-
-    def __eq__(self, other):
-        other = self._wrap(other)
-        if other is None:
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
-
-    def degree_in(self, name: str) -> int:
-        """Highest exponent of one variable; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        i = self.vars.index(name)
-        return max(e[i] for e in self.terms)
-
-    def min_exponent(self, name: str) -> int:
-        """Smallest exponent of one variable over the nonzero terms."""
-        if not self.terms:
-            raise ValueError("zero polynomial")
-        i = self.vars.index(name)
-        return min(e[i] for e in self.terms)
-
-    def divide_monomial(self, exps):
-        """Exactly divide by vars**exps (a monomial)."""
-        exps = tuple(int(x) for x in exps)
-        if len(exps) != len(self.vars):
-            raise ValueError("exponent tuple length mismatch")
-        terms = {}
-        for e, c in self.terms.items():
-            ne = tuple(a - b for a, b in zip(e, exps))
-            if any(x < 0 for x in ne):
-                raise ValueError("not divisible by the monomial")
-            terms[ne] = c
-        return MPoly._make(self.vars, terms)
-
-    def substitute_zero(self, names):
-        """Set each named variable to 0, dropping every term that uses one."""
-        idx = [self.vars.index(n) for n in names]
-        terms = {e: c for e, c in self.terms.items() if all(e[i] == 0 for i in idx)}
-        return MPoly._make(self.vars, terms)
-
-    def _leading(self):
-        # lex leading term
-        e = max(self.terms)
-        return e, self.terms[e]
-
-    def exact_div(self, other):
-        """Exact division (long division in lex order; raises if inexact)."""
-        other = self._wrap(other)
-        if other is None or other.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        rem = self
-        quo = MPoly(self.vars)
-        de, dc = other._leading()
-        while not rem.is_zero():
-            re, rc = rem._leading()
-            qe = tuple(a - b for a, b in zip(re, de))
-            if any(x < 0 for x in qe):
-                raise ValueError("inexact multivariate division")
-            t = MPoly._make(self.vars, {qe: rc / dc})
-            quo = quo + t
-            rem = rem - t * other
-        return quo
-
-    def __floordiv__(self, other):
-        """Exact division, as exact_div; // 1 returns self unchanged."""
-        if isinstance(other, int) and other == 1:
-            return self
-        return self.exact_div(other)
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for e in sorted(self.terms, reverse=True):
-            c = self.terms[e]
-            mono = "*".join(
-                v if k == 1 else "%s^%d" % (v, k) for v, k in zip(self.vars, e) if k
-            )
-            if not mono:
-                bits.append(format_rat(c))
-            elif c == 1:
-                bits.append(mono)
-            elif c == -1:
-                bits.append("-" + mono)
-            else:
-                bits.append(format_rat(c) + "*" + mono)
-        return " + ".join(bits).replace("+ -", "- ")
-
-
 # -- matrices ---------------------------------------------------------------
 
 
@@ -394,15 +181,15 @@ def _is_rational(rows) -> bool:
 
 
 def mat_mul(a, b):
-    """Matrix product over the entries' own ring."""
+    """Matrix product of matrices with rational or integer entries; an
+    all-integer product has int entries."""
     a, b = _rows(a), _rows(b)
     if not a or not b:
         return []
     if len(a[0]) != len(b):
         raise ValueError("shape mismatch in matrix product")
     bt = list(zip(*b))
-    # each entry folds from its first product, so no zero is built in the ring
-    return [[functools.reduce(operator.add, map(operator.mul, row, col)) for col in bt] for row in a]
+    return [[sum(map(operator.mul, row, col)) for col in bt] for row in a]
 
 
 def clear_denominators(rows):
@@ -418,13 +205,13 @@ def clear_denominators(rows):
 
 
 def _echelon(a, cols):
-    """Bareiss-eliminate an integer or MPoly matrix in place to row echelon
-    form; return the pivot columns and the sign of the row swaps.
+    """Bareiss-eliminate an integer matrix in place to row echelon form;
+    return the pivot columns and the sign of the row swaps.
 
     Pivots are sought in the first cols columns, skipping a column with no
     pivot left; later columns (a right-hand side) are carried along.  Each
     step divides by the previous pivot, exactly (Bareiss, Math. Comp. 22,
-    1968), so entries stay in their ring.  Entries below pivots are stale.
+    1968), so entries stay integers.  Entries below pivots are stale.
     """
     rows = len(a)
     pivots = []
@@ -463,8 +250,8 @@ def _back_substitute(a, n, col):
 
 
 def int_det(m) -> int:
-    """Determinant of a square integer (or, from ff_det, MPoly) matrix by
-    Bareiss elimination (_echelon); a singular one gives its ring's zero."""
+    """Determinant of a square integer matrix by Bareiss elimination
+    (_echelon)."""
     a = [list(r) for r in m]
     n = len(a)
     if n == 0:
@@ -473,9 +260,8 @@ def int_det(m) -> int:
         raise ValueError("determinant of a non-square matrix")
     pivots, sign = _echelon(a, n)
     if len(pivots) < n:
-        return a[0][0] * 0
-    d = a[n - 1][n - 1]
-    return d if sign > 0 else -d  # no MPoly product by the sign
+        return 0
+    return sign * a[n - 1][n - 1]
 
 
 def _sym_swap(u, k, r):
@@ -538,6 +324,27 @@ def _is_symmetric(a) -> bool:
     return len(a[0]) == len(a) and all(map(operator.eq, map(tuple, a), zip(*a, strict=True)))
 
 
+def _interpolate(values) -> list:
+    """Integer coefficients, lowest degree first, of the polynomial of
+    degree <= d with integer coefficients that takes values[t] at t = 0..d.
+
+    Newton's divided differences: at the nodes 0..d each step divides by an
+    integer j, and the quotient is an integer because the polynomial has
+    integer coefficients.  The list has d + 1 entries, trailing zeros kept.
+    """
+    c = list(values)
+    n = len(c) - 1
+    for j in range(1, n + 1):
+        for i in range(n, j - 1, -1):
+            c[i] = (c[i] - c[i - 1]) // j
+    coeffs = [c[n]]
+    for k in range(n - 1, -1, -1):
+        # coeffs <- coeffs * (t - k) + c[k]
+        coeffs = [x - k * y for x, y in zip([0] + coeffs, coeffs + [0])]
+        coeffs[0] += c[k]
+    return coeffs
+
+
 def int_det_poly(a, b) -> list:
     """Integer coefficients of det(A + tB), lowest degree first.
 
@@ -545,9 +352,7 @@ def int_det_poly(a, b) -> list:
     n + 1 entries, trailing zeros included.  The determinant is taken at
     t = 0..n, by the symmetric elimination _sym_det when A and B both equal
     their transposes, as a pencil's forms do, else by int_det, and is
-    interpolated by Newton's divided differences: at the nodes 0..n each
-    step divides by an integer j, and the quotient is an integer because the
-    polynomial has integer coefficients.
+    interpolated by _interpolate.
     """
     n = len(a)
     if a and _is_symmetric(a) and _is_symmetric(b):
@@ -561,32 +366,19 @@ def int_det_poly(a, b) -> list:
             int_det([[x + t * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)])
             for t in range(n + 1)
         ]
-    for j in range(1, n + 1):
-        for i in range(n, j - 1, -1):
-            c[i] = (c[i] - c[i - 1]) // j
-    coeffs = [c[n]]
-    for k in range(n - 1, -1, -1):
-        # coeffs <- coeffs * (t - k) + c[k]
-        coeffs = [x - k * y for x, y in zip([0] + coeffs, coeffs + [0])]
-        coeffs[0] += c[k]
-    return coeffs
+    return _interpolate(c)
 
 
 def ff_det(m):
-    """Determinant of a square matrix whose entries are all rational or all MPoly.
-
-    A rational matrix is scaled to integers and handed to int_det, and so is
-    an MPoly matrix: _echelon's divisions are exact in either ring.
-    """
+    """Determinant of a square rational matrix: the matrix is scaled to
+    integers and handed to int_det."""
     a = _rows(m)
+    if not _is_rational(a):
+        raise TypeError("ff_det expects rational entries")
     if len(a) == 1 == len(a[0]):
         return a[0][0]  # as given, an int entry included
-    if _is_rational(a):
-        ints, scale = clear_denominators(a)
-        return Fraction(int_det(ints), scale ** len(a))
-    if {type(x) for r in a for x in r} != {MPoly}:
-        raise TypeError("ff_det expects all-rational or all-MPoly entries")
-    return int_det(a)
+    ints, scale = clear_denominators(a)
+    return Fraction(int_det(ints), scale ** len(a))
 
 
 def mat_rank(m) -> int:

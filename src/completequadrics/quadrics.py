@@ -1,7 +1,7 @@
 """Quadric forms, rank strata and complete-quadric flags.
 
-A quadric on P^n is a nonzero symmetric (n+1) x (n+1) matrix; entries may be
-rational or polynomial.  The rank-<= i locus inside the P(N) of all quadrics
+A quadric on P^n is a nonzero symmetric (n+1) x (n+1) matrix with rational
+entries.  The rank-<= i locus inside the P(N) of all quadrics
 (N = C(n+2,2) - 1) has codimension (n+1-i)(n+2-i)/2, and a degenerate
 quadric carries marking data on its singular locus: a complete quadric is a
 flag of forms, each living on the singular locus of the previous one.
@@ -18,12 +18,12 @@ from ._value import Record, set_field
 from .exact import (
     _is_rational,
     clear_denominators,
-    ff_det,
     int_det,
     k_subsets,
     mat_rank,
     parse_rat,
 )
+from .exact import ff_det  # noqa: F401  bench/test_bench.py traces and restores this alias
 
 
 class SymmetricForm(Record):
@@ -105,20 +105,18 @@ def compound(q: SymmetricForm, k: int) -> SymmetricForm:
     subsets of {0..n}; entry (S, T) is det Q[S, T].  The rank of the
     compound of a rank-r rational form is C(r, k).
 
-    A rational form is scaled to integers once, by the lcm L of its
-    denominators, and each minor is int_det of the scaled submatrix over
-    L**k; MPoly forms take each minor by ff_det.
+    The form is scaled to integers once, by the lcm L of its denominators,
+    and each minor is int_det of the scaled submatrix over L**k.
     """
+    if not _is_rational(q.rows):
+        raise TypeError("compound expects a rational form")
     if k == 1:
         return SymmetricForm(q.rows)
-    if _is_rational(q.rows):
-        int_minor, den = _int_minors(q.rows, k)
+    int_minor, den = _int_minors(q.rows, k)
 
-        def minor(s, t):
-            return Fraction(int_minor(s, t), den)
-    else:
-        def minor(s, t):
-            return ff_det([[q.rows[i][j] for j in t] for i in s])
+    def minor(s, t):
+        return Fraction(int_minor(s, t), den)
+
     return SymmetricForm(_minor_rows(q.n, k, minor))
 
 

@@ -12,8 +12,8 @@ from fractions import Fraction
 
 import pytest
 
-from completequadrics import chowform, exact, quadrics
-from completequadrics.exact import MPoly, ff_det, k_subsets, mat_rank
+from completequadrics import chowform, exact, quadrics, verify
+from completequadrics.exact import ff_det, k_subsets, mat_rank
 from completequadrics.chowform import (
     PluckerVector,
     ProjectivePoint,
@@ -25,6 +25,7 @@ from completequadrics.chowform import (
     wedge2_example_matrix,
 )
 from completequadrics.quadrics import SymmetricForm, compound, random_form, restrict
+import univariate
 
 
 def random_basis(rng, n, k):
@@ -118,18 +119,18 @@ def test_int_entry_basis():
 
 
 def test_mpoly_form_rejected():
-    vars = ("t",)
-    t = MPoly.variable("t", vars)
-    one = MPoly.constant(1, vars)
-    zero = MPoly(vars)
-    q = SymmetricForm([[one, t, zero], [t, one, zero], [zero, zero, one]])
+    # the kernels take rational entries only; a float is not one
+    q = SymmetricForm([[1, 0.5, 0], [0.5, 1, 0], [0, 0, 1]])
     b = [[1, 0], [0, 1], [0, 0]]
     with pytest.raises(TypeError):
         chow_eval(q, 2, b)
     with pytest.raises(TypeError):
         restrict(q, b)
+    for k in (1, 2):
+        with pytest.raises(TypeError):
+            compound(q, k)
     with pytest.raises(TypeError):
-        plucker([[one, zero], [zero, t], [zero, zero]])
+        plucker([[1, 0], [0, 0.5], [0, 0]])
 
 
 def test_chow_eval_does_not_use_the_restriction(monkeypatch):
@@ -292,17 +293,16 @@ def test_chow_limit_identically_singular():
 
 
 def per_minor_chow_limit(q0, q1, k):
-    # oracle: every minor of q0 + t q1, both halves, by Bareiss over
-    # polynomials in t; the common power of t divided out, then t = 0
-    pencil = [[MPoly(("t",), {(0,): x, (1,): y}) for x, y in zip(r0, r1)]
-              for r0, r1 in zip(q0.rows, q1.rows)]
+    # oracle: every minor of q0 + t q1, both halves, by cofactor expansion
+    # over polynomials in t; the common power of t divided out, then t = 0
+    pencil = univariate.pencil(q0.rows, q1.rows)
     subsets = k_subsets(q0.n + 1, k)
-    minors = [ff_det([[pencil[i][j] for j in u] for i in s]) for s in subsets for u in subsets]
-    nonzero = [e for e in minors if not e.is_zero()]
-    if not nonzero:
+    minors = [univariate.det([[pencil[i][j] for j in u] for i in s])
+              for s in subsets for u in subsets]
+    if not any(minors):
         raise ValueError("identically vanishing")
-    shift = min(e.min_exponent("t") for e in nonzero)
-    coords = [e.divide_monomial((shift,)).terms.get((0,), 0) if e else 0 for e in minors]
+    shift = min(next(d for d, c in enumerate(e) if c) for e in minors if e)
+    coords = [e[shift] if len(e) > shift else 0 for e in minors]
     return ProjectivePoint(coords), shift
 
 
@@ -344,47 +344,97 @@ def test_chow_limit_matches_per_minor_oracle(n):
     assert shifted and vanishing
 
 
-def wedge_vars():
-    return tuple("t%d" % j for j in (1, 2, 3)) + tuple("q%d" % r for r in (1, 2, 3))
+# v = (1, t2, 0, t1*t2, 0, 0) as exponent tuples in (t1, t2, t3), None for 0
+WEDGE2_V = [(0, 0, 0), (0, 1, 0), None, (1, 1, 0), None, None]
 
 
 def test_wedge2_example_matrix_outer_product():
     m = wedge2_example_matrix()
-    vars = wedge_vars()
-    one = MPoly.constant(1, vars)
-    t1 = MPoly.variable("t1", vars)
-    t2 = MPoly.variable("t2", vars)
-    zero = MPoly(vars)
-    v = [one, t2, zero, t1 * t2, zero, zero]
-    for i in range(6):
-        for j in range(6):
-            assert m.rows[i][j] == v[i] * v[j]
+    for i, vi in enumerate(WEDGE2_V):
+        for j, vj in enumerate(WEDGE2_V):
+            expected = {} if None in (vi, vj) else {tuple(a + b for a, b in zip(vi, vj)): 1}
+            assert m[i][j] == expected
     # spot entries, 1-indexed positions (1,2), (1,4), (2,4)
-    assert m.rows[0][1] == t2
-    assert m.rows[0][3] == t1 * t2
-    assert m.rows[1][3] == t1 * t2 ** 2
+    assert m[0][1] == {(0, 1, 0): 1}
+    assert m[0][3] == {(1, 1, 0): 1}
+    assert m[1][3] == {(1, 2, 0): 1}
     # rank-one consistency forces (2,2) = t2^2 (the square of (1,2) over (1,1))
-    assert m.rows[1][1] == t2 ** 2
-    assert m.rows[1][1] != one
+    assert m[1][1] == {(0, 2, 0): 1}
+    assert m[1][1] != {(0, 0, 0): 1}
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_flag_wedge_constant_iff_j_differs(n):
     for k in range(1, n + 1):
         for j in range(1, n + 1):
-            _, constant = flag_wedge(n, k, j)
-            assert constant == (j != k), (n, k, j)
+            assert flag_wedge(n, k, j) is (j != k), (n, k, j)
+
+
+def outer(v):
+    return [[x * y for y in v] for x in v]
 
 
 def test_flag_wedge_surviving_parameter():
-    limit, constant = flag_wedge(3, 2, 2)
-    assert not constant
-    vars = wedge_vars()
-    t2 = MPoly.variable("t2", vars)
-    assert limit.rows[0][1] == t2
-    assert limit.rows[1][1] == t2 ** 2
-    limit_c, constant_c = flag_wedge(3, 2, 1)
-    assert constant_c
-    assert limit_c.rows[0][0] == MPoly.constant(1, vars)
+    # along t2 the second wedge limit on P^3 moves: v = (1, t2, 0, 0, 0, 0);
+    # along t1 it stays v = (1, 0, 0, 0, 0, 0)
+    assert flag_wedge(3, 2, 2) is False
+    for t in range(4):
+        v = chowform._flag_plucker(3, 2, (0, t, 0))
+        assert v == [1, t, 0, 0, 0, 0]
+        limit = chowform._flag_limit(3, 2, (0, t, 0))
+        assert limit == outer(v)
+        assert limit[0][1] == t and limit[1][1] == t * t
+    assert flag_wedge(3, 2, 1) is True
+    for t in range(4):
+        assert chowform._flag_plucker(3, 2, (t, 0, 0)) == [1, 0, 0, 0, 0, 0]
+        assert chowform._flag_limit(3, 2, (t, 0, 0)) == outer([1, 0, 0, 0, 0, 0])
     with pytest.raises(ValueError):
         flag_wedge(3, 2, 5)
+
+
+def test_flag_limit_matches_plucker_outer_product():
+    # the direct limit is v v^T at generic integer parameters, and the
+    # Pluecker vector is normalized: v_{0..k-1} = 1
+    rng = random.Random(31)
+    for n in range(1, 5):
+        for k in range(1, n + 1):
+            ts = [rng.randint(-4, 4) for _ in range(n)]
+            v = chowform._flag_plucker(n, k, ts)
+            assert v[0] == 1
+            assert chowform._flag_limit(n, k, ts) == outer(v)
+
+
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_flag_limit_neighbouring_coefficients_fail(monkeypatch, shift):
+    # a limit read from x^(k(k-1)/2 - 1) or x^(k(k-1)/2 + 1) instead: at
+    # every (n, k) either a lower coefficient is nonzero or the matrix is
+    # not v v^T (tests/test_verify.py runs the check on both mutants)
+    real = exact._interpolate
+
+    def shifted(values):
+        coeffs = real(values)
+        return [0] + coeffs[:-1] if shift < 0 else coeffs[1:] + [0]
+
+    monkeypatch.setattr(chowform, "_interpolate", shifted)
+    for n in range(2, 5):
+        ts = range(2, n + 2)
+        for k in range(1, n + 1):
+            try:
+                limit = chowform._flag_limit(n, k, ts)
+            except AssertionError:
+                continue
+            assert limit != outer(chowform._flag_plucker(n, k, ts)), (n, k)
+
+
+def test_wedge_check_takes_the_direct_compound(monkeypatch):
+    # Cauchy-Binet would give the limit as v v^T outright, which would make
+    # the rank-one comparison a tautology: the limit side must come from the
+    # integer minors of M^T D M, and the Pluecker side must not
+    def refuse(*args, **kwargs):
+        raise AssertionError("direct compound taken")
+
+    monkeypatch.setattr(chowform, "_int_minors", refuse)
+    res = verify.check_wedge_contraction(max_n=2)
+    assert not res.passed and res.details == "n=2 k=1 direct compound taken"
+    assert [flag_wedge(3, 2, j) for j in (1, 2, 3)] == [True, False, True]
+    assert chowform._flag_plucker(3, 2, (1, 2, 3)) == [1, 2, 0, 2, 0, 0]

@@ -1,7 +1,8 @@
 """Core arithmetic tests.
 
 ff_det is checked against an independent cofactor-expansion oracle over
-rationals and over polynomials in one and in two variables, and mat_rank
+the rationals, and int_det_poly against a cofactor expansion over
+polynomials in one variable (tests/univariate.py), and mat_rank
 and solve_exact against the largest nonvanishing minor, also where the
 elimination skips columns; mat_inverse by multiplying back; root counts
 against explicit factorizations and the integer gcd against a Euclidean gcd
@@ -22,7 +23,6 @@ from hypothesis import strategies as st
 from completequadrics import exact
 from completequadrics.exact import (
     InconsistentSystem,
-    MPoly,
     UnderdeterminedSystem,
     clear_denominators,
     distinct_root_count,
@@ -39,6 +39,8 @@ from completequadrics.exact import (
     poly_gcd,
     solve_exact,
 )
+from univariate import mul, padded, pencil, poly, power
+import univariate
 
 
 def cofactor_det(m):
@@ -46,7 +48,7 @@ def cofactor_det(m):
     n = len(m)
     if n == 1:
         return m[0][0]
-    total = m[0][0] * 0
+    total = 0
     for j in range(n):
         if not m[0][j]:
             continue
@@ -232,64 +234,17 @@ def test_ff_det_rational_is_scaled_int_det(m):
 
 @pytest.mark.parametrize("seed", range(12))
 def test_int_det_poly_matches_univariate_cofactor(seed):
-    # oracle: cofactor expansion of A + tB over MPoly in t; a singular B
-    # leaves a zero top coefficient, which the list keeps
+    # oracle: cofactor expansion of A + tB over polynomials in t; a singular
+    # B leaves a zero top coefficient, which the list keeps
     rng = random.Random(800 + seed)
     size = rng.randint(1, 5)
     a = [[rng.randint(-9, 9) for _ in range(size)] for _ in range(size)]
     b = [[rng.randint(-9, 9) for _ in range(size)] for _ in range(size)]
     if seed % 3 == 0:
         b[0] = [0] * size
-    pencil = [[MPoly(("t",), {(0,): x, (1,): y}) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-    det = cofactor_det(pencil)
     coeffs = int_det_poly(a, b)
-    assert coeffs == [det.terms.get((d,), 0) for d in range(size + 1)]
+    assert coeffs == padded(univariate.det(pencil(a, b)), size + 1)
     assert all(type(c) is int for c in coeffs)
-
-
-def random_poly1(rng, deg=2):
-    # a polynomial in the one variable t
-    return MPoly(("t",), {(d,): rng.randint(-3, 3) for d in range(deg + 1)})
-
-
-def random_mpoly(rng, vars=("x", "y")):
-    terms = {}
-    for _ in range(rng.randint(1, 4)):
-        e = tuple(rng.randint(0, 2) for _ in vars)
-        terms[e] = Fraction(rng.randint(-3, 3))
-    return MPoly(vars, terms)
-
-
-@pytest.mark.parametrize("seed", range(12))
-def test_ff_det_matches_cofactor_poly1(seed):
-    rng = random.Random(seed)
-    m = [[random_poly1(rng) for _ in range(3)] for _ in range(3)]
-    assert ff_det(m) == cofactor_det(m)
-
-
-@pytest.mark.parametrize("seed", range(12))
-def test_ff_det_matches_cofactor_mpoly(seed):
-    rng = random.Random(100 + seed)
-    m = [[random_mpoly(rng) for _ in range(3)] for _ in range(3)]
-    assert ff_det(m) == cofactor_det(m)
-
-
-@pytest.mark.parametrize("size", [2, 3])
-@pytest.mark.parametrize("seed", range(6))
-def test_ff_det_matches_cofactor_small_polynomial(size, seed, monkeypatch):
-    # a 2 x 2 determinant is the first Bareiss step alone, whose division by
-    # the unit does no long division; a zero corner forces a row swap first
-    calls = []
-    exact_div = MPoly.exact_div
-    monkeypatch.setattr(MPoly, "exact_div", lambda a, b: calls.append(b) or exact_div(a, b))
-    rng = random.Random(700 + seed)
-    for make in (random_poly1, random_mpoly):
-        m = [[make(rng) for _ in range(size)] for _ in range(size)]
-        assert ff_det(m) == cofactor_det(m)
-        m[0][0] = m[0][0] * 0
-        assert ff_det(m) == cofactor_det(m)
-    if size == 2:
-        assert calls == []
 
 
 def test_ff_det_singular_and_permutation():
@@ -299,15 +254,12 @@ def test_ff_det_singular_and_permutation():
     # pivoting must track the sign of the row swap
     p = [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]
     assert ff_det(p) == -1
-    # over MPoly the second column has no pivot after the first step; the
-    # determinant is the zero of the ring, not the integer 0
-    x, y = MPoly.variable("x", ("x", "y")), MPoly.variable("y", ("x", "y"))
-    m = [[x, y, x + 1], [2 * x, 2 * y, y], [x * x, x * y, x]]
-    d = ff_det(m)
-    assert isinstance(d, MPoly) and d.is_zero()
-    assert d == cofactor_det(m)
-    with pytest.raises(TypeError):
-        ff_det([[x, 1], [1, x]])
+    # the second column has no pivot after the first step
+    assert ff_det([[1, 2, 3], [2, 4, 5], [3, 6, 7]]) == 0
+    # rational entries only, a 1 x 1 matrix included
+    for m in ([[0.5, 1], [1, 0.5]], [[0.5]]):
+        with pytest.raises(TypeError):
+            ff_det(m)
 
 
 def test_mat_rank_examples():
@@ -335,14 +287,6 @@ def test_mat_rank_matches_minor_oracle(seed):
     g = [[Fraction(rng.randint(-2, 2)) for _ in range(cols)] for _ in range(inner)]
     m = mat_mul(f, g)
     assert mat_rank(m) == minor_rank(m)
-
-
-T = MPoly.variable("t", ("t",))
-
-
-def coeffs_of(p):
-    # coefficients of a polynomial in t, lowest degree first
-    return [p.terms.get((d,), Fraction(0)) for d in range(p.degree_in("t") + 1)]
 
 
 def _trimmed(cs):
@@ -373,9 +317,9 @@ def fraction_gcd(a, b):
 
 
 def test_distinct_root_count_factored():
-    p = (T * T + 1) * (T - 3) ** 2
-    assert distinct_root_count(coeffs_of(p)) == (4, 3)
-    assert distinct_root_count(coeffs_of((T - 1) ** 5)) == (5, 1)
+    p = mul(poly(1, 0, 1), power(poly(-3, 1), 2))
+    assert distinct_root_count(p) == (4, 3)
+    assert distinct_root_count(power(poly(-1, 1), 5)) == (5, 1)
     assert distinct_root_count([7]) == (0, 0)
     # trailing zeros are a root at infinity, which the caller counts
     assert distinct_root_count([6, -5, 1, 0]) == (2, 2)
@@ -392,10 +336,8 @@ def test_distinct_root_count_random_products(seed):
     rng = random.Random(300 + seed)
     roots = [Fraction(rng.randint(-4, 4)) for _ in range(rng.randint(1, 4))]
     mults = [rng.randint(1, 3) for _ in roots]
-    p = MPoly.constant(1, ("t",))
-    for r, m in zip(roots, mults):
-        p = p * (T - r) ** m
-    assert distinct_root_count(coeffs_of(p)) == (sum(mults), len(set(roots)))
+    p = mul(*[power(poly(-r, 1), m) for r, m in zip(roots, mults)])
+    assert distinct_root_count(p) == (sum(mults), len(set(roots)))
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -403,13 +345,12 @@ def test_distinct_root_count_matches_fraction_gcd(seed):
     # oracle: the squarefree part p / gcd(p, p') by the Euclidean gcd over
     # Fraction, on products of rational roots with a rational leading factor
     rng = random.Random(500 + seed)
-    p = MPoly.constant(Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9)), ("t",))
+    cs = poly(Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9)))
     for _ in range(rng.randint(1, 6)):
         root = Fraction(rng.randint(-6, 6), rng.randint(1, 5))
-        p = p * (T - root) ** rng.randint(1, 3)
+        cs = mul(cs, power(poly(-root, 1), rng.randint(1, 3)))
     if rng.random() < 0.5:
-        p = p * (T * T + Fraction(rng.randint(1, 5), rng.randint(1, 3)))
-    cs = coeffs_of(p)
+        cs = mul(cs, poly(Fraction(rng.randint(1, 5), rng.randint(1, 3)), 0, 1))
     derivative = [i * c for i, c in enumerate(cs)][1:]
     squarefree_degree = len(cs) - len(fraction_gcd(cs, derivative))
     assert distinct_root_count(cs) == (len(cs) - 1, squarefree_degree)
@@ -428,7 +369,7 @@ def _reference_root_count(cs):
 
 @pytest.mark.parametrize("coeffs, count, falls_back", [
     # a repeated root: gcd(a, a') is not constant mod P either
-    (coeffs_of((T - 1) ** 2 * (T + 2)), (3, 2), True),
+    (mul(poly(-1, 1), poly(-1, 1), poly(2, 1)), (3, 2), True),
     # t (t - P) is squarefree over Q, but t^2 mod P
     ([0, -P, 1], (2, 2), True),
     # a leading coefficient divisible by P: P t^2 - 1 and 2P t^3 + t
@@ -436,7 +377,7 @@ def _reference_root_count(cs):
     ([0, 1, 0, 2 * P], (3, 3), True),
     ([Fraction(-1, 3), 0, Fraction(P, 3)], (2, 2), True),
     # squarefree, certified without the remainder sequence
-    (coeffs_of((T - 1) * (T - 2) * (T * T + 1)), (4, 4), False),
+    (mul(poly(-1, 1), poly(-2, 1), poly(1, 0, 1)), (4, 4), False),
     ([Fraction(1, 2), Fraction(-3, 4), 5], (2, 2), False),
     ([0, 1], (1, 1), False),
     ([7], (0, 0), False),
@@ -452,13 +393,12 @@ def test_distinct_root_count_agrees_with_poly_gcd_on_products():
     rng = random.Random(2300)
     fallbacks = []
     for _ in range(200):
-        p = MPoly.constant(rng.choice([1, -1, 2, 3, -6, P]), ("t",))
+        cs = poly(rng.choice([1, -1, 2, 3, -6, P]))
         for _ in range(rng.randint(1, 4)):
             root = Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3]))
-            p = p * (T - root) ** rng.randint(1, 3)
+            cs = mul(cs, power(poly(-root, 1), rng.randint(1, 3)))
         if rng.random() < 0.3:
-            p = p * (T * T + rng.randint(1, 4))
-        cs = coeffs_of(p)
+            cs = mul(cs, poly(rng.randint(1, 4), 0, 1))
         with mock.patch.object(exact, "poly_gcd", wraps=exact.poly_gcd) as spy:
             assert distinct_root_count(cs) == _reference_root_count(cs)
         fallbacks.append(spy.call_count)
@@ -467,8 +407,8 @@ def test_distinct_root_count_agrees_with_poly_gcd_on_products():
 
 
 def test_poly_gcd_divides_both():
-    a = [int(c) for c in coeffs_of((T - 1) * (T + 2) ** 2)]
-    b = [int(c) for c in coeffs_of((T + 2) * (T - 5))]
+    a = [int(c) for c in mul(poly(-1, 1), poly(2, 1), poly(2, 1))]
+    b = [int(c) for c in mul(poly(2, 1), poly(-5, 1))]
     g = poly_gcd(a, b)
     assert g == [2, 1]
     assert fraction_remainder(a, g) == [] and fraction_remainder(b, g) == []
@@ -479,10 +419,10 @@ def test_poly_gcd_divides_both():
     rng = random.Random(900)
     for _ in range(30):
         common, f, h = (
-            MPoly(("t",), {(d,): rng.randint(-5, 5) for d in range(rng.randint(0, 3))})
+            poly(*[rng.randint(-5, 5) for _ in range(rng.randint(0, 3))])
             for _ in range(3)
         )
-        a, b = ([int(c) for c in coeffs_of(common * x)] for x in (f, h))
+        a, b = ([int(c) for c in mul(common, x)] for x in (f, h))
         g = poly_gcd(a, b)
         if not g:
             assert not a and not b
@@ -581,62 +521,6 @@ def test_mat_inverse_is_two_sided(a):
 def test_mat_inverse_rejects_non_square():
     with pytest.raises(ValueError):
         mat_inverse([[1, 2, 3], [4, 5, 6]])
-
-
-def test_mpoly_ring_operations():
-    x = MPoly.variable("x", ("x", "y"))
-    y = MPoly.variable("y", ("x", "y"))
-    assert (x + y) * (x - y) == x ** 2 - y ** 2
-    p = x ** 2 * y + 2 * x * y
-    assert p.degree_in("x") == 2
-    assert p.min_exponent("y") == 1
-    assert p.divide_monomial((1, 1)) == x + 2
-    with pytest.raises(ValueError):
-        p.divide_monomial((1,))
-    assert p.substitute_zero(["x"]).is_zero()
-    assert (p * (x + y)).exact_div(x + y) == p
-    assert (p * (x + y)) // (x + y) == p
-    assert p // 1 is p
-    for divide in (MPoly.exact_div, MPoly.__floordiv__):
-        with pytest.raises(ValueError, match="inexact multivariate division"):
-            divide(x + 1, y)
-
-
-@pytest.mark.parametrize("seed", range(8))
-def test_mpoly_exact_div_roundtrip(seed):
-    rng = random.Random(400 + seed)
-    a, b = random_mpoly(rng), random_mpoly(rng)
-    if b.is_zero():
-        return
-    assert (a * b).exact_div(b) == a
-
-
-def test_mpoly_results_drop_zero_coefficients():
-    vars = ("x", "y")
-    x, y = MPoly.variable("x", vars), MPoly.variable("y", vars)
-    assert (x - x).is_zero() and (x - x).terms == {}
-    assert (x * 0).terms == {} and (0 * x).terms == {}
-    assert (x + 1) - x == 1
-    assert ((x + 1) - x).terms == {(0, 0): 1}
-    assert ((x + y) * (x - y) - x ** 2).terms == {(0, 2): -1}
-
-
-@pytest.mark.parametrize("seed", range(20))
-def test_mpoly_results_match_validating_constructor(seed):
-    rng = random.Random(500 + seed)
-    a, b = random_mpoly(rng), random_mpoly(rng)
-    x = MPoly.variable("x", a.vars)
-    results = [a + b, a - b, -a, a * b, a * b - b * a, a + 0, 2 * a, a - a,
-               (x * a).divide_monomial((1, 0)), a.substitute_zero(["y"])]
-    if not b.is_zero():
-        results += [(a * b).exact_div(b), (a * b) // b]
-    for r in results:
-        checked = MPoly(r.vars, r.terms)
-        assert r == checked and checked == r
-        assert hash(r) == hash(checked)
-        assert r.terms == checked.terms
-        assert all(c and type(c) is Fraction for c in r.terms.values())
-        assert all(type(e) is tuple and all(type(v) is int for v in e) for e in r.terms)
 
 
 def fraction_product(a, b):

@@ -1,6 +1,7 @@
 """Pencil degeneration counts, with the lattice pairings as cross-check."""
 
 import hashlib
+import math
 import random
 from fractions import Fraction
 from unittest import mock
@@ -8,7 +9,7 @@ from unittest import mock
 import pytest
 
 from completequadrics import pencils, picard
-from completequadrics.exact import MPoly, ff_det, mat_mul, mat_rank, mat_transpose
+from completequadrics.exact import mat_mul, mat_rank, mat_transpose
 from completequadrics.pencils import (
     DIRECT_CHECK_PAIRS,
     BinaryForm,
@@ -24,6 +25,7 @@ from completequadrics.pencils import (
     random_pencil,
 )
 from completequadrics.quadrics import SymmetricForm, random_form, restrict
+import univariate
 
 
 def diag(*entries):
@@ -41,10 +43,8 @@ class TestDetForm:
         # det(s I + t diag(1,2,3,4)) = (s+t)(s+2t)(s+3t)(s+4t); expanding the
         # product of linear polynomials is the independent route
         form = pencil_det_form(Pencil(I4, diag(1, 2, 3, 4)))
-        prod = MPoly.constant(1, ("t",))
-        for k in (1, 2, 3, 4):
-            prod = prod * MPoly(("t",), {(0,): 1, (1,): k})
-        assert form.coeffs == tuple(prod.terms[(d,)] for d in range(5))
+        prod = univariate.mul(*[univariate.poly(1, k) for k in (1, 2, 3, 4)])
+        assert form.coeffs == tuple(prod)
         assert form.coeffs == (1, 10, 35, 50, 24)
         assert form.degree == 4
 
@@ -59,14 +59,14 @@ class TestDetForm:
         assert [str(c) for c in form.coeffs] == ["1", "0", "-1"]
 
 
-def bareiss_det_form(p):
-    # oracle: Bareiss over polynomials in t with Fraction coefficients, no
-    # interpolation
-    size = p.m + 1
-    rows = [[MPoly(("t",), {(0,): x, (1,): y}) for x, y in zip(r0, r1)]
-            for r0, r1 in zip(p.q0.rows, p.q1.rows)]
-    det = ff_det(rows)
-    return tuple(det.terms.get((d,), Fraction(0)) for d in range(size + 1))
+def cofactor_det_form(p):
+    # oracle: cofactor expansion over polynomials in t, no elimination and
+    # no interpolation; both forms are scaled to integers by the lcm L of
+    # their denominators first, which scales the determinant by L^(m+1)
+    scale = math.lcm(*[x.denominator for q in (p.q0, p.q1) for r in q.rows for x in r])
+    a, b = ([[int(x * scale) for x in r] for r in q.rows] for q in (p.q0, p.q1))
+    det = univariate.det(univariate.pencil(a, b))
+    return tuple(Fraction(c, scale ** (p.m + 1)) for c in univariate.padded(det, p.m + 2))
 
 
 class TestDetFormOracle:
@@ -75,7 +75,7 @@ class TestDetFormOracle:
         for seed in range(20):
             p = random_pencil(m, seed)
             form = pencil_det_form(p)
-            assert form.coeffs == bareiss_det_form(p)
+            assert form.coeffs == cofactor_det_form(p)
             assert all(isinstance(c, Fraction) for c in form.coeffs)
 
     def test_half_integer_pencils_match_poly1_bareiss(self):
@@ -92,13 +92,13 @@ class TestDetFormOracle:
             if mat_rank(basis) < size - 1:
                 continue
             scaled = Pencil(SymmetricForm([[x * half for x in r] for r in p.q0.rows]), p.q1)
-            assert pencil_det_form(scaled).coeffs == bareiss_det_form(scaled)
+            assert pencil_det_form(scaled).coeffs == cofactor_det_form(scaled)
             checked += 1
             try:
                 restricted = Pencil(restrict(p.q0, basis), restrict(p.q1, basis))
             except DegeneratePencilError:
                 continue
-            assert pencil_det_form(restricted).coeffs == bareiss_det_form(restricted)
+            assert pencil_det_form(restricted).coeffs == cofactor_det_form(restricted)
             checked += 1
         for _ in range(20):
             u, v0, v1 = ([Fraction(rng.randint(-3, 3)) for _ in range(2)] for _ in range(3))
@@ -107,7 +107,7 @@ class TestDetFormOracle:
             except DegeneratePencilError:
                 continue
             assert pencil.q0.rows[0][1].denominator in (1, 2)
-            expected = bareiss_det_form(pencil)
+            expected = cofactor_det_form(pencil)
             if any(expected):
                 assert pencil_det_form(pencil).coeffs == expected
                 checked += 1
@@ -123,7 +123,7 @@ class TestDetFormOracle:
             _sym_outer(u, [Fraction(3), Fraction(0), Fraction(1)]),
             _sym_outer(u, [Fraction(0), Fraction(1), Fraction(1)]),
         )
-        assert not any(bareiss_det_form(p))
+        assert not any(cofactor_det_form(p))
         with pytest.raises(DegeneratePencilError):
             pencil_det_form(p)
         # a raise is not cached: the second call eliminates and raises again

@@ -4,8 +4,7 @@ Every record type keeps the semantics of a frozen record class: value
 equality within one type only, the hash of the tuple of its fields, a
 ``Name(field=value, ...)`` repr, and no assignment or deletion.  The reprs
 below were recorded before the records became plain classes.  The value
-classes SymmetricForm, ProjectivePoint, SchubertClass and MPoly are records
-too; MPoly keeps its own equality (it equals a constant), hash and repr.
+classes SymmetricForm, ProjectivePoint and SchubertClass are records too.
 """
 
 import ast
@@ -20,7 +19,6 @@ import completequadrics
 from completequadrics.chambers import REGIONS, ChamberReport, RegionSpec
 from completequadrics._value import Record
 from completequadrics.chowform import PluckerVector, ProjectivePoint
-from completequadrics.exact import MPoly
 from completequadrics.pencils import BinaryForm, DegenerationCount, Pencil
 from completequadrics.picard import ConeMembership, CurveClass, DivisorClass, TableRow
 from completequadrics.quadrics import SymmetricForm
@@ -64,7 +62,6 @@ RECORDS = [
      {"n": 1, "rows": ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1, 2)))}),
     (ProjectivePoint((0, 2, -4)), {"coords": (Fraction(0), Fraction(1), Fraction(-2))}),
     (SchubertClass(1, 3, {(2,): 1, (1, 1): 2}), {"k": 1, "n": 3, "_terms": (((1, 1), 2), ((2,), 1))}),
-    (MPoly(("x", "y"), {(1, 0): 2}), {"vars": ("x", "y"), "terms": {(1, 0): Fraction(2)}}),
 ]
 IDS = [type(r).__name__ for r, _ in RECORDS]
 
@@ -80,7 +77,7 @@ def _make(record, *args, **kwargs):
 
 
 def test_every_record_type_is_covered():
-    assert len({type(r) for r, _ in RECORDS}) == 15
+    assert len({type(r) for r, _ in RECORDS}) == 14
     assert RECORDS[8][0] == REGIONS[7]
 
 
@@ -105,9 +102,7 @@ def test_fields_in_order(record, fields):
 @pytest.mark.parametrize("record, fields", RECORDS, ids=IDS)
 def test_hash_is_hash_of_field_tuple(record, fields):
     values = tuple(fields.values())
-    # MPoly's terms are a dict, which it hashes as a frozenset of its items
-    hashed = (record.vars, frozenset(record.terms.items())) if type(record) is MPoly else values
-    assert hash(record) == hash(hashed)
+    assert hash(record) == hash(values)
     assert {record: 1}[_make(record, *values)] == 1
 
 
@@ -141,8 +136,8 @@ def test_fields_cannot_be_assigned_or_deleted(record, fields):
 
 
 @pytest.mark.parametrize("record, fields", [
-    (r, f) for r, f in RECORDS if type(r) not in MAKE and type(r) is not MPoly
-], ids=[i for (r, _), i in zip(RECORDS, IDS) if type(r) not in MAKE and type(r) is not MPoly])
+    (r, f) for r, f in RECORDS if type(r) not in MAKE
+], ids=[i for (r, _), i in zip(RECORDS, IDS) if type(r) not in MAKE])
 def test_positional_arity_is_checked(record, fields):
     values = tuple(fields.values())
     # every type but BinaryForm has at least two fields without a default
@@ -186,7 +181,6 @@ def test_defaults():
      "SymmetricForm(n=1, rows=((Fraction(1, 1), Fraction(0, 1)), (Fraction(0, 1), Fraction(1, 2))))"),
     (ProjectivePoint((0, 2, -4)), "ProjectivePoint(0, 1, -2)"),
     (SchubertClass(1, 3, {(2,): 1, (1, 1): 2}), "SchubertClass(k=1, n=3, 2s[1, 1] + s[2])"),
-    (MPoly(("x", "y"), {(1, 0): 2, (0, 2): "1/2"}), "2*x + 1/2*y^2"),
 ])
 def test_repr_pinned(record, text):
     assert repr(record) == text

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from completequadrics import chambers, chowform, pencils, picard, quadrics, schubert, verify
+from completequadrics import chambers, chowform, exact, pencils, picard, schubert, verify
 from completequadrics.chambers import ChamberReport
 from completequadrics.pencils import DegenerationCount
 from completequadrics.picard import DivisorClass, TableRow
@@ -136,10 +136,22 @@ def _patch_convert_mixed(mp):
 
 
 def _patch_wedge_matrix(mp):
-    m = chowform.wedge2_example_matrix()
-    rows = [list(r) for r in m.rows]
-    rows[2][2] = rows[0][0]
-    mp.setattr(chowform, "wedge2_example_matrix", lambda: quadrics.SymmetricForm(rows))
+    rows = chowform.wedge2_example_matrix()
+    rows[2][2] = dict(rows[0][0])
+    mp.setattr(chowform, "wedge2_example_matrix", lambda: rows)
+
+
+def _patch_limit_order(mp, shift):
+    # _flag_limit reads the coefficient of x^(k(k-1)/2 + shift)
+    real = exact._interpolate
+    mp.setattr(chowform, "_interpolate", lambda values: (
+        [0] + real(values)[:-1] if shift < 0 else real(values)[1:] + [0]))
+
+
+def _patch_plucker_rows(mp):
+    # v taken from rows 1..k of the flag matrix instead of rows 0..k-1
+    mp.setattr(chowform, "_flag_plucker", lambda n, k, ts: chowform._int_plucker(
+        exact.mat_transpose(chowform._flag_matrix(n, ts)[1:k + 1]))[2])
 
 
 def _patch_classify(mp, wrong):
@@ -206,8 +218,14 @@ FAILURES = [
     ("rank2", "rank2-curve-pairing", lambda mp: mp.setattr(schubert, "p_dot_r2", lambda: 2),
      verify.check_rank2_pairing, ""),
     ("wedge-constant", "wedge-contraction",
-     lambda mp: mp.setattr(chowform, "flag_wedge", lambda n, k, j: (None, True)),
+     lambda mp: mp.setattr(chowform, "flag_wedge", lambda n, k, j: True),
      _wedge, "n=2 k=1 j=1 constant=True"),
+    ("wedge-limit-below", "wedge-contraction", lambda mp: _patch_limit_order(mp, -1), _wedge,
+     "n=2 k=1 limit is not v v^T"),
+    ("wedge-limit-above", "wedge-contraction", lambda mp: _patch_limit_order(mp, 1), _wedge,
+     "n=2 k=1 limit is not v v^T"),
+    ("wedge-plucker-rows", "wedge-contraction", _patch_plucker_rows, _wedge,
+     "n=2 k=1 limit is not v v^T"),
     ("wedge-rank-one", "wedge-contraction", _patch_wedge_matrix, _wedge,
      "entry (2,2) not rank one"),
     ("limits-rank2", "chow-limits",
