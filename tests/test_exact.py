@@ -1,9 +1,9 @@
 """Core arithmetic tests.
 
 ff_det is checked against an independent cofactor-expansion oracle over
-the rationals, and int_det_poly against a cofactor expansion over
-polynomials in one variable (tests/univariate.py), and mat_rank
-and solve_exact against the largest nonvanishing minor, also where the
+the rationals and, at rational points, over polynomials in one variable
+(tests/univariate.py), int_det_poly against the same polynomial oracle,
+and mat_rank and solve_exact against the largest nonvanishing minor, also where the
 elimination skips columns; mat_inverse by multiplying back; root counts
 against explicit factorizations and the integer gcd against a Euclidean gcd
 over Fraction.  The symmetric elimination is checked against int_det,
@@ -245,6 +245,49 @@ def test_int_det_poly_matches_univariate_cofactor(seed):
     coeffs = int_det_poly(a, b)
     assert coeffs == padded(univariate.det(pencil(a, b)), size + 1)
     assert all(type(c) is int for c in coeffs)
+
+
+# distinct points, more than the degree of any determinant below (at most
+# 3 x 2 = 6), so agreement at all of them is agreement as polynomials
+POINTS = [Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(-3), Fraction(1, 2), Fraction(-5, 3)]
+
+
+def at(p, t):
+    # the value of a coefficient list at t, by Horner's rule
+    value = Fraction(0)
+    for c in reversed(p):
+        value = value * t + c
+    return value
+
+
+def random_poly1(rng, deg=2):
+    # a polynomial in the one variable t
+    return poly(*[rng.randint(-3, 3) for _ in range(deg + 1)])
+
+
+def assert_ff_det_matches_cofactor_poly(m):
+    # ff_det of m at each point against the cofactor determinant over
+    # polynomials in t, taken at that point
+    det = univariate.det(m)
+    for t in POINTS:
+        assert ff_det([[at(p, t) for p in row] for row in m]) == at(det, t)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_ff_det_matches_cofactor_poly1(seed):
+    rng = random.Random(seed)
+    assert_ff_det_matches_cofactor_poly([[random_poly1(rng) for _ in range(3)] for _ in range(3)])
+
+
+@pytest.mark.parametrize("size", [2, 3])
+@pytest.mark.parametrize("seed", range(6))
+def test_ff_det_matches_cofactor_small_polynomial(size, seed):
+    # a zero corner forces a row swap first, whose sign ff_det must keep
+    rng = random.Random(700 + seed)
+    m = [[random_poly1(rng) for _ in range(size)] for _ in range(size)]
+    assert_ff_det_matches_cofactor_poly(m)
+    m[0][0] = poly()
+    assert_ff_det_matches_cofactor_poly(m)
 
 
 def test_ff_det_singular_and_permutation():
