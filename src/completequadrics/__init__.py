@@ -1,6 +1,6 @@
 """Exact tools for the birational geometry of spaces of complete quadrics."""
 
-from .quadrics import SymmetricForm, compound, restrict, form_rank, random_form
+from .quadrics import SymmetricForm, compound, restrict, random_form
 from .chowform import (
     plucker,
     chow_eval,
@@ -27,7 +27,7 @@ from .schubert import SchubertClass, sigma, pieri1, duality_pair, sigma1_power_d
 from .verify import run_all
 
 __all__ = [
-    "SymmetricForm", "compound", "restrict", "form_rank", "random_form",
+    "SymmetricForm", "compound", "restrict", "random_form",
     "plucker", "chow_eval", "chow_limit", "limit_support_coefficients", "flag_wedge",
     "DivisorClass", "CurveClass", "convert", "pair", "cone_membership",
     "canonical", "is_fano", "class_P", "curves_x3", "table_x3",

@@ -15,9 +15,9 @@ from fractions import Fraction
 from functools import cached_property
 
 from ._value import Record, set_field
-from .exact import clear_denominators, distinct_root_count, int_det_poly, mat_rank
+from .exact import clear_denominators, distinct_root_count, int_det_poly
 from .exact import ff_det  # noqa: F401  bench/test_bench.py traces and restores this alias
-from .quadrics import SymmetricForm, random_form, restrict
+from .quadrics import SymmetricForm, _random_basis, random_form, restrict
 
 
 class DegeneratePencilError(ValueError):
@@ -33,8 +33,8 @@ def _proportional(a: SymmetricForm, b: SymmetricForm) -> bool:
     if not any(fb):
         return not any(fa)
     i = next(j for j, v in enumerate(fb) if v)
-    mu = fa[i] / fb[i]
-    return all(x == mu * y for x, y in zip(fa, fb))
+    # cross-multiplied: fa[i] / fb[i] would be float division on int entries
+    return all(x * fb[i] == fa[i] * y for x, y in zip(fa, fb))
 
 
 class Pencil(Record):
@@ -51,10 +51,6 @@ class Pencil(Record):
             raise DegeneratePencilError("pencil members are proportional")
         set_field(self, "q0", q0)
         set_field(self, "q1", q1)
-
-    @property
-    def m(self) -> int:
-        return self.q0.n
 
     @cached_property
     def det_form(self) -> BinaryForm:
@@ -162,20 +158,6 @@ def random_pencil(m: int, seed: int) -> Pencil:
     return _retry(lambda r: _smooth_pencil(r, m), random.Random(seed))
 
 
-def _random_point(rng, size):
-    while True:
-        v = [[Fraction(rng.randint(-3, 3))] for _ in range(size)]
-        if any(x[0] for x in v):
-            return v
-
-
-def _random_subspace(rng, size, k):
-    while True:
-        b = [[Fraction(rng.randint(-3, 3)) for _ in range(k)] for _ in range(size)]
-        if mat_rank(b) == k:
-            return b
-
-
 def bk_number(n: int, k: int, seed: int) -> int:
     """Degeneration count of a random pencil of marking quadrics on P^(n-k).
 
@@ -241,8 +223,7 @@ def _entry_count(r, draw, m, k) -> int:
     p = draw(r, m)
     if k is None:
         return count_degenerations(p).total
-    b = _random_point(r, m + 1) if k == 1 else _random_subspace(r, m + 1, k)
-    return count_tangencies(p, b).total
+    return count_tangencies(p, _random_basis(r, m + 1, k)).total
 
 
 def direct_table_counts(seed: int) -> dict:

@@ -17,6 +17,7 @@ from fractions import Fraction
 from ._value import Record, set_field
 from .exact import (
     _is_rational,
+    _is_symmetric,
     clear_denominators,
     int_det,
     k_subsets,
@@ -36,10 +37,8 @@ class SymmetricForm(Record):
         m = len(rows)
         if m == 0 or any(len(r) != m for r in rows):
             raise ValueError("quadric matrix must be square and nonempty")
-        for i in range(m):
-            for j in range(i + 1, m):
-                if rows[i][j] != rows[j][i]:
-                    raise ValueError("matrix is not symmetric")
+        if not _is_symmetric(rows):
+            raise ValueError("matrix is not symmetric")
         set_field(self, "rows", rows)
         set_field(self, "n", m - 1)
 
@@ -59,11 +58,6 @@ class SymmetricForm(Record):
         if "n" in data and int(data["n"]) != form.n:
             raise ValueError("declared n does not match matrix size")
         return form
-
-
-def form_rank(q: SymmetricForm) -> int:
-    """Rank of the quadric's matrix (rational entries only)."""
-    return mat_rank(q.rows)
 
 
 def restrict(q: SymmetricForm, basis) -> SymmetricForm:
@@ -110,8 +104,6 @@ def compound(q: SymmetricForm, k: int) -> SymmetricForm:
     """
     if not _is_rational(q.rows):
         raise TypeError("compound expects a rational form")
-    if k == 1:
-        return SymmetricForm(q.rows)
     int_minor, den = _int_minors(q.rows, k)
 
     def minor(s, t):
@@ -165,6 +157,20 @@ def quadric_space_dim(n: int) -> int:
     return math.comb(n + 2, 2) - 1
 
 
+def _random_basis(rng, rows: int, cols: int) -> list:
+    """Random rows x cols integer matrix of rank cols, entries in -3..3.
+
+    The package's only random-matrix draw: the invertible M of random_form
+    and the points and subspaces that pencil tangencies and the Chow-form
+    identity are counted on.  Entries are read from rng row by row, and the
+    whole matrix is drawn again until its columns are independent.
+    """
+    while True:
+        b = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
+        if mat_rank(b) == cols:
+            return b
+
+
 def random_form(n: int, r: int, seed: int) -> SymmetricForm:
     """Deterministic pseudorandom rational form on P^n of exact rank r.
 
@@ -176,10 +182,7 @@ def random_form(n: int, r: int, seed: int) -> SymmetricForm:
     rng = random.Random(seed)
     size = n + 1
     d = [rng.choice([1, 2, 3, -1, -2, 5]) if i < r else 0 for i in range(size)]
-    while True:
-        m = [[rng.randint(-3, 3) for _ in range(size)] for _ in range(size)]
-        if int_det(m):
-            break
+    m = _random_basis(rng, size, size)
     # (M^T D M)_ij = sum over k < r of d_k m_ki m_kj, in integers
     cols = list(zip(*m[:r]))
     rows = [[None] * size for _ in range(size)]

@@ -50,8 +50,7 @@ class SchubertClass(Record):
     __slots__ = _fields = ("k", "n", "_terms")
 
     def __init__(self, k: int, n: int, terms=None):
-        if not 0 <= k < n:
-            raise ValueError("need 0 <= k < n")
+        grass_dim(k, n)  # raises unless 0 <= k < n
         clean = {}
         for parts, coeff in (terms or {}).items():
             parts = _normalize_partition(parts)
@@ -81,9 +80,6 @@ class SchubertClass(Record):
     def coefficient(self, parts) -> int:
         parts = _normalize_partition(parts)
         return dict(self._terms).get(parts, 0)
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def codim(self):
         """Common codimension of all terms, or None if zero or mixed."""

@@ -22,7 +22,6 @@ from fractions import Fraction
 from . import chambers, chowform, pencils, picard, quadrics, schubert
 from ._value import Record, set_field
 from .exact import ff_det
-from .pencils import _random_subspace
 
 
 class CheckResult(Record):
@@ -50,7 +49,7 @@ def check_chow_identity(seed: int = 0, min_pairs: int = 100) -> CheckResult:
     while done < min_pairs:
         for n, k in combos:
             q = quadrics.random_form(n, n + 1, rng.randrange(1 << 30))
-            b = _random_subspace(rng, n + 1, k)
+            b = quadrics._random_basis(rng, n + 1, k)
             lhs = chowform.chow_eval(q, k, b)
             rhs = ff_det(quadrics.restrict(q, b).rows)
             if lhs != rhs:

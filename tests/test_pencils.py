@@ -66,7 +66,7 @@ def cofactor_det_form(p):
     scale = math.lcm(*[x.denominator for q in (p.q0, p.q1) for r in q.rows for x in r])
     a, b = ([[int(x * scale) for x in r] for r in q.rows] for q in (p.q0, p.q1))
     det = univariate.det(univariate.pencil(a, b))
-    return tuple(Fraction(c, scale ** (p.m + 1)) for c in univariate.padded(det, p.m + 2))
+    return tuple(Fraction(c, scale ** (p.q0.n + 1)) for c in univariate.padded(det, p.q0.n + 2))
 
 
 class TestDetFormOracle:
@@ -206,6 +206,13 @@ class TestPencilValidation:
     def test_proportional_members_rejected(self):
         with pytest.raises(DegeneratePencilError):
             Pencil(diag(1, 2), diag(2, 4))
+
+    def test_proportional_integer_members_rejected(self):
+        # int entries, which SymmetricForm accepts: 1/49 * 49 != 1 in floats
+        q0 = SymmetricForm([[1, 7], [7, 5]])
+        q1 = SymmetricForm([[49, 343], [343, 245]])
+        with pytest.raises(DegeneratePencilError, match="proportional"):
+            Pencil(q0, q1)
 
     def test_zero_member_rejected(self):
         with pytest.raises(DegeneratePencilError):

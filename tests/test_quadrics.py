@@ -11,11 +11,11 @@ from fractions import Fraction
 
 import pytest
 
-from completequadrics.exact import ff_det, k_subsets, mat_mul, mat_rank, mat_transpose
+from completequadrics.exact import ff_det, int_det, k_subsets, mat_mul, mat_rank, mat_transpose
 from completequadrics.quadrics import (
     SymmetricForm,
+    _random_basis,
     compound,
-    form_rank,
     quadric_space_dim,
     random_form,
     restrict,
@@ -35,7 +35,7 @@ def test_symmetric_form_validation():
         SymmetricForm([[Fraction(1), Fraction(2)], [Fraction(3), Fraction(1)]])
     q = SymmetricForm.diagonal([1, 0, 0, 0])
     assert q.n == 3
-    assert form_rank(q) == 1
+    assert mat_rank(q.rows) == 1
     # the value v^T Q v is the restriction of Q to the point v
     assert restrict(q, [[Fraction(2)], [0], [0], [0]]).rows == ((4,),)
 
@@ -64,7 +64,7 @@ def test_compound_rank_binomial(seed):
     r = rng.randint(1, n + 1)
     q = random_form(n, r, seed=1000 + seed)
     for k in range(1, n + 2):
-        assert form_rank(compound(q, k)) == math.comb(r, k)
+        assert mat_rank(compound(q, k).rows) == math.comb(r, k)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -172,5 +172,48 @@ def test_random_form_rank_and_determinism(n, r, seed):
     q1 = random_form(n, r, seed)
     q2 = random_form(n, r, seed)
     assert q1 == q2
-    assert form_rank(q1) == r
+    assert mat_rank(q1.rows) == r
     assert random_form(n, r, seed + 1) != q1
+
+
+# references: the three draws _random_basis replaced, each reading the
+# generator in the same order, entries row by row
+def invertible_reference(rng, size):
+    # the M of random_form, redrawn until its determinant is nonzero
+    while True:
+        m = [[rng.randint(-3, 3) for _ in range(size)] for _ in range(size)]
+        if int_det(m):
+            return m
+
+
+def point_reference(rng, size):
+    while True:
+        v = [[Fraction(rng.randint(-3, 3))] for _ in range(size)]
+        if any(x[0] for x in v):
+            return v
+
+
+def subspace_reference(rng, size, k):
+    while True:
+        b = [[Fraction(rng.randint(-3, 3)) for _ in range(k)] for _ in range(size)]
+        if mat_rank(b) == k:
+            return b
+
+
+@pytest.mark.parametrize("rows", range(1, 9))
+def test_random_basis_matches_replaced_draws(rows):
+    for seed in range(200):
+        for cols in range(1, rows + 1):
+            refs = [lambda r: subspace_reference(r, rows, cols)]
+            if cols == 1:
+                refs.append(lambda r: point_reference(r, rows))
+            if cols == rows:
+                refs.append(lambda r: invertible_reference(r, rows))
+            rng = random.Random(seed)
+            b = _random_basis(rng, rows, cols)
+            assert all(type(x) is int for r in b for x in r)
+            assert mat_rank(b) == cols
+            for ref in refs:
+                old = random.Random(seed)
+                assert ref(old) == b
+                assert old.getstate() == rng.getstate()
