@@ -11,9 +11,9 @@ contractions of the space of complete quadrics).
 Rational evaluation runs on Python integers: plucker and chow_eval share
 one scaling of the basis and its maximal minors by int_det (_int_plucker),
 chow_eval takes the integer minors of the scaled form, sums the quadratic
-form in integers and builds one Fraction at the end.  Flag degenerations
-stay in integers too: flag_wedge compares integer Pluecker vectors, and
-_flag_limit interpolates integer compounds in the degeneration parameter.
+form in integers and builds one Fraction at the end.  Limits stay in
+integers too: chow_limit and _flag_limit interpolate one integer compound
+(_compound_poly), and flag_wedge compares integer Pluecker vectors.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ import operator
 
 from ._value import Record, set_field
 from .exact import (
-    _interpolate, _is_rational, clear_denominators, int_det, int_det_poly, k_subsets, mat_mul,
-    mat_transpose,
+    _interpolate, _is_rational, clear_denominators, int_det, k_subsets, mat_mul, mat_transpose,
 )
 from .quadrics import SymmetricForm, _int_minors, _minor_rows
 
@@ -122,6 +121,15 @@ def chow_eval(q: SymmetricForm, k: int, basis) -> Fraction:
     return Fraction(total, lv * lv * den)
 
 
+def _compound_poly(matrix_at, deg: int, n: int, k: int) -> list:
+    """Rows of the k-th compound of a symmetric integer matrix polynomial
+    matrix_at(x), each entry as its deg + 1 coefficients, lowest first: the
+    integer minors are taken at x = 0..deg, and each entry S <= T is
+    rebuilt by _interpolate and mirrored (_minor_rows)."""
+    minors = [_int_minors(matrix_at(x), k)[0] for x in range(deg + 1)]
+    return _minor_rows(n, k, lambda s, t: _interpolate([m(s, t) for m in minors]))
+
+
 def chow_limit(q0: SymmetricForm, q1: SymmetricForm, k: int) -> ProjectivePoint:
     """Limit of the k-th Chow forms of q0 + t*q1 as t -> 0.
 
@@ -131,20 +139,23 @@ def chow_limit(q0: SymmetricForm, q1: SymmetricForm, k: int) -> ProjectivePoint:
     coordinates are the limit matrix entries in row-major order (no radical
     is taken, so a nonreduced limit keeps its multiplicity structure).
 
-    Both forms are scaled to integers by one lcm L, so each minor is
-    int_det_poly of the scaled submatrices; that multiplies every entry by
-    L**k, a positive factor the projective point drops.
+    Both forms are scaled to integers A and B by one lcm L, and the compound
+    of A + tB, of degree k in t, is _compound_poly; that multiplies every
+    entry by L**k, a positive factor the projective point drops.
     """
     if q0.n != q1.n:
         raise ValueError("forms must share an ambient space")
+    rows = q0.rows + q1.rows
+    if not _is_rational(rows):
+        raise TypeError("chow_limit expects rational forms")
     size = q0.n + 1
-    ints, _ = clear_denominators(q0.rows + q1.rows)
+    ints, _ = clear_denominators(rows)
     a, b = ints[:size], ints[size:]
 
-    def minor(s, t):
-        return int_det_poly([[a[i][j] for j in t] for i in s], [[b[i][j] for j in t] for i in s])
+    def pencil_at(t):
+        return [[x + t * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
-    entries = [e for row in _minor_rows(q0.n, k, minor) for e in row]
+    entries = [e for row in _compound_poly(pencil_at, k, q0.n, k) for e in row]
     vals = [next(d for d, c in enumerate(e) if c) for e in entries if any(e)]
     if not vals:
         raise ValueError("family has identically vanishing k-th minors")
@@ -200,28 +211,21 @@ def _flag_limit(n: int, k: int, ts) -> list:
     """Rows of the x -> 0 limit of the k-th compound of M^T D M, in integers.
 
     Each entry is a polynomial in x of degree at most n + (n-1) + ... +
-    (n-k+1); it is taken at x = 0..deg by integer minors and rebuilt by
-    interpolation, on the pairs S <= T that _minor_rows computes, and
-    mirrored.  Every coefficient below x^(k(k-1)/2) vanishes, or this raises
-    AssertionError, and the limit is the x^(k(k-1)/2) coefficient.
+    (n-k+1), rebuilt by _compound_poly.  Every coefficient below
+    x^(k(k-1)/2) vanishes, or this raises AssertionError, and the limit is
+    the x^(k(k-1)/2) coefficient.
     """
     m = _flag_matrix(n, ts)
     mt = mat_transpose(m)
-    deg = sum(range(n - k + 1, n + 1))
     low = k * (k - 1) // 2
-    values = []
-    for x in range(deg + 1):
-        d = [[x ** i * e for e in row] for i, row in enumerate(m)]
-        values.append(_minor_rows(n, k, _int_minors(mat_mul(mt, d), k)[0]))
-    size = len(values[0])
-    rows = [[None] * size for _ in range(size)]
-    for a in range(size):
-        for b in range(a, size):
-            coeffs = _interpolate([v[a][b] for v in values])
-            if any(coeffs[:low]):
-                raise AssertionError("compound has a term below x^%d" % low)
-            rows[a][b] = rows[b][a] = coeffs[low]
-    return rows
+
+    def form_at(x):
+        return mat_mul(mt, [[x ** i * e for e in row] for i, row in enumerate(m)])
+
+    rows = _compound_poly(form_at, sum(range(n - k + 1, n + 1)), n, k)
+    if any(any(e[:low]) for row in rows for e in row):
+        raise AssertionError("compound has a term below x^%d" % low)
+    return [[e[low] for e in row] for row in rows]
 
 
 def flag_wedge(n: int, k: int, j: int) -> bool:

@@ -35,15 +35,16 @@ MAX_CENSUS = 250_000
 
 # Largest `cq chow` input.  A compound has C(n+1,k) rows and computes half
 # of their C(n+1,k)^2 pairings as k x k determinants; with --limit-toward
-# each pairing takes k + 1 integer determinants, which are interpolated.
-# Neither the row count nor n alone bounds the time (a 70 x 70 form with
-# k = 69 has 70 rows of 69 x 69 minors), so both are bounded.  Every shape
-# with n <= 8 is admitted (C(9,4) = 126 rows).  On one 2.1 GHz Xeon core,
-# the whole command with --limit-toward and one-digit integer entries takes
-# about 3-4 s at the slowest admitted shape, n = 9 with k = 7 (120 rows),
-# and 4.8 s with one-digit fractions; n = 10 with k = 9 takes about 2 s.
-# Rejected: n = 9 with k = 6 (210 rows) about 7 s, n = 11 with k = 10 about
-# 4-5.5 s, and n = 11 with k = 4 (495 rows) about 15 s.
+# the compound is taken at k + 1 integer points and each pairing is
+# interpolated.  Neither the row count nor n alone bounds the time (a 70 x 70
+# form with k = 69 has 70 rows of 69 x 69 minors), so both are bounded.
+# Every shape with n <= 8 is admitted (C(9,4) = 126 rows).  On one 2.1 GHz
+# Xeon core, the whole command with --limit-toward and one-digit integer
+# entries takes about 2.5-3.6 s at the slowest admitted shape, n = 9 with
+# k = 7 (120 rows), and 2.6-3.7 s with one-digit fractions; n = 10 with k = 9
+# takes about 1.1-1.7 s.  Rejected, timing chowform.chow_limit alone: n = 9
+# with k = 6 (210 rows) about 5-6 s, n = 11 with k = 10 about 2.3-2.7 s, and
+# n = 11 with k = 4 (495 rows) about 11-13 s.
 MAX_CHOW_N = 10
 MAX_COMPOUND = 126
 
@@ -52,10 +53,10 @@ MAX_COMPOUND = 126
 # lcm of all their denominators (the lcm of many small distinct denominators
 # is itself large).  Each numerator and denominator is held to the same bound
 # before the lcm is taken.  At the slowest admitted shape, n = 9 with k = 7 and
-# --limit-toward, on one 2.1 GHz Xeon core, over several runs: 2.5-3.8 s
-# with 4-bit integer entries, 3.8-5.4 s with 32-bit and 5.1-7.8 s with
-# 64-bit ones; rejected, 7.3 s with two-digit fractions (138 bits after
-# scaling), 10.5 s with 133-bit and 22 s with 266-bit integer entries.
+# --limit-toward, on one 2.1 GHz Xeon core, over several runs: 2.5-3.6 s
+# with 4-bit integer entries, 3.6-4.2 s with 32-bit and 4.2-6.4 s with
+# 64-bit ones; rejected, 7.0-7.4 s with two-digit fractions (111 bits after
+# scaling), 7.7-9.3 s with 133-bit and 18 s with 266-bit integer entries.
 MAX_CHOW_BITS = 64
 
 # Largest n `cq canonical --n` and a JSON divisor or curve class accept.

@@ -9,21 +9,20 @@ the only divisions performed are exact.
 Rational work runs on Python integers wherever it can.  clear_denominators
 scales a rational matrix by the lcm of its denominators, and _echelon, a
 rank-revealing Bareiss elimination, is the one general elimination routine:
-int_det, mat_rank, solve_exact and mat_inverse run it on integers.  ff_det of
-a rational matrix is int_det of the scaled matrix over the scale to the n-th
-power, and int_det_poly gives the coefficients of det(A + tB) by evaluating
-the determinant at integer points and interpolating (_interpolate), for
-pencil determinant forms and for the minors of Chow-form limits.  When A and
-B are symmetric, as a pencil's forms are, each point runs _sym_det, a
-symmetric Bareiss elimination over the upper triangle, instead of int_det.
-poly_gcd runs a primitive integer remainder sequence instead of a Euclidean
-gcd over Fraction.  distinct_root_count certifies a squarefree polynomial by
-one gcd modulo the prime 2^61 - 1 and reads the squarefree degree from
-poly_gcd only when that certificate fails.  The same pattern carries the
-Chow-form layers: quadrics.compound and chowform.plucker take each minor by
-int_det of one scaled matrix, quadrics.restrict forms B^T Q B as one integer
-product, and chowform.chow_eval sums its quadratic form over those integer
-minors, each building one Fraction per answer.
+int_det, mat_rank, solve_exact and mat_inverse run it on integers.  ff_det
+of a rational matrix is int_det of the scaled matrix over the scale to the
+n-th power.  int_det_poly gives the coefficients of a pencil's determinant
+form det(A + tB), for symmetric A and B, by taking the determinant at
+integer points with _sym_det, a symmetric Bareiss elimination over the upper
+triangle, and interpolating (_interpolate).  poly_gcd runs a primitive
+integer remainder sequence instead of a Euclidean gcd over Fraction.
+distinct_root_count certifies a squarefree polynomial by one gcd modulo the
+prime 2^61 - 1 and reads the squarefree degree from poly_gcd only when that
+certificate fails.  The same pattern carries the Chow-form layers:
+quadrics.compound and chowform.plucker take each minor by int_det of one
+scaled matrix, quadrics.restrict forms B^T Q B as one integer product, and
+chowform.chow_eval sums its quadratic form over those integer minors, each
+building one Fraction per answer.
 """
 
 from __future__ import annotations
@@ -348,25 +347,18 @@ def _interpolate(values) -> list:
 def int_det_poly(a, b) -> list:
     """Integer coefficients of det(A + tB), lowest degree first.
 
-    A and B are square integer matrices of one size n, and the list has
-    n + 1 entries, trailing zeros included.  The determinant is taken at
-    t = 0..n, by the symmetric elimination _sym_det when A and B both equal
-    their transposes, as a pencil's forms do, else by int_det, and is
-    interpolated by _interpolate.
+    A and B are symmetric integer matrices of one size n, as a pencil's
+    forms are, or this raises ValueError; the list has n + 1 entries,
+    trailing zeros included.  The determinant is taken at t = 0..n by the
+    symmetric elimination _sym_det and interpolated by _interpolate.
     """
     n = len(a)
-    if a and _is_symmetric(a) and _is_symmetric(b):
-        c = [
-            _sym_det([[x + t * y for x, y in zip(ra[i:], rb[i:])]
-                      for i, (ra, rb) in enumerate(zip(a, b))])
-            for t in range(n + 1)
-        ]
-    else:
-        c = [
-            int_det([[x + t * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)])
-            for t in range(n + 1)
-        ]
-    return _interpolate(c)
+    if not (a and len(b) == n and _is_symmetric(a) and _is_symmetric(b)):
+        raise ValueError("int_det_poly expects symmetric matrices of one size")
+    return _interpolate([
+        _sym_det([[x + t * y for x, y in zip(ra[i:], rb[i:])] for i, (ra, rb) in enumerate(zip(a, b))])
+        for t in range(n + 1)
+    ])
 
 
 def ff_det(m):

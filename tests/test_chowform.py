@@ -24,6 +24,7 @@ from completequadrics.chowform import (
     plucker,
     wedge2_example_matrix,
 )
+from completequadrics.pencils import Pencil, count_degenerations, pencil_det_form
 from completequadrics.quadrics import SymmetricForm, compound, random_form, restrict
 import univariate
 
@@ -131,6 +132,15 @@ def test_mpoly_form_rejected():
             compound(q, k)
     with pytest.raises(TypeError):
         plucker([[1, 0], [0, 0.5], [0, 0]])
+    # a pencil with one float member, in either slot
+    r = SymmetricForm.diagonal([1, 2, 3])
+    for q0, q1 in ((q, r), (r, q)):
+        with pytest.raises(TypeError):
+            chow_limit(q0, q1, 2)
+        with pytest.raises(TypeError):
+            pencil_det_form(Pencil(q0, q1))
+        with pytest.raises(TypeError):
+            count_degenerations(Pencil(q0, q1))
 
 
 def test_chow_eval_does_not_use_the_restriction(monkeypatch):

@@ -7,8 +7,9 @@ and mat_rank and solve_exact against the largest nonvanishing minor, also where 
 elimination skips columns; mat_inverse by multiplying back; root counts
 against explicit factorizations and the integer gcd against a Euclidean gcd
 over Fraction.  The symmetric elimination is checked against int_det,
-int_det_poly against per-point int_det interpolated over Fraction, and the
-mod-P squarefree certificate against the remainder sequence alone.
+int_det_poly against per-point int_det interpolated over Fraction (it
+rejects non-symmetric or mismatched pairs), and the mod-P squarefree
+certificate against the remainder sequence alone.
 """
 
 import math
@@ -182,19 +183,36 @@ def _interpolation_oracle(a, b):
     return [int(c) for c in coeffs]
 
 
+def _asymmetric(rng, n):
+    # entries in -3..3, with a_0,n-1 != a_n-1,0 once n > 1
+    m = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+    if n > 1:
+        m[0][n - 1] = m[n - 1][0] + 1
+    return m
+
+
 @pytest.mark.parametrize("shape", ["both", "only_a", "only_b", "neither"])
 def test_int_det_poly_matches_per_point_oracle(shape):
+    # symmetric pairs match the oracle; a pair with a non-symmetric member
+    # is rejected, except at n = 1, where every matrix is symmetric
     rng = random.Random("pencil:" + shape)
+    rejected = 0
     for _ in range(60):
         n = rng.randint(1, 7)
         a, b = _sparse_symmetric(rng, n), _sparse_symmetric(rng, n)
         if shape in ("only_b", "neither"):
-            a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            a = _asymmetric(rng, n)
         if shape in ("only_a", "neither"):
-            b = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            b = _asymmetric(rng, n)
+        if shape != "both" and n > 1:
+            with pytest.raises(ValueError, match="symmetric"):
+                int_det_poly(a, b)
+            rejected += 1
+            continue
         coeffs = int_det_poly(a, b)
         assert coeffs == _interpolation_oracle(a, b)
         assert len(coeffs) == n + 1 and all(type(c) is int for c in coeffs)
+    assert bool(rejected) == (shape != "both")
 
 
 def test_int_det_poly_takes_the_symmetric_path_for_symmetric_pairs(monkeypatch):
@@ -204,7 +222,8 @@ def test_int_det_poly_takes_the_symmetric_path_for_symmetric_pairs(monkeypatch):
     sym = [[1, 2], [2, 0]]
     assert int_det_poly(sym, [[0, 1], [1, 1]]) == [-4, -3, -1]
     assert calls == [2, 2, 2]
-    assert int_det_poly(sym, [[0, 1], [0, 1]]) == _interpolation_oracle(sym, [[0, 1], [0, 1]])
+    with pytest.raises(ValueError, match="symmetric"):
+        int_det_poly(sym, [[0, 1], [0, 1]])
     assert calls == [2, 2, 2]
     with pytest.raises(ValueError):
         int_det_poly([], [])
@@ -212,6 +231,14 @@ def test_int_det_poly_takes_the_symmetric_path_for_symmetric_pairs(monkeypatch):
     for ragged in ([[1, 2, 3], [2, 5, 6], [3, 6]], [[1, 2], [2, 3, 4]], [[1, 2]], [[]], [[], []]):
         with pytest.raises(ValueError):
             int_det_poly(ragged, ragged)
+
+
+def test_int_det_poly_rejects_mismatched_sizes():
+    # zipping A with B would drop the extra rows and columns of the larger
+    eye3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    for a, b in ((eye3, [[2, 0], [0, 2]]), ([[2, 0], [0, 2]], eye3), (eye3, [[1]] * 3)):
+        with pytest.raises(ValueError, match="one size"):
+            int_det_poly(a, b)
 
 
 def test_clear_denominators():
@@ -234,14 +261,19 @@ def test_ff_det_rational_is_scaled_int_det(m):
 
 @pytest.mark.parametrize("seed", range(12))
 def test_int_det_poly_matches_univariate_cofactor(seed):
-    # oracle: cofactor expansion of A + tB over polynomials in t; a singular
-    # B leaves a zero top coefficient, which the list keeps
+    # oracle: cofactor expansion of A + tB over polynomials in t, for
+    # symmetric A and B; a singular B leaves a zero top coefficient, which
+    # the list keeps
     rng = random.Random(800 + seed)
     size = rng.randint(1, 5)
-    a = [[rng.randint(-9, 9) for _ in range(size)] for _ in range(size)]
-    b = [[rng.randint(-9, 9) for _ in range(size)] for _ in range(size)]
+    a, b = ([[0] * size for _ in range(size)] for _ in range(2))
+    for m in (a, b):
+        for i in range(size):
+            for j in range(i, size):
+                m[i][j] = m[j][i] = rng.randint(-9, 9)
     if seed % 3 == 0:
-        b[0] = [0] * size
+        for i in range(size):
+            b[0][i] = b[i][0] = 0
     coeffs = int_det_poly(a, b)
     assert coeffs == padded(univariate.det(pencil(a, b)), size + 1)
     assert all(type(c) is int for c in coeffs)

@@ -341,14 +341,26 @@ def test_json_roundtrip():
     assert d.to_json()["coeffs"] == ["12", "-6", "-4"]
 
 
-def test_only_picard_inverts_a_matrix():
-    # the generator-matrix inverse behind facet_rows stays in one module:
-    # no other module imports exact.mat_inverse or reads it off exact
+def _importers(name):
+    # the package modules that import name or read it as an attribute
     package = pathlib.Path(completequadrics.__file__).resolve().parent
     users = set()
     for path in sorted(package.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
-            imported = isinstance(node, ast.ImportFrom) and any(a.name == "mat_inverse" for a in node.names)
-            if imported or (isinstance(node, ast.Attribute) and node.attr == "mat_inverse"):
+            imported = isinstance(node, ast.ImportFrom) and any(a.name == name for a in node.names)
+            if imported or (isinstance(node, ast.Attribute) and node.attr == name):
                 users.add(path.name)
-    assert users == {"picard.py"}
+    return users
+
+
+def test_only_picard_inverts_a_matrix():
+    # the generator-matrix inverse behind facet_rows stays in one module:
+    # no other module imports exact.mat_inverse or reads it off exact
+    assert _importers("mat_inverse") == {"picard.py"}
+
+
+@pytest.mark.parametrize("name, user", [("int_det_poly", "pencils.py"), ("_interpolate", "chowform.py")])
+def test_one_caller_per_kernel(name, user):
+    # pencil determinant forms are the one use of int_det_poly, and the
+    # Chow-form limits the one use of the interpolation outside exact
+    assert _importers(name) == {user}
