@@ -9,11 +9,14 @@ coordinate flag degenerations (the mechanism behind the boundary
 contractions of the space of complete quadrics).
 
 Rational evaluation runs on Python integers: plucker and chow_eval share
-one scaling of the basis and its maximal minors by int_det (_int_plucker),
-chow_eval takes the integer minors of the scaled form, sums the quadratic
-form in integers and builds one Fraction at the end.  Limits stay in
-integers too: chow_limit and _flag_limit interpolate one integer compound
-(_compound_poly), and flag_wedge compares integer Pluecker vectors.
+one scaling of the basis and its maximal minors (_int_plucker), chow_eval
+takes the integer compound of the scaled form (quadrics._int_minors), sums
+the quadratic form in integers and builds one Fraction at the end.  No
+minor is a determinant of its own: both are built by Laplace expansion,
+each level of minors from the one below, with the same cached subset
+tables.  Limits stay in integers too: chow_limit and _flag_limit
+interpolate one integer compound (_compound_poly), and flag_wedge compares
+integer Pluecker vectors.
 """
 
 from __future__ import annotations
@@ -24,10 +27,8 @@ import itertools
 import operator
 
 from ._value import Record, set_field
-from .exact import (
-    _interpolate, _is_rational, clear_denominators, int_det, k_subsets, mat_mul, mat_transpose,
-)
-from .quadrics import SymmetricForm, _int_minors, _minor_rows
+from .exact import _interpolate, _is_rational, clear_denominators, mat_mul, mat_transpose
+from .quadrics import SymmetricForm, _int_minors, _laplace_cols
 
 
 class ProjectivePoint(Record):
@@ -75,18 +76,31 @@ def plucker(basis) -> PluckerVector:
 def _int_plucker(basis) -> tuple:
     """(n, k, minors, den) for an (n+1) x k rational basis, in integers.
 
-    The basis is scaled once by the lcm L of its denominators; minors are
-    int_det of the scaled rows on each k-subset, in lexicographic order, and
-    the Pluecker coordinates are minors / den with den = L**k.
+    The basis is scaled once by the lcm L of its denominators to B; minors
+    are det B[S, :] on each k-subset S, in lexicographic order, and the
+    Pluecker coordinates are minors / den with den = L**k.  The minors on
+    the first j columns are built for j = 1..k, each j x j minor expanded
+    along column j - 1 into the (j-1)-minors of the level before, with the
+    subset tables of the compound (quadrics._laplace_cols).
     """
     b = [list(r) for r in basis]
     if not _is_rational(b):
         raise TypeError("plucker expects rational entries")
     k = len(b[0]) if b else 0
+    if any(len(r) != k for r in b):
+        raise ValueError("basis rows must have equal length")
     minors, den = [], 1
     if k:
         ints, scale = clear_denominators(b)
-        minors = [int_det([ints[i] for i in s]) for s in k_subsets(len(b), k)]
+        size = len(ints)
+        minors = [r[0] for r in ints]
+        for j in range(2, k + 1):
+            col = [r[j - 1] for r in ints]
+            neg = [-x for x in col]
+            # the expansion along the last of j columns carries (-1)**(j-1)
+            signed = col + neg if j % 2 else neg + col
+            minors = [sum(map(operator.mul, entries(signed), sub(minors)))
+                      for entries, sub in _laplace_cols(size, j)]
         den = scale ** k
     if not any(minors):
         raise ValueError("basis must have full column rank")
@@ -98,22 +112,26 @@ def chow_eval(q: SymmetricForm, k: int, basis) -> Fraction:
 
     Equals det of the restricted form: p^T compound(q, k) p = det(B^T Q B)
     with p = plucker(B).  Zero exactly when the (k-1)-plane is tangent.
+    basis must have n + 1 rows, as for restrict.
 
     Neither p nor the compound matrix is built in Fractions.  With Lb and L
     the lcms of the denominators of B and q, v = Lb**k p holds the integer
-    maximal minors of Lb B, and C = L**k compound(q, k) the integer minors
-    int_det(L Q[S, T]).  C is symmetric, so the form is summed in integers
-    over the pairs S <= T only, as sum_S v_S (C_SS v_S + 2 sum_{T > S} C_ST v_T),
-    and divided once by Lb**(2k) L**k.  Neither side of the identity is
-    computed from the other.
+    maximal minors of Lb B (_int_plucker), and C = L**k compound(q, k) the
+    integer minors of L Q from one Laplace pass (quadrics._int_minors).  C
+    is symmetric, so the form is summed in integers over the pairs S <= T
+    only, as sum_S v_S (C_SS v_S + 2 sum_{T > S} C_ST v_T), and divided
+    once by Lb**(2k) L**k.  Neither side of the identity is computed from
+    the other.
     """
     if not _is_rational(q.rows):
         raise TypeError("chow_eval expects a rational form")
-    _, kb, v, lv = _int_plucker(basis)
+    b = [list(r) for r in basis]
+    if len(b) != q.n + 1:
+        raise ValueError("basis row count must be n+1")
+    _, kb, v, lv = _int_plucker(b)
     if kb != k:
         raise ValueError("basis spans a plane of the wrong dimension")
-    minor, den = _int_minors(q.rows, k)
-    c = _minor_rows(q.n, k, minor)
+    c, den = _int_minors(q.rows, k)
     total = 0
     for s, (vs, row) in enumerate(zip(v, c)):
         if vs:
@@ -123,11 +141,19 @@ def chow_eval(q: SymmetricForm, k: int, basis) -> Fraction:
 
 def _compound_poly(matrix_at, deg: int, n: int, k: int) -> list:
     """Rows of the k-th compound of a symmetric integer matrix polynomial
-    matrix_at(x), each entry as its deg + 1 coefficients, lowest first: the
-    integer minors are taken at x = 0..deg, and each entry S <= T is
-    rebuilt by _interpolate and mirrored (_minor_rows)."""
-    minors = [_int_minors(matrix_at(x), k)[0] for x in range(deg + 1)]
-    return _minor_rows(n, k, lambda s, t: _interpolate([m(s, t) for m in minors]))
+    matrix_at(x) on P^n, each entry as its deg + 1 coefficients, lowest
+    first: the integer compound tables are taken at x = 0..deg
+    (_int_minors), and each entry S <= T is rebuilt from its values there
+    by _interpolate and mirrored."""
+    if not 1 <= k <= n + 1:
+        raise ValueError("k out of range")
+    tables = [_int_minors(matrix_at(x), k)[0] for x in range(deg + 1)]
+    size = len(tables[0])
+    rows = [[None] * size for _ in range(size)]
+    for a in range(size):
+        for b in range(a, size):
+            rows[a][b] = rows[b][a] = _interpolate([t[a][b] for t in tables])
+    return rows
 
 
 def chow_limit(q0: SymmetricForm, q1: SymmetricForm, k: int) -> ProjectivePoint:

@@ -33,18 +33,18 @@ MAX_PENCIL_N = 40
 # in about 15 s there; larger counts are rejected with exit 2.
 MAX_CENSUS = 250_000
 
-# Largest `cq chow` input.  A compound has C(n+1,k) rows and computes half
-# of their C(n+1,k)^2 pairings as k x k determinants; with --limit-toward
-# the compound is taken at k + 1 integer points and each pairing is
+# Largest `cq chow` input.  A compound has C(n+1,k) rows, and its minors are
+# built in one Laplace pass, level by level up to k x k; with --limit-toward
+# the compound is taken at k + 1 integer points and each entry is
 # interpolated.  Neither the row count nor n alone bounds the time (a 70 x 70
 # form with k = 69 has 70 rows of 69 x 69 minors), so both are bounded.
 # Every shape with n <= 8 is admitted (C(9,4) = 126 rows).  On one 2.1 GHz
 # Xeon core, the whole command with --limit-toward and one-digit integer
-# entries takes about 2.5-3.6 s at the slowest admitted shape, n = 9 with
-# k = 7 (120 rows), and 2.6-3.7 s with one-digit fractions; n = 10 with k = 9
-# takes about 1.1-1.7 s.  Rejected, timing chowform.chow_limit alone: n = 9
-# with k = 6 (210 rows) about 5-6 s, n = 11 with k = 10 about 2.3-2.7 s, and
-# n = 11 with k = 4 (495 rows) about 11-13 s.
+# entries takes about 0.9-1.0 s at the slowest admitted shapes, n = 9 with
+# k = 7 (120 rows) and n = 10 with k = 9 (55 rows), and about 1.2 s with
+# one-digit fractions.  Rejected, timing chowform.chow_limit alone: n = 9
+# with k = 6 (210 rows) about 1.2 s, n = 11 with k = 10 about 1.9 s, and
+# n = 11 with k = 4 (495 rows) about 4.2 s.
 MAX_CHOW_N = 10
 MAX_COMPOUND = 126
 
@@ -52,11 +52,12 @@ MAX_COMPOUND = 126
 # runs on: the form, or both forms of a --limit-toward pencil, scaled by the
 # lcm of all their denominators (the lcm of many small distinct denominators
 # is itself large).  Each numerator and denominator is held to the same bound
-# before the lcm is taken.  At the slowest admitted shape, n = 9 with k = 7 and
-# --limit-toward, on one 2.1 GHz Xeon core, over several runs: 2.5-3.6 s
-# with 4-bit integer entries, 3.6-4.2 s with 32-bit and 4.2-6.4 s with
-# 64-bit ones; rejected, 7.0-7.4 s with two-digit fractions (111 bits after
-# scaling), 7.7-9.3 s with 133-bit and 18 s with 266-bit integer entries.
+# before the lcm is taken.  At the slowest admitted shapes, n = 9 with k = 7
+# and n = 10 with k = 9, with --limit-toward, on one 2.1 GHz Xeon core, over
+# several runs: 0.9-1.0 s with 4-bit integer entries, 1.0-1.7 s with 32-bit
+# and 1.1-1.5 s with 64-bit ones; rejected, timing chowform.chow_limit alone,
+# 1.4-1.9 s with two-digit fractions, 1.6-2.1 s with 133-bit and 2.6-3.8 s
+# with 266-bit integer entries.
 MAX_CHOW_BITS = 64
 
 # Largest n `cq canonical --n` and a JSON divisor or curve class accept.

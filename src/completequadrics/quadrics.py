@@ -5,10 +5,17 @@ entries.  The rank-<= i locus inside the P(N) of all quadrics
 (N = C(n+2,2) - 1) has codimension (n+1-i)(n+2-i)/2, and a degenerate
 quadric carries marking data on its singular locus: a complete quadric is a
 flag of forms, each living on the singular locus of the previous one.
+
+The k-th compound, the matrix of all k x k minors, is taken on the form
+scaled to integers, in one Laplace pass: each level of minors expands into
+the level below along one row, over subset tables that are built on first
+use and cached per shape (_int_minors).
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import operator
 import random
@@ -19,8 +26,6 @@ from .exact import (
     _is_rational,
     _is_symmetric,
     clear_denominators,
-    int_det,
-    k_subsets,
     mat_rank,
     parse_rat,
 )
@@ -99,50 +104,74 @@ def compound(q: SymmetricForm, k: int) -> SymmetricForm:
     subsets of {0..n}; entry (S, T) is det Q[S, T].  The rank of the
     compound of a rank-r rational form is C(r, k).
 
-    The form is scaled to integers once, by the lcm L of its denominators,
-    and each minor is int_det of the scaled submatrix over L**k.
+    The form is scaled to integers once, by the lcm L of its denominators;
+    the integer minors come from one Laplace pass (_int_minors), and each
+    entry is such a minor over L**k.
     """
     if not _is_rational(q.rows):
         raise TypeError("compound expects a rational form")
-    int_minor, den = _int_minors(q.rows, k)
-
-    def minor(s, t):
-        return Fraction(int_minor(s, t), den)
-
-    return SymmetricForm(_minor_rows(q.n, k, minor))
+    rows, den = _int_minors(q.rows, k)
+    return SymmetricForm([[Fraction(x, den) for x in row] for row in rows])
 
 
 def _int_minors(rows, k: int) -> tuple:
-    """(minor, den) for the k x k minors of a rational matrix, in integers.
+    """(rows of integer minors, den) for the k-th compound of a symmetric
+    rational matrix, in lexicographic subset order.
 
-    The matrix is scaled once by the lcm L of its denominators; minor(S, T)
-    is int_det of the scaled submatrix on rows S and columns T, and the
-    minor of the matrix itself is minor(S, T) / den with den = L**k.
+    The matrix is scaled once by the lcm L of its denominators to A, and
+    entry (S, T) is det A[S, T]; the compound of the matrix itself is that
+    table over den = L**k.  The minors are built level by level: a j x j
+    minor on rows R and columns T expands along the first row of R into the
+    (j-1)-minors on the tail R[1:], which level j - 1 already holds.  Every
+    row set at level j is the tail of a k-subset, so that level only needs
+    the j-subsets of range(k - j, size), over all column j-subsets
+    (_laplace_rows, _laplace_cols).  det A[S, T] = det A[T, S] for a
+    symmetric A, so level k takes only the pairs S <= T and mirrors them.
     """
-    ints, scale = clear_denominators(rows)
-
-    def minor(s, t):
-        return int_det([[ints[i][j] for j in t] for i in s])
-
-    return minor, scale ** k
-
-
-def _minor_rows(n: int, k: int, minor) -> list:
-    """Rows of the matrix of minor(S, T) over the k-subsets S, T of {0..n}.
-
-    Rows and columns follow the lexicographic subset order.  The minors of
-    a symmetric matrix satisfy minor(S, T) = minor(T, S), so only the pairs
-    S <= T are computed and mirrored.
-    """
-    if not 1 <= k <= n + 1:
+    size = len(rows)
+    if not 1 <= k <= size:
         raise ValueError("k out of range")
-    subsets = k_subsets(n + 1, k)
-    size = len(subsets)
-    rows = [[None] * size for _ in range(size)]
-    for a, s in enumerate(subsets):
-        for b in range(a, size):
-            rows[a][b] = rows[b][a] = minor(s, subsets[b])
-    return rows
+    ints, scale = clear_denominators(rows)
+    if k == 1:
+        return ints, scale
+    # each row followed by its negation, which the column getters pick the
+    # alternating cofactor signs from
+    signed = [r + [-x for x in r] for r in ints]
+    level = ints[k - 1:]
+    for j in range(2, k + 1):
+        cols = _laplace_cols(size, j)
+        # at level k, row a (the subset S) only needs the columns T >= S
+        level = [[sum(map(operator.mul, entries(signed[s]), minors(level[tail])))
+                  for entries, minors in (cols[a:] if j == k else cols)]
+                 for a, (s, tail) in enumerate(_laplace_rows(size, k, j))]
+    return [[level[b][a - b] for b in range(a)] + row for a, row in enumerate(level)], scale ** k
+
+
+@functools.cache
+def _laplace_rows(size: int, k: int, j: int) -> tuple:
+    """(R[0], index of R[1:]) for each j-subset R of range(k - j, size), in
+    lexicographic order; the index is that of the tail among the (j-1)-subsets
+    of range(k - j + 1, size), the rows of level j - 1 in _int_minors."""
+    tails = {t: i for i, t in enumerate(itertools.combinations(range(k - j + 1, size), j - 1))}
+    return tuple((r[0], tails[r[1:]]) for r in itertools.combinations(range(k - j, size), j))
+
+
+@functools.cache
+def _laplace_cols(size: int, j: int) -> tuple:
+    """(entries, minors) getters for each j-subset T of range(size), j >= 2,
+    in lexicographic order, for the expansion of a j x j minor along one line.
+
+    For a line x followed by its negation (2 * size values), entries picks
+    (-1)**i x[T[i]], i = 0..j-1; for a list of the (j-1)-minors on all
+    (j-1)-subsets of range(size), minors picks those on T without T[i].  The
+    sum of their products is the cofactor expansion along x.
+    """
+    index = {t: i for i, t in enumerate(itertools.combinations(range(size), j - 1))}
+    return tuple(
+        (operator.itemgetter(*[x + size * (i % 2) for i, x in enumerate(t)]),
+         operator.itemgetter(*[index[t[:i] + t[i + 1:]] for i in range(j)]))
+        for t in itertools.combinations(range(size), j)
+    )
 
 
 def stratum_codim(n: int, i: int) -> int:

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from completequadrics import chowform, exact, quadrics, verify
-from completequadrics.exact import ff_det, k_subsets, mat_rank
+from completequadrics.exact import ff_det, int_det, k_subsets, mat_rank
 from completequadrics.chowform import (
     PluckerVector,
     ProjectivePoint,
@@ -108,6 +108,52 @@ def test_rank_check_before_dimension_check():
             chow_eval(q, k, dependent)
     with pytest.raises(ValueError, match="wrong dimension"):
         chow_eval(q, 3, [[1, 0], [0, 1], [0, 0], [0, 0]])
+
+
+def test_chow_eval_checks_row_count_first():
+    # zip(v, c) would pair a too-short or too-long Pluecker vector with the
+    # compound rows; restrict rejects the same bases
+    q = SymmetricForm.diagonal([1, 2, 3])
+    for k, b in ((1, [[1], [2], [3], [4]]), (1, [[1], [2]]), (2, [[1, 0], [0, 1]]),
+                 (1, [[0], [0]])):
+        with pytest.raises(ValueError, match="basis row count must be n\\+1"):
+            chow_eval(q, k, b)
+        with pytest.raises(ValueError, match="basis row count must be n\\+1"):
+            restrict(q, b)
+
+
+@pytest.mark.parametrize("b", [[[1, 2], [3], [4, 5]], [[1], [2, 3], [4]]])
+def test_ragged_basis_rejected(b):
+    with pytest.raises(ValueError, match="equal length"):
+        plucker(b)
+    for k in (1, 2):
+        with pytest.raises(ValueError, match="equal length"):
+            chow_eval(SymmetricForm.diagonal([1, 2, 3]), k, b)
+
+
+def test_int_plucker_matches_per_subset_int_det():
+    # the Laplace pass against one int_det per k-subset of rows, on integer
+    # bases with small and 60-bit entries and a zero row; a basis whose
+    # last column repeats the first has rank k - 1 and is rejected
+    rng = random.Random(23)
+    for size in range(1, 8):
+        for k in range(1, size + 1):
+            for bound in (3, 2 ** 60):
+                b = [[rng.randint(-bound, bound) for _ in range(k)] for _ in range(size)]
+                b[rng.randrange(size)] = [0] * k
+                minors = [int_det([b[i] for i in s]) for s in k_subsets(size, k)]
+                if any(minors):
+                    assert chowform._int_plucker(b) == (size - 1, k, minors, 1), b
+                else:
+                    with pytest.raises(ValueError, match="full column rank"):
+                        chowform._int_plucker(b)
+                if k > 1:
+                    for row in b:
+                        row[-1] = row[0]
+                    with pytest.raises(ValueError, match="full column rank"):
+                        chowform._int_plucker(b)
+    half = [[Fraction(1, 2), 0], [0, Fraction(1, 3)], [1, 1]]
+    assert chowform._int_plucker(half) == (2, 2, [6, 18, -12], 36)
 
 
 def test_int_entry_basis():
@@ -300,6 +346,14 @@ def test_chow_limit_identically_singular():
     q0 = SymmetricForm.diagonal([1, 0, 0, 0])
     with pytest.raises(ValueError):
         chow_limit(q0, q0, 2)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_chow_limit_k_out_of_range(n):
+    q0, q1 = random_form(n, n + 1, seed=n), random_form(n, 1, seed=n + 10)
+    for k in (-2, 0, n + 2):
+        with pytest.raises(ValueError, match="k out of range"):
+            chow_limit(q0, q1, k)
 
 
 def per_minor_chow_limit(q0, q1, k):

@@ -359,6 +359,13 @@ def test_only_picard_inverts_a_matrix():
     assert _importers("mat_inverse") == {"picard.py"}
 
 
+def test_no_per_minor_eliminations_outside_exact():
+    # compounds and Pluecker vectors take their minors from one Laplace pass
+    # (quadrics._int_minors, chowform._int_plucker): no module but exact
+    # imports int_det or reads it off exact
+    assert _importers("int_det") <= {"exact.py"}
+
+
 @pytest.mark.parametrize("name, user", [("int_det_poly", "pencils.py"), ("_interpolate", "chowform.py")])
 def test_one_caller_per_kernel(name, user):
     # pencil determinant forms are the one use of int_det_poly, and the

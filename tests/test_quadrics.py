@@ -6,14 +6,20 @@ the differential at a random smooth point gives the stratum dimension.
 """
 
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 from completequadrics.exact import ff_det, int_det, k_subsets, mat_mul, mat_rank, mat_transpose
+from completequadrics import quadrics
 from completequadrics.quadrics import (
     SymmetricForm,
+    _int_minors,
     _random_basis,
     compound,
     quadric_space_dim,
@@ -123,6 +129,73 @@ def test_compound_rational_denominators_and_ints():
         rows = compound(q, k).rows
         assert [list(r) for r in rows] == per_pair_compound(q, k)
         assert all(type(x) is Fraction for r in rows for x in r)
+
+
+def symmetric_int_matrices(rng):
+    # random symmetric integer matrices of size 1..7: small entries, a zero
+    # row and column, a singular one (a row repeated) and 60-bit entries
+    for size in range(1, 8):
+        small = random_symmetric(size, lambda: rng.randint(-5, 5)).rows
+        wide = random_symmetric(size, lambda: rng.randint(-2 ** 60, 2 ** 60)).rows
+        zero = [list(r) for r in small]
+        z = rng.randrange(size)
+        for i in range(size):
+            zero[i][z] = zero[z][i] = 0
+        yield small
+        yield wide
+        yield zero
+        if size > 1:
+            # row and column 1 copied from row and column 0: rank <= size - 1
+            dup = [list(r) for r in wide]
+            for i in range(size):
+                dup[i][1] = dup[i][0]
+            dup[1] = list(dup[0])
+            yield dup
+
+
+def test_int_minors_match_per_minor_int_det():
+    # the Laplace pass against one int_det per minor, both halves, for
+    # every k; integer input has den = 1
+    for rows in symmetric_int_matrices(random.Random(19)):
+        rows = [list(r) for r in rows]
+        size = len(rows)
+        for k in range(1, size + 1):
+            subsets = k_subsets(size, k)
+            expect = [[int_det([[rows[i][j] for j in t] for i in s]) for t in subsets] for s in subsets]
+            assert _int_minors(rows, k) == (expect, 1), (rows, k)
+
+
+def test_int_minors_scale_by_the_denominators():
+    rows = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), 1]]
+    assert _int_minors(rows, 1) == ([[3, 2], [2, 6]], 6)
+    assert _int_minors(rows, 2) == ([[14]], 36)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_compound_k_out_of_range(n):
+    q = random_form(n, n + 1, seed=n)
+    for k in (-2, 0, n + 2):
+        with pytest.raises(ValueError, match="k out of range"):
+            compound(q, k)
+
+
+def test_import_builds_no_laplace_tables():
+    # the subset tables are built on first use, not at import
+    code = (
+        "import completequadrics\n"
+        "from completequadrics import quadrics\n"
+        "print([f.cache_info().currsize for f in (quadrics._laplace_rows, quadrics._laplace_cols)])\n"
+    )
+    src = pathlib.Path(quadrics.__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[0, 0]\n"
+    compound(random_form(3, 4, seed=1), 3)
+    assert quadrics._laplace_rows.cache_info().currsize > 0
 
 
 def test_restrict_basic():
