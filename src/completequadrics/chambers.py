@@ -10,13 +10,14 @@ The classifier solves no linear system per class.  Every facet row it
 reads (of each generator triple named in REGIONS, from picard.facet_rows,
 and of the effective cone over E1, E2, E3, from picard.effective_rows)
 and every forcing-curve pairing lies on one of eleven planes through the
-origin.  Each public call scales the class's H vector to integers once
-(picard.integer_h) and takes its sign pattern: the signs of its dot
-products with the eleven plane normals.  Region tests, position, nef and
-effectivity tests and forced loci are then read from one placement per
-sign pattern, built on first use and cached; eleven central planes cut
-R^3 into at most 443 faces, so at most 443 placements exist.  Wall points
-therefore resolve exactly and deterministically.
+origin.  A class's sign pattern is the signs of the dot products of any
+positive multiple of its integer H vector with the eleven plane normals:
+each public call scales the H vector to integers once (picard.integer_h),
+and the census reuses the integer vector its draw already holds.  Region
+tests, position, nef and effectivity tests and forced loci are then read
+from one placement per sign pattern, built on first use and cached; eleven
+central planes cut R^3 into at most 443 faces, so at most 443 placements
+exist.  Wall points therefore resolve exactly and deterministically.
 
 The duality involution (H1 <-> H3, E1 <-> E3) permutes the regions as
 (3 4)(6 7) and fixes the rest; the region data below is arranged so the
@@ -206,10 +207,16 @@ def _plane_table() -> tuple:
 
 
 def _signs(d: DivisorClass) -> tuple:
-    """Signs of the class's integer H vector against each plane normal."""
+    """The sign pattern of a class: _plane_signs of its integer H vector."""
     if d.n != 3:
         raise ValueError("chamber decomposition is for the n = 3 space")
-    x, y, z = integer_h(d)
+    return _plane_signs(integer_h(d))
+
+
+def _plane_signs(h) -> tuple:
+    """Signs of an integer H vector against each plane normal; a positive
+    multiple of the vector has the same signs."""
+    x, y, z = h
     return tuple([((v := a * x + b * y + c * z) > 0) - (v < 0) for a, b, c in _plane_table()[0]])
 
 
@@ -317,14 +324,19 @@ def accepting_regions(d: DivisorClass) -> list:
     return list(_placement(_signs(d)).accepted)
 
 
-def classify(d: DivisorClass) -> ChamberReport:
-    """Locate an effective divisor class in the chamber decomposition."""
-    placement = _placement(_signs(d))
-    report = placement.report
-    if report is None:
+def _reported(placement: _Placement, d: DivisorClass) -> ChamberReport:
+    """The placement's shared report for the class d, or the error classify
+    raises for it."""
+    if placement.report is None:
         if placement.failure is not None:
             raise ValueError(placement.failure)
         raise RuntimeError("effective class escaped the chamber cover: %r" % (d,))
+    return placement.report
+
+
+def classify(d: DivisorClass) -> ChamberReport:
+    """Locate an effective divisor class in the chamber decomposition."""
+    report = _reported(_placement(_signs(d)), d)
     if report.model_label == MODEL_SMALL:
         # the small-contraction wall's certificate (the last field) is this
         # class's own pairing; the other fields are the shared report's
@@ -428,12 +440,16 @@ def chamber_census(samples: int, seed: int) -> dict:
 
     Alternates region-targeted samples (so every chamber is exercised) with
     uniform effective samples.  Each class is drawn as an integer vector
-    over a fixed denominator and built once, in H.  It goes through the
-    public tests (accepting_regions, classify, forced_base_loci), each of
-    which reads the class's sign pattern.  For each class it checks that exactly
-    one region accepts, that classification commutes with the duality
-    involution, that curve-forced loci are contained in the reported locus,
-    and that the locus is empty exactly on the nef cone.
+    over a fixed denominator and built once, in H.  Two placements are
+    read per class: the class's own, from the sign pattern of the drawn
+    integer vector, and its mirror's, through picard.xi and the pattern of
+    the mirror's integer H vector.  The accepting regions, the report and
+    the forced pieces are those that accepting_regions, classify (apart
+    from the small-wall certificate) and forced_base_loci return.  For each
+    class it checks that exactly one region accepts, that classification
+    commutes with the duality involution, that curve-forced loci are
+    contained in the reported locus, and that the locus is empty exactly on
+    the nef cone.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -446,13 +462,14 @@ def chamber_census(samples: int, seed: int) -> dict:
             d, h = _sample_region(rng, (i // 2) % 8 + 1)
         else:
             d, h = _sample_effective(rng)
-        accepted = accepting_regions(d)
-        if len(accepted) != 1:
-            raise AssertionError("regions %r accept %r" % (accepted, d))
-        report = classify(d)
+        placement = _placement(_plane_signs(h))
+        if len(placement.accepted) != 1:
+            raise AssertionError("regions %r accept %r" % (list(placement.accepted), d))
+        report = _reported(placement, d)
         counts[report.chamber_id] += 1
 
-        mirror = classify(xi(d))
+        dual = xi(d)
+        mirror = _reported(_placement(_signs(dual)), dual)
         if mirror.chamber_id != _XI_CHAMBER[report.chamber_id]:
             raise AssertionError("duality maps chamber %d to %d at %r" % (report.chamber_id, mirror.chamber_id, d))
         if mirror.base_locus != _xi_pieces(report.base_locus):
@@ -462,7 +479,7 @@ def chamber_census(samples: int, seed: int) -> dict:
         if mirror.model_label != _XI_MODEL.get(report.model_label, report.model_label):
             raise AssertionError("duality breaks model label at %r" % (d,))
 
-        if not locus_subset(forced_base_loci(d), report.base_locus):
+        if not locus_subset(placement.forced, report.base_locus):
             raise AssertionError("forced locus exceeds reported locus at %r" % (d,))
         if (report.base_locus == frozenset()) != _is_nef(h):
             raise AssertionError("empty locus must coincide with nef at %r" % (d,))

@@ -131,12 +131,13 @@ def chow_eval(q: SymmetricForm, k: int, basis) -> Fraction:
     _, kb, v, lv = _int_plucker(b)
     if kb != k:
         raise ValueError("basis spans a plane of the wrong dimension")
-    c, den = _int_minors(q.rows, k)
+    ints, scale = clear_denominators(q.rows)
+    c = _int_minors(ints, k)
     total = 0
     for s, (vs, row) in enumerate(zip(v, c)):
         if vs:
             total += vs * (row[s] * vs + 2 * sum(map(operator.mul, row[s + 1:], v[s + 1:])))
-    return Fraction(total, lv * lv * den)
+    return Fraction(total, lv * lv * scale ** k)
 
 
 def _compound_poly(matrix_at, deg: int, n: int, k: int) -> list:
@@ -147,7 +148,7 @@ def _compound_poly(matrix_at, deg: int, n: int, k: int) -> list:
     by _interpolate and mirrored."""
     if not 1 <= k <= n + 1:
         raise ValueError("k out of range")
-    tables = [_int_minors(matrix_at(x), k)[0] for x in range(deg + 1)]
+    tables = [_int_minors(matrix_at(x), k) for x in range(deg + 1)]
     size = len(tables[0])
     rows = [[None] * size for _ in range(size)]
     for a in range(size):

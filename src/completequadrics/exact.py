@@ -30,7 +30,6 @@ building one Fraction per answer.  int_det's one caller is ff_det.
 from __future__ import annotations
 
 from fractions import Fraction
-import itertools
 import math
 import operator
 
@@ -421,8 +420,3 @@ def solve_exact(a, b):
     if len(pivots) < cols:
         raise UnderdeterminedSystem("solution set has %d free variables" % (cols - len(pivots)))
     return _back_substitute(aug, cols, cols) if cols else []
-
-
-def k_subsets(n: int, k: int):
-    """Lexicographically ordered k-element subsets of range(n)."""
-    return list(itertools.combinations(range(n), k))

@@ -110,30 +110,29 @@ def compound(q: SymmetricForm, k: int) -> SymmetricForm:
     """
     if not _is_rational(q.rows):
         raise TypeError("compound expects a rational form")
-    rows, den = _int_minors(q.rows, k)
+    ints, scale = clear_denominators(q.rows)
+    rows = _int_minors(ints, k)
+    den = scale ** k
     return SymmetricForm([[Fraction(x, den) for x in row] for row in rows])
 
 
-def _int_minors(rows, k: int) -> tuple:
-    """(rows of integer minors, den) for the k-th compound of a symmetric
-    rational matrix, in lexicographic subset order.
+def _int_minors(ints, k: int) -> list:
+    """Rows of the k-th compound of a symmetric integer matrix A, in
+    lexicographic subset order: entry (S, T) is det A[S, T].
 
-    The matrix is scaled once by the lcm L of its denominators to A, and
-    entry (S, T) is det A[S, T]; the compound of the matrix itself is that
-    table over den = L**k.  The minors are built level by level: a j x j
-    minor on rows R and columns T expands along the first row of R into the
-    (j-1)-minors on the tail R[1:], which level j - 1 already holds.  Every
-    row set at level j is the tail of a k-subset, so that level only needs
-    the j-subsets of range(k - j, size), over all column j-subsets
-    (_laplace_rows, _laplace_cols).  det A[S, T] = det A[T, S] for a
-    symmetric A, so level k takes only the pairs S <= T and mirrors them.
+    The minors are built level by level: a j x j minor on rows R and
+    columns T expands along the first row of R into the (j-1)-minors on the
+    tail R[1:], which level j - 1 already holds.  Every row set at level j
+    is the tail of a k-subset, so that level only needs the j-subsets of
+    range(k - j, size), over all column j-subsets (_laplace_rows,
+    _laplace_cols).  det A[S, T] = det A[T, S] for a symmetric A, so level
+    k takes only the pairs S <= T and mirrors them.
     """
-    size = len(rows)
+    size = len(ints)
     if not 1 <= k <= size:
         raise ValueError("k out of range")
-    ints, scale = clear_denominators(rows)
     if k == 1:
-        return ints, scale
+        return ints
     # each row followed by its negation, which the column getters pick the
     # alternating cofactor signs from
     signed = [r + [-x for x in r] for r in ints]
@@ -144,7 +143,7 @@ def _int_minors(rows, k: int) -> tuple:
         level = [[sum(map(operator.mul, entries(signed[s]), minors(level[tail])))
                   for entries, minors in (cols[a:] if j == k else cols)]
                  for a, (s, tail) in enumerate(_laplace_rows(size, k, j))]
-    return [[level[b][a - b] for b in range(a)] + row for a, row in enumerate(level)], scale ** k
+    return [[level[b][a - b] for b in range(a)] + row for a, row in enumerate(level)]
 
 
 @functools.cache

@@ -522,6 +522,63 @@ def test_census_counts_pinned():
     assert hashlib.sha256(json.dumps(counts, sort_keys=True).encode()).hexdigest() == CENSUS_POOL_DIGEST
 
 
+# -- the census's two placements against the public API -------------------------
+
+def census_draws(samples, seed):
+    """The classes chamber_census(samples, seed) draws, in order."""
+    rng = random.Random(seed)
+    return [
+        chambers._sample_region(rng, (i // 2) % 8 + 1)[0] if i % 2 == 0 else chambers._sample_effective(rng)[0]
+        for i in range(samples)
+    ]
+
+
+def recorded_lookups(monkeypatch, run):
+    # every (sign pattern, placement) the census looks up while run() runs
+    lookups, real = [], chambers._placement
+
+    def placement(signs):
+        found = real(signs)
+        lookups.append((signs, found))
+        return found
+
+    monkeypatch.setattr(chambers, "_placement", placement)
+    run()
+    return lookups[:]
+
+
+def without_certificate(report):
+    return tuple(getattr(report, f) for f in report._fields if f != "certificate")
+
+
+def test_census_reads_what_the_public_api_returns(monkeypatch):
+    seeds = range(16)
+    lookups = recorded_lookups(monkeypatch, lambda: [chamber_census(50, s) for s in seeds])
+    draws = [d for s in seeds for d in census_draws(50, s)]
+    assert len(lookups) == 2 * len(draws)
+    for d, (signs, own), (mirror_signs, mirror) in zip(draws, lookups[::2], lookups[1::2]):
+        assert signs == chambers._signs(d) and mirror_signs == chambers._signs(xi(d)), d
+        assert list(own.accepted) == accepting_regions(d), d
+        assert without_certificate(own.report) == without_certificate(classify(d)), d
+        assert own.forced == forced_base_loci(d), d
+        assert without_certificate(mirror.report) == without_certificate(classify(xi(d))), d
+
+
+def test_census_takes_one_integer_h_and_two_placements_per_sample(monkeypatch):
+    # the drawn class's pattern comes from the integer vector its draw holds;
+    # only the mirror is scaled to integers by picard.integer_h
+    scaled = []
+
+    def counted(d):
+        scaled.append(d)
+        return integer_h(d)
+
+    monkeypatch.setattr(chambers, "integer_h", counted)
+    lookups = recorded_lookups(monkeypatch, lambda: chamber_census(50, 3))
+    assert len(scaled) == 50 and len(lookups) == 100
+    assert scaled == [xi(d) for d in census_draws(50, 3)]
+
+
 # -- every census failure exit, forced on the first sample ---------------------
 
 SEED = 2

@@ -7,13 +7,14 @@ wedge-coordinate supports computed from the defining minors.
 """
 
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from completequadrics import chowform, exact, quadrics, verify
-from completequadrics.exact import ff_det, int_det, k_subsets, mat_rank
+from completequadrics.exact import ff_det, int_det, mat_rank
 from completequadrics.chowform import (
     PluckerVector,
     ProjectivePoint,
@@ -141,7 +142,7 @@ def test_int_plucker_matches_per_subset_int_det():
             for bound in (3, 2 ** 60):
                 b = [[rng.randint(-bound, bound) for _ in range(k)] for _ in range(size)]
                 b[rng.randrange(size)] = [0] * k
-                minors = [int_det([b[i] for i in s]) for s in k_subsets(size, k)]
+                minors = [int_det([b[i] for i in s]) for s in itertools.combinations(range(size), k)]
                 if any(minors):
                     assert chowform._int_plucker(b) == (size - 1, k, minors, 1), b
                 else:
@@ -360,7 +361,7 @@ def per_minor_chow_limit(q0, q1, k):
     # oracle: every minor of q0 + t q1, both halves, by cofactor expansion
     # over polynomials in t; the common power of t divided out, then t = 0
     pencil = univariate.pencil(q0.rows, q1.rows)
-    subsets = k_subsets(q0.n + 1, k)
+    subsets = list(itertools.combinations(range(q0.n + 1), k))
     minors = [univariate.det([[pencil[i][j] for j in u] for i in s])
               for s in subsets for u in subsets]
     if not any(minors):

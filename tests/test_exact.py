@@ -12,6 +12,7 @@ rejects non-symmetric or mismatched pairs), and the mod-P squarefree
 certificate against the remainder sequence alone.
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -31,7 +32,6 @@ from completequadrics.exact import (
     int_det,
     int_det_poly,
     format_rat,
-    k_subsets,
     mat_inverse,
     mat_mul,
     mat_rank,
@@ -346,8 +346,8 @@ def test_mat_rank_examples():
 def minor_rank(m):
     # oracle: the size of the largest nonvanishing minor, by cofactor expansion
     for k in range(min(len(m), len(m[0])), 0, -1):
-        for rs in k_subsets(len(m), k):
-            for cs in k_subsets(len(m[0]), k):
+        for rs in itertools.combinations(range(len(m)), k):
+            for cs in itertools.combinations(range(len(m[0])), k):
                 if cofactor_det([[m[i][j] for j in cs] for i in rs]):
                     return k
     return 0
@@ -639,11 +639,6 @@ def test_parse_rat_rejects_exponents_and_floats(text):
     # "1e5000" would otherwise build a 5001-digit integer before any size check
     with pytest.raises(ValueError):
         parse_rat(text)
-
-
-def test_k_subsets_lex_order():
-    assert k_subsets(4, 2) == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-    assert k_subsets(3, 3) == [(0, 1, 2)]
 
 
 def test_mat_transpose_mul():

@@ -5,6 +5,7 @@ oracle: the rank-<= i locus is parametrized by B -> B^T B and the rank of
 the differential at a random smooth point gives the stratum dimension.
 """
 
+import itertools
 import math
 import os
 import pathlib
@@ -15,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from completequadrics.exact import ff_det, int_det, k_subsets, mat_mul, mat_rank, mat_transpose
+from completequadrics.exact import ff_det, int_det, mat_mul, mat_rank, mat_transpose
 from completequadrics import quadrics
 from completequadrics.quadrics import (
     SymmetricForm,
@@ -31,8 +32,8 @@ from completequadrics.quadrics import (
 
 def minor_matrix(rows, k):
     # oracle: k x k minor matrix of an arbitrary rectangular matrix
-    rs = k_subsets(len(rows), k)
-    cs = k_subsets(len(rows[0]), k)
+    rs = list(itertools.combinations(range(len(rows)), k))
+    cs = list(itertools.combinations(range(len(rows[0])), k))
     return [[ff_det([[rows[i][j] for j in t] for i in s]) for t in cs] for s in rs]
 
 
@@ -91,7 +92,7 @@ def test_compound_congruence_cauchy_binet(seed):
 
 def per_pair_compound(q, k):
     # oracle: one ff_det for every pair (S, T), both halves computed
-    subsets = k_subsets(q.n + 1, k)
+    subsets = list(itertools.combinations(range(q.n + 1), k))
     return [[ff_det([[q.rows[i][j] for j in t] for i in s]) for t in subsets] for s in subsets]
 
 
@@ -155,20 +156,30 @@ def symmetric_int_matrices(rng):
 
 def test_int_minors_match_per_minor_int_det():
     # the Laplace pass against one int_det per minor, both halves, for
-    # every k; integer input has den = 1
+    # every k
     for rows in symmetric_int_matrices(random.Random(19)):
         rows = [list(r) for r in rows]
         size = len(rows)
         for k in range(1, size + 1):
-            subsets = k_subsets(size, k)
+            subsets = list(itertools.combinations(range(size), k))
             expect = [[int_det([[rows[i][j] for j in t] for i in s]) for t in subsets] for s in subsets]
-            assert _int_minors(rows, k) == (expect, 1), (rows, k)
+            assert _int_minors(rows, k) == expect, (rows, k)
 
 
-def test_int_minors_scale_by_the_denominators():
-    rows = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), 1]]
-    assert _int_minors(rows, 1) == ([[3, 2], [2, 6]], 6)
-    assert _int_minors(rows, 2) == ([[14]], 36)
+def test_compound_scales_by_the_denominators(monkeypatch):
+    # compound hands _int_minors the form times the lcm L = 6 of its
+    # denominators, and divides the integer minors by L**k
+    handed = []
+
+    def recorded(ints, k):
+        handed.append(ints)
+        return _int_minors(ints, k)
+
+    monkeypatch.setattr(quadrics, "_int_minors", recorded)
+    q = SymmetricForm([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), 1]])
+    assert compound(q, 1) == q
+    assert compound(q, 2).rows == ((Fraction(14, 36),),)
+    assert handed == [[[3, 2], [2, 6]]] * 2
 
 
 @pytest.mark.parametrize("n", [1, 3])
