@@ -34,6 +34,7 @@ from fractions import Fraction
 from ._value import Record, set_field
 from .exact import clear_denominators
 from .picard import (
+    CURVE_TABLE_X3,
     DivisorClass,
     E1_3,
     E2_3,
@@ -358,15 +359,9 @@ def classify_segment(t) -> ChamberReport:
     return classify(d)
 
 
-# covering curves and the locus piece each one sweeps
-FORCING_CURVES = (
-    ("C1", "E1"),
-    ("C1star", "E1"),
-    ("C3", "E3"),
-    ("C2", "E2"),
-    ("L2", "E2"),
-    ("C12", "E13"),
-)
+# covering curves and the locus piece each one sweeps: the curves of the
+# n = 3 table whose cover is a boundary piece, not X3
+FORCING_CURVES = tuple((name, cover) for name, _, cover in CURVE_TABLE_X3 if cover != "X3")
 
 
 def forced_base_loci(d: DivisorClass) -> frozenset:

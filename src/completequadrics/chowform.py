@@ -22,7 +22,7 @@ integer Pluecker vectors.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 import itertools
 import operator
 
@@ -123,8 +123,6 @@ def chow_eval(q: SymmetricForm, k: int, basis) -> Fraction:
     once by Lb**(2k) L**k.  Neither side of the identity is computed from
     the other.
     """
-    if not _is_rational(q.rows):
-        raise TypeError("chow_eval expects a rational form")
     b = [list(r) for r in basis]
     if len(b) != q.n + 1:
         raise ValueError("basis row count must be n+1")
@@ -172,11 +170,8 @@ def chow_limit(q0: SymmetricForm, q1: SymmetricForm, k: int) -> ProjectivePoint:
     """
     if q0.n != q1.n:
         raise ValueError("forms must share an ambient space")
-    rows = q0.rows + q1.rows
-    if not _is_rational(rows):
-        raise TypeError("chow_limit expects rational forms")
     size = q0.n + 1
-    ints, _ = clear_denominators(rows)
+    ints, _ = clear_denominators(q0.rows + q1.rows)
     a, b = ints[:size], ints[size:]
 
     def pencil_at(t):
@@ -198,7 +193,7 @@ def limit_support_coefficients(point: ProjectivePoint) -> dict:
     nonzero monomials are reported.
     """
     m2 = len(point.coords)
-    m = int(m2 ** 0.5)
+    m = isqrt(m2)
     if m * m != m2:
         raise ValueError("coordinate vector is not a flattened square matrix")
     out = {}

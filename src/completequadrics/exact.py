@@ -48,7 +48,7 @@ class UnderdeterminedSystem(ExactLinalgError):
 
 def parse_rat(s) -> Fraction:
     """Parse "p/q", "p" or a decimal such as "0.5" (also accepts ints and
-    floats) into a Fraction in lowest terms.
+    floats, but not booleans) into a Fraction in lowest terms.
 
     Exponent notation is rejected in text: "1e5000" would build a 5001-digit
     integer before anything could check its size.  A float is read from its
@@ -57,6 +57,8 @@ def parse_rat(s) -> Fraction:
     """
     if isinstance(s, Fraction):
         return s
+    if isinstance(s, bool):
+        raise ValueError("a boolean is not a number: %r" % s)
     if isinstance(s, int):
         return Fraction(s)
     if isinstance(s, float):
@@ -177,7 +179,8 @@ def mat_transpose(m):
 
 
 def _is_rational(rows) -> bool:
-    return all(isinstance(x, (int, Fraction)) for r in rows for x in r)
+    # a bool is an int to isinstance, but True is not a matrix entry
+    return all(isinstance(x, (int, Fraction)) and type(x) is not bool for r in rows for x in r)
 
 
 def mat_mul(a, b):

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from ._value import Record, set_field
-from .exact import _is_rational, clear_denominators, distinct_root_count, int_det_poly
+from .exact import clear_denominators, distinct_root_count, int_det_poly
 from .exact import ff_det  # noqa: F401  bench/test_bench.py traces and restores this alias
 from .quadrics import SymmetricForm, _random_basis, random_form, restrict
 
@@ -74,14 +74,11 @@ class BinaryForm(Record):
 
 
 def _det_binary(q0: SymmetricForm, q1: SymmetricForm) -> BinaryForm:
-    rows = q0.rows + q1.rows
-    if not _is_rational(rows):
-        raise TypeError("pencil determinant forms expect rational forms")
     # With L the common denominator, A = L Q0 and B = L Q1 are integral, so
     # det(A + tB) has integer coefficients; dividing them by L^size gives
     # the coefficients of det(Q0 + tQ1).
     size = q0.n + 1
-    ints, scale = clear_denominators(rows)
+    ints, scale = clear_denominators(q0.rows + q1.rows)
     coeffs = int_det_poly(ints[:size], ints[size:])
     if not any(coeffs):
         raise DegeneratePencilError("every member of the pencil is singular")

@@ -33,7 +33,13 @@ from .exact import ff_det  # noqa: F401  bench/test_bench.py traces and restores
 
 
 class SymmetricForm(Record):
-    """Symmetric matrix of a quadric form on P^n (matrix size n+1)."""
+    """Symmetric matrix of a quadric form on P^n (matrix size n+1).
+
+    Every entry is an int or a Fraction: the constructor raises TypeError
+    otherwise, before it tests symmetry, so the kernels that take a form
+    (compound, restrict, the Chow forms, the pencil determinant forms) do
+    not check its entries again.
+    """
 
     __slots__ = _fields = ("n", "rows")
 
@@ -42,6 +48,8 @@ class SymmetricForm(Record):
         m = len(rows)
         if m == 0 or any(len(r) != m for r in rows):
             raise ValueError("quadric matrix must be square and nonempty")
+        if not _is_rational(rows):
+            raise TypeError("quadric form entries must be ints or Fractions")
         if not _is_symmetric(rows):
             raise ValueError("matrix is not symmetric")
         set_field(self, "rows", rows)
@@ -74,8 +82,6 @@ def restrict(q: SymmetricForm, basis) -> SymmetricForm:
     once each, by the lcms Lq and Lb of their denominators, and each entry
     i <= j of the integer product is divided once by Lq Lb**2 and mirrored.
     """
-    if not _is_rational(q.rows):
-        raise TypeError("restrict expects a rational form")
     b = [list(r) for r in basis]
     if len(b) != q.n + 1:
         raise ValueError("basis row count must be n+1")
@@ -108,8 +114,6 @@ def compound(q: SymmetricForm, k: int) -> SymmetricForm:
     the integer minors come from one Laplace pass (_int_minors), and each
     entry is such a minor over L**k.
     """
-    if not _is_rational(q.rows):
-        raise TypeError("compound expects a rational form")
     ints, scale = clear_denominators(q.rows)
     rows = _int_minors(ints, k)
     den = scale ** k

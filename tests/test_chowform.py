@@ -25,7 +25,6 @@ from completequadrics.chowform import (
     plucker,
     wedge2_example_matrix,
 )
-from completequadrics.pencils import Pencil, count_degenerations, pencil_det_form
 from completequadrics.quadrics import SymmetricForm, compound, random_form, restrict
 import univariate
 
@@ -166,28 +165,31 @@ def test_int_entry_basis():
         assert restrict(q, b) == restrict(q, rational)
 
 
-def test_mpoly_form_rejected():
-    # the kernels take rational entries only; a float is not one
-    q = SymmetricForm([[1, 0.5, 0], [0.5, 1, 0], [0, 0, 1]])
-    b = [[1, 0], [0, 1], [0, 0]]
-    with pytest.raises(TypeError):
-        chow_eval(q, 2, b)
-    with pytest.raises(TypeError):
-        restrict(q, b)
-    for k in (1, 2):
-        with pytest.raises(TypeError):
-            compound(q, k)
-    with pytest.raises(TypeError):
-        plucker([[1, 0], [0, 0.5], [0, 0]])
-    # a pencil with one float member, in either slot
-    r = SymmetricForm.diagonal([1, 2, 3])
-    for q0, q1 in ((q, r), (r, q)):
-        with pytest.raises(TypeError):
-            chow_limit(q0, q1, 2)
-        with pytest.raises(TypeError):
-            pencil_det_form(Pencil(q0, q1))
-        with pytest.raises(TypeError):
-            count_degenerations(Pencil(q0, q1))
+def test_non_rational_form_rejected():
+    # a form holds ints and Fractions only, so the kernels that take one do
+    # not check its entries: SymmetricForm refuses any other entry, also a
+    # symmetric one, before it tests symmetry
+    q = random_form(2, 3, seed=4)
+    for bad in (0.5, 1j, "1", None, True):
+        for rows in ([[bad]], [[1, bad, 0], [bad, 1, 0], [0, 0, 1]], [[1, bad], [0, 1]]):
+            with pytest.raises(TypeError):
+                SymmetricForm(rows)
+        # a raw basis is still checked where it enters the kernel
+        basis = [[1, 0], [0, bad], [0, 0]]
+        for kernel in (plucker, lambda b: restrict(q, b), lambda b: chow_eval(q, 2, b)):
+            with pytest.raises(TypeError):
+                kernel(basis)
+    # int entries are rational: such a form equals, and hashes like, its
+    # Fraction twin
+    ints = [[2, -1, 0], [-1, 3, 4], [0, 4, 0]]
+    twin = SymmetricForm([[Fraction(x) for x in row] for row in ints])
+    assert SymmetricForm(ints) == twin and hash(SymmetricForm(ints)) == hash(twin)
+
+
+def test_limit_support_needs_a_square_length():
+    for m2 in (2, 3, 5, 8, 15, 17):
+        with pytest.raises(ValueError, match="flattened square matrix"):
+            limit_support_coefficients(ProjectivePoint([1] * m2))
 
 
 def test_chow_eval_does_not_use_the_restriction(monkeypatch):

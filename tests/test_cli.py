@@ -659,6 +659,21 @@ def test_json_float_coefficients_still_accepted():
 
 
 @pytest.mark.parametrize("argv", [
+    ["cone", "--divisor", '{"basis":"H","coeffs":[true,false,true]}', "--cone", "nef"],
+    ["chamber", "--divisor", '{"basis":"H","coeffs":[1,true,1]}'],
+    ["pair", "--curve", '{"n":3,"coeffs":[1,true,1]}', "--divisor", '{"basis":"H","coeffs":[1,1,1]}'],
+    ["chow", "--form", "[[true,0],[0,1]]", "--k", "1"],
+    ["chow", "--form", '{"matrix":[[1,0],[0,false]]}', "--k", "1"],
+    ["chow", "--form", "[[1,0],[0,1]]", "--limit-toward", "[[true,0],[0,0]]", "--k", "1"],
+], ids=["divisor", "chamber-divisor", "curve", "form", "form-matrix", "limit-toward"])
+def test_json_boolean_entries_rejected(argv):
+    # a JSON true is a Python bool, which is an int: it must not pass as 1
+    code, out, err = run(argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "boolean" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
     ["cone", "--divisor", '{"basis":"H","coeffs":5}', "--cone", "nef"],
     ["cone", "--divisor", '{"basis":"H","coeffs":null}', "--cone", "nef"],
     ["chow", "--form", '{"matrix":5}', "--k", "1"],

@@ -331,8 +331,8 @@ def test_ff_det_singular_and_permutation():
     assert ff_det(p) == -1
     # the second column has no pivot after the first step
     assert ff_det([[1, 2, 3], [2, 4, 5], [3, 6, 7]]) == 0
-    # rational entries only, a 1 x 1 matrix included
-    for m in ([[0.5, 1], [1, 0.5]], [[0.5]]):
+    # rational entries only, a 1 x 1 matrix included; a bool is not one
+    for m in ([[0.5, 1], [1, 0.5]], [[0.5]], [[True]]):
         with pytest.raises(TypeError):
             ff_det(m)
 
@@ -632,6 +632,13 @@ def test_rat_serialization():
     assert parse_rat(0.00001) == Fraction(1, 100000)
     assert parse_rat(1e16) == 10 ** 16
     assert format_rat(Fraction(4)) == "4"
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_parse_rat_rejects_booleans(flag):
+    # bool is an int to isinstance; a JSON true is not a coefficient
+    with pytest.raises(ValueError, match="boolean"):
+        parse_rat(flag)
 
 
 @pytest.mark.parametrize("text", ["1e5000", "1E3", "2.5e-1", "-1e2", "nan", "inf"])

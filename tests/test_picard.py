@@ -366,6 +366,12 @@ def test_no_per_minor_eliminations_outside_exact():
     assert _importers("int_det") <= {"exact.py"}
 
 
+def test_one_place_checks_form_entries():
+    # SymmetricForm refuses a non-rational entry, so no kernel that takes a
+    # form checks it again; chowform checks raw bases (plucker, chow_eval)
+    assert _importers("_is_rational") == {"quadrics.py", "chowform.py"}
+
+
 @pytest.mark.parametrize("name, user", [("int_det_poly", "pencils.py"), ("_interpolate", "chowform.py")])
 def test_one_caller_per_kernel(name, user):
     # pencil determinant forms are the one use of int_det_poly, and the
