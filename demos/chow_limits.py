@@ -7,8 +7,6 @@ degeneration, and the marking conic of the kernel-plane quadric for the
 rank-1 degeneration.
 """
 
-from fractions import Fraction
-
 from completequadrics import SymmetricForm, chow_limit, limit_support_coefficients
 
 

@@ -8,16 +8,17 @@ shared faces.
 
 The classifier solves no linear system per class.  Every facet row it
 reads (of each generator triple named in REGIONS, from picard.facet_rows,
-and of the effective cone over E1, E2, E3, from picard.effective_rows)
-and every forcing-curve pairing lies on one of eleven planes through the
+and of the effective cone over E1, E2, E3, from picard.effective_rows) and
+every forcing-curve pairing lies on one of eleven planes through the
 origin.  A class's sign pattern is the signs of the dot products of any
 positive multiple of its integer H vector with the eleven plane normals:
-each public call scales the H vector to integers once (picard.integer_h),
-and the census reuses the integer vector its draw already holds.  Region
-tests, position, nef and effectivity tests and forced loci are then read
-from one placement per sign pattern, built on first use and cached; eleven
-central planes cut R^3 into at most 443 faces, so at most 443 placements
-exist.  Wall points therefore resolve exactly and deterministically.
+each public call scales the H vector to integers once (picard.integer_h);
+the census reads the integer vector its draw holds, and the mirror's as
+that vector reversed.  Region, position, nef and effectivity tests and
+forced loci are then read from one placement per sign pattern, built on
+first use and cached; eleven central planes cut R^3 into at most 443
+faces, so at most 443 placements exist.  Wall points therefore resolve
+exactly and deterministically.
 
 The duality involution (H1 <-> H3, E1 <-> E3) permutes the regions as
 (3 4)(6 7) and fixes the rest; the region data below is arranged so the
@@ -49,7 +50,6 @@ from .picard import (
     facet_rows,
     integer_h,
     pair,
-    xi,
 )
 
 GENERATORS = {
@@ -229,10 +229,6 @@ def _cone_accepts(signs, gens, flags) -> bool:
     return True
 
 
-def _is_nef(h) -> bool:
-    return all(c >= 0 for c in h)
-
-
 def _region_accepts(spec: RegionSpec, signs, nef: bool) -> bool:
     if spec.exclude_nef and nef:
         return False
@@ -392,16 +388,19 @@ def _xi_position(position: str) -> str:
     return "%s %s" % (kind, ",".join(mapped))
 
 
-def _drawn(coeffs, gens, den: int) -> tuple:
-    # coeffs are den times the class's coordinates in gens; the class is
-    # built once, in H, and returned with its integer H vector times den
+def _drawn(coeffs, gens) -> list:
+    # H coordinates of the class with coordinates coeffs in gens, both scaled by den
     cols = [_GEN_H[g] for g in gens]
-    h = [sum(c * col[i] for c, col in zip(coeffs, cols)) for i in range(3)]
-    return DivisorClass(3, "H", tuple(Fraction(x, den) for x in h)), h
+    return [sum(c * col[i] for c, col in zip(coeffs, cols)) for i in range(3)]
 
 
-def _sample_region(rng, chamber_id: int) -> tuple:
-    """A class from a region's cone, with its H vector times 2."""
+def _named(h, den: int) -> DivisorClass:
+    # the class whose H vector times den is h, built only to name it in a failure
+    return DivisorClass(3, "H", tuple(Fraction(x, den) for x in h))
+
+
+def _sample_region(rng, chamber_id: int) -> list:
+    """A class from a region's cone, as its H vector times 2."""
     spec = REGIONS[chamber_id - 1]
     gens, flags = spec.cones[rng.randrange(len(spec.cones))]
     while True:
@@ -414,11 +413,11 @@ def _sample_region(rng, chamber_id: int) -> tuple:
             continue
         if spec.exclude_nef and coeffs[2] == 0:
             continue  # the E2 coordinate must be positive to leave the nef cone
-        return _drawn(coeffs, gens, 2)
+        return _drawn(coeffs, gens)
 
 
-def _sample_effective(rng) -> tuple:
-    """A class with random nonnegative E coordinates, with its H vector times 3."""
+def _sample_effective(rng) -> list:
+    """A class with random nonnegative E coordinates, as its H vector times 3."""
     while True:
         # each E coordinate is 0 or num / den with den 1 or 3; three times
         # it is an integer
@@ -427,57 +426,55 @@ def _sample_effective(rng) -> tuple:
             for _ in range(3)
         ]
         if any(coeffs):
-            return _drawn(coeffs, _EFF[0], 3)
+            return _drawn(coeffs, _EFF[0])
 
 
 def chamber_census(samples: int, seed: int) -> dict:
     """Classify seeded random effective classes and verify the partition.
 
     Alternates region-targeted samples (so every chamber is exercised) with
-    uniform effective samples.  Each class is drawn as an integer vector
-    over a fixed denominator and built once, in H.  Two placements are
-    read per class: the class's own, from the sign pattern of the drawn
-    integer vector, and its mirror's, through picard.xi and the pattern of
-    the mirror's integer H vector.  The accepting regions, the report and
-    the forced pieces are those that accepting_regions, classify (apart
-    from the small-wall certificate) and forced_base_loci return.  For each
-    class it checks that exactly one region accepts, that classification
-    commutes with the duality involution, that curve-forced loci are
-    contained in the reported locus, and that the locus is empty exactly on
-    the nef cone.
+    uniform effective samples.  Each sample is an integer vector, its class's H
+    vector times a fixed denominator; a class is built only to name it in a
+    failure.  Two placements are read per sample, from the signs of the vector
+    and of the reversed vector, the mirror's under picard.xi (H1 <-> H3).  They
+    hold what accepting_regions, classify (apart from the small-wall
+    certificate) and forced_base_loci return.  For each class it checks that
+    exactly one region accepts, that classification commutes with the duality
+    involution, that curve-forced loci are contained in the reported locus, and
+    that the locus is empty exactly on the nef cone.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = random.Random(seed)
     counts = {cid: 0 for cid in range(1, 9)}
     for i in range(samples):
-        # d is drawn in H, so that xi(d) needs no basis change; h is its
-        # integer H vector times a positive denominator
         if i % 2 == 0:
-            d, h = _sample_region(rng, (i // 2) % 8 + 1)
+            h, den = _sample_region(rng, (i // 2) % 8 + 1), 2
         else:
-            d, h = _sample_effective(rng)
+            h, den = _sample_effective(rng), 3
         placement = _placement(_plane_signs(h))
         if len(placement.accepted) != 1:
-            raise AssertionError("regions %r accept %r" % (list(placement.accepted), d))
-        report = _reported(placement, d)
+            raise AssertionError("regions %r accept %r" % (list(placement.accepted), _named(h, den)))
+        # _reported, which needs the class to name it, runs only without a report
+        report = placement.report or _reported(placement, _named(h, den))
         counts[report.chamber_id] += 1
 
-        dual = xi(d)
-        mirror = _reported(_placement(_signs(dual)), dual)
+        dual = _placement(_plane_signs(h[::-1]))
+        mirror = dual.report or _reported(dual, _named(h[::-1], den))
         if mirror.chamber_id != _XI_CHAMBER[report.chamber_id]:
-            raise AssertionError("duality maps chamber %d to %d at %r" % (report.chamber_id, mirror.chamber_id, d))
+            raise AssertionError("duality maps chamber %d to %d at %r"
+                                 % (report.chamber_id, mirror.chamber_id, _named(h, den)))
         if mirror.base_locus != _xi_pieces(report.base_locus):
-            raise AssertionError("duality breaks base locus at %r" % (d,))
+            raise AssertionError("duality breaks base locus at %r" % (_named(h, den),))
         if mirror.position != _xi_position(report.position):
-            raise AssertionError("duality breaks position at %r" % (d,))
+            raise AssertionError("duality breaks position at %r" % (_named(h, den),))
         if mirror.model_label != _XI_MODEL.get(report.model_label, report.model_label):
-            raise AssertionError("duality breaks model label at %r" % (d,))
+            raise AssertionError("duality breaks model label at %r" % (_named(h, den),))
 
         if not locus_subset(placement.forced, report.base_locus):
-            raise AssertionError("forced locus exceeds reported locus at %r" % (d,))
-        if (report.base_locus == frozenset()) != _is_nef(h):
-            raise AssertionError("empty locus must coincide with nef at %r" % (d,))
+            raise AssertionError("forced locus exceeds reported locus at %r" % (_named(h, den),))
+        if (report.base_locus == frozenset()) != all(c >= 0 for c in h):
+            raise AssertionError("empty locus must coincide with nef at %r" % (_named(h, den),))
     result = {
         "samples": samples,
         "chamber_counts": {str(cid): counts[cid] for cid in range(1, 9)},

@@ -10,6 +10,7 @@ Pluecker degree as the top self-intersection of sigma_1.
 from __future__ import annotations
 
 import math
+import operator
 
 from ._value import Record, set_field
 
@@ -29,7 +30,7 @@ def _strip_zeros(parts: tuple) -> tuple:
 
 
 def _normalize_partition(parts) -> tuple:
-    parts = _strip_zeros(tuple(int(p) for p in parts))
+    parts = _strip_zeros(tuple(operator.index(p) for p in parts))
     if any(p < 0 for p in parts):
         raise ValueError("partition parts must be nonnegative")
     if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
@@ -55,7 +56,7 @@ class SchubertClass(Record):
         for parts, coeff in (terms or {}).items():
             parts = _normalize_partition(parts)
             _check_box(parts, k, n)
-            coeff = int(coeff)
+            coeff = operator.index(coeff)
             if coeff:
                 clean[parts] = clean.get(parts, 0) + coeff
         set_field(self, "k", k)
@@ -100,7 +101,8 @@ class SchubertClass(Record):
         return SchubertClass._make(self.k, self.n, merged)
 
     def __rmul__(self, scalar: int):
-        return SchubertClass._make(self.k, self.n, {p: int(scalar * c) for p, c in self._terms})
+        scalar = operator.index(scalar)  # a Fraction or float raises TypeError
+        return SchubertClass._make(self.k, self.n, {p: scalar * c for p, c in self._terms})
 
     def __repr__(self):
         if not self._terms:

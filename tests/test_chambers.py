@@ -496,18 +496,21 @@ def fraction_draw(rng, i):
             return convert(DivisorClass(3, "E", coeffs), "H")
 
 
+def integer_draw(rng, i):
+    """Sample i of a census: its integer H vector h and the denominator den
+    that h is the class's H vector times."""
+    if i % 2 == 0:
+        return chambers._sample_region(rng, (i // 2) % 8 + 1), 2
+    return chambers._sample_effective(rng), 3
+
+
 def test_integer_draws_equal_the_fraction_draws():
     for seed in range(4):
         ours, theirs = random.Random(seed), random.Random(seed)
         for i in range(400):
-            if i % 2 == 0:
-                d, h = chambers._sample_region(ours, (i // 2) % 8 + 1)
-                den = 2
-            else:
-                d, h = chambers._sample_effective(ours)
-                den = 3
-            assert d == fraction_draw(theirs, i)
-            assert d.basis == "H" and [Fraction(x, den) for x in h] == list(d.coeffs)
+            h, den = integer_draw(ours, i)
+            assert all(type(x) is int for x in h)
+            assert [Fraction(x, den) for x in h] == list(fraction_draw(theirs, i).coeffs)
         assert ours.random() == theirs.random()
 
 
@@ -527,10 +530,8 @@ def test_census_counts_pinned():
 def census_draws(samples, seed):
     """The classes chamber_census(samples, seed) draws, in order."""
     rng = random.Random(seed)
-    return [
-        chambers._sample_region(rng, (i // 2) % 8 + 1)[0] if i % 2 == 0 else chambers._sample_effective(rng)[0]
-        for i in range(samples)
-    ]
+    draws = [integer_draw(rng, i) for i in range(samples)]
+    return [DivisorClass(3, "H", tuple(Fraction(x, den) for x in h)) for h, den in draws]
 
 
 def recorded_lookups(monkeypatch, run):
@@ -564,19 +565,37 @@ def test_census_reads_what_the_public_api_returns(monkeypatch):
         assert without_certificate(mirror.report) == without_certificate(classify(xi(d))), d
 
 
-def test_census_takes_one_integer_h_and_two_placements_per_sample(monkeypatch):
-    # the drawn class's pattern comes from the integer vector its draw holds;
-    # only the mirror is scaled to integers by picard.integer_h
-    scaled = []
+def test_census_builds_no_class_per_sample(monkeypatch):
+    # a passing sample reads its pattern and its mirror's from the integer
+    # vector its draw holds: no class, Fraction or integer_h per sample
+    calls = {"integer_h": 0, "DivisorClass": 0, "Fraction": 0}
 
-    def counted(d):
-        scaled.append(d)
-        return integer_h(d)
+    def counted(name):
+        real = getattr(chambers, name)
 
-    monkeypatch.setattr(chambers, "integer_h", counted)
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(chambers, name, counted(name))
     lookups = recorded_lookups(monkeypatch, lambda: chamber_census(50, 3))
-    assert len(scaled) == 50 and len(lookups) == 100
-    assert scaled == [xi(d) for d in census_draws(50, 3)]
+    assert calls == {"integer_h": 0, "DivisorClass": 0, "Fraction": 0} and len(lookups) == 100
+    assert not hasattr(chambers, "xi")
+
+
+def test_reversed_h_vector_has_the_mirror_signs():
+    # the census takes the mirror's pattern from the reversed integer H
+    # vector; on walls and rays too, it is the pattern of xi(d)
+    checked = 0
+    for h in half_integer_box(-4, 4):
+        if not any(h):
+            continue
+        d = DivisorClass(3, "H", h)
+        assert chambers._plane_signs(integer_h(d)[::-1]) == chambers._signs(xi(d)), h
+        checked += 1
+    assert checked == 4912
 
 
 # -- every census failure exit, forced on the first sample ---------------------
@@ -646,6 +665,16 @@ def test_duality_breaks(monkeypatch, first_class, field, value, message):
 def test_forced_locus_exceeds_reported(monkeypatch, first_class):
     patch_placement(monkeypatch, first_class, lambda p: {"forced": frozenset({"E2"})})
     assert census_failure() == "forced locus exceeds reported locus at %r" % (first_class,)
+
+
+@pytest.mark.parametrize("mirrored", [False, True], ids=["class", "mirror"])
+def test_class_escapes_the_cover(monkeypatch, first_class, mirrored):
+    # the error names the class whose placement has no report
+    d = xi(first_class) if mirrored else first_class
+    patch_placement(monkeypatch, d, lambda p: {"report": None, "failure": None})
+    with pytest.raises(RuntimeError) as info:
+        chamber_census(1, SEED)
+    assert str(info.value) == "effective class escaped the chamber cover: %r" % (d,)
 
 
 def test_empty_locus_differs_from_nef(monkeypatch, fresh_placements, first_class):

@@ -1,4 +1,4 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module, demo or test module imports is used there.
 
 The repository runs no linter, so this stands in for its unused-import
 rule.  `from __future__` imports and lines marked `# noqa: F401` (aliases
@@ -13,7 +13,14 @@ import pytest
 
 import completequadrics
 
-MODULES = sorted(Path(completequadrics.__file__).parent.glob("*.py"))
+PACKAGE = Path(completequadrics.__file__).parent
+ROOT = Path(__file__).resolve().parent.parent
+# package modules keep their bare file name as the test id
+MODULES = [path for folder in (PACKAGE, ROOT / "demos", ROOT / "tests") for path in sorted(folder.glob("*.py"))]
+
+
+def module_id(path: Path) -> str:
+    return path.name if path.parent == PACKAGE else "%s/%s" % (path.parent.name, path.name)
 
 
 def unused_imports(source: str) -> list:
@@ -36,7 +43,7 @@ def unused_imports(source: str) -> list:
     return sorted((line, name) for name, line in bound.items() if name not in used)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=module_id)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

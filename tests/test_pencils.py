@@ -12,7 +12,6 @@ from completequadrics import pencils, picard
 from completequadrics.exact import mat_mul, mat_rank, mat_transpose
 from completequadrics.pencils import (
     DIRECT_CHECK_PAIRS,
-    BinaryForm,
     DegeneratePencilError,
     Pencil,
     _det_binary,

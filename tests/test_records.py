@@ -17,7 +17,6 @@ import pytest
 
 import completequadrics
 from completequadrics.chambers import REGIONS, ChamberReport, RegionSpec
-from completequadrics._value import Record
 from completequadrics.chowform import PluckerVector, ProjectivePoint
 from completequadrics.pencils import BinaryForm, DegenerationCount, Pencil
 from completequadrics.picard import ConeMembership, CurveClass, DivisorClass, TableRow

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -55,6 +56,23 @@ class TestClassBasics:
     def test_different_grassmannians_do_not_mix(self):
         with pytest.raises(ValueError):
             sigma(1, 3, 1) + sigma(1, 4, 1)
+
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda: Fraction(1, 2) * sigma(1, 3, 1), id="half-fraction-scalar"),
+        pytest.param(lambda: 0.5 * sigma(1, 3, 1), id="half-float-scalar"),
+        pytest.param(lambda: 2.7 * sigma(1, 3, 1), id="float-scalar"),
+        pytest.param(lambda: 0.5 * SchubertClass(1, 3), id="float-scalar-on-zero"),
+        pytest.param(lambda: Fraction(2) * sigma(1, 3, 1), id="integral-fraction-scalar"),
+        pytest.param(lambda: SchubertClass(1, 3, {(1,): Fraction(1, 2)}), id="fraction-coefficient"),
+        pytest.param(lambda: SchubertClass(1, 3, {(1,): 0.5}), id="float-coefficient"),
+        pytest.param(lambda: SchubertClass(1, 3, {(1.0,): 1}), id="float-part"),
+        pytest.param(lambda: sigma(1, 3, 1.5), id="float-sigma-part"),
+        pytest.param(lambda: sigma(1, 3, Fraction(1)), id="fraction-sigma-part"),
+    ])
+    def test_non_integers_rejected(self, build):
+        # coefficients and parts are integers; a non-integer is never truncated
+        with pytest.raises(TypeError):
+            build()
 
 
 class TestPieri:
