@@ -23,9 +23,11 @@ from .quadrics import SymmetricForm
 SCHEMA = "cq/1"
 
 # Largest ambient dimension `cq pencil --n` accepts.  The time of a count
-# grows steeply with n (with k = 1, on one 2.1 GHz Xeon core: about 0.02 s
-# at n = 20, 0.1 s at n = 30 and 0.35 s at n = 40), so larger n is rejected
-# with exit 2 rather than left to run for minutes.
+# grows steeply with n (with k = 1, on one 2.1 GHz Xeon core: 0.013-0.02 s
+# at n = 20, 0.065-0.1 s at n = 30 and 0.22-0.3 s at n = 40; from about n = 19
+# the pencil packs past exact._KRONECKER_BITS and takes one elimination per
+# point), so larger n is rejected with exit 2 rather than left to run for
+# minutes.
 MAX_PENCIL_N = 40
 
 # Largest sample count `cq chamber --census` accepts.  A census classifies

@@ -12,10 +12,17 @@ rank-revealing Bareiss elimination, is the one general elimination routine:
 int_det, mat_rank, solve_exact and mat_inverse run it on integers.  ff_det
 of a rational matrix is int_det of the scaled matrix over the scale to the
 n-th power.  int_det_poly gives the coefficients of a pencil's determinant
-form det(A + tB), for symmetric A and B, by taking the determinant at
-integer points with _sym_det, a symmetric Bareiss elimination over the upper
-triangle, and interpolating (_interpolate).  poly_gcd runs a primitive
-integer remainder sequence instead of a Euclidean gcd over Fraction.
+form det(A + tB), for symmetric A and B, from _sym_det, a symmetric Bareiss
+elimination over the upper triangle.  Hadamard's inequality bounds every
+coefficient by H = prod_i (|a_i| + |b_i|) over the rows; with 2^K > 2H, one
+elimination of A + 2^K B packs all n + 1 coefficients into one integer,
+read back as balanced base-2^K digits (Kronecker substitution).  That path
+is taken while the packed length n * K is at most _KRONECKER_BITS (3200),
+under the measured crossover of 3500-4400 bits.  Past it, CPython's
+quadratic big-integer division makes the one elimination slower than n + 1
+small ones, so the determinant is taken at t = 0..n and interpolated
+(_interpolate).  poly_gcd runs a primitive integer remainder sequence
+instead of a Euclidean gcd over Fraction.
 distinct_root_count certifies a squarefree polynomial by one gcd modulo the
 prime 2^61 - 1 and reads the squarefree degree from poly_gcd only when that
 certificate fails.  The same pattern carries the Chow-form layers, which
@@ -348,21 +355,63 @@ def _interpolate(values) -> list:
     return coeffs
 
 
+# Largest predicted packed bit length n * K of a pencil for which
+# int_det_poly takes one elimination at t = 2^K.  Below it the single
+# elimination was 1.3-4x faster than n + 1 eliminations and an
+# interpolation, 1 x 1 and 2 x 2 pairs included; above it CPython's
+# quadratic big-integer division makes it slower.  The two paths crossed at
+# about 3500 bits for entries of 30 bits, 3700 for 100 bits and 4400 for
+# 3 bits and for random_form pencils (one 2.1 GHz Xeon core, Python
+# 3.11.7).  The largest pencil of the pencil-ladder benchmark (P^16) packs
+# at most 2567 bits, that of cq pencil --n 40 --k 1 15960.
+_KRONECKER_BITS = 3200
+
+
 def int_det_poly(a, b) -> list:
     """Integer coefficients of det(A + tB), lowest degree first.
 
     A and B are symmetric integer matrices of one size n, as a pencil's
     forms are, or this raises ValueError; the list has n + 1 entries,
-    trailing zeros included.  The determinant is taken at t = 0..n by the
-    symmetric elimination _sym_det and interpolated by _interpolate.
+    trailing zeros included.
+
+    The rows are multilinear, so c_j, the coefficient of t^j, is a sum of
+    determinants with j rows from B and the others from A, and Hadamard's
+    inequality bounds the sum of all |c_j| by H = prod_i (|a_i| + |b_i|)
+    over the rows, each norm rounded up (isqrt + 1).  With K = bitlen(H) + 1,
+    2^(K-1) > H, so one symmetric elimination (_sym_det) of A + 2^K B gives
+    sum_j c_j 2^(jK), and its n + 1 balanced base-2^K digits, each in
+    [-2^(K-1), 2^(K-1)), are the c_j (Kronecker substitution).  That is one
+    elimination of (nK)-bit integers instead of n + 1 of small ones, and it
+    is taken when the predicted packed length n * K is at most
+    _KRONECKER_BITS.  Above it the determinant is taken at t = 0..n, one
+    _sym_det each, and interpolated by _interpolate.
     """
     n = len(a)
     if not (a and len(b) == n and _is_symmetric(a) and _is_symmetric(b)):
         raise ValueError("int_det_poly expects symmetric matrices of one size")
-    return _interpolate([
-        _sym_det([[x + t * y for x, y in zip(ra[i:], rb[i:])] for i, (ra, rb) in enumerate(zip(a, b))])
-        for t in range(n + 1)
-    ])
+    bound = 1
+    for ra, rb in zip(a, b):
+        bound *= math.isqrt(sum(map(operator.mul, ra, ra))) + math.isqrt(sum(map(operator.mul, rb, rb))) + 2
+    k = bound.bit_length() + 1
+
+    def upper(t):
+        # the upper triangle of A + tB, as _sym_det takes it
+        return [[x + t * y for x, y in zip(ra[i:], rb[i:])] for i, (ra, rb) in enumerate(zip(a, b))]
+
+    if n * k > _KRONECKER_BITS:
+        return _interpolate([_sym_det(upper(t)) for t in range(n + 1)])
+    v = _sym_det(upper(1 << k))
+    mask, half = (1 << k) - 1, 1 << (k - 1)
+    coeffs = []
+    for _ in range(n + 1):
+        d = v & mask
+        if d >= half:
+            d -= 1 << k
+        coeffs.append(d)
+        v = (v - d) >> k
+    if v:
+        raise ExactLinalgError("determinant form exceeds its coefficient bound")
+    return coeffs
 
 
 def ff_det(m):

@@ -221,5 +221,5 @@ def random_form(n: int, r: int, seed: int) -> SymmetricForm:
     for i in range(size):
         di = [dk * x for dk, x in zip(d, cols[i])]
         for j in range(i, size):
-            rows[i][j] = rows[j][i] = Fraction(sum(x * y for x, y in zip(di, cols[j])))
+            rows[i][j] = rows[j][i] = Fraction(sum(map(operator.mul, di, cols[j])))
     return SymmetricForm(rows)

@@ -29,8 +29,16 @@ def _strip_zeros(parts: tuple) -> tuple:
     return parts[:end]
 
 
+def _integer(x) -> int:
+    # operator.index, which takes a bool as 0 or 1; a boolean is not a
+    # number here, as in exact.parse_rat
+    if isinstance(x, bool):
+        raise TypeError("a boolean is not an integer: %r" % (x,))
+    return operator.index(x)
+
+
 def _normalize_partition(parts) -> tuple:
-    parts = _strip_zeros(tuple(operator.index(p) for p in parts))
+    parts = _strip_zeros(tuple(_integer(p) for p in parts))
     if any(p < 0 for p in parts):
         raise ValueError("partition parts must be nonnegative")
     if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
@@ -56,7 +64,7 @@ class SchubertClass(Record):
         for parts, coeff in (terms or {}).items():
             parts = _normalize_partition(parts)
             _check_box(parts, k, n)
-            coeff = operator.index(coeff)
+            coeff = _integer(coeff)
             if coeff:
                 clean[parts] = clean.get(parts, 0) + coeff
         set_field(self, "k", k)
@@ -101,7 +109,7 @@ class SchubertClass(Record):
         return SchubertClass._make(self.k, self.n, merged)
 
     def __rmul__(self, scalar: int):
-        scalar = operator.index(scalar)  # a Fraction or float raises TypeError
+        scalar = _integer(scalar)  # a Fraction, float or bool raises TypeError
         return SchubertClass._make(self.k, self.n, {p: scalar * c for p, c in self._terms})
 
     def __repr__(self):

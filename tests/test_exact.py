@@ -8,8 +8,9 @@ elimination skips columns; mat_inverse by multiplying back; root counts
 against explicit factorizations and the integer gcd against a Euclidean gcd
 over Fraction.  The symmetric elimination is checked against int_det,
 int_det_poly against per-point int_det interpolated over Fraction (it
-rejects non-symmetric or mismatched pairs), and the mod-P squarefree
-certificate against the remainder sequence alone.
+rejects non-symmetric or mismatched pairs), on both sides of the packed bit
+length where it stops reading all coefficients from one elimination, and
+the mod-P squarefree certificate against the remainder sequence alone.
 """
 
 import itertools
@@ -221,16 +222,112 @@ def test_int_det_poly_takes_the_symmetric_path_for_symmetric_pairs(monkeypatch):
     monkeypatch.setattr(exact, "_sym_det", lambda u: calls.append(len(u)) or sym_det(u))
     sym = [[1, 2], [2, 0]]
     assert int_det_poly(sym, [[0, 1], [1, 1]]) == [-4, -3, -1]
-    assert calls == [2, 2, 2]
+    assert calls == [2]
     with pytest.raises(ValueError, match="symmetric"):
         int_det_poly(sym, [[0, 1], [0, 1]])
-    assert calls == [2, 2, 2]
+    assert calls == [2]
     with pytest.raises(ValueError):
         int_det_poly([], [])
     # ragged or non-square input raises as int_det does
     for ragged in ([[1, 2, 3], [2, 5, 6], [3, 6]], [[1, 2], [2, 3, 4]], [[1, 2]], [[]], [[], []]):
         with pytest.raises(ValueError):
             int_det_poly(ragged, ragged)
+
+
+def _packed_bits(a, b):
+    # n K, K = bitlen(H) + 1, H the product over the rows of the rounded-up
+    # norms |a_i| + |b_i|: the length int_det_poly dispatches on
+    bound = 1
+    for ra, rb in zip(a, b):
+        bound *= math.isqrt(sum(x * x for x in ra)) + math.isqrt(sum(y * y for y in rb)) + 2
+    return len(a) * (bound.bit_length() + 1)
+
+
+def _counted_sym_det(monkeypatch):
+    calls = []
+    sym_det = exact._sym_det
+    monkeypatch.setattr(exact, "_sym_det", lambda u: calls.append(len(u)) or sym_det(u))
+    return calls
+
+
+def _diag(*entries):
+    return [[x if i == j else 0 for j in range(len(entries))] for i, x in enumerate(entries)]
+
+
+def _pair_of_bits(n, bits):
+    # symmetric pair with every entry +-(2^bits - 1), signs from a fixed draw
+    rng = random.Random(bits * 100 + n)
+    top = (1 << bits) - 1
+    a, b = ([[0] * n for _ in range(n)] for _ in range(2))
+    for m in (a, b):
+        for i in range(n):
+            for j in range(i, n):
+                m[i][j] = m[j][i] = rng.choice((-top, top))
+    return a, b
+
+
+# pairs int_det_poly reads from one elimination, with their coefficients:
+# each name says what the pair tests in the base-2^K digit split
+E = 1 << 40
+KRONECKER_PAIRS = {
+    "negative": ([[-3, 1], [1, 2]], [[-1, 0], [0, 4]], [-7, -14, -4]),
+    "singular_b": ([[2, 1, 0], [1, -3, 1], [0, 1, 5]], [[0, 0, 0], [0, 1, 2], [0, 2, -1]], [-37, 9, -10, 0]),
+    "zero_b": ([[2, 1], [1, 3]], [[0, 0], [0, 0]], [5, 0, 0]),
+    "zero_a": ([[0, 0], [0, 0]], [[1, 2], [2, -3]], [0, 0, -7]),
+    # every member singular: a kernel vector common to A and B
+    "all_singular": ([[1, 2], [2, 4]], [[-2, -4], [-4, -8]], [0, 0, 0]),
+    "all_singular_3": ([[1, 0, 1], [0, 2, 2], [1, 2, 3]], [[0, 1, 1], [1, 0, 1], [1, 1, 2]], [0] * 4),
+    "one_by_one": ([[7]], [[-5]], [7, -5]),
+    "one_by_one_zero_b": ([[-9]], [[0]], [-9, 0]),
+    "one_by_one_zero": ([[0]], [[0]], [0, 0]),
+    # a coefficient within a few percent of the bound H, of either sign
+    "near_bound_low": (_diag(-E, -E, -E), _diag(0, 0, 0), [-E ** 3, 0, 0, 0]),
+    "near_bound_high": (_diag(0, 0, 0), _diag(E, -E, E), [0, 0, 0, -E ** 3]),
+    "near_bound_mixed": (_diag(E - 1, -E), _diag(-E, E - 1), [-E * (E - 1), (E - 1) ** 2 + E ** 2, -E * (E - 1)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KRONECKER_PAIRS))
+def test_int_det_poly_kronecker_digits(monkeypatch, name):
+    a, b, expected = KRONECKER_PAIRS[name]
+    n = len(a)
+    calls = _counted_sym_det(monkeypatch)
+    coeffs = int_det_poly(a, b)
+    assert calls == [n]
+    assert coeffs == expected == _interpolation_oracle(a, b) == padded(univariate.det(pencil(a, b)), n + 1)
+    assert all(type(c) is int for c in coeffs)
+
+
+def test_int_det_poly_checks_the_digits_are_exhausted(monkeypatch):
+    # a determinant past the coefficient bound leaves digits above the
+    # n + 1 read off, and is refused rather than truncated
+    monkeypatch.setattr(exact, "_sym_det", lambda u: 1 << 4000)
+    with pytest.raises(exact.ExactLinalgError, match="bound"):
+        int_det_poly([[1, 0], [0, 1]], [[0, 1], [1, 0]])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_int_det_poly_just_under_the_bit_limit(monkeypatch, n):
+    # the largest entry size whose pair still packs into one elimination,
+    # and the next one, which takes n + 1
+    bits = 1
+    while _packed_bits(*_pair_of_bits(n, bits + 1)) <= exact._KRONECKER_BITS:
+        bits += 1
+    for size, points in ((bits, 1), (bits + 1, n + 1)):
+        a, b = _pair_of_bits(n, size)
+        assert (_packed_bits(a, b) <= exact._KRONECKER_BITS) == (points == 1)
+        calls = _counted_sym_det(monkeypatch)
+        assert int_det_poly(a, b) == _interpolation_oracle(a, b)
+        assert calls == [n] * points
+
+
+@pytest.mark.parametrize("n, bits", [(1, 4000), (2, 1000), (4, 400), (7, 120), (12, 30)])
+def test_int_det_poly_over_the_bit_limit_takes_each_point(monkeypatch, n, bits):
+    a, b = _pair_of_bits(n, bits)
+    assert _packed_bits(a, b) > exact._KRONECKER_BITS
+    calls = _counted_sym_det(monkeypatch)
+    assert int_det_poly(a, b) == _interpolation_oracle(a, b)
+    assert calls == [n] * (n + 1)
 
 
 def test_int_det_poly_rejects_mismatched_sizes():

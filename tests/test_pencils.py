@@ -8,7 +8,7 @@ from unittest import mock
 
 import pytest
 
-from completequadrics import pencils, picard
+from completequadrics import exact, pencils, picard
 from completequadrics.exact import mat_mul, mat_rank, mat_transpose
 from completequadrics.pencils import (
     DIRECT_CHECK_PAIRS,
@@ -155,6 +155,17 @@ class TestDetFormKept:
                 with mock.patch.object(pencils, "int_det_poly", wraps=pencils.int_det_poly) as spy:
                     assert bk_number(m + 1, 1, seed) == m + 1
                 assert spy.call_count == 1
+
+    @pytest.mark.parametrize("n, eliminations", [(40, 41), (17, 1)])
+    def test_pencil_eliminations_by_size(self, n, eliminations):
+        # cq pencil --n 40 --k 1, the largest shape the CLI admits, packs
+        # past exact._KRONECKER_BITS and takes one elimination per point;
+        # the largest pencil of the benchmark's ladder (P^16) takes one
+        calls = []
+        sym_det = exact._sym_det
+        with mock.patch.object(exact, "_sym_det", lambda u: calls.append(len(u)) or sym_det(u)):
+            assert bk_number(n, 1, 0) == n
+        assert calls == [n] * eliminations
 
     def test_kept_form_matches_fresh_elimination(self):
         for m in (1, 2, 5):

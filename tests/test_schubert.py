@@ -74,6 +74,22 @@ class TestClassBasics:
         with pytest.raises(TypeError):
             build()
 
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda: True * sigma(1, 3, 1), id="true-scalar"),
+        pytest.param(lambda: False * sigma(1, 3, 1), id="false-scalar"),
+        pytest.param(lambda: True * SchubertClass(1, 3), id="true-scalar-on-zero"),
+        pytest.param(lambda: SchubertClass(1, 3, {(True,): 2}), id="true-part"),
+        pytest.param(lambda: SchubertClass(1, 3, {(1, False): 1}), id="false-part"),
+        pytest.param(lambda: SchubertClass(1, 3, {(1,): True}), id="true-coefficient"),
+        pytest.param(lambda: sigma(1, 3, True), id="true-sigma-part"),
+        pytest.param(lambda: sigma(1, 3, 1).coefficient((True,)), id="true-coefficient-lookup"),
+    ])
+    def test_booleans_rejected(self, build):
+        # a bool is an int to operator.index, but not a coefficient or a part
+        with pytest.raises(TypeError, match="boolean"):
+            build()
+        assert 1 * sigma(1, 3, 1) == sigma(1, 3, 1) == SchubertClass(1, 3, {(1, 0): 1})
+
 
 class TestPieri:
     def test_square_of_sigma1_on_lines_in_p3(self):
