@@ -32,8 +32,8 @@ import math
 import random
 from fractions import Fraction
 
-from ._value import Record, set_field
-from .exact import clear_denominators
+from ._value import Record
+from .exact import clear_denominators, parse_rat
 from .picard import (
     CURVE_TABLE_X3,
     DivisorClass,
@@ -105,14 +105,7 @@ class RegionSpec(Record):
     # some cone accepts it (and, for the last region, it is not nef).
     # position_basis: generator names used only for reporting.
     _fields = ("chamber_id", "cones", "position_basis", "base_locus", "exclude_nef")
-
-    def __init__(self, chamber_id: int, cones: tuple, position_basis: tuple,
-                 base_locus: frozenset, exclude_nef: bool = False):
-        set_field(self, "chamber_id", chamber_id)
-        set_field(self, "cones", cones)
-        set_field(self, "position_basis", position_basis)
-        set_field(self, "base_locus", base_locus)
-        set_field(self, "exclude_nef", exclude_nef)
+    _defaults = {"exclude_nef": False}
 
 
 REGIONS = (
@@ -145,17 +138,7 @@ class ChamberReport(Record):
     # position: "interior", "ray X" or "wall X,Y" in the region's triple
     _fields = ("chamber_id", "position", "base_locus", "base_locus_label", "model_label",
                "notes", "certificate")
-
-    def __init__(self, chamber_id: int, position: str, base_locus: frozenset,
-                 base_locus_label: str, model_label: str | None, notes: tuple = (),
-                 certificate: dict | None = None):
-        set_field(self, "chamber_id", chamber_id)
-        set_field(self, "position", position)
-        set_field(self, "base_locus", base_locus)
-        set_field(self, "base_locus_label", base_locus_label)
-        set_field(self, "model_label", model_label)
-        set_field(self, "notes", notes)
-        set_field(self, "certificate", certificate)
+    _defaults = {"notes": (), "certificate": None}
 
     def to_json(self) -> dict:
         return {
@@ -290,12 +273,6 @@ class _Placement(Record):
     # or failure None when the class escaped the cover) and the forced pieces
     _fields = ("accepted", "report", "failure", "forced")
 
-    def __init__(self, accepted: tuple, report, failure, forced: frozenset):
-        set_field(self, "accepted", accepted)
-        set_field(self, "report", report)
-        set_field(self, "failure", failure)
-        set_field(self, "forced", forced)
-
 
 @functools.cache
 def _placement(signs: tuple) -> _Placement:
@@ -346,9 +323,10 @@ def classify_segment(t) -> ChamberReport:
     """Report for t*H1 + (1-t)*H3 on the closed segment 0 <= t <= 1.
 
     The open part is the small-contraction wall; the endpoints hand off to
-    the ray reports of H1 and H3.
+    the ray reports of H1 and H3.  t is read by parse_rat, as the
+    coefficients of a DivisorClass are.
     """
-    t = Fraction(t)
+    t = parse_rat(t)
     if not 0 <= t <= 1:
         raise ValueError("t must lie in [0, 1]")
     d = DivisorClass(3, "H", (t, 0, 1 - t))

@@ -26,29 +26,30 @@ from math import gcd, isqrt
 import itertools
 import operator
 
-from ._value import Record, set_field
-from .exact import _interpolate, _is_rational, clear_denominators, mat_mul, mat_transpose
+from ._value import Record
+from .exact import _interpolate, _is_rational, _rows, clear_denominators, mat_mul, mat_transpose
 from .quadrics import SymmetricForm, _int_minors, _laplace_cols
 
 
 class ProjectivePoint(Record):
     """Point of a projective space with a canonical rational normalization.
 
-    Coordinates are scaled to coprime integers whose first nonzero entry is
-    positive, so equal points compare equal as tuples.
+    Coordinates are ints or Fractions, else TypeError; they are scaled to
+    coprime integers whose first nonzero entry is positive, so equal points
+    compare equal as tuples.
     """
 
     __slots__ = _fields = ("coords",)
 
     def __init__(self, coords):
-        coords = [Fraction(c) for c in coords]
+        (coords,) = _rows([coords])
         if not any(coords):
             raise ValueError("projective point needs a nonzero coordinate")
         (ints,), _ = clear_denominators([coords])
         g = gcd(*ints)
         if next(v for v in ints if v) < 0:
             g = -g
-        set_field(self, "coords", tuple(Fraction(v // g) for v in ints))
+        Record.__init__(self, tuple(Fraction(v // g) for v in ints))
 
     def __repr__(self):
         return "ProjectivePoint(%s)" % (", ".join(str(c) for c in self.coords))
@@ -58,11 +59,6 @@ class PluckerVector(Record):
     """Maximal minors of a basis matrix, in lexicographic subset order."""
 
     _fields = ("n", "k", "coords")
-
-    def __init__(self, n: int, k: int, coords: tuple):
-        set_field(self, "n", n)
-        set_field(self, "k", k)
-        set_field(self, "coords", coords)
 
 
 def plucker(basis) -> PluckerVector:

@@ -2,7 +2,8 @@
 
 Scalars are fractions.Fraction at the interface.  Polynomials in one
 variable are coefficient sequences, lowest degree first.  Matrices are plain
-sequences of rows of rational entries.  Elimination is Bareiss
+sequences of rows of rational entries, ints or Fractions; _rows checks them
+where they enter.  Elimination is Bareiss
 fraction-free elimination, so every intermediate value stays an integer;
 the only divisions performed are exact.
 
@@ -37,6 +38,7 @@ building one Fraction per answer.  int_det's one caller is ff_det.
 from __future__ import annotations
 
 from fractions import Fraction
+import itertools
 import math
 import operator
 
@@ -161,7 +163,7 @@ def distinct_root_count(coeffs) -> tuple[int, int]:
     every other case the primitive remainder sequence of poly_gcd gives the
     exact answer.
     """
-    (a,), _ = clear_denominators([list(coeffs)])
+    (a,), _ = clear_denominators(_rows([coeffs]))
     a = _trim(a)
     if not a:
         raise ValueError("zero polynomial has no well-defined root count")
@@ -176,18 +178,25 @@ def distinct_root_count(coeffs) -> tuple[int, int]:
 # -- matrices ---------------------------------------------------------------
 
 
+def _is_rational(rows) -> bool:
+    # the type of every entry is int or Fraction, so a bool is not one
+    return {int, Fraction}.issuperset(map(type, itertools.chain.from_iterable(rows)))
+
+
 def _rows(m):
-    return [list(r) for r in m]
+    # the rows as lists, where raw input enters the kernels: a matrix, or a
+    # vector as one row; ragged rows raise ValueError, a non-rational entry TypeError
+    rows = [list(r) for r in m]
+    if len(set(map(len, rows))) > 1:
+        raise ValueError("matrix rows must have equal length")
+    if not _is_rational(rows):
+        raise TypeError("entries must be ints or Fractions")
+    return rows
 
 
 def mat_transpose(m):
     m = _rows(m)
     return [list(col) for col in zip(*m)]
-
-
-def _is_rational(rows) -> bool:
-    # a bool is an int to isinstance, but True is not a matrix entry
-    return all(isinstance(x, (int, Fraction)) and type(x) is not bool for r in rows for x in r)
 
 
 def mat_mul(a, b):
@@ -418,10 +427,6 @@ def ff_det(m):
     """Determinant of a square rational matrix: the matrix is scaled to
     integers and handed to int_det."""
     a = _rows(m)
-    if not _is_rational(a):
-        raise TypeError("ff_det expects rational entries")
-    if len(a) == 1 == len(a[0]):
-        return a[0][0]  # as given, an int entry included
     ints, scale = clear_denominators(a)
     return Fraction(int_det(ints), scale ** len(a))
 
@@ -431,8 +436,6 @@ def mat_rank(m) -> int:
     a = _rows(m)
     if not a:
         return 0
-    if not _is_rational(a):
-        raise TypeError("mat_rank expects rational entries")
     ints, _ = clear_denominators(a)
     return len(_echelon(ints, len(a[0]))[0])
 
@@ -459,7 +462,7 @@ def solve_exact(a, b):
     free variables; this function never guesses.
     """
     a = _rows(a)
-    b = [Fraction(x) for x in b]
+    (b,) = _rows([b])
     if len(a) != len(b):
         raise ValueError("rhs length mismatch")
     rows = len(a)

@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 from functools import cached_property
 
-from ._value import Record, set_field
+from ._value import Record
 from .exact import clear_denominators, distinct_root_count, int_det_poly
 from .exact import ff_det  # noqa: F401  bench/test_bench.py traces and restores this alias
 from .quadrics import SymmetricForm, _random_basis, random_form, restrict
@@ -49,8 +49,7 @@ class Pencil(Record):
             raise DegeneratePencilError("pencil member is the zero form")
         if _proportional(q0, q1):
             raise DegeneratePencilError("pencil members are proportional")
-        set_field(self, "q0", q0)
-        set_field(self, "q1", q1)
+        Record.__init__(self, q0, q1)
 
     @cached_property
     def det_form(self) -> BinaryForm:
@@ -64,9 +63,6 @@ class BinaryForm(Record):
     """Homogeneous binary form sum c_d s^(deg-d) t^d, coeffs = (c_0, .., c_deg)."""
 
     _fields = ("coeffs",)
-
-    def __init__(self, coeffs: tuple):
-        set_field(self, "coeffs", coeffs)
 
     @property
     def degree(self) -> int:
@@ -94,10 +90,6 @@ def pencil_det_form(p: Pencil) -> BinaryForm:
 class DegenerationCount(Record):
     # total: with multiplicity, including the member at infinity
     _fields = ("total", "distinct")
-
-    def __init__(self, total: int, distinct: int):
-        set_field(self, "total", total)
-        set_field(self, "distinct", distinct)
 
 
 def _count_binary_roots(f: BinaryForm) -> DegenerationCount:

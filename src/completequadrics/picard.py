@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-from ._value import Record, set_field
+from ._value import Record
 from .exact import UnderdeterminedSystem, clear_denominators, format_rat, mat_inverse, parse_rat, solve_exact
 from .quadrics import quadric_space_dim, stratum_codim
 
@@ -56,9 +56,7 @@ class DivisorClass(Record):
             raise ValueError("unknown basis %r" % (basis,))
         if n < 2:
             raise ValueError("need n >= 2")
-        set_field(self, "n", n)
-        set_field(self, "basis", basis)
-        set_field(self, "coeffs", _rational_coeffs(coeffs, n))
+        Record.__init__(self, n, basis, _rational_coeffs(coeffs, n))
 
     def to_json(self) -> dict:
         return {
@@ -78,8 +76,7 @@ class CurveClass(Record):
     _fields = ("n", "coeffs")
 
     def __init__(self, n: int, coeffs: tuple):
-        set_field(self, "n", n)
-        set_field(self, "coeffs", _rational_coeffs(coeffs, n))
+        Record.__init__(self, n, _rational_coeffs(coeffs, n))
 
     def to_json(self) -> dict:
         return {"n": self.n, "basis": "Fl", "coeffs": [format_rat(c) for c in self.coeffs]}
@@ -141,10 +138,6 @@ def pair(c: CurveClass, d: DivisorClass) -> Fraction:
 
 class ConeMembership(Record):
     _fields = ("contains", "interior")
-
-    def __init__(self, contains: bool, interior: bool):
-        set_field(self, "contains", contains)
-        set_field(self, "interior", interior)
 
 
 def cone_membership(d: DivisorClass, cone: str) -> ConeMembership:
@@ -322,11 +315,6 @@ def curves_x3() -> dict:
 class TableRow(Record):
     # entries: pairings with H1, H2, H3, E1, E2, E3
     _fields = ("curve", "entries", "cover")
-
-    def __init__(self, curve: str, entries: tuple, cover: str):
-        set_field(self, "curve", curve)
-        set_field(self, "entries", entries)
-        set_field(self, "cover", cover)
 
 
 def table_x3():

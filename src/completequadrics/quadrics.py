@@ -21,7 +21,7 @@ import operator
 import random
 from fractions import Fraction
 
-from ._value import Record, set_field
+from ._value import Record
 from .exact import (
     _is_rational,
     _is_symmetric,
@@ -52,8 +52,7 @@ class SymmetricForm(Record):
             raise TypeError("quadric form entries must be ints or Fractions")
         if not _is_symmetric(rows):
             raise ValueError("matrix is not symmetric")
-        set_field(self, "rows", rows)
-        set_field(self, "n", m - 1)
+        Record.__init__(self, m - 1, rows)
 
     @classmethod
     def from_rational(cls, rows):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import operator
 
-from ._value import Record, set_field
+from ._value import Record
 
 
 def grass_dim(k: int, n: int) -> int:
@@ -67,9 +67,7 @@ class SchubertClass(Record):
             coeff = _integer(coeff)
             if coeff:
                 clean[parts] = clean.get(parts, 0) + coeff
-        set_field(self, "k", k)
-        set_field(self, "n", n)
-        set_field(self, "_terms", tuple(sorted((p, c) for p, c in clean.items() if c)))
+        Record.__init__(self, k, n, tuple(sorted((p, c) for p, c in clean.items() if c)))
 
     @classmethod
     def _make(cls, k: int, n: int, terms: dict) -> "SchubertClass":
@@ -77,9 +75,7 @@ class SchubertClass(Record):
         # are already weakly decreasing positive ints inside the box, so only
         # the zero coefficients and the order need fixing
         out = object.__new__(cls)
-        set_field(out, "k", k)
-        set_field(out, "n", n)
-        set_field(out, "_terms", tuple(sorted((p, c) for p, c in terms.items() if c)))
+        Record.__init__(out, k, n, tuple(sorted((p, c) for p, c in terms.items() if c)))
         return out
 
     @property

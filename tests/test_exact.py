@@ -11,6 +11,9 @@ int_det_poly against per-point int_det interpolated over Fraction (it
 rejects non-symmetric or mismatched pairs), on both sides of the packed bit
 length where it stops reading all coefficients from one elimination, and
 the mod-P squarefree certificate against the remainder sequence alone.
+Raw input is checked where it enters: a float or a bool raises TypeError and
+ragged rows raise ValueError, in the kernels and in the callers that pass
+raw matrices, vectors or scalars through.
 """
 
 import itertools
@@ -23,7 +26,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from completequadrics import exact
+from completequadrics import chambers, exact
+from completequadrics.chambers import classify_segment
+from completequadrics.chowform import ProjectivePoint
 from completequadrics.exact import (
     InconsistentSystem,
     UnderdeterminedSystem,
@@ -41,6 +46,8 @@ from completequadrics.exact import (
     poly_gcd,
     solve_exact,
 )
+from completequadrics.picard import DivisorClass
+from completequadrics.quadrics import SymmetricForm, restrict
 from univariate import mul, padded, pencil, poly, power
 import univariate
 
@@ -432,6 +439,48 @@ def test_ff_det_singular_and_permutation():
     for m in ([[0.5, 1], [1, 0.5]], [[0.5]], [[True]]):
         with pytest.raises(TypeError):
             ff_det(m)
+
+
+@pytest.mark.parametrize("entry", [3, Fraction(1, 2), 0, -7])
+def test_ff_det_1x1_is_the_entry_as_a_fraction(entry):
+    det = ff_det([[entry]])
+    assert det == entry and type(det) is Fraction
+
+
+_HALF_FORM = SymmetricForm.diagonal([1, 2])
+
+# raw input that enters the exact kernels: a float or a bool is no rational
+# entry (TypeError) and ragged rows are no matrix (ValueError), wherever the
+# rows are read (exact._rows) or a vector enters beside them
+RAW_INPUT = [
+    ("mat_mul-float", lambda: mat_mul([[0.5]], [[2]]), TypeError),
+    ("solve_exact-float-rhs", lambda: solve_exact([[1]], [0.1]), TypeError),
+    ("solve_exact-bool", lambda: solve_exact([[True]], [1]), TypeError),
+    ("mat_inverse-bool", lambda: mat_inverse([[True]]), TypeError),
+    ("root_count-bool", lambda: distinct_root_count([True, True]), TypeError),
+    ("solve_exact-float", lambda: solve_exact([[0.5]], [1]), TypeError),
+    ("mat_inverse-float", lambda: mat_inverse([[0.5]]), TypeError),
+    ("root_count-float", lambda: distinct_root_count([0.5, 1]), TypeError),
+    ("mat_rank-long-second-row", lambda: mat_rank([[1], [2, 3]]), ValueError),
+    ("mat_rank-short-second-row", lambda: mat_rank([[1, 2, 3], [4, 5]]), ValueError),
+    ("mat_rank-short-last-row", lambda: mat_rank([[1, 2], [3]]), ValueError),
+    ("restrict-short-row", lambda: restrict(_HALF_FORM, [[1, 0], [0]]), ValueError),
+    ("restrict-long-row", lambda: restrict(_HALF_FORM, [[1], [0, 1]]), ValueError),
+    ("classify_segment-bool", lambda: classify_segment(True), ValueError),
+    ("point-bool", lambda: ProjectivePoint([True, 0]), TypeError),
+]
+
+
+@pytest.mark.parametrize("call, error", [c[1:] for c in RAW_INPUT], ids=[c[0] for c in RAW_INPUT])
+def test_raw_input_is_checked(call, error):
+    with pytest.raises(error):
+        call()
+
+
+def test_classify_segment_reads_a_float_as_parse_rat_does(monkeypatch):
+    # the divisor classified for t = 0.1 is 1/10 H1 + 9/10 H3, not the binary float's
+    monkeypatch.setattr(chambers, "classify", lambda d: d)
+    assert classify_segment(0.1) == DivisorClass(3, "H", ("1/10", 0, "9/10"))
 
 
 def test_mat_rank_examples():

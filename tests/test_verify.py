@@ -265,3 +265,13 @@ def test_every_check_with_a_failure_exit_is_forced():
     # degree-gap-disclosure has no failure exit
     names = {c[1] for c in FAILURES}
     assert names == set(STATEMENTS) == set(EXPECTED_ORDER) - {"degree-gap-disclosure"}
+
+
+def test_boundary_numbers_draw_each_pencil_once(monkeypatch):
+    # the pencil for (n, k, seed) depends on m = n - k alone: one draw per
+    # m = 1..max_n - 1 and seed, (max_n - 1) * seeds in all
+    draws = []
+    draw = pencils.random_pencil
+    monkeypatch.setattr(pencils, "random_pencil", lambda m, seed: draws.append((m, seed)) or draw(m, seed))
+    assert verify.check_boundary_numbers(seeds=2, max_n=4).passed
+    assert draws == [(m, seed) for m in range(1, 4) for seed in range(2)]
