@@ -14,20 +14,23 @@ takes the integer compound of the scaled form (quadrics._int_minors), sums
 the quadratic form in integers and builds one Fraction at the end.  No
 minor is a determinant of its own: both are built by Laplace expansion,
 each level of minors from the one below, with the same cached subset
-tables.  Limits stay in integers too: chow_limit and _flag_limit
-interpolate one integer compound (_compound_poly), and flag_wedge compares
-integer Pluecker vectors.
+tables.  Limits stay in integers too.  chow_limit and _flag_limit hand a
+symmetric integer matrix polynomial, as its coefficient matrices, to
+_compound_poly, which bounds every coefficient of every minor and takes one
+integer compound at x = 2^K, each entry read back as base-2^K digits by
+the same routine that reads pencil determinant forms (exact._kronecker);
+flag_wedge compares integer Pluecker vectors.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import comb, gcd, isqrt, prod
 import itertools
 import operator
 
 from ._value import Record
-from .exact import _interpolate, _is_rational, _rows, clear_denominators, mat_mul, mat_transpose
+from .exact import _interpolate, _is_rational, _kronecker, _rows, clear_denominators, mat_transpose
 from .quadrics import SymmetricForm, _int_minors, _laplace_cols
 
 
@@ -134,20 +137,35 @@ def chow_eval(q: SymmetricForm, k: int, basis) -> Fraction:
     return Fraction(total, lv * lv * scale ** k)
 
 
-def _compound_poly(matrix_at, deg: int, n: int, k: int) -> list:
-    """Rows of the k-th compound of a symmetric integer matrix polynomial
-    matrix_at(x) on P^n, each entry as its deg + 1 coefficients, lowest
-    first: the integer compound tables are taken at x = 0..deg
-    (_int_minors), and each entry S <= T is rebuilt from its values there
-    by _interpolate and mirrored."""
-    if not 1 <= k <= n + 1:
-        raise ValueError("k out of range")
-    tables = [_int_minors(matrix_at(x), k) for x in range(deg + 1)]
-    size = len(tables[0])
+def _compound_poly(coeffs, deg: int, k: int) -> list:
+    """Rows of the k-th compound of the symmetric integer matrix polynomial
+    C_0 + C_1 x + ... + C_d x^d, with coeffs = [C_0, ..., C_d], each entry
+    as the deg + 1 coefficients of a k x k minor, lowest first; deg bounds
+    the degree of every minor.
+
+    With S_ij = sum_d |C_d[i][j]|, the sum of the absolute coefficients of
+    a product of polynomials is at most the product of theirs, so a minor
+    on rows R and columns T has at most per(S[R, T]), and so at most the
+    product over R of the row sums of S.  H, the product of the k largest
+    row sums, bounds every coefficient of every minor, and exact._kronecker
+    reads the entries S <= T as balanced base-2^K digits of one integer
+    compound (quadrics._int_minors) at x = 2^K, or, past its bit limit,
+    interpolates them from the compounds at x = 0..deg.  Each is mirrored.
+    """
+    sums = sorted(sum(map(abs, itertools.chain(*entries))) for entries in zip(*coeffs))
+    bound = prod(sums[-k:])
+
+    def values_at(x):
+        powers = [x ** d for d in range(len(coeffs))]
+        matrix = [[sum(map(operator.mul, entry, powers)) for entry in zip(*rows)] for rows in zip(*coeffs)]
+        return [v for a, row in enumerate(_int_minors(matrix, k)) for v in row[a:]]
+
+    entries = iter(_kronecker(values_at, deg, bound))
+    size = comb(len(coeffs[0]), k)
     rows = [[None] * size for _ in range(size)]
     for a in range(size):
         for b in range(a, size):
-            rows[a][b] = rows[b][a] = _interpolate([t[a][b] for t in tables])
+            rows[a][b] = rows[b][a] = next(entries)
     return rows
 
 
@@ -161,19 +179,15 @@ def chow_limit(q0: SymmetricForm, q1: SymmetricForm, k: int) -> ProjectivePoint:
     is taken, so a nonreduced limit keeps its multiplicity structure).
 
     Both forms are scaled to integers A and B by one lcm L, and the compound
-    of A + tB, of degree k in t, is _compound_poly; that multiplies every
-    entry by L**k, a positive factor the projective point drops.
+    of A + tB, of degree k in t, is _compound_poly of [A, B]; that
+    multiplies every entry by L**k, a positive factor the projective point
+    drops.
     """
     if q0.n != q1.n:
         raise ValueError("forms must share an ambient space")
     size = q0.n + 1
     ints, _ = clear_denominators(q0.rows + q1.rows)
-    a, b = ints[:size], ints[size:]
-
-    def pencil_at(t):
-        return [[x + t * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-    entries = [e for row in _compound_poly(pencil_at, k, q0.n, k) for e in row]
+    entries = [e for row in _compound_poly([ints[:size], ints[size:]], k, k) for e in row]
     vals = [next(d for d, c in enumerate(e) if c) for e in entries if any(e)]
     if not vals:
         raise ValueError("family has identically vanishing k-th minors")
@@ -228,19 +242,15 @@ def _flag_plucker(n: int, k: int, ts) -> list:
 def _flag_limit(n: int, k: int, ts) -> list:
     """Rows of the x -> 0 limit of the k-th compound of M^T D M, in integers.
 
-    Each entry is a polynomial in x of degree at most n + (n-1) + ... +
-    (n-k+1), rebuilt by _compound_poly.  Every coefficient below
-    x^(k(k-1)/2) vanishes, or this raises AssertionError, and the limit is
-    the x^(k(k-1)/2) coefficient.
+    M^T D M = sum_d x^d m_d m_d^T over the rows m_d of the flag matrix M, so
+    _compound_poly takes the coefficient matrices m_d m_d^T; each entry is a
+    polynomial in x of degree at most n + (n-1) + ... + (n-k+1).  Every
+    coefficient below x^(k(k-1)/2) vanishes, or this raises AssertionError,
+    and the limit is the x^(k(k-1)/2) coefficient.
     """
-    m = _flag_matrix(n, ts)
-    mt = mat_transpose(m)
     low = k * (k - 1) // 2
-
-    def form_at(x):
-        return mat_mul(mt, [[x ** i * e for e in row] for i, row in enumerate(m)])
-
-    rows = _compound_poly(form_at, sum(range(n - k + 1, n + 1)), n, k)
+    coeffs = [[[x * y for y in row] for x in row] for row in _flag_matrix(n, ts)]
+    rows = _compound_poly(coeffs, sum(range(n - k + 1, n + 1)), k)
     if any(any(e[:low]) for row in rows for e in row):
         raise AssertionError("compound has a term below x^%d" % low)
     return [[e[low] for e in row] for row in rows]

@@ -37,16 +37,22 @@ MAX_CENSUS = 250_000
 
 # Largest `cq chow` input.  A compound has C(n+1,k) rows, and its minors are
 # built in one Laplace pass, level by level up to k x k; with --limit-toward
-# the compound is taken at k + 1 integer points and each entry is
-# interpolated.  Neither the row count nor n alone bounds the time (a 70 x 70
-# form with k = 69 has 70 rows of 69 x 69 minors), so both are bounded.
-# Every shape with n <= 8 is admitted (C(9,4) = 126 rows).  On one 2.1 GHz
-# Xeon core, the whole command with --limit-toward and one-digit integer
-# entries takes about 0.9-1.0 s at the slowest admitted shapes, n = 9 with
-# k = 7 (120 rows) and n = 10 with k = 9 (55 rows), and about 1.2 s with
-# one-digit fractions.  Rejected, timing chowform.chow_limit alone: n = 9
-# with k = 6 (210 rows) about 1.2 s, n = 11 with k = 10 about 1.9 s, and
-# n = 11 with k = 4 (495 rows) about 4.2 s.
+# that pass runs once, at t = 2^K, when the pencil's predicted packed length
+# k K is at most exact._KRONECKER_BITS (3200 bits), and otherwise at the
+# k + 1 points t = 0..k, each entry then interpolated.  Neither the row
+# count nor n alone bounds the time (a 70 x 70 form with k = 69 has 70 rows
+# of 69 x 69 minors), so both are bounded.  Every shape with n <= 8 is
+# admitted (C(9,4) = 126 rows).  On one 2.1 GHz Xeon core (a shared
+# machine, five to ten runs each), the whole command with --limit-toward
+# takes, at the slowest admitted shapes, n = 9 with k = 7 (120 rows) and
+# n = 10 with k = 9 (55 rows): 0.16-0.27 s with 4-bit integer entries and
+# 0.2-0.3 s with one-digit fractions (one pass at 2^K), 0.35-0.6 s with
+# 32-bit entries (one pass, 1736 and 2880 packed bits) and 0.8-1.4 s with
+# 64-bit ones (3318 and 5481 bits, k + 1 passes).  The 64-bit pencils set
+# the bounds now: rejected shapes with small entries are cheaper, timing
+# chowform.chow_limit alone with 4-bit entries, n = 9 with k = 6 (210 rows)
+# 0.2-0.3 s, n = 11 with k = 10 about 0.2 s and n = 11 with k = 4 (495 rows)
+# 1.1-1.5 s.
 MAX_CHOW_N = 10
 MAX_COMPOUND = 126
 
@@ -56,10 +62,11 @@ MAX_COMPOUND = 126
 # is itself large).  Each numerator and denominator is held to the same bound
 # before the lcm is taken.  At the slowest admitted shapes, n = 9 with k = 7
 # and n = 10 with k = 9, with --limit-toward, on one 2.1 GHz Xeon core, over
-# several runs: 0.9-1.0 s with 4-bit integer entries, 1.0-1.7 s with 32-bit
-# and 1.1-1.5 s with 64-bit ones; rejected, timing chowform.chow_limit alone,
-# 1.4-1.9 s with two-digit fractions, 1.6-2.1 s with 133-bit and 2.6-3.8 s
-# with 266-bit integer entries.
+# five to ten runs: 0.16-0.27 s with 4-bit integer entries, 0.35-0.6 s with
+# 32-bit and 0.8-1.4 s with 64-bit ones, which pack past
+# exact._KRONECKER_BITS and take the compound at k + 1 points; rejected,
+# timing chowform.chow_limit alone, 0.9-1.7 s with two-digit fractions,
+# 0.9-1.4 s with 133-bit and 1.5-2.4 s with 266-bit integer entries.
 MAX_CHOW_BITS = 64
 
 # Largest n `cq canonical --n` and a JSON divisor or curve class accept.

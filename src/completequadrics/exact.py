@@ -14,14 +14,19 @@ int_det, mat_rank, solve_exact and mat_inverse run it on integers.  ff_det
 of a rational matrix is int_det of the scaled matrix over the scale to the
 n-th power.  int_det_poly gives the coefficients of a pencil's determinant
 form det(A + tB), for symmetric A and B, from _sym_det, a symmetric Bareiss
-elimination over the upper triangle.  Hadamard's inequality bounds every
-coefficient by H = prod_i (|a_i| + |b_i|) over the rows; with 2^K > 2H, one
-elimination of A + 2^K B packs all n + 1 coefficients into one integer,
-read back as balanced base-2^K digits (Kronecker substitution).  That path
-is taken while the packed length n * K is at most _KRONECKER_BITS (3200),
-under the measured crossover of 3500-4400 bits.  Past it, CPython's
-quadratic big-integer division makes the one elimination slower than n + 1
-small ones, so the determinant is taken at t = 0..n and interpolated
+elimination over the upper triangle.
+
+Integer polynomials are read from one evaluation (Kronecker substitution,
+_kronecker): with every coefficient bounded by H and 2^K > 2H, the value at
+x = 2^K holds all of them as balanced base-2^K digits.  Hadamard's
+inequality gives H for a pencil's determinant, and row sums of absolute
+coefficients give it for the minors of a matrix polynomial
+(chowform._compound_poly), so one elimination of A + 2^K B, or one
+compound at 2^K, replaces one per point.  That path is taken while the
+packed length deg * K is at most _KRONECKER_BITS (3200), under the
+measured crossover of 3500-4400 bits.  Past it, CPython's
+quadratic big-integer division makes the one evaluation slower than
+deg + 1 small ones, so the values at x = 0..deg are interpolated
 (_interpolate).  poly_gcd runs a primitive integer remainder sequence
 instead of a Euclidean gcd over Fraction.
 distinct_root_count certifies a squarefree polynomial by one gcd modulo the
@@ -364,16 +369,53 @@ def _interpolate(values) -> list:
     return coeffs
 
 
-# Largest predicted packed bit length n * K of a pencil for which
-# int_det_poly takes one elimination at t = 2^K.  Below it the single
-# elimination was 1.3-4x faster than n + 1 eliminations and an
-# interpolation, 1 x 1 and 2 x 2 pairs included; above it CPython's
-# quadratic big-integer division makes it slower.  The two paths crossed at
-# about 3500 bits for entries of 30 bits, 3700 for 100 bits and 4400 for
-# 3 bits and for random_form pencils (one 2.1 GHz Xeon core, Python
-# 3.11.7).  The largest pencil of the pencil-ladder benchmark (P^16) packs
-# at most 2567 bits, that of cq pencil --n 40 --k 1 15960.
+# Largest predicted packed length deg * K, in bits, for which _kronecker
+# reads a polynomial's coefficients from one evaluation at x = 2^K.  Below
+# it one symmetric elimination of a pencil was 1.3-4x faster than n + 1
+# eliminations and an interpolation, 1 x 1 and 2 x 2 pairs included; above
+# it CPython's quadratic big-integer division makes it slower.  The two
+# paths crossed at about 3500 bits for entries of 30 bits, 3700 for 100
+# bits and 4400 for 3 bits and for random_form pencils (one 2.1 GHz Xeon
+# core, Python 3.11.7).  Compounds of a pencil (chowform._compound_poly)
+# cross over near the limit too: with 64-bit entries, one compound at 2^K
+# took about as long as k + 1 small ones at n = 9, k = 7 (3318 packed
+# bits), and 1.3-1.4x as long at n = 10, k = 9 (5481 bits).  The largest
+# pencil of the pencil-ladder benchmark (P^16) packs at most 2567 bits,
+# that of cq pencil --n 40 --k 1 15960.
 _KRONECKER_BITS = 3200
+
+
+def _kronecker(values_at, deg: int, bound: int) -> list:
+    """Coefficients of integer polynomials p_1, ..., p_m of degree at most
+    deg, each a list of deg + 1 integers, lowest degree first.
+
+    values_at(x) returns the values p_1(x), ..., p_m(x) at an integer x, and
+    bound is at least the absolute value of every coefficient.  With
+    K = bitlen(bound) + 1, 2^(K-1) > bound, so one call at x = 2^K holds
+    every coefficient as a balanced base-2^K digit in [-2^(K-1), 2^(K-1))
+    (Kronecker substitution); a value with a nonzero remainder after deg + 1
+    digits exceeds the bound, and raises ExactLinalgError rather than being
+    truncated.  That one call is taken while the predicted packed length
+    deg * K is at most _KRONECKER_BITS.  Past it, values_at runs at
+    x = 0..deg and each polynomial is rebuilt by _interpolate.
+    """
+    k = bound.bit_length() + 1
+    if deg * k > _KRONECKER_BITS:
+        return [_interpolate(v) for v in zip(*[values_at(x) for x in range(deg + 1)])]
+    mask, half, base = (1 << k) - 1, 1 << (k - 1), 1 << k
+    out = []
+    for v in values_at(base):
+        coeffs = []
+        for _ in range(deg + 1):
+            d = v & mask
+            if d >= half:
+                d -= base
+            coeffs.append(d)
+            v = (v - d) >> k
+        if v:
+            raise ExactLinalgError("determinant form exceeds its coefficient bound")
+        out.append(coeffs)
+    return out
 
 
 def int_det_poly(a, b) -> list:
@@ -386,14 +428,10 @@ def int_det_poly(a, b) -> list:
     The rows are multilinear, so c_j, the coefficient of t^j, is a sum of
     determinants with j rows from B and the others from A, and Hadamard's
     inequality bounds the sum of all |c_j| by H = prod_i (|a_i| + |b_i|)
-    over the rows, each norm rounded up (isqrt + 1).  With K = bitlen(H) + 1,
-    2^(K-1) > H, so one symmetric elimination (_sym_det) of A + 2^K B gives
-    sum_j c_j 2^(jK), and its n + 1 balanced base-2^K digits, each in
-    [-2^(K-1), 2^(K-1)), are the c_j (Kronecker substitution).  That is one
-    elimination of (nK)-bit integers instead of n + 1 of small ones, and it
-    is taken when the predicted packed length n * K is at most
-    _KRONECKER_BITS.  Above it the determinant is taken at t = 0..n, one
-    _sym_det each, and interpolated by _interpolate.
+    over the rows, each norm rounded up (isqrt + 1).  _kronecker reads the
+    n + 1 coefficients from one symmetric elimination (_sym_det) of
+    A + 2^K B, an elimination of (nK)-bit integers instead of n + 1 of small
+    ones, or, past its bit limit, from one elimination at each t = 0..n.
     """
     n = len(a)
     if not (a and len(b) == n and _is_symmetric(a) and _is_symmetric(b)):
@@ -401,26 +439,13 @@ def int_det_poly(a, b) -> list:
     bound = 1
     for ra, rb in zip(a, b):
         bound *= math.isqrt(sum(map(operator.mul, ra, ra))) + math.isqrt(sum(map(operator.mul, rb, rb))) + 2
-    k = bound.bit_length() + 1
 
-    def upper(t):
-        # the upper triangle of A + tB, as _sym_det takes it
-        return [[x + t * y for x, y in zip(ra[i:], rb[i:])] for i, (ra, rb) in enumerate(zip(a, b))]
+    def det_at(t):
+        # one determinant, of the upper triangle of A + tB as _sym_det takes it
+        upper = [[x + t * y for x, y in zip(ra[i:], rb[i:])] for i, (ra, rb) in enumerate(zip(a, b))]
+        return [_sym_det(upper)]
 
-    if n * k > _KRONECKER_BITS:
-        return _interpolate([_sym_det(upper(t)) for t in range(n + 1)])
-    v = _sym_det(upper(1 << k))
-    mask, half = (1 << k) - 1, 1 << (k - 1)
-    coeffs = []
-    for _ in range(n + 1):
-        d = v & mask
-        if d >= half:
-            d -= 1 << k
-        coeffs.append(d)
-        v = (v - d) >> k
-    if v:
-        raise ExactLinalgError("determinant form exceeds its coefficient bound")
-    return coeffs
+    return _kronecker(det_at, n, bound)[0]
 
 
 def ff_det(m):

@@ -23,10 +23,11 @@ from fractions import Fraction
 
 from ._value import Record
 from .exact import (
+    _echelon,
     _is_rational,
     _is_symmetric,
+    _rows,
     clear_denominators,
-    mat_rank,
     parse_rat,
 )
 from .exact import ff_det  # noqa: F401  bench/test_bench.py traces and restores this alias
@@ -78,8 +79,9 @@ def restrict(q: SymmetricForm, basis) -> SymmetricForm:
 
     basis is an (n+1) x k rational matrix of rank k; the result is the k x k
     form B^T Q B on the P^(k-1) it spans.  Q and B are scaled to integers
-    once each, by the lcms Lq and Lb of their denominators, and each entry
-    i <= j of the integer product is divided once by Lq Lb**2 and mirrored.
+    once each, by the lcms Lq and Lb of their denominators; the rank of B is
+    read from one elimination of a copy of Lb B, and each entry i <= j of
+    the integer product is divided once by Lq Lb**2 and mirrored.
     """
     b = [list(r) for r in basis]
     if len(b) != q.n + 1:
@@ -87,10 +89,10 @@ def restrict(q: SymmetricForm, basis) -> SymmetricForm:
     k = len(b[0]) if b else 0
     if k == 0:
         raise ValueError("empty basis")
-    if mat_rank(b) != k:
+    bi, lb = clear_denominators(_rows(b))
+    if len(_echelon([r[:] for r in bi], k)[0]) != k:
         raise ValueError("basis columns are linearly dependent")
     qi, lq = clear_denominators(q.rows)
-    bi, lb = clear_denominators(b)
     scale = lq * lb * lb
     cols = list(zip(*bi))
     # the columns of (Lq Q)(Lb B)
@@ -194,11 +196,12 @@ def _random_basis(rng, rows: int, cols: int) -> list:
     The package's only random-matrix draw: the invertible M of random_form
     and the points and subspaces that pencil tangencies and the Chow-form
     identity are counted on.  Entries are read from rng row by row, and the
-    whole matrix is drawn again until its columns are independent.
+    whole matrix is drawn again until its columns are independent, which
+    one elimination of a copy of the draw decides.
     """
     while True:
         b = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
-        if mat_rank(b) == cols:
+        if len(_echelon([r[:] for r in b], cols)[0]) == cols:
             return b
 
 

@@ -207,7 +207,7 @@ def check_wedge_contraction(max_n: int = 4) -> CheckResult:
     """The k-th wedge limit is constant exactly on the non-k flag directions.
 
     For each (n, k) the limit taken directly, from the compound of M^T D M
-    interpolated in x, is compared with v v^T for the Pluecker vector v of
+    as a polynomial in x, is compared with v v^T for the Pluecker vector v of
     the first k rows of M, at t = (2, 3, ..., n + 1); neither side is
     computed from the other.
     """

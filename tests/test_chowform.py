@@ -200,7 +200,6 @@ def test_chow_eval_does_not_use_the_restriction(monkeypatch):
 
     monkeypatch.setattr(quadrics, "restrict", refuse)
     monkeypatch.setattr(exact, "mat_mul", refuse)
-    monkeypatch.setattr(chowform, "mat_mul", refuse)
     F = Fraction
     q = SymmetricForm([[F(1, 2), F(-1, 3), F(0), F(2)],
                        [F(-1, 3), F(5, 4), F(1, 6), F(0)],
@@ -476,13 +475,12 @@ def test_flag_limit_neighbouring_coefficients_fail(monkeypatch, shift):
     # a limit read from x^(k(k-1)/2 - 1) or x^(k(k-1)/2 + 1) instead: at
     # every (n, k) either a lower coefficient is nonzero or the matrix is
     # not v v^T (tests/test_verify.py runs the check on both mutants)
-    real = exact._interpolate
+    real = exact._kronecker
 
-    def shifted(values):
-        coeffs = real(values)
-        return [0] + coeffs[:-1] if shift < 0 else coeffs[1:] + [0]
+    def shifted(values_at, deg, bound):
+        return [[0] + c[:-1] if shift < 0 else c[1:] + [0] for c in real(values_at, deg, bound)]
 
-    monkeypatch.setattr(chowform, "_interpolate", shifted)
+    monkeypatch.setattr(chowform, "_kronecker", shifted)
     for n in range(2, 5):
         ts = range(2, n + 2)
         for k in range(1, n + 1):
@@ -505,3 +503,147 @@ def test_wedge_check_takes_the_direct_compound(monkeypatch):
     assert not res.passed and res.details == "n=2 k=1 direct compound taken"
     assert [flag_wedge(3, 2, j) for j in (1, 2, 3)] == [True, False, True]
     assert chowform._flag_plucker(3, 2, (1, 2, 3)) == [1, 2, 0, 2, 0, 0]
+
+
+# -- the compound of a matrix polynomial --------------------------------------
+
+
+def per_point_compound(coeffs, deg, k):
+    # oracle: the integer compound at x = 0..deg, each entry interpolated
+    def at(x):
+        return [[sum(c[i][j] * x ** d for d, c in enumerate(coeffs)) for j in range(len(coeffs[0]))]
+                for i in range(len(coeffs[0]))]
+
+    tables = [quadrics._int_minors(at(x), k) for x in range(deg + 1)]
+    size = len(tables[0])
+    return [[exact._interpolate([t[a][b] for t in tables]) for b in range(size)] for a in range(size)]
+
+
+def minor_bound(coeffs, k):
+    # the product of the k largest row sums of S, S_ij = sum_d |C_d[i][j]|
+    sums = sorted(sum(abs(c[i][j]) for c in coeffs for j in range(len(c))) for i in range(len(coeffs[0])))
+    bound = 1
+    for s in sums[-k:]:
+        bound *= s
+    return bound
+
+
+def random_symmetric(rng, size, top):
+    m = [[0] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i, size):
+            m[i][j] = m[j][i] = rng.randint(-top, top)
+    return m
+
+
+def diag(*entries):
+    return [[x if i == j else 0 for j in range(len(entries))] for i, x in enumerate(entries)]
+
+
+def flag_coeffs(n, ts):
+    return [[[x * y for y in row] for x in row] for row in chowform._flag_matrix(n, ts)]
+
+
+E = 1 << 40
+# (coefficient matrices C_0..C_d, degree of the k-minors, k)
+COMPOUND_CASES = {
+    "pencil_k1": ([[[2, -1], [-1, 3]], [[0, 4], [4, -5]]], 1, 1),
+    "pencil_k2": ([[[2, -1], [-1, 3]], [[0, 4], [4, -5]]], 2, 2),
+    "pencil_mid": ([[[1, 2, 0], [2, -3, 1], [0, 1, 4]], [[-2, 0, 1], [0, 1, 1], [1, 1, 0]]], 2, 2),
+    "zero_b": ([[[3, 1, 0], [1, 2, 1], [0, 1, -1]], [[0] * 3] * 3], 3, 3),
+    "zero_a": ([[[0] * 3] * 3, [[3, 1, 0], [1, 2, 1], [0, 1, -1]]], 3, 3),
+    "zero_middle": ([diag(1, -2, 3), [[0] * 3] * 3, [[0, 1, 1], [1, 0, 1], [1, 1, 0]]], 6, 2),
+    # a coefficient equal to the bound H, of either sign: a digit that
+    # K = bitlen(H) would misread as H - 2^K or 2^K - H
+    "near_bound_high": ([diag(E, E, E), diag(0, 0, 0)], 3, 3),
+    "near_bound_low": ([diag(0, 0, 0), diag(-E, E, E)], 3, 3),
+    "near_bound_k1": ([[[E]], [[0]]], 1, 1),
+    "near_bound_k1_low": ([[[0]], [[-E]]], 1, 1),
+    "near_bound_k2": ([diag(E, -E), diag(0, 0)], 2, 2),
+    "mixed_signs": ([diag(E, -E), diag(E - 1, 1 - E)], 2, 2),
+    "flag_k1": (flag_coeffs(3, (2, -3, 4)), 3, 1),
+    "flag_k2": (flag_coeffs(3, (2, -3, 4)), 5, 2),
+    "flag_full": (flag_coeffs(3, (-5, 7, -1)), 6, 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMPOUND_CASES))
+def test_compound_poly_matches_per_point_oracle(monkeypatch, name):
+    coeffs, deg, k = COMPOUND_CASES[name]
+    calls = []
+    real = quadrics._int_minors
+    monkeypatch.setattr(chowform, "_int_minors", lambda m, j: calls.append(j) or real(m, j))
+    rows = chowform._compound_poly(coeffs, deg, k)
+    assert rows == per_point_compound(coeffs, deg, k)
+    assert calls == [k]
+    if name.startswith("near_bound"):
+        assert max(abs(c) for row in rows for e in row for c in e) == minor_bound(coeffs, k)
+    assert all(len(e) == deg + 1 and all(type(c) is int for c in e) for row in rows for e in row)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_compound_poly_random_pencils_and_flags(seed):
+    rng = random.Random(4100 + seed)
+    size = rng.randint(1, 5)
+    top = rng.choice([1, 9, 1 << 20])
+    pencil = [random_symmetric(rng, size, top) for _ in range(2)]
+    for k in range(1, size + 1):
+        assert chowform._compound_poly(pencil, k, k) == per_point_compound(pencil, k, k)
+    n = size - 1 or 1
+    flags = flag_coeffs(n, [rng.randint(-top, top) for _ in range(n)])
+    for k in range(1, n + 2):
+        deg = sum(range(n - k + 1, n + 1))
+        assert chowform._compound_poly(flags, deg, k) == per_point_compound(flags, deg, k)
+
+
+def _packed(coeffs, deg, k):
+    return deg * (minor_bound(coeffs, k).bit_length() + 1)
+
+
+@pytest.mark.parametrize("size, k", [(2, 1), (2, 2), (3, 2), (4, 3), (5, 5)])
+def test_compound_poly_one_compound_under_the_bit_limit(monkeypatch, size, k):
+    # the largest entry size whose pencil still packs into one compound at
+    # x = 2^K, then the next, which takes one at each x = 0..k
+    def pencil(bits):
+        return [diag(*[(1 << bits) - 1] * size), random_symmetric(random.Random(bits), size, (1 << bits) - 1)]
+
+    bits = 1
+    while _packed(pencil(bits + 1), k, k) <= exact._KRONECKER_BITS:
+        bits += 1
+    real = quadrics._int_minors
+    for entry_bits, points in ((bits, 1), (bits + 1, k + 1)):
+        coeffs = pencil(entry_bits)
+        assert (_packed(coeffs, k, k) <= exact._KRONECKER_BITS) == (points == 1)
+        calls = []
+        monkeypatch.setattr(chowform, "_int_minors", lambda m, j: calls.append(j) or real(m, j))
+        assert chowform._compound_poly(coeffs, k, k) == per_point_compound(coeffs, k, k)
+        assert calls == [k] * points
+
+
+def test_limits_take_one_compound(monkeypatch):
+    real = quadrics._int_minors
+    calls = []
+    monkeypatch.setattr(chowform, "_int_minors", lambda m, j: calls.append(j) or real(m, j))
+    chow_limit(SymmetricForm([[1, 2], [2, 0]]), SymmetricForm([[0, 1], [1, 3]]), 2)
+    assert calls == [2]
+    calls.clear()
+    chowform._flag_limit(4, 3, (2, 3, 4, 5))
+    assert calls == [3]
+    # past the bit limit: k + 1 compounds for the pencil, deg + 1 for the flag
+    calls.clear()
+    big = 1 << 2000
+    chow_limit(SymmetricForm([[big, 1], [1, 0]]), SymmetricForm([[0, big], [big, 3]]), 2)
+    assert calls == [2] * 3
+    calls.clear()
+    ts = (1 << 300, 3, -(1 << 300), 5)
+    limit = chowform._flag_limit(4, 3, ts)
+    assert calls == [3] * (4 + 3 + 2 + 1)
+    assert limit == outer(chowform._flag_plucker(4, 3, ts))
+
+
+def test_compound_poly_refuses_digits_past_the_bound(monkeypatch):
+    # a minor past the coefficient bound leaves digits above the deg + 1
+    # read off, and is refused rather than truncated
+    monkeypatch.setattr(chowform, "_int_minors", lambda m, j: [[1 << 4000] * len(m)] * len(m))
+    with pytest.raises(exact.ExactLinalgError, match="bound"):
+        chowform._compound_poly([[[1, 0], [0, 1]], [[0, 1], [1, 0]]], 1, 1)

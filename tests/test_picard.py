@@ -372,8 +372,33 @@ def test_one_place_checks_form_entries():
     assert _importers("_is_rational") == {"quadrics.py", "chowform.py"}
 
 
-@pytest.mark.parametrize("name, user", [("int_det_poly", "pencils.py"), ("_interpolate", "chowform.py")])
+def _callers(name):
+    # "module.function" for each top-level function of the package that
+    # reads name, "module." for a read outside every function
+    package = pathlib.Path(completequadrics.__file__).resolve().parent
+    users = set()
+    for path in sorted(package.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            scope = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else ""
+            for node in ast.walk(top):
+                if getattr(node, "id", None) == name or getattr(node, "attr", None) == name:
+                    users.add("%s.%s" % (path.stem, scope))
+    return users
+
+
+KERNEL_CALLERS = {
+    "int_det_poly": {"pencils._det_binary"},
+    "_interpolate": {"exact._kronecker", "chowform._grid_poly"},
+    "_kronecker": {"exact.int_det_poly", "chowform._compound_poly"},
+}
+
+
+@pytest.mark.parametrize("name, user", [("int_det_poly", "pencils.py"), ("_interpolate", "chowform.py"),
+                                        ("_kronecker", "chowform.py")])
 def test_one_caller_per_kernel(name, user):
-    # pencil determinant forms are the one use of int_det_poly, and the
-    # Chow-form limits the one use of the interpolation outside exact
+    # pencil determinant forms are the one use of int_det_poly; the digit
+    # unpacking of _kronecker serves it and the Chow-form limits' compounds
+    # (_compound_poly), and outside exact only the wedge example matrix
+    # interpolates
     assert _importers(name) == {user}
+    assert _callers(name) == KERNEL_CALLERS[name]

@@ -143,9 +143,9 @@ def _patch_wedge_matrix(mp):
 
 def _patch_limit_order(mp, shift):
     # _flag_limit reads the coefficient of x^(k(k-1)/2 + shift)
-    real = exact._interpolate
-    mp.setattr(chowform, "_interpolate", lambda values: (
-        [0] + real(values)[:-1] if shift < 0 else real(values)[1:] + [0]))
+    real = exact._kronecker
+    mp.setattr(chowform, "_kronecker", lambda values_at, deg, bound: [
+        [0] + c[:-1] if shift < 0 else c[1:] + [0] for c in real(values_at, deg, bound)])
 
 
 def _patch_plucker_rows(mp):
