@@ -30,7 +30,7 @@ import itertools
 import operator
 
 from ._value import Record
-from .exact import _interpolate, _is_rational, _kronecker, _rows, clear_denominators, mat_transpose
+from .exact import _interpolate, _is_rational, _kronecker, _rows, clear_denominators
 from .quadrics import SymmetricForm, _int_minors, _laplace_cols
 
 
@@ -236,7 +236,7 @@ def _flag_matrix(n: int, ts) -> list:
 
 def _flag_plucker(n: int, k: int, ts) -> list:
     """Integer Pluecker vector of the first k rows of the flag matrix."""
-    return _int_plucker(mat_transpose(_flag_matrix(n, ts)[:k]))[2]
+    return _int_plucker(zip(*_flag_matrix(n, ts)[:k]))[2]
 
 
 def _flag_limit(n: int, k: int, ts) -> list:

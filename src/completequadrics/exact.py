@@ -199,11 +199,6 @@ def _rows(m):
     return rows
 
 
-def mat_transpose(m):
-    m = _rows(m)
-    return [list(col) for col in zip(*m)]
-
-
 def mat_mul(a, b):
     """Matrix product of matrices with rational or integer entries; an
     all-integer product has int entries."""

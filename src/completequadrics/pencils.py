@@ -17,7 +17,7 @@ from functools import cached_property
 from ._value import Record
 from .exact import clear_denominators, distinct_root_count, int_det_poly
 from .exact import ff_det  # noqa: F401  bench/test_bench.py traces and restores this alias
-from .quadrics import SymmetricForm, _random_basis, random_form, restrict
+from .quadrics import SymmetricForm, _random_basis, _small_ints, random_form, restrict
 
 
 class DegeneratePencilError(ValueError):
@@ -176,9 +176,7 @@ def _rank2_product_pencil(rng, m: int) -> Pencil:
     size = m + 1
 
     def build(r):
-        u = [Fraction(r.randint(-3, 3)) for _ in range(size)]
-        v0 = [Fraction(r.randint(-3, 3)) for _ in range(size)]
-        v1 = [Fraction(r.randint(-3, 3)) for _ in range(size)]
+        u, v0, v1 = (_small_ints(r, size) for _ in range(3))
         return Pencil(_sym_outer(u, v0), _sym_outer(u, v1))
 
     return _retry(build, rng)

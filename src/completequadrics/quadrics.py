@@ -190,26 +190,52 @@ def quadric_space_dim(n: int) -> int:
     return math.comb(n + 2, 2) - 1
 
 
+def _small_ints(rng, count: int) -> list:
+    """count draws, each equal to one call of rng.randint(-3, 3), read from
+    the same Mersenne Twister words in the same order.
+
+    randint(-3, 3) is -3 + _randbelow(7), and for random.Random _randbelow(7)
+    reads getrandbits(3) until a value below 7 comes up; this runs that loop
+    inline, so the draws and the generator state after them are those of
+    count randint calls, without their per-call overhead.
+    """
+    bits = rng.getrandbits
+    out = []
+    for _ in range(count):
+        r = bits(3)
+        while r == 7:
+            r = bits(3)
+        out.append(r - 3)
+    return out
+
+
 def _random_basis(rng, rows: int, cols: int) -> list:
     """Random rows x cols integer matrix of rank cols, entries in -3..3.
 
     The package's only random-matrix draw: the invertible M of random_form
     and the points and subspaces that pencil tangencies and the Chow-form
-    identity are counted on.  Entries are read from rng row by row, and the
-    whole matrix is drawn again until its columns are independent, which
-    one elimination of a copy of the draw decides.
+    identity are counted on.  Entries are the draws of rng.randint(-3, 3),
+    replayed by _small_ints, row by row, and the whole matrix is drawn again
+    until its columns are independent, which one elimination of a copy of
+    the draw decides.  More columns than rows can never be independent, so
+    that shape raises ValueError before anything is drawn.
     """
+    if cols > rows:
+        raise ValueError("a %d x %d matrix cannot have rank %d" % (rows, cols, cols))
     while True:
-        b = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
+        flat = _small_ints(rng, rows * cols)
+        b = [flat[i:i + cols] for i in range(0, rows * cols, cols)]
         if len(_echelon([r[:] for r in b], cols)[0]) == cols:
             return b
 
 
 def random_form(n: int, r: int, seed: int) -> SymmetricForm:
-    """Deterministic pseudorandom rational form on P^n of exact rank r.
+    """Deterministic pseudorandom integer form on P^n of exact rank r.
 
-    Built as M^T D M with M a random invertible integer matrix and D diagonal
-    with exactly r nonzero entries, so the rank is exact by congruence.
+    Built as M^T D M with M a random invertible integer matrix (_random_basis)
+    and D diagonal with exactly r nonzero entries, so the rank is exact by
+    congruence.  The entries are the integer sums of M^T D M, stored as ints:
+    the kernels that scale a form to integers scale this one by 1.
     """
     if not 1 <= r <= n + 1:
         raise ValueError("rank out of range")
@@ -223,5 +249,5 @@ def random_form(n: int, r: int, seed: int) -> SymmetricForm:
     for i in range(size):
         di = [dk * x for dk, x in zip(d, cols[i])]
         for j in range(i, size):
-            rows[i][j] = rows[j][i] = Fraction(sum(map(operator.mul, di, cols[j])))
+            rows[i][j] = rows[j][i] = sum(map(operator.mul, di, cols[j]))
     return SymmetricForm(rows)

@@ -71,7 +71,7 @@ def pinned_lines():
             else:
                 base = random_form(n, rng.randint(1, size), seed=rng.randint(0, 10 ** 6))
                 den = [rng.randint(1, 5) for _ in range(size)]
-                q = SymmetricForm([[x / (den[i] * den[j]) for j, x in enumerate(row)]
+                q = SymmetricForm([[Fraction(x, den[i] * den[j]) for j, x in enumerate(row)]
                                    for i, row in enumerate(base.rows)])
             for k in range(1, size + 1):
                 span = rng.choice([1, 4])

@@ -41,7 +41,6 @@ from completequadrics.exact import (
     mat_inverse,
     mat_mul,
     mat_rank,
-    mat_transpose,
     parse_rat,
     poly_gcd,
     solve_exact,
@@ -712,10 +711,10 @@ def test_skipped_pivot_columns_match_minor_oracle(seed):
     rows, inner = rng.randint(1, 4), rng.randint(1, 3)
     f = [[Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(inner)] for _ in range(rows)]
     g = [[Fraction(rng.randint(-2, 2)) for _ in range(inner)] for _ in range(inner)]
-    cols = mat_transpose(mat_mul(f, g))
+    cols = [list(col) for col in zip(*mat_mul(f, g))]
     cols.insert(rng.randint(0, len(cols)), [Fraction(0)] * rows)
     cols.insert(rng.randint(0, len(cols)), list(rng.choice(cols)))
-    a = mat_transpose(cols)
+    a = [list(row) for row in zip(*cols)]
     rank = minor_rank(a)
     assert mat_rank(a) == rank
     if rows == len(cols):
@@ -795,6 +794,8 @@ def test_parse_rat_rejects_exponents_and_floats(text):
 
 
 def test_mat_transpose_mul():
+    # (AB)^T = B^T A^T, each transpose taken by zip
     a = [[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]]
-    assert mat_transpose(a) == [[1, 3], [2, 4]]
-    assert mat_mul(a, [[Fraction(1)], [Fraction(1)]]) == [[3], [7]]
+    b = [[Fraction(1)], [Fraction(1)]]
+    assert mat_mul(a, b) == [[3], [7]]
+    assert mat_mul(list(zip(*b)), list(zip(*a))) == [[3, 7]]

@@ -9,7 +9,7 @@ from unittest import mock
 import pytest
 
 from completequadrics import exact, pencils, picard
-from completequadrics.exact import mat_mul, mat_rank, mat_transpose
+from completequadrics.exact import mat_mul, mat_rank
 from completequadrics.pencils import (
     DIRECT_CHECK_PAIRS,
     DegeneratePencilError,
@@ -198,7 +198,7 @@ def fraction_random_form(n, r, seed):
         if mat_rank(m) == size:
             break
     diag = [[d[i] if i == j else Fraction(0) for j in range(size)] for i in range(size)]
-    return SymmetricForm(mat_mul(mat_transpose(m), mat_mul(diag, m)))
+    return SymmetricForm(mat_mul([list(col) for col in zip(*m)], mat_mul(diag, m)))
 
 
 @pytest.mark.parametrize(
@@ -209,7 +209,33 @@ def fraction_random_form(n, r, seed):
 def test_random_form_matches_fraction_construction(n, r, seed):
     q = random_form(n, r, seed)
     assert q == fraction_random_form(n, r, seed)
-    assert all(isinstance(x, Fraction) for row in q.rows for x in row)
+    assert all(type(x) is int for row in q.rows for x in row)
+
+
+def randint_rank2_pencil(rng, m):
+    # oracle: the draws of pencils._rank2_product_pencil through randint,
+    # retried on a degenerate pencil as that draw is
+    size = m + 1
+
+    def build(r):
+        u = [Fraction(r.randint(-3, 3)) for _ in range(size)]
+        v0 = [Fraction(r.randint(-3, 3)) for _ in range(size)]
+        v1 = [Fraction(r.randint(-3, 3)) for _ in range(size)]
+        return Pencil(_sym_outer(u, v0), _sym_outer(u, v1))
+
+    return pencils._retry(build, rng)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_rank2_product_pencil_matches_randint_draws(m):
+    for seed in range(100):
+        rng, old = random.Random(seed), random.Random(seed)
+        p = pencils._rank2_product_pencil(rng, m)
+        ref = randint_rank2_pencil(old, m)
+        assert p == ref
+        assert [type(x) for q in (p.q0, p.q1) for x in pencils._flat(q)] == \
+            [type(x) for q in (ref.q0, ref.q1) for x in pencils._flat(q)]
+        assert rng.getstate() == old.getstate()
 
 
 class TestPencilValidation:

@@ -151,7 +151,7 @@ def _patch_limit_order(mp, shift):
 def _patch_plucker_rows(mp):
     # v taken from rows 1..k of the flag matrix instead of rows 0..k-1
     mp.setattr(chowform, "_flag_plucker", lambda n, k, ts: chowform._int_plucker(
-        exact.mat_transpose(chowform._flag_matrix(n, ts)[1:k + 1]))[2])
+        zip(*chowform._flag_matrix(n, ts)[1:k + 1]))[2])
 
 
 def _patch_classify(mp, wrong):
