@@ -16,9 +16,10 @@ each public call scales the H vector to integers once (picard.integer_h);
 the census reads the integer vector its draw holds, and the mirror's as
 that vector reversed.  Region, position, nef and effectivity tests and
 forced loci are then read from one placement per sign pattern, built on
-first use and cached; eleven central planes cut R^3 into at most 443
-faces, so at most 443 placements exist.  Wall points therefore resolve
-exactly and deterministically.
+first use and cached.  The eleven planes cut R^3 into exactly 231 faces
+(_faces), so at most 231 placements exist.  Wall points therefore resolve
+exactly and deterministically, and face_census checks the partition on one
+class of every face.
 
 The duality involution (H1 <-> H3, E1 <-> E3) permutes the regions as
 (3 4)(6 7) and fixes the rest; the region data below is arranged so the
@@ -28,7 +29,9 @@ classification commutes with it everywhere, including on walls and rays.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -204,6 +207,49 @@ def _plane_signs(h) -> tuple:
     return tuple([((v := a * x + b * y + c * z) > 0) - (v < 0) for a, b, c in _plane_table()[0]])
 
 
+@functools.cache
+def _faces() -> tuple:
+    """One integer H vector per face of the planes' arrangement, by dimension.
+
+    Returns (apex, rays, 2-faces, chambers), each a tuple of vectors with
+    distinct sign patterns; a face's dimension is read off its count of zero
+    signs: all for the apex, two or more for a ray, one for a 2-face, none
+    for a chamber.  Rays are +- the cross product of each pair of normals.
+    The normals span R^3, so each 2-face is a sector of its plane bounded by
+    two rays, and their sum lies inside it.  Each chamber has a 2-face facet
+    f, on the plane with normal n: every other plane's dot product with f
+    is a nonzero integer, so m f + n and m f - n, with m above every
+    |n . n'|, lie in the two chambers on either side of f.  The apex is the
+    sum of opposite rays.  Euler's relation on the sphere, rays - 2-faces +
+    chambers = 2, is checked.  Built on first use.
+    """
+    normals = _plane_table()[0]
+    found = {}
+    for (a0, a1, a2), (b0, b1, b2) in itertools.combinations(normals, 2):
+        c = (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+        for v in (c, tuple(-x for x in c)):
+            found.setdefault(_plane_signs(v), v)
+    for u, v in itertools.combinations(list(found.values()), 2):
+        w = tuple(map(operator.add, u, v))
+        found.setdefault(_plane_signs(w), w)
+    # |n . n'| <= max |n|^2
+    m = 1 + max(x * x + y * y + z * z for x, y, z in normals)
+    for signs, f in list(found.items()):
+        if signs.count(0) == 1:
+            n = normals[signs.index(0)]
+            for s in (1, -1):
+                w = tuple(m * x + s * y for x, y in zip(f, n))
+                found.setdefault(_plane_signs(w), w)
+    by_dim = ([], [], [], [])
+    for signs, v in found.items():
+        zeros = signs.count(0)
+        by_dim[0 if zeros == len(normals) else 1 if zeros > 1 else 3 - zeros].append(v)
+    sizes = tuple(map(len, by_dim[1:]))
+    if sizes[0] - sizes[1] + sizes[2] != 2:
+        raise RuntimeError("faces break Euler's relation: %d rays, %d 2-faces, %d chambers" % sizes)
+    return tuple(map(tuple, by_dim))
+
+
 def _cone_accepts(signs, gens, flags) -> bool:
     for (plane, orient), flag in zip(_plane_table()[1][gens], flags):
         value = orient * signs[plane]
@@ -278,7 +324,7 @@ class _Placement(Record):
 def _placement(signs: tuple) -> _Placement:
     """Every public answer for one sign pattern, built once.
 
-    Eleven central planes cut R^3 into at most 443 faces, so the cache holds
+    The eleven planes cut R^3 into 231 faces (_faces), so the cache holds
     at most that many patterns.
     """
     nef = _cone_accepts(signs, *_NEF)
@@ -407,19 +453,78 @@ def _sample_effective(rng) -> list:
             return _drawn(coeffs, _EFF[0])
 
 
+def _check_class(h, den: int) -> ChamberReport:
+    """Check the partition at one effective class and return its report.
+
+    h is the class's H vector times den, integers.  Two placements are read,
+    from the signs of h and of the reversed vector, the mirror's under
+    picard.xi (H1 <-> H3).  They hold what accepting_regions, classify (apart
+    from the small-wall certificate) and forced_base_loci return.  It checks
+    that exactly one region accepts, that classification commutes with the
+    duality involution, that curve-forced loci are contained in the reported
+    locus, and that the locus is empty exactly on the nef cone; a class is
+    built only to name it in a failure.
+    """
+    placement = _placement(_plane_signs(h))
+    if len(placement.accepted) != 1:
+        raise AssertionError("regions %r accept %r" % (list(placement.accepted), _named(h, den)))
+    # _reported, which needs the class to name it, runs only without a report
+    report = placement.report or _reported(placement, _named(h, den))
+
+    dual = _placement(_plane_signs(h[::-1]))
+    mirror = dual.report or _reported(dual, _named(h[::-1], den))
+    if mirror.chamber_id != _XI_CHAMBER[report.chamber_id]:
+        raise AssertionError("duality maps chamber %d to %d at %r"
+                             % (report.chamber_id, mirror.chamber_id, _named(h, den)))
+    if mirror.base_locus != _xi_pieces(report.base_locus):
+        raise AssertionError("duality breaks base locus at %r" % (_named(h, den),))
+    if mirror.position != _xi_position(report.position):
+        raise AssertionError("duality breaks position at %r" % (_named(h, den),))
+    if mirror.model_label != _XI_MODEL.get(report.model_label, report.model_label):
+        raise AssertionError("duality breaks model label at %r" % (_named(h, den),))
+
+    if not locus_subset(placement.forced, report.base_locus):
+        raise AssertionError("forced locus exceeds reported locus at %r" % (_named(h, den),))
+    if (report.base_locus == frozenset()) != all(c >= 0 for c in h):
+        raise AssertionError("empty locus must coincide with nef at %r" % (_named(h, den),))
+    return report
+
+
+def face_census() -> dict:
+    """Check the partition on one class of every face of the arrangement.
+
+    Every answer of the classifier depends only on a class's sign pattern,
+    and _faces holds one vector of each pattern, so this covers every
+    nonzero class.  Each effective face gets _check_class, the census's
+    checks; no region may accept a non-effective face.  Returns the face
+    counts by dimension, the effective faces per chamber and the number of
+    non-effective faces.
+    """
+    faces = _faces()
+    counts = {cid: 0 for cid in range(1, 9)}
+    non_effective = 0
+    for h in itertools.chain(*faces[1:]):
+        placement = _placement(_plane_signs(h))
+        if placement.failure is None:
+            counts[_check_class(h, 1).chamber_id] += 1
+        elif placement.accepted:
+            raise AssertionError("regions %r accept non-effective %r"
+                                 % (list(placement.accepted), _named(h, 1)))
+        else:
+            non_effective += 1
+    return {
+        "faces": dict(zip(("apex", "rays", "2-faces", "chambers"), map(len, faces))),
+        "chamber_faces": {str(cid): counts[cid] for cid in range(1, 9)},
+        "non_effective": non_effective,
+    }
+
+
 def chamber_census(samples: int, seed: int) -> dict:
     """Classify seeded random effective classes and verify the partition.
 
     Alternates region-targeted samples (so every chamber is exercised) with
     uniform effective samples.  Each sample is an integer vector, its class's H
-    vector times a fixed denominator; a class is built only to name it in a
-    failure.  Two placements are read per sample, from the signs of the vector
-    and of the reversed vector, the mirror's under picard.xi (H1 <-> H3).  They
-    hold what accepting_regions, classify (apart from the small-wall
-    certificate) and forced_base_loci return.  For each class it checks that
-    exactly one region accepts, that classification commutes with the duality
-    involution, that curve-forced loci are contained in the reported locus, and
-    that the locus is empty exactly on the nef cone.
+    vector times a fixed denominator, and gets _check_class.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -430,29 +535,7 @@ def chamber_census(samples: int, seed: int) -> dict:
             h, den = _sample_region(rng, (i // 2) % 8 + 1), 2
         else:
             h, den = _sample_effective(rng), 3
-        placement = _placement(_plane_signs(h))
-        if len(placement.accepted) != 1:
-            raise AssertionError("regions %r accept %r" % (list(placement.accepted), _named(h, den)))
-        # _reported, which needs the class to name it, runs only without a report
-        report = placement.report or _reported(placement, _named(h, den))
-        counts[report.chamber_id] += 1
-
-        dual = _placement(_plane_signs(h[::-1]))
-        mirror = dual.report or _reported(dual, _named(h[::-1], den))
-        if mirror.chamber_id != _XI_CHAMBER[report.chamber_id]:
-            raise AssertionError("duality maps chamber %d to %d at %r"
-                                 % (report.chamber_id, mirror.chamber_id, _named(h, den)))
-        if mirror.base_locus != _xi_pieces(report.base_locus):
-            raise AssertionError("duality breaks base locus at %r" % (_named(h, den),))
-        if mirror.position != _xi_position(report.position):
-            raise AssertionError("duality breaks position at %r" % (_named(h, den),))
-        if mirror.model_label != _XI_MODEL.get(report.model_label, report.model_label):
-            raise AssertionError("duality breaks model label at %r" % (_named(h, den),))
-
-        if not locus_subset(placement.forced, report.base_locus):
-            raise AssertionError("forced locus exceeds reported locus at %r" % (_named(h, den),))
-        if (report.base_locus == frozenset()) != all(c >= 0 for c in h):
-            raise AssertionError("empty locus must coincide with nef at %r" % (_named(h, den),))
+        counts[_check_class(h, den).chamber_id] += 1
     result = {
         "samples": samples,
         "chamber_counts": {str(cid): counts[cid] for cid in range(1, 9)},

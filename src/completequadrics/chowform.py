@@ -30,7 +30,7 @@ import itertools
 import operator
 
 from ._value import Record
-from .exact import _interpolate, _is_rational, _kronecker, _rows, clear_denominators
+from .exact import _interpolate, _kronecker, _rows, clear_denominators
 from .quadrics import SymmetricForm, _int_minors, _laplace_cols
 
 
@@ -82,12 +82,8 @@ def _int_plucker(basis) -> tuple:
     along column j - 1 into the (j-1)-minors of the level before, with the
     subset tables of the compound (quadrics._laplace_cols).
     """
-    b = [list(r) for r in basis]
-    if not _is_rational(b):
-        raise TypeError("plucker expects rational entries")
+    b = _rows(basis)
     k = len(b[0]) if b else 0
-    if any(len(r) != k for r in b):
-        raise ValueError("basis rows must have equal length")
     minors, den = [], 1
     if k:
         ints, scale = clear_denominators(b)

@@ -295,7 +295,12 @@ def cmd_chamber(args) -> int:
     if args.census is not None:
         if args.census > MAX_CENSUS:
             raise ValueError("chamber --census is at most %d (got %d)" % (MAX_CENSUS, args.census))
-        res = chambers.chamber_census(args.census, args.seed)
+        try:
+            res = chambers.chamber_census(args.census, args.seed)
+        except (AssertionError, RuntimeError) as exc:
+            # a census check failed: the verification ran, exit 1
+            sys.stderr.write("error: %s\n" % exc)
+            return 1
         _emit("chamber-census", seed=args.seed, **res)
         return 0
     if args.segment is not None:

@@ -80,7 +80,7 @@ def test_criterion_09_chow_limits():
 
 
 def test_criterion_10_chamber_partition():
-    _run(verify.check_chamber_partition, 60, samples=10000, seed=0)
+    _run(verify.check_chamber_partition, 60)
 
 
 def test_criterion_11_degree_gap_documented():

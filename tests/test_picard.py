@@ -368,8 +368,9 @@ def test_no_per_minor_eliminations_outside_exact():
 
 def test_one_place_checks_form_entries():
     # SymmetricForm refuses a non-rational entry, so no kernel that takes a
-    # form checks it again; chowform checks raw bases (plucker, chow_eval)
-    assert _importers("_is_rational") == {"quadrics.py", "chowform.py"}
+    # form checks it again; raw bases (plucker, chow_eval) and other raw
+    # matrices are read through exact._rows
+    assert _importers("_is_rational") == {"quadrics.py"}
 
 
 def _callers(name):

@@ -76,9 +76,11 @@ STATEMENTS = {
         "rank-2 limits are supported on p0^2; rank-1 limits reproduce the marking conic "
         "in line coordinates, 1 random draws each"),
     "chamber-partition": (
-        "classification examples land in regions 1, 2 and 7; 50-sample census finds "
-        "exactly one region per class, hits all eight, commutes with duality and "
-        "contains every curve-forced locus"),
+        "classification examples land in regions 1, 2 and 7; on every face of the "
+        "arrangement of the classifier's planes, exactly one region accepts each "
+        "effective class and none a non-effective one, all eight own a face, "
+        "classification commutes with duality, contains every curve-forced locus and "
+        "has an empty locus exactly on the nef cone"),
 }
 
 
@@ -159,8 +161,43 @@ def _patch_classify(mp, wrong):
     mp.setattr(chambers, "classify", lambda d: _fake_report(8) if wrong(d) else real(d))
 
 
-def _raise_assertion(samples, seed):
-    raise AssertionError("sample 3 lands in two regions")
+def _patch_placements(mp, which, **fields):
+    # the placements of the sign patterns which(signs, placement) selects get
+    # the given fields; every other pattern keeps its own
+    real = chambers._placement
+
+    def placement(signs):
+        found = real(signs)
+        if not which(signs, found):
+            return found
+        values = {f: getattr(found, f) for f in found._fields}
+        values.update(fields)
+        return chambers._Placement(**values)
+
+    mp.setattr(chambers, "_placement", placement)
+
+
+def _patch_escape(mp, h):
+    # the pattern of h, an effective class, gets no report and no failure
+    signs = chambers._plane_signs(h)
+    _patch_placements(mp, lambda s, p: s == signs, report=None, failure=None)
+
+
+def _strict_effective_cone(mp):
+    # the boundary of the effective cone, where the union example lies, is
+    # read as not effective
+    mp.setattr(chambers, "_EFF", (chambers._EFF[0], (">", ">", ">")))
+
+
+def _patch_face_census(mp):
+    real = chambers.face_census
+
+    def census():
+        out = real()
+        out["chamber_faces"]["6"] = 0
+        return out
+
+    mp.setattr(chambers, "face_census", census)
 
 
 def _boundary():
@@ -179,8 +216,8 @@ def _limits():
     return verify.check_chow_limits(draws=1, seed=0)
 
 
-def _partition():
-    return verify.check_chamber_partition(samples=50)
+def _named(*h):
+    return repr(DivisorClass(3, "H", tuple(Fraction(x) for x in h)))
 
 
 _ZERO_MIXED = "DivisorClass(n=3, basis='mixed', coeffs=(%s))" % ", ".join(["Fraction(0, 1)"] * 3)
@@ -236,25 +273,44 @@ FAILURES = [
      _limits, "rank-1 support at [-1, 3, 2, 1, -1, 2]"),
     ("chamber-nef", "chamber-partition",
      lambda mp: _patch_classify(mp, lambda d: d.coeffs == (1, 1, 1)),
-     _partition, "nef example misclassified"),
+     verify.check_chamber_partition, "nef example misclassified"),
     ("chamber-flip", "chamber-partition",
      lambda mp: _patch_classify(mp, lambda d: d.coeffs == (5, -2, 5)),
-     _partition, "flip example misclassified"),
+     verify.check_chamber_partition, "flip example misclassified"),
     ("chamber-union", "chamber-partition",
      lambda mp: _patch_classify(mp, lambda d: d.basis == "E"),
-     _partition, "union example misclassified"),
+     verify.check_chamber_partition, "union example misclassified"),
     ("chamber-census", "chamber-partition",
-     lambda mp: mp.setattr(chambers, "chamber_census", _raise_assertion),
-     _partition, "sample 3 lands in two regions"),
-    ("chamber-unseen", "chamber-partition",
-     lambda mp: mp.setattr(chambers, "chamber_census", lambda s, seed: {"all_eight_hit": False}),
-     _partition, "some chamber unseen"),
+     lambda mp: mp.setattr(chambers, "REGIONS", chambers.REGIONS + (chambers.REGIONS[0],)),
+     verify.check_chamber_partition, "regions [1, 1] accept " + _named(0, 0, 1)),
+    ("chamber-non-effective", "chamber-partition",
+     lambda mp: _patch_placements(mp, lambda s, p: p.failure == "class is not effective",
+                                  accepted=(3,)),
+     verify.check_chamber_partition, "regions [3] accept non-effective " + _named(0, 0, -1)),
+    ("chamber-unseen", "chamber-partition", _patch_face_census,
+     verify.check_chamber_partition, "chamber 6 owns no face"),
+    ("chamber-escape-face", "chamber-partition", lambda mp: _patch_escape(mp, (0, 0, 1)),
+     verify.check_chamber_partition,
+     "effective class escaped the chamber cover: " + _named(0, 0, 1)),
+    ("chamber-escape-example", "chamber-partition", lambda mp: _patch_escape(mp, (1, 1, 1)),
+     verify.check_chamber_partition,
+     "effective class escaped the chamber cover: " + _named(1, 1, 1)),
+    ("chamber-not-effective", "chamber-partition", _strict_effective_cone,
+     verify.check_chamber_partition, "class is not effective"),
 ]
+
+
+@pytest.fixture
+def fresh_placements():
+    # placements are cached per sign pattern; none built under a patch outlives it
+    chambers._placement.cache_clear()
+    yield
+    chambers._placement.cache_clear()
 
 
 @pytest.mark.parametrize("name, patch, check, details", [c[1:] for c in FAILURES],
                          ids=[c[0] for c in FAILURES])
-def test_failure_reported(monkeypatch, name, patch, check, details):
+def test_failure_reported(fresh_placements, monkeypatch, name, patch, check, details):
     patch(monkeypatch)
     res = check()
     assert (res.name, res.statement, res.passed, res.details) == (
