@@ -19,7 +19,8 @@ forced loci are then read from one placement per sign pattern, built on
 first use and cached.  The eleven planes cut R^3 into exactly 231 faces
 (_faces), so at most 231 placements exist.  Wall points therefore resolve
 exactly and deterministically, and face_census checks the partition on one
-class of every face.
+class of every face.  For the same reason the census checks each sign
+pattern it meets in full once (_check_class).
 
 The duality involution (H1 <-> H3, E1 <-> E3) permutes the regions as
 (3 4)(6 7) and fixes the rest; the region data below is arranged so the
@@ -412,10 +413,16 @@ def _xi_position(position: str) -> str:
     return "%s %s" % (kind, ",".join(mapped))
 
 
+@functools.cache
+def _h_rows(gens) -> tuple:
+    # row i holds the i-th H coordinate of each generator in gens
+    return tuple(zip(*(_GEN_H[g] for g in gens)))
+
+
 def _drawn(coeffs, gens) -> list:
     # H coordinates of the class with coordinates coeffs in gens, both scaled by den
-    cols = [_GEN_H[g] for g in gens]
-    return [sum(c * col[i] for c, col in zip(coeffs, cols)) for i in range(3)]
+    a, b, c = coeffs
+    return [a * x + b * y + c * z for x, y, z in _h_rows(gens)]
 
 
 def _named(h, den: int) -> DivisorClass:
@@ -423,16 +430,30 @@ def _named(h, den: int) -> DivisorClass:
     return DivisorClass(3, "H", tuple(Fraction(x, den) for x in h))
 
 
+def _randbelow(rng, n: int) -> int:
+    """rng.randrange(n), read from the same Mersenne Twister words.
+
+    For random.Random, randrange(n), randint(a, a + n - 1) - a and the index
+    that choice takes from n items all come from _randbelow(n): getrandbits
+    of n's bit length, drawn until a value below n comes up.  This runs that
+    loop without the calls around it, as quadrics._small_ints does.
+    """
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
 def _sample_region(rng, chamber_id: int) -> list:
     """A class from a region's cone, as its H vector times 2."""
     spec = REGIONS[chamber_id - 1]
-    gens, flags = spec.cones[rng.randrange(len(spec.cones))]
+    gens, flags = spec.cones[_randbelow(rng, len(spec.cones))]
+    lows = [1 if flag == ">" else 0 for flag in flags]
     while True:
-        # each coordinate is num / den with den 1 or 2; twice it is an integer
-        coeffs = []
-        for flag in flags:
-            low = 1 if flag == ">" else 0
-            coeffs.append(rng.randint(low, 6) * (2 // rng.choice((1, 1, 2))))
+        # each coordinate is num / den with num in low..6 and den 1, 1 or 2
+        # (randint, then choice); twice it is an integer
+        coeffs = [(low + _randbelow(rng, 7 - low)) * (2, 2, 1)[_randbelow(rng, 3)] for low in lows]
         if spec.chamber_id == 1 and not any(coeffs):
             continue
         if spec.exclude_nef and coeffs[2] == 0:
@@ -443,18 +464,45 @@ def _sample_region(rng, chamber_id: int) -> list:
 def _sample_effective(rng) -> list:
     """A class with random nonnegative E coordinates, as its H vector times 3."""
     while True:
-        # each E coordinate is 0 or num / den with den 1 or 3; three times
-        # it is an integer
+        # each E coordinate is 0 or num / den with num in 1..12 and den 1, 1
+        # or 3 (randint, then choice); three times it is an integer
         coeffs = [
-            0 if rng.random() < 0.15 else rng.randint(1, 12) * (3 // rng.choice((1, 1, 3)))
+            0 if rng.random() < 0.15 else (1 + _randbelow(rng, 12)) * (3, 3, 1)[_randbelow(rng, 3)]
             for _ in range(3)
         ]
         if any(coeffs):
             return _drawn(coeffs, _EFF[0])
 
 
+# sign pattern -> (the _placement function, the placement it returned, the
+# report) of the pattern's last passing full check; one entry per face at most
+_CHECKED = {}
+
+
 def _check_class(h, den: int) -> ChamberReport:
     """Check the partition at one effective class and return its report.
+
+    h is the class's H vector times den, integers.  Every check of
+    _full_check reads the class through its sign pattern alone (the nef
+    test too: the first three planes are the coordinate planes), so each
+    pattern is checked in full once and its report is kept in _CHECKED.
+    A later class of the pattern gets that report back as long as
+    _placement is the same function and returns the same placement object;
+    after a cache clear or a patch of _placement the pattern is checked in
+    full again.  A failure is never kept.
+    """
+    signs = _plane_signs(h)
+    own = _placement(signs)
+    seen = _CHECKED.get(signs)
+    if seen is not None and seen[0] is _placement and seen[1] is own:
+        return seen[2]
+    report = _full_check(h, den)
+    _CHECKED[signs] = (_placement, own, report)
+    return report
+
+
+def _full_check(h, den: int) -> ChamberReport:
+    """Run every census check at one effective class; return its report.
 
     h is the class's H vector times den, integers.  Two placements are read,
     from the signs of h and of the reversed vector, the mirror's under
@@ -524,7 +572,9 @@ def chamber_census(samples: int, seed: int) -> dict:
 
     Alternates region-targeted samples (so every chamber is exercised) with
     uniform effective samples.  Each sample is an integer vector, its class's H
-    vector times a fixed denominator, and gets _check_class.
+    vector times a fixed denominator, and gets _check_class, which checks each
+    sign pattern in full once: a later sample of a checked pattern costs its
+    draw, its sign pattern and one placement lookup.
     """
     if samples < 1:
         raise ValueError("need at least one sample")

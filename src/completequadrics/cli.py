@@ -31,8 +31,8 @@ SCHEMA = "cq/1"
 MAX_PENCIL_N = 40
 
 # Largest sample count `cq chamber --census` accepts.  A census classifies
-# about 50,000 samples a second on one 2.1 GHz Xeon core, so this bound runs
-# in about 5 s there; larger counts are rejected with exit 2.
+# about 150,000 samples a second on one 2.1 GHz Xeon core, so this bound runs
+# in about 2 s there; larger counts are rejected with exit 2.
 MAX_CENSUS = 250_000
 
 # Largest `cq chow` input.  A compound has C(n+1,k) rows, and its minors are

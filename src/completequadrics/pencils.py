@@ -138,11 +138,10 @@ def _retry(builder, rng):
 
 
 def _smooth_pencil(r, m: int) -> Pencil:
-    # one draw of two smooth forms on P^m; the form check raises for a pencil
-    # of singular members, and the form it computes stays on the pencil
-    p = Pencil(random_form(m, m + 1, r.randrange(1 << 30)), random_form(m, m + 1, r.randrange(1 << 30)))
-    pencil_det_form(p)
-    return p
+    # one draw of two smooth forms on P^m.  Q0 has exact rank m + 1, so the
+    # determinant form's coefficient c_0 = det Q0 is nonzero and the form
+    # needs no check here; it is computed on first use.
+    return Pencil(random_form(m, m + 1, r.randrange(1 << 30)), random_form(m, m + 1, r.randrange(1 << 30)))
 
 
 def random_pencil(m: int, seed: int) -> Pencil:

@@ -514,6 +514,53 @@ def test_integer_draws_equal_the_fraction_draws():
         assert ours.random() == theirs.random()
 
 
+def randint_draw(rng, i):
+    """Sample i of a census as the randint, choice and randrange code drew it:
+    its H vector times den, and den."""
+    if i % 2 == 0:
+        spec = REGIONS[(i // 2) % 8]
+        gens, flags = spec.cones[rng.randrange(len(spec.cones))]
+        while True:
+            coeffs = []
+            for flag in flags:
+                low = 1 if flag == ">" else 0
+                coeffs.append(rng.randint(low, 6) * (2 // rng.choice((1, 1, 2))))
+            if spec.chamber_id == 1 and not any(coeffs):
+                continue
+            if spec.exclude_nef and coeffs[2] == 0:
+                continue
+            break
+        den = 2
+    else:
+        while True:
+            coeffs = [
+                0 if rng.random() < 0.15 else rng.randint(1, 12) * (3 // rng.choice((1, 1, 3)))
+                for _ in range(3)
+            ]
+            if any(coeffs):
+                break
+        gens, den = ("E1", "E2", "E3"), 3
+    cols = [chambers._GEN_H[g] for g in gens]
+    return [sum(c * col[k] for c, col in zip(coeffs, cols)) for k in range(3)], den
+
+
+def test_replayed_draws_equal_the_randint_draws():
+    # the samplers read getrandbits through _randbelow; the vectors and the
+    # generator state after them are those of the library calls
+    for seed in range(1000):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for i in range(16):
+            assert integer_draw(ours, i) == randint_draw(theirs, i), (seed, i)
+        assert ours.getstate() == theirs.getstate(), seed
+
+
+def test_randbelow_is_randrange():
+    for n in (1, 2, 3, 6, 7, 12, 1000):
+        ours, theirs = random.Random(n), random.Random(n)
+        assert [chambers._randbelow(ours, n) for _ in range(200)] == [theirs.randrange(n) for _ in range(200)]
+        assert ours.getstate() == theirs.getstate()
+
+
 # sha256 of json.dumps([chamber_census(50, s)["chamber_counts"] for s in
 # range(128)], sort_keys=True), recorded with the Fraction draws and the
 # row-based classifier
@@ -534,40 +581,74 @@ def census_draws(samples, seed):
     return [DivisorClass(3, "H", tuple(Fraction(x, den) for x in h)) for h, den in draws]
 
 
-def recorded_lookups(monkeypatch, run):
-    # every (sign pattern, placement) the census looks up while run() runs
-    lookups, real = [], chambers._placement
+def recorded_checks(monkeypatch, run):
+    """Each _check_class call while run() runs: its report and the (sign
+    pattern, placement) lookups it made.  _placement is patched, so no
+    report kept under the real one is reused."""
+    checks, lookups = [], []
+    real_check, real_placement = chambers._check_class, chambers._placement
 
     def placement(signs):
-        found = real(signs)
+        found = real_placement(signs)
         lookups.append((signs, found))
         return found
 
+    def check(h, den):
+        lookups.clear()
+        report = real_check(h, den)
+        checks.append((report, lookups[:]))
+        return report
+
     monkeypatch.setattr(chambers, "_placement", placement)
+    monkeypatch.setattr(chambers, "_check_class", check)
     run()
-    return lookups[:]
+    return checks
 
 
 def without_certificate(report):
     return tuple(getattr(report, f) for f in report._fields if f != "certificate")
 
 
+def xi_image(report):
+    # chamber, locus, position and model of a report's mirror under xi
+    return (chambers._XI_CHAMBER[report.chamber_id], chambers._xi_pieces(report.base_locus),
+            chambers._xi_position(report.position),
+            chambers._XI_MODEL.get(report.model_label, report.model_label))
+
+
 def test_census_reads_what_the_public_api_returns(monkeypatch):
+    # every sample's answer against classify of its class and of the mirror;
+    # a sample reads one placement, a full check also its own again and the
+    # mirror's, and each sign pattern gets one full check
     seeds = range(16)
-    lookups = recorded_lookups(monkeypatch, lambda: [chamber_census(50, s) for s in seeds])
+    checks = recorded_checks(monkeypatch, lambda: [chamber_census(50, s) for s in seeds])
     draws = [d for s in seeds for d in census_draws(50, s)]
-    assert len(lookups) == 2 * len(draws)
-    for d, (signs, own), (mirror_signs, mirror) in zip(draws, lookups[::2], lookups[1::2]):
-        assert signs == chambers._signs(d) and mirror_signs == chambers._signs(xi(d)), d
-        assert list(own.accepted) == accepting_regions(d), d
-        assert without_certificate(own.report) == without_certificate(classify(d)), d
-        assert own.forced == forced_base_loci(d), d
-        assert without_certificate(mirror.report) == without_certificate(classify(xi(d))), d
+    assert len(checks) == len(draws)
+    full = set()
+    for d, (report, lookups) in zip(draws, checks):
+        mirror = classify(xi(d))
+        assert without_certificate(report) == without_certificate(classify(d)), d
+        assert xi_image(report) == (mirror.chamber_id, mirror.base_locus, mirror.position,
+                                    mirror.model_label), d
+        assert len(lookups) in (1, 3), d
+        for signs, own in lookups[:2]:
+            assert signs == chambers._signs(d), d
+            assert list(own.accepted) == accepting_regions(d), d
+            assert without_certificate(own.report) == without_certificate(report), d
+            assert own.forced == forced_base_loci(d), d
+        if len(lookups) == 3:
+            mirror_signs, dual = lookups[2]
+            assert mirror_signs == chambers._signs(xi(d)), d
+            assert without_certificate(dual.report) == without_certificate(mirror), d
+            assert lookups[0][0] not in full, d
+            full.add(lookups[0][0])
+    assert full == {chambers._signs(d) for d in draws}
 
 
 def test_census_builds_no_class_per_sample(monkeypatch):
-    # a passing sample reads its pattern and its mirror's from the integer
-    # vector its draw holds: no class, Fraction or integer_h per sample
+    # a passing sample reads its pattern from the integer vector its draw
+    # holds: no class, Fraction or integer_h per sample.  It looks up one
+    # placement, and the one full check of each pattern two more.
     calls = {"integer_h": 0, "DivisorClass": 0, "Fraction": 0}
 
     def counted(name):
@@ -580,9 +661,65 @@ def test_census_builds_no_class_per_sample(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(chambers, name, counted(name))
-    lookups = recorded_lookups(monkeypatch, lambda: chamber_census(50, 3))
-    assert calls == {"integer_h": 0, "DivisorClass": 0, "Fraction": 0} and len(lookups) == 100
+    checks = recorded_checks(monkeypatch, lambda: chamber_census(50, 3))
+    rng = random.Random(3)
+    patterns = {chambers._plane_signs(integer_draw(rng, i)[0]) for i in range(50)}
+    assert calls == {"integer_h": 0, "DivisorClass": 0, "Fraction": 0}
+    assert len(checks) == 50 and sum(len(lookups) for _, lookups in checks) == 50 + 2 * len(patterns)
+    assert len(patterns) < 50
     assert not hasattr(chambers, "xi")
+
+
+def test_checked_report_depends_on_the_sign_pattern_alone():
+    # the key of _CHECKED is sound: a full check of any effective integer
+    # class, at any den, gives the report of the listed face of its pattern
+    faces = {chambers._plane_signs(v): v for v in itertools.chain(*chambers._faces())}
+    checked = 0
+    for h in itertools.product(range(-6, 7), repeat=3):
+        signs = chambers._plane_signs(h)
+        effective = any(h) and min(convert(DivisorClass(3, "H", h), "E").coeffs) >= 0
+        assert effective == (chambers._placement(signs).failure is None), h
+        if not effective:
+            continue
+        chambers._CHECKED.clear()
+        face = chambers._check_class(faces[signs], 1)
+        for den in (1, 2, 3):
+            chambers._CHECKED.clear()
+            assert chambers._check_class(h, den) == face, (h, den)
+            assert chambers._CHECKED[signs][2] == face
+            checked += 1
+    chambers._CHECKED.clear()
+    assert checked == 3 * 764
+
+
+def test_memo_gives_what_a_full_check_per_sample_gives(monkeypatch):
+    # the benchmark's census pool, once through _check_class and once with
+    # every sample checked in full
+    def run(check):
+        reports = []
+
+        def recorded(h, den):
+            reports.append(check(h, den))
+            return reports[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(chambers, "_check_class", recorded)
+            results = [chamber_census(50, s) for s in range(128)]
+        return results, reports
+
+    full_checks = []
+    real_full = chambers._full_check
+
+    def full(h, den):
+        full_checks.append(h)
+        return real_full(h, den)
+
+    chambers._CHECKED.clear()
+    monkeypatch.setattr(chambers, "_full_check", full)
+    memo = run(chambers._check_class)
+    assert len(full_checks) == len(chambers._CHECKED) < 100
+    assert memo == run(full)
+    assert len(full_checks) - len(chambers._CHECKED) == 128 * 50
 
 
 def test_reversed_h_vector_has_the_mirror_signs():

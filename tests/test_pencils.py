@@ -177,9 +177,20 @@ class TestDetFormKept:
     def test_equality_and_hash_ignore_kept_form(self):
         p = random_pencil(3, 7)
         fresh = Pencil(p.q0, p.q1)
+        pencil_det_form(p)
         assert "det_form" in vars(p) and "det_form" not in vars(fresh)
         assert p == fresh and hash(p) == hash(fresh)
         assert p.det_form == fresh.det_form
+
+    def test_smooth_draw_needs_no_form_check(self):
+        # Q0 has exact rank m + 1, so the form's coefficient 0, det Q0, is
+        # nonzero on every draw; the draw computes no form
+        for m in range(1, 7):
+            for seed in range(50):
+                p = pencils._smooth_pencil(random.Random(seed), m)
+                assert "det_form" not in vars(p)
+                c0 = pencil_det_form(p).coeffs[0]
+                assert c0 == exact.int_det(p.q0.rows) != 0, (m, seed)
 
     def test_pencil_stays_frozen(self):
         p = random_pencil(2, 1)
