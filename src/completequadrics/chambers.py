@@ -6,17 +6,20 @@ same configuration of boundary divisors.  Each region is the cone over a
 triangle of named generators, with half-open walls deciding ownership of
 shared faces.
 
-The classifier solves no linear system per class.  Every facet row it
-reads (of each generator triple named in REGIONS, from picard.facet_rows,
-and of the effective cone over E1, E2, E3, from picard.effective_rows) and
-every forcing-curve pairing lies on one of eleven planes through the
-origin.  A class's sign pattern is the signs of the dot products of any
-positive multiple of its integer H vector with the eleven plane normals:
-each public call scales the H vector to integers once (picard.integer_h);
-the census reads the integer vector its draw holds, and the mirror's as
-that vector reversed.  Region, position, nef and effectivity tests and
-forced loci are then read from one placement per sign pattern, built on
-first use and cached.  The eleven planes cut R^3 into exactly 231 faces
+The classifier solves no linear system, per class or at set-up.  The facet
+rows of a generator triple (a, b, c) are the cross products b x c, c x a and
+a x b of its integer H vectors, signed by det(a, b, c): positive multiples
+of the rows of the inverse generator matrix.  These rows, for each triple
+named in REGIONS and for the effective cone over E1, E2, E3, and every
+forcing-curve pairing lie on one of eleven planes through the origin.  A
+class's sign pattern is the signs of the dot products of any positive
+multiple of its integer H vector with the eleven plane normals: each public
+call scales the H vector to integers once (picard.integer_h); the census
+reads the integer vector its draw holds, and the mirror's as that vector
+reversed.  Region, position, nef and effectivity tests and forced loci are
+then read from one placement per sign pattern, built on first use and
+cached; each cone's test is compiled once into (plane, orientation, strict)
+facets (_cone_tests).  The eleven planes cut R^3 into exactly 231 faces
 (_faces), so at most 231 placements exist.  Wall points therefore resolve
 exactly and deterministically, and face_census checks the partition on one
 class of every face.  For the same reason the census checks each sign
@@ -37,7 +40,7 @@ import random
 from fractions import Fraction
 
 from ._value import Record
-from .exact import clear_denominators, parse_rat
+from .exact import parse_rat
 from .picard import (
     CURVE_TABLE_X3,
     DivisorClass,
@@ -50,8 +53,6 @@ from .picard import (
     class_P,
     convert,
     curves_x3,
-    effective_rows,
-    facet_rows,
     integer_h,
     pair,
 )
@@ -156,23 +157,32 @@ class ChamberReport(Record):
         }
 
 
-# the effective cone is the cone over the boundary divisors; its rows are
-# picard's closed-form effective_rows(3), not facet_rows of the triple
+# the effective cone is the cone over the boundary divisors
 _EFF = (("E1", "E2", "E3"), (">=", ">=", ">="))
 _NEF = (("H1", "H2", "H3"), (">=", ">=", ">="))
+
+
+def _cross(a, b) -> tuple:
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
 
 
 @functools.cache
 def _plane_table() -> tuple:
     """The distinct planes of the classifier's rows, and where each row lies.
 
-    Every facet row of a triple in REGIONS or _EFF, and every forcing-curve
-    row, is a positive or negative multiple of one of a few primitive
-    integer normals (11 of them for 33 facet rows).  Returns the normals,
-    the (plane index, orientation) pair of each triple's rows, and the
-    (plane index, orientation, piece) of each forcing curve: a row's dot
-    product with a class has the sign of orientation times the sign of the
-    plane's.  Built on first use.
+    The facet rows of a generator triple (a, b, c) in REGIONS or _EFF are
+    sign(det) (b x c, c x a, a x b) with det = a . (b x c), integer rows
+    that are positive multiples of the rows of the inverse of the matrix
+    with columns a, b, c (picard.facet_rows); the forcing-curve rows are
+    the curves' Fl coordinates.  Each row is a positive or negative multiple
+    of one of a few primitive integer normals (11 of them for 33 facet
+    rows).  Returns the normals, the (plane index, orientation) pair of each
+    triple's rows, and the (plane index, orientation, piece) of each forcing
+    curve: a row's dot product with a class has the sign of orientation
+    times the sign of the plane's.  Built on first use, from the integer
+    vectors in _GEN_H and CURVE_TABLE_X3 alone.
     """
     normals = {}
 
@@ -182,16 +192,33 @@ def _plane_table() -> tuple:
         normal = tuple(orient * x // g for x in row)
         return normals.setdefault(normal, len(normals)), orient
 
+    def rows(gens):
+        # the rows of the adjugate of the matrix with columns a, b, c
+        a, b, c = (_GEN_H[g] for g in gens)
+        adjugate = (_cross(b, c), _cross(c, a), _cross(a, b))
+        det = sum(map(operator.mul, a, adjugate[0]))
+        if not det:
+            raise ValueError("generators %s are linearly dependent" % (gens,))
+        return [tuple(x if det > 0 else -x for x in row) for row in adjugate]
+
     triples = [gens for spec in REGIONS for gens, _ in spec.cones]
-    triples += [spec.position_basis for spec in REGIONS]
-    rows = {gens: facet_rows(tuple(GENERATORS[g] for g in gens)) for gens in dict.fromkeys(triples)}
-    rows[_EFF[0]] = effective_rows(3)
-    facets = {gens: tuple(place(row) for row in triple) for gens, triple in rows.items()}
-    curves = curves_x3()
-    forcing = tuple(
-        place(clear_denominators([curves[name].coeffs])[0][0]) + (piece,) for name, piece in FORCING_CURVES
-    )
+    triples += [spec.position_basis for spec in REGIONS] + [_EFF[0]]
+    facets = {gens: tuple(place(row) for row in rows(gens)) for gens in dict.fromkeys(triples)}
+    fl = {name: coeffs for name, coeffs, _ in CURVE_TABLE_X3}
+    forcing = tuple(place(fl[name]) + (piece,) for name, piece in FORCING_CURVES)
     return tuple(normals), facets, forcing
+
+
+@functools.cache
+def _cone_tests(cone) -> tuple:
+    """A cone (generator names, flags), compiled once from _plane_table:
+    one (plane index, orientation, strict) per facet.
+
+    Keyed by the cone itself, so a cone of a patched REGIONS or _EFF gets
+    its own entry; clear it together with _plane_table.
+    """
+    gens, flags = cone
+    return tuple((plane, orient, flag == ">") for (plane, orient), flag in zip(_plane_table()[1][gens], flags))
 
 
 def _signs(d: DivisorClass) -> tuple:
@@ -226,8 +253,8 @@ def _faces() -> tuple:
     """
     normals = _plane_table()[0]
     found = {}
-    for (a0, a1, a2), (b0, b1, b2) in itertools.combinations(normals, 2):
-        c = (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+    for a, b in itertools.combinations(normals, 2):
+        c = _cross(a, b)
         for v in (c, tuple(-x for x in c)):
             found.setdefault(_plane_signs(v), v)
     for u, v in itertools.combinations(list(found.values()), 2):
@@ -251,18 +278,12 @@ def _faces() -> tuple:
     return tuple(map(tuple, by_dim))
 
 
-def _cone_accepts(signs, gens, flags) -> bool:
-    for (plane, orient), flag in zip(_plane_table()[1][gens], flags):
-        value = orient * signs[plane]
-        if value < 0 or (value == 0 and flag == ">"):
+def _cone_accepts(signs, cone) -> bool:
+    # a strict facet needs a positive oriented sign, a closed one a nonnegative
+    for plane, orient, strict in _cone_tests(cone):
+        if orient * signs[plane] < strict:
             return False
     return True
-
-
-def _region_accepts(spec: RegionSpec, signs, nef: bool) -> bool:
-    if spec.exclude_nef and nef:
-        return False
-    return any(_cone_accepts(signs, gens, flags) for gens, flags in spec.cones)
 
 
 def _position(spec: RegionSpec, signs) -> str:
@@ -285,8 +306,10 @@ _NEF_MODELS = {
 }
 
 
+@functools.cache
 def _report_for(spec: RegionSpec, position: str) -> ChamberReport:
-    # shared by a whole sign pattern, so it carries no certificate
+    # one report per (region, position), shared by every sign pattern that
+    # gets it, so it carries no certificate
     model = None
     notes = ()
     if spec.chamber_id == 1:
@@ -328,13 +351,17 @@ def _placement(signs: tuple) -> _Placement:
     The eleven planes cut R^3 into 231 faces (_faces), so the cache holds
     at most that many patterns.
     """
-    nef = _cone_accepts(signs, *_NEF)
-    accepted = [spec for spec in REGIONS if _region_accepts(spec, signs, nef)]
+    nef = _cone_accepts(signs, _NEF)
+    accepted = [
+        spec
+        for spec in REGIONS
+        if not (spec.exclude_nef and nef) and any(_cone_accepts(signs, cone) for cone in spec.cones)
+    ]
     forced = frozenset(piece for plane, orient, piece in _plane_table()[2] if orient * signs[plane] < 0)
     report = failure = None
     if not any(signs):
         failure = "zero class has no chamber"
-    elif not _cone_accepts(signs, *_EFF):
+    elif not _cone_accepts(signs, _EFF):
         failure = "class is not effective"
     elif accepted:
         report = _report_for(accepted[0], _position(accepted[0], signs))

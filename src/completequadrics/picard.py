@@ -16,8 +16,10 @@ A class is placed against a tuple of generators in one way only: the
 integer facet rows of the tuple dotted with the class's integer H vector
 (integer_h).  The rows come from facet_rows (computed once per tuple) or,
 for the effective cone over E_1..E_n, from the closed form effective_rows
-(once per n).  The effective- and movable-cone tests here and the chamber
-classifier all read these signs.
+(once per n).  The effective- and movable-cone tests here read these
+signs.  The n = 3 chamber classifier takes the same rows, up to positive
+factors, from cross products of its generators' integer H vectors
+(chambers._plane_table), so it solves nothing here.
 """
 
 from __future__ import annotations

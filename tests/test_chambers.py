@@ -432,6 +432,20 @@ def reference_answers(d):
     return [spec.chamber_id for spec in accepted], forced, report
 
 
+def assert_matches_row_reference(d):
+    accepted, forced, expected = reference_answers(d)
+    assert accepting_regions(d) == accepted, d
+    assert forced_base_loci(d) == forced, d
+    if expected is ValueError:
+        with pytest.raises(ValueError):
+            classify(d)
+        return
+    r = classify(d)
+    got = (r.chamber_id, r.position, r.base_locus, r.model_label, r.certificate)
+    assert got == expected, d
+    assert r.base_locus_label == locus_label(r.base_locus)
+
+
 class TestSignPatternPlacement:
     def test_plane_table(self):
         normals, facets, forcing = chambers._plane_table()
@@ -448,20 +462,17 @@ class TestSignPatternPlacement:
 
     def test_public_results_match_the_row_reference(self):
         for h in half_integer_box(-4, 6):
-            d = DivisorClass(3, "H", h)
-            accepted, forced, expected = reference_answers(d)
-            assert accepting_regions(d) == accepted, h
-            assert forced_base_loci(d) == forced, h
-            if expected is ValueError:
-                with pytest.raises(ValueError):
-                    classify(d)
-                continue
-            r = classify(d)
-            got = (r.chamber_id, r.position, r.base_locus, r.model_label, r.certificate)
-            assert got == expected, h
-            assert r.base_locus_label == locus_label(r.base_locus)
+            assert_matches_row_reference(DivisorClass(3, "H", h))
         # at most one placement per face of the arrangement of 11 planes
         assert chambers._placement.cache_info().currsize <= 4 * 11 * 10 + 3
+
+    def test_every_face_matches_the_row_reference(self):
+        # one class of each of the 231 sign patterns, so every placement the
+        # classifier can build is compared with the facet_rows reference
+        faces = list(itertools.chain(*chambers._faces()))
+        assert len(faces) == 231
+        for h in faces:
+            assert_matches_row_reference(DivisorClass(3, "H", h))
 
     def test_wall_certificate_is_not_shared(self):
         a, b = classify(H(2, 0, 5)), classify(H(2, 0, 5))
@@ -753,8 +764,10 @@ def first_class():
 @pytest.fixture
 def fresh_placements():
     chambers._placement.cache_clear()
+    chambers._cone_tests.cache_clear()
     yield
     chambers._placement.cache_clear()
+    chambers._cone_tests.cache_clear()
 
 
 def census_failure():
@@ -822,12 +835,14 @@ def test_empty_locus_differs_from_nef(monkeypatch, fresh_placements, first_class
 
 
 def test_import_builds_no_rows_or_placements():
-    # facet rows, plane table and placements are built on first use, not at
-    # import, so the benchmark's set-up time cannot absorb them
+    # facet rows, plane table, cone tests, reports and placements are built
+    # on first use, not at import, so the benchmark's set-up time cannot
+    # absorb them
     code = (
         "import completequadrics\n"
         "from completequadrics import chambers, picard\n"
-        "caches = (picard.facet_rows, picard.effective_rows, chambers._plane_table, chambers._placement)\n"
+        "caches = (picard.facet_rows, picard.effective_rows, chambers._plane_table, chambers._cone_tests,\n"
+        "          chambers._report_for, chambers._placement)\n"
         "print([f.cache_info().currsize for f in caches])\n"
     )
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
@@ -836,4 +851,78 @@ def test_import_builds_no_rows_or_placements():
         env=dict(os.environ, PYTHONPATH=path), timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[0, 0, 0, 0]\n"
+    assert proc.stdout == "[0, 0, 0, 0, 0, 0]\n"
+
+
+# -- the constant tables: built in integers, and never read stale --------------
+
+@pytest.fixture
+def cold_tables():
+    """Every table the classifier builds on first use, cleared before and
+    after the test."""
+    caches = (chambers._plane_table, chambers._faces, chambers._cone_tests, chambers._placement)
+
+    def clear():
+        for cache in caches:
+            cache.cache_clear()
+        chambers._CHECKED.clear()
+
+    clear()
+    yield
+    clear()
+
+
+def test_cold_census_solves_nothing(monkeypatch, cold_tables):
+    # the plane table comes from integer cross products of the generators'
+    # H vectors: no facet_rows, no Picard conversion, no matrix inverse,
+    # wherever a module holds them
+    from completequadrics import exact, picard
+
+    def refuse(name):
+        def call(*args, **kwargs):
+            raise AssertionError("%s called" % name)
+        return call
+
+    for name in ("facet_rows", "convert", "mat_inverse"):
+        for module in (exact, picard, chambers):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse(name))
+    normals, facets, forcing = chambers._plane_table()
+    assert len(normals) == 11
+    assert chamber_census(50, 0)["samples"] == 50
+    assert chambers._placement.cache_info().currsize > 0
+
+
+def test_dependent_generators_are_refused(monkeypatch, cold_tables):
+    # P + 4 E2 = 6 H2: the triple has no facet rows
+    spec = REGIONS[0]
+    bad = RegionSpec(spec.chamber_id, spec.cones, ("H2", "P", "E2"), spec.base_locus)
+    monkeypatch.setattr(chambers, "REGIONS", (bad,) + REGIONS[1:])
+    with pytest.raises(ValueError, match="linearly dependent"):
+        chambers._plane_table()
+
+
+def test_patched_regions_change_the_answers(monkeypatch, fresh_placements):
+    # the nef cone with strict walls no longer owns its boundary; a cone is
+    # compiled under its own key, so the old cone's tests are not read
+    assert accepting_regions(H(1, 1, 0)) == [1]
+    chambers._placement.cache_clear()
+    spec = REGIONS[0]
+    strict = RegionSpec(spec.chamber_id, ((("H1", "H2", "H3"), (">", ">", ">")),), spec.position_basis,
+                        spec.base_locus)
+    monkeypatch.setattr(chambers, "REGIONS", (strict,) + REGIONS[1:])
+    assert accepting_regions(H(1, 1, 0)) == []
+    assert accepting_regions(H(1, 1, 1)) == [1]
+
+
+def test_patched_plane_table_changes_the_answers(monkeypatch, fresh_placements):
+    # the fixture clears the compiled cone tests along with the placements,
+    # so a plane table with the nef cone's first facet reversed is read
+    normals, facets, forcing = chambers._plane_table()
+    (plane, orient), *rest = facets[("H1", "H2", "H3")]
+    flipped = dict(facets)
+    flipped[("H1", "H2", "H3")] = ((plane, -orient), *rest)
+    monkeypatch.setattr(chambers, "_plane_table", lambda: (normals, flipped, forcing))
+    assert accepting_regions(H(1, 1, 1)) == []
+    # E2 + E3, which region 6 owns, now lies in the reversed nef cone too
+    assert accepting_regions(H(-1, 1, 1)) == [1, 6]
