@@ -56,6 +56,7 @@ from .picard import (
     integer_h,
     pair,
 )
+from .quadrics import _randbelow
 
 GENERATORS = {
     "H1": H1_3,
@@ -455,21 +456,6 @@ def _drawn(coeffs, gens) -> list:
 def _named(h, den: int) -> DivisorClass:
     # the class whose H vector times den is h, built only to name it in a failure
     return DivisorClass(3, "H", tuple(Fraction(x, den) for x in h))
-
-
-def _randbelow(rng, n: int) -> int:
-    """rng.randrange(n), read from the same Mersenne Twister words.
-
-    For random.Random, randrange(n), randint(a, a + n - 1) - a and the index
-    that choice takes from n items all come from _randbelow(n): getrandbits
-    of n's bit length, drawn until a value below n comes up.  This runs that
-    loop without the calls around it, as quadrics._small_ints does.
-    """
-    k = n.bit_length()
-    r = rng.getrandbits(k)
-    while r >= n:
-        r = rng.getrandbits(k)
-    return r
 
 
 def _sample_region(rng, chamber_id: int) -> list:

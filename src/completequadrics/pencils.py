@@ -17,19 +17,27 @@ from functools import cached_property
 from ._value import Record
 from .exact import clear_denominators, distinct_root_count, int_det_poly
 from .exact import ff_det  # noqa: F401  bench/test_bench.py traces and restores this alias
-from .quadrics import SymmetricForm, _random_basis, _small_ints, random_form, restrict
+from .quadrics import (
+    SymmetricForm,
+    _int_basis,
+    _int_congruence,
+    _random_basis,
+    _randbelow,
+    _small_ints,
+    random_form,
+)
 
 
 class DegeneratePencilError(ValueError):
     """Pencil (or restricted pencil) carries no degeneration count."""
 
 
-def _flat(q: SymmetricForm):
-    return [x for row in q.rows for x in row]
+def _flat(rows):
+    return [x for row in rows for x in row]
 
 
-def _proportional(a: SymmetricForm, b: SymmetricForm) -> bool:
-    fa, fb = _flat(a), _flat(b)
+def _proportional(fa, fb) -> bool:
+    # fa, fb: the entries of two matrices of one shape, flattened
     if not any(fb):
         return not any(fa)
     i = next(j for j, v in enumerate(fb) if v)
@@ -45,9 +53,10 @@ class Pencil(Record):
     def __init__(self, q0: SymmetricForm, q1: SymmetricForm):
         if q0.n != q1.n:
             raise ValueError("pencil members must share an ambient space")
-        if not any(_flat(q0)) or not any(_flat(q1)):
+        f0, f1 = _flat(q0.rows), _flat(q1.rows)
+        if not any(f0) or not any(f1):
             raise DegeneratePencilError("pencil member is the zero form")
-        if _proportional(q0, q1):
+        if _proportional(f0, f1):
             raise DegeneratePencilError("pencil members are proportional")
         Record.__init__(self, q0, q1)
 
@@ -55,8 +64,13 @@ class Pencil(Record):
     def det_form(self) -> BinaryForm:
         """det(s Q0 + t Q1), computed on first use and kept."""
         # kept in the instance __dict__, outside the fields, so equality and
-        # the hash still read q0 and q1 only; a raise is not kept
-        return _det_binary(self.q0, self.q1)
+        # the hash still read q0 and q1 only; a raise is not kept.  With L the
+        # common denominator, A = L Q0 and B = L Q1 are integral, and dividing
+        # the integer coefficients of det(A + tB) by L^size gives those of
+        # det(Q0 + tQ1).
+        a, b, scale = _scaled(self.q0, self.q1)
+        denom = scale ** len(a)
+        return BinaryForm(tuple(Fraction(x, denom) for x in _det_binary(a, b)))
 
 
 class BinaryForm(Record):
@@ -69,17 +83,20 @@ class BinaryForm(Record):
         return len(self.coeffs) - 1
 
 
-def _det_binary(q0: SymmetricForm, q1: SymmetricForm) -> BinaryForm:
-    # With L the common denominator, A = L Q0 and B = L Q1 are integral, so
-    # det(A + tB) has integer coefficients; dividing them by L^size gives
-    # the coefficients of det(Q0 + tQ1).
+def _scaled(q0: SymmetricForm, q1: SymmetricForm) -> tuple:
+    # (L Q0, L Q1, L) as integer rows, L the lcm of both forms' denominators
     size = q0.n + 1
     ints, scale = clear_denominators(q0.rows + q1.rows)
-    coeffs = int_det_poly(ints[:size], ints[size:])
+    return ints[:size], ints[size:], scale
+
+
+def _det_binary(a, b) -> list:
+    # the integer coefficients of det(A + tB) for symmetric integer matrices
+    # A and B, lowest degree first, as the binary form det(sA + tB) has them
+    coeffs = int_det_poly(a, b)
     if not any(coeffs):
         raise DegeneratePencilError("every member of the pencil is singular")
-    denom = scale ** size
-    return BinaryForm(tuple(Fraction(x, denom) for x in coeffs))
+    return coeffs
 
 
 def pencil_det_form(p: Pencil) -> BinaryForm:
@@ -92,17 +109,18 @@ class DegenerationCount(Record):
     _fields = ("total", "distinct")
 
 
-def _count_binary_roots(f: BinaryForm) -> DegenerationCount:
-    # roots of the degree-d form on the (s:t) line: dehomogenize at s = 1,
-    # then (0:1) is an extra root exactly when the top coefficient vanishes
-    at_infinity = 1 if f.coeffs[-1] == 0 else 0
-    _, finite_distinct = distinct_root_count(f.coeffs)
-    return DegenerationCount(total=f.degree, distinct=finite_distinct + at_infinity)
+def _count_binary_roots(coeffs) -> DegenerationCount:
+    # roots of the binary form with these coefficients (c_0, .., c_d) on the
+    # (s:t) line: dehomogenize at s = 1, then (0:1) is an extra root exactly
+    # when the top coefficient vanishes
+    at_infinity = 1 if coeffs[-1] == 0 else 0
+    _, finite_distinct = distinct_root_count(coeffs)
+    return DegenerationCount(total=len(coeffs) - 1, distinct=finite_distinct + at_infinity)
 
 
 def count_degenerations(p: Pencil) -> DegenerationCount:
     """Number of singular members of the pencil, with and without multiplicity."""
-    return _count_binary_roots(pencil_det_form(p))
+    return _count_binary_roots(pencil_det_form(p).coeffs)
 
 
 def count_tangencies(p: Pencil, basis) -> DegenerationCount:
@@ -114,12 +132,20 @@ def count_tangencies(p: Pencil, basis) -> DegenerationCount:
     is flagged as degenerate (the count would carry spurious multiplicity);
     on a point every restriction is a scalar pencil and the count is the
     single member through the point.
+
+    The pencil is restricted once, in integers: with B the basis scaled by
+    its lcm Lb and A0, A1 the members scaled by their common lcm L, the
+    restrictions are B^T A0 B and B^T A1 B, the restrictions of Q0 and Q1
+    (restrict) times the one positive factor L Lb**2, which changes no zero
+    test, no proportionality test and no root of their determinant form.
     """
-    r0 = restrict(p.q0, basis)
-    r1 = restrict(p.q1, basis)
-    if not any(_flat(r0)) or not any(_flat(r1)):
+    cols, _ = _int_basis(basis, p.q0.n + 1)
+    a, b, _ = _scaled(p.q0, p.q1)
+    r0, r1 = _int_congruence(a, cols), _int_congruence(b, cols)
+    f0, f1 = _flat(r0), _flat(r1)
+    if not any(f0) or not any(f1):
         raise DegeneratePencilError("a pencil member restricts to zero")
-    if r0.n >= 1 and _proportional(r0, r1):
+    if len(cols) >= 2 and _proportional(f0, f1):
         raise DegeneratePencilError("restricted pencil is projectively constant")
     return _count_binary_roots(_det_binary(r0, r1))
 
@@ -140,8 +166,9 @@ def _retry(builder, rng):
 def _smooth_pencil(r, m: int) -> Pencil:
     # one draw of two smooth forms on P^m.  Q0 has exact rank m + 1, so the
     # determinant form's coefficient c_0 = det Q0 is nonzero and the form
-    # needs no check here; it is computed on first use.
-    return Pencil(random_form(m, m + 1, r.randrange(1 << 30)), random_form(m, m + 1, r.randrange(1 << 30)))
+    # needs no check here; it is computed on first use.  The seeds are the
+    # draws of r.randrange(1 << 30), replayed by _randbelow.
+    return Pencil(random_form(m, m + 1, _randbelow(r, 1 << 30)), random_form(m, m + 1, _randbelow(r, 1 << 30)))
 
 
 def random_pencil(m: int, seed: int) -> Pencil:
@@ -162,11 +189,11 @@ def bk_number(n: int, k: int, seed: int) -> int:
 
 
 def _sym_outer(u, v):
-    # symmetric matrix of the product of two linear forms u, v
+    # symmetric matrix of the product of two linear forms u, v; entry (i, j)
+    # is one expression symmetric in i and j
     size = len(u)
-    half = Fraction(1, 2)
-    return SymmetricForm(
-        [[(u[i] * v[j] + u[j] * v[i]) * half for j in range(size)] for i in range(size)]
+    return SymmetricForm._unchecked(
+        [[Fraction(u[i] * v[j] + u[j] * v[i], 2) for j in range(size)] for i in range(size)]
     )
 
 

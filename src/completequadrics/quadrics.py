@@ -40,6 +40,13 @@ class SymmetricForm(Record):
     otherwise, before it tests symmetry, so the kernels that take a form
     (compound, restrict, the Chow forms, the pencil determinant forms) do
     not check its entries again.
+
+    random_form, restrict, compound and pencils._sym_outer build their forms
+    through _unchecked, which runs neither test.  Each computes its rows
+    itself, from ints and Fractions, and gives entry (j, i) the value of
+    entry (i, j), so the tests would only re-read what the package just
+    wrote; a form that comes from outside goes through the public
+    constructor and both tests.
     """
 
     __slots__ = _fields = ("n", "rows")
@@ -54,6 +61,13 @@ class SymmetricForm(Record):
         if not _is_symmetric(rows):
             raise ValueError("matrix is not symmetric")
         Record.__init__(self, m - 1, rows)
+
+    @classmethod
+    def _unchecked(cls, rows):
+        # rows: a nonempty square list of lists of ints and Fractions, symmetric
+        form = cls.__new__(cls)
+        Record.__init__(form, len(rows) - 1, tuple(map(tuple, rows)))
+        return form
 
     @classmethod
     def from_rational(cls, rows):
@@ -79,12 +93,32 @@ def restrict(q: SymmetricForm, basis) -> SymmetricForm:
 
     basis is an (n+1) x k rational matrix of rank k; the result is the k x k
     form B^T Q B on the P^(k-1) it spans.  Q and B are scaled to integers
-    once each, by the lcms Lq and Lb of their denominators; the rank of B is
-    read from one elimination of a copy of Lb B, and each entry i <= j of
-    the integer product is divided once by Lq Lb**2 and mirrored.
+    once each, by the lcms Lq and Lb of their denominators (_int_basis), and
+    each entry i <= j of the integer product (_int_congruence) is divided
+    once by Lq Lb**2 and mirrored.
+    """
+    cols, lb = _int_basis(basis, q.n + 1)
+    qi, lq = clear_denominators(q.rows)
+    scale = lq * lb * lb
+    ints = _int_congruence(qi, cols)
+    k = len(cols)
+    rows = [[None] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            rows[i][j] = rows[j][i] = Fraction(ints[i][j], scale)
+    return SymmetricForm._unchecked(rows)
+
+
+def _int_basis(basis, size: int) -> tuple:
+    """(columns of Lb B, Lb) for a basis B of a subspace of a space of
+    dimension size, Lb the lcm of its denominators.
+
+    Raises ValueError unless B has size rows and k >= 1 independent columns,
+    the rank read from one elimination of a copy of Lb B; raw rows are read
+    through exact._rows, which raises on ragged rows and non-rational entries.
     """
     b = [list(r) for r in basis]
-    if len(b) != q.n + 1:
+    if len(b) != size:
         raise ValueError("basis row count must be n+1")
     k = len(b[0]) if b else 0
     if k == 0:
@@ -92,16 +126,20 @@ def restrict(q: SymmetricForm, basis) -> SymmetricForm:
     bi, lb = clear_denominators(_rows(b))
     if len(_echelon([r[:] for r in bi], k)[0]) != k:
         raise ValueError("basis columns are linearly dependent")
-    qi, lq = clear_denominators(q.rows)
-    scale = lq * lb * lb
-    cols = list(zip(*bi))
-    # the columns of (Lq Q)(Lb B)
-    qcols = [[sum(map(operator.mul, row, col)) for row in qi] for col in cols]
+    return list(zip(*bi)), lb
+
+
+def _int_congruence(a, cols) -> list:
+    """Rows of B^T A B for a symmetric integer matrix A and the columns of an
+    integer B; each entry i <= j is summed once and mirrored."""
+    # the columns of A B
+    acols = [[sum(map(operator.mul, row, col)) for row in a] for col in cols]
+    k = len(cols)
     rows = [[None] * k for _ in range(k)]
     for i in range(k):
         for j in range(i, k):
-            rows[i][j] = rows[j][i] = Fraction(sum(map(operator.mul, cols[i], qcols[j])), scale)
-    return SymmetricForm(rows)
+            rows[i][j] = rows[j][i] = sum(map(operator.mul, cols[i], acols[j]))
+    return rows
 
 
 def compound(q: SymmetricForm, k: int) -> SymmetricForm:
@@ -118,7 +156,7 @@ def compound(q: SymmetricForm, k: int) -> SymmetricForm:
     ints, scale = clear_denominators(q.rows)
     rows = _int_minors(ints, k)
     den = scale ** k
-    return SymmetricForm([[Fraction(x, den) for x in row] for row in rows])
+    return SymmetricForm._unchecked([[Fraction(x, den) for x in row] for row in rows])
 
 
 def _int_minors(ints, k: int) -> list:
@@ -209,6 +247,21 @@ def _small_ints(rng, count: int) -> list:
     return out
 
 
+def _randbelow(rng, n: int) -> int:
+    """rng.randrange(n), read from the same Mersenne Twister words.
+
+    For random.Random, randrange(n), randint(a, a + n - 1) - a and the index
+    that choice takes from n items all come from _randbelow(n): getrandbits
+    of n's bit length, drawn until a value below n comes up.  This runs that
+    loop without the calls around it, as _small_ints does for randint(-3, 3).
+    """
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
 def _random_basis(rng, rows: int, cols: int) -> list:
     """Random rows x cols integer matrix of rank cols, entries in -3..3.
 
@@ -241,7 +294,8 @@ def random_form(n: int, r: int, seed: int) -> SymmetricForm:
         raise ValueError("rank out of range")
     rng = random.Random(seed)
     size = n + 1
-    d = [rng.choice([1, 2, 3, -1, -2, 5]) if i < r else 0 for i in range(size)]
+    # each nonzero entry of D is rng.choice of these six, replayed by _randbelow
+    d = [(1, 2, 3, -1, -2, 5)[_randbelow(rng, 6)] if i < r else 0 for i in range(size)]
     m = _random_basis(rng, size, size)
     # (M^T D M)_ij = sum over k < r of d_k m_ki m_kj, in integers
     cols = list(zip(*m[:r]))
@@ -250,4 +304,4 @@ def random_form(n: int, r: int, seed: int) -> SymmetricForm:
         di = [dk * x for dk, x in zip(d, cols[i])]
         for j in range(i, size):
             rows[i][j] = rows[j][i] = sum(map(operator.mul, di, cols[j]))
-    return SymmetricForm(rows)
+    return SymmetricForm._unchecked(rows)

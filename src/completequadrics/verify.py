@@ -43,7 +43,8 @@ def check_chow_identity(seed: int = 0, min_pairs: int = 100) -> CheckResult:
     done = 0
     while done < min_pairs:
         for n, k in combos:
-            q = quadrics.random_form(n, n + 1, rng.randrange(1 << 30))
+            # the seed is the draw of rng.randrange(1 << 30), replayed
+            q = quadrics.random_form(n, n + 1, quadrics._randbelow(rng, 1 << 30))
             b = quadrics._random_basis(rng, n + 1, k)
             lhs = chowform.chow_eval(q, k, b)
             rhs = ff_det(quadrics.restrict(q, b).rows)
@@ -258,44 +259,44 @@ def check_chow_limits(draws: int = 20, seed: int = 0) -> CheckResult:
         "marking conic in line coordinates, %d random draws each" % draws
     ))
     rng = random.Random(seed)
+    # the draws of rng.randint(-5, 5), replayed
+    draw = functools.partial(quadrics._randbelow, rng, 11)
+    rank2_q0 = quadrics.SymmetricForm.from_rational(
+        [[0, "1/2", 0, 0], ["1/2", 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
+    )
+    rank1_q0 = quadrics.SymmetricForm.diagonal([1, 0, 0, 0])
 
     def rank2(a, b, c):
-        q0 = quadrics.SymmetricForm.from_rational(
-            [[0, "1/2", 0, 0], ["1/2", 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
-        )
-        half = Fraction(1, 2)
         q1 = quadrics.SymmetricForm(
             [
-                [Fraction(0)] * 4,
-                [Fraction(0)] * 4,
-                [Fraction(0), Fraction(0), Fraction(a), b * half],
-                [Fraction(0), Fraction(0), b * half, Fraction(c)],
+                [0, 0, 0, 0],
+                [0, 0, 0, 0],
+                [0, 0, a, Fraction(b, 2)],
+                [0, 0, Fraction(b, 2), c],
             ]
         )
-        return q0, q1
+        return rank2_q0, q1
 
     def rank1(a, b, c, d, e, f):
-        q0 = quadrics.SymmetricForm.diagonal([1, 0, 0, 0])
-        half = Fraction(1, 2)
         q1 = quadrics.SymmetricForm(
             [
-                [Fraction(0)] * 4,
-                [Fraction(0), Fraction(a), b * half, c * half],
-                [Fraction(0), b * half, Fraction(d), e * half],
-                [Fraction(0), c * half, e * half, Fraction(f)],
+                [0, 0, 0, 0],
+                [0, a, Fraction(b, 2), Fraction(c, 2)],
+                [0, Fraction(b, 2), d, Fraction(e, 2)],
+                [0, Fraction(c, 2), Fraction(e, 2), f],
             ]
         )
-        return q0, q1
+        return rank1_q0, q1
 
     for _ in range(draws):
-        abc = [rng.randint(-5, 5) for _ in range(3)]
+        abc = [draw() - 5 for _ in range(3)]
         if not any(abc):
             abc[0] = 1
         pt = chowform.chow_limit(*rank2(*abc), 2)
         if chowform.limit_support_coefficients(pt) != {(0, 0): 1}:
             return result(False, "rank-2 support at %r" % (abc,))
 
-        co = [rng.randint(-5, 5) for _ in range(6)]
+        co = [draw() - 5 for _ in range(6)]
         if not any(co):
             co[0] = 1
         pt = chowform.chow_limit(*rank1(*co), 2)

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 import completequadrics
-from completequadrics import chambers
+from completequadrics import chambers, quadrics
 from completequadrics.chambers import (
     GENERATORS,
     MODEL_CHOW,
@@ -570,6 +570,20 @@ def test_randbelow_is_randrange():
         ours, theirs = random.Random(n), random.Random(n)
         assert [chambers._randbelow(ours, n) for _ in range(200)] == [theirs.randrange(n) for _ in range(200)]
         assert ours.getstate() == theirs.getstate()
+    # the one replay helper, shared with the quadric and pencil draws: the
+    # D entries of random_form, the seeds of _smooth_pencil and
+    # check_chow_identity, and the coefficients of check_chow_limits
+    assert chambers._randbelow is quadrics._randbelow
+    replays = (
+        (lambda r: (1, 2, 3, -1, -2, 5)[quadrics._randbelow(r, 6)], lambda r: r.choice([1, 2, 3, -1, -2, 5])),
+        (lambda r: quadrics._randbelow(r, 1 << 30), lambda r: r.randrange(1 << 30)),
+        (lambda r: quadrics._randbelow(r, 11) - 5, lambda r: r.randint(-5, 5)),
+    )
+    for seed in range(1000):
+        for ours_draw, their_draw in replays:
+            ours, theirs = random.Random(seed), random.Random(seed)
+            assert [ours_draw(ours) for _ in range(8)] == [their_draw(theirs) for _ in range(8)], seed
+            assert ours.getstate() == theirs.getstate(), seed
 
 
 # sha256 of json.dumps([chamber_census(50, s)["chamber_counts"] for s in

@@ -13,6 +13,7 @@ from completequadrics.exact import mat_mul, mat_rank
 from completequadrics.pencils import (
     DIRECT_CHECK_PAIRS,
     DegeneratePencilError,
+    DegenerationCount,
     Pencil,
     _det_binary,
     _sym_outer,
@@ -23,7 +24,7 @@ from completequadrics.pencils import (
     pencil_det_form,
     random_pencil,
 )
-from completequadrics.quadrics import SymmetricForm, random_form, restrict
+from completequadrics.quadrics import SymmetricForm, _random_basis, random_form, restrict
 import univariate
 
 
@@ -171,7 +172,9 @@ class TestDetFormKept:
         for m in (1, 2, 5):
             for seed in (0, 3):
                 p = random_pencil(m, seed)
-                assert p.det_form == _det_binary(p.q0, p.q1)
+                a, b, scale = pencils._scaled(p.q0, p.q1)
+                fresh = tuple(Fraction(x, scale ** (m + 1)) for x in _det_binary(a, b))
+                assert p.det_form.coeffs == fresh
                 assert pencil_det_form(p) is p.det_form
 
     def test_equality_and_hash_ignore_kept_form(self):
@@ -244,8 +247,8 @@ def test_rank2_product_pencil_matches_randint_draws(m):
         p = pencils._rank2_product_pencil(rng, m)
         ref = randint_rank2_pencil(old, m)
         assert p == ref
-        assert [type(x) for q in (p.q0, p.q1) for x in pencils._flat(q)] == \
-            [type(x) for q in (ref.q0, ref.q1) for x in pencils._flat(q)]
+        assert [type(x) for q in (p.q0, p.q1) for x in pencils._flat(q.rows)] == \
+            [type(x) for q in (ref.q0, ref.q1) for x in pencils._flat(q.rows)]
         assert rng.getstate() == old.getstate()
 
 
@@ -332,6 +335,103 @@ class TestTangencies:
                [Fraction(0), Fraction(0)], [Fraction(0), Fraction(0)]]
         with pytest.raises(ValueError):
             count_tangencies(self.PENCIL, bad)
+
+
+def restricted_form_tangencies(p, basis):
+    # oracle: count_tangencies as it restricted each member to a
+    # SymmetricForm and counted the roots of the Fraction determinant form
+    # of the restricted pencil, every step as it was before the pencil was
+    # restricted in integers
+    r0, r1 = restrict(p.q0, basis), restrict(p.q1, basis)
+    f0 = [x for row in r0.rows for x in row]
+    f1 = [x for row in r1.rows for x in row]
+    if not any(f0) or not any(f1):
+        raise DegeneratePencilError("a pencil member restricts to zero")
+    if r0.n >= 1:
+        i = next(j for j, v in enumerate(f1) if v)
+        if all(x * f1[i] == f0[i] * y for x, y in zip(f0, f1)):
+            raise DegeneratePencilError("restricted pencil is projectively constant")
+    size = r0.n + 1
+    ints, scale = exact.clear_denominators(r0.rows + r1.rows)
+    coeffs = exact.int_det_poly(ints[:size], ints[size:])
+    if not any(coeffs):
+        raise DegeneratePencilError("every member of the pencil is singular")
+    coeffs = [Fraction(x, scale ** size) for x in coeffs]
+    _, finite = exact.distinct_root_count(coeffs)
+    return DegenerationCount(total=size, distinct=finite + (coeffs[-1] == 0))
+
+
+def outcome(count, p, basis):
+    # the count, or the type and message of what the count raised
+    try:
+        return count(p, basis)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+class TestIntegerTangencies:
+    def test_direct_table_draws_match_restricted_forms(self):
+        raised = compared = 0
+
+        def entry(r, draw, m, k):
+            nonlocal raised, compared
+            p = draw(r, m)
+            if k is None:
+                return count_degenerations(p).total
+            basis = _random_basis(r, m + 1, k)
+            got = outcome(count_tangencies, p, basis)
+            assert got == outcome(restricted_form_tangencies, p, basis)
+            compared += 1
+            if isinstance(got, tuple):
+                raised += 1
+                raise got[0](got[1])
+            return got.total
+
+        for seed in range(128):
+            rng = random.Random(seed)
+            counts = {label: pencils._retry(lambda r: entry(r, draw, m, k), rng)
+                      for label, draw, m, k in pencils._DIRECT_ENTRIES}
+            assert counts == direct_table_counts(seed)
+        # each seed counts 8 tangency entries; the surplus are retried draws
+        assert compared - raised == 128 * 8 and raised > 0
+
+    CASES = {
+        # q0 restricts to zero on the point e2
+        "zero member": (Pencil(diag(1, 1, 0), diag(0, 1, 1)), [[0], [0], [1]]),
+        # diag(1, 1) and diag(2, 2) on the line e0 e1
+        "constant": (Pencil(diag(1, 1, 0), diag(2, 2, 1)), [[1, 0], [0, 1], [0, 0]]),
+        # on a point every restriction is a scalar, proportional or not
+        "point": (Pencil(diag(1, 1, 0), diag(2, 2, 1)), [[1], [0], [0]]),
+        # every restriction to the span of e0, e1, e2 has e2 in its kernel
+        "all singular": (Pencil(diag(1, 0, 0, 1),
+                                SymmetricForm([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]])),
+                         [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]]),
+        "dependent": (Pencil(diag(1, 2, 3), diag(3, 1, 2)), [[1, 2], [1, 2], [0, 0]]),
+        "row count": (Pencil(diag(1, 2, 3), diag(3, 1, 2)), [[1, 0], [0, 1]]),
+        "empty": (Pencil(diag(1, 2, 3), diag(3, 1, 2)), [[], [], []]),
+        "no rows": (Pencil(diag(1, 2, 3), diag(3, 1, 2)), []),
+        "ragged": (Pencil(diag(1, 2, 3), diag(3, 1, 2)), [[1, 0], [0], [0, 1]]),
+        "float": (Pencil(diag(1, 2, 3), diag(3, 1, 2)), [[1.0], [0], [0]]),
+        # rational members and basis, a double root and one at infinity
+        "rational": (Pencil(SymmetricForm([[Fraction(1, 2), 0, 0], [0, Fraction(1, 3), 0], [0, 0, 1]]),
+                            SymmetricForm([[Fraction(1, 2), Fraction(1, 5), 0], [Fraction(1, 5), 0, 0],
+                                           [0, 0, Fraction(-2, 7)]])),
+                     [[Fraction(1, 2), 0], [Fraction(2, 3), 1], [0, Fraction(-1, 4)]]),
+        # det(s Q0 + t Q1) = -t^2 on the line e0 e1
+        "double root": (Pencil(diag(1, 0, 1), SymmetricForm([[0, 1, 0], [1, 0, 0], [0, 0, 1]])),
+                        [[1, 0], [0, 1], [0, 0]]),
+        "at infinity": (Pencil(diag(1, 1, 1), diag(0, 1, 2)), [[1, 0], [0, 1], [0, 1]]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_built_cases_match_restricted_forms(self, case):
+        p, basis = self.CASES[case]
+        got = outcome(count_tangencies, p, basis)
+        assert got == outcome(restricted_form_tangencies, p, basis)
+        if case in ("point", "rational", "double root", "at infinity"):
+            assert isinstance(got, DegenerationCount)
+        else:
+            assert isinstance(got, tuple)
 
 
 class TestBoundaryPencilNumbers:

@@ -16,8 +16,8 @@ from fractions import Fraction
 
 import pytest
 
-from completequadrics.exact import ff_det, int_det, mat_mul, mat_rank
-from completequadrics import quadrics
+from completequadrics.exact import _is_symmetric, ff_det, int_det, mat_mul, mat_rank
+from completequadrics import pencils, quadrics
 from completequadrics.quadrics import (
     SymmetricForm,
     _int_minors,
@@ -46,6 +46,48 @@ def test_symmetric_form_validation():
     assert mat_rank(q.rows) == 1
     # the value v^T Q v is the restriction of Q to the point v
     assert restrict(q, [[Fraction(2)], [0], [0], [0]]).rows == ((4,),)
+
+
+def test_public_constructor_checks_its_input():
+    for bad in ([[1.0, 0], [0, 1]], [[True, 0], [0, 1]], [[1, "1/2"], ["1/2", 0]], [[1, None], [None, 1]]):
+        with pytest.raises(TypeError):
+            SymmetricForm(bad)
+    for bad in ([[1, 2], [3, 1]], [[0, Fraction(1, 2)], [Fraction(1, 3), 0]], [[1, 0, 0], [0, 1, 0], [1, 0, 1]]):
+        with pytest.raises(ValueError, match="not symmetric"):
+            SymmetricForm(bad)
+
+
+def assert_passes_constructor_checks(q):
+    # what SymmetricForm(rows) tests, read off a form the package built
+    # through SymmetricForm._unchecked, which skips those tests
+    assert type(q) is SymmetricForm
+    assert type(q.rows) is tuple and all(type(r) is tuple for r in q.rows)
+    assert len(q.rows) == q.n + 1 and all(len(r) == q.n + 1 for r in q.rows)
+    assert all(type(x) in (int, Fraction) for r in q.rows for x in r)
+    assert _is_symmetric(q.rows)
+    assert SymmetricForm(q.rows) == q
+
+
+def test_package_built_forms_pass_the_constructor_checks():
+    rng = random.Random(30)
+    for seed in range(40):
+        for n in range(1, 7):
+            for r in range(1, n + 2):
+                q = random_form(n, r, 1000 * seed + 10 * n + r)
+                assert_passes_constructor_checks(q)
+            # an integer and a rational form, each compounded at every k and
+            # restricted to random rational subspaces of every dimension
+            for q in (q, rational_form(rng, n + 1)):
+                for k in range(1, n + 2):
+                    assert_passes_constructor_checks(compound(q, k))
+                    b = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(k)]
+                         for _ in range(n + 1)]
+                    if mat_rank(b) == k:
+                        assert_passes_constructor_checks(restrict(q, b))
+        for size in range(1, 7):
+            u, v = _small_ints(rng, size), _small_ints(rng, size)
+            assert_passes_constructor_checks(pencils._sym_outer(u, v))
+            assert_passes_constructor_checks(pencils._sym_outer([Fraction(x, 3) for x in u], v))
 
 
 def test_form_json_roundtrip():

@@ -1,11 +1,12 @@
 """The bundled verification checks: quick-scale smoke runs, and the result
 each check reports at every failure exit."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from completequadrics import chambers, chowform, exact, pencils, picard, schubert, verify
+from completequadrics import chambers, chowform, exact, pencils, picard, quadrics, schubert, verify
 from completequadrics.chambers import ChamberReport
 from completequadrics.pencils import DegenerationCount
 from completequadrics.picard import DivisorClass, TableRow
@@ -331,3 +332,42 @@ def test_boundary_numbers_draw_each_pencil_once(monkeypatch):
     monkeypatch.setattr(pencils, "random_pencil", lambda m, seed: draws.append((m, seed)) or draw(m, seed))
     assert verify.check_boundary_numbers(seeds=2, max_n=4).passed
     assert draws == [(m, seed) for m in range(1, 4) for seed in range(2)]
+
+
+def test_chow_identity_draws_are_randrange_draws(monkeypatch):
+    # each form's seed is the draw of rng.randrange(1 << 30), read from the
+    # generator between the subspaces of _random_basis
+    seeds = []
+    form = quadrics.random_form
+    monkeypatch.setattr(quadrics, "random_form", lambda n, r, seed: seeds.append(seed) or form(n, r, seed))
+    for seed in range(40):
+        del seeds[:]
+        assert verify.check_chow_identity(seed=seed, min_pairs=9).passed
+        rng, expected = random.Random(seed), []
+        for n, k in [(n, k) for n in (2, 3, 4) for k in range(1, n + 1)]:
+            expected.append(rng.randrange(1 << 30))
+            quadrics._random_basis(rng, n + 1, k)
+        assert seeds == expected, seed
+
+
+def test_chow_limit_draws_are_randint_draws(monkeypatch):
+    # the coefficients of both families are the draws of rng.randint(-5, 5),
+    # read off the q1 each family hands to chow_limit
+    seen = []
+    limit = chowform.chow_limit
+    monkeypatch.setattr(chowform, "chow_limit", lambda q0, q1, k: seen.append(q1.rows) or limit(q0, q1, k))
+    for seed in range(40):
+        del seen[:]
+        assert verify.check_chow_limits(draws=4, seed=seed).passed
+        rng, expected = random.Random(seed), []
+        for _ in range(4):
+            for count in (3, 6):
+                co = [rng.randint(-5, 5) for _ in range(count)]
+                expected.append(co if any(co) else [1] + co[1:])
+        got = []
+        for rows in seen:
+            if len(got) % 2 == 0:  # rank 2: a p2^2 + b p2 p3 + c p3^2
+                got.append([rows[2][2], 2 * rows[2][3], rows[3][3]])
+            else:
+                got.append([rows[1][1], 2 * rows[1][2], 2 * rows[1][3], rows[2][2], 2 * rows[2][3], rows[3][3]])
+        assert got == expected, seed
