@@ -14,12 +14,12 @@ takes the integer compound of the scaled form (quadrics._int_minors), sums
 the quadratic form in integers and builds one Fraction at the end.  No
 minor is a determinant of its own: both are built by Laplace expansion,
 each level of minors from the one below, with the same cached subset
-tables.  Limits stay in integers too.  chow_limit and _flag_limit hand a
-symmetric integer matrix polynomial, as its coefficient matrices, to
-_compound_poly, which bounds every coefficient of every minor and takes one
-integer compound at x = 2^K, each entry read back as base-2^K digits by
-the same routine that reads pencil determinant forms (exact._kronecker);
-flag_wedge compares integer Pluecker vectors.
+tables.  Every limit is one kernel, _family_limit: the lowest x-order of
+the compound of a symmetric integer matrix polynomial and its coefficient,
+from one integer compound at x = 2^K (_compound_poly) read back as base-2^K
+digits by exact._kronecker, which also reads the three flag parameters of
+wedge2_example_matrix from one _flag_limit.  flag_wedge compares integer
+Pluecker vectors.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import itertools
 import operator
 
 from ._value import Record
-from .exact import _interpolate, _kronecker, _rows, clear_denominators
+from .exact import _kronecker, _rows, clear_denominators
 from .quadrics import SymmetricForm, _int_minors, _laplace_cols
 
 
@@ -38,7 +38,7 @@ class ProjectivePoint(Record):
     """Point of a projective space with a canonical rational normalization.
 
     Coordinates are ints or Fractions, else TypeError; they are scaled to
-    coprime integers whose first nonzero entry is positive, so equal points
+    coprime ints whose first nonzero entry is positive, so equal points
     compare equal as tuples.
     """
 
@@ -52,7 +52,7 @@ class ProjectivePoint(Record):
         g = gcd(*ints)
         if next(v for v in ints if v) < 0:
             g = -g
-        Record.__init__(self, tuple(Fraction(v // g) for v in ints))
+        Record.__init__(self, tuple(v // g for v in ints))
 
     def __repr__(self):
         return "ProjectivePoint(%s)" % (", ".join(str(c) for c in self.coords))
@@ -165,6 +165,19 @@ def _compound_poly(coeffs, deg: int, k: int) -> list:
     return rows
 
 
+def _family_limit(coeffs, deg: int, k: int) -> tuple:
+    """(order, rows): the lowest power x^order at which the k-th compound of
+    C_0 + C_1 x + ... + C_d x^d, coeffs = [C_0, ..., C_d], with minors of
+    degree at most deg, has a nonzero entry, and that coefficient's rows,
+    from one _compound_poly; ValueError when every k-minor vanishes."""
+    rows = _compound_poly(coeffs, deg, k)
+    for order in range(deg + 1):
+        limit = [[e[order] for e in row] for row in rows]
+        if any(map(any, limit)):
+            return order, limit
+    raise ValueError("family has identically vanishing k-th minors")
+
+
 def chow_limit(q0: SymmetricForm, q1: SymmetricForm, k: int) -> ProjectivePoint:
     """Limit of the k-th Chow forms of q0 + t*q1 as t -> 0.
 
@@ -174,21 +187,16 @@ def chow_limit(q0: SymmetricForm, q1: SymmetricForm, k: int) -> ProjectivePoint:
     coordinates are the limit matrix entries in row-major order (no radical
     is taken, so a nonreduced limit keeps its multiplicity structure).
 
-    Both forms are scaled to integers A and B by one lcm L, and the compound
-    of A + tB, of degree k in t, is _compound_poly of [A, B]; that
-    multiplies every entry by L**k, a positive factor the projective point
-    drops.
+    Both forms are scaled by one lcm L to integers A and B, and the limit
+    is _family_limit of [A, B], of degree k in t: L**k times the limit of
+    q0 + t*q1, a positive factor the projective point drops.
     """
     if q0.n != q1.n:
         raise ValueError("forms must share an ambient space")
     size = q0.n + 1
     ints, _ = clear_denominators(q0.rows + q1.rows)
-    entries = [e for row in _compound_poly([ints[:size], ints[size:]], k, k) for e in row]
-    vals = [next(d for d, c in enumerate(e) if c) for e in entries if any(e)]
-    if not vals:
-        raise ValueError("family has identically vanishing k-th minors")
-    shift = min(vals)
-    return ProjectivePoint([e[shift] for e in entries])
+    _, rows = _family_limit([ints[:size], ints[size:]], k, k)
+    return ProjectivePoint([e for row in rows for e in row])
 
 
 def limit_support_coefficients(point: ProjectivePoint) -> dict:
@@ -239,17 +247,17 @@ def _flag_limit(n: int, k: int, ts) -> list:
     """Rows of the x -> 0 limit of the k-th compound of M^T D M, in integers.
 
     M^T D M = sum_d x^d m_d m_d^T over the rows m_d of the flag matrix M, so
-    _compound_poly takes the coefficient matrices m_d m_d^T; each entry is a
-    polynomial in x of degree at most n + (n-1) + ... + (n-k+1).  Every
-    coefficient below x^(k(k-1)/2) vanishes, or this raises AssertionError,
-    and the limit is the x^(k(k-1)/2) coefficient.
+    _family_limit takes the coefficient matrices m_d m_d^T; each entry is a
+    polynomial in x of degree at most n + (n-1) + ... + (n-k+1).  The limit
+    is the lowest coefficient, which must be that of x^(k(k-1)/2), or this
+    raises AssertionError.
     """
     low = k * (k - 1) // 2
     coeffs = [[[x * y for y in row] for x in row] for row in _flag_matrix(n, ts)]
-    rows = _compound_poly(coeffs, sum(range(n - k + 1, n + 1)), k)
-    if any(any(e[:low]) for row in rows for e in row):
-        raise AssertionError("compound has a term below x^%d" % low)
-    return [[e[low] for e in row] for row in rows]
+    order, rows = _family_limit(coeffs, sum(range(n - k + 1, n + 1)), k)
+    if order != low:
+        raise AssertionError("lowest term is x^%d, not x^%d" % (order, low))
+    return rows
 
 
 def flag_wedge(n: int, k: int, j: int) -> bool:
@@ -274,31 +282,24 @@ def flag_wedge(n: int, k: int, j: int) -> bool:
 
 
 def wedge2_example_matrix() -> list:
-    """The limit second wedge of a fully degenerating flag family on P^3.
+    """The limit second wedge of a fully degenerating flag family on P^3,
+    each entry a dict from exponent tuples in (t1, t2, t3) to nonzero
+    integer coefficients: v v^T with v = (1, t2, 0, t1*t2, 0, 0), so
+    rank-one consistency forces entry (2,2) (1-indexed) to be t2^2, the
+    square of entry (1,2) over entry (1,1), not a unit.
 
-    All three flag parameters are live.  Each entry of the direct limit
-    _flag_limit(3, 2, t) has degree at most 2 in each t_j, which lies in one
-    row and one column of M^T D M, so it is rebuilt from its values on
-    t in {0, 1, 2}^3, one variable at a time, as a dict from exponent tuples
-    in (t1, t2, t3) to nonzero integer coefficients.  The result is the
-    rank-one outer product v v^T with v = (1, t2, 0, t1*t2, 0, 0): rank-one
-    consistency forces the (2,2) entry (1-indexed) to be t2^2, the square of
-    the (1,2) entry over the (1,1) entry, not a unit.
+    Each t_j lies in one row and one column of M^T D M, so every entry has
+    degree at most 2 in each t_j, and t1^a t2^b t3^c -> X^(a + 3b + 9c) is
+    one-to-one: digit i of _flag_limit(3, 2, (X, X^3, X^9)), read by
+    exact._kronecker, is the coefficient of t1^(i % 3) t2^(i // 3 % 3)
+    t3^(i // 9).  M^T D M has nonnegative coefficients, so the row sums of
+    M^T M at t = (1, 1, 1) are the sums _compound_poly bounds by, and the
+    two largest bound every coefficient.
     """
-    grid = {t: _flag_limit(3, 2, t) for t in itertools.product(range(3), repeat=3)}
-    return [[_grid_poly({t: m[r][c] for t, m in grid.items()}) for c in range(6)]
-            for r in range(6)]
+    def values_at(x):
+        return [e for row in _flag_limit(3, 2, (x, x ** 3, x ** 9)) for e in row]
 
-
-def _grid_poly(values: dict) -> dict:
-    """{exponent tuple: coefficient} of the integer polynomial of degree <= 2
-    in each variable that takes values[t] at every t in {0, 1, 2}^3."""
-    for axis in range(3):
-        # interpolate along one axis, whose slot in each key turns from a
-        # grid value of that variable into its exponent
-        lines = {}
-        for t, v in values.items():
-            lines.setdefault(t[:axis] + t[axis + 1:], [0, 0, 0])[t[axis]] = v
-        values = {rest[:axis] + (e,) + rest[axis:]: c
-                  for rest, line in lines.items() for e, c in enumerate(_interpolate(line))}
-    return {e: c for e, c in values.items() if c}
+    sums = sorted(sum(r[i] * sum(r) for r in _flag_matrix(3, (1, 1, 1))) for i in range(4))
+    entries = iter(_kronecker(values_at, 26, sums[-1] * sums[-2]))
+    return [[{(i % 3, i // 3 % 3, i // 9): c for i, c in enumerate(next(entries)) if c}
+             for _ in range(6)] for _ in range(6)]

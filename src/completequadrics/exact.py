@@ -21,21 +21,21 @@ _kronecker): with every coefficient bounded by H and 2^K > 2H, the value at
 x = 2^K holds all of them as balanced base-2^K digits.  Hadamard's
 inequality gives H for a pencil's determinant, and row sums of absolute
 coefficients give it for the minors of a matrix polynomial
-(chowform._compound_poly), so one elimination of A + 2^K B, or one
-compound at 2^K, replaces one per point.  That path is taken while the
-packed length deg * K is at most _KRONECKER_BITS (3200), under the
-measured crossover of 3500-4400 bits.  Past it, CPython's
-quadratic big-integer division makes the one evaluation slower than
-deg + 1 small ones, so the values at x = 0..deg are interpolated
-(_interpolate).  poly_gcd runs a primitive integer remainder sequence
-instead of a Euclidean gcd over Fraction.
+(chowform._compound_poly) and for chowform.wedge2_example_matrix, so one
+elimination of A + 2^K B, or one compound at 2^K, replaces one per point.
+That path is taken while the packed length deg * K is at most
+_KRONECKER_BITS (3200), under the measured crossover of 3500-4400 bits.
+Past it, CPython's quadratic big-integer division makes the one evaluation
+slower than deg + 1 small ones, so the values at x = 0..deg are interpolated
+(_interpolate, whose one caller is _kronecker).  poly_gcd runs a primitive
+integer remainder sequence instead of a Euclidean gcd over Fraction.
 distinct_root_count certifies a squarefree polynomial by one gcd modulo the
 prime 2^61 - 1 and reads the squarefree degree from poly_gcd only when that
 certificate fails.  The same pattern carries the Chow-form layers, which
 scale each matrix once: quadrics.compound and chowform.plucker build all
-their minors of the scaled matrix in one Laplace pass over shared
-sub-minors (quadrics._int_minors, chowform._int_plucker), not one int_det
-each, quadrics.restrict forms B^T Q B as one integer product, and
+their minors of the scaled matrix in one Laplace pass over shared sub-minors
+(quadrics._int_minors, chowform._int_plucker), not one int_det each,
+quadrics.restrict forms B^T Q B as one integer product, and
 chowform.chow_eval sums its quadratic form over the integer minors, each
 building one Fraction per answer.  int_det's one caller is ff_det.
 """

@@ -111,9 +111,9 @@ def check_boundary_numbers(seeds: int = 20, max_n: int = 10) -> CheckResult:
     """Marking-pencil degeneration totals follow the closed form n-k+1.
 
     The total is the degree of the determinant form, so it holds by
-    construction; each form is also checked against determinants taken
-    directly: its top coefficient is det Q1, and its value at (1 : -1/2),
-    which is not an interpolation node, is det(Q0 - Q1/2).
+    construction; each form f is also checked against determinants taken
+    directly: its top coefficient is det Q1, and 2^(m+1) f(1 : -1/2), at a
+    point that is not an interpolation node, is det(2 Q0 - Q1) in integers.
 
     The pencil and its closed form depend on m = n - k alone, so each m is
     drawn once per seed; a failure names n = m + 1 and k = 1, which
@@ -124,14 +124,13 @@ def check_boundary_numbers(seeds: int = 20, max_n: int = 10) -> CheckResult:
         "each determinant form has top coefficient det Q1 and value "
         "det(Q0 - Q1/2) at (1 : -1/2)" % max_n
     ))
-    half = Fraction(1, 2)
     for m in range(1, max_n):
         for seed in range(seeds):
             p = pencils.random_pencil(m, seed)
             form = pencils.pencil_det_form(p)
             got = pencils.count_degenerations(p).total
-            mid = [[x - half * y for x, y in zip(r0, r1)] for r0, r1 in zip(p.q0.rows, p.q1.rows)]
-            value = sum(c * (-half) ** d for d, c in enumerate(form.coeffs))
+            mid = [[2 * x - y for x, y in zip(r0, r1)] for r0, r1 in zip(p.q0.rows, p.q1.rows)]
+            value = sum(c * ((-1) ** d << m + 1 - d) for d, c in enumerate(form.coeffs))
             if got != m + 1:
                 problem = "%d degenerations" % got
             elif form.coeffs[-1] != ff_det(p.q1.rows):

@@ -268,6 +268,7 @@ def test_minors_proportional_none():
 def test_projective_point_normalization():
     p = ProjectivePoint([Fraction(2, 3), Fraction(-4, 3)])
     assert p.coords == (1, -2)
+    assert all(type(c) is int for c in p.coords)
     assert ProjectivePoint([-2, 4]) == p
     with pytest.raises(ValueError):
         ProjectivePoint([0, 0])
@@ -346,8 +347,27 @@ def test_chow_limit_rank1_family(coeffs):
 
 def test_chow_limit_identically_singular():
     q0 = SymmetricForm.diagonal([1, 0, 0, 0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="identically vanishing"):
         chow_limit(q0, q0, 2)
+
+
+def family_coeffs(q0, q1):
+    # [A, B]: both forms scaled to integers by one lcm, as chow_limit takes them
+    ints, _ = exact.clear_denominators(q0.rows + q1.rows)
+    return [ints[:q0.n + 1], ints[q0.n + 1:]]
+
+
+@pytest.mark.parametrize("family, args, order", [
+    (rank2_family, (2, 3, 5), 0),  # q0 = x0 x1 has a nonzero 2 x 2 minor
+    (rank1_family, (1, 2, 3, 4, 5, 6), 1),  # q0 = x0^2 has none
+])
+def test_family_limit_order(family, args, order):
+    coeffs = family_coeffs(*family(*args))
+    got, rows = chowform._family_limit(coeffs, 2, 2)
+    assert got == order
+    expected = [[e[order] for e in row] for row in chowform._compound_poly(coeffs, 2, 2)]
+    assert rows == expected and any(map(any, rows))
+    assert ProjectivePoint([e for row in rows for e in row]) == chow_limit(*family(*args), 2)
 
 
 @pytest.mark.parametrize("n", [1, 3])
@@ -429,6 +449,37 @@ def test_wedge2_example_matrix_outer_product():
     assert m[1][1] != {(0, 0, 0): 1}
 
 
+def grid_poly(values: dict) -> dict:
+    # oracle: {exponent tuple: coefficient} of the integer polynomial of
+    # degree <= 2 in each variable that takes values[t] at every t in
+    # {0, 1, 2}^3, interpolated one axis at a time
+    for axis in range(3):
+        # the slot of each key on this axis turns from a grid value of the
+        # variable into its exponent
+        lines = {}
+        for t, v in values.items():
+            lines.setdefault(t[:axis] + t[axis + 1:], [0, 0, 0])[t[axis]] = v
+        values = {rest[:axis] + (e,) + rest[axis:]: c
+                  for rest, line in lines.items() for e, c in enumerate(exact._interpolate(line))}
+    return {e: c for e, c in values.items() if c}
+
+
+def test_wedge2_example_matrix_matches_grid_oracle(monkeypatch):
+    # one direct limit, read by Kronecker substitution, against the limits at
+    # the 27 points of {0, 1, 2}^3 interpolated in each flag parameter
+    grid = {t: chowform._flag_limit(3, 2, t) for t in itertools.product(range(3), repeat=3)}
+    expected = [[grid_poly({t: m[r][c] for t, m in grid.items()}) for c in range(6)] for r in range(6)]
+    real, read = chowform._flag_limit, exact._kronecker
+    calls, bounds = [], []
+    monkeypatch.setattr(chowform, "_flag_limit", lambda n, k, ts: calls.append((n, k)) or real(n, k, ts))
+    monkeypatch.setattr(chowform, "_kronecker", lambda f, deg, bound: (
+        deg == 26 and bounds.append(bound)) or read(f, deg, bound))
+    assert wedge2_example_matrix() == expected
+    assert calls == [(3, 2)]
+    # the bound is the one _compound_poly takes for the flag family at t = (1, 1, 1)
+    assert bounds == [minor_bound(flag_coeffs(3, (1, 1, 1)), 2)]
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_flag_wedge_constant_iff_j_differs(n):
     for k in range(1, n + 1):
@@ -473,8 +524,9 @@ def test_flag_limit_matches_plucker_outer_product():
 @pytest.mark.parametrize("shift", [-1, 1])
 def test_flag_limit_neighbouring_coefficients_fail(monkeypatch, shift):
     # a limit read from x^(k(k-1)/2 - 1) or x^(k(k-1)/2 + 1) instead: at
-    # every (n, k) either a lower coefficient is nonzero or the matrix is
-    # not v v^T (tests/test_verify.py runs the check on both mutants)
+    # every (n, k) either the lowest term is not x^(k(k-1)/2) or the matrix
+    # is not v v^T; every coefficient moved up raises (tests/test_verify.py
+    # runs the check on both mutants)
     real = exact._kronecker
 
     def shifted(values_at, deg, bound):
@@ -488,7 +540,7 @@ def test_flag_limit_neighbouring_coefficients_fail(monkeypatch, shift):
                 limit = chowform._flag_limit(n, k, ts)
             except AssertionError:
                 continue
-            assert limit != outer(chowform._flag_plucker(n, k, ts)), (n, k)
+            assert shift > 0 and limit != outer(chowform._flag_plucker(n, k, ts)), (n, k)
 
 
 def test_wedge_check_takes_the_direct_compound(monkeypatch):

@@ -389,17 +389,20 @@ def _callers(name):
 
 KERNEL_CALLERS = {
     "int_det_poly": {"pencils._det_binary"},
-    "_interpolate": {"exact._kronecker", "chowform._grid_poly"},
-    "_kronecker": {"exact.int_det_poly", "chowform._compound_poly"},
+    "_interpolate": {"exact._kronecker"},
+    "_kronecker": {"exact.int_det_poly", "chowform._compound_poly", "chowform.wedge2_example_matrix"},
+    "_compound_poly": {"chowform._family_limit"},
 }
 
 
-@pytest.mark.parametrize("name, user", [("int_det_poly", "pencils.py"), ("_interpolate", "chowform.py"),
-                                        ("_kronecker", "chowform.py")])
+@pytest.mark.parametrize("name, user", [("int_det_poly", "pencils.py"), ("_interpolate", None),
+                                        ("_kronecker", "chowform.py"), ("_compound_poly", None)])
 def test_one_caller_per_kernel(name, user):
     # pencil determinant forms are the one use of int_det_poly; the digit
-    # unpacking of _kronecker serves it and the Chow-form limits' compounds
-    # (_compound_poly), and outside exact only the wedge example matrix
-    # interpolates
-    assert _importers(name) == {user}
+    # unpacking of _kronecker serves it, the Chow-form limits' compounds
+    # (_compound_poly) and the wedge example's Kronecker read of the flag
+    # parameters, and only _kronecker interpolates; every family limit takes
+    # its compound through _family_limit, so a second limit path fails here;
+    # user is the one module outside the kernel's own that reads it, if any
+    assert _importers(name) == ({user} if user else set())
     assert _callers(name) == KERNEL_CALLERS[name]

@@ -259,7 +259,7 @@ FAILURES = [
      lambda mp: mp.setattr(chowform, "flag_wedge", lambda n, k, j: True),
      _wedge, "n=2 k=1 j=1 constant=True"),
     ("wedge-limit-below", "wedge-contraction", lambda mp: _patch_limit_order(mp, -1), _wedge,
-     "n=2 k=1 limit is not v v^T"),
+     "n=2 k=1 lowest term is x^1, not x^0"),
     ("wedge-limit-above", "wedge-contraction", lambda mp: _patch_limit_order(mp, 1), _wedge,
      "n=2 k=1 limit is not v v^T"),
     ("wedge-plucker-rows", "wedge-contraction", _patch_plucker_rows, _wedge,
