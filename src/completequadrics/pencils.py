@@ -19,6 +19,7 @@ from .exact import clear_denominators, distinct_root_count, int_det_poly
 from .exact import ff_det  # noqa: F401  bench/test_bench.py traces and restores this alias
 from .quadrics import (
     SymmetricForm,
+    _first_smooth_form,
     _int_basis,
     _int_congruence,
     _random_basis,
@@ -163,17 +164,43 @@ def _retry(builder, rng):
     raise DegeneratePencilError("no generic draw found: %s" % (last,))
 
 
+def _pencil_seeds(r) -> tuple:
+    # the seeds of Q0 and Q1: the draws of r.randrange(1 << 30), replayed by
+    # _randbelow
+    return _randbelow(r, 1 << 30), _randbelow(r, 1 << 30)
+
+
 def _smooth_pencil(r, m: int) -> Pencil:
-    # one draw of two smooth forms on P^m.  Q0 has exact rank m + 1, so the
-    # determinant form's coefficient c_0 = det Q0 is nonzero and the form
-    # needs no check here; it is computed on first use.  The seeds are the
-    # draws of r.randrange(1 << 30), replayed by _randbelow.
-    return Pencil(random_form(m, m + 1, _randbelow(r, 1 << 30)), random_form(m, m + 1, _randbelow(r, 1 << 30)))
+    # one draw of two smooth forms on P^m, each M tested by an elimination in
+    # random_form; no determinant form is computed.  The tangency rows of
+    # _DIRECT_ENTRIES count a restriction and never need this pencil's form.
+    s0, s1 = _pencil_seeds(r)
+    return Pencil(random_form(m, m + 1, s0), random_form(m, m + 1, s1))
+
+
+def _certified_pencil(r, m: int) -> Pencil:
+    # the draw of _smooth_pencil for a pencil whose degenerations are
+    # counted, certified by the determinant form the count takes.  Both
+    # forms are built from the first M of their random_form streams with no
+    # elimination (_first_smooth_form); c_0 = det Q0 and c_(m+1) = det Q1
+    # are both nonzero exactly when both Ms are invertible, and then the
+    # pencil is the one _smooth_pencil draws, with its form kept.  Otherwise
+    # the pencil is rebuilt through random_form from the same seeds, so the
+    # draws, the retries and every output are those of _smooth_pencil.
+    s0, s1 = _pencil_seeds(r)
+    try:
+        p = Pencil(_first_smooth_form(m, s0), _first_smooth_form(m, s1))
+        coeffs = p.det_form.coeffs
+        if coeffs[0] and coeffs[-1]:
+            return p
+    except DegeneratePencilError:
+        pass
+    return Pencil(random_form(m, m + 1, s0), random_form(m, m + 1, s1))
 
 
 def random_pencil(m: int, seed: int) -> Pencil:
     """Random pencil of smooth quadrics on P^m with a nonzero determinant form."""
-    return _retry(lambda r: _smooth_pencil(r, m), random.Random(seed))
+    return _retry(lambda r: _certified_pencil(r, m), random.Random(seed))
 
 
 def bk_number(n: int, k: int, seed: int) -> int:
@@ -211,24 +238,24 @@ def _rank2_product_pencil(rng, m: int) -> Pencil:
 # one entry per n = 3 table entry, drawn in this order: label curve.divisor,
 # the pencil draw, the m of the P^m it draws on, and the number k of random
 # vectors spanning the subspace that tangencies are counted on (None: count
-# the degenerations of the pencil).  G is a pencil of smooth quadric
-# surfaces, C1 one of marking conics on a fixed double plane, C2 a fixed
-# plane times a pencil of planes, and L2 two fixed planes with one of the
-# two marked points on their axis moving.
+# the degenerations of the pencil, drawn by _certified_pencil).  G is a
+# pencil of smooth quadric surfaces, C1 one of marking conics on a fixed
+# double plane, C2 a fixed plane times a pencil of planes, and L2 two fixed
+# planes with one of the two marked points on their axis moving.
 _DIRECT_ENTRIES = (
     ("G.H1", _smooth_pencil, 3, 1),
     ("G.H2", _smooth_pencil, 3, 2),
     ("G.H3", _smooth_pencil, 3, 3),
-    ("G.E3", _smooth_pencil, 3, None),
+    ("G.E3", _certified_pencil, 3, None),
     ("C1.H2", _smooth_pencil, 2, 1),
     ("C1.H3", _smooth_pencil, 2, 2),
-    ("C1.E3", _smooth_pencil, 2, None),
-    ("C1star.E2", _smooth_pencil, 2, None),
+    ("C1.E3", _certified_pencil, 2, None),
+    ("C1star.E2", _certified_pencil, 2, None),
     ("C1star.H3", _smooth_pencil, 2, 1),
-    ("C3.E2", _smooth_pencil, 2, None),
+    ("C3.E2", _certified_pencil, 2, None),
     ("C2.H1", _rank2_product_pencil, 3, 1),
     ("L2.H3", _rank2_product_pencil, 1, 1),
-    ("Gstar.E1", _smooth_pencil, 3, None),
+    ("Gstar.E1", _certified_pencil, 3, None),
 )
 
 # table entry -> (curve name, divisor name) for the cross-module comparison

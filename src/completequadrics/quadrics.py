@@ -41,12 +41,12 @@ class SymmetricForm(Record):
     (compound, restrict, the Chow forms, the pencil determinant forms) do
     not check its entries again.
 
-    random_form, restrict, compound and pencils._sym_outer build their forms
-    through _unchecked, which runs neither test.  Each computes its rows
-    itself, from ints and Fractions, and gives entry (j, i) the value of
-    entry (i, j), so the tests would only re-read what the package just
-    wrote; a form that comes from outside goes through the public
-    constructor and both tests.
+    _congruent_form (behind random_form), restrict, compound and
+    pencils._sym_outer build their forms through _unchecked, which runs
+    neither test.  Each computes its rows itself, from ints and Fractions,
+    and gives entry (j, i) the value of entry (i, j), so the tests would
+    only re-read what the package just wrote; a form that comes from
+    outside goes through the public constructor and both tests.
     """
 
     __slots__ = _fields = ("n", "rows")
@@ -109,6 +109,11 @@ def restrict(q: SymmetricForm, basis) -> SymmetricForm:
     return SymmetricForm._unchecked(rows)
 
 
+def _independent(b, cols: int) -> bool:
+    # the columns of b are independent: one elimination of a copy of b
+    return len(_echelon([r[:] for r in b], cols)[0]) == cols
+
+
 def _int_basis(basis, size: int) -> tuple:
     """(columns of Lb B, Lb) for a basis B of a subspace of a space of
     dimension size, Lb the lcm of its denominators.
@@ -124,7 +129,7 @@ def _int_basis(basis, size: int) -> tuple:
     if k == 0:
         raise ValueError("empty basis")
     bi, lb = clear_denominators(_rows(b))
-    if len(_echelon([r[:] for r in bi], k)[0]) != k:
+    if not _independent(bi, k):
         raise ValueError("basis columns are linearly dependent")
     return list(zip(*bi)), lb
 
@@ -262,24 +267,50 @@ def _randbelow(rng, n: int) -> int:
     return r
 
 
+def _int_matrix(rng, rows: int, cols: int) -> list:
+    """Random rows x cols integer matrix, entries in -3..3.
+
+    The package's only random-matrix draw.  Entries are the draws of
+    rng.randint(-3, 3), replayed by _small_ints, row by row.
+    """
+    count = rows * cols
+    flat = _small_ints(rng, count)
+    return [flat[i:i + cols] for i in range(0, count, cols)]
+
+
 def _random_basis(rng, rows: int, cols: int) -> list:
     """Random rows x cols integer matrix of rank cols, entries in -3..3.
 
-    The package's only random-matrix draw: the invertible M of random_form
-    and the points and subspaces that pencil tangencies and the Chow-form
-    identity are counted on.  Entries are the draws of rng.randint(-3, 3),
-    replayed by _small_ints, row by row, and the whole matrix is drawn again
-    until its columns are independent, which one elimination of a copy of
-    the draw decides.  More columns than rows can never be independent, so
-    that shape raises ValueError before anything is drawn.
+    The first of the matrices _int_matrix draws whose columns are
+    independent: the invertible M of random_form and the points and
+    subspaces that pencil tangencies and the Chow-form identity are counted
+    on.  More columns than rows can never be independent, so that shape
+    raises ValueError before anything is drawn.
     """
     if cols > rows:
         raise ValueError("a %d x %d matrix cannot have rank %d" % (rows, cols, cols))
-    while True:
-        flat = _small_ints(rng, rows * cols)
-        b = [flat[i:i + cols] for i in range(0, rows * cols, cols)]
-        if len(_echelon([r[:] for r in b], cols)[0]) == cols:
-            return b
+    b = _int_matrix(rng, rows, cols)
+    while not _independent(b, cols):
+        b = _int_matrix(rng, rows, cols)
+    return b
+
+
+def _congruent_form(n: int, r: int, seed: int, draw) -> SymmetricForm:
+    # M^T D M on P^n, with D = diag(d_0, .., d_(r-1), 0, .., 0) and then M
+    # drawn from random.Random(seed): each d_k is rng.choice of these six,
+    # replayed by _randbelow, and M is draw(rng, n + 1, n + 1)
+    rng = random.Random(seed)
+    size = n + 1
+    d = [(1, 2, 3, -1, -2, 5)[_randbelow(rng, 6)] for _ in range(r)]
+    m = draw(rng, size, size)
+    # (M^T D M)_ij = sum over k < r of d_k m_ki m_kj, in integers
+    cols = list(zip(*m[:r]))
+    rows = [[None] * size for _ in range(size)]
+    for i in range(size):
+        di = [dk * x for dk, x in zip(d, cols[i])]
+        for j in range(i, size):
+            rows[i][j] = rows[j][i] = sum(map(operator.mul, di, cols[j]))
+    return SymmetricForm._unchecked(rows)
 
 
 def random_form(n: int, r: int, seed: int) -> SymmetricForm:
@@ -292,16 +323,16 @@ def random_form(n: int, r: int, seed: int) -> SymmetricForm:
     """
     if not 1 <= r <= n + 1:
         raise ValueError("rank out of range")
-    rng = random.Random(seed)
-    size = n + 1
-    # each nonzero entry of D is rng.choice of these six, replayed by _randbelow
-    d = [(1, 2, 3, -1, -2, 5)[_randbelow(rng, 6)] if i < r else 0 for i in range(size)]
-    m = _random_basis(rng, size, size)
-    # (M^T D M)_ij = sum over k < r of d_k m_ki m_kj, in integers
-    cols = list(zip(*m[:r]))
-    rows = [[None] * size for _ in range(size)]
-    for i in range(size):
-        di = [dk * x for dk, x in zip(d, cols[i])]
-        for j in range(i, size):
-            rows[i][j] = rows[j][i] = sum(map(operator.mul, di, cols[j]))
-    return SymmetricForm._unchecked(rows)
+    return _congruent_form(n, r, seed, _random_basis)
+
+
+def _first_smooth_form(n: int, seed: int) -> SymmetricForm:
+    """M^T D M on P^n from the first M that random_form(n, n + 1, seed) draws,
+    with no test of M.
+
+    D has no zero entry, so det(M^T D M) = det D (det M)^2 is nonzero exactly
+    when M is invertible, and then this is random_form(n, n + 1, seed).  A
+    caller that computes the determinant anyway certifies the form by it and
+    saves the elimination; on a zero determinant it calls random_form.
+    """
+    return _congruent_form(n, n + 1, seed, _int_matrix)

@@ -148,14 +148,66 @@ def test_ladder_pencil_outputs_pinned():
     assert digest == "ca035469265334d94eb3ad7cb80a5b169a6538a1da2681892d6b65f946ff6982"
 
 
+def first_m_invertible(m, form_seed):
+    # oracle: the first M that random_form(m, m + 1, form_seed) draws,
+    # through choice and randint, tested by rank
+    rng = random.Random(form_seed)
+    for _ in range(m + 1):
+        rng.choice([1, 2, 3, -1, -2, 5])
+    first = [[Fraction(rng.randint(-3, 3)) for _ in range(m + 1)] for _ in range(m + 1)]
+    return mat_rank(first) == m + 1
+
+
+def candidate_rejected(m, seed):
+    # the first draw of random_pencil(m, seed) has a form whose first M is
+    # singular, so its candidate pencil is rebuilt through random_form
+    rng = random.Random(seed)
+    seeds = rng.randrange(1 << 30), rng.randrange(1 << 30)
+    return not all(first_m_invertible(m, s) for s in seeds)
+
+
+def draw_outcome(draw, rng, m):
+    # the forms and determinant form of one pencil draw, or what it raised
+    try:
+        p = draw(rng, m)
+    except DegeneratePencilError as exc:
+        return DegeneratePencilError, str(exc)
+    return p.q0.rows, p.q1.rows, p.det_form
+
+
+class TestCertifiedDraw:
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_matches_rank_checked_draw(self, m):
+        # same forms, same determinant form, or the same raise, and the same
+        # generator state as the draw that tests each M by an elimination.
+        # random_form runs, twice, exactly when a first M is singular or the
+        # candidate raised; a raising candidate is rebuilt and raises again.
+        # random_pencil(1, 5), (2, 4), (3, 11) and (4, 20) are rebuilt draws.
+        rebuilt = set()
+        for seed in range(200):
+            r, ref = random.Random(seed), random.Random(seed)
+            with mock.patch.object(pencils, "random_form", wraps=pencils.random_form) as spy:
+                got = draw_outcome(pencils._certified_pencil, r, m)
+            assert got == draw_outcome(pencils._smooth_pencil, ref, m), seed
+            assert r.getstate() == ref.getstate()
+            rejected = candidate_rejected(m, seed)
+            assert spy.call_count == 2 * (rejected or got[0] is DegeneratePencilError), seed
+            if rejected:
+                rebuilt.add(seed)
+        assert rebuilt >= {1: {5}, 2: {4}, 3: {11}, 4: {20}}.get(m, set())
+
+
 class TestDetFormKept:
     def test_bk_number_takes_one_form_per_draw(self):
-        # the draw check and the degeneration count share one elimination
-        for m in (1, 3, 6):
-            for seed in (0, 5):
-                with mock.patch.object(pencils, "int_det_poly", wraps=pencils.int_det_poly) as spy:
-                    assert bk_number(m + 1, 1, seed) == m + 1
-                assert spy.call_count == 1
+        # the certificate of the draw and the degeneration count share one
+        # elimination; a candidate with a singular first M costs one more
+        cases = [(1, 0), (1, 5), (2, 4), (3, 0), (3, 5), (3, 11), (4, 20), (6, 0), (6, 5)]
+        rejected = [candidate_rejected(m, seed) for m, seed in cases]
+        assert any(rejected) and not all(rejected)
+        for (m, seed), extra in zip(cases, rejected):
+            with mock.patch.object(pencils, "int_det_poly", wraps=pencils.int_det_poly) as spy:
+                assert bk_number(m + 1, 1, seed) == m + 1
+            assert spy.call_count == 1 + extra, (m, seed)
 
     @pytest.mark.parametrize("n, eliminations", [(40, 41), (17, 1)])
     def test_pencil_eliminations_by_size(self, n, eliminations):
@@ -186,14 +238,18 @@ class TestDetFormKept:
         assert p.det_form == fresh.det_form
 
     def test_smooth_draw_needs_no_form_check(self):
-        # Q0 has exact rank m + 1, so the form's coefficient 0, det Q0, is
-        # nonzero on every draw; the draw computes no form
+        # the certified draw keeps the form it was accepted by, whose end
+        # coefficients det Q0 and det Q1 are nonzero; a rebuilt draw keeps
+        # none.  The tangency draw tests each M by an elimination instead
+        # and computes no form.
         for m in range(1, 7):
             for seed in range(50):
-                p = pencils._smooth_pencil(random.Random(seed), m)
-                assert "det_form" not in vars(p)
-                c0 = pencil_det_form(p).coeffs[0]
-                assert c0 == exact.int_det(p.q0.rows) != 0, (m, seed)
+                p = pencils._certified_pencil(random.Random(seed), m)
+                assert ("det_form" in vars(p)) != candidate_rejected(m, seed), (m, seed)
+                coeffs = pencil_det_form(p).coeffs
+                assert coeffs[0] == exact.int_det(p.q0.rows) != 0, (m, seed)
+                assert coeffs[-1] == exact.int_det(p.q1.rows) != 0, (m, seed)
+                assert "det_form" not in vars(pencils._smooth_pencil(random.Random(seed), m))
 
     def test_pencil_stays_frozen(self):
         p = random_pencil(2, 1)
