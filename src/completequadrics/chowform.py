@@ -10,11 +10,11 @@ contractions of the space of complete quadrics).
 
 Rational evaluation runs on Python integers: plucker and chow_eval share
 one scaling of the basis and its maximal minors (_int_plucker), chow_eval
-takes the integer compound of the scaled form (quadrics._int_minors), sums
-the quadratic form in integers and builds one Fraction at the end.  No
-minor is a determinant of its own: both are built by Laplace expansion,
-each level of minors from the one below, with the same cached subset
-tables.  Every limit is one kernel, _family_limit: the lowest x-order of
+takes the integer compound of the form's integer matrix
+(quadrics._int_minors), sums the quadratic form in integers and builds one
+Fraction at the end.  No minor is a determinant of its own: both are built
+by Laplace expansion, each level of minors from the one below, with the
+same cached subset tables.  Every limit is one kernel, _family_limit: the lowest x-order of
 the compound of a symmetric integer matrix polynomial and its coefficient,
 from one integer compound at x = 2^K (_compound_poly) read back as base-2^K
 digits by exact._kronecker, which also reads the three flag parameters of
@@ -109,14 +109,14 @@ def chow_eval(q: SymmetricForm, k: int, basis) -> Fraction:
     with p = plucker(B).  Zero exactly when the (k-1)-plane is tangent.
     basis must have n + 1 rows, as for restrict.
 
-    Neither p nor the compound matrix is built in Fractions.  With Lb and L
-    the lcms of the denominators of B and q, v = Lb**k p holds the integer
-    maximal minors of Lb B (_int_plucker), and C = L**k compound(q, k) the
-    integer minors of L Q from one Laplace pass (quadrics._int_minors).  C
-    is symmetric, so the form is summed in integers over the pairs S <= T
+    Neither p nor the compound matrix is built in Fractions.  With Lb the
+    lcm of the denominators of B, v = Lb**k p holds the integer maximal
+    minors of Lb B (_int_plucker), and C = q.den**k compound(q, k) the
+    integer minors of q.ints from one Laplace pass (quadrics._int_minors).
+    C is symmetric, so the form is summed in integers over the pairs S <= T
     only, as sum_S v_S (C_SS v_S + 2 sum_{T > S} C_ST v_T), and divided
-    once by Lb**(2k) L**k.  Neither side of the identity is computed from
-    the other.
+    once by Lb**(2k) q.den**k.  Neither side of the identity is computed
+    from the other.
     """
     b = [list(r) for r in basis]
     if len(b) != q.n + 1:
@@ -124,13 +124,12 @@ def chow_eval(q: SymmetricForm, k: int, basis) -> Fraction:
     _, kb, v, lv = _int_plucker(b)
     if kb != k:
         raise ValueError("basis spans a plane of the wrong dimension")
-    ints, scale = clear_denominators(q.rows)
-    c = _int_minors(ints, k)
+    c = _int_minors(q.ints, k)
     total = 0
     for s, (vs, row) in enumerate(zip(v, c)):
         if vs:
             total += vs * (row[s] * vs + 2 * sum(map(operator.mul, row[s + 1:], v[s + 1:])))
-    return Fraction(total, lv * lv * scale ** k)
+    return Fraction(total, lv * lv * q.den ** k)
 
 
 def _compound_poly(coeffs, deg: int, k: int) -> list:
@@ -187,15 +186,14 @@ def chow_limit(q0: SymmetricForm, q1: SymmetricForm, k: int) -> ProjectivePoint:
     coordinates are the limit matrix entries in row-major order (no radical
     is taken, so a nonreduced limit keeps its multiplicity structure).
 
-    Both forms are scaled by one lcm L to integers A and B, and the limit
-    is _family_limit of [A, B], of degree k in t: L**k times the limit of
-    q0 + t*q1, a positive factor the projective point drops.
+    The limit is _family_limit of [q0.ints, q1.ints], of degree k in t.
+    With d0, d1 the dens, A + tB = d0 (q0 + (d1 / d0) t q1): its lowest
+    coefficient is that of q0 + t*q1 times the positive factor
+    d0**k (d1 / d0)**order, which the projective point drops.
     """
     if q0.n != q1.n:
         raise ValueError("forms must share an ambient space")
-    size = q0.n + 1
-    ints, _ = clear_denominators(q0.rows + q1.rows)
-    _, rows = _family_limit([ints[:size], ints[size:]], k, k)
+    _, rows = _family_limit([q0.ints, q1.ints], k, k)
     return ProjectivePoint([e for row in rows for e in row])
 
 

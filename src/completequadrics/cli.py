@@ -16,7 +16,7 @@ import re
 import sys
 
 from . import chambers, chowform, pencils, picard, quadrics, schubert, verify
-from .exact import ExactLinalgError, clear_denominators, format_rat, parse_rat
+from .exact import ExactLinalgError, format_rat, parse_rat
 from .picard import CurveClass, DivisorClass
 from .quadrics import SymmetricForm
 
@@ -56,15 +56,15 @@ MAX_CENSUS = 250_000
 MAX_CHOW_N = 10
 MAX_COMPOUND = 126
 
-# Largest `cq chow` entry, in bits, measured on the integers the computation
-# runs on: the form, or both forms of a --limit-toward pencil, scaled by the
-# lcm of all their denominators (the lcm of many small distinct denominators
-# is itself large).  Each numerator and denominator is held to the same bound
-# before the lcm is taken.  At the slowest admitted shapes, n = 9 with k = 7
-# and n = 10 with k = 9, with --limit-toward, on one 2.1 GHz Xeon core, over
-# five to ten runs: 0.16-0.27 s with 4-bit integer entries, 0.35-0.6 s with
-# 32-bit and 0.8-1.4 s with 64-bit ones, which pack past
-# exact._KRONECKER_BITS and take the compound at k + 1 points; rejected,
+# Largest `cq chow` entry, in bits.  The admission measure is the joint lcm:
+# the form, or both forms of a --limit-toward pencil, scaled by the lcm of
+# all their denominators, which bounds each form's own SymmetricForm.ints.
+# Each numerator and denominator is held to the same bound as a form is
+# parsed, before its constructor takes an lcm.  At the slowest admitted
+# shapes, n = 9 with k = 7 and n = 10 with k = 9, with --limit-toward, on one
+# 2.1 GHz Xeon core, over five to ten runs: 0.16-0.27 s with 4-bit integer
+# entries, 0.35-0.6 s with 32-bit and 0.8-1.4 s with 64-bit ones, which pack
+# past exact._KRONECKER_BITS and take the compound at k + 1 points; rejected,
 # timing chowform.chow_limit alone, 0.9-1.7 s with two-digit fractions,
 # 0.9-1.4 s with 133-bit and 1.5-2.4 s with 266-bit integer entries.
 MAX_CHOW_BITS = 64
@@ -152,7 +152,11 @@ def _parse_form(text: str) -> SymmetricForm:
         data = {"matrix": data}
     if not isinstance(data, dict) or "matrix" not in data:
         raise ValueError("form JSON must be a matrix or {n, matrix}")
-    return SymmetricForm.from_json(_check_types(data))
+    data["matrix"] = [[parse_rat(x) for x in row] for row in _check_types(data)["matrix"]]
+    # bounded before the constructor takes the lcm of the denominators
+    _check_chow_bits(max((max(abs(x.numerator), x.denominator).bit_length()
+                          for row in data["matrix"] for x in row), default=0))
+    return SymmetricForm.from_json(data)
 
 
 # -- chow ----------------------------------------------------------------------
@@ -166,17 +170,17 @@ def _check_chow_size(q: SymmetricForm, k: int) -> None:
                          % (k, q.n + 1, k, math.comb(q.n + 1, k), MAX_COMPOUND))
 
 
-def _check_chow_entries(*forms) -> None:
-    rows = [row for q in forms for row in q.rows]
-    # each numerator and denominator is bounded first, so that the lcm of the
-    # denominators is small enough to take
-    bits = max(max(abs(x.numerator), x.denominator).bit_length() for row in rows for x in row)
-    if bits <= MAX_CHOW_BITS:
-        ints, _ = clear_denominators(rows)
-        bits = max(abs(x) for row in ints for x in row).bit_length()
+def _check_chow_bits(bits: int) -> None:
     if bits > MAX_CHOW_BITS:
         raise ValueError("chow entries and the integers they scale to have at most %d bits (got %d)"
                          % (MAX_CHOW_BITS, bits))
+
+
+def _check_chow_entries(*forms) -> None:
+    # the forms scaled by the lcm of all their denominators, the joint lcm
+    scale = math.lcm(*[q.den for q in forms])
+    _check_chow_bits(max(max(map(abs, itertools.chain(*q.ints))) * (scale // q.den)
+                         for q in forms).bit_length())
 
 
 def cmd_chow(args) -> int:

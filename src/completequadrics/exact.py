@@ -31,13 +31,12 @@ slower than deg + 1 small ones, so the values at x = 0..deg are interpolated
 integer remainder sequence instead of a Euclidean gcd over Fraction.
 distinct_root_count certifies a squarefree polynomial by one gcd modulo the
 prime 2^61 - 1 and reads the squarefree degree from poly_gcd only when that
-certificate fails.  The same pattern carries the Chow-form layers, which
-scale each matrix once: quadrics.compound and chowform.plucker build all
-their minors of the scaled matrix in one Laplace pass over shared sub-minors
-(quadrics._int_minors, chowform._int_plucker), not one int_det each,
-quadrics.restrict forms B^T Q B as one integer product, and
-chowform.chow_eval sums its quadratic form over the integer minors, each
-building one Fraction per answer.  int_det's one caller is ff_det.
+certificate fails.  A quadric form is stored as an integer matrix and one
+denominator (quadrics.SymmetricForm), which the Chow-form layers read as
+they are: quadrics.compound and chowform.plucker build all their minors in
+one Laplace pass over shared sub-minors, not one int_det each, and
+quadrics.restrict and chowform.chow_eval each take one integer product.
+int_det's one caller is ff_det.
 """
 
 from __future__ import annotations

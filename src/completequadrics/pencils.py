@@ -10,12 +10,13 @@ is what ties the lattice pairings of the picard module to geometry.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from functools import cached_property
 
 from ._value import Record
-from .exact import clear_denominators, distinct_root_count, int_det_poly
+from .exact import distinct_root_count, int_det_poly
 from .exact import ff_det  # noqa: F401  bench/test_bench.py traces and restores this alias
 from .quadrics import (
     SymmetricForm,
@@ -54,7 +55,7 @@ class Pencil(Record):
     def __init__(self, q0: SymmetricForm, q1: SymmetricForm):
         if q0.n != q1.n:
             raise ValueError("pencil members must share an ambient space")
-        f0, f1 = _flat(q0.rows), _flat(q1.rows)
+        f0, f1 = _flat(q0.ints), _flat(q1.ints)
         if not any(f0) or not any(f1):
             raise DegeneratePencilError("pencil member is the zero form")
         if _proportional(f0, f1):
@@ -85,10 +86,11 @@ class BinaryForm(Record):
 
 
 def _scaled(q0: SymmetricForm, q1: SymmetricForm) -> tuple:
-    # (L Q0, L Q1, L) as integer rows, L the lcm of both forms' denominators
-    size = q0.n + 1
-    ints, scale = clear_denominators(q0.rows + q1.rows)
-    return ints[:size], ints[size:], scale
+    # (L Q0, L Q1, L) as integer rows, L the lcm of both forms' denominators;
+    # a form whose den is L is handed through as its ints
+    scale = math.lcm(q0.den, q1.den)
+    return (*(q.ints if q.den == scale else [[x * (scale // q.den) for x in r] for r in q.ints]
+              for q in (q0, q1)), scale)
 
 
 def _det_binary(a, b) -> list:
@@ -135,14 +137,13 @@ def count_tangencies(p: Pencil, basis) -> DegenerationCount:
     single member through the point.
 
     The pencil is restricted once, in integers: with B the basis scaled by
-    its lcm Lb and A0, A1 the members scaled by their common lcm L, the
-    restrictions are B^T A0 B and B^T A1 B, the restrictions of Q0 and Q1
-    (restrict) times the one positive factor L Lb**2, which changes no zero
-    test, no proportionality test and no root of their determinant form.
+    its lcm Lb, B^T (q0.ints) B and B^T (q1.ints) B are the restrictions of
+    Q0 and Q1 (restrict) times positive factors, which change no zero test,
+    no proportionality test and, rescaling s and t, no root of their
+    determinant form.
     """
     cols, _ = _int_basis(basis, p.q0.n + 1)
-    a, b, _ = _scaled(p.q0, p.q1)
-    r0, r1 = _int_congruence(a, cols), _int_congruence(b, cols)
+    r0, r1 = _int_congruence(p.q0.ints, cols), _int_congruence(p.q1.ints, cols)
     f0, f1 = _flat(r0), _flat(r1)
     if not any(f0) or not any(f1):
         raise DegeneratePencilError("a pencil member restricts to zero")
@@ -183,19 +184,22 @@ def _certified_pencil(r, m: int) -> Pencil:
     # counted, certified by the determinant form the count takes.  Both
     # forms are built from the first M of their random_form streams with no
     # elimination (_first_smooth_form); c_0 = det Q0 and c_(m+1) = det Q1
-    # are both nonzero exactly when both Ms are invertible, and then the
-    # pencil is the one _smooth_pencil draws, with its form kept.  Otherwise
-    # the pencil is rebuilt through random_form from the same seeds, so the
-    # draws, the retries and every output are those of _smooth_pencil.
+    # are nonzero exactly when the first M of Q0, of Q1, is invertible, and
+    # then that form is random_form's.  With both nonzero the pencil is the
+    # one _smooth_pencil draws, with its form kept; a member with a zero
+    # coefficient is rebuilt through random_form from its seed, and both are
+    # when the candidates raise, so the draws, the retries and every output
+    # are those of _smooth_pencil.
     s0, s1 = _pencil_seeds(r)
+    q0, q1 = _first_smooth_form(m, s0), _first_smooth_form(m, s1)
     try:
-        p = Pencil(_first_smooth_form(m, s0), _first_smooth_form(m, s1))
-        coeffs = p.det_form.coeffs
-        if coeffs[0] and coeffs[-1]:
-            return p
+        p = Pencil(q0, q1)
+        c0, *_, c1 = p.det_form.coeffs
     except DegeneratePencilError:
-        pass
-    return Pencil(random_form(m, m + 1, s0), random_form(m, m + 1, s1))
+        return Pencil(random_form(m, m + 1, s0), random_form(m, m + 1, s1))
+    if c0 and c1:
+        return p
+    return Pencil(q0 if c0 else random_form(m, m + 1, s0), q1 if c1 else random_form(m, m + 1, s1))
 
 
 def random_pencil(m: int, seed: int) -> Pencil:
@@ -216,12 +220,11 @@ def bk_number(n: int, k: int, seed: int) -> int:
 
 
 def _sym_outer(u, v):
-    # symmetric matrix of the product of two linear forms u, v; entry (i, j)
-    # is one expression symmetric in i and j
+    # symmetric matrix of the product of two integer linear forms u, v:
+    # entry (i, j) is (u_i v_j + u_j v_i) / 2, symmetric in i and j
     size = len(u)
     return SymmetricForm._unchecked(
-        [[Fraction(u[i] * v[j] + u[j] * v[i], 2) for j in range(size)] for i in range(size)]
-    )
+        [[u[i] * v[j] + u[j] * v[i] for j in range(size)] for i in range(size)], 2)
 
 
 def _rank2_product_pencil(rng, m: int) -> Pencil:

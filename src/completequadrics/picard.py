@@ -78,6 +78,8 @@ class CurveClass(Record):
     _fields = ("n", "coeffs")
 
     def __init__(self, n: int, coeffs: tuple):
+        if n < 2:
+            raise ValueError("need n >= 2")
         Record.__init__(self, n, _rational_coeffs(coeffs, n))
 
     def to_json(self) -> dict:

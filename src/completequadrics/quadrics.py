@@ -6,10 +6,11 @@ entries.  The rank-<= i locus inside the P(N) of all quadrics
 quadric carries marking data on its singular locus: a complete quadric is a
 flag of forms, each living on the singular locus of the previous one.
 
-The k-th compound, the matrix of all k x k minors, is taken on the form
-scaled to integers, in one Laplace pass: each level of minors expands into
-the level below along one row, over subset tables that are built on first
-use and cached per shape (_int_minors).
+A form is stored as an integer matrix and one denominator (SymmetricForm),
+and every kernel computes in those integers.  The k-th compound, the matrix
+of all k x k minors, is taken in one Laplace pass: each level of minors
+expands into the level below along one row, over subset tables that are
+built on first use and cached per shape (_int_minors).
 """
 
 from __future__ import annotations
@@ -34,22 +35,20 @@ from .exact import ff_det  # noqa: F401  bench/test_bench.py traces and restores
 
 
 class SymmetricForm(Record):
-    """Symmetric matrix of a quadric form on P^n (matrix size n+1).
+    """Symmetric matrix of a quadric form on P^n (matrix size n+1), stored
+    as ints / den: ints a tuple of integer rows, den a positive int coprime
+    to their content.  The pair is canonical, so forms are equal exactly
+    when their entries are.  The kernels read ints and den; rows is the view
+    as numbers, ints itself when den is 1 and Fractions otherwise.
 
-    Every entry is an int or a Fraction: the constructor raises TypeError
-    otherwise, before it tests symmetry, so the kernels that take a form
-    (compound, restrict, the Chow forms, the pencil determinant forms) do
-    not check its entries again.
-
-    _congruent_form (behind random_form), restrict, compound and
-    pencils._sym_outer build their forms through _unchecked, which runs
-    neither test.  Each computes its rows itself, from ints and Fractions,
-    and gives entry (j, i) the value of entry (i, j), so the tests would
-    only re-read what the package just wrote; a form that comes from
-    outside goes through the public constructor and both tests.
+    The constructor raises TypeError on an entry that is not an int or a
+    Fraction, before it tests symmetry, and scales the rows by the lcm of
+    their denominators.  _unchecked(ints, den) builds a form from integer
+    rows the package computed, symmetric by construction, with neither test
+    (random_form, restrict, compound, pencils._sym_outer).
     """
 
-    __slots__ = _fields = ("n", "rows")
+    __slots__ = _fields = ("n", "ints", "den")
 
     def __init__(self, rows):
         rows = tuple(tuple(r) for r in rows)
@@ -60,14 +59,23 @@ class SymmetricForm(Record):
             raise TypeError("quadric form entries must be ints or Fractions")
         if not _is_symmetric(rows):
             raise ValueError("matrix is not symmetric")
-        Record.__init__(self, m - 1, rows)
+        ints, den = clear_denominators(rows)
+        Record.__init__(self, m - 1, tuple(map(tuple, ints)), den)
 
     @classmethod
-    def _unchecked(cls, rows):
-        # rows: a nonempty square list of lists of ints and Fractions, symmetric
+    def _unchecked(cls, ints, den=1):
+        # ints: a nonempty square symmetric matrix of ints; den > 0
+        g = math.gcd(den, *itertools.chain.from_iterable(ints)) if den != 1 else 1
+        if g != 1:
+            ints, den = [[x // g for x in r] for r in ints], den // g
         form = cls.__new__(cls)
-        Record.__init__(form, len(rows) - 1, tuple(map(tuple, rows)))
+        Record.__init__(form, len(ints) - 1, tuple(map(tuple, ints)), den)
         return form
+
+    @property
+    def rows(self) -> tuple:
+        den = self.den
+        return self.ints if den == 1 else tuple(tuple(Fraction(x, den) for x in r) for r in self.ints)
 
     @classmethod
     def from_rational(cls, rows):
@@ -92,21 +100,12 @@ def restrict(q: SymmetricForm, basis) -> SymmetricForm:
     columns of basis.
 
     basis is an (n+1) x k rational matrix of rank k; the result is the k x k
-    form B^T Q B on the P^(k-1) it spans.  Q and B are scaled to integers
-    once each, by the lcms Lq and Lb of their denominators (_int_basis), and
-    each entry i <= j of the integer product (_int_congruence) is divided
-    once by Lq Lb**2 and mirrored.
+    form B^T Q B on the P^(k-1) it spans.  B is scaled to integers by the
+    lcm Lb of its denominators (_int_basis), so B^T Q B is the integer
+    product (_int_congruence) of Lb B and q.ints over q.den Lb**2.
     """
     cols, lb = _int_basis(basis, q.n + 1)
-    qi, lq = clear_denominators(q.rows)
-    scale = lq * lb * lb
-    ints = _int_congruence(qi, cols)
-    k = len(cols)
-    rows = [[None] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(i, k):
-            rows[i][j] = rows[j][i] = Fraction(ints[i][j], scale)
-    return SymmetricForm._unchecked(rows)
+    return SymmetricForm._unchecked(_int_congruence(q.ints, cols), q.den * lb * lb)
 
 
 def _independent(b, cols: int) -> bool:
@@ -154,14 +153,10 @@ def compound(q: SymmetricForm, k: int) -> SymmetricForm:
     subsets of {0..n}; entry (S, T) is det Q[S, T].  The rank of the
     compound of a rank-r rational form is C(r, k).
 
-    The form is scaled to integers once, by the lcm L of its denominators;
-    the integer minors come from one Laplace pass (_int_minors), and each
-    entry is such a minor over L**k.
+    The integer minors of q.ints come from one Laplace pass (_int_minors),
+    and each entry is such a minor over q.den**k.
     """
-    ints, scale = clear_denominators(q.rows)
-    rows = _int_minors(ints, k)
-    den = scale ** k
-    return SymmetricForm._unchecked([[Fraction(x, den) for x in row] for row in rows])
+    return SymmetricForm._unchecked(_int_minors(q.ints, k), q.den ** k)
 
 
 def _int_minors(ints, k: int) -> list:
@@ -183,7 +178,7 @@ def _int_minors(ints, k: int) -> list:
         return ints
     # each row followed by its negation, which the column getters pick the
     # alternating cofactor signs from
-    signed = [r + [-x for x in r] for r in ints]
+    signed = [[*r, *[-x for x in r]] for r in ints]
     level = ints[k - 1:]
     for j in range(2, k + 1):
         cols = _laplace_cols(size, j)
@@ -318,8 +313,7 @@ def random_form(n: int, r: int, seed: int) -> SymmetricForm:
 
     Built as M^T D M with M a random invertible integer matrix (_random_basis)
     and D diagonal with exactly r nonzero entries, so the rank is exact by
-    congruence.  The entries are the integer sums of M^T D M, stored as ints:
-    the kernels that scale a form to integers scale this one by 1.
+    congruence.  The entries are the integer sums of M^T D M, so den is 1.
     """
     if not 1 <= r <= n + 1:
         raise ValueError("rank out of range")

@@ -665,6 +665,15 @@ def test_string_coeffs_rejected():
         assert "not a string" in err
 
 
+@pytest.mark.parametrize("n", [-3, 0, 1])
+def test_curve_below_n_2_rejected(n):
+    # checked before the coefficients are counted, as for a divisor
+    code, out, err = run(["pair", "--curve", json.dumps({"n": n, "coeffs": []}),
+                          "--divisor", '{"basis":"H","coeffs":[1,1,1]}'])
+    assert code == 2 and out == ""
+    assert err == "error: need n >= 2\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["cone", "--divisor", '{"basis":"H","coeffs":["1e5000","1","1"]}', "--cone", "nef"],
     ["cone", "--divisor", '{"basis":"H","coeffs":["1E3","1","1"]}', "--cone", "nef"],

@@ -8,7 +8,7 @@ from unittest import mock
 
 import pytest
 
-from completequadrics import exact, pencils, picard
+from completequadrics import exact, pencils, picard, quadrics
 from completequadrics.exact import mat_mul, mat_rank
 from completequadrics.pencils import (
     DIRECT_CHECK_PAIRS,
@@ -101,12 +101,12 @@ class TestDetFormOracle:
             assert pencil_det_form(restricted).coeffs == cofactor_det_form(restricted)
             checked += 1
         for _ in range(20):
-            u, v0, v1 = ([Fraction(rng.randint(-3, 3)) for _ in range(2)] for _ in range(3))
+            u, v0, v1 = ([rng.randint(-3, 3) for _ in range(2)] for _ in range(3))
             try:
                 pencil = Pencil(_sym_outer(u, v0), _sym_outer(u, v1))
             except DegeneratePencilError:
                 continue
-            assert pencil.q0.rows[0][1].denominator in (1, 2)
+            assert pencil.q0.den in (1, 2)
             expected = cofactor_det_form(pencil)
             if any(expected):
                 assert pencil_det_form(pencil).coeffs == expected
@@ -118,11 +118,8 @@ class TestDetFormOracle:
 
     def test_identically_singular_half_integer_pencil_rejected(self):
         # u*v0 and u*v1 on P^2 have rank <= 2, so every member is singular
-        u = [Fraction(1), Fraction(2), Fraction(-1)]
-        p = Pencil(
-            _sym_outer(u, [Fraction(3), Fraction(0), Fraction(1)]),
-            _sym_outer(u, [Fraction(0), Fraction(1), Fraction(1)]),
-        )
+        u = [1, 2, -1]
+        p = Pencil(_sym_outer(u, [3, 0, 1]), _sym_outer(u, [0, 1, 1]))
         assert not any(cofactor_det_form(p))
         with pytest.raises(DegeneratePencilError):
             pencil_det_form(p)
@@ -166,6 +163,17 @@ def candidate_rejected(m, seed):
     return not all(first_m_invertible(m, s) for s in seeds)
 
 
+def candidate_raises(m, seed):
+    # the candidate pencil of the first draw of random_pencil(m, seed), from
+    # the two first Ms with no test, is degenerate or has no determinant form
+    seeds = pencils._pencil_seeds(random.Random(seed))
+    try:
+        Pencil(*(quadrics._first_smooth_form(m, s) for s in seeds)).det_form
+    except DegeneratePencilError:
+        return True
+    return False
+
+
 def draw_outcome(draw, rng, m):
     # the forms and determinant form of one pencil draw, or what it raised
     try:
@@ -180,8 +188,9 @@ class TestCertifiedDraw:
     def test_matches_rank_checked_draw(self, m):
         # same forms, same determinant form, or the same raise, and the same
         # generator state as the draw that tests each M by an elimination.
-        # random_form runs, twice, exactly when a first M is singular or the
-        # candidate raised; a raising candidate is rebuilt and raises again.
+        # random_form runs once for each member whose first M is singular,
+        # and twice when the candidate raised; a candidate that raises with
+        # both Ms invertible is rebuilt and raises again.
         # random_pencil(1, 5), (2, 4), (3, 11) and (4, 20) are rebuilt draws.
         rebuilt = set()
         for seed in range(200):
@@ -190,11 +199,25 @@ class TestCertifiedDraw:
                 got = draw_outcome(pencils._certified_pencil, r, m)
             assert got == draw_outcome(pencils._smooth_pencil, ref, m), seed
             assert r.getstate() == ref.getstate()
-            rejected = candidate_rejected(m, seed)
-            assert spy.call_count == 2 * (rejected or got[0] is DegeneratePencilError), seed
-            if rejected:
+            seeds = pencils._pencil_seeds(random.Random(seed))
+            singular = sum(not first_m_invertible(m, s) for s in seeds)
+            assert spy.call_count == (2 if candidate_raises(m, seed) else singular), seed
+            if singular:
                 rebuilt.add(seed)
         assert rebuilt >= {1: {5}, 2: {4}, 3: {11}, 4: {20}}.get(m, set())
+
+    @pytest.mark.parametrize("m, seed", [(1, 5), (1, 11), (2, 4), (3, 11), (4, 20)])
+    def test_one_singular_member_rebuilds_that_member_only(self, m, seed):
+        # exactly one first M is singular (the oracle names which), so the
+        # member drawn from the other is kept and one random_form call
+        # rebuilds this one, from its own seed
+        seeds = pencils._pencil_seeds(random.Random(seed))
+        singular = [not first_m_invertible(m, s) for s in seeds]
+        assert sum(singular) == 1
+        with mock.patch.object(pencils, "random_form", wraps=pencils.random_form) as spy:
+            p = pencils._certified_pencil(random.Random(seed), m)
+        spy.assert_called_once_with(m, m + 1, seeds[singular.index(True)])
+        assert p == pencils._smooth_pencil(random.Random(seed), m)
 
 
 class TestDetFormKept:
@@ -279,7 +302,7 @@ def fraction_random_form(n, r, seed):
 def test_random_form_matches_fraction_construction(n, r, seed):
     q = random_form(n, r, seed)
     assert q == fraction_random_form(n, r, seed)
-    assert all(type(x) is int for row in q.rows for x in row)
+    assert q.den == 1
 
 
 def randint_rank2_pencil(rng, m):
@@ -288,9 +311,9 @@ def randint_rank2_pencil(rng, m):
     size = m + 1
 
     def build(r):
-        u = [Fraction(r.randint(-3, 3)) for _ in range(size)]
-        v0 = [Fraction(r.randint(-3, 3)) for _ in range(size)]
-        v1 = [Fraction(r.randint(-3, 3)) for _ in range(size)]
+        u = [r.randint(-3, 3) for _ in range(size)]
+        v0 = [r.randint(-3, 3) for _ in range(size)]
+        v1 = [r.randint(-3, 3) for _ in range(size)]
         return Pencil(_sym_outer(u, v0), _sym_outer(u, v1))
 
     return pencils._retry(build, rng)
@@ -303,8 +326,8 @@ def test_rank2_product_pencil_matches_randint_draws(m):
         p = pencils._rank2_product_pencil(rng, m)
         ref = randint_rank2_pencil(old, m)
         assert p == ref
-        assert [type(x) for q in (p.q0, p.q1) for x in pencils._flat(q.rows)] == \
-            [type(x) for q in (ref.q0, ref.q1) for x in pencils._flat(q.rows)]
+        assert all(type(x) is int for q in (p.q0, p.q1) for x in pencils._flat(q.ints))
+        assert {p.q0.den, p.q1.den} <= {1, 2}
         assert rng.getstate() == old.getstate()
 
 

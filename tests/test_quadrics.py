@@ -58,13 +58,15 @@ def test_public_constructor_checks_its_input():
 
 
 def assert_passes_constructor_checks(q):
-    # what SymmetricForm(rows) tests, read off a form the package built
-    # through SymmetricForm._unchecked, which skips those tests
+    # what SymmetricForm(rows) tests and stores, read off a form the package
+    # built through SymmetricForm._unchecked, which skips those tests
     assert type(q) is SymmetricForm
-    assert type(q.rows) is tuple and all(type(r) is tuple for r in q.rows)
-    assert len(q.rows) == q.n + 1 and all(len(r) == q.n + 1 for r in q.rows)
-    assert all(type(x) in (int, Fraction) for r in q.rows for x in r)
-    assert _is_symmetric(q.rows)
+    assert type(q.ints) is tuple and all(type(r) is tuple for r in q.ints)
+    assert len(q.ints) == q.n + 1 and all(len(r) == q.n + 1 for r in q.ints)
+    assert all(type(x) is int for r in q.ints for x in r)
+    assert type(q.den) is int and q.den > 0
+    assert math.gcd(q.den, *itertools.chain(*q.ints)) == 1
+    assert _is_symmetric(q.ints)
     assert SymmetricForm(q.rows) == q
 
 
@@ -87,7 +89,42 @@ def test_package_built_forms_pass_the_constructor_checks():
         for size in range(1, 7):
             u, v = _small_ints(rng, size), _small_ints(rng, size)
             assert_passes_constructor_checks(pencils._sym_outer(u, v))
-            assert_passes_constructor_checks(pencils._sym_outer([Fraction(x, 3) for x in u], v))
+            # every entry even, so the denominator 2 divides out
+            assert_passes_constructor_checks(pencils._sym_outer(u, [2 * x for x in v]))
+
+
+def test_form_is_one_canonical_integer_matrix_and_denominator():
+    # entries ints / den, den > 0 coprime to the content of ints, for random
+    # rational symmetric matrices with denominators up to 12, negative
+    # entries and zero matrices; small shapes and values, so that many
+    # pairs have equal entries
+    rng = random.Random(33)
+    forms = []
+    for _ in range(400):
+        size = rng.randint(1, 2)
+        rows = [[None] * size for _ in range(size)]
+        zero = rng.random() < 0.1
+        for i in range(size):
+            for j in range(i, size):
+                x = 0 if zero else Fraction(rng.randint(-3, 3), rng.randint(1, 12))
+                # the same value as an int or a Fraction
+                rows[i][j] = rows[j][i] = int(x) if x.denominator == 1 and rng.random() < 0.5 else x
+        q = SymmetricForm(rows)
+        assert type(q.den) is int and q.den > 0
+        assert all(type(x) is int for r in q.ints for x in r)
+        assert math.gcd(q.den, *itertools.chain(*q.ints)) == 1
+        assert q.rows == tuple(map(tuple, rows))
+        for c in (1, 2, 7, 12):
+            scaled = SymmetricForm._unchecked([[c * x for x in r] for r in q.ints], c * q.den)
+            assert scaled == q and (scaled.ints, scaled.den) == (q.ints, q.den)
+        forms.append((rows, q))
+    equal = 0
+    for (rows_a, a), (rows_b, b) in itertools.combinations(forms, 2):
+        assert (a == b) == (rows_a == rows_b)
+        if a == b:
+            assert hash(a) == hash(b)
+            equal += 1
+    assert equal > 100
 
 
 def test_form_json_roundtrip():
@@ -210,8 +247,9 @@ def test_int_minors_match_per_minor_int_det():
 
 
 def test_compound_scales_by_the_denominators(monkeypatch):
-    # compound hands _int_minors the form times the lcm L = 6 of its
-    # denominators, and divides the integer minors by L**k
+    # compound hands _int_minors the form's integer matrix, the form times
+    # the lcm den = 6 of its denominators, and divides the integer minors by
+    # den**k
     handed = []
 
     def recorded(ints, k):
@@ -221,8 +259,11 @@ def test_compound_scales_by_the_denominators(monkeypatch):
     monkeypatch.setattr(quadrics, "_int_minors", recorded)
     q = SymmetricForm([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), 1]])
     assert compound(q, 1) == q
-    assert compound(q, 2).rows == ((Fraction(14, 36),),)
-    assert handed == [[[3, 2], [2, 6]]] * 2
+    assert (q.ints, q.den) == (((3, 2), (2, 6)), 6)
+    c = compound(q, 2)
+    assert c.rows == ((Fraction(14, 36),),)
+    assert (c.ints, c.den) == (((7,),), 18)
+    assert handed == [((3, 2), (2, 6))] * 2
 
 
 @pytest.mark.parametrize("n", [1, 3])

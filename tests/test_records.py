@@ -57,8 +57,7 @@ RECORDS = [
       "certificate": None}),
     (CheckResult("chow-identity", "a statement", True, "ok"),
      {"name": "chow-identity", "statement": "a statement", "passed": True, "details": "ok"}),
-    (SymmetricForm.diagonal([1, "1/2"]),
-     {"n": 1, "rows": ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1, 2)))}),
+    (SymmetricForm.diagonal([1, "1/2"]), {"n": 1, "ints": ((2, 0), (0, 1)), "den": 2}),
     (ProjectivePoint((0, 2, -4)), {"coords": (Fraction(0), Fraction(1), Fraction(-2))}),
     (SchubertClass(1, 3, {(2,): 1, (1, 1): 2}), {"k": 1, "n": 3, "_terms": (((1, 1), 2), ((2,), 1))}),
 ]
@@ -66,7 +65,7 @@ IDS = [type(r).__name__ for r, _ in RECORDS]
 
 # constructors that take other arguments than the fields they set
 MAKE = {
-    SymmetricForm: lambda n, rows: SymmetricForm(rows),
+    SymmetricForm: lambda n, ints, den: SymmetricForm([[Fraction(x, den) for x in r] for r in ints]),
     SchubertClass: lambda k, n, _terms: SchubertClass(k, n, dict(_terms)),
 }
 
@@ -176,8 +175,7 @@ def test_defaults():
      "PluckerVector(n=2, k=2, coords=(Fraction(1, 1), Fraction(-1, 2), Fraction(0, 1)))"),
     (ConeMembership(True, False), "ConeMembership(contains=True, interior=False)"),
     (BinaryForm((Fraction(1),)), "BinaryForm(coeffs=(Fraction(1, 1),))"),
-    (SymmetricForm.diagonal([1, "1/2"]),
-     "SymmetricForm(n=1, rows=((Fraction(1, 1), Fraction(0, 1)), (Fraction(0, 1), Fraction(1, 2))))"),
+    (SymmetricForm.diagonal([1, "1/2"]), "SymmetricForm(n=1, ints=((2, 0), (0, 1)), den=2)"),
     (ProjectivePoint((0, 2, -4)), "ProjectivePoint(0, 1, -2)"),
     (SchubertClass(1, 3, {(2,): 1, (1, 1): 2}), "SchubertClass(k=1, n=3, 2s[1, 1] + s[2])"),
 ])
@@ -207,6 +205,10 @@ def test_constructor_checks_kept_in_order():
         DivisorClass(1, "H", (1,))
     with pytest.raises(ValueError, match="expected 3 coefficients"):
         DivisorClass(3, "H", (1, 2))
+    with pytest.raises(ValueError, match="need n >= 2"):
+        CurveClass(1, (5,))
+    with pytest.raises(ValueError, match="need n >= 2"):
+        CurveClass(0, ())
     with pytest.raises(ValueError, match="not a string"):
         CurveClass(3, "123")
     with pytest.raises(ValueError, match="share an ambient space"):
