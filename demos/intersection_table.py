@@ -1,6 +1,6 @@
 """The curve-divisor intersection table of the n = 3 space, three ways.
 
-First the table itself, then a spot check that pencil constructions count
+First the table itself, then a spot check that pencil families count
 the same numbers geometrically, then the derivation of the nef classes H2
 and H3 from nothing but their intersection numbers against three curves.
 """
@@ -19,7 +19,7 @@ def main():
     print()
 
     entries = direct_count_entries(seed=0)
-    print("13 of the entries recounted by 6 pencil constructions (some entries repeat one):")
+    print("13 of the entries, 9 recounted on one pencil per family (the other 4 repeat one):")
     for label, count, _ in sorted(entries):
         print("  %-10s counted %d" % (label, count))
     agree = all(count == pairing for _, count, pairing in entries)

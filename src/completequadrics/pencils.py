@@ -171,25 +171,16 @@ def _pencil_seeds(r) -> tuple:
     return _randbelow(r, 1 << 30), _randbelow(r, 1 << 30)
 
 
-def _smooth_pencil(r, m: int) -> Pencil:
-    # one draw of two smooth forms on P^m, each M tested by an elimination in
-    # random_form; no determinant form is computed.  The tangency rows of
-    # _DIRECT_ENTRIES count a restriction and never need this pencil's form.
-    s0, s1 = _pencil_seeds(r)
-    return Pencil(random_form(m, m + 1, s0), random_form(m, m + 1, s1))
-
-
 def _certified_pencil(r, m: int) -> Pencil:
-    # the draw of _smooth_pencil for a pencil whose degenerations are
-    # counted, certified by the determinant form the count takes.  Both
-    # forms are built from the first M of their random_form streams with no
+    # two smooth forms on P^m, from the seeds of _pencil_seeds, certified by
+    # the determinant form a count of their degenerations takes.  Both forms
+    # are built from the first M of their random_form streams with no
     # elimination (_first_smooth_form); c_0 = det Q0 and c_(m+1) = det Q1
     # are nonzero exactly when the first M of Q0, of Q1, is invertible, and
-    # then that form is random_form's.  With both nonzero the pencil is the
-    # one _smooth_pencil draws, with its form kept; a member with a zero
-    # coefficient is rebuilt through random_form from its seed, and both are
-    # when the candidates raise, so the draws, the retries and every output
-    # are those of _smooth_pencil.
+    # then that form is random_form's.  With both nonzero the pencil keeps
+    # its form; a member with a zero coefficient is rebuilt through
+    # random_form from its seed, and both are when the candidates raise, so
+    # the members are random_form's of the two seeds in every case.
     s0, s1 = _pencil_seeds(r)
     q0, q1 = _first_smooth_form(m, s0), _first_smooth_form(m, s1)
     try:
@@ -238,52 +229,50 @@ def _rank2_product_pencil(rng, m: int) -> Pencil:
     return _retry(build, rng)
 
 
-# one entry per n = 3 table entry, drawn in this order: label curve.divisor,
-# the pencil draw, the m of the P^m it draws on, and the number k of random
-# vectors spanning the subspace that tangencies are counted on (None: count
-# the degenerations of the pencil, drawn by _certified_pencil).  G is a
-# pencil of smooth quadric surfaces, C1 one of marking conics on a fixed
-# double plane, C2 a fixed plane times a pencil of planes, and L2 two fixed
-# planes with one of the two marked points on their axis moving.
-_DIRECT_ENTRIES = (
-    ("G.H1", _smooth_pencil, 3, 1),
-    ("G.H2", _smooth_pencil, 3, 2),
-    ("G.H3", _smooth_pencil, 3, 3),
-    ("G.E3", _certified_pencil, 3, None),
-    ("C1.H2", _smooth_pencil, 2, 1),
-    ("C1.H3", _smooth_pencil, 2, 2),
-    ("C1.E3", _certified_pencil, 2, None),
-    ("C1star.E2", _certified_pencil, 2, None),
-    ("C1star.H3", _smooth_pencil, 2, 1),
-    ("C3.E2", _certified_pencil, 2, None),
-    ("C2.H1", _rank2_product_pencil, 3, 1),
-    ("L2.H3", _rank2_product_pencil, 1, 1),
-    ("Gstar.E1", _certified_pencil, 3, None),
+# one row per pencil family of the n = 3 table, drawn in this order: the
+# pencil draw, the m of the P^m it draws on, and the entries the pencil
+# counts as (label curve.divisor, k): its tangency count with the span of k
+# random vectors, or for k None its degeneration count.  G is a pencil of
+# smooth quadric surfaces, C1 one of marking conics on a fixed double plane,
+# C2 a fixed plane times a pencil of planes, and L2 two fixed planes with one
+# of the two marked points on their axis moving.
+_FAMILIES = (
+    (_certified_pencil, 3, (("G.H1", 1), ("G.H2", 2), ("G.H3", 3), ("G.E3", None))),
+    (_certified_pencil, 2, (("C1.H2", 1), ("C1.H3", 2), ("C1.E3", None))),
+    (_rank2_product_pencil, 3, (("C2.H1", 1),)),
+    (_rank2_product_pencil, 1, (("L2.H3", 1),)),
 )
 
+# entries counted on no family of their own: each reads the count of the
+# entry it repeats
+_REPEATS = {"Gstar.E1": "G.E3", "C1star.E2": "C1.E3", "C3.E2": "C1.E3", "C1star.H3": "C1.H2"}
+
 # table entry -> (curve name, divisor name) for the cross-module comparison
-DIRECT_CHECK_PAIRS = {label: tuple(label.split(".")) for label, _, _, _ in _DIRECT_ENTRIES}
+DIRECT_CHECK_PAIRS = {label: tuple(label.split(".")) for label in
+                      [label for *_, entries in _FAMILIES for label, _ in entries] + [*_REPEATS]}
 
 
-def _entry_count(r, draw, m, k) -> int:
+def _family_counts(r, draw, m, entries) -> dict:
+    # one draw of the family's pencil and of its subspaces, counted
     p = draw(r, m)
-    if k is None:
-        return count_degenerations(p).total
-    return count_tangencies(p, _random_basis(r, m + 1, k)).total
+    return {label: count_degenerations(p).total if k is None
+            else count_tangencies(p, _random_basis(r, m + 1, k)).total for label, k in entries}
 
 
 def direct_table_counts(seed: int) -> dict:
-    """13 entries of the n = 3 table, counted by 6 pencil constructions.
+    """13 entries of the n = 3 table: 9 counted on one pencil per family, 4 repeats.
 
-    Each entry of _DIRECT_ENTRIES is one retried draw from one seeded
-    stream: the drawn pencil's tangency count with the span of k random
-    vectors, or its degeneration count.  C1star, C3 and Gstar build no
-    family of their own: G.E3 and Gstar.E1 both count the degenerations of
-    the pencil of quadric surfaces, C1.E3, C1star.E2 and C3.E2 all count
-    those of the pencil of conics, and C1star.H3 repeats C1.H2.  Totals
-    count multiplicity so generic position is only needed to keep the draws
-    nondegenerate.
+    Each row of _FAMILIES is one retried draw, from one seeded stream, of a
+    pencil and of the subspaces its tangencies are counted on; a degenerate
+    draw redraws the whole family.  C1star, C3 and Gstar build no family of
+    their own, so their entries read the counts they repeat: Gstar.E1 that
+    of G.E3, C1star.E2 and C3.E2 that of C1.E3, and C1star.H3 that of C1.H2.
+    Totals count multiplicity so generic position is only needed to keep
+    the draws nondegenerate.
     """
     rng = random.Random(seed)
-    return {label: _retry(lambda r: _entry_count(r, draw, m, k), rng)
-            for label, draw, m, k in _DIRECT_ENTRIES}
+    counts = {}
+    for draw, m, entries in _FAMILIES:
+        counts.update(_retry(lambda r: _family_counts(r, draw, m, entries), rng))
+    counts.update((label, counts[source]) for label, source in _REPEATS.items())
+    return counts

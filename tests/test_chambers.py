@@ -571,7 +571,7 @@ def test_randbelow_is_randrange():
         assert [chambers._randbelow(ours, n) for _ in range(200)] == [theirs.randrange(n) for _ in range(200)]
         assert ours.getstate() == theirs.getstate()
     # the one replay helper, shared with the quadric and pencil draws: the
-    # D entries of random_form, the seeds of _smooth_pencil and
+    # D entries of random_form, the seeds of _certified_pencil and
     # check_chow_identity, and the coefficients of check_chow_limits
     assert chambers._randbelow is quadrics._randbelow
     replays = (

@@ -569,18 +569,19 @@ def test_verify_all_quick():
 
 @pytest.mark.parametrize("argv, digest", [
     (["verify-all", "--seed", "0", "--quick", "--json"],
-     "76ff5d21e3498d858fddff31f72729c5f146097300b3e5938c993a2799772e68"),
+     "68f99295eedd0510023896f11c7a73c254bff8ed400c956906b0f36b9621a194"),
     (["verify-all", "--seed", "4", "--quick", "--json"],
-     "4efecc9c05c69e0792746bb5e1d0ce7cf46c2f3cdf52937adaecf04ef6ab2502"),
+     "3d8fca974fc7fea9bd4594b5347ab0eafefec145b76f16018428595cb198f53d"),
     (["verify-all", "--seed", "0", "--json"],
-     "31913851aae4b76159a98b3f16b452702aa4e8cf25768b0e6160f19cf1ee3355"),
+     "ce6a5b962cc91556b00ca0cb6762eb1084c4ab15996d2aff391fa4b29964ee89"),
     (["pencil", "--verify-table", "--seed", "2"],
      "868ba91c50e4484f6c828bb9d4a7da8e9814b21951a4f75906c23358caffec16"),
 ])
 def test_verification_output_pinned(argv, digest):
     # stdout recorded before each check named itself once and the direct
     # counts were compared with their pairings in one place; the verify-all
-    # digests re-recorded when chamber-partition moved from samples to faces
+    # digests re-recorded when chamber-partition moved from samples to faces,
+    # and again when degeneration-counts came to count one pencil per family
     code, out, err = run(argv)
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -24,7 +24,7 @@ from completequadrics.pencils import (
     pencil_det_form,
     random_pencil,
 )
-from completequadrics.quadrics import SymmetricForm, _random_basis, random_form, restrict
+from completequadrics.quadrics import SymmetricForm, random_form, restrict
 import univariate
 
 
@@ -174,6 +174,13 @@ def candidate_raises(m, seed):
     return False
 
 
+def rank_checked_pencil(r, m):
+    # oracle: the pencil of the two seeds _certified_pencil draws, each form
+    # built by random_form, which tests each M by an elimination
+    s0, s1 = pencils._pencil_seeds(r)
+    return Pencil(random_form(m, m + 1, s0), random_form(m, m + 1, s1))
+
+
 def draw_outcome(draw, rng, m):
     # the forms and determinant form of one pencil draw, or what it raised
     try:
@@ -197,7 +204,7 @@ class TestCertifiedDraw:
             r, ref = random.Random(seed), random.Random(seed)
             with mock.patch.object(pencils, "random_form", wraps=pencils.random_form) as spy:
                 got = draw_outcome(pencils._certified_pencil, r, m)
-            assert got == draw_outcome(pencils._smooth_pencil, ref, m), seed
+            assert got == draw_outcome(rank_checked_pencil, ref, m), seed
             assert r.getstate() == ref.getstate()
             seeds = pencils._pencil_seeds(random.Random(seed))
             singular = sum(not first_m_invertible(m, s) for s in seeds)
@@ -217,7 +224,7 @@ class TestCertifiedDraw:
         with mock.patch.object(pencils, "random_form", wraps=pencils.random_form) as spy:
             p = pencils._certified_pencil(random.Random(seed), m)
         spy.assert_called_once_with(m, m + 1, seeds[singular.index(True)])
-        assert p == pencils._smooth_pencil(random.Random(seed), m)
+        assert p == rank_checked_pencil(random.Random(seed), m)
 
 
 class TestDetFormKept:
@@ -263,8 +270,7 @@ class TestDetFormKept:
     def test_smooth_draw_needs_no_form_check(self):
         # the certified draw keeps the form it was accepted by, whose end
         # coefficients det Q0 and det Q1 are nonzero; a rebuilt draw keeps
-        # none.  The tangency draw tests each M by an elimination instead
-        # and computes no form.
+        # none
         for m in range(1, 7):
             for seed in range(50):
                 p = pencils._certified_pencil(random.Random(seed), m)
@@ -272,7 +278,6 @@ class TestDetFormKept:
                 coeffs = pencil_det_form(p).coeffs
                 assert coeffs[0] == exact.int_det(p.q0.rows) != 0, (m, seed)
                 assert coeffs[-1] == exact.int_det(p.q1.rows) != 0, (m, seed)
-                assert "det_form" not in vars(pencils._smooth_pencil(random.Random(seed), m))
 
     def test_pencil_stays_frozen(self):
         p = random_pencil(2, 1)
@@ -450,29 +455,21 @@ def outcome(count, p, basis):
 
 class TestIntegerTangencies:
     def test_direct_table_draws_match_restricted_forms(self):
-        raised = compared = 0
+        # every pencil and subspace direct_table_counts counts tangencies on,
+        # the raising draws that its families retry included
+        raised = []
 
-        def entry(r, draw, m, k):
-            nonlocal raised, compared
-            p = draw(r, m)
-            if k is None:
-                return count_degenerations(p).total
-            basis = _random_basis(r, m + 1, k)
+        def checked(p, basis):
             got = outcome(count_tangencies, p, basis)
             assert got == outcome(restricted_form_tangencies, p, basis)
-            compared += 1
-            if isinstance(got, tuple):
-                raised += 1
-                raise got[0](got[1])
-            return got.total
+            raised.append(isinstance(got, tuple))
+            return count_tangencies(p, basis)
 
-        for seed in range(128):
-            rng = random.Random(seed)
-            counts = {label: pencils._retry(lambda r: entry(r, draw, m, k), rng)
-                      for label, draw, m, k in pencils._DIRECT_ENTRIES}
-            assert counts == direct_table_counts(seed)
-        # each seed counts 8 tangency entries; the surplus are retried draws
-        assert compared - raised == 128 * 8 and raised > 0
+        with mock.patch.object(pencils, "count_tangencies", checked):
+            for seed in range(128):
+                direct_table_counts(seed)
+        # each seed counts 7 tangency entries; the surplus are retried draws
+        assert raised.count(False) == 128 * 7 and any(raised)
 
     CASES = {
         # q0 restricts to zero on the point e2
@@ -561,6 +558,62 @@ class TestDirectTableCounts:
         for label, (curve, divisor) in DIRECT_CHECK_PAIRS.items():
             assert counts[label] == picard.pair(curves[curve], divisors[divisor]), label
 
+    def test_one_pencil_draw_per_family(self):
+        # spies on the pencil draws of the families, on the pencils the
+        # counts are taken on and on the attempts of each retried builder:
+        # when no builder is retried, a seed draws one pencil per family,
+        # every count of a family is taken on its pencil, and each repeated
+        # entry equals the entry it repeats.  A repeat that draws a pencil
+        # of its own, or a tangency entry counted on a fresh pencil, draws
+        # a fifth.
+        draws, counted, attempts = [], [], []
+
+        def drawing(draw):
+            def wrapper(r, m):
+                p = draw(r, m)
+                draws.append((draw.__name__, m, p))
+                return p
+
+            return wrapper
+
+        def counting(fn):
+            def wrapper(p, *rest):
+                counted.append(p)
+                return fn(p, *rest)
+
+            return wrapper
+
+        retry = pencils._retry
+
+        def retrying(builder, rng):
+            tries = []
+            out = retry(lambda r: tries.append(r) or builder(r), rng)
+            attempts.append(len(tries))
+            return out
+
+        families = tuple((drawing(draw), m, entries) for draw, m, entries in pencils._FAMILIES)
+        clean = 0
+        with mock.patch.object(pencils, "_FAMILIES", families), \
+                mock.patch.object(pencils, "_retry", retrying), \
+                mock.patch.object(pencils, "count_tangencies", counting(count_tangencies)), \
+                mock.patch.object(pencils, "count_degenerations", counting(count_degenerations)):
+            for seed in range(32):
+                del draws[:], counted[:], attempts[:]
+                counts = direct_table_counts(seed)
+                if set(attempts) != {1}:
+                    continue
+                clean += 1
+                assert [(name, m) for name, m, _ in draws] == [
+                    ("_certified_pencil", 3), ("_certified_pencil", 2),
+                    ("_rank2_product_pencil", 3), ("_rank2_product_pencil", 1)], seed
+                family = [next(i for i, (*_, q) in enumerate(draws) if q is p) for p in counted]
+                assert family == [0, 0, 0, 0, 1, 1, 1, 2, 3], seed
+                for label, source in (("Gstar.E1", "G.E3"), ("C1star.E2", "C1.E3"),
+                                      ("C3.E2", "C1.E3"), ("C1star.H3", "C1.H2")):
+                    assert counts[label] == counts[source], (seed, label)
+        # 19 of the 32 seeds retry no builder
+        assert clean == 19
+
     def test_draws_pinned(self):
         # totals hold by construction, so only the drawn pencils and
         # subspaces show a change in how the entries are drawn; this digest
@@ -580,6 +633,8 @@ class TestDirectTableCounts:
                 mock.patch.object(pencils, "count_degenerations", recording("d", count_degenerations)):
             for seed in range(16):
                 direct_table_counts(seed)
-        assert len(seen) == 219
+        # 9 counts per seed and 3 on draws that were retried; recorded when
+        # the entries went from one draw each to one draw per family
+        assert len(seen) == 147
         digest = hashlib.sha256("\n".join(seen).encode()).hexdigest()
-        assert digest == "427615d14383deca8e852bd43241ce62bd95fd84a4b29aadd46e751533f2b778"
+        assert digest == "8729e46aab5c5c0d58ba9c70f897b223f62ab8ffd24a8fa22076330e2a098e49"

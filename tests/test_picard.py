@@ -395,6 +395,13 @@ KERNEL_CALLERS = {
 }
 
 
+def test_one_rank_checked_pencil_draw():
+    # random_form tests its M by an elimination; the one pencil draw that
+    # calls it rebuilds a member whose determinant form certified nothing,
+    # so a second rank-checked pencil draw fails here
+    assert _callers("random_form") == {"pencils._certified_pencil", "verify.check_chow_identity"}
+
+
 @pytest.mark.parametrize("name, user", [("int_det_poly", "pencils.py"), ("_interpolate", None),
                                         ("_kronecker", "chowform.py"), ("_compound_poly", None)])
 def test_one_caller_per_kernel(name, user):

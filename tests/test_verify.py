@@ -49,7 +49,8 @@ def test_statements_are_informative():
 #
 # Each case forces one failure exit of a check by patching what the check
 # reads, and pins the result the check reports there.  The statements and
-# details were recorded before each check named itself once.
+# details were recorded before each check named itself once; that of
+# degeneration-counts was restated when it came to count one pencil per family.
 
 STATEMENTS = {
     "chow-form-identity": (
@@ -57,9 +58,10 @@ STATEMENTS = {
         "subspaces, n in {2,3,4}, all k"),
     "intersection-table": "8-curve x 6-divisor intersection table recomputed from the pairing",
     "degeneration-counts": (
-        "6 pencil constructions cover 13 table entries (Gstar.E1 repeats G.E3, C1star.E2 "
-        "and C3.E2 repeat C1.E3, C1star.H3 repeats C1.H2), and every entry matches the "
-        "intersection pairing over 2 seeds"),
+        "one pencil per family counts 9 table entries (G.H1, G.H2, G.H3 and C1.H2, C1.H3, "
+        "C2.H1, L2.H3 by tangencies, G.E3 and C1.E3 by degenerations), and each count "
+        "matches the intersection pairing over 2 seeds, as do Gstar.E1, C1star.E2, C3.E2 "
+        "and C1star.H3 at the counts of G.E3, C1.E3, C1.E3 and C1.H2 that they repeat"),
     "boundary-pencil-numbers": (
         "random marking pencils on P^(n-k) degenerate n-k+1 times, n <= 2; each "
         "determinant form has top coefficient det Q1 and value det(Q0 - Q1/2) at (1 : -1/2)"),
