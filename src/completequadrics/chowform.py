@@ -30,7 +30,7 @@ import itertools
 import operator
 
 from ._value import Record
-from .exact import _kronecker, _rows, clear_denominators
+from .exact import _int_rows, _kronecker
 from .quadrics import SymmetricForm, _int_minors, _laplace_cols
 
 
@@ -45,10 +45,9 @@ class ProjectivePoint(Record):
     __slots__ = _fields = ("coords",)
 
     def __init__(self, coords):
-        (coords,) = _rows([coords])
-        if not any(coords):
+        (ints,), _ = _int_rows([coords])
+        if not any(ints):
             raise ValueError("projective point needs a nonzero coordinate")
-        (ints,), _ = clear_denominators([coords])
         g = gcd(*ints)
         if next(v for v in ints if v) < 0:
             g = -g
@@ -82,11 +81,10 @@ def _int_plucker(basis) -> tuple:
     along column j - 1 into the (j-1)-minors of the level before, with the
     subset tables of the compound (quadrics._laplace_cols).
     """
-    b = _rows(basis)
-    k = len(b[0]) if b else 0
+    ints, scale = _int_rows(basis)
+    k = len(ints[0]) if ints else 0
     minors, den = [], 1
     if k:
-        ints, scale = clear_denominators(b)
         size = len(ints)
         minors = [r[0] for r in ints]
         for j in range(2, k + 1):
@@ -99,7 +97,7 @@ def _int_plucker(basis) -> tuple:
         den = scale ** k
     if not any(minors):
         raise ValueError("basis must have full column rank")
-    return len(b) - 1, k, minors, den
+    return len(ints) - 1, k, minors, den
 
 
 def chow_eval(q: SymmetricForm, k: int, basis) -> Fraction:

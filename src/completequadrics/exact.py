@@ -2,13 +2,22 @@
 
 Scalars are fractions.Fraction at the interface.  Polynomials in one
 variable are coefficient sequences, lowest degree first.  Matrices are plain
-sequences of rows of rational entries, ints or Fractions; _rows checks them
-where they enter.  Elimination is Bareiss
-fraction-free elimination, so every intermediate value stays an integer;
-the only divisions performed are exact.
+sequences of rows of rational entries, ints or Fractions.  Elimination is
+Bareiss fraction-free elimination, so every intermediate value stays an
+integer; the only divisions performed are exact.
 
-Rational work runs on Python integers wherever it can.  clear_denominators
-scales a rational matrix by the lcm of its denominators, and _echelon, a
+Raw matrices enter the integer kernels through one entry, _int_rows: it
+checks the rows (ragged rows raise ValueError, an entry that is not an int
+or a Fraction TypeError) and returns them as fresh lists of ints times L,
+the lcm of their denominators (clear_denominators), with L = 1 after one
+type pass when every entry is an int.  mat_mul, ff_det, mat_rank,
+mat_inverse, solve_exact and distinct_root_count read their input there,
+as do quadrics._int_basis, chowform._int_plucker and
+chowform.ProjectivePoint.  Integers the package has drawn and certified
+itself skip it: the Chow-form identity and boundary checks of the verify
+module hand symmetric integer matrices straight to _sym_det.
+
+Rational work runs on Python integers wherever it can.  _echelon, a
 rank-revealing Bareiss elimination, is the one general elimination routine:
 int_det, mat_rank, solve_exact and mat_inverse run it on integers.  ff_det
 of a rational matrix is int_det of the scaled matrix over the scale to the
@@ -36,7 +45,7 @@ denominator (quadrics.SymmetricForm), which the Chow-form layers read as
 they are: quadrics.compound and chowform.plucker build all their minors in
 one Laplace pass over shared sub-minors, not one int_det each, and
 quadrics.restrict and chowform.chow_eval each take one integer product.
-int_det's one caller is ff_det.
+int_det's one caller is ff_det, and no module of the package calls ff_det.
 """
 
 from __future__ import annotations
@@ -167,7 +176,7 @@ def distinct_root_count(coeffs) -> tuple[int, int]:
     every other case the primitive remainder sequence of poly_gcd gives the
     exact answer.
     """
-    (a,), _ = clear_denominators(_rows([coeffs]))
+    (a,), _ = _int_rows([coeffs])
     a = _trim(a)
     if not a:
         raise ValueError("zero polynomial has no well-defined root count")
@@ -187,27 +196,39 @@ def _is_rational(rows) -> bool:
     return {int, Fraction}.issuperset(map(type, itertools.chain.from_iterable(rows)))
 
 
-def _rows(m):
-    # the rows as lists, where raw input enters the kernels: a matrix, or a
-    # vector as one row; ragged rows raise ValueError, a non-rational entry TypeError
+def _int_rows(m) -> tuple:
+    """(rows, L): the rows of a rational matrix (a vector as one row) as
+    fresh lists of ints, times L, the lcm of the entries' denominators.
+
+    The one entry where raw matrices reach the integer kernels.  Ragged rows
+    raise ValueError, an entry whose type is not int or Fraction (a bool, a
+    float, a str) TypeError.  All-int rows are returned after one type pass
+    with L = 1; the kernels eliminate the lists in place, never the input.
+    """
     rows = [list(r) for r in m]
     if len(set(map(len, rows))) > 1:
         raise ValueError("matrix rows must have equal length")
-    if not _is_rational(rows):
+    types = set(map(type, itertools.chain.from_iterable(rows)))
+    if types <= {int}:
+        return rows, 1
+    if not types <= {int, Fraction}:
         raise TypeError("entries must be ints or Fractions")
-    return rows
+    return clear_denominators(rows)
 
 
 def mat_mul(a, b):
-    """Matrix product of matrices with rational or integer entries; an
-    all-integer product has int entries."""
-    a, b = _rows(a), _rows(b)
+    """Matrix product of matrices with rational or integer entries, taken
+    in integers: both are scaled to integers (_int_rows), and a product
+    whose scales are both 1 has int entries, any other Fraction ones."""
+    (a, la), (b, lb) = _int_rows(a), _int_rows(b)
     if not a or not b:
         return []
     if len(a[0]) != len(b):
         raise ValueError("shape mismatch in matrix product")
     bt = list(zip(*b))
-    return [[sum(map(operator.mul, row, col)) for col in bt] for row in a]
+    product = [[sum(map(operator.mul, row, col)) for col in bt] for row in a]
+    scale = la * lb
+    return product if scale == 1 else [[Fraction(x, scale) for x in row] for row in product]
 
 
 def clear_denominators(rows):
@@ -444,29 +465,26 @@ def int_det_poly(a, b) -> list:
 
 def ff_det(m):
     """Determinant of a square rational matrix: the matrix is scaled to
-    integers and handed to int_det."""
-    a = _rows(m)
-    ints, scale = clear_denominators(a)
-    return Fraction(int_det(ints), scale ** len(a))
+    integers (_int_rows) and handed to int_det."""
+    ints, scale = _int_rows(m)
+    return Fraction(int_det(ints), scale ** len(ints))
 
 
 def mat_rank(m) -> int:
     """Rank of a matrix with Fraction entries, from its integer elimination."""
-    a = _rows(m)
-    if not a:
+    ints, _ = _int_rows(m)
+    if not ints:
         return 0
-    ints, _ = clear_denominators(a)
-    return len(_echelon(ints, len(a[0]))[0])
+    return len(_echelon(ints, len(ints[0]))[0])
 
 
 def mat_inverse(m) -> tuple:
     """Rows of the inverse of a nonsingular square rational matrix, from one
     integer elimination of [L m | L I], with L the lcm of m's denominators."""
-    a = _rows(m)
-    n = len(a)
-    if any(len(row) != n for row in a):
+    ints, scale = _int_rows(m)
+    n = len(ints)
+    if any(len(row) != n for row in ints):
         raise ValueError("inverse of a non-square matrix")
-    ints, scale = clear_denominators(a)
     aug = [row + [scale * (i == j) for j in range(n)] for i, row in enumerate(ints)]
     if len(_echelon(aug, n)[0]) < n:
         raise ValueError("singular matrix has no inverse")
@@ -478,15 +496,15 @@ def solve_exact(a, b):
 
     Returns the unique solution vector.  Raises InconsistentSystem when no
     solution exists and UnderdeterminedSystem when the solution set has
-    free variables; this function never guesses.
+    free variables; this function never guesses.  [A | b] is read and
+    scaled to integers at once (_int_rows).
     """
-    a = _rows(a)
-    (b,) = _rows([b])
+    a, b = list(a), list(b)
     if len(a) != len(b):
         raise ValueError("rhs length mismatch")
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    aug, _ = clear_denominators([row + [v] for row, v in zip(a, b)])
+    aug, _ = _int_rows([[*row, v] for row, v in zip(a, b)])
+    rows = len(aug)
+    cols = len(aug[0]) - 1 if rows else 0
     pivots, _ = _echelon(aug, cols)
     for i in range(len(pivots), rows):
         if aug[i][cols]:

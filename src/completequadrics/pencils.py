@@ -136,13 +136,25 @@ def count_tangencies(p: Pencil, basis) -> DegenerationCount:
     on a point every restriction is a scalar pencil and the count is the
     single member through the point.
 
-    The pencil is restricted once, in integers: with B the basis scaled by
-    its lcm Lb, B^T (q0.ints) B and B^T (q1.ints) B are the restrictions of
-    Q0 and Q1 (restrict) times positive factors, which change no zero test,
-    no proportionality test and, rescaling s and t, no root of their
-    determinant form.
+    The basis is read, scaled by its lcm Lb and rank-checked once, with the
+    checks and messages of restrict (quadrics._int_basis), and its integer
+    columns are counted by _tangencies.
     """
     cols, _ = _int_basis(basis, p.q0.n + 1)
+    return _tangencies(p, cols)
+
+
+def _tangencies(p: Pencil, cols) -> DegenerationCount:
+    """count_tangencies on the span of integer columns cols, which the
+    caller has certified independent: _family_counts passes its _random_basis
+    draw straight here.
+
+    The pencil is restricted once, in integers: with B the matrix of cols,
+    B^T (q0.ints) B and B^T (q1.ints) B are the restrictions of Q0 and Q1
+    (restrict) times positive factors, which change no zero test, no
+    proportionality test and, rescaling s and t, no root of their
+    determinant form.
+    """
     r0, r1 = _int_congruence(p.q0.ints, cols), _int_congruence(p.q1.ints, cols)
     f0, f1 = _flat(r0), _flat(r1)
     if not any(f0) or not any(f1):
@@ -253,10 +265,12 @@ DIRECT_CHECK_PAIRS = {label: tuple(label.split(".")) for label in
 
 
 def _family_counts(r, draw, m, entries) -> dict:
-    # one draw of the family's pencil and of its subspaces, counted
+    # one draw of the family's pencil and of its subspaces, counted; a
+    # subspace is a certified _random_basis draw, so its columns go straight
+    # to _tangencies
     p = draw(r, m)
     return {label: count_degenerations(p).total if k is None
-            else count_tangencies(p, _random_basis(r, m + 1, k)).total for label, k in entries}
+            else _tangencies(p, list(zip(*_random_basis(r, m + 1, k)))).total for label, k in entries}
 
 
 def direct_table_counts(seed: int) -> dict:

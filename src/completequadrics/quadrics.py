@@ -25,9 +25,9 @@ from fractions import Fraction
 from ._value import Record
 from .exact import (
     _echelon,
+    _int_rows,
     _is_rational,
     _is_symmetric,
-    _rows,
     clear_denominators,
     parse_rat,
 )
@@ -45,7 +45,8 @@ class SymmetricForm(Record):
     Fraction, before it tests symmetry, and scales the rows by the lcm of
     their denominators.  _unchecked(ints, den) builds a form from integer
     rows the package computed, symmetric by construction, with neither test
-    (random_form, restrict, compound, pencils._sym_outer).
+    (random_form, restrict, compound, pencils._sym_outer and the moving
+    forms of verify.check_chow_limits).
     """
 
     __slots__ = _fields = ("n", "ints", "den")
@@ -117,17 +118,17 @@ def _int_basis(basis, size: int) -> tuple:
     """(columns of Lb B, Lb) for a basis B of a subspace of a space of
     dimension size, Lb the lcm of its denominators.
 
-    Raises ValueError unless B has size rows and k >= 1 independent columns,
-    the rank read from one elimination of a copy of Lb B; raw rows are read
-    through exact._rows, which raises on ragged rows and non-rational entries.
+    Raw rows are read and scaled by exact._int_rows, which raises on ragged
+    rows and non-rational entries.  Raises ValueError unless B has size rows
+    and k >= 1 independent columns, the rank read from one elimination of a
+    copy of Lb B.
     """
-    b = [list(r) for r in basis]
-    if len(b) != size:
+    bi, lb = _int_rows(basis)
+    if len(bi) != size:
         raise ValueError("basis row count must be n+1")
-    k = len(b[0]) if b else 0
+    k = len(bi[0]) if bi else 0
     if k == 0:
         raise ValueError("empty basis")
-    bi, lb = clear_denominators(_rows(b))
     if not _independent(bi, k):
         raise ValueError("basis columns are linearly dependent")
     return list(zip(*bi)), lb

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import chambers, chowform, pencils, picard, quadrics, schubert
 from ._value import Record
-from .exact import ff_det
+from .exact import _sym_det
 
 
 class CheckResult(Record):
@@ -32,8 +32,22 @@ class CheckResult(Record):
         return {f: getattr(self, f) for f in self._fields}
 
 
+def _sym_int_det(rows) -> int:
+    """Determinant of a symmetric integer matrix, by one symmetric Bareiss
+    elimination of a copy of its upper triangle (exact._sym_det)."""
+    return _sym_det([list(r[i:]) for i, r in enumerate(rows)])
+
+
 def check_chow_identity(seed: int = 0, min_pairs: int = 100) -> CheckResult:
-    """Wedge-coordinate evaluation equals the restricted determinant."""
+    """Wedge-coordinate evaluation equals the restricted determinant.
+
+    The left-hand side is the public chowform.chow_eval of the form and the
+    basis B.  The right-hand side is taken in integers from the same draws,
+    with no second rank check: random_form's den is 1 and _random_basis has
+    certified B, so det(B^T Q B) is the symmetric integer determinant
+    (_sym_int_det) of the congruence quadrics._int_congruence(q.ints, columns
+    of B).  The two sides share no computation.
+    """
     result = functools.partial(CheckResult, "chow-form-identity", (
         "plucker(B)^T compound(Q,k) plucker(B) = det(B^T Q B) for random "
         "forms and subspaces, n in {2,3,4}, all k"
@@ -47,7 +61,7 @@ def check_chow_identity(seed: int = 0, min_pairs: int = 100) -> CheckResult:
             q = quadrics.random_form(n, n + 1, quadrics._randbelow(rng, 1 << 30))
             b = quadrics._random_basis(rng, n + 1, k)
             lhs = chowform.chow_eval(q, k, b)
-            rhs = ff_det(quadrics.restrict(q, b).rows)
+            rhs = _sym_int_det(quadrics._int_congruence(q.ints, list(zip(*b))))
             if lhs != rhs:
                 return result(False, "mismatch at n=%d k=%d: %s != %s" % (n, k, lhs, rhs))
             done += 1
@@ -115,8 +129,10 @@ def check_boundary_numbers(seeds: int = 20, max_n: int = 10) -> CheckResult:
 
     The total is the degree of the determinant form, so it holds by
     construction; each form f is also checked against determinants taken
-    directly: its top coefficient is det Q1, and 2^(m+1) f(1 : -1/2), at a
-    point that is not an interpolation node, is det(2 Q0 - Q1) in integers.
+    directly, by _sym_int_det on the integer matrices of the two
+    random_form members (den 1): its top coefficient is det Q1, and
+    2^(m+1) f(1 : -1/2), at a point that is not an interpolation node, is
+    det(2 Q0 - Q1).
 
     The pencil and its closed form depend on m = n - k alone, so each m is
     drawn once per seed; a failure names n = m + 1 and k = 1, which
@@ -132,13 +148,13 @@ def check_boundary_numbers(seeds: int = 20, max_n: int = 10) -> CheckResult:
             p = pencils.random_pencil(m, seed)
             form = pencils.pencil_det_form(p)
             got = pencils.count_degenerations(p).total
-            mid = [[2 * x - y for x, y in zip(r0, r1)] for r0, r1 in zip(p.q0.rows, p.q1.rows)]
+            mid = [[2 * x - y for x, y in zip(r0, r1)] for r0, r1 in zip(p.q0.ints, p.q1.ints)]
             value = sum(c * ((-1) ** d << m + 1 - d) for d, c in enumerate(form.coeffs))
             if got != m + 1:
                 problem = "%d degenerations" % got
-            elif form.coeffs[-1] != ff_det(p.q1.rows):
+            elif form.coeffs[-1] != _sym_int_det(p.q1.ints):
                 problem = "top coefficient is not det Q1"
-            elif value != ff_det(mid):
+            elif value != _sym_int_det(mid):
                 problem = "value at (1 : -1/2) is not det(Q0 - Q1/2)"
             else:
                 continue
@@ -265,25 +281,29 @@ def check_chow_limits(draws: int = 20, seed: int = 0) -> CheckResult:
     )
     rank1_q0 = quadrics.SymmetricForm.diagonal([1, 0, 0, 0])
 
+    # the moving forms, as twice their integer rows over den 2: symmetric by
+    # construction, so built unchecked, as random_form's forms are
     def rank2(a, b, c):
-        q1 = quadrics.SymmetricForm(
+        q1 = quadrics.SymmetricForm._unchecked(
             [
                 [0, 0, 0, 0],
                 [0, 0, 0, 0],
-                [0, 0, a, Fraction(b, 2)],
-                [0, 0, Fraction(b, 2), c],
-            ]
+                [0, 0, 2 * a, b],
+                [0, 0, b, 2 * c],
+            ],
+            2,
         )
         return rank2_q0, q1
 
     def rank1(a, b, c, d, e, f):
-        q1 = quadrics.SymmetricForm(
+        q1 = quadrics.SymmetricForm._unchecked(
             [
                 [0, 0, 0, 0],
-                [0, a, Fraction(b, 2), Fraction(c, 2)],
-                [0, Fraction(b, 2), d, Fraction(e, 2)],
-                [0, Fraction(c, 2), Fraction(e, 2), f],
-            ]
+                [0, 2 * a, b, c],
+                [0, b, 2 * d, e],
+                [0, c, e, 2 * f],
+            ],
+            2,
         )
         return rank1_q0, q1
 

@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 
 from completequadrics import chambers, exact
 from completequadrics.chambers import classify_segment
-from completequadrics.chowform import ProjectivePoint
+from completequadrics.chowform import ProjectivePoint, chow_eval
 from completequadrics.exact import (
     InconsistentSystem,
     UnderdeterminedSystem,
@@ -353,6 +353,63 @@ def test_clear_denominators():
     assert clear_denominators([[1, 2]]) == ([[1, 2]], 1)
 
 
+# -- the one validate-and-scale entry: exact._int_rows ------------------------
+
+
+@pytest.mark.parametrize("rows", [[[True, 1]], [[1, 2], [3, False]], [[1, "2"]], [[Fraction(1, 2), "3"]]],
+                         ids=["bool", "bool-late", "str", "str-beside-fraction"])
+def test_int_rows_refuses_a_non_rational_entry(rows):
+    with pytest.raises(TypeError):
+        exact._int_rows(rows)
+
+
+@pytest.mark.parametrize("rows", [[[1, 2], [3]], [[1], [2, 3]], [[Fraction(1, 2)], []]])
+def test_int_rows_refuses_ragged_rows(rows):
+    with pytest.raises(ValueError, match="equal length"):
+        exact._int_rows(rows)
+
+
+def test_int_rows_scales_fraction_rows_by_their_lcm():
+    ints, scale = exact._int_rows(((Fraction(1, 2), 1), (Fraction(2, 3), Fraction(-5, 6))))
+    assert (ints, scale) == ([[3, 6], [4, -5]], 6)
+    assert all(type(x) is int for r in ints for x in r)
+    # integral Fractions scale by 1 but still come back as ints
+    ints, scale = exact._int_rows([[Fraction(4, 2), 3]])
+    assert (ints, scale) == ([[2, 3]], 1) and type(ints[0][0]) is int
+    assert exact._int_rows([]) == ([], 1)
+
+
+def test_int_rows_returns_int_rows_as_copies():
+    # _echelon and _sym_det eliminate in place, so the rows handed back must
+    # be fresh lists even when no entry needs scaling
+    m = [[0, 2, 1], [2, 0, 3], [1, 3, 5]]
+    kept = [r[:] for r in m]
+    rows, scale = exact._int_rows(m)
+    assert (rows, scale) == (kept, 1)
+    assert rows is not m and all(a is not b for a, b in zip(rows, m))
+    exact._echelon(rows, 3)
+    rows[0][0] = 99
+    assert m == kept
+    rows, _ = exact._int_rows(((1, 2), (3, 4)))
+    assert rows == [[1, 2], [3, 4]] and all(type(r) is list for r in rows)
+
+
+def test_kernels_leave_integer_arguments_unmodified():
+    # each argument needs a row swap or a scaled copy on the way in
+    m = [[0, 1, 2], [1, 0, 3], [2, 3, 0]]
+    basis = [[0, 1], [1, 0], [1, 1]]
+    coeffs = [0, 0, 1, 2, 1]
+    kept = [[r[:] for r in m], [r[:] for r in basis], coeffs[:]]
+    q = SymmetricForm(m)
+    assert ff_det(m) == cofactor_det(m) == 12
+    # B^T Q B for the columns (0, 1, 1) and (1, 0, 1), and its determinant
+    assert restrict(q, basis).rows == ((6, 6), (6, 4))
+    assert chow_eval(q, 2, basis) == -12
+    # t^2 (t + 1)^2
+    assert distinct_root_count(coeffs) == (4, 2)
+    assert [m, basis, coeffs] == kept
+
+
 @settings(max_examples=40, deadline=None)
 @given(rat_matrix(5))
 def test_ff_det_rational_is_scaled_int_det(m):
@@ -450,7 +507,7 @@ _HALF_FORM = SymmetricForm.diagonal([1, 2])
 
 # raw input that enters the exact kernels: a float or a bool is no rational
 # entry (TypeError) and ragged rows are no matrix (ValueError), wherever the
-# rows are read (exact._rows) or a vector enters beside them
+# rows are read (exact._int_rows) or a vector enters beside them
 RAW_INPUT = [
     ("mat_mul-float", lambda: mat_mul([[0.5]], [[2]]), TypeError),
     ("solve_exact-float-rhs", lambda: solve_exact([[1]], [0.1]), TypeError),

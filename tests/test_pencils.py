@@ -456,16 +456,19 @@ def outcome(count, p, basis):
 class TestIntegerTangencies:
     def test_direct_table_draws_match_restricted_forms(self):
         # every pencil and subspace direct_table_counts counts tangencies on,
-        # the raising draws that its families retry included
+        # the raising draws that its families retry included; the families
+        # hand the integer columns of their drawn subspaces straight to the
+        # integer core, which must agree with the oracle on their rows
         raised = []
+        core = pencils._tangencies
 
-        def checked(p, basis):
-            got = outcome(count_tangencies, p, basis)
-            assert got == outcome(restricted_form_tangencies, p, basis)
+        def checked(p, cols):
+            got = outcome(lambda p, _: core(p, cols), p, None)
+            assert got == outcome(restricted_form_tangencies, p, [list(r) for r in zip(*cols)])
             raised.append(isinstance(got, tuple))
-            return count_tangencies(p, basis)
+            return core(p, cols)
 
-        with mock.patch.object(pencils, "count_tangencies", checked):
+        with mock.patch.object(pencils, "_tangencies", checked):
             for seed in range(128):
                 direct_table_counts(seed)
         # each seed counts 7 tangency entries; the surplus are retried draws
@@ -595,7 +598,7 @@ class TestDirectTableCounts:
         clean = 0
         with mock.patch.object(pencils, "_FAMILIES", families), \
                 mock.patch.object(pencils, "_retry", retrying), \
-                mock.patch.object(pencils, "count_tangencies", counting(count_tangencies)), \
+                mock.patch.object(pencils, "_tangencies", counting(pencils._tangencies)), \
                 mock.patch.object(pencils, "count_degenerations", counting(count_degenerations)):
             for seed in range(32):
                 del draws[:], counted[:], attempts[:]
@@ -617,19 +620,20 @@ class TestDirectTableCounts:
     def test_draws_pinned(self):
         # totals hold by construction, so only the drawn pencils and
         # subspaces show a change in how the entries are drawn; this digest
-        # covers every argument handed to the two counting functions
+        # covers every argument handed to the two counting functions, a
+        # subspace as the rows of the columns the tangency core receives
         seen = []
 
         def recording(name, fn):
             def wrapper(p, *rest):
                 forms = [[[str(x) for x in row] for row in q.rows] for q in (p.q0, p.q1)]
-                basis = [[str(x) for x in row] for row in rest[0]] if rest else None
+                basis = [[str(x) for x in row] for row in zip(*rest[0])] if rest else None
                 seen.append(repr((name, forms, basis)))
                 return fn(p, *rest)
 
             return wrapper
 
-        with mock.patch.object(pencils, "count_tangencies", recording("t", count_tangencies)), \
+        with mock.patch.object(pencils, "_tangencies", recording("t", pencils._tangencies)), \
                 mock.patch.object(pencils, "count_degenerations", recording("d", count_degenerations)):
             for seed in range(16):
                 direct_table_counts(seed)

@@ -93,7 +93,7 @@ def _fake_report(chamber_id):
 
 def _patch_identity(mp):
     mp.setattr(chowform, "chow_eval", lambda q, k, b: Fraction(1))
-    mp.setattr(verify, "ff_det", lambda rows: Fraction(2))
+    mp.setattr(verify, "_sym_int_det", lambda rows: 2)
 
 
 def _patch_table_rows(mp):
@@ -117,9 +117,9 @@ def _patch_counts(mp):
     mp.setattr(pencils, "direct_table_counts", counts)
 
 
-def _patch_ff_det(mp, off):
-    real = verify.ff_det
-    mp.setattr(verify, "ff_det", lambda rows: real(rows) + off(rows))
+def _patch_sym_det(mp, off):
+    real = verify._sym_int_det
+    mp.setattr(verify, "_sym_int_det", lambda rows: real(rows) + off(rows))
 
 
 def _patch_canonical_blowup(mp):
@@ -237,11 +237,11 @@ FAILURES = [
     ("boundary-total", "boundary-pencil-numbers",
      lambda mp: mp.setattr(pencils, "count_degenerations", lambda p: DegenerationCount(0, 0)),
      _boundary, "n=2 k=1 seed=0: 0 degenerations"),
-    ("boundary-top", "boundary-pencil-numbers", lambda mp: _patch_ff_det(mp, lambda rows: 1),
+    ("boundary-top", "boundary-pencil-numbers", lambda mp: _patch_sym_det(mp, lambda rows: 1),
      _boundary, "n=2 k=1 seed=0: top coefficient is not det Q1"),
-    # only the midpoint determinant is taken of a list of lists
+    # only the midpoint determinant is taken of a list of lists; q1.ints is a tuple
     ("boundary-value", "boundary-pencil-numbers",
-     lambda mp: _patch_ff_det(mp, lambda rows: isinstance(rows, list)),
+     lambda mp: _patch_sym_det(mp, lambda rows: isinstance(rows, list)),
      _boundary, "n=2 k=1 seed=0: value at (1 : -1/2) is not det(Q0 - Q1/2)"),
     ("canonical-routes", "canonical-class", _patch_canonical_blowup, _canonical,
      "n=2 routes differ"),
@@ -350,6 +350,44 @@ def test_chow_identity_draws_are_randrange_draws(monkeypatch):
             expected.append(rng.randrange(1 << 30))
             quadrics._random_basis(rng, n + 1, k)
         assert seeds == expected, seed
+
+
+def test_chow_identity_rhs_is_the_restricted_determinant(monkeypatch):
+    # the integer right-hand side of every pair equals ff_det of the form
+    # restricted by the public restrict, on the pair's own draws
+    pairs, rhs = [], []
+    evaluate, det = chowform.chow_eval, verify._sym_int_det
+    monkeypatch.setattr(chowform, "chow_eval", lambda q, k, b: pairs.append((q, b)) or evaluate(q, k, b))
+    monkeypatch.setattr(verify, "_sym_int_det", lambda rows: rhs.append(det(rows)) or rhs[-1])
+    for seed in range(4):
+        del pairs[:], rhs[:]
+        assert verify.check_chow_identity(seed=seed, min_pairs=18).passed
+        assert len(pairs) == len(rhs) == 18
+        for (q, b), value in zip(pairs, rhs):
+            assert type(value) is int and value == exact.ff_det(quadrics.restrict(q, b).rows), seed
+
+
+def test_chow_identity_eliminates_only_its_draws(monkeypatch):
+    # the only eliminations of an identity pair are the rank checks of its
+    # two draws, the M of random_form and the subspace: the subspace is not
+    # rank-checked again and the restricted form is not run through a
+    # general elimination
+    drawn, eliminated = [], []
+    draw, echelon = quadrics._int_matrix, exact._echelon
+
+    def spy(a, cols):
+        eliminated.append([r[:] for r in a])
+        return echelon(a, cols)
+
+    monkeypatch.setattr(quadrics, "_int_matrix", lambda rng, rows, cols: drawn.append(draw(rng, rows, cols)) or drawn[-1])
+    monkeypatch.setattr(quadrics, "_echelon", spy)
+    monkeypatch.setattr(exact, "_echelon", spy)
+    for seed in range(8):
+        del drawn[:], eliminated[:]
+        assert verify.check_chow_identity(seed=seed, min_pairs=1).passed
+        # one pass over the nine (n, k), each pair two draws or more
+        assert len(drawn) >= 18
+        assert eliminated == drawn, seed
 
 
 def test_chow_limit_draws_are_randint_draws(monkeypatch):
