@@ -455,7 +455,7 @@ def _drawn(coeffs, gens) -> list:
 
 def _named(h, den: int) -> DivisorClass:
     # the class whose H vector times den is h, built only to name it in a failure
-    return DivisorClass._unchecked(3, "H", tuple(Fraction(x, den) for x in h))
+    return DivisorClass(3, "H", tuple(Fraction(x, den) for x in h))
 
 
 def _sample_region(rng, chamber_id: int) -> list:

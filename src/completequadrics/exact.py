@@ -10,12 +10,13 @@ Raw matrices enter the integer kernels through one entry, _int_rows: it
 checks the rows (ragged rows raise ValueError, an entry that is not an int
 or a Fraction TypeError) and returns them as fresh lists of ints times L,
 the lcm of their denominators (clear_denominators), with L = 1 after one
-type pass when every entry is an int.  mat_mul, ff_det, mat_rank,
-mat_inverse, solve_exact and distinct_root_count read their input there,
-as do quadrics._int_basis, chowform._int_plucker and
-chowform.ProjectivePoint.  Integers the package has drawn and certified
-itself skip it: the Chow-form identity and boundary checks of the verify
-module hand symmetric integer matrices straight to _sym_det.
+type pass when every entry is an int.  ff_det, mat_rank, mat_inverse,
+solve_exact and distinct_root_count read their input there, as do
+quadrics._int_basis, chowform._int_plucker and chowform.ProjectivePoint;
+mat_mul only checks its factors there and multiplies them as they are.
+Integers the package has drawn and certified itself skip it: the Chow-form
+identity check of the verify module hands its symmetric integer matrices
+straight to _sym_det.
 
 Rational work runs on Python integers wherever it can.  _echelon, a
 rank-revealing Bareiss elimination, is the one general elimination routine:
@@ -45,7 +46,8 @@ denominator (quadrics.SymmetricForm), which the Chow-form layers read as
 they are: quadrics.compound and chowform.plucker build all their minors in
 one Laplace pass over shared sub-minors, not one int_det each, and
 quadrics.restrict and chowform.chow_eval each take one integer product.
-int_det's one caller is ff_det, and no module of the package calls ff_det.
+int_det's one caller is ff_det, whose one caller in the package is
+verify.check_boundary_numbers.
 """
 
 from __future__ import annotations
@@ -217,18 +219,18 @@ def _int_rows(m) -> tuple:
 
 
 def mat_mul(a, b):
-    """Matrix product of matrices with rational or integer entries, taken
-    in integers: both are scaled to integers (_int_rows), and a product
-    whose scales are both 1 has int entries, any other Fraction ones."""
-    (a, la), (b, lb) = _int_rows(a), _int_rows(b)
+    """Matrix product of matrices with rational or integer entries; an
+    all-integer product has int entries."""
+    a, b = [list(r) for r in a], [list(r) for r in b]
+    # _int_rows only checks the factors here: the product is a plain sum of
+    # products, independent of the scaling the integer kernels use
+    _int_rows(a), _int_rows(b)
     if not a or not b:
         return []
     if len(a[0]) != len(b):
         raise ValueError("shape mismatch in matrix product")
     bt = list(zip(*b))
-    product = [[sum(map(operator.mul, row, col)) for col in bt] for row in a]
-    scale = la * lb
-    return product if scale == 1 else [[Fraction(x, scale) for x in row] for row in product]
+    return [[sum(map(operator.mul, row, col)) for col in bt] for row in a]
 
 
 def clear_denominators(rows):

@@ -49,11 +49,6 @@ class DivisorClass(Record):
 
     basis "H" is H_1..H_n, basis "E" is E_1..E_n, and basis "mixed" is the
     blowup presentation H_1, E_1, .., E_{n-1}.
-
-    The constructor checks the basis and n and reads every coefficient with
-    parse_rat.  _unchecked(n, basis, coeffs) builds a class from a tuple of
-    n Fractions the package computed, for a basis and an n already checked,
-    with no test (convert, xi, canonical, chambers._named).
     """
 
     _fields = ("n", "basis", "coeffs")
@@ -64,13 +59,6 @@ class DivisorClass(Record):
         if n < 2:
             raise ValueError("need n >= 2")
         Record.__init__(self, n, basis, _rational_coeffs(coeffs, n))
-
-    @classmethod
-    def _unchecked(cls, n: int, basis: str, coeffs: tuple):
-        # coeffs: a tuple of n Fractions; basis in BASES and n >= 2
-        d = cls.__new__(cls)
-        Record.__init__(d, n, basis, coeffs)
-        return d
 
     def to_json(self) -> dict:
         return {
@@ -138,10 +126,10 @@ def convert(d: DivisorClass, basis: str) -> DivisorClass:
         return d
     h = d.coeffs if d.basis == "H" else _mat_vec(_to_h(d.n, d.basis), d.coeffs)
     if basis == "H":
-        return DivisorClass._unchecked(d.n, "H", h)
+        return DivisorClass(d.n, "H", h)
     # one solve, not a cached inverse: at large n a one-shot conversion would
     # pay n times the elimination work to build the inverse
-    return DivisorClass._unchecked(d.n, basis, tuple(solve_exact(_to_h(d.n, basis), h)))
+    return DivisorClass(d.n, basis, tuple(solve_exact(_to_h(d.n, basis), h)))
 
 
 def pair(c: CurveClass, d: DivisorClass) -> Fraction:
@@ -201,12 +189,12 @@ def canonical(n: int, method: str = "nefbasis") -> DivisorClass:
         coeffs = [Fraction(-1)] * n
         coeffs[0] = Fraction(-2)
         coeffs[-1] = Fraction(-2)
-        return DivisorClass._unchecked(n, "H", tuple(coeffs))
+        return DivisorClass(n, "H", tuple(coeffs))
     if method == "blowup":
         big_n = quadric_space_dim(n)
         mixed = [Fraction(-(big_n + 1))]
         mixed += [Fraction(stratum_codim(n, i) - 1) for i in range(1, n)]
-        return convert(DivisorClass._unchecked(n, "mixed", tuple(mixed)), "H")
+        return convert(DivisorClass(n, "mixed", tuple(mixed)), "H")
     raise ValueError("unknown method %r" % (method,))
 
 
@@ -241,7 +229,7 @@ def xi(d: DivisorClass) -> DivisorClass:
     if d.n != 3:
         raise ValueError("the duality involution is implemented for n = 3")
     h = convert(d, "H").coeffs
-    return convert(DivisorClass._unchecked(3, "H", (h[2], h[1], h[0])), d.basis)
+    return convert(DivisorClass(3, "H", (h[2], h[1], h[0])), d.basis)
 
 
 # -- named n = 3 classes -----------------------------------------------------

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import chambers, chowform, pencils, picard, quadrics, schubert
 from ._value import Record
-from .exact import _sym_det
+from .exact import _sym_det, ff_det
 
 
 class CheckResult(Record):
@@ -34,7 +34,8 @@ class CheckResult(Record):
 
 def _sym_int_det(rows) -> int:
     """Determinant of a symmetric integer matrix, by one symmetric Bareiss
-    elimination of a copy of its upper triangle (exact._sym_det)."""
+    elimination of a copy of its upper triangle (exact._sym_det); the
+    right-hand side of check_chow_identity."""
     return _sym_det([list(r[i:]) for i, r in enumerate(rows)])
 
 
@@ -129,10 +130,11 @@ def check_boundary_numbers(seeds: int = 20, max_n: int = 10) -> CheckResult:
 
     The total is the degree of the determinant form, so it holds by
     construction; each form f is also checked against determinants taken
-    directly, by _sym_int_det on the integer matrices of the two
-    random_form members (den 1): its top coefficient is det Q1, and
-    2^(m+1) f(1 : -1/2), at a point that is not an interpolation node, is
-    det(2 Q0 - Q1).
+    directly, by the general elimination of ff_det on the integer matrices
+    of the two random_form members (den 1), which shares no code with the
+    symmetric elimination behind the form: its top coefficient is det Q1,
+    and 2^(m+1) f(1 : -1/2), at a point that is not an interpolation node,
+    is det(2 Q0 - Q1).
 
     The pencil and its closed form depend on m = n - k alone, so each m is
     drawn once per seed; a failure names n = m + 1 and k = 1, which
@@ -152,9 +154,9 @@ def check_boundary_numbers(seeds: int = 20, max_n: int = 10) -> CheckResult:
             value = sum(c * ((-1) ** d << m + 1 - d) for d, c in enumerate(form.coeffs))
             if got != m + 1:
                 problem = "%d degenerations" % got
-            elif form.coeffs[-1] != _sym_int_det(p.q1.ints):
+            elif form.coeffs[-1] != ff_det(p.q1.ints):
                 problem = "top coefficient is not det Q1"
-            elif value != _sym_int_det(mid):
+            elif value != ff_det(mid):
                 problem = "value at (1 : -1/2) is not det(Q0 - Q1/2)"
             else:
                 continue

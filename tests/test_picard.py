@@ -15,7 +15,6 @@ from fractions import Fraction
 import pytest
 
 import completequadrics
-from completequadrics import chambers
 from completequadrics.exact import InconsistentSystem, UnderdeterminedSystem, ff_det, mat_inverse, solve_exact
 from completequadrics.picard import (
     BASES,
@@ -340,23 +339,6 @@ def test_json_roundtrip():
     c = CurveClass(3, ("1", "2", "1"))
     assert CurveClass.from_json(c.to_json()) == c
     assert d.to_json()["coeffs"] == ["12", "-6", "-4"]
-
-
-def test_trusted_class_equals_checked_class():
-    # DivisorClass._unchecked builds a class from Fractions the package
-    # computed; it equals, hashes and prints as the checked class of them
-    for n, basis, coeffs in ((3, "H", (1, 0, "-1/2")), (4, "mixed", (12, -6, -4, "7/3")), (2, "E", (0, 0))):
-        checked = DivisorClass(n, basis, coeffs)
-        trusted = DivisorClass._unchecked(n, basis, tuple(Fraction(c) for c in coeffs))
-        assert trusted == checked and hash(trusted) == hash(checked) and repr(trusted) == repr(checked)
-    # the classes built that way hold Fractions only, as the checked ones do
-    built = (convert(class_P(), "E"), convert(E1_3, "mixed"), convert(DivisorClass(4, "E", (1, 2, 0, "1/3")), "H"),
-             xi(H1_3), xi(convert(class_P(), "mixed")), canonical(4, "blowup"), canonical(5),
-             chambers._named((2, -1, 3), 2))
-    for d in built:
-        checked = DivisorClass(d.n, d.basis, d.coeffs)
-        assert all(type(c) is Fraction for c in d.coeffs)
-        assert d == checked and hash(d) == hash(checked) and repr(d) == repr(checked)
 
 
 def _importers(name):

@@ -117,9 +117,9 @@ def _patch_counts(mp):
     mp.setattr(pencils, "direct_table_counts", counts)
 
 
-def _patch_sym_det(mp, off):
-    real = verify._sym_int_det
-    mp.setattr(verify, "_sym_int_det", lambda rows: real(rows) + off(rows))
+def _patch_ff_det(mp, off):
+    real = verify.ff_det
+    mp.setattr(verify, "ff_det", lambda rows: real(rows) + off(rows))
 
 
 def _patch_canonical_blowup(mp):
@@ -237,11 +237,11 @@ FAILURES = [
     ("boundary-total", "boundary-pencil-numbers",
      lambda mp: mp.setattr(pencils, "count_degenerations", lambda p: DegenerationCount(0, 0)),
      _boundary, "n=2 k=1 seed=0: 0 degenerations"),
-    ("boundary-top", "boundary-pencil-numbers", lambda mp: _patch_sym_det(mp, lambda rows: 1),
+    ("boundary-top", "boundary-pencil-numbers", lambda mp: _patch_ff_det(mp, lambda rows: 1),
      _boundary, "n=2 k=1 seed=0: top coefficient is not det Q1"),
     # only the midpoint determinant is taken of a list of lists; q1.ints is a tuple
     ("boundary-value", "boundary-pencil-numbers",
-     lambda mp: _patch_sym_det(mp, lambda rows: isinstance(rows, list)),
+     lambda mp: _patch_ff_det(mp, lambda rows: isinstance(rows, list)),
      _boundary, "n=2 k=1 seed=0: value at (1 : -1/2) is not det(Q0 - Q1/2)"),
     ("canonical-routes", "canonical-class", _patch_canonical_blowup, _canonical,
      "n=2 routes differ"),
