@@ -10,9 +10,9 @@ Raw matrices enter the integer kernels through one entry, _int_rows: it
 checks the rows (ragged rows raise ValueError, an entry that is not an int
 or a Fraction TypeError) and returns them as fresh lists of ints times L,
 the lcm of their denominators (clear_denominators), with L = 1 after one
-type pass when every entry is an int.  ff_det, mat_rank, mat_inverse,
-solve_exact and distinct_root_count read their input there, as do
-quadrics._int_basis, chowform._int_plucker and chowform.ProjectivePoint;
+type pass when every entry is an int.  ff_det, mat_rank, solve_exact and
+distinct_root_count read their input there, as do quadrics._int_basis,
+quadrics.SymmetricForm, chowform._int_plucker and chowform.ProjectivePoint;
 mat_mul only checks its factors there and multiplies them as they are.
 Integers the package has drawn and certified itself skip it: the Chow-form
 identity check of the verify module hands its symmetric integer matrices
@@ -20,9 +20,9 @@ straight to _sym_det.
 
 Rational work runs on Python integers wherever it can.  _echelon, a
 rank-revealing Bareiss elimination, is the one general elimination routine:
-int_det, mat_rank, solve_exact and mat_inverse run it on integers.  ff_det
-of a rational matrix is int_det of the scaled matrix over the scale to the
-n-th power.  int_det_poly gives the coefficients of a pencil's determinant
+ff_det, mat_rank and solve_exact run it on integers.  ff_det of a rational
+matrix is the determinant of the scaled matrix over the scale to the n-th
+power.  int_det_poly gives the coefficients of a pencil's determinant
 form det(A + tB), for symmetric A and B, from _sym_det, a symmetric Bareiss
 elimination over the upper triangle.
 
@@ -44,10 +44,9 @@ prime 2^61 - 1 and reads the squarefree degree from poly_gcd only when that
 certificate fails.  A quadric form is stored as an integer matrix and one
 denominator (quadrics.SymmetricForm), which the Chow-form layers read as
 they are: quadrics.compound and chowform.plucker build all their minors in
-one Laplace pass over shared sub-minors, not one int_det each, and
+one Laplace pass over shared sub-minors, not one elimination each, and
 quadrics.restrict and chowform.chow_eval each take one integer product.
-int_det's one caller is ff_det, whose one caller in the package is
-verify.check_boundary_numbers.
+ff_det's one caller in the package is verify.check_boundary_numbers.
 """
 
 from __future__ import annotations
@@ -193,11 +192,6 @@ def distinct_root_count(coeffs) -> tuple[int, int]:
 # -- matrices ---------------------------------------------------------------
 
 
-def _is_rational(rows) -> bool:
-    # the type of every entry is int or Fraction, so a bool is not one
-    return {int, Fraction}.issuperset(map(type, itertools.chain.from_iterable(rows)))
-
-
 def _int_rows(m) -> tuple:
     """(rows, L): the rows of a rational matrix (a vector as one row) as
     fresh lists of ints, times L, the lcm of the entries' denominators.
@@ -288,21 +282,6 @@ def _back_substitute(a, n, col):
         row = a[k]
         y[k] = (d * row[col] - sum(map(operator.mul, row[k + 1:n], y[k + 1:]))) // row[k]
     return [Fraction(v, d) for v in y]
-
-
-def int_det(m) -> int:
-    """Determinant of a square integer matrix by Bareiss elimination
-    (_echelon)."""
-    a = [list(r) for r in m]
-    n = len(a)
-    if n == 0:
-        raise ValueError("empty matrix")
-    if any(len(r) != n for r in a):
-        raise ValueError("determinant of a non-square matrix")
-    pivots, sign = _echelon(a, n)
-    if len(pivots) < n:
-        return 0
-    return sign * a[n - 1][n - 1]
 
 
 def _sym_swap(u, k, r):
@@ -466,10 +445,17 @@ def int_det_poly(a, b) -> list:
 
 
 def ff_det(m):
-    """Determinant of a square rational matrix: the matrix is scaled to
-    integers (_int_rows) and handed to int_det."""
-    ints, scale = _int_rows(m)
-    return Fraction(int_det(ints), scale ** len(ints))
+    """Determinant of a square rational matrix: one Bareiss elimination
+    (_echelon) of the matrix scaled to integers by L (_int_rows), over L to
+    the n-th power."""
+    a, scale = _int_rows(m)
+    n = len(a)
+    if n == 0:
+        raise ValueError("empty matrix")
+    if len(a[0]) != n:
+        raise ValueError("determinant of a non-square matrix")
+    pivots, sign = _echelon(a, n)
+    return Fraction(sign * a[n - 1][n - 1] if len(pivots) == n else 0, scale ** n)
 
 
 def mat_rank(m) -> int:
@@ -478,19 +464,6 @@ def mat_rank(m) -> int:
     if not ints:
         return 0
     return len(_echelon(ints, len(ints[0]))[0])
-
-
-def mat_inverse(m) -> tuple:
-    """Rows of the inverse of a nonsingular square rational matrix, from one
-    integer elimination of [L m | L I], with L the lcm of m's denominators."""
-    ints, scale = _int_rows(m)
-    n = len(ints)
-    if any(len(row) != n for row in ints):
-        raise ValueError("inverse of a non-square matrix")
-    aug = [row + [scale * (i == j) for j in range(n)] for i, row in enumerate(ints)]
-    if len(_echelon(aug, n)[0]) < n:
-        raise ValueError("singular matrix has no inverse")
-    return tuple(zip(*[_back_substitute(aug, n, n + j) for j in range(n)]))
 
 
 def solve_exact(a, b):

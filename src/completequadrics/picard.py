@@ -28,7 +28,7 @@ import functools
 from fractions import Fraction
 
 from ._value import Record
-from .exact import UnderdeterminedSystem, clear_denominators, format_rat, mat_inverse, parse_rat, solve_exact
+from .exact import UnderdeterminedSystem, clear_denominators, format_rat, parse_rat, solve_exact
 from .quadrics import quadric_space_dim, stratum_codim
 
 BASES = ("H", "mixed", "E")
@@ -254,11 +254,12 @@ def facet_rows(gens: tuple) -> tuple:
     Row i of the inverse of the matrix whose columns are the H coordinates
     of gens, scaled by the lcm of its denominators: its dot product with the
     H coordinates of a class is the class's i-th coordinate in gens times a
-    positive number.  Computed once per tuple of generators.
+    positive number.  That row solves x . h_j = [i = j] over the generators'
+    H vectors h_j (solve_exact).  Computed once per tuple of generators.
     """
-    cols = [convert(g, "H").coeffs for g in gens]
-    inverse = mat_inverse([[c[i] for c in cols] for i in range(len(cols))])
-    return tuple(tuple(clear_denominators([row])[0][0]) for row in inverse)
+    hs = [convert(g, "H").coeffs for g in gens]
+    unit = [[int(i == j) for j in range(len(hs))] for i in range(len(hs))]
+    return tuple(tuple(clear_denominators([solve_exact(hs, e)])[0][0]) for e in unit)
 
 
 @functools.cache

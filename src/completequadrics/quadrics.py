@@ -26,9 +26,7 @@ from ._value import Record
 from .exact import (
     _echelon,
     _int_rows,
-    _is_rational,
     _is_symmetric,
-    clear_denominators,
     parse_rat,
 )
 from .exact import ff_det  # noqa: F401  bench/test_bench.py traces and restores this alias
@@ -41,9 +39,10 @@ class SymmetricForm(Record):
     when their entries are.  The kernels read ints and den; rows is the view
     as numbers, ints itself when den is 1 and Fractions otherwise.
 
-    The constructor raises TypeError on an entry that is not an int or a
-    Fraction, before it tests symmetry, and scales the rows by the lcm of
-    their denominators.  _unchecked(ints, den) builds a form from integer
+    The constructor reads its rows through exact._int_rows, which raises
+    TypeError on an entry that is not an int or a Fraction and scales the
+    rows by the lcm of their denominators; symmetry is tested after it, on
+    the scaled rows.  _unchecked(ints, den) builds a form from integer
     rows the package computed, symmetric by construction, with neither test
     (random_form, restrict, compound, pencils._sym_outer and the moving
     forms of verify.check_chow_limits).
@@ -56,11 +55,9 @@ class SymmetricForm(Record):
         m = len(rows)
         if m == 0 or any(len(r) != m for r in rows):
             raise ValueError("quadric matrix must be square and nonempty")
-        if not _is_rational(rows):
-            raise TypeError("quadric form entries must be ints or Fractions")
-        if not _is_symmetric(rows):
+        ints, den = _int_rows(rows)
+        if not _is_symmetric(ints):
             raise ValueError("matrix is not symmetric")
-        ints, den = clear_denominators(rows)
         Record.__init__(self, m - 1, tuple(map(tuple, ints)), den)
 
     @classmethod

@@ -343,12 +343,18 @@ def check_chamber_partition() -> CheckResult:
         ("flip", picard.DivisorClass(3, "H", (5, -2, 5)), 2, frozenset({"E13"})),  # H1 + H3 + P
         ("union", picard.DivisorClass(3, "E", (1, 1, 0)), 7, frozenset({"E1", "E2"})),
     )
-    # the inputs are fixed, so any error the classifier raises is a failure
+    # the inputs are fixed, so any error the classifier raises is a failure;
+    # each example's image under picard.xi lands in the mirrored chamber
+    # with the mirrored locus (the union example, 7 -> 6, is not self-dual)
     try:
         for label, d, chamber_id, locus in examples:
             report = chambers.classify(d)
             if (report.chamber_id, report.base_locus) != (chamber_id, locus):
                 return result(False, "%s example misclassified" % label)
+            mirror = chambers.classify(picard.xi(d))
+            if (mirror.chamber_id, mirror.base_locus) != (
+                    chambers._XI_CHAMBER[chamber_id], chambers._xi_pieces(locus)):
+                return result(False, "%s example's dual misclassified" % label)
         census = chambers.face_census()
     except (AssertionError, RuntimeError, ValueError) as exc:
         return result(False, str(exc))

@@ -888,7 +888,7 @@ def cold_tables():
 
 def test_cold_census_solves_nothing(monkeypatch, cold_tables):
     # the plane table comes from integer cross products of the generators'
-    # H vectors: no facet_rows, no Picard conversion, no matrix inverse,
+    # H vectors: no facet_rows, no Picard conversion, no linear solve,
     # wherever a module holds them
     from completequadrics import exact, picard
 
@@ -897,7 +897,7 @@ def test_cold_census_solves_nothing(monkeypatch, cold_tables):
             raise AssertionError("%s called" % name)
         return call
 
-    for name in ("facet_rows", "convert", "mat_inverse"):
+    for name in ("facet_rows", "convert", "solve_exact"):
         for module in (exact, picard, chambers):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse(name))

@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from completequadrics import chowform, exact, quadrics, verify
-from completequadrics.exact import ff_det, int_det, mat_rank
+from completequadrics.exact import ff_det, mat_rank
 from completequadrics.chowform import (
     PluckerVector,
     ProjectivePoint,
@@ -132,16 +132,17 @@ def test_ragged_basis_rejected(b):
 
 
 def test_int_plucker_matches_per_subset_int_det():
-    # the Laplace pass against one int_det per k-subset of rows, on integer
-    # bases with small and 60-bit entries and a zero row; a basis whose
-    # last column repeats the first has rank k - 1 and is rejected
+    # the Laplace pass against one integer determinant (ff_det) per k-subset
+    # of rows, on integer bases with small and 60-bit entries and a zero
+    # row; a basis whose last column repeats the first has rank k - 1 and
+    # is rejected
     rng = random.Random(23)
     for size in range(1, 8):
         for k in range(1, size + 1):
             for bound in (3, 2 ** 60):
                 b = [[rng.randint(-bound, bound) for _ in range(k)] for _ in range(size)]
                 b[rng.randrange(size)] = [0] * k
-                minors = [int_det([b[i] for i in s]) for s in itertools.combinations(range(size), k)]
+                minors = [ff_det([b[i] for i in s]) for s in itertools.combinations(range(size), k)]
                 if any(minors):
                     assert chowform._int_plucker(b) == (size - 1, k, minors, 1), b
                 else:

@@ -4,10 +4,11 @@ ff_det is checked against an independent cofactor-expansion oracle over
 the rationals and, at rational points, over polynomials in one variable
 (tests/univariate.py), int_det_poly against the same polynomial oracle,
 and mat_rank and solve_exact against the largest nonvanishing minor, also where the
-elimination skips columns; mat_inverse by multiplying back; root counts
-against explicit factorizations and the integer gcd against a Euclidean gcd
-over Fraction.  The symmetric elimination is checked against int_det,
-int_det_poly against per-point int_det interpolated over Fraction (it
+elimination skips columns; the inverse solve_exact gives column by column by
+multiplying back; root counts against explicit factorizations and the
+integer gcd against a Euclidean gcd over Fraction.  The symmetric
+elimination is checked against the general one (ff_det on integers),
+int_det_poly against per-point ff_det interpolated over Fraction (it
 rejects non-symmetric or mismatched pairs), on both sides of the packed bit
 length where it stops reading all coefficients from one elimination, and
 the mod-P squarefree certificate against the remainder sequence alone.
@@ -35,10 +36,8 @@ from completequadrics.exact import (
     clear_denominators,
     distinct_root_count,
     ff_det,
-    int_det,
     int_det_poly,
     format_rat,
-    mat_inverse,
     mat_mul,
     mat_rank,
     parse_rat,
@@ -92,20 +91,23 @@ int_entry = st.integers(min_value=-50, max_value=50)
 @given(st.integers(min_value=1, max_value=5).flatmap(
     lambda n: st.lists(st.lists(int_entry, min_size=n, max_size=n), min_size=n, max_size=n)))
 def test_int_det_matches_cofactor(m):
-    d = int_det(m)
-    assert type(d) is int
+    # the determinant of an integer matrix is an integer, as a Fraction
+    d = ff_det(m)
+    assert type(d) is Fraction and d.denominator == 1
     assert d == cofactor_det(m)
 
 
 def test_int_det_zero_pivots():
     # a zero pivot forces a row swap, whose sign must be kept
-    assert int_det([[0, 1, 2], [3, 4, 5], [6, 7, 9]]) == cofactor_det([[0, 1, 2], [3, 4, 5], [6, 7, 9]])
-    assert int_det([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
-    assert int_det([[0, 1], [0, 2]]) == 0
-    with pytest.raises(ValueError):
-        int_det([[1, 2]])
-    with pytest.raises(ValueError):
-        int_det([])
+    assert ff_det([[0, 1, 2], [3, 4, 5], [6, 7, 9]]) == cofactor_det([[0, 1, 2], [3, 4, 5], [6, 7, 9]])
+    assert ff_det([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
+    assert ff_det([[0, 1], [0, 2]]) == 0
+    with pytest.raises(ValueError, match="non-square"):
+        ff_det([[1, 2]])
+    with pytest.raises(ValueError, match="non-square"):
+        ff_det([[]])
+    with pytest.raises(ValueError, match="empty"):
+        ff_det([])
 
 
 def _upper(m):
@@ -141,7 +143,7 @@ def test_sym_det_matches_int_det_on_sparse_symmetric(monkeypatch):
         del moves[:]
         d = exact._sym_det(_upper(m))
         assert type(d) is int
-        assert d == int_det(m), m
+        assert d == ff_det(m), m
         kinds.update(name for name, _, _ in moves)
         kinds.add("singular" if d == 0 else "nonsingular")
     assert kinds == {"_sym_swap", "_sym_add", "singular", "nonsingular"}
@@ -173,9 +175,9 @@ def test_sym_det_forced_branches(monkeypatch, m, det, taken):
 
 
 def _interpolation_oracle(a, b):
-    # per-point int_det at t = 0..n, interpolated by Lagrange over Fraction
+    # per-point ff_det at t = 0..n, interpolated by Lagrange over Fraction
     n = len(a)
-    values = [int_det([[x + t * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)])
+    values = [ff_det([[x + t * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)])
               for t in range(n + 1)]
     coeffs = [Fraction(0)] * (n + 1)
     for i, v in enumerate(values):
@@ -234,7 +236,7 @@ def test_int_det_poly_takes_the_symmetric_path_for_symmetric_pairs(monkeypatch):
     assert calls == [2]
     with pytest.raises(ValueError):
         int_det_poly([], [])
-    # ragged or non-square input raises as int_det does
+    # ragged or non-square input raises as ff_det does
     for ragged in ([[1, 2, 3], [2, 5, 6], [3, 6]], [[1, 2], [2, 3, 4]], [[1, 2]], [[]], [[], []]):
         with pytest.raises(ValueError):
             int_det_poly(ragged, ragged)
@@ -416,7 +418,7 @@ def test_ff_det_rational_is_scaled_int_det(m):
     ints, scale = clear_denominators(m)
     d = ff_det(m)
     assert isinstance(d, Fraction)
-    assert d == Fraction(int_det(ints), scale ** 5) == cofactor_det(m)
+    assert d == ff_det(ints) / scale ** 5 == cofactor_det(m)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -512,10 +514,8 @@ RAW_INPUT = [
     ("mat_mul-float", lambda: mat_mul([[0.5]], [[2]]), TypeError),
     ("solve_exact-float-rhs", lambda: solve_exact([[1]], [0.1]), TypeError),
     ("solve_exact-bool", lambda: solve_exact([[True]], [1]), TypeError),
-    ("mat_inverse-bool", lambda: mat_inverse([[True]]), TypeError),
     ("root_count-bool", lambda: distinct_root_count([True, True]), TypeError),
     ("solve_exact-float", lambda: solve_exact([[0.5]], [1]), TypeError),
-    ("mat_inverse-float", lambda: mat_inverse([[0.5]]), TypeError),
     ("root_count-float", lambda: distinct_root_count([0.5, 1]), TypeError),
     ("mat_rank-long-second-row", lambda: mat_rank([[1], [2, 3]]), ValueError),
     ("mat_rank-short-second-row", lambda: mat_rank([[1, 2, 3], [4, 5]]), ValueError),
@@ -749,7 +749,7 @@ def test_skipped_pivot_columns_examples():
     # 1 and 3
     m = [[0, 1, 1, 2], [0, 2, 2, 5], [0, 3, 3, 7]]
     assert mat_rank(m) == minor_rank(m) == 2
-    assert int_det([r[:3] for r in m]) == int_det([r[1:] for r in m]) == 0
+    assert ff_det([r[:3] for r in m]) == ff_det([r[1:] for r in m]) == 0
     # the right side is inconsistent only in the last row, below the skipped
     # leading column
     a = [[0, 1], [0, 2], [0, 3]]
@@ -775,7 +775,7 @@ def test_skipped_pivot_columns_match_minor_oracle(seed):
     rank = minor_rank(a)
     assert mat_rank(a) == rank
     if rows == len(cols):
-        assert int_det(clear_denominators(a)[0]) == cofactor_det(a) == 0
+        assert ff_det(clear_denominators(a)[0]) == cofactor_det(a) == 0
     b = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(rows)]
     consistent = minor_rank([row + [v] for row, v in zip(a, b)]) == rank
     with pytest.raises(UnderdeterminedSystem if consistent else InconsistentSystem):
@@ -784,20 +784,18 @@ def test_skipped_pivot_columns_match_minor_oracle(seed):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=1, max_value=4).flatmap(rat_matrix))
-def test_mat_inverse_is_two_sided(a):
+def test_solve_exact_columns_invert_a_matrix(a):
+    # column j of the inverse solves A x = e_j; a singular A has no solution
+    # or free variables at every e_j
     n = len(a)
-    if ff_det(a) == 0:
-        with pytest.raises(ValueError):
-            mat_inverse(a)
-        return
-    inverse = mat_inverse(a)
     identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    if ff_det(a) == 0:
+        for e in identity:
+            with pytest.raises(exact.ExactLinalgError):
+                solve_exact(a, e)
+        return
+    inverse = [list(r) for r in zip(*[solve_exact(a, e) for e in identity])]
     assert mat_mul(a, inverse) == mat_mul(inverse, a) == identity
-
-
-def test_mat_inverse_rejects_non_square():
-    with pytest.raises(ValueError):
-        mat_inverse([[1, 2, 3], [4, 5, 6]])
 
 
 def fraction_product(a, b):

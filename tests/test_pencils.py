@@ -276,8 +276,8 @@ class TestDetFormKept:
                 p = pencils._certified_pencil(random.Random(seed), m)
                 assert ("det_form" in vars(p)) != candidate_rejected(m, seed), (m, seed)
                 coeffs = pencil_det_form(p).coeffs
-                assert coeffs[0] == exact.int_det(p.q0.rows) != 0, (m, seed)
-                assert coeffs[-1] == exact.int_det(p.q1.rows) != 0, (m, seed)
+                assert coeffs[0] == exact.ff_det(p.q0.rows) != 0, (m, seed)
+                assert coeffs[-1] == exact.ff_det(p.q1.rows) != 0, (m, seed)
 
     def test_pencil_stays_frozen(self):
         p = random_pencil(2, 1)

@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 import completequadrics
-from completequadrics.exact import InconsistentSystem, UnderdeterminedSystem, ff_det, mat_inverse, solve_exact
+from completequadrics.exact import InconsistentSystem, UnderdeterminedSystem, ff_det, solve_exact
 from completequadrics.picard import (
     BASES,
     CURVE_TABLE_X3,
@@ -74,6 +74,13 @@ def cartan(n):
     return [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)] for i in range(n)]
 
 
+def _inverse(m):
+    # rows of the inverse of a nonsingular square matrix: row i solves
+    # x m = e_i, that is m^T x = e_i
+    n = len(m)
+    return tuple(tuple(solve_exact(list(zip(*m)), [int(i == j) for j in range(n)])) for i in range(n))
+
+
 def fl_curve(n, j):
     # the flag curve Fl_j, dual to H_j
     return CurveClass(n, tuple(int(i == j - 1) for i in range(n)))
@@ -122,7 +129,7 @@ def test_e_inverse_is_inverse_cartan(n):
         tuple(Fraction(min(i, j) * (n + 1 - max(i, j)), n + 1) for j in range(1, n + 1))
         for i in range(1, n + 1)
     )
-    assert mat_inverse(_to_h(n, "E")) == closed
+    assert _inverse(_to_h(n, "E")) == closed
     # column j of the inverse is H_j in E coordinates
     for j in range(n):
         h_j = DivisorClass(n, "H", tuple(int(i == j) for i in range(n)))
@@ -201,7 +208,7 @@ def test_effective_membership_matches_e_coordinates(n):
     assert effective_rows(n) is rows
     assert all(type(x) is int for row in rows for x in row)
     # the rows are n + 1 times the inverse of the E basis matrix
-    assert [[Fraction(x, n + 1) for x in row] for row in rows] == [list(r) for r in mat_inverse(_to_h(n, "E"))]
+    assert [[Fraction(x, n + 1) for x in row] for row in rows] == [list(r) for r in _inverse(_to_h(n, "E"))]
     rng = random.Random(900 + n)
     for k in range(48):
         # interior, boundary (some E coordinates zero) and outside classes,
@@ -354,23 +361,29 @@ def _importers(name):
 
 
 def test_only_picard_inverts_a_matrix():
-    # the generator-matrix inverse behind facet_rows stays in one module:
-    # no other module imports exact.mat_inverse or reads it off exact
-    assert _importers("mat_inverse") == {"picard.py"}
+    # the generator-matrix inverse behind facet_rows is read row by row from
+    # solve_exact, the one rational solver: only picard solves, and no
+    # other routine back-substitutes
+    assert _importers("solve_exact") == {"picard.py"}
+    assert "picard.facet_rows" in _callers("solve_exact")
+    assert _callers("_back_substitute") == {"exact.solve_exact"}
 
 
 def test_no_per_minor_eliminations_outside_exact():
     # compounds and Pluecker vectors take their minors from one Laplace pass
-    # (quadrics._int_minors, chowform._int_plucker): no module but exact
-    # imports int_det or reads it off exact
-    assert _importers("int_det") <= {"exact.py"}
+    # (quadrics._int_minors, chowform._int_plucker): the general determinant
+    # ff_det is read only by check_boundary_numbers, and imported elsewhere
+    # only as the two aliases the benchmark tracer restores
+    assert _callers("ff_det") == {"verify.check_boundary_numbers"}
+    assert _importers("ff_det") == {"pencils.py", "quadrics.py", "verify.py"}
 
 
 def test_one_place_checks_form_entries():
-    # SymmetricForm refuses a non-rational entry, so no kernel that takes a
-    # form checks it again; raw bases (plucker, chow_eval) and other raw
-    # matrices are read through exact._int_rows
-    assert _importers("_is_rational") == {"quadrics.py"}
+    # SymmetricForm reads its entries through exact._int_rows, as raw bases
+    # (plucker, chow_eval) and the other raw matrices do, so no kernel that
+    # takes a form checks it again
+    assert "quadrics.SymmetricForm" in _callers("_int_rows")
+    assert _importers("_int_rows") == {"chowform.py", "quadrics.py"}
 
 
 def _callers(name):

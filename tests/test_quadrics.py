@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from completequadrics.exact import _is_symmetric, ff_det, int_det, mat_mul, mat_rank
+from completequadrics.exact import _is_symmetric, ff_det, mat_mul, mat_rank
 from completequadrics import pencils, quadrics
 from completequadrics.quadrics import (
     SymmetricForm,
@@ -235,14 +235,14 @@ def symmetric_int_matrices(rng):
 
 
 def test_int_minors_match_per_minor_int_det():
-    # the Laplace pass against one int_det per minor, both halves, for
-    # every k
+    # the Laplace pass against one integer determinant (ff_det) per minor,
+    # both halves, for every k
     for rows in symmetric_int_matrices(random.Random(19)):
         rows = [list(r) for r in rows]
         size = len(rows)
         for k in range(1, size + 1):
             subsets = list(itertools.combinations(range(size), k))
-            expect = [[int_det([[rows[i][j] for j in t] for i in s]) for t in subsets] for s in subsets]
+            expect = [[ff_det([[rows[i][j] for j in t] for i in s]) for t in subsets] for s in subsets]
             assert _int_minors(rows, k) == expect, (rows, k)
 
 
@@ -350,7 +350,7 @@ def invertible_reference(rng, size):
     # the M of random_form, redrawn until its determinant is nonzero
     while True:
         m = [[rng.randint(-3, 3) for _ in range(size)] for _ in range(size)]
-        if int_det(m):
+        if ff_det(m):
             return m
 
 
