@@ -22,52 +22,40 @@ from .quadrics import SymmetricForm
 
 SCHEMA = "cq/1"
 
-# Largest ambient dimension `cq pencil --n` accepts.  The time of a count
-# grows steeply with n (with k = 1, on one 2.1 GHz Xeon core: 0.013-0.02 s
-# at n = 20, 0.065-0.1 s at n = 30 and 0.22-0.3 s at n = 40; from about n = 19
-# the pencil packs past exact._KRONECKER_BITS and takes one elimination per
-# point), so larger n is rejected with exit 2 rather than left to run for
-# minutes.
-MAX_PENCIL_N = 40
+# `cq pencil --n N --k K` counts the singular members of one random pencil
+# on P^m, m = N - K (pencils.random_pencil), and its time grows steeply with
+# m alone: on one 2.1 GHz Xeon core, 0.025-0.03 s at m = 19, 0.11 s at m = 29
+# and 0.36-0.39 s at m = 39 for the whole command.  A larger m is rejected
+# with exit 2 before anything is drawn.
+MAX_PENCIL_M = 39
 
 # Largest sample count `cq chamber --census` accepts.  A census classifies
 # about 150,000 samples a second on one 2.1 GHz Xeon core, so this bound runs
 # in about 2 s there; larger counts are rejected with exit 2.
 MAX_CENSUS = 250_000
 
-# Largest `cq chow` input.  A compound has C(n+1,k) rows, and its minors are
-# built in one Laplace pass, level by level up to k x k; with --limit-toward
-# that pass runs once, at t = 2^K, when the pencil's predicted packed length
-# k K is at most exact._KRONECKER_BITS (3200 bits), and otherwise at the
-# k + 1 points t = 0..k, each entry then interpolated.  Neither the row
-# count nor n alone bounds the time (a 70 x 70 form with k = 69 has 70 rows
-# of 69 x 69 minors), so both are bounded.  Every shape with n <= 8 is
-# admitted (C(9,4) = 126 rows).  On one 2.1 GHz Xeon core (a shared
-# machine, five to ten runs each), the whole command with --limit-toward
-# takes, at the slowest admitted shapes, n = 9 with k = 7 (120 rows) and
-# n = 10 with k = 9 (55 rows): 0.16-0.27 s with 4-bit integer entries and
-# 0.2-0.3 s with one-digit fractions (one pass at 2^K), 0.35-0.6 s with
-# 32-bit entries (one pass, 1736 and 2880 packed bits) and 0.8-1.4 s with
-# 64-bit ones (3318 and 5481 bits, k + 1 passes).  The 64-bit pencils set
-# the bounds now: rejected shapes with small entries are cheaper, timing
-# chowform.chow_limit alone with 4-bit entries, n = 9 with k = 6 (210 rows)
-# 0.2-0.3 s, n = 11 with k = 10 about 0.2 s and n = 11 with k = 4 (495 rows)
-# 1.1-1.5 s.
-MAX_CHOW_N = 10
-MAX_COMPOUND = 126
-
-# Largest `cq chow` entry, in bits.  The admission measure is the joint lcm:
-# the form, or both forms of a --limit-toward pencil, scaled by the lcm of
-# all their denominators, which bounds each form's own SymmetricForm.ints.
-# Each numerator and denominator is held to the same bound as a form is
-# parsed, before its constructor takes an lcm.  At the slowest admitted
-# shapes, n = 9 with k = 7 and n = 10 with k = 9, with --limit-toward, on one
-# 2.1 GHz Xeon core, over five to ten runs: 0.16-0.27 s with 4-bit integer
-# entries, 0.35-0.6 s with 32-bit and 0.8-1.4 s with 64-bit ones, which pack
-# past exact._KRONECKER_BITS and take the compound at k + 1 points; rejected,
-# timing chowform.chow_limit alone, 0.9-1.7 s with two-digit fractions,
-# 0.9-1.4 s with 133-bit and 1.5-2.4 s with 266-bit integer entries.
-MAX_CHOW_BITS = 64
+# `cq chow` admits a shape by its predicted work (_chow_work), in
+# multiply-adds of 64-bit words, and rejects work over MAX_CHOW_WORK with
+# exit 2 before any kernel runs.  Whole commands on one 2.1 GHz Xeon core:
+# - Laplace work: the one pass of quadrics._int_minors takes
+#   sum_{j=2}^{k-1} j C(n+1-k+j, j) C(n+1, j) + k R(R+1)/2 multiply-adds,
+#   R = C(n+1, k), at 0.17-0.29 us each.  Each entry printed (about 1.5 us)
+#   weighs _CHOW_ENTRY_WORK more, and each entry read (4.7 us) three times
+#   that, for k = 1 and output-bound shapes such as k = 2 at large n.
+# - Limit: --limit-toward takes the pass k + 1 times at most, on either path
+#   of exact._kronecker (once at x = 2^K, or at x = 0..k).
+# - Entry size: the work grows with the square of the 64-bit words in the
+#   most bits of any numerator or denominator as a form is parsed, before
+#   its constructor takes an lcm, and then of the forms scaled by their joint
+#   lcm.  n = 8 with k = 4 takes 0.025 s with 4-bit entries, 0.036 s with 64,
+#   0.086 s with 256, 0.62 s with 1024 and 2.3 s with 2048 bits.
+# - Budget: the most work of any shape the earlier caps admitted (n <= 10,
+#   at most 126 rows, 64-bit entries), so all of them still are: n = 10 with
+#   k = 9, 64-bit entries and the limit, 0.68-1.34 s over five runs.  The
+#   slowest admitted since: n = 10 with k = 4, 64-bit entries and the limit,
+#   0.93-1.08 s; n = 208 with k = 1 and the limit, 0.79-0.82 s.
+MAX_CHOW_WORK = 3_117_070
+_CHOW_ENTRY_WORK = 10
 
 # Largest n `cq canonical --n` and a JSON divisor or curve class accept.
 # Converting a class out of the H basis is one integer Bareiss elimination
@@ -146,51 +134,53 @@ def _parse_curve(text: str) -> CurveClass:
     return CurveClass.from_json(data)
 
 
-def _parse_form(text: str) -> SymmetricForm:
+# -- chow ----------------------------------------------------------------------
+
+
+def _chow_work(n: int, k: int, bits: int, limit: bool) -> int:
+    # the predicted work of MAX_CHOW_WORK's paragraph, for 1 <= k <= n + 1
+    size, rows = n + 1, math.comb(n + 1, k)
+    laplace = sum(j * math.comb(size - k + j, j) * math.comb(size, j) for j in range(2, k))
+    laplace += k * rows * (rows + 1) // 2
+    entries = rows * rows + 3 * size * size * (1 + limit)
+    words = max(1, -(-bits // 64))
+    return (laplace * (k + 1 if limit else 1) + _CHOW_ENTRY_WORK * entries) * words * words
+
+
+def _check_chow_work(n: int, k: int, bits: int, limit: bool) -> None:
+    if not 1 <= k <= n + 1:
+        raise ValueError("chow --k is at least 1 and at most n + 1 = %d (got %d)" % (n + 1, k))
+    work = _chow_work(n, k, bits, limit)
+    if work > MAX_CHOW_WORK:
+        raise ValueError("chow --k %d on n = %d with %d-bit entries%s predicts %d units of work, "
+                         "over the budget of %d" % (k, n, bits, " and --limit-toward" * limit,
+                                                    work, MAX_CHOW_WORK))
+
+
+def _parse_form(text: str, k: int, limit: bool) -> SymmetricForm:
     data = _load_json(text)
     if isinstance(data, list):
         data = {"matrix": data}
     if not isinstance(data, dict) or "matrix" not in data:
         raise ValueError("form JSON must be a matrix or {n, matrix}")
-    data["matrix"] = [[parse_rat(x) for x in row] for row in _check_types(data)["matrix"]]
+    matrix = data["matrix"] = [[parse_rat(x) for x in row] for row in _check_types(data)["matrix"]]
     # bounded before the constructor takes the lcm of the denominators
-    _check_chow_bits(max((max(abs(x.numerator), x.denominator).bit_length()
-                          for row in data["matrix"] for x in row), default=0))
+    bits = max((max(abs(x.numerator), x.denominator).bit_length()
+                for x in itertools.chain(*matrix)), default=0)
+    _check_chow_work(len(matrix) - 1, k, bits, limit)
     return SymmetricForm.from_json(data)
 
 
-# -- chow ----------------------------------------------------------------------
-
-
-def _check_chow_size(q: SymmetricForm, k: int) -> None:
-    if q.n > MAX_CHOW_N:
-        raise ValueError("chow forms have n at most %d (got %d)" % (MAX_CHOW_N, q.n))
-    if 1 <= k <= q.n + 1 and math.comb(q.n + 1, k) > MAX_COMPOUND:
-        raise ValueError("chow --k %d: the compound would have C(%d,%d) = %d rows, at most %d"
-                         % (k, q.n + 1, k, math.comb(q.n + 1, k), MAX_COMPOUND))
-
-
-def _check_chow_bits(bits: int) -> None:
-    if bits > MAX_CHOW_BITS:
-        raise ValueError("chow entries and the integers they scale to have at most %d bits (got %d)"
-                         % (MAX_CHOW_BITS, bits))
-
-
-def _check_chow_entries(*forms) -> None:
+def cmd_chow(args) -> int:
+    limit = args.limit_toward is not None
+    forms = [_parse_form(text, args.k, limit) for text in (args.form, args.limit_toward)
+             if text is not None]
     # the forms scaled by the lcm of all their denominators, the joint lcm
     scale = math.lcm(*[q.den for q in forms])
-    _check_chow_bits(max(max(map(abs, itertools.chain(*q.ints))) * (scale // q.den)
-                         for q in forms).bit_length())
-
-
-def cmd_chow(args) -> int:
-    q = _parse_form(args.form)
-    _check_chow_size(q, args.k)
-    if args.limit_toward is not None:
-        q1 = _parse_form(args.limit_toward)
-        _check_chow_size(q1, args.k)
-        _check_chow_entries(q, q1)
-        pt = chowform.chow_limit(q, q1, args.k)
+    bits = max(max(map(abs, itertools.chain(*q.ints))) * (scale // q.den) for q in forms).bit_length()
+    _check_chow_work(max(q.n for q in forms), args.k, bits, limit)
+    if limit:
+        pt = chowform.chow_limit(*forms, args.k)
         support = chowform.limit_support_coefficients(pt)
         _emit(
             "chow-limit",
@@ -199,8 +189,7 @@ def cmd_chow(args) -> int:
             support={"%d,%d" % ij: format_rat(v) for ij, v in sorted(support.items())},
         )
         return 0
-    _check_chow_entries(q)
-    m = quadrics.compound(q, args.k)
+    m = quadrics.compound(forms[0], args.k)
     _emit(
         "chow-compound",
         k=args.k,
@@ -224,10 +213,19 @@ def cmd_pencil(args) -> int:
         return 0 if all_ok else 1
     if args.n is None or args.k is None:
         raise ValueError("pencil needs --n and --k (or --verify-table)")
-    if args.n > MAX_PENCIL_N:
-        raise ValueError("pencil --n is at most %d (got %d)" % (MAX_PENCIL_N, args.n))
-    count = pencils.bk_number(args.n, args.k, args.seed)
-    _emit("pencil-count", n=args.n, k=args.k, seed=args.seed, degenerations=count)
+    if not 1 <= args.k <= args.n - 1:
+        raise ValueError("k must lie in 1..n-1")
+    m = args.n - args.k
+    if m > MAX_PENCIL_M:
+        raise ValueError("pencil --n %d --k %d draws on P^%d, at most P^%d"
+                         % (args.n, args.k, m, MAX_PENCIL_M))
+    count = pencils.count_degenerations(pencils.random_pencil(m, args.seed))
+    if count.distinct != count.total:
+        # a general pencil meets the discriminant transversally
+        sys.stderr.write("error: the pencil of seed %d is not transversal: %d singular members "
+                         "with multiplicity, %d distinct\n" % (args.seed, count.total, count.distinct))
+        return 1
+    _emit("pencil-count", n=args.n, k=args.k, seed=args.seed, degenerations=count.distinct)
     return 0
 
 
@@ -556,14 +554,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chow", help="compound matrices and limit Chow forms")
     p.add_argument("--form", required=True,
-                   help="symmetric form as JSON, n at most %d" % MAX_CHOW_N)
-    p.add_argument("--k", type=int, required=True,
-                   help="minor size; C(n+1,k) at most %d" % MAX_COMPOUND)
+                   help="symmetric form as JSON; with --k, at most %d units of predicted work"
+                   % MAX_CHOW_WORK)
+    p.add_argument("--k", type=int, required=True, help="minor size, 1 to n+1")
     p.add_argument("--limit-toward", help="second form: compute the pencil limit")
     p.set_defaults(func=cmd_chow)
 
     p = sub.add_parser("pencil", help="degeneration counts in pencils")
-    p.add_argument("--n", type=int, help="ambient projective dimension, at most %d" % MAX_PENCIL_N)
+    p.add_argument("--n", type=int, help="ambient projective dimension; the pencil lies on "
+                   "P^(n-k), n - k at most %d" % MAX_PENCIL_M)
     p.add_argument("--k", type=int, help="boundary index")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--verify-table", action="store_true",

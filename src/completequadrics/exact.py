@@ -89,7 +89,10 @@ def parse_rat(s) -> Fraction:
     text = str(s).strip()
     if "e" in text or "E" in text:
         raise ValueError("exponent notation is not accepted: %r" % text)
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator: %r" % text) from None
 
 
 def format_rat(x: Fraction) -> str:

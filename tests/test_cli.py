@@ -318,64 +318,107 @@ def stub_chow(monkeypatch):
     return calls
 
 
-ADMITTED_CHOW = ((9, 4), (10, 7), (11, 2), (11, 9))
+def chow_argv(size, k, bits, limit):
+    # a diagonal form whose largest entry has exactly bits bits
+    form = json.dumps([[str(2 ** bits - 1 if i == j == 0 else int(i == j)) for j in range(size)]
+                       for i in range(size)])
+    return ["chow", "--form", form, "--k", str(k)] + ["--limit-toward", form] * limit
+
+
+# every shape the caps before the work bound admitted: n <= 10 and at most
+# C(n+1,k) = 126 compound rows, with entries up to 64 bits
+CAPPED_SHAPES = [(size, k) for size in range(1, 12) for k in range(1, size + 1)
+                 if math.comb(size, k) <= 126]
 
 
 def test_chow_at_bounds_accepted(monkeypatch):
-    # C(9, 4) = 126 rows, the largest compound at n = 8; n = 9 with k = 7
-    # (120 rows) is the slowest admitted limit; n = 10 is the largest n
-    assert (cli.MAX_CHOW_N, cli.MAX_COMPOUND) == (10, 126)
-    assert math.comb(9, 4) == cli.MAX_COMPOUND
     calls = stub_chow(monkeypatch)
-    for size, k in ADMITTED_CHOW:
-        run_json(["chow", "--form", diagonal_form(size), "--k", str(k)])
-        run_json(["chow", "--form", diagonal_form(size), "--k", str(k),
-                  "--limit-toward", diagonal_form(size)])
-    assert calls == [(kind, size - 1, k) for size, k in ADMITTED_CHOW
-                     for kind in ("compound", "limit")]
+    for size, k in CAPPED_SHAPES:
+        for bits in (4, 64):
+            for limit in (False, True):
+                run_json(chow_argv(size, k, bits, limit))
+                assert calls.pop() == ("limit" if limit else "compound", size - 1, k)
+    # n = 10 with k = 9, 64-bit entries and the limit predicts the most work
+    assert cli.MAX_CHOW_WORK == max(cli._chow_work(size - 1, k, 64, True) for size, k in CAPPED_SHAPES)
+    assert cli.MAX_CHOW_WORK == cli._chow_work(10, 9, 64, True)
 
 
-@pytest.mark.parametrize("size,k,message", [
-    (10, 4, "C(10,4) = 210 rows, at most 126"),
-    (10, 5, "C(10,5) = 252 rows, at most 126"),
-    (11, 3, "C(11,3) = 165 rows, at most 126"),
-    (12, 1, "n at most 10 (got 11)"),
-    (70, 69, "n at most 10 (got 69)"),
-])
-def test_chow_past_bounds_rejected_before_any_work(monkeypatch, size, k, message):
+# (size, k, bits, limit, admitted), size = n + 1
+CHOW_ADMISSION = [
+    # rejected by the caps before the work bound, cheaper than n = 10 with k = 9
+    (10, 6, 64, True, True),
+    (12, 4, 64, False, True),
+    (21, 2, 4, True, True),
+    (10, 4, 4, True, True),
+    (10, 5, 4, True, True),
+    (11, 3, 4, True, True),
+    (12, 1, 4, True, True),
+    (200, 1, 4, True, True),
+    (11, 9, 128, False, True),
+    # over the budget
+    (12, 4, 64, True, False),
+    (12, 10, 64, True, False),
+    (12, 10, 4, True, False),
+    (13, 6, 4, False, False),
+    (70, 69, 4, False, False),
+    (11, 9, 65, True, False),
+]
+
+
+@pytest.mark.parametrize("size,k,bits,limit,admitted", CHOW_ADMISSION,
+                         ids=["n%d-k%d-%dbit%s" % (size - 1, k, bits, "-limit" * limit)
+                              for size, k, bits, limit, _ in CHOW_ADMISSION])
+def test_chow_admission(monkeypatch, size, k, bits, limit, admitted):
     calls = stub_chow(monkeypatch)
-    for extra in ([], ["--limit-toward", diagonal_form(size)]):
-        code, out, err = run(["chow", "--form", diagonal_form(size), "--k", str(k)] + extra)
-        assert code == 2
-        assert out == ""
-        assert message in err
+    code, out, err = run(chow_argv(size, k, bits, limit))
+    if admitted:
+        assert code == 0, err
+        assert calls == [("limit" if limit else "compound", size - 1, k)]
+        return
+    work = cli._chow_work(size - 1, k, bits, limit)
+    assert code == 2 and out == ""
+    assert err.startswith("error: chow --k %d on n = %d with %d-bit entries" % (k, size - 1, bits))
+    assert err.endswith(" predicts %d units of work, over the budget of %d\n" % (work, cli.MAX_CHOW_WORK))
+    # rejected before any kernel runs
+    assert calls == []
+
+
+@pytest.mark.parametrize("k", [0, 5, -1])
+def test_chow_k_out_of_range_rejected_before_any_work(monkeypatch, k):
+    calls = stub_chow(monkeypatch)
+    code, out, err = run(chow_argv(4, k, 4, False))
+    assert code == 2 and out == ""
+    assert err == "error: chow --k is at least 1 and at most n + 1 = 4 (got %d)\n" % k
     assert calls == []
 
 
 def test_chow_limit_toward_form_bounded(monkeypatch):
+    # the second form is held to the budget as it is parsed, like the first
     calls = stub_chow(monkeypatch)
-    code, out, err = run(["chow", "--form", diagonal_form(2), "--k", "1",
-                          "--limit-toward", diagonal_form(12)])
+    wide = chow_argv(11, 9, 65, False)[2]
+    code, out, err = run(chow_argv(11, 9, 4, False) + ["--limit-toward", wide])
     assert code == 2 and out == ""
-    assert "n at most 10 (got 11)" in err
+    assert "on n = 10 with 65-bit entries and --limit-toward predicts" in err
     assert calls == []
 
 
 # each admitted alone, but scaled by one lcm the pencil has 2^30 * 2^40
-SMALL_Q0 = diagonal_form(2).replace('"1"', '"1/%d"' % 2 ** 40)
-LARGE_Q1 = diagonal_form(2).replace('"2"', '"%d"' % 2 ** 30)
+SMALL_Q0 = diagonal_form(11).replace('"1"', '"1/%d"' % 2 ** 40)
+LARGE_Q1 = diagonal_form(11).replace('"2"', '"%d"' % 2 ** 30)
 
 
 def test_chow_entries_at_bound_accepted(monkeypatch):
-    # 64 bits after scaling: 2^64 - 1 itself, and 2^63 - 1 next to a half
-    assert cli.MAX_CHOW_BITS == 64
+    # 64 bits after scaling at the costliest shape, n = 10 with k = 9: 2^64 - 1
+    # itself, and 2^63 - 1 next to a half
     calls = stub_chow(monkeypatch)
-    for form in ([[str(2 ** 64 - 1), "0"], ["0", "1"]], [[str(2 ** 63 - 1), "0"], ["0", "1/2"]]):
-        run_json(["chow", "--form", json.dumps(form), "--k", "1"])
-        run_json(["chow", "--form", json.dumps(form), "--k", "1", "--limit-toward", diagonal_form(2)])
+    for top, other in ((str(2 ** 64 - 1), "1"), (str(2 ** 63 - 1), "1/2")):
+        form = json.dumps([[top if i == j == 0 else other if i == j else "0" for j in range(11)]
+                           for i in range(11)])
+        run_json(["chow", "--form", form, "--k", "9"])
+        run_json(["chow", "--form", form, "--k", "9", "--limit-toward", diagonal_form(11)])
     for form in (SMALL_Q0, LARGE_Q1):
-        run_json(["chow", "--form", form, "--k", "1"])
-    assert calls == [("compound", 1, 1), ("limit", 1, 1)] * 2 + [("compound", 1, 1)] * 2
+        run_json(["chow", "--form", form, "--k", "9", "--limit-toward", diagonal_form(11)])
+    assert calls == [("compound", 10, 9), ("limit", 10, 9)] * 2 + [("limit", 10, 9)] * 2
 
 
 def prime_denominator_form():
@@ -389,18 +432,31 @@ def prime_denominator_form():
     return json.dumps(m)
 
 
+def padded(form, size=11):
+    # the form in the top left corner of a size x size matrix of zeros
+    rows = json.loads(form)
+    m = len(rows)
+    return json.dumps([[rows[i][j] if i < m and j < m else "0" for j in range(size)]
+                       for i in range(size)])
+
+
 @pytest.mark.parametrize("argv,bits", [
-    (["--form", json.dumps([[str(2 ** 64), "0"], ["0", "1"]])], 65),
-    (["--form", prime_denominator_form()], 95),
-    # a denominator past the bound, although the form scales to 1
-    (["--form", json.dumps([["1/%d" % 2 ** 70, "0"], ["0", "1/%d" % 2 ** 70]])], 71),
+    (["--form", padded(json.dumps([[str(2 ** 64), "0"], ["0", "1"]]))], 65),
+    (["--form", padded(prime_denominator_form())], 95),
+    # a denominator past 64 bits, although the form scales to integers of 11 bits
+    (["--form", padded(json.dumps([["1/%d" % 2 ** 70, "0"], ["0", "1/%d" % 2 ** 70]]))], 71),
     (["--form", SMALL_Q0, "--limit-toward", LARGE_Q1], 71),
 ], ids=["integer", "lcm", "denominator", "pencil"])
 def test_chow_entries_past_bound_rejected_before_any_work(monkeypatch, argv, bits):
+    # at n = 10 with k = 9 and the limit, the budget holds entries of 64 bits
     calls = stub_chow(monkeypatch)
-    code, out, err = run(["chow", "--k", "1"] + argv)
+    if "--limit-toward" not in argv:
+        argv = argv + ["--limit-toward", argv[1]]
+    code, out, err = run(["chow", "--k", "9"] + argv)
     assert code == 2 and out == ""
-    assert err == "error: chow entries and the integers they scale to have at most 64 bits (got %d)\n" % bits
+    assert err == "error: chow --k 9 on n = 10 with %d-bit entries and --limit-toward predicts %d " \
+        "units of work, over the budget of %d\n" % (bits, cli._chow_work(10, 9, bits, True),
+                                                     cli.MAX_CHOW_WORK)
     assert calls == []
 
 
@@ -420,7 +476,7 @@ def test_chow_oversized_entries_rejected_fast():
     code, out, err = run(["chow", "--form", form(), "--k", "2", "--limit-toward", form()])
     assert time.monotonic() - start < 1
     assert code == 2 and out == ""
-    assert err.count("\n") == 1 and "at most 64 bits" in err
+    assert err.count("\n") == 1 and "over the budget" in err
 
 
 def test_lattice_n_at_bound_accepted(monkeypatch):
@@ -472,20 +528,35 @@ def test_pencil_count():
     assert data["degenerations"] == 4
 
 
-def test_pencil_n_above_bound_rejected_fast():
-    n = cli.MAX_PENCIL_N + 1
+def test_pencil_n_above_bound_rejected_fast(monkeypatch):
+    # --n 41 --k 1 draws on P^40, one past the largest admitted pencil
+    draws = []
+    monkeypatch.setattr(cli.pencils, "random_pencil", lambda *a: draws.append(a))
     start = time.monotonic()
-    code, out, err = run(["pencil", "--n", str(n), "--k", "1"])
+    code, out, err = run(["pencil", "--n", "41", "--k", "1"])
     assert code == 2
     assert out == ""
-    assert "at most %d" % cli.MAX_PENCIL_N in err
+    assert err == "error: pencil --n 41 --k 1 draws on P^40, at most P^%d\n" % cli.MAX_PENCIL_M
+    assert draws == []
     assert time.monotonic() - start < 1
 
 
 def test_pencil_n_at_bound_runs():
-    assert cli.MAX_PENCIL_N == 40
+    # the cap is on m = n - k: P^39 is the largest pencil, and n = 41 with
+    # k = 40 is a pencil on P^1
     data = run_json(["pencil", "--n", "40", "--k", "1"])
     assert data["degenerations"] == 40
+    data = run_json(["pencil", "--n", "41", "--k", "40"])
+    assert data["degenerations"] == 2
+
+
+def test_pencil_non_transversal_draw_exits_one():
+    # seed 31 on P^1 draws det = -144 (t + 2)^2: degree 2, one singular member
+    code, out, err = run(["pencil", "--n", "2", "--k", "1", "--seed", "31"])
+    assert code == 1
+    assert out == ""
+    assert err == ("error: the pencil of seed 31 is not transversal: 2 singular members "
+                   "with multiplicity, 1 distinct\n")
 
 
 def test_census_above_bound_rejected_before_any_work(monkeypatch):
@@ -687,6 +758,16 @@ def test_exponent_notation_rejected_fast(argv):
     assert out == ""
     assert "exponent" in err
     assert time.monotonic() - start < 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["chow", "--form", '[["1/0"]]', "--k", "1"],
+    ["chamber", "--segment", "1/0"],
+], ids=["chow", "chamber"])
+def test_zero_denominator_rejected(argv):
+    code, out, err = run(argv)
+    assert code == 2 and out == ""
+    assert err == "error: zero denominator: '1/0'\n"
 
 
 def test_decimal_coefficients_still_accepted():

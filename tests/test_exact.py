@@ -841,6 +841,12 @@ def test_parse_rat_rejects_booleans(flag):
         parse_rat(flag)
 
 
+def test_parse_rat_zero_denominator_is_a_value_error():
+    # Fraction raises ZeroDivisionError, whose message names no input
+    with pytest.raises(ValueError, match=r"^zero denominator: '-3/0'$"):
+        parse_rat(" -3/0 ")
+
+
 @pytest.mark.parametrize("text", ["1e5000", "1E3", "2.5e-1", "-1e2", "nan", "inf"])
 def test_parse_rat_rejects_exponents_and_floats(text):
     # "1e5000" would otherwise build a 5001-digit integer before any size check
