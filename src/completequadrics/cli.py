@@ -562,7 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pencil", help="degeneration counts in pencils")
     p.add_argument("--n", type=int, help="ambient projective dimension; the pencil lies on "
-                   "P^(n-k), n - k at most %d" % MAX_PENCIL_M)
+                   "P^(n-k), n-k at most %d" % MAX_PENCIL_M)
     p.add_argument("--k", type=int, help="boundary index")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--verify-table", action="store_true",
