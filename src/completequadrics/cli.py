@@ -23,10 +23,9 @@ from .quadrics import SymmetricForm
 SCHEMA = "cq/1"
 
 # `cq pencil --n N --k K` counts the singular members of one random pencil
-# on P^m, m = N - K (pencils.random_pencil), and its time grows steeply with
-# m alone: on one 2.1 GHz Xeon core, 0.025-0.03 s at m = 19, 0.11 s at m = 29
-# and 0.36-0.39 s at m = 39 for the whole command.  A larger m is rejected
-# with exit 2 before anything is drawn.
+# on P^m, m = N - K (pencils.marking_pencil); on one 2.1 GHz Xeon core the
+# command takes 0.025-0.03 s at m = 19, 0.11 s at m = 29 and 0.36-0.39 s at
+# m = 39.  A larger m is rejected with exit 2 before anything is drawn.
 MAX_PENCIL_M = 39
 
 # Largest sample count `cq chamber --census` accepts.  A census classifies
@@ -37,23 +36,20 @@ MAX_CENSUS = 250_000
 # `cq chow` admits a shape by its predicted work (_chow_work), in
 # multiply-adds of 64-bit words, and rejects work over MAX_CHOW_WORK with
 # exit 2 before any kernel runs.  Whole commands on one 2.1 GHz Xeon core:
-# - Laplace work: the one pass of quadrics._int_minors takes
-#   sum_{j=2}^{k-1} j C(n+1-k+j, j) C(n+1, j) + k R(R+1)/2 multiply-adds,
-#   R = C(n+1, k), at 0.17-0.29 us each.  Each entry printed (about 1.5 us)
-#   weighs _CHOW_ENTRY_WORK more, and each entry read (4.7 us) three times
-#   that, for k = 1 and output-bound shapes such as k = 2 at large n.
-# - Limit: --limit-toward takes the pass k + 1 times at most, on either path
-#   of exact._kronecker (once at x = 2^K, or at x = 0..k).
-# - Entry size: the work grows with the square of the 64-bit words in the
-#   most bits of any numerator or denominator as a form is parsed, before
-#   its constructor takes an lcm, and then of the forms scaled by their joint
-#   lcm.  n = 8 with k = 4 takes 0.025 s with 4-bit entries, 0.036 s with 64,
-#   0.086 s with 256, 0.62 s with 1024 and 2.3 s with 2048 bits.
+# - Laplace work: the one pass of quadrics._int_minors, 0.17-0.29 us per
+#   multiply-add.  An entry printed (1.5 us) weighs _CHOW_ENTRY_WORK more and
+#   an entry read (4.7 us) three times that, for k = 1 and k = 2 at large n.
+# - Limit: --limit-toward takes the pass at most k + 1 times (exact._kronecker).
+# - Entry size: the square of the 64-bit words of the largest numerator or
+#   denominator of a square form as it is parsed, before its lcm is taken,
+#   then scaled by the joint lcm.  n = 8 with k = 4 takes 0.025 s at 4 bits,
+#   0.62 s at 1024 and 2.3 s at 2048 bits.
 # - Budget: the most work of any shape the earlier caps admitted (n <= 10,
-#   at most 126 rows, 64-bit entries), so all of them still are: n = 10 with
-#   k = 9, 64-bit entries and the limit, 0.68-1.34 s over five runs.  The
-#   slowest admitted since: n = 10 with k = 4, 64-bit entries and the limit,
-#   0.93-1.08 s; n = 208 with k = 1 and the limit, 0.79-0.82 s.
+#   126 rows, 64 bits): n = 10, k = 9, 64 bits and the limit, 0.68-1.34 s.
+#   Slowest admitted since: n = 10, k = 4 alike, 0.93-1.08 s.
+# - Printed size: Hadamard's bound, times 2^k for a pencil and 2 for a support
+#   coefficient, is k (b + bit_length(k)) + 1 bits, b those of the scaled
+#   entries or their lcm; over MAX_SCHUBERT_INT_BITS (4300 digits) is rejected.
 MAX_CHOW_WORK = 3_117_070
 _CHOW_ENTRY_WORK = 10
 
@@ -164,6 +160,8 @@ def _parse_form(text: str, k: int, limit: bool) -> SymmetricForm:
     if not isinstance(data, dict) or "matrix" not in data:
         raise ValueError("form JSON must be a matrix or {n, matrix}")
     matrix = data["matrix"] = [[parse_rat(x) for x in row] for row in _check_types(data)["matrix"]]
+    if not matrix or any(len(row) != len(matrix) for row in matrix):
+        raise ValueError("quadric matrix must be square and nonempty")
     # bounded before the constructor takes the lcm of the denominators
     bits = max((max(abs(x.numerator), x.denominator).bit_length()
                 for x in itertools.chain(*matrix)), default=0)
@@ -179,6 +177,11 @@ def cmd_chow(args) -> int:
     scale = math.lcm(*[q.den for q in forms])
     bits = max(max(map(abs, itertools.chain(*q.ints))) * (scale // q.den) for q in forms).bit_length()
     _check_chow_work(max(q.n for q in forms), args.k, bits, limit)
+    printed = args.k * (max(bits, scale.bit_length()) + args.k.bit_length()) + 1
+    if printed > MAX_SCHUBERT_INT_BITS:
+        raise ValueError("chow --k %d with %d-bit entries and a %d-bit lcm prints integers of up to "
+                         "%d bits, at most %d" % (args.k, bits, scale.bit_length(), printed,
+                                                  MAX_SCHUBERT_INT_BITS))
     if limit:
         pt = chowform.chow_limit(*forms, args.k)
         support = chowform.limit_support_coefficients(pt)
@@ -213,13 +216,10 @@ def cmd_pencil(args) -> int:
         return 0 if all_ok else 1
     if args.n is None or args.k is None:
         raise ValueError("pencil needs --n and --k (or --verify-table)")
-    if not 1 <= args.k <= args.n - 1:
-        raise ValueError("k must lie in 1..n-1")
-    m = args.n - args.k
-    if m > MAX_PENCIL_M:
+    if args.n - args.k > MAX_PENCIL_M:
         raise ValueError("pencil --n %d --k %d draws on P^%d, at most P^%d"
-                         % (args.n, args.k, m, MAX_PENCIL_M))
-    count = pencils.count_degenerations(pencils.random_pencil(m, args.seed))
+                         % (args.n, args.k, args.n - args.k, MAX_PENCIL_M))
+    count = pencils.count_degenerations(pencils.marking_pencil(args.n, args.k, args.seed))
     if count.distinct != count.total:
         # a general pencil meets the discriminant transversally
         sys.stderr.write("error: the pencil of seed %d is not transversal: %d singular members "

@@ -210,16 +210,23 @@ def random_pencil(m: int, seed: int) -> Pencil:
     return _retry(lambda r: _certified_pencil(r, m), random.Random(seed))
 
 
-def bk_number(n: int, k: int, seed: int) -> int:
-    """Degeneration count of a random pencil of marking quadrics on P^(n-k).
+def marking_pencil(n: int, k: int, seed: int) -> Pencil:
+    """Random pencil of marking quadrics on P^(n-k), for boundary index k.
 
-    A rank-k quadric on P^n is marked on its singular locus P^(n-k); a
-    pencil of markings degenerates n-k+1 times, the intersection number of
-    the marking curve with the next boundary divisor.
+    A rank-k quadric on P^n is marked on its singular locus P^(n-k).
     """
     if not 1 <= k <= n - 1:
         raise ValueError("k must lie in 1..n-1")
-    return count_degenerations(random_pencil(n - k, seed)).total
+    return random_pencil(n - k, seed)
+
+
+def bk_number(n: int, k: int, seed: int) -> int:
+    """Degeneration count of marking_pencil(n, k, seed).
+
+    A pencil of markings degenerates n-k+1 times, the intersection number
+    of the marking curve with the next boundary divisor.
+    """
+    return count_degenerations(marking_pencil(n, k, seed)).total
 
 
 def _sym_outer(u, v):

@@ -479,6 +479,64 @@ def test_chow_oversized_entries_rejected_fast():
     assert err.count("\n") == 1 and "over the budget" in err
 
 
+@pytest.mark.parametrize("form", ["[]", "[[]]", "[[1, 2], [3]]"])
+def test_chow_non_square_form_rejected(monkeypatch, form):
+    calls = stub_chow(monkeypatch)
+    code, out, err = run(["chow", "--form", form, "--k", "1"])
+    assert code == 2 and out == ""
+    assert err == "error: quadric matrix must be square and nonempty\n"
+    assert calls == []
+
+
+def test_chow_ragged_form_rejected_before_its_size_is_read(monkeypatch):
+    # 43,000 empty rows fit in one 128 KiB argument; read as n = 42,999 with
+    # k near n / 2, the predicted work alone would multiply binomials tens of
+    # thousands of bits long
+    calls = stub_chow(monkeypatch)
+    start = time.monotonic()
+    code, out, err = run(["chow", "--form", json.dumps([[]] * 43_000), "--k", "21500"])
+    assert time.monotonic() - start < 1
+    assert code == 2 and out == ""
+    assert err == "error: quadric matrix must be square and nonempty\n"
+    assert calls == []
+
+
+def hadamard_form(bits):
+    # a symmetric Hadamard pattern of +-(2^bits - 1), whose determinant
+    # 16 (2^bits - 1)^4 comes near Hadamard's bound
+    top = 2 ** bits - 1
+    signs = [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]
+    return json.dumps([[str(s * top) for s in row] for row in signs])
+
+
+@pytest.mark.parametrize("form,k,bits,printed", [
+    (json.dumps([[str(2 ** 7139 - 1), "1"], ["1", str(-(2 ** 7139 - 1))]]), 2, 7139, 14_283),
+    (hadamard_form(3567), 4, 3567, 14_281),
+], ids=["k2", "k4"])
+def test_chow_printed_size_at_bound_prints(form, k, bits, printed):
+    assert k * (bits + k.bit_length()) + 1 == printed <= cli.MAX_SCHUBERT_INT_BITS
+    data = run_json(["chow", "--form", form, "--k", str(k)])
+    # the compound of a (k - 1)-form at k is its determinant alone
+    assert abs(int(data["matrix"][0][0])).bit_length() <= printed
+
+
+@pytest.mark.parametrize("form,k,bits,lcm_bits,printed", [
+    (json.dumps([[str(2 ** 7140 - 1), "1"], ["1", "1"]]), 2, 7140, 1, 14_285),
+    (hadamard_form(3568), 4, 3568, 1, 14_285),
+    # small integers over a 7141-bit denominator
+    (json.dumps([["1/%d" % 2 ** 7140, "0"], ["0", "1"]]), 2, 7141, 7141, 14_287),
+], ids=["k2", "k4", "denominator"])
+def test_chow_printed_size_past_bound_rejected_before_any_work(monkeypatch, form, k, bits,
+                                                               lcm_bits, printed):
+    calls = stub_chow(monkeypatch)
+    code, out, err = run(["chow", "--form", form, "--k", str(k)])
+    assert code == 2 and out == ""
+    assert err == ("error: chow --k %d with %d-bit entries and a %d-bit lcm prints integers of up "
+                   "to %d bits, at most %d\n" % (k, bits, lcm_bits, printed,
+                                                  cli.MAX_SCHUBERT_INT_BITS))
+    assert calls == []
+
+
 def test_lattice_n_at_bound_accepted(monkeypatch):
     assert cli.MAX_LATTICE_N == 100
     # the effective cone reads closed-form rows and converts nothing out of H
@@ -539,6 +597,16 @@ def test_pencil_n_above_bound_rejected_fast(monkeypatch):
     assert err == "error: pencil --n 41 --k 1 draws on P^40, at most P^%d\n" % cli.MAX_PENCIL_M
     assert draws == []
     assert time.monotonic() - start < 1
+
+
+@pytest.mark.parametrize("n,k", [(3, 3), (3, 0), (5, -1)])
+def test_pencil_k_out_of_range_rejected_before_drawing(monkeypatch, n, k):
+    draws = []
+    monkeypatch.setattr(cli.pencils, "random_pencil", lambda *a: draws.append(a))
+    code, out, err = run(["pencil", "--n", str(n), "--k", str(k)])
+    assert code == 2 and out == ""
+    assert err == "error: k must lie in 1..n-1\n"
+    assert draws == []
 
 
 def test_pencil_n_at_bound_runs():
