@@ -71,10 +71,12 @@ def plucker(basis) -> PluckerVector:
     return PluckerVector(n=n, k=k, coords=tuple(Fraction(m, den) for m in minors))
 
 
-def _int_plucker(basis) -> tuple:
+def _int_plucker(basis, size=None) -> tuple:
     """(n, k, minors, den) for an (n+1) x k rational basis, in integers.
 
-    The basis is scaled once by the lcm L of its denominators to B; minors
+    The rows are read once (exact._int_rows); with size given, a basis of
+    another row count raises ValueError before any minor is built.  The
+    basis is scaled once by the lcm L of its denominators to B; minors
     are det B[S, :] on each k-subset S, in lexicographic order, and the
     Pluecker coordinates are minors / den with den = L**k.  The minors on
     the first j columns are built for j = 1..k, each j x j minor expanded
@@ -82,6 +84,8 @@ def _int_plucker(basis) -> tuple:
     subset tables of the compound (quadrics._laplace_cols).
     """
     ints, scale = _int_rows(basis)
+    if size is not None and len(ints) != size:
+        raise ValueError("basis row count must be n+1")
     k = len(ints[0]) if ints else 0
     minors, den = [], 1
     if k:
@@ -116,10 +120,7 @@ def chow_eval(q: SymmetricForm, k: int, basis) -> Fraction:
     once by Lb**(2k) q.den**k.  Neither side of the identity is computed
     from the other.
     """
-    b = [list(r) for r in basis]
-    if len(b) != q.n + 1:
-        raise ValueError("basis row count must be n+1")
-    _, kb, v, lv = _int_plucker(b)
+    _, kb, v, lv = _int_plucker(basis, q.n + 1)
     if kb != k:
         raise ValueError("basis spans a plane of the wrong dimension")
     c = _int_minors(q.ints, k)

@@ -153,19 +153,37 @@ def _check_chow_work(n: int, k: int, bits: int, limit: bool) -> None:
                                                     work, MAX_CHOW_WORK))
 
 
+def _entry_bits(x) -> int:
+    # the bits of the larger of |numerator| and denominator of one form
+    # entry, raw or parsed; an int, or a string int() reads, is sized
+    # without parse_rat
+    if type(x) is str:
+        try:
+            x = int(x)
+        except ValueError:
+            pass
+    if type(x) is not int:
+        x = parse_rat(x)
+    return max(abs(x.numerator), x.denominator).bit_length()
+
+
 def _parse_form(text: str, k: int, limit: bool) -> SymmetricForm:
     data = _load_json(text)
     if isinstance(data, list):
         data = {"matrix": data}
     if not isinstance(data, dict) or "matrix" not in data:
         raise ValueError("form JSON must be a matrix or {n, matrix}")
-    matrix = data["matrix"] = [[parse_rat(x) for x in row] for row in _check_types(data)["matrix"]]
-    if not matrix or any(len(row) != len(matrix) for row in matrix):
+    rows = _check_types(data)["matrix"]
+    if not rows or any(len(row) != len(rows) for row in rows):
         raise ValueError("quadric matrix must be square and nonempty")
+    n = len(rows) - 1
+    if not 1 <= k <= n + 1 or _chow_work(n, k, 1, limit) > MAX_CHOW_WORK:
+        # refused at every entry size, so refused before the entries are
+        # parsed, with the message the parsed form would get
+        _check_chow_work(n, k, max(map(_entry_bits, itertools.chain(*rows))), limit)
+    matrix = data["matrix"] = [[parse_rat(x) for x in row] for row in rows]
     # bounded before the constructor takes the lcm of the denominators
-    bits = max((max(abs(x.numerator), x.denominator).bit_length()
-                for x in itertools.chain(*matrix)), default=0)
-    _check_chow_work(len(matrix) - 1, k, bits, limit)
+    _check_chow_work(n, k, max(map(_entry_bits, itertools.chain(*matrix))), limit)
     return SymmetricForm.from_json(data)
 
 

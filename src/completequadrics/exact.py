@@ -33,6 +33,9 @@ inequality gives H for a pencil's determinant, and row sums of absolute
 coefficients give it for the minors of a matrix polynomial
 (chowform._compound_poly) and for chowform.wedge2_example_matrix, so one
 elimination of A + 2^K B, or one compound at 2^K, replaces one per point.
+From n = _STAGE_MIN_N on, int_det_poly runs the first 2n/3 steps of that
+elimination at the narrower width their minors need, and repacks the
+trailing entries at 2^K for the rest.
 That path is taken while the packed length deg * K is at most
 _KRONECKER_BITS (3200), under the measured crossover of 3500-4400 bits.
 Past it, CPython's quadratic big-integer division makes the one evaluation
@@ -306,7 +309,7 @@ def _sym_add(u, k, c):
     u[k][0] += row[c - k] + u[c][0]
 
 
-def _sym_det(u) -> int:
+def _sym_det(u, stage=None):
     """Determinant of a symmetric integer matrix by symmetric Bareiss elimination.
 
     u holds the upper triangle, u[i] = [a_ii, a_i,i+1, ..., a_i,n-1], and is
@@ -318,10 +321,19 @@ def _sym_det(u) -> int:
     determinant unchanged and makes the pivot 2 a_kc.  A zero trailing row
     makes the determinant 0.  Both moves act on rows and columns not yet
     eliminated, so each step still divides exactly by the previous pivot.
+
+    stage = (s, widen) runs steps 0..s-1 on a narrower packing of the matrix
+    (int_det_poly): before step s, widen(u, prev) rewrites the trailing rows
+    u[s:] in place and returns the new last pivot.  A congruence before
+    step s would break the bound that packing rests on, so there the
+    elimination stops and returns None.
     """
     n = len(u)
     prev = 1
+    s, widen = stage or (0, None)
     for k in range(n - 1):
+        if k == s and widen:
+            prev = widen(u, prev)
         row = u[k]
         if not row[0]:
             r = next((i for i in range(k + 1, n) if u[i][0]), None)
@@ -331,6 +343,8 @@ def _sym_det(u) -> int:
                 c = next((c for c, x in enumerate(row, k) if x), None)
                 if c is None:
                     return 0
+                if k < s:
+                    return None
                 _sym_add(u, k, c)
             row = u[k]
         pivot = row[0]
@@ -380,8 +394,43 @@ def _interpolate(values) -> list:
 # took about as long as k + 1 small ones at n = 9, k = 7 (3318 packed
 # bits), and 1.3-1.4x as long at n = 10, k = 9 (5481 bits).  The largest
 # pencil of the pencil-ladder benchmark (P^16) packs at most 2567 bits,
-# that of cq pencil --n 40 --k 1 15960.
+# that of cq pencil --n 40 --k 1 15960.  int_det_poly stages its one
+# elimination (_STAGE_MIN_N) only under this limit.  Past it, forcing the
+# staged evaluation through was about even with the per-point path for
+# cq pencil --n 25 --k 1 (5850 bits, 0.95x; one width 1.5x) and slower
+# at --n 31 (9331 bits, 1.6x; one width 2.5x) and --n 40 (2.9x; one
+# width 4.7x).
 _KRONECKER_BITS = 3200
+
+# Smallest n at which int_det_poly runs steps 0..s-1, s = 2n/3, of its one
+# elimination of A + 2^K B at the narrower 2^k0 that the minors of those
+# steps need, then repacks the trailing block at 2^K.  Per determinant, on
+# the pencil-ladder pencils (16 seeds a size, one core of a shared 2-vCPU
+# Xeon machine, Python 3.11.7), against one width throughout: 1.12x at
+# n = 9, 1.07x at n = 10 and 0.98x at n = 11, where the repack costs about
+# what the narrow steps save; 0.95x at n = 12, 0.89x at 13, 0.86x at 14
+# and 0.76x at 17.
+# Splitting at n/2 took 3-11% longer than at 2n/3 for n = 15..17 and was
+# level at n = 14; splitting at n/3 or 3n/4 took longer still.
+_STAGE_MIN_N = 12
+
+
+def _balanced_digits(v: int, k: int, count: int, what: str) -> list:
+    """The count balanced base-2^k digits of v, each in [-2^(k-1), 2^(k-1)),
+    lowest first.  A value with a nonzero remainder after them lies past
+    their range, and raises ExactLinalgError naming what it is rather than
+    being truncated."""
+    mask, half, base = (1 << k) - 1, 1 << (k - 1), 1 << k
+    digits = []
+    for _ in range(count):
+        d = v & mask
+        if d >= half:
+            d -= base
+        digits.append(d)
+        v = (v - d) >> k
+    if v:
+        raise ExactLinalgError("%s exceeds its coefficient bound" % what)
+    return digits
 
 
 def _kronecker(values_at, deg: int, bound: int) -> list:
@@ -391,8 +440,8 @@ def _kronecker(values_at, deg: int, bound: int) -> list:
     values_at(x) returns the values p_1(x), ..., p_m(x) at an integer x, and
     bound is at least the absolute value of every coefficient.  With
     K = bitlen(bound) + 1, 2^(K-1) > bound, so one call at x = 2^K holds
-    every coefficient as a balanced base-2^K digit in [-2^(K-1), 2^(K-1))
-    (Kronecker substitution); a value with a nonzero remainder after deg + 1
+    every coefficient as a balanced base-2^K digit (Kronecker substitution,
+    _balanced_digits); a value with a nonzero remainder after deg + 1
     digits exceeds the bound, and raises ExactLinalgError rather than being
     truncated.  That one call is taken while the predicted packed length
     deg * K is at most _KRONECKER_BITS.  Past it, values_at runs at
@@ -401,20 +450,27 @@ def _kronecker(values_at, deg: int, bound: int) -> list:
     k = bound.bit_length() + 1
     if deg * k > _KRONECKER_BITS:
         return [_interpolate(v) for v in zip(*[values_at(x) for x in range(deg + 1)])]
-    mask, half, base = (1 << k) - 1, 1 << (k - 1), 1 << k
-    out = []
-    for v in values_at(base):
-        coeffs = []
-        for _ in range(deg + 1):
-            d = v & mask
-            if d >= half:
-                d -= base
-            coeffs.append(d)
-            v = (v - d) >> k
-        if v:
-            raise ExactLinalgError("determinant form exceeds its coefficient bound")
-        out.append(coeffs)
-    return out
+    return [_balanced_digits(v, k, deg + 1, "determinant form") for v in values_at(1 << k)]
+
+
+def _pencil_upper(a, b, t) -> list:
+    # the upper triangle of A + tB, as _sym_det takes it
+    return [[x + t * y for x, y in zip(ra[i:], rb[i:])] for i, (ra, rb) in enumerate(zip(a, b))]
+
+
+def _widen(u, prev: int, s: int, k0: int, t: int) -> int:
+    """Carry a symmetric elimination of A + 2^k0 B after s steps over to
+    A + tB: each trailing entry of u[s:] and the last pivot prev, minors of
+    at most s + 1 rows, is read as s + 2 balanced base-2^k0 digits and
+    evaluated at t.  Rewrites u[s:] in place and returns the new pivot."""
+    def repack(v):
+        value = 0
+        for d in reversed(_balanced_digits(v, k0, s + 2, "pencil minor")):
+            value = value * t + d
+        return value
+
+    u[s:] = [[repack(v) for v in row] for row in u[s:]]
+    return repack(prev)
 
 
 def int_det_poly(a, b) -> list:
@@ -431,20 +487,40 @@ def int_det_poly(a, b) -> list:
     n + 1 coefficients from one symmetric elimination (_sym_det) of
     A + 2^K B, an elimination of (nK)-bit integers instead of n + 1 of small
     ones, or, past its bit limit, from one elimination at each t = 0..n.
+
+    From n = _STAGE_MIN_N on, that one elimination runs in two widths.
+    Before Bareiss step s = 2n/3 every entry is a minor of A + xB on at
+    most s + 1 rows, a polynomial of degree s + 1 or less in x whose
+    coefficients the product of the s + 1 largest row norms bounds; with k0
+    its bit length plus one, steps 0..s-1 run on A + 2^k0 B.  Each trailing
+    entry and the last pivot are then read as s + 2 balanced base-2^k0
+    digits (a remainder raises ExactLinalgError) and evaluated at 2^K, and
+    steps s..n-2 finish at full width.  A nonzero minor stays nonzero at
+    both widths, so both take the same symmetric exchanges, which permute
+    rows and keep the bound; the determinant is the integer one width
+    gives, and its coefficients come out bit-identical.  A congruence
+    (_sym_add) changes the rows and breaks the bound, so a pencil that
+    needs one before step s is eliminated again at full width.
     """
     n = len(a)
     if not (a and len(b) == n and _is_symmetric(a) and _is_symmetric(b)):
         raise ValueError("int_det_poly expects symmetric matrices of one size")
-    bound = 1
-    for ra, rb in zip(a, b):
-        bound *= math.isqrt(sum(map(operator.mul, ra, ra))) + math.isqrt(sum(map(operator.mul, rb, rb))) + 2
+    norms = [math.isqrt(sum(map(operator.mul, ra, ra))) + math.isqrt(sum(map(operator.mul, rb, rb))) + 2
+             for ra, rb in zip(a, b)]
+    # k0 = 0 below _STAGE_MIN_N, where no step is staged
+    s = 2 * n // 3
+    k0 = math.prod(sorted(norms)[-s - 1:]).bit_length() + 1 if n >= _STAGE_MIN_N else 0
 
     def det_at(t):
-        # one determinant, of the upper triangle of A + tB as _sym_det takes it
-        upper = [[x + t * y for x, y in zip(ra[i:], rb[i:])] for i, (ra, rb) in enumerate(zip(a, b))]
-        return [_sym_det(upper)]
+        # staged at the one evaluation x = 2^K; the points t = 0..n past
+        # _KRONECKER_BITS lie far below 2^k0 > 2^(s+2)
+        if k0 and t > 1 << k0:
+            det = _sym_det(_pencil_upper(a, b, 1 << k0), (s, lambda u, prev: _widen(u, prev, s, k0, t)))
+            if det is not None:
+                return [det]
+        return [_sym_det(_pencil_upper(a, b, t))]
 
-    return _kronecker(det_at, n, bound)[0]
+    return _kronecker(det_at, n, math.prod(norms))[0]
 
 
 def ff_det(m):

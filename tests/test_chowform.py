@@ -122,6 +122,18 @@ def test_chow_eval_checks_row_count_first():
             restrict(q, b)
 
 
+def test_chow_eval_reads_the_basis_once(monkeypatch):
+    # the caller's rows go straight to one _int_rows pass, which the row
+    # count is read from; no copy is made before it only to count them
+    seen = []
+    read = chowform._int_rows
+    monkeypatch.setattr(chowform, "_int_rows", lambda m: seen.append(m) or read(m))
+    q = SymmetricForm.diagonal([1, 2, 3])
+    basis = ((1, 0), (0, 1), (Fraction(1, 2), 1))
+    assert chow_eval(q, 2, basis) == ff_det(restrict(q, basis).rows)
+    assert len(seen) == 1 and seen[0] is basis
+
+
 @pytest.mark.parametrize("b", [[[1, 2], [3], [4, 5]], [[1], [2, 3], [4]]])
 def test_ragged_basis_rejected(b):
     with pytest.raises(ValueError, match="equal length"):

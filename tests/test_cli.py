@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from completequadrics import cli
+from completequadrics import cli, exact
 
 
 def run(argv):
@@ -499,6 +499,26 @@ def test_chow_ragged_form_rejected_before_its_size_is_read(monkeypatch):
     assert code == 2 and out == ""
     assert err == "error: quadric matrix must be square and nonempty\n"
     assert calls == []
+
+
+def test_chow_oversized_form_rejected_before_its_entries_are_parsed(monkeypatch):
+    # n = 300 with k = 2 is over the budget at any entry size: refused with
+    # the message the parsed form would get, but no entry reaches parse_rat
+    # (4.7 us each, 0.4 s for this form); a fraction entry, which int()
+    # cannot size, is the one parse_rat reads
+    calls = stub_chow(monkeypatch)
+    parsed = []
+    monkeypatch.setattr(cli, "parse_rat", lambda x: parsed.append(x) or exact.parse_rat(x))
+    rows = [[str((i + j) % 7 - 3) for j in range(301)] for i in range(301)]
+    rows[5][9] = rows[9][5] = str(-(2 ** 40))
+    for fraction, bits in ((None, 41), ("1/%d" % 2 ** 50, 51)):
+        if fraction:
+            rows[0][0] = fraction
+        code, out, err = run(["chow", "--form", json.dumps(rows), "--k", "2"])
+        assert code == 2 and out == ""
+        assert err == "error: chow --k 2 on n = 300 with %d-bit entries predicts %d units of work, " \
+            "over the budget of %d\n" % (bits, cli._chow_work(300, 2, bits, False), cli.MAX_CHOW_WORK)
+        assert parsed == ([fraction] if fraction else []) and calls == []
 
 
 def hadamard_form(bits):

@@ -11,7 +11,10 @@ elimination is checked against the general one (ff_det on integers),
 int_det_poly against per-point ff_det interpolated over Fraction (it
 rejects non-symmetric or mismatched pairs), on both sides of the packed bit
 length where it stops reading all coefficients from one elimination, and
-the mod-P squarefree certificate against the remainder sequence alone.
+so is its staged elimination (narrow first steps, one repack): through
+exchanges and congruences in either stage, with digits near the narrow
+bound, and at a narrowed width, which must raise; and the mod-P squarefree
+certificate against the remainder sequence alone.
 Raw input is checked where it enters: a float or a bool raises TypeError and
 ragged rows raise ValueError, in the kernels and in the callers that pass
 raw matrices, vectors or scalars through.
@@ -27,7 +30,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from completequadrics import chambers, exact
+from completequadrics import chambers, exact, pencils
 from completequadrics.chambers import classify_segment
 from completequadrics.chowform import ProjectivePoint, chow_eval
 from completequadrics.exact import (
@@ -251,11 +254,24 @@ def _packed_bits(a, b):
     return len(a) * (bound.bit_length() + 1)
 
 
-def _counted_sym_det(monkeypatch):
-    calls = []
+def _counted_stages(monkeypatch):
+    # the size of each _sym_det call, and the step of each repack its stage makes
+    calls, repacks = [], []
     sym_det = exact._sym_det
-    monkeypatch.setattr(exact, "_sym_det", lambda u: calls.append(len(u)) or sym_det(u))
-    return calls
+
+    def spy(u, stage=None):
+        calls.append(len(u))
+        if stage:
+            s, widen = stage
+            stage = (s, lambda u, prev: repacks.append(s) or widen(u, prev))
+        return sym_det(u, stage)
+
+    monkeypatch.setattr(exact, "_sym_det", spy)
+    return calls, repacks
+
+
+def _counted_sym_det(monkeypatch):
+    return _counted_stages(monkeypatch)[0]
 
 
 def _diag(*entries):
@@ -314,10 +330,10 @@ def test_int_det_poly_checks_the_digits_are_exhausted(monkeypatch):
         int_det_poly([[1, 0], [0, 1]], [[0, 1], [1, 0]])
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12, 16])
 def test_int_det_poly_just_under_the_bit_limit(monkeypatch, n):
     # the largest entry size whose pair still packs into one elimination,
-    # and the next one, which takes n + 1
+    # and the next one, which takes n + 1; from n = 12 on the one is staged
     bits = 1
     while _packed_bits(*_pair_of_bits(n, bits + 1)) <= exact._KRONECKER_BITS:
         bits += 1
@@ -336,6 +352,165 @@ def test_int_det_poly_over_the_bit_limit_takes_each_point(monkeypatch, n, bits):
     calls = _counted_sym_det(monkeypatch)
     assert int_det_poly(a, b) == _interpolation_oracle(a, b)
     assert calls == [n] * (n + 1)
+
+
+# -- the staged elimination of int_det_poly ------------------------------------
+
+
+def _dense_symmetric(rng, n, top=9):
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = rng.randint(-top, top)
+    return m
+
+
+def _block_diag(m1, m2):
+    size = len(m1) + len(m2)
+    return [[(m1[i][j] if i < len(m1) and j < len(m1) else
+              m2[i - len(m1)][j - len(m1)] if i >= len(m1) and j >= len(m1) else 0)
+             for j in range(size)] for i in range(size)]
+
+
+@pytest.mark.parametrize("n", range(exact._STAGE_MIN_N - 1, 18))
+def test_staged_int_det_poly_matches_the_oracle(monkeypatch, n):
+    # one repack at step 2n/3 from _STAGE_MIN_N on, none below it
+    rng = random.Random("staged:%d" % n)
+    for sparse in (False, True):
+        draw = _sparse_symmetric if sparse else _dense_symmetric
+        a, b = draw(rng, n), draw(rng, n)
+        calls, repacks = _counted_stages(monkeypatch)
+        assert int_det_poly(a, b) == _interpolation_oracle(a, b)
+        if n < exact._STAGE_MIN_N:
+            assert (calls, repacks) == ([n], [])
+        elif not sparse:
+            assert (calls, repacks) == ([n], [2 * n // 3])
+
+
+def _stage_pair(rng, n, first, second):
+    # A and B block diagonal, blocks of sizes s = 2n/3 and n - s drawn by
+    # first and second, so after s steps the trailing block is det(M1) M2:
+    # a move the second block needs is taken at step s or later
+    s = 2 * n // 3
+    return tuple(_block_diag(first(rng, s), second(rng, n - s)) for _ in range(2))
+
+
+def _zero_first_diagonal(rng, size):
+    # a_00 = 0 beside a nonzero a_11
+    m = _dominant(rng, size)
+    m[0][0] = 0
+    return m
+
+
+def _zero_diagonal(rng, size):
+    m = _dense_symmetric(rng, size, 3)
+    for i in range(size):
+        m[i][i] = 0
+    m[0][1] = m[1][0] = 5
+    return m
+
+
+def _dominant(rng, size):
+    m = _dense_symmetric(rng, size, 3)
+    for i in range(size):
+        m[i][i] = 40 + i
+    return m
+
+
+@pytest.mark.parametrize("n", [12, 15, 17])
+def test_staged_int_det_poly_exchanges_in_either_stage(monkeypatch, n):
+    # a zero leading diagonal entry forces a symmetric exchange: at step 0,
+    # on the narrow packing, or at step s, after the repack; a permutation
+    # keeps the bound, so neither leaves the staged route
+    s = 2 * n // 3
+    rng = random.Random("exchange:%d" % n)
+    for first, second, step in ((_zero_first_diagonal, _dominant, 0), (_dominant, _zero_first_diagonal, s)):
+        a, b = _stage_pair(rng, n, first, second)
+        moves = _spy_moves(monkeypatch)
+        calls, repacks = _counted_stages(monkeypatch)
+        assert int_det_poly(a, b) == _interpolation_oracle(a, b)
+        assert (calls, repacks) == ([n], [s])
+        assert moves == [("_sym_swap", step, step + 1)]
+
+
+@pytest.mark.parametrize("n", [12, 15, 17])
+def test_staged_int_det_poly_congruence(monkeypatch, n):
+    # an all-zero trailing diagonal needs the congruence _sym_add, which
+    # breaks the bound of the narrow packing: before step s the pencil is
+    # eliminated again at one width, from step s on the stage goes through
+    s = 2 * n // 3
+    rng = random.Random("congruence:%d" % n)
+    a, b = _zero_diagonal(rng, n), _zero_diagonal(rng, n)
+    moves = _spy_moves(monkeypatch)
+    calls, repacks = _counted_stages(monkeypatch)
+    assert int_det_poly(a, b) == _interpolation_oracle(a, b)
+    assert (calls, repacks) == ([n, n], [])
+    # the moves of the one-width elimination; the staged one stopped first
+    assert moves[0] == ("_sym_add", 0, 1)
+    a, b = _stage_pair(rng, n, _dominant, _zero_diagonal)
+    del moves[:]
+    calls, repacks = _counted_stages(monkeypatch)
+    assert int_det_poly(a, b) == _interpolation_oracle(a, b)
+    assert (calls, repacks) == ([n], [s])
+    assert moves[0] == ("_sym_add", s, s + 1)
+
+
+@pytest.mark.parametrize("n, bits", [(12, 22), (14, 16), (17, 10)])
+@pytest.mark.parametrize("signs", ["low", "high", "mixed"])
+def test_staged_int_det_poly_near_the_bound(monkeypatch, n, bits, signs):
+    # diagonal pairs whose minors at the repack fill their digits: with
+    # E = 2^bits - 3 every norm rounds up to 2^bits - 1, so k0 - 1 =
+    # bits (s + 1), and the digit E^(s+1) lies within 4% of the balanced
+    # range 2^(k0-1); the largest entry size whose pair packs under
+    # _KRONECKER_BITS at each n
+    e = (1 << bits) - 3
+    s = 2 * n // 3
+    alt = [(-1) ** i for i in range(n)]
+    diag = {"low": ([-e] * n, [0] * n), "high": ([0] * n, [e * x for x in alt]),
+            "mixed": ([e * (x > 0) for x in alt], [-e * (x < 0) for x in alt])}[signs]
+    a, b = (_diag(*d) for d in diag)
+    assert _packed_bits(a, b) <= exact._KRONECKER_BITS < _packed_bits(*(_diag(*(4 * x for x in d)) for d in diag))
+    digits = []
+    read = exact._balanced_digits
+    monkeypatch.setattr(exact, "_balanced_digits", lambda v, k, count, what: (
+        digits.extend((k, abs(d)) for d in read(v, k, count, what)) if what == "pencil minor" else None)
+        or read(v, k, count, what))
+    calls, repacks = _counted_stages(monkeypatch)
+    assert int_det_poly(a, b) == _interpolation_oracle(a, b) == padded(univariate.det(pencil(a, b)), n + 1)
+    assert (calls, repacks) == ([n], [s])
+    k0, top = max(digits)
+    assert k0 == bits * (s + 1) + 1 and top == e ** (s + 1) > 0.96 * 2 ** (k0 - 1)
+
+
+def test_staged_int_det_poly_dispatch(monkeypatch):
+    # one repack for a pencil of the benchmark's ladder from P^11 on, none
+    # below _STAGE_MIN_N, and none past _KRONECKER_BITS, where every point
+    # takes its own elimination
+    for m in range(8, 17):
+        p = pencils.random_pencil(m, 3)
+        a, b, _ = pencils._scaled(p.q0, p.q1)
+        calls, repacks = _counted_stages(monkeypatch)
+        int_det_poly(a, b)
+        assert calls == [m + 1]
+        assert repacks == ([2 * (m + 1) // 3] if m + 1 >= exact._STAGE_MIN_N else [])
+    for n, bits in ((12, 30), (17, 16)):
+        a, b = _pair_of_bits(n, bits)
+        assert _packed_bits(a, b) > exact._KRONECKER_BITS
+        calls, repacks = _counted_stages(monkeypatch)
+        assert int_det_poly(a, b) == _interpolation_oracle(a, b)
+        assert (calls, repacks) == ([n] * (n + 1), [])
+
+
+def test_staged_int_det_poly_refuses_a_narrow_packing(monkeypatch):
+    # every norm k0 is sized by read as 2: the minors at the repack leave a
+    # remainder after their s + 2 digits, and raise there, before the full
+    # width could read a wrong determinant
+    a, b = _pair_of_bits(16, 8)
+    monkeypatch.setattr(exact, "sorted", lambda norms: [2] * len(norms), raising=False)
+    calls, repacks = _counted_stages(monkeypatch)
+    with pytest.raises(exact.ExactLinalgError, match="pencil minor exceeds its coefficient bound"):
+        int_det_poly(a, b)
+    assert (calls, repacks) == ([16], [10])
 
 
 def test_int_det_poly_rejects_mismatched_sizes():
