@@ -60,18 +60,21 @@ _CHOW_ENTRY_WORK = 10
 # Larger n is rejected with exit 2.
 MAX_LATTICE_N = 100
 
-# Largest `cq schubert` input.  G(k,n) has C(n+1,k+1) Schubert classes, and a
-# class operation (a Pieri step, a sum, a pairing or a scalar multiple) takes
-# time in proportion to the terms of its classes; MAX_SCHUBERT_EXP bounds each
-# exponent and the operations of a whole expression.  On one Xeon core the
-# slowest admitted expression found, sigma1^100 on G(8,18) (92378 classes),
-# takes about 0.55 s, and sigma1^46 followed by 55 products with 2 there
-# 0.45 s; rejected, sigma1^50 on G(9,19) (184756 classes) takes 0.55 s.
-# Integers and class coefficients have at most MAX_SCHUBERT_INT_BITS bits, so
-# at most the 4300 digits Python prints.  Parentheses and unary minus signs,
-# the only recursion of the evaluator, nest at most MAX_SCHUBERT_DEPTH deep.
-MAX_SCHUBERT_CLASSES = 100_000
-MAX_SCHUBERT_EXP = 100
+# `cq schubert` charges each operation of an expression its predicted work,
+# in units of one partition part, and refuses with exit 2, before it runs,
+# the operation that would pass MAX_SCHUBERT_WORK.  A sum or scalar multiple
+# reads the parts of its classes' terms, a Pieri step those and
+# _SCHUBERT_TERM_WORK a term, a pairing k + 1 a term of either class (padded
+# to k + 1 rows); each operation, and G(k,n) reading k + 1, costs two terms
+# more.  The budget is the most work of sigma1^m, m <= 100, on any G(k,n)
+# with at most 100,000 Schubert classes, all admitted by the earlier caps:
+# sigma1^100 on G(35,39), 0.55-0.6 s on one 2.1 GHz Xeon core.  The weight
+# keeps the largest sigma1^m admitted on G(10,30), G(15,40) or G(50,100),
+# with classes of 20,000 to 40,000 terms, at 0.6-0.8 s there.  Integers and
+# class coefficients have at most MAX_SCHUBERT_INT_BITS bits (4300 digits),
+# and parentheses and minus signs nest at most MAX_SCHUBERT_DEPTH deep.
+MAX_SCHUBERT_WORK = 4_235_028
+_SCHUBERT_TERM_WORK = 24
 MAX_SCHUBERT_INT_BITS = 14_284
 MAX_SCHUBERT_DEPTH = 100
 
@@ -364,8 +367,10 @@ class _ExprParser:
         self.pos = 0
         self.k = k
         self.n = n
+        self.sigma1 = schubert.sigma(k, n, 1)  # raises unless 0 <= k < n
         self.depth = 0
-        self.class_ops = 0
+        self.work = 0
+        self.charge(k + 1)  # the O(k) tuples of cmd_schubert and of a pairing
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -440,41 +445,44 @@ class _ExprParser:
 
     def bounded(self, value):
         coeffs = value.terms.values() if isinstance(value, schubert.SchubertClass) else [value]
-        if max(map(abs, coeffs), default=0).bit_length() > MAX_SCHUBERT_INT_BITS:
-            raise ValueError("integers and class coefficients have at most %d bits"
-                             % MAX_SCHUBERT_INT_BITS)
+        self.check_bits(max(map(abs, coeffs), default=0).bit_length())
         return value
 
-    def count_class_op(self, *operands):
-        # an operation on a class with terms in c codimensions does the work
-        # of c operations on homogeneous classes, so it counts c times
-        codims = [max(1, len({sum(p) for p in x.terms})) for x in operands
-                  if isinstance(x, schubert.SchubertClass)]
-        self.class_ops += max(codims, default=0)
-        if self.class_ops > MAX_SCHUBERT_EXP:
-            raise ValueError("an expression takes at most %d class operations (Pieri steps, "
-                             "sums, pairings and scalar multiples)" % MAX_SCHUBERT_EXP)
+    def check_bits(self, bits):
+        if bits > MAX_SCHUBERT_INT_BITS:
+            raise ValueError("integers and class coefficients have at most %d bits"
+                             % MAX_SCHUBERT_INT_BITS)
+
+    def check_budget(self, work):
+        if self.work + work > MAX_SCHUBERT_WORK:
+            raise ValueError("an expression on G(%d,%d) takes at most %d units of work"
+                             % (self.k, self.n, MAX_SCHUBERT_WORK))
+
+    def charge(self, work):
+        # an operation costs two terms besides what it reads
+        work += 2 * _SCHUBERT_TERM_WORK
+        self.check_budget(work)
+        self.work += work
 
     def add(self, a, b):
         if isinstance(a, int) != isinstance(b, int):
             raise ValueError("cannot add an integer to a class")
-        self.count_class_op(a, b)
+        self.charge(_parts(a, b))
         return self.bounded(a + b)
 
     def mul(self, a, b):
-        self.count_class_op(a, b)
         return self.bounded(self.product(a, b))
 
     def product(self, a, b):
-        if isinstance(a, int):
-            return a * b
-        if isinstance(b, int):
-            return b * a
-        s1 = schubert.sigma(self.k, self.n, 1)
-        if a == s1:
-            return schubert.pieri1(b)
-        if b == s1:
+        if isinstance(a, int) or isinstance(b, int):
+            self.charge(_parts(a, b))
+            return a * b if isinstance(a, int) else b * a
+        if a == self.sigma1:
+            a, b = b, a
+        if b == self.sigma1:
+            self.charge(_parts(a) + _SCHUBERT_TERM_WORK * len(a.terms))
             return schubert.pieri1(a)
+        self.charge((self.k + 1) * (len(a.terms) + len(b.terms)))
         ca, cb = a.codim(), b.codim()
         if ca is None or cb is None:
             raise ValueError("products need homogeneous classes")
@@ -486,31 +494,25 @@ class _ExprParser:
 
     def power(self, base, exp):
         if isinstance(base, int):
-            # a MAX_SCHUBERT_INT_BITS-bit base to the 100th power takes about 0.1 s
+            # refused by its least size; the power is at most twice as long
+            self.check_bits((abs(base).bit_length() - 1) * exp + 1)
             return self.bounded(base ** exp)
         if exp < 1:
             raise ValueError("class powers need a positive exponent")
+        self.check_budget((exp - 1) * 2 * _SCHUBERT_TERM_WORK)
         value = base
         for _ in range(exp - 1):
             value = self.mul(value, base)
         return value
 
 
+def _parts(*values) -> int:
+    return sum(len(p) for x in values if not isinstance(x, int) for p in x.terms)
+
+
 def evaluate_expression(expr: str, k: int, n: int):
     """Evaluate a Schubert-calculus expression in G(k, n)."""
-    tokens = _tokenize(expr)
-    for op, exp in zip(tokens, tokens[1:]):
-        if op == "^" and exp.isdigit() and int(exp) > MAX_SCHUBERT_EXP:
-            raise ValueError("exponents are at most %d (got %s)" % (MAX_SCHUBERT_EXP, exp))
-    return _ExprParser(tokens, k, n).parse()
-
-
-def _check_grassmannian(k: int, n: int) -> None:
-    schubert.grass_dim(k, n)  # raises unless 0 <= k < n
-    # C(n+1,k+1) >= n + 1, so a large n is rejected before math.comb sees it
-    if n >= MAX_SCHUBERT_CLASSES or math.comb(n + 1, k + 1) > MAX_SCHUBERT_CLASSES:
-        raise ValueError("G(%d,%d) has C(%d,%d) Schubert classes, at most %d"
-                         % (k, n, n + 1, k + 1, MAX_SCHUBERT_CLASSES))
+    return _ExprParser(_tokenize(expr), k, n).parse()
 
 
 def cmd_schubert(args) -> int:
@@ -518,12 +520,10 @@ def cmd_schubert(args) -> int:
         k, n = (int(p) for p in args.grassmannian.split(","))
     except ValueError:
         raise ValueError('--grassmannian expects "k,n"')
-    _check_grassmannian(k, n)
     value = evaluate_expression(args.expr, k, n)
     out = {"grassmannian": "G(%d,%d)" % (k, n), "expr": args.expr}
     if isinstance(value, schubert.SchubertClass):
-        dim = schubert.grass_dim(k, n)
-        if value.codim() == dim:
+        if value.codim() == schubert.grass_dim(k, n):
             # top codimension: report the multiple of the point class
             out["value"] = value.coefficient(tuple([n - k] * (k + 1)))
             out["interpreted_as"] = "multiple of the point class"
@@ -618,10 +618,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("schubert", help="evaluate a Schubert calculus expression")
     p.add_argument("--grassmannian", required=True,
-                   help='"k,n" for G(k,n), at most %d Schubert classes C(n+1,k+1)'
-                   % MAX_SCHUBERT_CLASSES)
+                   help='"k,n" for G(k,n), 0 <= k < n; its k + 1 rows count toward the work')
     p.add_argument("--expr", required=True,
-                   help="exponents and class operations at most %d" % MAX_SCHUBERT_EXP)
+                   help="at most %d units of predicted work, one per partition part an "
+                   "operation reads" % MAX_SCHUBERT_WORK)
     p.set_defaults(func=cmd_schubert)
 
     p = sub.add_parser("verify-all", help="run every bundled verification check")

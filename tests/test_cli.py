@@ -5,7 +5,9 @@ import hashlib
 import io
 import json
 import math
+import pathlib
 import random
+import re
 import subprocess
 import sys
 import time
@@ -84,17 +86,18 @@ def test_schubert_bigger_grassmannian():
     assert run_json(["schubert", "--grassmannian", "2,5", "--expr", "sigma1^9"])["value"] == 42
 
 
-def stub_sigma(monkeypatch):
+W = cli._SCHUBERT_TERM_WORK
+
+
+def spy(monkeypatch, name):
+    # counts the calls of cli.schubert.<name>
     calls = []
-    sigma = cli.schubert.sigma
-    monkeypatch.setattr(cli.schubert, "sigma", lambda *a: calls.append(a) or sigma(*a))
+    real = getattr(cli.schubert, name)
+    monkeypatch.setattr(cli.schubert, name, lambda *a: calls.append(1) or real(*a))
     return calls
 
 
-def test_schubert_at_bounds_accepted(monkeypatch):
-    # P^99999 has C(100000, 1) Schubert classes, G(8,18) C(19, 9) = 92378
-    assert (cli.MAX_SCHUBERT_CLASSES, cli.MAX_SCHUBERT_EXP) == (100_000, 100)
-    assert math.comb(19, 9) <= cli.MAX_SCHUBERT_CLASSES < math.comb(20, 10)
+def test_schubert_at_bounds_accepted():
     data = run_json(["schubert", "--grassmannian", "0,99999", "--expr", "sigma1^100"])
     assert data["class"]["terms"] == {"100": 1}
     assert run_json(["schubert", "--grassmannian", "0,100", "--expr", "sigma1^100"])["value"] == 1
@@ -103,19 +106,109 @@ def test_schubert_at_bounds_accepted(monkeypatch):
     assert run_json(["schubert", "--grassmannian", "1,3", "--expr", "3^100"])["value"] == 3 ** 100
 
 
-@pytest.mark.parametrize("grassmannian,expr,message", [
-    ("0,100000", "sigma1", "G(0,100000) has C(100001,1) Schubert classes, at most 100000"),
-    ("9,19", "sigma1^50", "G(9,19) has C(20,10) Schubert classes, at most 100000"),
-    ("10,30", "sigma1^50", "G(10,30) has C(31,11) Schubert classes, at most 100000"),
-    ("1,3", "sigma1^101", "exponents are at most 100 (got 101)"),
-    ("1,3", "sigma2 + 2^101*sigma1,1", "exponents are at most 100 (got 101)"),
-])
-def test_schubert_past_bounds_rejected_before_any_work(monkeypatch, grassmannian, expr, message):
-    calls = stub_sigma(monkeypatch)
+def capped_grassmannians():
+    # every G(k,n) with at most 100,000 Schubert classes C(n+1,k+1), the cap
+    # the work budget replaced
+    for k in range(100_000):
+        n = k + 1
+        while math.comb(n + 1, k + 1) <= 100_000:
+            yield k, n
+            n += 1
+
+
+def sigma1_step_works(cols, rows, m=100):
+    """The work of the Pieri steps of sigma1^m on the l x cols box, l = 1..rows.
+
+    Step j reads the partitions of j in the box.  Those with exactly l parts
+    are, less one box a part, the partitions of j - l in the l x (cols - 1)
+    box, the coefficient of q^(j - l) in the Gaussian binomial [l + cols - 1, l].
+    """
+    top = m - 1
+    gauss = [1] + [0] * top  # [cols - 1, 0] = 1
+    terms, parts = gauss[:], [0] * (top + 1)  # by size, partitions of at most l parts
+    works = []
+    for l in range(1, rows + 1):
+        # [l + cols - 1, l] = [l + cols - 2, l - 1] (1 - q^(l + cols - 1)) / (1 - q^l)
+        a = l + cols - 1
+        gauss = [g - (gauss[i - a] if i >= a else 0) for i, g in enumerate(gauss)]
+        for i in range(l, top + 1):
+            gauss[i] += gauss[i - l]
+        for j in range(l, top + 1):
+            terms[j] += gauss[j - l]
+            parts[j] += l * gauss[j - l]
+        works.append(sum(parts[j] + W * terms[j] + 2 * W for j in range(1, m)))
+    return works
+
+
+@pytest.mark.parametrize("k,n,m", [(0, 100, 100), (1, 3, 100), (2, 5, 100), (9, 10, 100),
+                                   (3, 8, 40), (2, 40, 100), (4, 12, 30)])
+def test_schubert_chain_work_matches_partition_counts(k, n, m):
+    # G(k,n) reads k + 1 up front; an operation costs 2W besides what it reads
+    parser = cli._ExprParser(cli._tokenize("sigma1^%d" % m), k, n)
+    parser.parse()
+    assert parser.work == k + 1 + 2 * W + sigma1_step_works(n - k, k + 1, m)[k]
+
+
+def test_schubert_budget_is_the_costliest_capped_chain():
+    # sigma1^m costs the most at m = 100.  A partition of at most 99 has at
+    # most 99 parts of at most 99, so past 99 rows or columns a box's steps
+    # cost what the 99-row or 99-column box's do
+    top = 99
+    works = {}
+    for cols in range(1, top + 1):
+        rows = 1
+        while rows < top and math.comb(rows + 1 + cols, cols) <= 100_000:
+            rows += 1
+        for l, work in enumerate(sigma1_step_works(cols, rows), 1):
+            works[l, cols] = work
+    costliest = max((k + 1 + 2 * W + works[min(k + 1, top), min(n - k, top)], k, n)
+                    for k, n in capped_grassmannians())
+    assert costliest == (cli.MAX_SCHUBERT_WORK, 35, 39)
+
+
+def test_schubert_costliest_chain_admitted_and_one_more_step_refused(monkeypatch):
+    # sigma1^100 on G(35,39) takes the whole budget, and 0.5-0.7 s
+    pieri = spy(monkeypatch, "pieri1")
+    data = run_json(["schubert", "--grassmannian", "35,39", "--expr", "sigma1^100"])
+    assert len(pieri) == 99 and len(data["class"]["terms"]) == 785
+    del pieri[:]
+    code, out, err = run(["schubert", "--grassmannian", "35,39", "--expr", "sigma1^100*sigma1"])
+    assert code == 2 and out == ""
+    assert err == ("error: an expression on G(35,39) takes at most %d units of work\n"
+                   % cli.MAX_SCHUBERT_WORK)
+    # refused before the 100th Pieri step ran
+    assert len(pieri) == 99
+
+
+# refused by the caps the work budget replaced: more than 100,000 classes,
+# an exponent over 100, more than 100 class operations
+@pytest.mark.parametrize("grassmannian,expr,terms", [
+    ("0,100000", "sigma1", {"1": 1}),
+    ("1,%d" % (10 ** 4000 - 1), "sigma1", {"1": 1}),
+    ("9,19", "sigma1^50", 5448),
+    ("3,40", "sigma1^100", 966),
+    ("1,3", "sigma1^101", {}),
+    ("1,3", "sigma2 + 2^101*sigma1,1", {"2": 1, "1,1": 2 ** 101}),
+    ("8,18", "sigma1^45" + "*1" * 57, 2934),
+], ids=["P100000", "n-4000-digits", "G9,19", "G3,40", "exponent-101", "integer-exponent-101",
+        "101-operations"])
+def test_schubert_admitted_past_the_old_caps(grassmannian, expr, terms):
+    found = run_json(["schubert", "--grassmannian", grassmannian, "--expr", expr])["class"]["terms"]
+    assert (found if isinstance(terms, dict) else len(found)) == terms
+
+
+# refused by the budget partway: G(10,30) has 84,672,315 classes, and
+# sigma1^71 then 30 scalar multiples on G(22,27), 100 class operations,
+# passed the old caps, each multiple reading the 35,889 parts of 1701 terms
+@pytest.mark.parametrize("grassmannian,expr", [
+    ("10,30", "sigma1^50"),
+    ("22,27", "sigma1^71" + "*1" * 30),
+], ids=["G10,30", "scalar-multiples"])
+def test_schubert_refused_by_the_budget(grassmannian, expr):
     code, out, err = run(["schubert", "--grassmannian", grassmannian, "--expr", expr])
     assert code == 2 and out == ""
-    assert err == "error: %s\n" % message
-    assert calls == []
+    assert err == ("error: an expression on G(%s) takes at most %d units of work\n"
+                   % (grassmannian, cli.MAX_SCHUBERT_WORK))
 
 
 def test_schubert_integer_power_bits_bounded():
@@ -126,7 +219,11 @@ def test_schubert_integer_power_bits_bounded():
     assert cli.evaluate_expression("%d^100" % 2 ** 142, 1, 3) == 2 ** 14200
     # nested powers: 2^10000 is admitted, its 100th power is not
     assert cli.evaluate_expression("(2^100)^100", 1, 3) == 2 ** 10000
-    for expr in ("%d^100" % 2 ** 143, "((2^100)^100)^100"):
+    # 2^14283 has 14284 bits; 3^9013 (14286 bits) is computed, its least
+    # size being 9014 bits, and then refused
+    assert cli.evaluate_expression("2^14283", 1, 3) == 2 ** 14283
+    assert cli.evaluate_expression("3^9012", 1, 3) == 3 ** 9012
+    for expr in ("%d^100" % 2 ** 143, "((2^100)^100)^100", "2^14284", "3^9013"):
         with pytest.raises(ValueError, match="at most 14284 bits"):
             cli.evaluate_expression(expr, 1, 3)
 
@@ -163,31 +260,39 @@ def test_schubert_integers_past_bound_rejected(expr):
     assert err == "error: integers and class coefficients have at most 14284 bits\n"
 
 
-# P^100 is G(0,100); there sigma1^100 (99 Pieri steps) is the point class
-@pytest.mark.parametrize("expr,value", [
-    ("sigma1^100*sigma1", {}),
-    ("sigma1^100+sigma1", {"1": 1, "100": 1}),
-    ("2*sigma1^100", 2),
-    ("(-(sigma1^50))*sigma1^50", -1),
-    # a Pieri step on a class in two codimensions counts twice: 1 + 2 * 49
-    ("(sigma1+sigma0)" + "*sigma1" * 49, {"49": 1, "50": 1}),
-], ids=["pieri", "sum", "scalar-multiple", "pairing", "two-codimensions"])
-def test_schubert_class_operations_at_bound_accepted(expr, value):
+# P^100 is G(0,100); there sigma1^100 (99 Pieri steps) is the point class.
+# Each operation's work, with the budget set to it: G(0,100) reads 1, an
+# operation costs 2W, a Pieri step on a term of one part reads 1 + W more
+P100, STEP = 1 + 2 * W, 3 * W + 1
+CLASS_OPERATIONS = [
+    # (expression, work, value, Pieri steps run when the last operation is refused)
+    ("sigma1^100*sigma1", P100 + 100 * STEP, {}, 99),
+    ("sigma1^100+sigma1", P100 + 99 * STEP + 2 * W + 2, {"1": 1, "100": 1}, 99),
+    ("2*sigma1^100", P100 + 99 * STEP + 2 * W + 1, 2, 99),
+    # the unary minus is a scalar multiple; the pairing reads k + 1 = 1 a term
+    ("(-(sigma1^50))*sigma1^50", P100 + 98 * STEP + 2 * W + 1 + 2 * W + 2, -1, 98),
+    # sigma1 + sigma0, then sigma1^j + sigma1^(j-1): two terms a Pieri step
+    ("(sigma1+sigma0)" + "*sigma1" * 49,
+     P100 + 2 * W + 1 + 4 * W + 1 + 48 * (4 * W + 2), {"49": 1, "50": 1}, 48),
+]
+CLASS_OPERATION_IDS = ["pieri", "sum", "scalar-multiple", "pairing", "two-codimensions"]
+
+
+@pytest.mark.parametrize("expr,work,value,steps", CLASS_OPERATIONS, ids=CLASS_OPERATION_IDS)
+def test_schubert_class_operations_at_bound_accepted(monkeypatch, expr, work, value, steps):
+    monkeypatch.setattr(cli, "MAX_SCHUBERT_WORK", work)
     assert value_or_terms(run_json(["schubert", "--grassmannian", "0,100", "--expr", expr])) == value
 
 
-@pytest.mark.parametrize("expr", [
-    "sigma1^100*sigma1*sigma1",
-    "sigma1^100+sigma1+sigma1",
-    "2*(2*sigma1^100)",
-    "(-(-(sigma1^50)))*sigma1^50",
-    "(sigma1+sigma0)" + "*sigma1" * 50,
-], ids=["pieri", "sum", "scalar-multiple", "pairing", "two-codimensions"])
-def test_schubert_class_operations_past_bound_rejected(expr):
+@pytest.mark.parametrize("expr,work,value,steps", CLASS_OPERATIONS, ids=CLASS_OPERATION_IDS)
+def test_schubert_class_operations_past_bound_rejected(monkeypatch, expr, work, value, steps):
+    # the last operation is refused before it runs
+    monkeypatch.setattr(cli, "MAX_SCHUBERT_WORK", work - 1)
+    pieri, pairings = spy(monkeypatch, "pieri1"), spy(monkeypatch, "duality_pair")
     code, out, err = run(["schubert", "--grassmannian", "0,100", "--expr", expr])
     assert code == 2 and out == ""
-    assert err == ("error: an expression takes at most 100 class operations "
-                   "(Pieri steps, sums, pairings and scalar multiples)\n")
+    assert err == "error: an expression on G(0,100) takes at most %d units of work\n" % (work - 1)
+    assert (len(pieri), len(pairings)) == (steps, 0)
 
 
 @pytest.mark.parametrize("expr,value", [
@@ -242,12 +347,14 @@ def test_schubert_output_pinned(grassmannian, expr, digest):
 
 
 @pytest.mark.parametrize("argv", [
-    ["--grassmannian", "1," + "9" * 4000, "--expr", "sigma1"],
+    ["--grassmannian", "%d,%d" % (10 ** 29, 10 ** 29 + 1), "--expr", "sigma1"],
     ["--grassmannian", "1,3", "--expr", "sigma1^" + "9" * 4000],
     ["--grassmannian", "1,3", "--expr", "(((%s^100)^100)^100)^100" % ("9" * 4000)],
     ["--grassmannian", "1,3", "--expr", "((2^100)^100)^100"],
     ["--grassmannian", "1,3", "--expr", "*".join(["((3^66)^100)^99"] * 40)],
     ["--grassmannian", "1,3", "--expr", "*".join(["(3^66)^100"] * 40)],
+    ["--grassmannian", "1,3", "--expr", "sigma1^%d" % 10 ** 29],
+    ["--grassmannian", "1,3", "--expr", "3^%d" % 10 ** 29],
 ])
 def test_schubert_oversized_input_rejected_fast(argv):
     start = time.monotonic()
@@ -767,6 +874,13 @@ def test_census_failure_exits_one(monkeypatch):
     assert (code, out) == (1, "")
     assert err == ("error: regions [1, 1] accept DivisorClass(n=3, basis='H', coeffs="
                    "(Fraction(6, 1), Fraction(0, 1), Fraction(4, 1)))\n")
+
+
+def test_readme_cites_every_size_bound():
+    # README.md names each size bound of the CLI as cli.MAX_*, and only those
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    cited = set(re.findall(r"\bcli\.(MAX_[A-Z0-9_]+)", readme))
+    assert cited == {name for name in vars(cli) if name.startswith("MAX_")}
 
 
 def test_census_escaped_cover_exits_one(monkeypatch):
