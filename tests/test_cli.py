@@ -346,6 +346,16 @@ def test_schubert_output_pinned(grassmannian, expr, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_schubert_class_power_refused_before_its_loop(monkeypatch):
+    # each of its exp - 1 products costs at least 2W; G(1,3) has taken 2 + 2W
+    exp = (cli.MAX_SCHUBERT_WORK - 2 - 2 * W) // (2 * W) + 2
+    pieri = spy(monkeypatch, "pieri1")
+    code, out, err = run(["schubert", "--grassmannian", "1,3", "--expr", "sigma1^%d" % exp])
+    assert code == 2 and out == ""
+    assert err == "error: an expression on G(1,3) takes at most %d units of work\n" % cli.MAX_SCHUBERT_WORK
+    assert pieri == []
+
+
 @pytest.mark.parametrize("argv", [
     ["--grassmannian", "%d,%d" % (10 ** 29, 10 ** 29 + 1), "--expr", "sigma1"],
     ["--grassmannian", "1,3", "--expr", "sigma1^" + "9" * 4000],
