@@ -60,20 +60,20 @@ _CHOW_ENTRY_WORK = 10
 # Larger n is rejected with exit 2.
 MAX_LATTICE_N = 100
 
-# `cq schubert` charges each operation of an expression its predicted work,
-# in units of one partition part, and refuses with exit 2, before it runs,
-# the operation that would pass MAX_SCHUBERT_WORK.  A sum or scalar multiple
-# reads the parts of its classes' terms, a Pieri step those and
-# _SCHUBERT_TERM_WORK a term, a pairing k + 1 a term of either class (padded
-# to k + 1 rows); each operation, and G(k,n) reading k + 1, costs two terms
-# more.  The budget is the most work of sigma1^m, m <= 100, on any G(k,n)
-# with at most 100,000 Schubert classes, all admitted by the earlier caps:
-# sigma1^100 on G(35,39), 0.55-0.6 s on one 2.1 GHz Xeon core.  The weight
-# keeps the largest sigma1^m admitted on G(10,30), G(15,40) or G(50,100),
-# with classes of 20,000 to 40,000 terms, at 0.6-0.8 s there.  Integers and
-# class coefficients have at most MAX_SCHUBERT_INT_BITS bits (4300 digits),
-# and parentheses and minus signs nest at most MAX_SCHUBERT_DEPTH deep.
-MAX_SCHUBERT_WORK = 4_235_028
+# `cq schubert` charges each operation of an expression its predicted work and
+# refuses with exit 2, before it runs, the one that would pass MAX_SCHUBERT_WORK.
+# Each tuple an operation reads or writes costs its parts and _SCHUBERT_TERM_WORK:
+# a Pieri step reads each term of its class and writes it grown at each addable
+# corner (the first row of a run of equal parts narrower than the box, and a new
+# row if there is room); a sum or scalar multiple reads its classes' terms and a
+# pairing their k + 1 padded rows; printing a class costs six reads.  Each
+# operation costs 16 weights more, what a chain of cheap ones takes, and G(k,n)
+# k + 1 up front.  The budget is the most work of sigma1^m, m <= 100, on any
+# G(k,n) with at most 100,000 Schubert classes, all admitted by the earlier caps:
+# sigma1^100 on G(22,27), 0.5-0.7 s on one 2.1 GHz Xeon core.  Integers and class
+# coefficients have at most MAX_SCHUBERT_INT_BITS bits (4300 digits), and
+# parentheses and minus signs nest at most MAX_SCHUBERT_DEPTH deep.
+MAX_SCHUBERT_WORK = 21_647_952
 _SCHUBERT_TERM_WORK = 24
 MAX_SCHUBERT_INT_BITS = 14_284
 MAX_SCHUBERT_DEPTH = 100
@@ -386,6 +386,7 @@ class _ExprParser:
         value = self.expr()
         if self.peek() is not None:
             raise ValueError("unexpected token %r" % self.peek())
+        self.charge(6 * _read(value))  # printing it
         return value
 
     def expr(self):
@@ -459,15 +460,15 @@ class _ExprParser:
                              % (self.k, self.n, MAX_SCHUBERT_WORK))
 
     def charge(self, work):
-        # an operation costs two terms besides what it reads
-        work += 2 * _SCHUBERT_TERM_WORK
+        # an operation costs 16 weights besides what it reads
+        work += 16 * _SCHUBERT_TERM_WORK
         self.check_budget(work)
         self.work += work
 
     def add(self, a, b):
         if isinstance(a, int) != isinstance(b, int):
             raise ValueError("cannot add an integer to a class")
-        self.charge(_parts(a, b))
+        self.charge(_read(a, b))
         return self.bounded(a + b)
 
     def mul(self, a, b):
@@ -475,14 +476,17 @@ class _ExprParser:
 
     def product(self, a, b):
         if isinstance(a, int) or isinstance(b, int):
-            self.charge(_parts(a, b))
+            self.charge(_read(a, b))
             return a * b if isinstance(a, int) else b * a
         if a == self.sigma1:
             a, b = b, a
         if b == self.sigma1:
-            self.charge(_parts(a) + _SCHUBERT_TERM_WORK * len(a.terms))
+            # each term is read, and written grown at each addable corner
+            rows, cols, w = self.k + 1, self.n - self.k, _SCHUBERT_TERM_WORK
+            self.charge(sum((len(p) + w) * (len(set(p)) - (p[:1] == (cols,)) + (len(p) < rows) + 1)
+                            for p in a.terms))
             return schubert.pieri1(a)
-        self.charge((self.k + 1) * (len(a.terms) + len(b.terms)))
+        self.charge((self.k + 1 + _SCHUBERT_TERM_WORK) * (len(a.terms) + len(b.terms)))
         ca, cb = a.codim(), b.codim()
         if ca is None or cb is None:
             raise ValueError("products need homogeneous classes")
@@ -499,15 +503,16 @@ class _ExprParser:
             return self.bounded(base ** exp)
         if exp < 1:
             raise ValueError("class powers need a positive exponent")
-        self.check_budget((exp - 1) * 2 * _SCHUBERT_TERM_WORK)
+        self.check_budget((exp - 1) * 16 * _SCHUBERT_TERM_WORK)
         value = base
         for _ in range(exp - 1):
             value = self.mul(value, base)
         return value
 
 
-def _parts(*values) -> int:
-    return sum(len(p) for x in values if not isinstance(x, int) for p in x.terms)
+def _read(*values) -> int:
+    return sum(len(p) + _SCHUBERT_TERM_WORK
+               for x in values if not isinstance(x, int) for p in x.terms)
 
 
 def evaluate_expression(expr: str, k: int, n: int):
@@ -620,8 +625,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grassmannian", required=True,
                    help='"k,n" for G(k,n), 0 <= k < n; its k + 1 rows count toward the work')
     p.add_argument("--expr", required=True,
-                   help="at most %d units of predicted work, one per partition part an "
-                   "operation reads" % MAX_SCHUBERT_WORK)
+                   help="at most %d units of predicted work, the parts and a weight of "
+                   "each tuple its operations read or write" % MAX_SCHUBERT_WORK)
     p.set_defaults(func=cmd_schubert)
 
     p = sub.add_parser("verify-all", help="run every bundled verification check")

@@ -3,6 +3,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
 import pathlib
@@ -116,44 +117,67 @@ def capped_grassmannians():
             n += 1
 
 
-def sigma1_step_works(cols, rows, m=100):
-    """The work of the Pieri steps of sigma1^m on the l x cols box, l = 1..rows.
-
-    Step j reads the partitions of j in the box.  Those with exactly l parts
-    are, less one box a part, the partitions of j - l in the l x (cols - 1)
-    box, the coefficient of q^(j - l) in the Gaussian binomial [l + cols - 1, l].
-    """
-    top = m - 1
-    gauss = [1] + [0] * top  # [cols - 1, 0] = 1
-    terms, parts = gauss[:], [0] * (top + 1)  # by size, partitions of at most l parts
-    works = []
+def gaussian_rows(cols, rows, m):
+    """The coefficients below q^m of the Gaussian binomials [l + cols, l],
+    l = 0..rows: partitions by size, of at most l parts, each at most cols."""
+    g = [int(cols >= 0)] + [0] * (m - 1)
+    out = [g[:]]
     for l in range(1, rows + 1):
-        # [l + cols - 1, l] = [l + cols - 2, l - 1] (1 - q^(l + cols - 1)) / (1 - q^l)
-        a = l + cols - 1
-        gauss = [g - (gauss[i - a] if i >= a else 0) for i, g in enumerate(gauss)]
-        for i in range(l, top + 1):
-            gauss[i] += gauss[i - l]
-        for j in range(l, top + 1):
-            terms[j] += gauss[j - l]
-            parts[j] += l * gauss[j - l]
-        works.append(sum(parts[j] + W * terms[j] + 2 * W for j in range(1, m)))
+        # [l + cols, l] = [l + cols - 1, l - 1] (1 - q^(l + cols)) / (1 - q^l)
+        a = l + cols
+        g = [x - (g[i - a] if i >= a else 0) for i, x in enumerate(g)]
+        for i in range(l, m):
+            g[i] += g[i - l]
+        out.append(g[:])
+    return out
+
+
+def sigma1_step_works(cols, rows, m=100):
+    """The work of sigma1^m on the R x cols box, R = 1..rows: its m - 1 Pieri
+    steps and printing it.
+
+    Step j = 1..m-1 reads the partitions p of j in the box and writes p grown
+    at each addable corner, and printing reads those of m six times; each
+    tuple costs len(p) + W, and each step and the printing 16W more.  With
+    exactly l parts, p is, less a box a part, a partition of j - l of at most
+    l parts below cols; its corners are its distinct parts, one fewer if its
+    first part is cols, and one more if l < R.  Its parts drop after row
+    i < l when, less a box in each of its first i rows, it is a partition of
+    j - i with l parts below cols, and its first part is cols when the rest
+    is a partition of j - cols with l - 1 parts.
+    """
+    exact = gaussian_rows(cols - 1, rows, m)  # exact[l][j - l]: l parts <= cols
+    lower = gaussian_rows(cols - 2, rows, m)  # lower[l][j - l]: l parts < cols
+    works, total = [], 16 * W * m
+    for l in range(1, rows + 1):
+        total += 6 * (l + W) * (exact[l][m - l] if l <= m else 0)
+        parts = sum(exact[l][:max(m - l, 0)])
+        heads = list(itertools.accumulate(lower[l], initial=0))
+        drops = parts + sum(heads[max(m - l - i, 0)] for i in range(1, l))
+        full = sum(exact[l - 1][:max(m - cols - l + 1, 0)])
+        # the terms of exactly l parts, written at their corners but a new row
+        total += (l + W) * (drops - full + parts)
+        works.append(total)
+        # and at a new row once the box has more than l rows
+        total += (l + W) * parts
     return works
 
 
 @pytest.mark.parametrize("k,n,m", [(0, 100, 100), (1, 3, 100), (2, 5, 100), (9, 10, 100),
-                                   (3, 8, 40), (2, 40, 100), (4, 12, 30)])
+                                   (12, 14, 100), (3, 8, 40), (2, 40, 100), (4, 12, 30)])
 def test_schubert_chain_work_matches_partition_counts(k, n, m):
-    # G(k,n) reads k + 1 up front; an operation costs 2W besides what it reads
+    # G(k,n) reads k + 1 up front; an operation costs 16W besides what it reads
     parser = cli._ExprParser(cli._tokenize("sigma1^%d" % m), k, n)
     parser.parse()
-    assert parser.work == k + 1 + 2 * W + sigma1_step_works(n - k, k + 1, m)[k]
+    assert parser.work == k + 1 + 16 * W + sigma1_step_works(n - k, k + 1, m)[k]
 
 
 def test_schubert_budget_is_the_costliest_capped_chain():
-    # sigma1^m costs the most at m = 100.  A partition of at most 99 has at
-    # most 99 parts of at most 99, so past 99 rows or columns a box's steps
-    # cost what the 99-row or 99-column box's do
-    top = 99
+    # sigma1^m costs the most at m = 100.  Its steps read partitions of at
+    # most 99, and printing it those of 100, so past 100 rows or columns a
+    # box's work is what the 100-row or 100-column box's is: every term a
+    # step reads has room for a new row, and none fills the first
+    top = 100
     works = {}
     for cols in range(1, top + 1):
         rows = 1
@@ -161,23 +185,24 @@ def test_schubert_budget_is_the_costliest_capped_chain():
             rows += 1
         for l, work in enumerate(sigma1_step_works(cols, rows), 1):
             works[l, cols] = work
-    costliest = max((k + 1 + 2 * W + works[min(k + 1, top), min(n - k, top)], k, n)
+    costliest = max((k + 1 + 16 * W + works[min(k + 1, top), min(n - k, top)], k, n)
                     for k, n in capped_grassmannians())
-    assert costliest == (cli.MAX_SCHUBERT_WORK, 35, 39)
+    assert costliest == (cli.MAX_SCHUBERT_WORK, 22, 27)
 
 
 def test_schubert_costliest_chain_admitted_and_one_more_step_refused(monkeypatch):
-    # sigma1^100 on G(35,39) takes the whole budget, and 0.5-0.7 s
+    # sigma1^100 on G(22,27) takes the whole budget, and 0.5-0.7 s
     pieri = spy(monkeypatch, "pieri1")
-    data = run_json(["schubert", "--grassmannian", "35,39", "--expr", "sigma1^100"])
-    assert len(pieri) == 99 and len(data["class"]["terms"]) == 785
+    data = run_json(["schubert", "--grassmannian", "22,27", "--expr", "sigma1^100"])
+    assert len(pieri) == 99 and len(data["class"]["terms"]) == 84
     del pieri[:]
-    code, out, err = run(["schubert", "--grassmannian", "35,39", "--expr", "sigma1^100*sigma1"])
+    code, out, err = run(["schubert", "--grassmannian", "22,27", "--expr", "sigma1^100*sigma1"])
     assert code == 2 and out == ""
-    assert err == ("error: an expression on G(35,39) takes at most %d units of work\n"
+    assert err == ("error: an expression on G(22,27) takes at most %d units of work\n"
                    % cli.MAX_SCHUBERT_WORK)
-    # refused before the 100th Pieri step ran
-    assert len(pieri) == 99
+    # the 100th Pieri step, on 84 terms, costs less than printing them did;
+    # printing its class is refused
+    assert len(pieri) == 100
 
 
 # refused by the caps the work budget replaced: more than 100,000 classes,
@@ -197,15 +222,39 @@ def test_schubert_admitted_past_the_old_caps(grassmannian, expr, terms):
     assert (found if isinstance(terms, dict) else len(found)) == terms
 
 
-# refused by the budget partway: G(10,30) has 84,672,315 classes, and
-# sigma1^71 then 30 scalar multiples on G(22,27), 100 class operations,
-# passed the old caps, each multiple reading the 35,889 parts of 1701 terms
+def best_seconds(argv, runs=2):
+    times = []
+    for _ in range(runs):
+        start = time.monotonic()
+        code, out, err = run(argv)
+        times.append(time.monotonic() - start)
+    return min(times), code, out, err
+
+
+@pytest.fixture(scope="module")
+def budget_seconds():
+    # the time of the expression that sets the budget
+    seconds, code, out, err = best_seconds(["schubert", "--grassmannian", "22,27",
+                                            "--expr", "sigma1^100"])
+    assert code == 0, err
+    return seconds
+
+
+# refused by the budget partway, in about the time the budget's own
+# expression takes (the slowest shapes take up to 1.4 times as long a unit,
+# and the machine's speed may change between runs):
+# G(10,30) has 84,672,315 classes; sigma1^100 and one scalar multiple on
+# G(22,27), 100 class operations, passed the old caps; and a chain of
+# scalar multiples, each reading the 35,889 parts of 1701 terms
 @pytest.mark.parametrize("grassmannian,expr", [
     ("10,30", "sigma1^50"),
-    ("22,27", "sigma1^71" + "*1" * 30),
-], ids=["G10,30", "scalar-multiples"])
-def test_schubert_refused_by_the_budget(grassmannian, expr):
-    code, out, err = run(["schubert", "--grassmannian", grassmannian, "--expr", expr])
+    ("22,27", "2*sigma1^100"),
+    ("22,27", "sigma1^71" + "*1" * 300),
+], ids=["G10,30", "scalar-multiple", "scalar-multiples"])
+def test_schubert_refused_by_the_budget(budget_seconds, grassmannian, expr):
+    seconds, code, out, err = best_seconds(["schubert", "--grassmannian", grassmannian,
+                                            "--expr", expr])
+    assert seconds < 2 * budget_seconds
     assert code == 2 and out == ""
     assert err == ("error: an expression on G(%s) takes at most %d units of work\n"
                    % (grassmannian, cli.MAX_SCHUBERT_WORK))
@@ -261,31 +310,42 @@ def test_schubert_integers_past_bound_rejected(expr):
 
 
 # P^100 is G(0,100); there sigma1^100 (99 Pieri steps) is the point class.
-# Each operation's work, with the budget set to it: G(0,100) reads 1, an
-# operation costs 2W, a Pieri step on a term of one part reads 1 + W more
-P100, STEP = 1 + 2 * W, 3 * W + 1
+# Each operation's work up to the last, with the budget set to it and to what
+# printing the value takes more: G(0,100) reads 1, an operation costs 16W,
+# and a tuple of one part 1 + W.  A Pieri step reads sigma_j and writes
+# sigma_(j+1), a tuple each, but writes nothing from the full row sigma_100;
+# a sum or scalar multiple reads each term, and printing six times that
+P100, STEP, FULL = 1 + 16 * W, 16 * W + 2 * (1 + W), 16 * W + 1 + W
 CLASS_OPERATIONS = [
-    # (expression, work, value, Pieri steps run when the last operation is refused)
-    ("sigma1^100*sigma1", P100 + 100 * STEP, {}, 99),
-    ("sigma1^100+sigma1", P100 + 99 * STEP + 2 * W + 2, {"1": 1, "100": 1}, 99),
-    ("2*sigma1^100", P100 + 99 * STEP + 2 * W + 1, 2, 99),
-    # the unary minus is a scalar multiple; the pairing reads k + 1 = 1 a term
-    ("(-(sigma1^50))*sigma1^50", P100 + 98 * STEP + 2 * W + 1 + 2 * W + 2, -1, 98),
-    # sigma1 + sigma0, then sigma1^j + sigma1^(j-1): two terms a Pieri step
+    # (expression, work, printing, value, Pieri steps run when the last
+    # operation is refused)
+    ("sigma1^100*sigma1", P100 + 99 * STEP + FULL, 16 * W, {}, 99),
+    ("sigma1^100+sigma1", P100 + 99 * STEP + FULL + 1 + W, 16 * W + 12 * (1 + W),
+     {"1": 1, "100": 1}, 99),
+    ("2*sigma1^100", P100 + 99 * STEP + FULL, 16 * W + 6 * (1 + W), 2, 99),
+    # the unary minus is a scalar multiple; the pairing reads k + 1 = 1 part a term
+    ("(-(sigma1^50))*sigma1^50", P100 + 98 * STEP + 16 * W + 1 + W + STEP, 16 * W, -1, 98),
+    # sigma1 + sigma0 reads 1 + W and W, its Pieri step writes sigma1 from
+    # sigma0 too; then sigma1^j + sigma1^(j-1): two terms a Pieri step
     ("(sigma1+sigma0)" + "*sigma1" * 49,
-     P100 + 2 * W + 1 + 4 * W + 1 + 48 * (4 * W + 2), {"49": 1, "50": 1}, 48),
+     P100 + 16 * W + 1 + 2 * W + STEP + 2 * W + 48 * (STEP + 2 + 2 * W), 16 * W + 12 * (1 + W),
+     {"49": 1, "50": 1}, 48),
 ]
 CLASS_OPERATION_IDS = ["pieri", "sum", "scalar-multiple", "pairing", "two-codimensions"]
 
 
-@pytest.mark.parametrize("expr,work,value,steps", CLASS_OPERATIONS, ids=CLASS_OPERATION_IDS)
-def test_schubert_class_operations_at_bound_accepted(monkeypatch, expr, work, value, steps):
-    monkeypatch.setattr(cli, "MAX_SCHUBERT_WORK", work)
+@pytest.mark.parametrize("expr,work,printing,value,steps", CLASS_OPERATIONS,
+                         ids=CLASS_OPERATION_IDS)
+def test_schubert_class_operations_at_bound_accepted(monkeypatch, expr, work, printing, value,
+                                                     steps):
+    monkeypatch.setattr(cli, "MAX_SCHUBERT_WORK", work + printing)
     assert value_or_terms(run_json(["schubert", "--grassmannian", "0,100", "--expr", expr])) == value
 
 
-@pytest.mark.parametrize("expr,work,value,steps", CLASS_OPERATIONS, ids=CLASS_OPERATION_IDS)
-def test_schubert_class_operations_past_bound_rejected(monkeypatch, expr, work, value, steps):
+@pytest.mark.parametrize("expr,work,printing,value,steps", CLASS_OPERATIONS,
+                         ids=CLASS_OPERATION_IDS)
+def test_schubert_class_operations_past_bound_rejected(monkeypatch, expr, work, printing, value,
+                                                       steps):
     # the last operation is refused before it runs
     monkeypatch.setattr(cli, "MAX_SCHUBERT_WORK", work - 1)
     pieri, pairings = spy(monkeypatch, "pieri1"), spy(monkeypatch, "duality_pair")
@@ -346,9 +406,25 @@ def test_schubert_output_pinned(grassmannian, expr, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def staircase(m):
+    return "sigma" + ",".join(map(str, range(m, 0, -1)))
+
+
+def test_schubert_staircase_refused_by_what_it_writes(monkeypatch):
+    # one Pieri step writes 1000 tuples of 1000 parts; a second would write
+    # about 1,000,000 of 1000 parts each
+    pieri = spy(monkeypatch, "pieri1")
+    assert len(cli.evaluate_expression(staircase(1000) + "*sigma1", 999, 2999).terms) == 1000
+    code, out, err = run(["schubert", "--grassmannian", "999,2999",
+                          "--expr", staircase(1000) + "*sigma1*sigma1"])
+    assert code == 2 and out == ""
+    # one Pieri step each: the second product was refused before it ran
+    assert len(pieri) == 2
+
+
 def test_schubert_class_power_refused_before_its_loop(monkeypatch):
-    # each of its exp - 1 products costs at least 2W; G(1,3) has taken 2 + 2W
-    exp = (cli.MAX_SCHUBERT_WORK - 2 - 2 * W) // (2 * W) + 2
+    # each of its exp - 1 products costs at least 16W; G(1,3) has taken 2 + 16W
+    exp = (cli.MAX_SCHUBERT_WORK - 2 - 16 * W) // (16 * W) + 2
     pieri = spy(monkeypatch, "pieri1")
     code, out, err = run(["schubert", "--grassmannian", "1,3", "--expr", "sigma1^%d" % exp])
     assert code == 2 and out == ""
@@ -365,6 +441,10 @@ def test_schubert_class_power_refused_before_its_loop(monkeypatch):
     ["--grassmannian", "1,3", "--expr", "*".join(["(3^66)^100"] * 40)],
     ["--grassmannian", "1,3", "--expr", "sigma1^%d" % 10 ** 29],
     ["--grassmannian", "1,3", "--expr", "3^%d" % 10 ** 29],
+    # a staircase writes a tuple as long as itself at each of its corners
+    ["--grassmannian", "4999,9999", "--expr", staircase(5000) + "*sigma1"],
+    ["--grassmannian", "24999,49999", "--expr", staircase(25000) + "*sigma1"],
+    ["--grassmannian", "1999,4999", "--expr", staircase(2000) + "*sigma1*sigma1"],
 ])
 def test_schubert_oversized_input_rejected_fast(argv):
     start = time.monotonic()
