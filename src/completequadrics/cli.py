@@ -49,15 +49,14 @@ MAX_CENSUS = 250_000
 #   Slowest admitted since: n = 10, k = 4 alike, 0.93-1.08 s.
 # - Printed size: Hadamard's bound, times 2^k for a pencil and 2 for a support
 #   coefficient, is k (b + bit_length(k)) + 1 bits, b those of the scaled
-#   entries or their lcm; over MAX_SCHUBERT_INT_BITS (4300 digits) is rejected.
+#   entries or their lcm; over MAX_INT_BITS is rejected.
 MAX_CHOW_WORK = 3_117_070
 _CHOW_ENTRY_WORK = 10
 
-# Largest n `cq canonical --n` and a JSON divisor or curve class accept.
-# Converting a class out of the H basis is one integer Bareiss elimination
-# of the basis matrix (exact.solve_exact), cubic in n: about 0.05 s at
-# n = 100, 0.08 s at n = 120 and 0.3 s at n = 200 on one 2.1 GHz Xeon core.
-# Larger n is rejected with exit 2.
+# Largest n `cq canonical --n` and a JSON divisor or curve class accept; larger
+# n is rejected with exit 2.  It bounds input size only: picard.convert is O(n),
+# and `cq canonical --n 100 --basis E` takes 0.06-0.08 s as a whole command on
+# one 2.1 GHz Xeon core, 0.002 s of it converting.
 MAX_LATTICE_N = 100
 
 # `cq schubert` charges each operation of an expression its predicted work and
@@ -70,13 +69,16 @@ MAX_LATTICE_N = 100
 # operation costs 16 weights more, what a chain of cheap ones takes, and G(k,n)
 # k + 1 up front.  The budget is the most work of sigma1^m, m <= 100, on any
 # G(k,n) with at most 100,000 Schubert classes, all admitted by the earlier caps:
-# sigma1^100 on G(22,27), 0.5-0.7 s on one 2.1 GHz Xeon core.  Integers and class
-# coefficients have at most MAX_SCHUBERT_INT_BITS bits (4300 digits), and
-# parentheses and minus signs nest at most MAX_SCHUBERT_DEPTH deep.
+# sigma1^100 on G(22,27), 0.5-0.7 s on one 2.1 GHz Xeon core.  Parentheses and
+# minus signs nest at most MAX_SCHUBERT_DEPTH deep.
 MAX_SCHUBERT_WORK = 21_647_952
 _SCHUBERT_TERM_WORK = 24
-MAX_SCHUBERT_INT_BITS = 14_284
 MAX_SCHUBERT_DEPTH = 100
+
+# Integers `cq chow` prints (their predicted size, above) and integers and class
+# coefficients `cq schubert` builds have at most MAX_INT_BITS bits, the 4300
+# digits Python prints; larger ones are rejected with exit 2.
+MAX_INT_BITS = 14_284
 
 def _emit(command: str, **fields) -> None:
     out = {"schema": SCHEMA, "command": command, **fields}
@@ -170,7 +172,7 @@ def _entry_bits(x) -> int:
     return max(abs(x.numerator), x.denominator).bit_length()
 
 
-def _parse_form(text: str, k: int, limit: bool) -> SymmetricForm:
+def _form_data(text: str) -> dict:
     data = _load_json(text)
     if isinstance(data, list):
         data = {"matrix": data}
@@ -179,6 +181,11 @@ def _parse_form(text: str, k: int, limit: bool) -> SymmetricForm:
     rows = _check_types(data)["matrix"]
     if not rows or any(len(row) != len(rows) for row in rows):
         raise ValueError("quadric matrix must be square and nonempty")
+    return data
+
+
+def _parse_form(data: dict, k: int, limit: bool) -> SymmetricForm:
+    rows = data["matrix"]
     n = len(rows) - 1
     if not 1 <= k <= n + 1 or _chow_work(n, k, 1, limit) > MAX_CHOW_WORK:
         # refused at every entry size, so refused before the entries are
@@ -192,17 +199,20 @@ def _parse_form(text: str, k: int, limit: bool) -> SymmetricForm:
 
 def cmd_chow(args) -> int:
     limit = args.limit_toward is not None
-    forms = [_parse_form(text, args.k, limit) for text in (args.form, args.limit_toward)
-             if text is not None]
+    shapes = [_form_data(text) for text in (args.form, args.limit_toward) if text is not None]
+    # compared before --k is checked against either size
+    if len({len(data["matrix"]) for data in shapes}) > 1:
+        raise ValueError("forms must share an ambient space")
+    forms = [_parse_form(data, args.k, limit) for data in shapes]
     # the forms scaled by the lcm of all their denominators, the joint lcm
     scale = math.lcm(*[q.den for q in forms])
     bits = max(max(map(abs, itertools.chain(*q.ints))) * (scale // q.den) for q in forms).bit_length()
-    _check_chow_work(max(q.n for q in forms), args.k, bits, limit)
+    _check_chow_work(forms[0].n, args.k, bits, limit)
     printed = args.k * (max(bits, scale.bit_length()) + args.k.bit_length()) + 1
-    if printed > MAX_SCHUBERT_INT_BITS:
+    if printed > MAX_INT_BITS:
         raise ValueError("chow --k %d with %d-bit entries and a %d-bit lcm prints integers of up to "
                          "%d bits, at most %d" % (args.k, bits, scale.bit_length(), printed,
-                                                  MAX_SCHUBERT_INT_BITS))
+                                                  MAX_INT_BITS))
     if limit:
         pt = chowform.chow_limit(*forms, args.k)
         support = chowform.limit_support_coefficients(pt)
@@ -445,14 +455,14 @@ class _ExprParser:
         raise ValueError("unexpected token %r" % tok)
 
     def bounded(self, value):
-        coeffs = value.terms.values() if isinstance(value, schubert.SchubertClass) else [value]
+        coeffs = [value] if isinstance(value, int) else [c for _, c in value._terms]
         self.check_bits(max(map(abs, coeffs), default=0).bit_length())
         return value
 
     def check_bits(self, bits):
-        if bits > MAX_SCHUBERT_INT_BITS:
+        if bits > MAX_INT_BITS:
             raise ValueError("integers and class coefficients have at most %d bits"
-                             % MAX_SCHUBERT_INT_BITS)
+                             % MAX_INT_BITS)
 
     def check_budget(self, work):
         if self.work + work > MAX_SCHUBERT_WORK:
@@ -484,9 +494,9 @@ class _ExprParser:
             # each term is read, and written grown at each addable corner
             rows, cols, w = self.k + 1, self.n - self.k, _SCHUBERT_TERM_WORK
             self.charge(sum((len(p) + w) * (len(set(p)) - (p[:1] == (cols,)) + (len(p) < rows) + 1)
-                            for p in a.terms))
+                            for p, _ in a._terms))
             return schubert.pieri1(a)
-        self.charge((self.k + 1 + _SCHUBERT_TERM_WORK) * (len(a.terms) + len(b.terms)))
+        self.charge((self.k + 1 + _SCHUBERT_TERM_WORK) * (len(a._terms) + len(b._terms)))
         ca, cb = a.codim(), b.codim()
         if ca is None or cb is None:
             raise ValueError("products need homogeneous classes")
@@ -512,7 +522,7 @@ class _ExprParser:
 
 def _read(*values) -> int:
     return sum(len(p) + _SCHUBERT_TERM_WORK
-               for x in values if not isinstance(x, int) for p in x.terms)
+               for x in values if not isinstance(x, int) for p, _ in x._terms)
 
 
 def evaluate_expression(expr: str, k: int, n: int):

@@ -6,19 +6,19 @@ classes under the n wedge maps) and the boundary classes E_1..E_n related by
     E_i = 2 H_i - H_{i-1} - H_{i+1},   with H_0 = H_{n+1} = 0,
 
 so the boundary-to-nef change of basis is the Cartan matrix of type A_n (its
-determinant is n+1).  Each basis matrix is computed once per (n, basis):
-conversion into H is one matrix-vector product, conversion out of H one
-exact solve.  Curves are written in the basis Fl_1..Fl_n dual to the H_i;
-all intersection pairings reduce to this duality, which is what lets the
+determinant is n+1).  No basis matrix is stored: conversion into H applies
+the relation, and conversion out of H runs it backwards, in O(n) exact
+additions with no solve.  Curves are written in the basis Fl_1..Fl_n dual
+to the H_i; all intersection pairings reduce to this duality, which lets the
 whole X_3 intersection table be regenerated from its H columns alone.
 
-A class is placed against a tuple of generators in one way only: the
-integer facet rows of the tuple dotted with the class's integer H vector
-(integer_h).  The rows come from facet_rows (computed once per tuple) or,
-for the effective cone over E_1..E_n, from the closed form effective_rows
-(once per n).  The effective- and movable-cone tests here read these
-signs.  The n = 3 chamber classifier takes the same rows, up to positive
-factors, from cross products of its generators' integer H vectors
+A class is placed against a tuple of generators by the signs of its
+coordinates in them.  For the nef and effective cones these are its H and
+E coordinates.  For any other tuple they are the integer facet rows of the
+tuple (facet_rows, computed once per tuple) dotted with the class's integer
+H vector (integer_h), which is how the movable-cone test here reads them.
+The n = 3 chamber classifier takes the same rows, up to positive factors,
+from cross products of its generators' integer H vectors
 (chambers._plane_table), so it solves nothing here.
 """
 
@@ -92,30 +92,34 @@ class CurveClass(Record):
         return cls(int(data["n"]), data["coeffs"])
 
 
-@functools.cache
-def _to_h(n: int, basis: str) -> tuple:
-    """Matrix taking a basis's coordinates to H ones, computed once.
-
-    Its columns are the basis vectors in H coordinates: E_i is column i of
-    the A_n Cartan matrix, and the mixed basis H_1, E_1, .., E_{n-1} is the
-    unit column of H_1 followed by the first n-1 Cartan columns.
-    """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    if basis not in BASES:
-        raise ValueError("unknown basis %r" % (basis,))
-    cartan = [[2 * (i == j) - (abs(i - j) == 1) for j in range(n)] for i in range(n)]
-    if basis == "H":
-        m = [[int(i == j) for j in range(n)] for i in range(n)]
-    elif basis == "E":
-        m = cartan
-    else:
-        m = [[int(i == 0)] + row[:-1] for i, row in enumerate(cartan)]
-    return tuple(tuple(Fraction(x) for x in row) for row in m)
+def _into_h(basis: str, x) -> tuple:
+    """H coordinates of the class with coordinates x in basis E or mixed, by
+    the Cartan relation; the mixed basis H_1, E_1, .., E_{n-1} reads as x_1 H_1
+    plus the E coordinates (x_2, .., x_n, 0), padded here with e_0 = e_{n+1} = 0."""
+    e = [0, *x, 0] if basis == "E" else [0, *x[1:], 0, 0]
+    h = [2 * e[i] - e[i - 1] - e[i + 1] for i in range(1, len(e) - 1)]
+    if basis == "mixed":
+        h[0] += x[0]
+    return tuple(h)
 
 
-def _mat_vec(m, v) -> tuple:
-    return tuple(sum(a * x for a, x in zip(row, v) if a) for row in m)
+def _from_h(basis: str, h) -> tuple:
+    """Coordinates in basis E or mixed of the class with H coordinates h: the
+    Cartan relation run backwards, row by row, with no solve."""
+    n = len(h)
+    if basis == "E":
+        # e_1 is row 1 of the inverse Cartan matrix, (n+1-j)/(n+1), dotted
+        # with h; then row i gives e_{i+1} = 2e_i - e_{i-1} - h_i
+        e = [0, Fraction(sum((n + 1 - j) * x for j, x in enumerate(h, 1)), n + 1)]
+        for i in range(1, n):
+            e.append(2 * e[i] - e[i - 1] - h[i - 1])
+        return tuple(e[1:])
+    # mixed: E_n has coordinate 0, so from the last row up
+    # b_{j-1} = 2b_j - b_{j+1} - h_j, and row 1 leaves the H_1 coordinate
+    b = [0] * (n + 2)
+    for j in range(n, 1, -1):
+        b[j - 1] = 2 * b[j] - b[j + 1] - h[j - 1]
+    return (h[0] - 2 * b[1] + b[2], *b[1:n])
 
 
 def convert(d: DivisorClass, basis: str) -> DivisorClass:
@@ -124,12 +128,8 @@ def convert(d: DivisorClass, basis: str) -> DivisorClass:
         raise ValueError("unknown basis %r" % (basis,))
     if basis == d.basis:
         return d
-    h = d.coeffs if d.basis == "H" else _mat_vec(_to_h(d.n, d.basis), d.coeffs)
-    if basis == "H":
-        return DivisorClass(d.n, "H", h)
-    # one solve, not a cached inverse: at large n a one-shot conversion would
-    # pay n times the elimination work to build the inverse
-    return DivisorClass(d.n, basis, tuple(solve_exact(_to_h(d.n, basis), h)))
+    h = d.coeffs if d.basis == "H" else _into_h(d.basis, d.coeffs)
+    return DivisorClass(d.n, basis, h if basis == "H" else _from_h(basis, h))
 
 
 def pair(c: CurveClass, d: DivisorClass) -> Fraction:
@@ -147,8 +147,7 @@ class ConeMembership(Record):
 def cone_membership(d: DivisorClass, cone: str) -> ConeMembership:
     """Membership in the nef, effective or (n=3) movable cone.
 
-    nef: nonnegative H coefficients; eff: nonnegative E coefficients, read
-    through the closed-form rows effective_rows(n) without a solve; mov
+    nef: nonnegative H coefficients; eff: nonnegative E coefficients; mov
     (n=3 only): the cone generated by H_1, H_2, H_3 and P, tested as the
     union of the simplicial cones (H_1,H_2,H_3) and (H_1,H_3,P), each read
     through its integer facet rows.  The interior flag asks for strictly
@@ -159,7 +158,7 @@ def cone_membership(d: DivisorClass, cone: str) -> ConeMembership:
         h = convert(d, "H").coeffs
         return ConeMembership(all(c >= 0 for c in h), all(c > 0 for c in h))
     if cone == "eff":
-        e = _mat_vec(effective_rows(d.n), integer_h(d))
+        e = convert(d, "E").coeffs
         return ConeMembership(all(c >= 0 for c in e), all(c > 0 for c in e))
     if cone == "mov":
         if d.n != 3:
@@ -167,7 +166,7 @@ def cone_membership(d: DivisorClass, cone: str) -> ConeMembership:
         h = integer_h(d)
         contains = interior = False
         for triple in ((H1_3, H2_3, H3_3), (H1_3, H3_3, class_P())):
-            x = _mat_vec(facet_rows(triple), h)
+            x = [sum(a * c for a, c in zip(row, h)) for row in facet_rows(triple)]
             if all(c >= 0 for c in x):
                 contains = True
                 if all(c > 0 for c in x):
@@ -211,13 +210,17 @@ def derive_class_from_pairings(rows, n: int, basis: str = "H") -> DivisorClass:
     in the requested basis.  Curve sets that do not span raise
     UnderdeterminedSystem, contradictory conditions raise InconsistentSystem.
     """
-    to_h = _to_h(n, basis)
+    if n < 2:
+        raise ValueError("need n >= 2")
+    # the basis vectors in H coordinates (DivisorClass checks the basis)
+    cols = [convert(DivisorClass(n, basis, [int(i == j) for i in range(n)]), "H").coeffs
+            for j in range(n)]
     mat = []
     rhs = []
     for curve, value in rows:
         if curve.n != n:
             raise ValueError("curve lives on the wrong space")
-        mat.append([sum(c * row[j] for c, row in zip(curve.coeffs, to_h)) for j in range(n)])
+        mat.append([sum(c * x for c, x in zip(curve.coeffs, col)) for col in cols])
         rhs.append(parse_rat(value))
     if not mat:
         raise UnderdeterminedSystem("solution set has %d free variables" % n)
@@ -260,21 +263,6 @@ def facet_rows(gens: tuple) -> tuple:
     hs = [convert(g, "H").coeffs for g in gens]
     unit = [[int(i == j) for j in range(len(hs))] for i in range(len(hs))]
     return tuple(tuple(clear_denominators([solve_exact(hs, e)])[0][0]) for e in unit)
-
-
-@functools.cache
-def effective_rows(n: int) -> tuple:
-    """Integer rows (n+1) C^-1 of the inverse A_n Cartan matrix.
-
-    Entry (i, j), counted from 1, is min(i, j)(n+1-max(i, j)).  Row i dotted
-    with the H coordinates of a class is n+1 times its E_i coordinate, so
-    these are facet rows of the effective cone, the cone over E_1..E_n.
-    Built from the closed form, once per n: inverting the generator matrix
-    as facet_rows does is cubic in n.
-    """
-    return tuple(
-        tuple(min(i, j) * (n + 1 - max(i, j)) for j in range(1, n + 1)) for i in range(1, n + 1)
-    )
 
 
 def integer_h(d: DivisorClass) -> list:

@@ -37,17 +37,16 @@ from completequadrics.chambers import (
 from completequadrics.exact import InconsistentSystem, solve_exact
 from completequadrics.picard import (
     DivisorClass,
-    _to_h,
     class_P,
     cone_membership,
     convert,
     curves_x3,
-    effective_rows,
     facet_rows,
     integer_h,
     pair,
     xi,
 )
+from test_picard import _inverse, cartan
 
 SRC = pathlib.Path(completequadrics.__file__).resolve().parent.parent
 
@@ -329,7 +328,7 @@ class TestIntegerClassifier:
                 assert all(BOX[0] <= x <= BOX[1] for x in point), (gens, point)
 
     def test_agrees_with_solve_exact_oracle(self):
-        e_basis = _to_h(3, "E")
+        e_basis = cartan(3)
         curves = curves_x3()
         seen = set()
         for h in half_integer_box(*BOX):
@@ -454,8 +453,10 @@ class TestSignPatternPlacement:
         assert {plane for rows in facets.values() for plane, _ in rows} == set(range(11))
         assert len(forcing) == len(FORCING_CURVES)
         # each facet row is a positive multiple of its orientation times its plane
+        # the E triple's rows: 4 times the inverse Cartan matrix
+        e_rows = [[4 * x for x in row] for row in _inverse(cartan(3))]
         for gens, rows in facets.items():
-            source = effective_rows(3) if gens == ("E1", "E2", "E3") else reference_rows(gens)
+            source = e_rows if gens == ("E1", "E2", "E3") else reference_rows(gens)
             for row, (plane, orient) in zip(source, rows):
                 scale = next(r // (orient * x) for r, x in zip(row, normals[plane]) if x)
                 assert scale > 0 and list(row) == [scale * orient * x for x in normals[plane]]
@@ -855,7 +856,7 @@ def test_import_builds_no_rows_or_placements():
     code = (
         "import completequadrics\n"
         "from completequadrics import chambers, picard\n"
-        "caches = (picard.facet_rows, picard.effective_rows, chambers._plane_table, chambers._cone_tests,\n"
+        "caches = (picard.facet_rows, chambers._plane_table, chambers._cone_tests,\n"
         "          chambers._report_for, chambers._placement)\n"
         "print([f.cache_info().currsize for f in caches])\n"
     )
@@ -865,7 +866,7 @@ def test_import_builds_no_rows_or_placements():
         env=dict(os.environ, PYTHONPATH=path), timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[0, 0, 0, 0, 0, 0]\n"
+    assert proc.stdout == "[0, 0, 0, 0, 0]\n"
 
 
 # -- the constant tables: built in integers, and never read stale --------------

@@ -15,7 +15,7 @@ import time
 
 import pytest
 
-from completequadrics import cli, exact
+from completequadrics import cli, exact, picard
 
 
 def run(argv):
@@ -262,7 +262,7 @@ def test_schubert_refused_by_the_budget(budget_seconds, grassmannian, expr):
 
 def test_schubert_integer_power_bits_bounded():
     # a 14284-bit integer has at most 4300 digits, all Python will print
-    assert cli.MAX_SCHUBERT_INT_BITS == 14_284
+    assert cli.MAX_INT_BITS == 14_284
     assert len(str(2 ** 14284 - 1)) == 4300
     # (2^142)^100 has 14201 bits, (2^143)^100 14301
     assert cli.evaluate_expression("%d^100" % 2 ** 142, 1, 3) == 2 ** 14200
@@ -676,6 +676,18 @@ def test_chow_oversized_entries_rejected_fast():
     assert err.count("\n") == 1 and "over the budget" in err
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_chow_forms_of_two_sizes_rejected(monkeypatch, k):
+    # the sizes are compared first: --k 2 fits the first form (n + 1 = 2) but
+    # not the second, and the message names the mismatch, not the second size
+    calls = stub_chow(monkeypatch)
+    code, out, err = run(["chow", "--form", '[["1", "0"], ["0", "1"]]', "--k", str(k),
+                          "--limit-toward", '[["1"]]'])
+    assert code == 2 and out == ""
+    assert err == "error: forms must share an ambient space\n"
+    assert calls == []
+
+
 @pytest.mark.parametrize("form", ["[]", "[[]]", "[[1, 2], [3]]"])
 def test_chow_non_square_form_rejected(monkeypatch, form):
     calls = stub_chow(monkeypatch)
@@ -731,7 +743,7 @@ def hadamard_form(bits):
     (hadamard_form(3567), 4, 3567, 14_281),
 ], ids=["k2", "k4"])
 def test_chow_printed_size_at_bound_prints(form, k, bits, printed):
-    assert k * (bits + k.bit_length()) + 1 == printed <= cli.MAX_SCHUBERT_INT_BITS
+    assert k * (bits + k.bit_length()) + 1 == printed <= cli.MAX_INT_BITS
     data = run_json(["chow", "--form", form, "--k", str(k)])
     # the compound of a (k - 1)-form at k is its determinant alone
     assert abs(int(data["matrix"][0][0])).bit_length() <= printed
@@ -750,21 +762,20 @@ def test_chow_printed_size_past_bound_rejected_before_any_work(monkeypatch, form
     assert code == 2 and out == ""
     assert err == ("error: chow --k %d with %d-bit entries and a %d-bit lcm prints integers of up "
                    "to %d bits, at most %d\n" % (k, bits, lcm_bits, printed,
-                                                  cli.MAX_SCHUBERT_INT_BITS))
+                                                  cli.MAX_INT_BITS))
     assert calls == []
 
 
-def test_lattice_n_at_bound_accepted(monkeypatch):
+def test_lattice_n_at_bound_accepted():
     assert cli.MAX_LATTICE_N == 100
-    # the effective cone reads closed-form rows and converts nothing out of H
     ones = ["1"] * 100
     data = run_json(["cone", "--divisor", json.dumps({"basis": "H", "coeffs": ones}), "--cone", "eff"])
     assert data["contains"] and data["interior"]
-    # converting out of H at n = 100 is the slow part, so only its admission is run
-    calls = []
-    monkeypatch.setattr(cli.picard, "convert", lambda d, basis: calls.append((d.n, basis)) or d)
-    run_json(["canonical", "--n", "100", "--basis", "E"])
-    assert calls == [(100, "E")]
+    # a change of basis at n = 100 runs the Cartan relation, fast enough to run
+    # whole; its E coordinates convert back to the closed nef-basis form
+    data = run_json(["canonical", "--n", "100", "--basis", "E"])
+    back = picard.convert(picard.DivisorClass.from_json(data["divisor"]), "H")
+    assert back == picard.canonical(100, "nefbasis")
 
 
 @pytest.mark.parametrize("argv", [

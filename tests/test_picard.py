@@ -15,6 +15,7 @@ from fractions import Fraction
 import pytest
 
 import completequadrics
+from completequadrics import exact, picard
 from completequadrics.exact import InconsistentSystem, UnderdeterminedSystem, ff_det, solve_exact
 from completequadrics.picard import (
     BASES,
@@ -34,14 +35,12 @@ from completequadrics.picard import (
     convert,
     curves_x3,
     derive_class_from_pairings,
-    effective_rows,
     facet_rows,
     integer_h,
     is_fano,
     pair,
     table_x3,
     xi,
-    _to_h,
 )
 
 # reference values: rows G, G*, C1, C1*, C2, C3, C1_2, L2 against
@@ -74,6 +73,29 @@ def cartan(n):
     return [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)] for i in range(n)]
 
 
+def mixed(n):
+    # columns H_1, E_1, .., E_{n-1} in H coordinates: the Cartan columns with
+    # E_n replaced by H_1
+    return [[int(i == 0)] + row[:-1] for i, row in enumerate(cartan(n))]
+
+
+def basis_matrix(n, basis):
+    # columns: the basis vectors in H coordinates
+    if basis == "H":
+        return [[int(i == j) for j in range(n)] for i in range(n)]
+    return cartan(n) if basis == "E" else mixed(n)
+
+
+def unit(n, j):
+    return tuple(int(i == j) for i in range(n))
+
+
+def columns_in_h(n, basis):
+    # the matrix whose column j is basis vector j converted to H
+    cols = [convert(DivisorClass(n, basis, unit(n, j)), "H").coeffs for j in range(n)]
+    return [list(row) for row in zip(*cols)]
+
+
 def _inverse(m):
     # rows of the inverse of a nonsingular square matrix: row i solves
     # x m = e_i, that is m^T x = e_i
@@ -97,7 +119,7 @@ def test_duality_pairings():
                 expected = 2 * (i == j) - (i == j + 1) - (i == j - 1)
                 assert pair(flj, e) == expected
         # the boundary-to-nef change of basis is the A_n Cartan matrix
-        assert ff_det(_to_h(n, "E")) == n + 1
+        assert ff_det(columns_in_h(n, "E")) == n + 1
 
 
 def test_conversions_match_blowup_presentation():
@@ -123,13 +145,12 @@ def test_conversion_roundtrip(seed):
 @pytest.mark.parametrize("n", range(2, 9))
 def test_e_inverse_is_inverse_cartan(n):
     # the E basis matrix is the A_n Cartan matrix, whose inverse has a closed form
-    assert [list(r) for r in _to_h(n, "E")] == cartan(n)
-    assert _to_h(n, "E") is _to_h(n, "E")
+    assert columns_in_h(n, "E") == cartan(n)
     closed = tuple(
         tuple(Fraction(min(i, j) * (n + 1 - max(i, j)), n + 1) for j in range(1, n + 1))
         for i in range(1, n + 1)
     )
-    assert _inverse(_to_h(n, "E")) == closed
+    assert _inverse(cartan(n)) == closed
     # column j of the inverse is H_j in E coordinates
     for j in range(n):
         h_j = DivisorClass(n, "H", tuple(int(i == j) for i in range(n)))
@@ -139,9 +160,12 @@ def test_e_inverse_is_inverse_cartan(n):
 def test_mixed_basis_matrix():
     # columns H_1, E_1, .., E_{n-1}: the Cartan columns with E_n replaced by H_1
     for n in range(2, 7):
-        expected = [[int(i == 0)] + row[:-1] for i, row in enumerate(cartan(n))]
-        assert [list(r) for r in _to_h(n, "mixed")] == expected
-        assert [list(r) for r in _to_h(n, "H")] == [[int(i == j) for j in range(n)] for i in range(n)]
+        assert columns_in_h(n, "mixed") == mixed(n)
+        assert columns_in_h(n, "H") == basis_matrix(n, "H")
+        # and back: H_j in the mixed basis is column j of the inverse
+        for j in range(n):
+            h_j = DivisorClass(n, "H", unit(n, j))
+            assert list(convert(h_j, "mixed").coeffs) == solve_exact(mixed(n), unit(n, j))
 
 
 def test_basis_matrix_errors():
@@ -171,7 +195,7 @@ def test_integer_h_is_a_positive_multiple():
     assert [Fraction(x, 6) for x in h] == list(convert(d, "H").coeffs)
 
 
-@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("n", [*range(2, 7), 50, 100])
 def test_convert_round_trips_every_basis(n):
     rng = random.Random(700 + n)
     for _ in range(8):
@@ -182,10 +206,28 @@ def test_convert_round_trips_every_basis(n):
             for other in BASES:
                 there = convert(d, other)
                 assert there.basis == other
-                assert list(there.coeffs) == solve_exact(_to_h(n, other), h)
+                assert list(there.coeffs) == solve_exact(basis_matrix(n, other), h)
                 assert convert(there, basis) == d
                 for third in BASES:
                     assert convert(there, third) == convert(d, third)
+
+
+def test_convert_and_effective_membership_solve_nothing(monkeypatch):
+    # the Cartan relation is run forwards and backwards: no conversion and
+    # no effective-cone test reaches a linear solve, at any n
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve_exact called")
+
+    for module in (exact, picard):
+        monkeypatch.setattr(module, "solve_exact", refuse)
+    rng = random.Random(1300)
+    for n in range(2, 101):
+        for basis in BASES:
+            coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)]
+            d = DivisorClass(n, basis, coeffs)
+            for other in BASES:
+                assert convert(convert(d, other), basis) == d
+            cone_membership(d, "eff")
 
 
 def test_movable_membership_matches_solve_exact():
@@ -204,11 +246,6 @@ def test_movable_membership_matches_solve_exact():
 
 @pytest.mark.parametrize("n", range(2, 13))
 def test_effective_membership_matches_e_coordinates(n):
-    rows = effective_rows(n)
-    assert effective_rows(n) is rows
-    assert all(type(x) is int for row in rows for x in row)
-    # the rows are n + 1 times the inverse of the E basis matrix
-    assert [[Fraction(x, n + 1) for x in row] for row in rows] == [list(r) for r in _inverse(_to_h(n, "E"))]
     rng = random.Random(900 + n)
     for k in range(48):
         # interior, boundary (some E coordinates zero) and outside classes,
@@ -221,7 +258,8 @@ def test_effective_membership_matches_e_coordinates(n):
         elif kind == 2:
             e[rng.randrange(n)] = Fraction(-rng.randint(1, 9), rng.randint(1, 4))
         d = convert(DivisorClass(n, "E", e), BASES[k // 3 % 3])
-        oracle = convert(d, "E").coeffs
+        oracle = solve_exact(cartan(n), convert(d, "H").coeffs)
+        assert oracle == e
         expected = ConeMembership(all(c >= 0 for c in oracle), all(c > 0 for c in oracle))
         assert expected == ConeMembership(kind != 2, kind == 0)
         assert cone_membership(d, "eff") == expected, (n, d)
@@ -362,10 +400,10 @@ def _importers(name):
 
 def test_only_picard_inverts_a_matrix():
     # the generator-matrix inverse behind facet_rows is read row by row from
-    # solve_exact, the one rational solver: only picard solves, and no
-    # other routine back-substitutes
+    # solve_exact, the one rational solver: only picard solves, conversions
+    # between bases do not, and no other routine back-substitutes
     assert _importers("solve_exact") == {"picard.py"}
-    assert "picard.facet_rows" in _callers("solve_exact")
+    assert _callers("solve_exact") == {"picard.facet_rows", "picard.derive_class_from_pairings"}
     assert _callers("_back_substitute") == {"exact.solve_exact"}
 
 
