@@ -12,7 +12,6 @@ import argparse
 import itertools
 import json
 import math
-import re
 import sys
 
 from . import chambers, chowform, pencils, picard, quadrics, schubert, verify
@@ -59,24 +58,22 @@ _CHOW_ENTRY_WORK = 10
 # one 2.1 GHz Xeon core, 0.002 s of it converting.
 MAX_LATTICE_N = 100
 
-# `cq schubert` charges each operation of an expression its predicted work and
-# refuses with exit 2, before it runs, the one that would pass MAX_SCHUBERT_WORK.
-# Each tuple an operation reads or writes costs its parts and _SCHUBERT_TERM_WORK:
-# a Pieri step reads each term of its class and writes it grown at each addable
-# corner (the first row of a run of equal parts narrower than the box, and a new
-# row if there is room); a sum or scalar multiple reads its classes' terms and a
-# pairing their k + 1 padded rows; printing a class costs six reads.  Each
-# operation costs 16 weights more, what a chain of cheap ones takes, and G(k,n)
-# k + 1 up front.  The budget is the most work of sigma1^m, m <= 100, on any
-# G(k,n) with at most 100,000 Schubert classes, all admitted by the earlier caps:
-# sigma1^100 on G(22,27), 0.5-0.7 s on one 2.1 GHz Xeon core.  Parentheses and
-# minus signs nest at most MAX_SCHUBERT_DEPTH deep.
+# `cq schubert --power m` charges each Pieri step of sigma1^m its predicted work
+# and refuses with exit 2, before it runs, the step that would pass
+# MAX_SCHUBERT_WORK.  Each partition a step reads or writes costs its parts and
+# _SCHUBERT_TERM_WORK: a step reads each term of its class and writes it grown at
+# each addable corner (the first row of a run of equal parts narrower than the
+# box, and a new row if there is room); printing the class costs six reads.  Each
+# step and the printing cost 16 weights more, G(k,n) k + 1 up front, and an m
+# whose m - 1 steps cannot fit is refused before the first.  The budget is the
+# most work of sigma1^m, m <= 100, on any G(k,n) with at most 100,000 Schubert
+# classes, all admitted by the earlier caps: sigma1^100 on G(22,27), 0.5-0.7 s
+# on one 2.1 GHz Xeon core.
 MAX_SCHUBERT_WORK = 21_647_952
 _SCHUBERT_TERM_WORK = 24
-MAX_SCHUBERT_DEPTH = 100
 
-# Integers `cq chow` prints (their predicted size, above) and integers and class
-# coefficients `cq schubert` builds have at most MAX_INT_BITS bits, the 4300
+# Integers `cq chow` prints (their predicted size, above) and the class
+# coefficients `cq schubert` prints have at most MAX_INT_BITS bits, the 4300
 # digits Python prints; larger ones are rejected with exit 2.
 MAX_INT_BITS = 14_284
 
@@ -350,184 +347,11 @@ def cmd_chamber(args) -> int:
 
 # -- schubert ------------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(sigma\d+(?:,\d+)*|\d+|[-+*^()])\s*")
 
-
-def _tokenize(expr: str):
-    pos, out = 0, []
-    while pos < len(expr):
-        m = _TOKEN.match(expr, pos)
-        if m is None:
-            raise ValueError("unreadable expression near %r" % expr[pos:])
-        out.append(m.group(1))
-        pos = m.end()
-    return out
-
-
-class _ExprParser:
-    """Recursive-descent evaluator over integers and Schubert classes.
-
-    Products are restricted to what the calculus here supports: scalar
-    multiples, multiplication by sigma1 (Pieri), and the pairing of classes
-    in complementary codimension.
-    """
-
-    def __init__(self, tokens, k, n):
-        self.tokens = tokens
-        self.pos = 0
-        self.k = k
-        self.n = n
-        self.sigma1 = schubert.sigma(k, n, 1)  # raises unless 0 <= k < n
-        self.depth = 0
-        self.work = 0
-        self.charge(k + 1)  # the O(k) tuples of cmd_schubert and of a pairing
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self):
-        tok = self.peek()
-        if tok is None:
-            raise ValueError("expression ended early")
-        self.pos += 1
-        return tok
-
-    def parse(self):
-        value = self.expr()
-        if self.peek() is not None:
-            raise ValueError("unexpected token %r" % self.peek())
-        self.charge(6 * _read(value))  # printing it
-        return value
-
-    def expr(self):
-        value = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            rhs = self.term()
-            if op == "-":
-                rhs = self.mul(-1, rhs)
-            value = self.add(value, rhs)
-        return value
-
-    def term(self):
-        value = self.factor()
-        while self.peek() == "*":
-            self.take()
-            value = self.mul(value, self.factor())
-        return value
-
-    def factor(self):
-        # a unary minus applies to the whole power: -x^k is -(x^k)
-        if self.peek() == "-":
-            self.take()
-            return self.nested(lambda: self.mul(-1, self.factor()))
-        base = self.atom()
-        if self.peek() == "^":
-            self.take()
-            exp = self.take()
-            if not exp.isdigit():
-                raise ValueError("exponent must be a literal integer")
-            return self.power(base, int(exp))
-        return base
-
-    def nested(self, parse):
-        # the grammar recurses only through here
-        self.depth += 1
-        if self.depth > MAX_SCHUBERT_DEPTH:
-            raise ValueError("parentheses and unary minus signs nest at most %d deep"
-                             % MAX_SCHUBERT_DEPTH)
-        value = parse()
-        self.depth -= 1
-        return value
-
-    def atom(self):
-        tok = self.take()
-        if tok == "(":
-            value = self.nested(self.expr)
-            if self.take() != ")":
-                raise ValueError("missing closing parenthesis")
-            return value
-        if tok.isdigit():
-            return self.bounded(int(tok))
-        if tok.startswith("sigma"):
-            parts = tuple(int(p) for p in tok[5:].split(","))
-            return schubert.sigma(self.k, self.n, *parts)
-        raise ValueError("unexpected token %r" % tok)
-
-    def bounded(self, value):
-        coeffs = [value] if isinstance(value, int) else [c for _, c in value._terms]
-        self.check_bits(max(map(abs, coeffs), default=0).bit_length())
-        return value
-
-    def check_bits(self, bits):
-        if bits > MAX_INT_BITS:
-            raise ValueError("integers and class coefficients have at most %d bits"
-                             % MAX_INT_BITS)
-
-    def check_budget(self, work):
-        if self.work + work > MAX_SCHUBERT_WORK:
-            raise ValueError("an expression on G(%d,%d) takes at most %d units of work"
-                             % (self.k, self.n, MAX_SCHUBERT_WORK))
-
-    def charge(self, work):
-        # an operation costs 16 weights besides what it reads
-        work += 16 * _SCHUBERT_TERM_WORK
-        self.check_budget(work)
-        self.work += work
-
-    def add(self, a, b):
-        if isinstance(a, int) != isinstance(b, int):
-            raise ValueError("cannot add an integer to a class")
-        self.charge(_read(a, b))
-        return self.bounded(a + b)
-
-    def mul(self, a, b):
-        return self.bounded(self.product(a, b))
-
-    def product(self, a, b):
-        if isinstance(a, int) or isinstance(b, int):
-            self.charge(_read(a, b))
-            return a * b if isinstance(a, int) else b * a
-        if a == self.sigma1:
-            a, b = b, a
-        if b == self.sigma1:
-            # each term is read, and written grown at each addable corner
-            rows, cols, w = self.k + 1, self.n - self.k, _SCHUBERT_TERM_WORK
-            self.charge(sum((len(p) + w) * (len(set(p)) - (p[:1] == (cols,)) + (len(p) < rows) + 1)
-                            for p, _ in a._terms))
-            return schubert.pieri1(a)
-        self.charge((self.k + 1 + _SCHUBERT_TERM_WORK) * (len(a._terms) + len(b._terms)))
-        ca, cb = a.codim(), b.codim()
-        if ca is None or cb is None:
-            raise ValueError("products need homogeneous classes")
-        if ca + cb == schubert.grass_dim(self.k, self.n):
-            return schubert.duality_pair(a, b)
-        raise ValueError(
-            "only sigma1 products and complementary-codimension pairings are supported"
-        )
-
-    def power(self, base, exp):
-        if isinstance(base, int):
-            # refused by its least size; the power is at most twice as long
-            self.check_bits((abs(base).bit_length() - 1) * exp + 1)
-            return self.bounded(base ** exp)
-        if exp < 1:
-            raise ValueError("class powers need a positive exponent")
-        self.check_budget((exp - 1) * 16 * _SCHUBERT_TERM_WORK)
-        value = base
-        for _ in range(exp - 1):
-            value = self.mul(value, base)
-        return value
-
-
-def _read(*values) -> int:
-    return sum(len(p) + _SCHUBERT_TERM_WORK
-               for x in values if not isinstance(x, int) for p, _ in x._terms)
-
-
-def evaluate_expression(expr: str, k: int, n: int):
-    """Evaluate a Schubert-calculus expression in G(k, n)."""
-    return _ExprParser(_tokenize(expr), k, n).parse()
+def _check_schubert_work(k: int, n: int, work: int) -> None:
+    if work > MAX_SCHUBERT_WORK:
+        raise ValueError("an expression on G(%d,%d) takes at most %d units of work"
+                         % (k, n, MAX_SCHUBERT_WORK))
 
 
 def cmd_schubert(args) -> int:
@@ -535,17 +359,31 @@ def cmd_schubert(args) -> int:
         k, n = (int(p) for p in args.grassmannian.split(","))
     except ValueError:
         raise ValueError('--grassmannian expects "k,n"')
-    value = evaluate_expression(args.expr, k, n)
-    out = {"grassmannian": "G(%d,%d)" % (k, n), "expr": args.expr}
-    if isinstance(value, schubert.SchubertClass):
-        if value.codim() == schubert.grass_dim(k, n):
-            # top codimension: report the multiple of the point class
-            out["value"] = value.coefficient(tuple([n - k] * (k + 1)))
-            out["interpreted_as"] = "multiple of the point class"
-        else:
-            out["class"] = value.to_json()
+    value = schubert.sigma(k, n, 1)  # raises unless 0 <= k < n
+    rows, cols, m, w = k + 1, n - k, args.power, _SCHUBERT_TERM_WORK
+    work = rows + 16 * w
+    _check_schubert_work(k, n, work)
+    if m < 1:
+        raise ValueError("class powers need a positive exponent")
+    _check_schubert_work(k, n, work + (m - 1) * 16 * w)
+    for _ in range(m - 1):
+        # each term is read, and written grown at each addable corner
+        work += 16 * w + sum((len(p) + w) * (len(set(p)) - (p[:1] == (cols,)) + (len(p) < rows) + 1)
+                             for p, _ in value._terms)
+        _check_schubert_work(k, n, work)
+        value = schubert.pieri1(value)
+    # a coefficient of sigma1^(j+1) sums those of sigma1^j below it, so the
+    # last class holds the largest, unless it is zero past the point class
+    if max((c for _, c in value._terms), default=0).bit_length() > MAX_INT_BITS:
+        raise ValueError("class coefficients have at most %d bits" % MAX_INT_BITS)
+    _check_schubert_work(k, n, work + 16 * w + 6 * sum(len(p) + w for p, _ in value._terms))
+    out = {"grassmannian": "G(%d,%d)" % (k, n), "expr": "sigma1^%d" % m}
+    if m == rows * cols:
+        # top codimension: report the multiple of the point class
+        out["value"] = value.coefficient(tuple([cols] * rows))
+        out["interpreted_as"] = "multiple of the point class"
     else:
-        out["value"] = value
+        out["class"] = value.to_json()
     _emit("schubert", **out)
     return 0
 
@@ -631,12 +469,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_chamber)
 
-    p = sub.add_parser("schubert", help="evaluate a Schubert calculus expression")
+    p = sub.add_parser("schubert", help="the class sigma1^m on a Grassmannian")
     p.add_argument("--grassmannian", required=True,
                    help='"k,n" for G(k,n), 0 <= k < n; its k + 1 rows count toward the work')
-    p.add_argument("--expr", required=True,
-                   help="at most %d units of predicted work, the parts and a weight of "
-                   "each tuple its operations read or write" % MAX_SCHUBERT_WORK)
+    p.add_argument("--power", type=int, required=True,
+                   help="the exponent m >= 1; at most %d units of predicted work, the parts "
+                   "and a weight of each partition its Pieri steps read or write"
+                   % MAX_SCHUBERT_WORK)
     p.set_defaults(func=cmd_schubert)
 
     p = sub.add_parser("verify-all", help="run every bundled verification check")

@@ -9,6 +9,7 @@ import math
 import pathlib
 import random
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -65,26 +66,35 @@ def test_chamber_census_small():
     assert sum(data["chamber_counts"].values()) == 200
 
 
+def power(grassmannian, m):
+    return ["schubert", "--grassmannian", grassmannian, "--power", str(m)]
+
+
 def test_schubert_point_degree():
-    data = run_json(["schubert", "--grassmannian", "1,3", "--expr", "sigma1^4"])
+    data = run_json(power("1,3", 4))
     assert data["value"] == 2
     assert data["interpreted_as"] == "multiple of the point class"
 
 
-def test_schubert_pairing_expression():
-    data = run_json(
-        ["schubert", "--grassmannian", "1,3", "--expr", "2*(sigma2+sigma1,1)*sigma1^2"]
-    )
-    assert data["value"] == 4
-
-
 def test_schubert_class_output():
-    data = run_json(["schubert", "--grassmannian", "1,3", "--expr", "sigma1*sigma1"])
+    data = run_json(power("1,3", 2))
     assert data["class"]["terms"] == {"2": 1, "1,1": 1}
 
 
 def test_schubert_bigger_grassmannian():
-    assert run_json(["schubert", "--grassmannian", "2,5", "--expr", "sigma1^9"])["value"] == 42
+    assert run_json(power("2,5", 9))["value"] == 42
+
+
+def test_schubert_expr_refused_naming_power():
+    # the expression language is gone; argparse refuses the old option
+    code, out, err = run(["schubert", "--grassmannian", "1,3", "--expr", "sigma1^4"])
+    assert code == 2 and out == ""
+    assert "--power" in err
+
+
+def test_schubert_power_zero_rejected():
+    code, out, err = run(power("1,3", 0))
+    assert (code, out, err) == (2, "", "error: class powers need a positive exponent\n")
 
 
 W = cli._SCHUBERT_TERM_WORK
@@ -99,12 +109,9 @@ def spy(monkeypatch, name):
 
 
 def test_schubert_at_bounds_accepted():
-    data = run_json(["schubert", "--grassmannian", "0,99999", "--expr", "sigma1^100"])
-    assert data["class"]["terms"] == {"100": 1}
-    assert run_json(["schubert", "--grassmannian", "0,100", "--expr", "sigma1^100"])["value"] == 1
-    data = run_json(["schubert", "--grassmannian", "8,18", "--expr", "sigma1^2"])
-    assert data["class"]["terms"] == {"2": 1, "1,1": 1}
-    assert run_json(["schubert", "--grassmannian", "1,3", "--expr", "3^100"])["value"] == 3 ** 100
+    assert run_json(power("0,99999", 100))["class"]["terms"] == {"100": 1}
+    assert run_json(power("0,100", 100))["value"] == 1
+    assert run_json(power("8,18", 2))["class"]["terms"] == {"2": 1, "1,1": 1}
 
 
 def capped_grassmannians():
@@ -163,13 +170,22 @@ def sigma1_step_works(cols, rows, m=100):
     return works
 
 
+def refusal(grassmannian, budget):
+    return "error: an expression on G(%s) takes at most %d units of work\n" % (grassmannian, budget)
+
+
 @pytest.mark.parametrize("k,n,m", [(0, 100, 100), (1, 3, 100), (2, 5, 100), (9, 10, 100),
                                    (12, 14, 100), (3, 8, 40), (2, 40, 100), (4, 12, 30)])
-def test_schubert_chain_work_matches_partition_counts(k, n, m):
-    # G(k,n) reads k + 1 up front; an operation costs 16W besides what it reads
-    parser = cli._ExprParser(cli._tokenize("sigma1^%d" % m), k, n)
-    parser.parse()
-    assert parser.work == k + 1 + 16 * W + sigma1_step_works(n - k, k + 1, m)[k]
+def test_schubert_chain_work_matches_partition_counts(monkeypatch, k, n, m):
+    # G(k,n) reads k + 1 up front; a step and the printing cost 16W besides
+    # what they read and write; a budget of that work admits the power, one
+    # unit less refuses it
+    work = k + 1 + 16 * W + sigma1_step_works(n - k, k + 1, m)[k]
+    grassmannian = "%d,%d" % (k, n)
+    monkeypatch.setattr(cli, "MAX_SCHUBERT_WORK", work)
+    assert run(power(grassmannian, m))[0] == 0
+    monkeypatch.setattr(cli, "MAX_SCHUBERT_WORK", work - 1)
+    assert run(power(grassmannian, m)) == (2, "", refusal(grassmannian, work - 1))
 
 
 def test_schubert_budget_is_the_costliest_capped_chain():
@@ -193,32 +209,27 @@ def test_schubert_budget_is_the_costliest_capped_chain():
 def test_schubert_costliest_chain_admitted_and_one_more_step_refused(monkeypatch):
     # sigma1^100 on G(22,27) takes the whole budget, and 0.5-0.7 s
     pieri = spy(monkeypatch, "pieri1")
-    data = run_json(["schubert", "--grassmannian", "22,27", "--expr", "sigma1^100"])
+    data = run_json(power("22,27", 100))
     assert len(pieri) == 99 and len(data["class"]["terms"]) == 84
     del pieri[:]
-    code, out, err = run(["schubert", "--grassmannian", "22,27", "--expr", "sigma1^100*sigma1"])
-    assert code == 2 and out == ""
-    assert err == ("error: an expression on G(22,27) takes at most %d units of work\n"
-                   % cli.MAX_SCHUBERT_WORK)
+    assert run(power("22,27", 101)) == (2, "", refusal("22,27", cli.MAX_SCHUBERT_WORK))
     # the 100th Pieri step, on 84 terms, costs less than printing them did;
     # printing its class is refused
     assert len(pieri) == 100
 
 
 # refused by the caps the work budget replaced: more than 100,000 classes,
-# an exponent over 100, more than 100 class operations
-@pytest.mark.parametrize("grassmannian,expr,terms", [
-    ("0,100000", "sigma1", {"1": 1}),
-    ("1,%d" % (10 ** 4000 - 1), "sigma1", {"1": 1}),
-    ("9,19", "sigma1^50", 5448),
-    ("3,40", "sigma1^100", 966),
-    ("1,3", "sigma1^101", {}),
-    ("1,3", "sigma2 + 2^101*sigma1,1", {"2": 1, "1,1": 2 ** 101}),
-    ("8,18", "sigma1^45" + "*1" * 57, 2934),
-], ids=["P100000", "n-4000-digits", "G9,19", "G3,40", "exponent-101", "integer-exponent-101",
-        "101-operations"])
-def test_schubert_admitted_past_the_old_caps(grassmannian, expr, terms):
-    found = run_json(["schubert", "--grassmannian", grassmannian, "--expr", expr])["class"]["terms"]
+# an exponent over 100, more than 100 Pieri steps
+@pytest.mark.parametrize("grassmannian,m,terms", [
+    ("0,100000", 1, {"1": 1}),
+    ("1,%d" % (10 ** 4000 - 1), 1, {"1": 1}),
+    ("9,19", 50, 5448),
+    ("3,40", 100, 966),
+    ("1,3", 101, {}),
+    ("0,200", 102, {"102": 1}),
+], ids=["P100000", "n-4000-digits", "G9,19", "G3,40", "exponent-101", "101-operations"])
+def test_schubert_admitted_past_the_old_caps(grassmannian, m, terms):
+    found = run_json(power(grassmannian, m))["class"]["terms"]
     assert (found if isinstance(terms, dict) else len(found)) == terms
 
 
@@ -233,218 +244,85 @@ def best_seconds(argv, runs=2):
 
 @pytest.fixture(scope="module")
 def budget_seconds():
-    # the time of the expression that sets the budget
-    seconds, code, out, err = best_seconds(["schubert", "--grassmannian", "22,27",
-                                            "--expr", "sigma1^100"])
+    # the time of the power that sets the budget
+    seconds, code, out, err = best_seconds(power("22,27", 100))
     assert code == 0, err
     return seconds
 
 
-# refused by the budget partway, in about the time the budget's own
-# expression takes (the slowest shapes take up to 1.4 times as long a unit,
-# and the machine's speed may change between runs):
-# G(10,30) has 84,672,315 classes; sigma1^100 and one scalar multiple on
-# G(22,27), 100 class operations, passed the old caps; and a chain of
-# scalar multiples, each reading the 35,889 parts of 1701 terms
-@pytest.mark.parametrize("grassmannian,expr", [
-    ("10,30", "sigma1^50"),
-    ("22,27", "2*sigma1^100"),
-    ("22,27", "sigma1^71" + "*1" * 300),
-], ids=["G10,30", "scalar-multiple", "scalar-multiples"])
-def test_schubert_refused_by_the_budget(budget_seconds, grassmannian, expr):
-    seconds, code, out, err = best_seconds(["schubert", "--grassmannian", grassmannian,
-                                            "--expr", expr])
+# refused by the budget partway, in about the time the budget's own power
+# takes (the slowest shapes take up to 1.4 times as long a unit, and the
+# machine's speed may change between runs): G(10,30) has 84,672,315 classes
+@pytest.mark.parametrize("grassmannian,m", [("10,30", 50)], ids=["G10,30"])
+def test_schubert_refused_by_the_budget(budget_seconds, grassmannian, m):
+    seconds, code, out, err = best_seconds(power(grassmannian, m))
     assert seconds < 2 * budget_seconds
-    assert code == 2 and out == ""
-    assert err == ("error: an expression on G(%s) takes at most %d units of work\n"
-                   % (grassmannian, cli.MAX_SCHUBERT_WORK))
+    assert (code, out, err) == (2, "", refusal(grassmannian, cli.MAX_SCHUBERT_WORK))
 
 
-def test_schubert_integer_power_bits_bounded():
+def test_schubert_class_coefficient_bits_bounded(monkeypatch):
     # a 14284-bit integer has at most 4300 digits, all Python will print
     assert cli.MAX_INT_BITS == 14_284
     assert len(str(2 ** 14284 - 1)) == 4300
-    # (2^142)^100 has 14201 bits, (2^143)^100 14301
-    assert cli.evaluate_expression("%d^100" % 2 ** 142, 1, 3) == 2 ** 14200
-    # nested powers: 2^10000 is admitted, its 100th power is not
-    assert cli.evaluate_expression("(2^100)^100", 1, 3) == 2 ** 10000
-    # 2^14283 has 14284 bits; 3^9013 (14286 bits) is computed, its least
-    # size being 9014 bits, and then refused
-    assert cli.evaluate_expression("2^14283", 1, 3) == 2 ** 14283
-    assert cli.evaluate_expression("3^9012", 1, 3) == 3 ** 9012
-    for expr in ("%d^100" % 2 ** 143, "((2^100)^100)^100", "2^14284", "3^9013"):
-        with pytest.raises(ValueError, match="at most 14284 bits"):
-            cli.evaluate_expression(expr, 1, 3)
-
-
-TOP = 2 ** 14284 - 1  # the largest admitted integer
-
-
-def value_or_terms(data):
-    return data["value"] if "value" in data else data["class"]["terms"]
-
-
-@pytest.mark.parametrize("expr,value", [
-    ("%d" % TOP, TOP),
-    ("%d+%d" % (2 ** 14283, 2 ** 14283 - 1), TOP),
-    ("%d*%d" % (2 ** 7142, 2 ** 7141), 2 ** 14283),
-    ("%d*sigma1" % TOP, {"1": TOP}),
-    # sigma1^4 is twice the point class of G(1,3)
-    ("%d*sigma1^4" % 2 ** 14282, 2 ** 14283),
-], ids=["literal", "sum", "product", "scalar-multiple", "pairing"])
-def test_schubert_integers_at_bound_accepted(expr, value):
-    assert value_or_terms(run_json(["schubert", "--grassmannian", "1,3", "--expr", expr])) == value
-
-
-@pytest.mark.parametrize("expr", [
-    "%d" % 2 ** 14284,
-    "%d+%d" % (2 ** 14283, 2 ** 14283),
-    "%d*%d" % (2 ** 7142, 2 ** 7142),
-    "2*(%d*sigma1)" % 2 ** 14283,
-    "%d*sigma1^4" % 2 ** 14283,
-], ids=["literal", "sum", "product", "scalar-multiple", "pairing"])
-def test_schubert_integers_past_bound_rejected(expr):
-    code, out, err = run(["schubert", "--grassmannian", "1,3", "--expr", expr])
-    assert code == 2 and out == ""
-    assert err == "error: integers and class coefficients have at most 14284 bits\n"
+    # sigma1^6 on G(1,4) is 5 times the point class, a 3-bit coefficient
+    monkeypatch.setattr(cli, "MAX_INT_BITS", 3)
+    assert run_json(power("1,4", 6))["value"] == 5
+    monkeypatch.setattr(cli, "MAX_INT_BITS", 2)
+    assert run(power("1,4", 6)) == (2, "", "error: class coefficients have at most 2 bits\n")
 
 
 # P^100 is G(0,100); there sigma1^100 (99 Pieri steps) is the point class.
-# Each operation's work up to the last, with the budget set to it and to what
-# printing the value takes more: G(0,100) reads 1, an operation costs 16W,
-# and a tuple of one part 1 + W.  A Pieri step reads sigma_j and writes
-# sigma_(j+1), a tuple each, but writes nothing from the full row sigma_100;
-# a sum or scalar multiple reads each term, and printing six times that
+# The work of sigma1^101 up to its last step, with the budget set to it and
+# to what printing the zero class takes more: G(0,100) reads 1, a step
+# costs 16W, and a tuple of one part 1 + W.  A Pieri step reads sigma_j and
+# writes sigma_(j+1), a tuple each, but writes nothing from the full row
+# sigma_100
 P100, STEP, FULL = 1 + 16 * W, 16 * W + 2 * (1 + W), 16 * W + 1 + W
-CLASS_OPERATIONS = [
-    # (expression, work, printing, value, Pieri steps run when the last
-    # operation is refused)
-    ("sigma1^100*sigma1", P100 + 99 * STEP + FULL, 16 * W, {}, 99),
-    ("sigma1^100+sigma1", P100 + 99 * STEP + FULL + 1 + W, 16 * W + 12 * (1 + W),
-     {"1": 1, "100": 1}, 99),
-    ("2*sigma1^100", P100 + 99 * STEP + FULL, 16 * W + 6 * (1 + W), 2, 99),
-    # the unary minus is a scalar multiple; the pairing reads k + 1 = 1 part a term
-    ("(-(sigma1^50))*sigma1^50", P100 + 98 * STEP + 16 * W + 1 + W + STEP, 16 * W, -1, 98),
-    # sigma1 + sigma0 reads 1 + W and W, its Pieri step writes sigma1 from
-    # sigma0 too; then sigma1^j + sigma1^(j-1): two terms a Pieri step
-    ("(sigma1+sigma0)" + "*sigma1" * 49,
-     P100 + 16 * W + 1 + 2 * W + STEP + 2 * W + 48 * (STEP + 2 + 2 * W), 16 * W + 12 * (1 + W),
-     {"49": 1, "50": 1}, 48),
-]
-CLASS_OPERATION_IDS = ["pieri", "sum", "scalar-multiple", "pairing", "two-codimensions"]
+# (power, work, printing, value, Pieri steps run when the last is refused)
+PIERI_CHAIN = (101, P100 + 99 * STEP + FULL, 16 * W, {}, 99)
 
 
-@pytest.mark.parametrize("expr,work,printing,value,steps", CLASS_OPERATIONS,
-                         ids=CLASS_OPERATION_IDS)
-def test_schubert_class_operations_at_bound_accepted(monkeypatch, expr, work, printing, value,
-                                                     steps):
+@pytest.mark.parametrize("m,work,printing,value,steps", [PIERI_CHAIN], ids=["pieri"])
+def test_schubert_class_operations_at_bound_accepted(monkeypatch, m, work, printing, value, steps):
     monkeypatch.setattr(cli, "MAX_SCHUBERT_WORK", work + printing)
-    assert value_or_terms(run_json(["schubert", "--grassmannian", "0,100", "--expr", expr])) == value
+    assert run_json(power("0,100", m))["class"]["terms"] == value
 
 
-@pytest.mark.parametrize("expr,work,printing,value,steps", CLASS_OPERATIONS,
-                         ids=CLASS_OPERATION_IDS)
-def test_schubert_class_operations_past_bound_rejected(monkeypatch, expr, work, printing, value,
+@pytest.mark.parametrize("m,work,printing,value,steps", [PIERI_CHAIN], ids=["pieri"])
+def test_schubert_class_operations_past_bound_rejected(monkeypatch, m, work, printing, value,
                                                        steps):
-    # the last operation is refused before it runs
+    # the last step is refused before it runs
     monkeypatch.setattr(cli, "MAX_SCHUBERT_WORK", work - 1)
-    pieri, pairings = spy(monkeypatch, "pieri1"), spy(monkeypatch, "duality_pair")
-    code, out, err = run(["schubert", "--grassmannian", "0,100", "--expr", expr])
-    assert code == 2 and out == ""
-    assert err == "error: an expression on G(0,100) takes at most %d units of work\n" % (work - 1)
-    assert (len(pieri), len(pairings)) == (steps, 0)
-
-
-@pytest.mark.parametrize("expr,value", [
-    ("(" * 100 + "sigma1" + ")" * 100, {"1": 1}),
-    ("-" * 100 + "2", 2),
-    ("-(" * 50 + "2" + ")" * 50, 2),
-], ids=["parentheses", "minus-signs", "both"])
-def test_schubert_nesting_at_bound_accepted(expr, value):
-    assert cli.MAX_SCHUBERT_DEPTH == 100
-    assert value_or_terms(run_json(["schubert", "--grassmannian", "1,3", "--expr=" + expr])) == value
-
-
-@pytest.mark.parametrize("expr", [
-    "(" * 101 + "1" + ")" * 101,
-    "-" * 101 + "1",
-    "-(" * 50 + "-2" + ")" * 50,
-    "(" * 1200 + "1" + ")" * 1200,
-    "-" * 3000 + "1",
-], ids=["parentheses", "minus-signs", "both", "1200-parentheses", "3000-minus-signs"])
-def test_schubert_nesting_past_bound_rejected(expr):
-    code, out, err = run(["schubert", "--grassmannian", "1,3", "--expr=" + expr])
-    assert code == 2 and out == ""
-    assert err == "error: parentheses and unary minus signs nest at most 100 deep\n"
-
-
-@pytest.mark.parametrize("expr,value", [
-    ("-2^2", -4),
-    ("-(2)^2", -4),
-    ("(-2)^2", 4),
-    ("--2^3", 8),
-    ("2*-3^2", -18),
-    ("-sigma1^2", {"2": -1, "1,1": -1}),
-])
-def test_schubert_unary_minus_binds_looser_than_power(expr, value):
-    # -x^k is -(x^k), as in ordinary arithmetic
-    assert value_or_terms(run_json(["schubert", "--grassmannian", "1,3", "--expr=" + expr])) == value
+    pieri = spy(monkeypatch, "pieri1")
+    assert run(power("0,100", m)) == (2, "", refusal("0,100", work - 1))
+    assert len(pieri) == steps
 
 
 @pytest.mark.parametrize("grassmannian,expr,digest", [
     ("8,18", "sigma1^90", "e1fb68bf13c849b44dc943c4ea602b1260b629585b4326b4bc52fc8ab0761363"),
     ("1,3", "sigma1^4", "7f61451ea87496d8fd8d93475571d3a935d52c2c878bad2b229c0dc3e51b1dbd"),
-    ("3,8", "(sigma1^6+2*sigma3,3)*sigma1*sigma1",
-     "ff22459cf3e07846bdf0ab3191ac4181bee4bff2674e11d4d1662b545cdddb42"),
-    ("2,5", "-(sigma2,1)*sigma1^6", "3a9d16dd8a92f73237f6dcd53192460c9e3653a191dcd56f0f9de3456ceed31b"),
 ])
 def test_schubert_output_pinned(grassmannian, expr, digest):
-    # stdout recorded while every class operation rebuilt its result
-    # through the validating SchubertClass constructor
-    code, out, err = run(["schubert", "--grassmannian", grassmannian, "--expr=" + expr])
+    # stdout recorded from `--expr sigma1^m` while every class operation
+    # rebuilt its result through the validating SchubertClass constructor;
+    # `--power m` prints the same, "expr" field and all
+    code, out, err = run(power(grassmannian, expr.removeprefix("sigma1^")))
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def staircase(m):
-    return "sigma" + ",".join(map(str, range(m, 0, -1)))
-
-
-def test_schubert_staircase_refused_by_what_it_writes(monkeypatch):
-    # one Pieri step writes 1000 tuples of 1000 parts; a second would write
-    # about 1,000,000 of 1000 parts each
-    pieri = spy(monkeypatch, "pieri1")
-    assert len(cli.evaluate_expression(staircase(1000) + "*sigma1", 999, 2999).terms) == 1000
-    code, out, err = run(["schubert", "--grassmannian", "999,2999",
-                          "--expr", staircase(1000) + "*sigma1*sigma1"])
-    assert code == 2 and out == ""
-    # one Pieri step each: the second product was refused before it ran
-    assert len(pieri) == 2
-
-
 def test_schubert_class_power_refused_before_its_loop(monkeypatch):
-    # each of its exp - 1 products costs at least 16W; G(1,3) has taken 2 + 16W
-    exp = (cli.MAX_SCHUBERT_WORK - 2 - 16 * W) // (16 * W) + 2
+    # each of its m - 1 steps costs at least 16W; G(1,3) has taken 2 + 16W
     pieri = spy(monkeypatch, "pieri1")
-    code, out, err = run(["schubert", "--grassmannian", "1,3", "--expr", "sigma1^%d" % exp])
-    assert code == 2 and out == ""
-    assert err == "error: an expression on G(1,3) takes at most %d units of work\n" % cli.MAX_SCHUBERT_WORK
+    for m in ((cli.MAX_SCHUBERT_WORK - 2 - 16 * W) // (16 * W) + 2, 10 ** 29):
+        assert run(power("1,3", m)) == (2, "", refusal("1,3", cli.MAX_SCHUBERT_WORK))
     assert pieri == []
 
 
 @pytest.mark.parametrize("argv", [
-    ["--grassmannian", "%d,%d" % (10 ** 29, 10 ** 29 + 1), "--expr", "sigma1"],
-    ["--grassmannian", "1,3", "--expr", "sigma1^" + "9" * 4000],
-    ["--grassmannian", "1,3", "--expr", "(((%s^100)^100)^100)^100" % ("9" * 4000)],
-    ["--grassmannian", "1,3", "--expr", "((2^100)^100)^100"],
-    ["--grassmannian", "1,3", "--expr", "*".join(["((3^66)^100)^99"] * 40)],
-    ["--grassmannian", "1,3", "--expr", "*".join(["(3^66)^100"] * 40)],
-    ["--grassmannian", "1,3", "--expr", "sigma1^%d" % 10 ** 29],
-    ["--grassmannian", "1,3", "--expr", "3^%d" % 10 ** 29],
-    # a staircase writes a tuple as long as itself at each of its corners
-    ["--grassmannian", "4999,9999", "--expr", staircase(5000) + "*sigma1"],
-    ["--grassmannian", "24999,49999", "--expr", staircase(25000) + "*sigma1"],
-    ["--grassmannian", "1999,4999", "--expr", staircase(2000) + "*sigma1*sigma1"],
+    ["--grassmannian", "%d,%d" % (10 ** 29, 10 ** 29 + 1), "--power", "1"],
+    ["--grassmannian", "1,3", "--power", "9" * 4000],
+    ["--grassmannian", "1,3", "--power", "%d" % 10 ** 29],
 ])
 def test_schubert_oversized_input_rejected_fast(argv):
     start = time.monotonic()
@@ -977,11 +855,23 @@ def test_census_failure_exits_one(monkeypatch):
                    "(Fraction(6, 1), Fraction(0, 1), Fraction(4, 1)))\n")
 
 
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
 def test_readme_cites_every_size_bound():
     # README.md names each size bound of the CLI as cli.MAX_*, and only those
-    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
-    cited = set(re.findall(r"\bcli\.(MAX_[A-Z0-9_]+)", readme))
+    cited = set(re.findall(r"\bcli\.(MAX_[A-Z0-9_]+)", README.read_text()))
     assert cited == {name for name in vars(cli) if name.startswith("MAX_")}
+
+
+def test_readme_commands_run():
+    # every `cq` line of README.md's code blocks, backslash continuations joined
+    lines = "\n".join(README.read_text().split("```")[1::2]).replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("cq ")]
+    assert len(commands) == 14
+    for argv in commands:
+        code, out, err = run(argv)
+        assert code == 0, (argv, err)
 
 
 def test_census_escaped_cover_exits_one(monkeypatch):
@@ -1003,7 +893,7 @@ def test_repeated_runs_byte_identical():
         ["table"],
         ["chamber", "--census", "60", "--seed", "3"],
         ["pencil", "--n", "4", "--k", "1", "--seed", "0"],
-        ["schubert", "--grassmannian", "1,4", "--expr", "sigma1^6"],
+        power("1,4", 6),
     ]
     for argv in args:
         _, first, _ = run(argv)
@@ -1016,8 +906,8 @@ def test_error_exit_codes():
         ["chamber", "--divisor", "not json"],
         ["chamber", "--divisor", '{"basis":"H","coeffs":["-1","0","0"]}'],
         ["pencil", "--n", "3"],
-        ["schubert", "--grassmannian", "1,3", "--expr", "sigma3"],
-        ["schubert", "--grassmannian", "1,3", "--expr", "sigma1 + 1"],
+        power("3,1", 1),
+        power("1,3", -1),
         ["pencil", "--n", "3", "--k", "3", "--seed", "0"],
     ):
         code, _, err = run(argv)
