@@ -43,11 +43,12 @@ slower than deg + 1 small ones, so the values at x = 0..deg are interpolated
 (_interpolate, whose one caller is _kronecker).  poly_gcd runs a primitive
 integer remainder sequence instead of a Euclidean gcd over Fraction.
 distinct_root_count certifies a squarefree polynomial by one gcd modulo the
-prime 2^61 - 1 and reads the squarefree degree from poly_gcd only when that
-certificate fails.  A quadric form is stored as an integer matrix and one
-denominator (quadrics.SymmetricForm), which the Chow-form layers read as
-they are: quadrics.compound and chowform.plucker build all their minors in
-one Laplace pass over shared sub-minors, not one elimination each, and
+prime 2^30 - 35, whose residues fit in one 30-bit CPython digit, and reads
+the squarefree degree from poly_gcd only when that certificate fails.  A
+quadric form is stored as an integer matrix and one denominator
+(quadrics.SymmetricForm), which the Chow-form layers read as they are:
+quadrics.compound and chowform.plucker build all their minors in one
+Laplace pass over shared sub-minors, not one elimination each, and
 quadrics.restrict and chowform.chow_eval each take one integer product.
 ff_det's one caller in the package is verify.check_boundary_numbers.
 """
@@ -151,8 +152,10 @@ def poly_gcd(a, b) -> list:
     return a
 
 
-# the prime of the squarefree certificate in distinct_root_count
-_CERT_P = (1 << 61) - 1
+# the prime of the squarefree certificate in distinct_root_count: the
+# largest below 2^30, so every residue is one 30-bit CPython digit and a
+# product of two residues at most two; the certificate holds for any prime
+_CERT_P = (1 << 30) - 35
 
 
 def _gcd_degree_mod_p(a, b) -> int:
@@ -176,7 +179,7 @@ def distinct_root_count(coeffs) -> tuple[int, int]:
     squarefree part p / gcd(p, p'), so no root finding or factoring is
     involved.
 
-    A squarefree polynomial is certified modulo the prime P = 2^61 - 1 first.
+    A squarefree polynomial is certified modulo the prime P = 2^30 - 35 first.
     With a the integer polynomial, when P does not divide lc(a) and
     gcd(a mod P, a' mod P) is a constant, the integer gcd g is a constant
     too: lc(g) divides lc(a), so reducing mod P keeps the degree of g.  In

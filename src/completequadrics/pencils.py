@@ -63,16 +63,22 @@ class Pencil(Record):
         Record.__init__(self, q0, q1)
 
     @cached_property
+    def _det_ints(self) -> list:
+        # the integer coefficients of det(A + tB), computed on first use and
+        # kept, with L the common denominator and A = L Q0, B = L Q1 integral:
+        # L^size times those of det(Q0 + tQ1), with the same zeros and roots.
+        # Like det_form, kept in the instance __dict__, outside the fields,
+        # so equality and the hash still read q0 and q1 only; a raise is not
+        # kept.
+        a, b, _ = _scaled(self.q0, self.q1)
+        return _det_binary(a, b)
+
+    @cached_property
     def det_form(self) -> BinaryForm:
-        """det(s Q0 + t Q1), computed on first use and kept."""
-        # kept in the instance __dict__, outside the fields, so equality and
-        # the hash still read q0 and q1 only; a raise is not kept.  With L the
-        # common denominator, A = L Q0 and B = L Q1 are integral, and dividing
-        # the integer coefficients of det(A + tB) by L^size gives those of
-        # det(Q0 + tQ1).
-        a, b, scale = _scaled(self.q0, self.q1)
-        denom = scale ** len(a)
-        return BinaryForm(tuple(Fraction(x, denom) for x in _det_binary(a, b)))
+        """det(s Q0 + t Q1), computed on first use and kept: the kept
+        integer coefficients over L^size."""
+        denom = math.lcm(self.q0.den, self.q1.den) ** (self.q0.n + 1)
+        return BinaryForm(tuple(Fraction(x, denom) for x in self._det_ints))
 
 
 class BinaryForm(Record):
@@ -122,8 +128,12 @@ def _count_binary_roots(coeffs) -> DegenerationCount:
 
 
 def count_degenerations(p: Pencil) -> DegenerationCount:
-    """Number of singular members of the pencil, with and without multiplicity."""
-    return _count_binary_roots(pencil_det_form(p).coeffs)
+    """Number of singular members of the pencil, with and without multiplicity.
+
+    Counted on the kept integer coefficients of det(A + tB), a positive
+    multiple of the determinant form, so no Fraction is built.
+    """
+    return _count_binary_roots(p._det_ints)
 
 
 def count_tangencies(p: Pencil, basis) -> DegenerationCount:
@@ -185,19 +195,20 @@ def _pencil_seeds(r) -> tuple:
 
 def _certified_pencil(r, m: int) -> Pencil:
     # two smooth forms on P^m, from the seeds of _pencil_seeds, certified by
-    # the determinant form a count of their degenerations takes.  Both forms
-    # are built from the first M of their random_form streams with no
-    # elimination (_first_smooth_form); c_0 = det Q0 and c_(m+1) = det Q1
-    # are nonzero exactly when the first M of Q0, of Q1, is invertible, and
-    # then that form is random_form's.  With both nonzero the pencil keeps
-    # its form; a member with a zero coefficient is rebuilt through
+    # the integer determinant coefficients a count of their degenerations
+    # takes (Pencil._det_ints).  Both forms are built from the first M of
+    # their random_form streams with no elimination (_first_smooth_form), so
+    # both are integral and c_0 = det Q0, c_(m+1) = det Q1.  These are
+    # nonzero exactly when the first M of Q0, of Q1, is invertible, and then
+    # that form is random_form's.  With both nonzero the pencil keeps its
+    # coefficients; a member with a zero coefficient is rebuilt through
     # random_form from its seed, and both are when the candidates raise, so
     # the members are random_form's of the two seeds in every case.
     s0, s1 = _pencil_seeds(r)
     q0, q1 = _first_smooth_form(m, s0), _first_smooth_form(m, s1)
     try:
         p = Pencil(q0, q1)
-        c0, *_, c1 = p.det_form.coeffs
+        c0, *_, c1 = p._det_ints
     except DegeneratePencilError:
         return Pencil(random_form(m, m + 1, s0), random_form(m, m + 1, s1))
     if c0 and c1:

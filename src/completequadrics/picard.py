@@ -93,9 +93,12 @@ class CurveClass(Record):
 
 
 def _into_h(basis: str, x) -> tuple:
-    """H coordinates of the class with coordinates x in basis E or mixed, by
-    the Cartan relation; the mixed basis H_1, E_1, .., E_{n-1} reads as x_1 H_1
-    plus the E coordinates (x_2, .., x_n, 0), padded here with e_0 = e_{n+1} = 0."""
+    """H coordinates of the class with coordinates x in the named basis: x
+    itself in basis H, else by the Cartan relation; the mixed basis H_1, E_1,
+    .., E_{n-1} reads as x_1 H_1 plus the E coordinates (x_2, .., x_n, 0),
+    padded here with e_0 = e_{n+1} = 0."""
+    if basis == "H":
+        return x
     e = [0, *x, 0] if basis == "E" else [0, *x[1:], 0, 0]
     h = [2 * e[i] - e[i - 1] - e[i + 1] for i in range(1, len(e) - 1)]
     if basis == "mixed":
@@ -108,12 +111,8 @@ def _from_h(basis: str, h) -> tuple:
     Cartan relation run backwards, row by row, with no solve."""
     n = len(h)
     if basis == "E":
-        # e_1 is row 1 of the inverse Cartan matrix, (n+1-j)/(n+1), dotted
-        # with h; then row i gives e_{i+1} = 2e_i - e_{i-1} - h_i
-        e = [0, Fraction(sum((n + 1 - j) * x for j, x in enumerate(h, 1)), n + 1)]
-        for i in range(1, n):
-            e.append(2 * e[i] - e[i - 1] - h[i - 1])
-        return tuple(e[1:])
+        (ints,), scale = clear_denominators([h])
+        return tuple(Fraction(x, (n + 1) * scale) for x in _scaled_e(ints))
     # mixed: E_n has coordinate 0, so from the last row up
     # b_{j-1} = 2b_j - b_{j+1} - h_j, and row 1 leaves the H_1 coordinate
     b = [0] * (n + 2)
@@ -122,13 +121,25 @@ def _from_h(basis: str, h) -> tuple:
     return (h[0] - 2 * b[1] + b[2], *b[1:n])
 
 
+def _scaled_e(h) -> list:
+    """n + 1 times the E coordinates of the class with H coordinates h, in
+    integers when h is: the Cartan relation run backwards, row by row.  Row
+    1 of the inverse Cartan matrix, (n+1-j)/(n+1), dotted with h gives e_1;
+    then row i gives e_{i+1} = 2e_i - e_{i-1} - h_i."""
+    n = len(h)
+    e = [0, sum((n + 1 - j) * x for j, x in enumerate(h, 1))]
+    for i in range(1, n):
+        e.append(2 * e[i] - e[i - 1] - (n + 1) * h[i - 1])
+    return e[1:]
+
+
 def convert(d: DivisorClass, basis: str) -> DivisorClass:
     """Rewrite a divisor class in another named basis (exactly)."""
     if basis not in BASES:
         raise ValueError("unknown basis %r" % (basis,))
     if basis == d.basis:
         return d
-    h = d.coeffs if d.basis == "H" else _into_h(d.basis, d.coeffs)
+    h = _into_h(d.basis, d.coeffs)
     return DivisorClass(d.n, basis, h if basis == "H" else _from_h(basis, h))
 
 
@@ -158,7 +169,8 @@ def cone_membership(d: DivisorClass, cone: str) -> ConeMembership:
         h = convert(d, "H").coeffs
         return ConeMembership(all(c >= 0 for c in h), all(c > 0 for c in h))
     if cone == "eff":
-        e = convert(d, "E").coeffs
+        # the E coordinates, or their signs: _scaled_e of the integer H vector
+        e = d.coeffs if d.basis == "E" else _scaled_e(integer_h(d))
         return ConeMembership(all(c >= 0 for c in e), all(c > 0 for c in e))
     if cone == "mov":
         if d.n != 3:
@@ -268,7 +280,7 @@ def facet_rows(gens: tuple) -> tuple:
 def integer_h(d: DivisorClass) -> list:
     """H coordinates of d times the lcm of their denominators, the integer
     vector that facet_rows are dotted with."""
-    return clear_denominators([convert(d, "H").coeffs])[0][0]
+    return clear_denominators([_into_h(d.basis, d.coeffs)])[0][0]
 
 
 # order, Fl coordinates and covered locus of the n = 3 test curves; the

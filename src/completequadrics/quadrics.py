@@ -20,6 +20,7 @@ import itertools
 import math
 import operator
 import random
+import struct
 from fractions import Fraction
 
 from ._value import Record
@@ -296,14 +297,21 @@ def _congruent_form(n: int, r: int, seed: int, draw) -> SymmetricForm:
     size = n + 1
     d = [(1, 2, 3, -1, -2, 5)[_randbelow(rng, 6)] for _ in range(r)]
     m = draw(rng, size, size)
-    # (M^T D M)_ij = sum over k < r of d_k m_ki m_kj, in integers
-    cols = list(zip(*m[:r]))
-    rows = [[None] * size for _ in range(size)]
-    for i in range(size):
-        di = [dk * x for dk, x in zip(d, cols[i])]
-        for j in range(i, size):
-            rows[i][j] = rows[j][i] = sum(map(operator.mul, di, cols[j]))
-    return SymmetricForm._unchecked(rows)
+    # Row i of M^T D M is the sum over k < r of m_ki times row k of D M, each
+    # row held as one int of size signed 32-bit lanes, sum_j v_j 2^(32j).
+    # Every entry has |sum_k d_k m_ki m_kj| <= 45r < 2^31 (|d_k| <= 5,
+    # |m_kj| <= 3), so no lane of a sum carries into the next.  struct packs
+    # a row as two's-complement lanes; XOR with the flip, 2^31 in every lane,
+    # then subtracting it gives the lane sum.  Adding the flip back makes
+    # every lane nonnegative, and XOR with it returns the two's-complement
+    # lanes that struct unpacks.
+    fmt = "<%di" % size
+    flip = int.from_bytes(b"\0\0\0\x80" * size, "little")
+    packed = [dk * ((int.from_bytes(struct.pack(fmt, *row), "little") ^ flip) - flip)
+              for dk, row in zip(d, m)]
+    return SymmetricForm._unchecked(
+        [struct.unpack(fmt, ((sum(map(operator.mul, col, packed)) + flip) ^ flip).to_bytes(4 * size, "little"))
+         for col in zip(*m[:r])])
 
 
 def random_form(n: int, r: int, seed: int) -> SymmetricForm:

@@ -808,7 +808,7 @@ def test_distinct_root_count_matches_fraction_gcd(seed):
     assert distinct_root_count(cs) == (len(cs) - 1, squarefree_degree)
 
 
-P = 2 ** 61 - 1  # the certificate's prime
+P = exact._CERT_P  # the certificate's prime
 
 
 def _reference_root_count(cs):

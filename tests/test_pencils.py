@@ -268,16 +268,41 @@ class TestDetFormKept:
         assert p.det_form == fresh.det_form
 
     def test_smooth_draw_needs_no_form_check(self):
-        # the certified draw keeps the form it was accepted by, whose end
-        # coefficients det Q0 and det Q1 are nonzero; a rebuilt draw keeps
-        # none
+        # the certified draw keeps the integer coefficients it was accepted
+        # by, whose ends det Q0 and det Q1 are nonzero, and builds no
+        # Fraction form; a rebuilt draw keeps neither
         for m in range(1, 7):
             for seed in range(50):
                 p = pencils._certified_pencil(random.Random(seed), m)
-                assert ("det_form" in vars(p)) != candidate_rejected(m, seed), (m, seed)
+                assert ("_det_ints" in vars(p)) != candidate_rejected(m, seed), (m, seed)
+                assert "det_form" not in vars(p), (m, seed)
                 coeffs = pencil_det_form(p).coeffs
                 assert coeffs[0] == exact.ff_det(p.q0.rows) != 0, (m, seed)
                 assert coeffs[-1] == exact.ff_det(p.q1.rows) != 0, (m, seed)
+
+    @pytest.mark.parametrize("m", range(1, 17))
+    def test_degeneration_count_builds_no_fraction(self, m, monkeypatch):
+        # the draw and the count read the kept integer coefficients; the
+        # Fraction form is built only when asked for, and then kept
+        made = []
+        new = Fraction.__new__
+
+        def counted(cls, *args, **kwargs):
+            made.append(args)
+            return new(cls, *args, **kwargs)
+
+        for seed in range(3):
+            with monkeypatch.context() as patch:
+                patch.setattr(Fraction, "__new__", counted)
+                p = random_pencil(m, seed)
+                c = count_degenerations(p)
+            assert made == [], (m, seed)
+            assert c.total == m + 1
+            form = pencil_det_form(p)
+            assert p.q0.den == p.q1.den == 1
+            assert form.coeffs == tuple(map(Fraction, _det_binary(p.q0.ints, p.q1.ints)))
+            assert all(type(x) is Fraction for x in form.coeffs)
+            assert pencil_det_form(p) is form
 
     def test_pencil_stays_frozen(self):
         p = random_pencil(2, 1)

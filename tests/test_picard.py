@@ -236,6 +236,21 @@ def test_convert_and_effective_membership_solve_nothing(monkeypatch):
             cone_membership(d, "eff")
 
 
+def test_effective_membership_builds_no_class(monkeypatch):
+    # the signs come from the integer recurrence on integer_h, with no
+    # converted DivisorClass in between
+    rng = random.Random(1400)
+    classes = [DivisorClass(n, basis, [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)])
+               for n in (2, 3, 7, 100) for basis in BASES]
+    expected = [cone_membership(d, "eff") for d in classes]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("DivisorClass built")
+
+    monkeypatch.setattr(DivisorClass, "__init__", refuse)
+    assert [cone_membership(d, "eff") for d in classes] == expected
+
+
 def test_movable_membership_matches_solve_exact():
     pieces = [
         [convert(g, "H").coeffs for g in triple]

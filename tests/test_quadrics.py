@@ -7,6 +7,7 @@ the differential at a random smooth point gives the stratum dimension.
 
 import itertools
 import math
+import operator
 import os
 import pathlib
 import random
@@ -408,3 +409,49 @@ def test_random_basis_rejects_more_columns_than_rows(rows, cols):
     # forever; the shape raises before anything is drawn
     with pytest.raises(ValueError, match="cannot have rank"):
         _random_basis(_NoDraws(), rows, cols)
+
+
+def congruent_reference(d, m):
+    # oracle: (M^T D M)_ij = sum over k < r of d_k m_ki m_kj, entry by entry
+    # for j >= i and mirrored
+    cols = list(zip(*m[:len(d)]))
+    size = len(cols)
+    rows = [[None] * size for _ in range(size)]
+    for i in range(size):
+        di = [dk * x for dk, x in zip(d, cols[i])]
+        for j in range(i, size):
+            rows[i][j] = rows[j][i] = sum(map(operator.mul, di, cols[j]))
+    return rows
+
+
+@pytest.mark.parametrize("n", range(21))
+@pytest.mark.parametrize("draw", [quadrics._int_matrix, _random_basis])
+def test_congruent_form_matches_entry_sums(n, draw):
+    # the packed-lane product against the plain sums, for every rank r, on
+    # the M the draw returned and the d_k that rng.choice draws before it
+    drawn = []
+
+    def recorded(*args):
+        drawn.append(draw(*args))
+        return drawn[-1]
+
+    for r in range(1, n + 2):
+        for seed in range(30):
+            q = quadrics._congruent_form(n, r, seed, recorded)
+            rng = random.Random(seed)
+            d = [rng.choice([1, 2, 3, -1, -2, 5]) for _ in range(r)]
+            assert q.den == 1
+            assert [list(row) for row in q.ints] == congruent_reference(d, drawn[-1]), (n, r, seed)
+
+
+@pytest.mark.parametrize("n", range(21))
+def test_congruent_form_reaches_the_lane_bound(n, monkeypatch):
+    # every d_k = 5 and every m_kj = 3 s_j with signs s_j of both kinds:
+    # entry (i, j) is 45 r s_i s_j, the largest |entry| the lanes must hold,
+    # positive and negative
+    size = n + 1
+    signs = [(-1) ** (j // 2) for j in range(size)]
+    monkeypatch.setattr(quadrics, "_randbelow", lambda rng, k: 5)
+    for r in range(1, size + 1):
+        q = quadrics._congruent_form(n, r, 0, lambda rng, rows, cols: [[3 * s for s in signs]] * rows)
+        assert [list(row) for row in q.ints] == [[45 * r * si * sj for sj in signs] for si in signs], (n, r)
