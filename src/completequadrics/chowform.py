@@ -12,9 +12,10 @@ Rational evaluation runs on Python integers: plucker and chow_eval share
 one scaling of the basis and its maximal minors (_int_plucker), chow_eval
 takes the integer compound of the form's integer matrix
 (quadrics._int_minors), sums the quadratic form in integers and builds one
-Fraction at the end.  No minor is a determinant of its own: both are built
-by Laplace expansion, each level of minors from the one below, with the
-same cached subset tables.  Every limit is one kernel, _family_limit: the lowest x-order of
+Fraction at the end.  No minor is a determinant of its own: both take
+each 2 x 2 minor by its two products and build every higher level of minors
+by Laplace expansion from the one below, with the same cached subset
+tables.  Every limit is one kernel, _family_limit: the lowest x-order of
 the compound of a symmetric integer matrix polynomial and its coefficient,
 from one integer compound at x = 2^K (_compound_poly) read back as base-2^K
 digits by exact._kronecker, which also reads the three flag parameters of
@@ -79,9 +80,11 @@ def _int_plucker(basis, size=None) -> tuple:
     basis is scaled once by the lcm L of its denominators to B; minors
     are det B[S, :] on each k-subset S, in lexicographic order, and the
     Pluecker coordinates are minors / den with den = L**k.  The minors on
-    the first j columns are built for j = 1..k, each j x j minor expanded
-    along column j - 1 into the (j-1)-minors of the level before, with the
-    subset tables of the compound (quadrics._laplace_cols).
+    the first j columns are built for j = 1..k: at j = 2 each is taken by
+    its two products, b_r[0] b_s[1] - b_r[1] b_s[0] for rows r < s, and
+    above it each j x j minor is expanded along column j - 1 into the
+    (j-1)-minors of the level before, with the subset tables of the
+    compound (quadrics._laplace_cols).
     """
     ints, scale = _int_rows(basis)
     if size is not None and len(ints) != size:
@@ -90,8 +93,9 @@ def _int_plucker(basis, size=None) -> tuple:
     minors, den = [], 1
     if k:
         size = len(ints)
-        minors = [r[0] for r in ints]
-        for j in range(2, k + 1):
+        minors = ([r[0] * s[1] - r[1] * s[0] for r, s in itertools.combinations(ints, 2)]
+                  if k > 1 else [r[0] for r in ints])
+        for j in range(3, k + 1):
             col = [r[j - 1] for r in ints]
             neg = [-x for x in col]
             # the expansion along the last of j columns carries (-1)**(j-1)

@@ -6,11 +6,13 @@ classes under the n wedge maps) and the boundary classes E_1..E_n related by
     E_i = 2 H_i - H_{i-1} - H_{i+1},   with H_0 = H_{n+1} = 0,
 
 so the boundary-to-nef change of basis is the Cartan matrix of type A_n (its
-determinant is n+1).  No basis matrix is stored: conversion into H applies
-the relation, and conversion out of H runs it backwards, in O(n) exact
-additions with no solve.  Curves are written in the basis Fl_1..Fl_n dual
-to the H_i; all intersection pairings reduce to this duality, which lets the
-whole X_3 intersection table be regenerated from its H columns alone.
+determinant is n+1).  No basis matrix is stored: the coordinates are
+scaled to integers once by the lcm of their denominators, conversion into H
+applies the relation, and conversion out of H runs it backwards, in O(n)
+integer additions with no solve.  Curves are written in the basis
+Fl_1..Fl_n dual to the H_i; all intersection pairings reduce to this
+duality, which lets the whole X_3 intersection table be regenerated from
+its H columns alone.
 
 A class is placed against a tuple of generators by the signs of its
 coordinates in them.  For the nef and effective cones these are its H and
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from math import gcd
 
 from ._value import Record
 from .exact import UnderdeterminedSystem, clear_denominators, format_rat, parse_rat, solve_exact
@@ -93,32 +96,35 @@ class CurveClass(Record):
 
 
 def _into_h(basis: str, x) -> tuple:
-    """H coordinates of the class with coordinates x in the named basis: x
-    itself in basis H, else by the Cartan relation; the mixed basis H_1, E_1,
-    .., E_{n-1} reads as x_1 H_1 plus the E coordinates (x_2, .., x_n, 0),
-    padded here with e_0 = e_{n+1} = 0."""
+    """(g, L): integers with g / L the H coordinates of the class with
+    coordinates x in the named basis, L the lcm of the denominators of x.
+    x is scaled by L once; in basis E or mixed the Cartan relation then runs
+    in integers.  The mixed basis H_1, E_1, .., E_{n-1} reads as x_1 H_1
+    plus the E coordinates (x_2, .., x_n, 0), padded here with
+    e_0 = e_{n+1} = 0."""
+    (x,), scale = clear_denominators([x])
     if basis == "H":
-        return x
+        return x, scale
     e = [0, *x, 0] if basis == "E" else [0, *x[1:], 0, 0]
-    h = [2 * e[i] - e[i - 1] - e[i + 1] for i in range(1, len(e) - 1)]
+    g = [2 * e[i] - e[i - 1] - e[i + 1] for i in range(1, len(e) - 1)]
     if basis == "mixed":
-        h[0] += x[0]
-    return tuple(h)
+        g[0] += x[0]
+    return g, scale
 
 
-def _from_h(basis: str, h) -> tuple:
-    """Coordinates in basis E or mixed of the class with H coordinates h: the
-    Cartan relation run backwards, row by row, with no solve."""
-    n = len(h)
+def _from_h(basis: str, g, scale: int) -> tuple:
+    """Coordinates in basis E or mixed of the class with H coordinates
+    g / scale, g integers: the Cartan relation run backwards in integers,
+    row by row, with no solve."""
+    n = len(g)
     if basis == "E":
-        (ints,), scale = clear_denominators([h])
-        return tuple(Fraction(x, (n + 1) * scale) for x in _scaled_e(ints))
+        return tuple(Fraction(x, (n + 1) * scale) for x in _scaled_e(g))
     # mixed: E_n has coordinate 0, so from the last row up
-    # b_{j-1} = 2b_j - b_{j+1} - h_j, and row 1 leaves the H_1 coordinate
+    # b_{j-1} = 2b_j - b_{j+1} - g_j, and row 1 leaves the H_1 coordinate
     b = [0] * (n + 2)
     for j in range(n, 1, -1):
-        b[j - 1] = 2 * b[j] - b[j + 1] - h[j - 1]
-    return (h[0] - 2 * b[1] + b[2], *b[1:n])
+        b[j - 1] = 2 * b[j] - b[j + 1] - g[j - 1]
+    return tuple(Fraction(x, scale) for x in (g[0] - 2 * b[1] + b[2], *b[1:n]))
 
 
 def _scaled_e(h) -> list:
@@ -139,8 +145,10 @@ def convert(d: DivisorClass, basis: str) -> DivisorClass:
         raise ValueError("unknown basis %r" % (basis,))
     if basis == d.basis:
         return d
-    h = _into_h(d.basis, d.coeffs)
-    return DivisorClass(d.n, basis, h if basis == "H" else _from_h(basis, h))
+    g, scale = _into_h(d.basis, d.coeffs)
+    if basis == "H":
+        return DivisorClass(d.n, basis, tuple(Fraction(x, scale) for x in g))
+    return DivisorClass(d.n, basis, _from_h(basis, g, scale))
 
 
 def pair(c: CurveClass, d: DivisorClass) -> Fraction:
@@ -279,8 +287,11 @@ def facet_rows(gens: tuple) -> tuple:
 
 def integer_h(d: DivisorClass) -> list:
     """H coordinates of d times the lcm of their denominators, the integer
-    vector that facet_rows are dotted with."""
-    return clear_denominators([_into_h(d.basis, d.coeffs)])[0][0]
+    vector that facet_rows are dotted with: g // gcd(L, *g) for the H
+    coordinates g / L of _into_h."""
+    g, scale = _into_h(d.basis, d.coeffs)
+    c = gcd(scale, *g)
+    return [x // c for x in g]
 
 
 # order, Fl coordinates and covered locus of the n = 3 test curves; the

@@ -8,9 +8,10 @@ flag of forms, each living on the singular locus of the previous one.
 
 A form is stored as an integer matrix and one denominator (SymmetricForm),
 and every kernel computes in those integers.  The k-th compound, the matrix
-of all k x k minors, is taken in one Laplace pass: each level of minors
-expands into the level below along one row, over subset tables that are
-built on first use and cached per shape (_int_minors).
+of all k x k minors, is taken in one Laplace pass: level 2 is taken by the
+two products of each 2 x 2 minor, and each higher level of minors expands
+into the level below along one row, over subset tables that are built on
+first use and cached per shape (_int_minors).
 """
 
 from __future__ import annotations
@@ -162,10 +163,12 @@ def _int_minors(ints, k: int) -> list:
     """Rows of the k-th compound of a symmetric integer matrix A, in
     lexicographic subset order: entry (S, T) is det A[S, T].
 
-    The minors are built level by level: a j x j minor on rows R and
-    columns T expands along the first row of R into the (j-1)-minors on the
-    tail R[1:], which level j - 1 already holds.  Every row set at level j
-    is the tail of a k-subset, so that level only needs the j-subsets of
+    The minors are built level by level.  Level 2 is taken by its two
+    products, r_s[c] r_t[d] - r_s[d] r_t[c] for rows s < t and columns
+    c < d (_laplace_pairs).  Above it, a j x j minor on rows R and columns
+    T expands along the first row of R into the (j-1)-minors on the tail
+    R[1:], which level j - 1 already holds.  Every row set at level j is
+    the tail of a k-subset, so that level only needs the j-subsets of
     range(k - j, size), over all column j-subsets (_laplace_rows,
     _laplace_cols).  det A[S, T] = det A[T, S] for a symmetric A, so level
     k takes only the pairs S <= T and mirrors them.
@@ -175,32 +178,44 @@ def _int_minors(ints, k: int) -> list:
         raise ValueError("k out of range")
     if k == 1:
         return ints
-    # each row followed by its negation, which the column getters pick the
-    # alternating cofactor signs from
-    signed = [[*r, *[-x for x in r]] for r in ints]
-    level = ints[k - 1:]
-    for j in range(2, k + 1):
-        cols = _laplace_cols(size, j)
-        # at level k, row a (the subset S) only needs the columns T >= S
-        level = [[sum(map(operator.mul, entries(signed[s]), minors(level[tail])))
-                  for entries, minors in (cols[a:] if j == k else cols)]
-                 for a, (s, tail) in enumerate(_laplace_rows(size, k, j))]
+    pairs = _laplace_pairs(size)
+    # at level k, row a (the subset S) only needs the columns T >= S
+    level = [[rs[c] * rt[d] - rs[d] * rt[c] for c, d in (pairs[a:] if k == 2 else pairs)]
+             for a, (rs, rt) in enumerate(itertools.combinations(ints[k - 2:], 2))]
+    if k > 2:
+        # each row followed by its negation, which the column getters pick
+        # the alternating cofactor signs from
+        signed = [[*r, *[-x for x in r]] for r in ints]
+        for j in range(3, k + 1):
+            cols = _laplace_cols(size, j)
+            level = [[sum(map(operator.mul, entries(signed[s]), minors(level[tail])))
+                      for entries, minors in (cols[a:] if j == k else cols)]
+                     for a, (s, tail) in enumerate(_laplace_rows(size, k, j))]
     return [[level[b][a - b] for b in range(a)] + row for a, row in enumerate(level)]
 
 
 @functools.cache
+def _laplace_pairs(size: int) -> tuple:
+    """The column pairs (c, d), c < d, of range(size) in lexicographic
+    order: the columns of level 2 in _int_minors."""
+    return tuple(itertools.combinations(range(size), 2))
+
+
+@functools.cache
 def _laplace_rows(size: int, k: int, j: int) -> tuple:
-    """(R[0], index of R[1:]) for each j-subset R of range(k - j, size), in
-    lexicographic order; the index is that of the tail among the (j-1)-subsets
-    of range(k - j + 1, size), the rows of level j - 1 in _int_minors."""
+    """(R[0], index of R[1:]) for each j-subset R of range(k - j, size),
+    j >= 3 (level 2 is taken by its products), in lexicographic order; the
+    index is that of the tail among the (j-1)-subsets of
+    range(k - j + 1, size), the rows of level j - 1 in _int_minors."""
     tails = {t: i for i, t in enumerate(itertools.combinations(range(k - j + 1, size), j - 1))}
     return tuple((r[0], tails[r[1:]]) for r in itertools.combinations(range(k - j, size), j))
 
 
 @functools.cache
 def _laplace_cols(size: int, j: int) -> tuple:
-    """(entries, minors) getters for each j-subset T of range(size), j >= 2,
-    in lexicographic order, for the expansion of a j x j minor along one line.
+    """(entries, minors) getters for each j-subset T of range(size), j >= 3,
+    in lexicographic order, for the expansion of a j x j minor along one line
+    (level 2 is taken by its products, with no getters).
 
     For a line x followed by its negation (2 * size values), entries picks
     (-1)**i x[T[i]], i = 0..j-1; for a list of the (j-1)-minors on all

@@ -169,6 +169,27 @@ def test_int_plucker_matches_per_subset_int_det():
     assert chowform._int_plucker(half) == (2, 2, [6, 18, -12], 36)
 
 
+def test_level_two_minors_take_no_laplace_tables(monkeypatch):
+    # every 2 x 2 minor of a compound or a Pluecker vector is taken by its
+    # two products: the expansion getters serve levels j >= 3 only
+    calls = []
+    real = quadrics._laplace_cols
+
+    def recorded(size, j):
+        calls.append(j)
+        return real(size, j)
+
+    monkeypatch.setattr(quadrics, "_laplace_cols", recorded)
+    monkeypatch.setattr(chowform, "_laplace_cols", recorded)
+    for size in range(2, 8):
+        q = random_form(size - 1, size, seed=size)
+        for k in range(2, size + 1):
+            compound(q, k)
+            # a Vandermonde basis has full column rank
+            chow_eval(q, k, [[(i + 1) ** j for j in range(k)] for i in range(size)])
+    assert calls and min(calls) == 3
+
+
 def test_int_entry_basis():
     q = random_form(3, 4, seed=8)
     for k, b in ((1, [[1], [2], [0], [-1]]), (2, [[1, 0], [2, 1], [0, 3], [-1, 0]])):

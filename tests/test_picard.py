@@ -195,6 +195,14 @@ def test_integer_h_is_a_positive_multiple():
     assert [Fraction(x, 6) for x in h] == list(convert(d, "H").coeffs)
 
 
+def test_integer_h_clears_only_the_h_denominators():
+    # E = (1/2, 1, 1/2) has H = (0, 1, 0): scaling the E coordinates by
+    # their lcm 2 gives (0, 2, 0), which integer_h must reduce
+    d = DivisorClass(3, "E", (Fraction(1, 2), 1, Fraction(1, 2)))
+    assert convert(d, "H").coeffs == (0, 1, 0)
+    assert integer_h(d) == [0, 1, 0]
+
+
 @pytest.mark.parametrize("n", [*range(2, 7), 50, 100])
 def test_convert_round_trips_every_basis(n):
     # each basis matrix is invertible (a singular one raises here), so the

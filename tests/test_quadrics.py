@@ -280,7 +280,8 @@ def test_import_builds_no_laplace_tables():
     code = (
         "import completequadrics\n"
         "from completequadrics import quadrics\n"
-        "print([f.cache_info().currsize for f in (quadrics._laplace_rows, quadrics._laplace_cols)])\n"
+        "print([f.cache_info().currsize for f in\n"
+        "       (quadrics._laplace_pairs, quadrics._laplace_rows, quadrics._laplace_cols)])\n"
     )
     src = pathlib.Path(quadrics.__file__).resolve().parent.parent
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
@@ -289,8 +290,9 @@ def test_import_builds_no_laplace_tables():
         env=dict(os.environ, PYTHONPATH=path), timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[0, 0]\n"
+    assert proc.stdout == "[0, 0, 0]\n"
     compound(random_form(3, 4, seed=1), 3)
+    assert quadrics._laplace_pairs.cache_info().currsize > 0
     assert quadrics._laplace_rows.cache_info().currsize > 0
 
 
