@@ -1,13 +1,14 @@
 """A tour of the eight chambers of the effective cone for n = 3.
 
 Walks the segment from H1 to H3 through the movable region, classifies one
-divisor class per chamber, and finishes with a randomized census of the
-partition property.
+divisor class per chamber, and finishes with the face census: the partition
+property checked on one class of every face of the classifier's planes.
 """
 
 from fractions import Fraction
 
-from completequadrics import DivisorClass, chamber_census, classify, classify_segment
+from completequadrics import DivisorClass, classify, classify_segment
+from completequadrics.chambers import face_census
 
 
 def line(report):
@@ -37,12 +38,11 @@ def main():
         print("  %-28s" % name, line(classify(d)))
     print()
 
-    census = chamber_census(4000, seed=0)
-    print("census of 4000 random effective classes:")
-    for cid in sorted(census["chamber_counts"], key=int):
-        print("  chamber %s: %5d classes" % (cid, census["chamber_counts"][cid]))
-    print("  all eight chambers hit:", census["all_eight_hit"])
-    print("  (the census itself asserts single ownership and duality equivariance)")
+    census = face_census()
+    print("census of the %d faces of the chamber planes:" % sum(census["faces"].values()))
+    for cid in sorted(census["chamber_faces"], key=int):
+        print("  chamber %s: %3d faces" % (cid, census["chamber_faces"][cid]))
+    print("  non-effective faces, accepted by no region: %d" % census["non_effective"])
 
 
 if __name__ == "__main__":

@@ -14,16 +14,17 @@ named in REGIONS and for the effective cone over E1, E2, E3, and every
 forcing-curve pairing lie on one of eleven planes through the origin.  A
 class's sign pattern is the signs of the dot products of any positive
 multiple of its integer H vector with the eleven plane normals: each public
-call scales the H vector to integers once (picard.integer_h); the census
-reads the integer vector its draw holds, and the mirror's as that vector
-reversed.  Region, position, nef and effectivity tests and forced loci are
-then read from one placement per sign pattern, built on first use and
-cached; each cone's test is compiled once into (plane, orientation, strict)
-facets (_cone_tests).  The eleven planes cut R^3 into exactly 231 faces
-(_faces), so at most 231 placements exist.  Wall points therefore resolve
-exactly and deterministically, and face_census checks the partition on one
-class of every face.  For the same reason the census checks each sign
-pattern it meets in full once (_check_class).
+call scales the H vector to integers once (picard.integer_h); the censuses
+read the integer vector a face or a draw holds, and face_census the
+mirror's as that vector reversed.  Region, position, nef and effectivity
+tests and forced loci are then read from one placement per sign pattern,
+built on first use and cached; each cone's test is compiled once into
+(plane, orientation, strict) facets (_cone_tests).  The eleven planes cut
+R^3 into exactly 231 faces (_faces), so at most 231 placements exist.  Wall
+points therefore resolve exactly and deterministically, and face_census
+checks the partition on one class of every face.  For the same reason
+chamber_census only counts its draws: a drawn class has the sign pattern,
+and so the answers, of a face.
 
 The duality involution (H1 <-> H3, E1 <-> E3) permutes the regions as
 (3 4)(6 7) and fixes the rest; the region data below is arranged so the
@@ -453,7 +454,7 @@ def _drawn(coeffs, gens) -> list:
     return [a * x + b * y + c * z for x, y, z in _h_rows(gens)]
 
 
-def _named(h, den: int) -> DivisorClass:
+def _named(h, den: int = 1) -> DivisorClass:
     # the class whose H vector times den is h, built only to name it in a failure
     return DivisorClass(3, "H", tuple(Fraction(x, den) for x in h))
 
@@ -487,37 +488,10 @@ def _sample_effective(rng) -> list:
             return _drawn(coeffs, _EFF[0])
 
 
-# sign pattern -> (the _placement function, the placement it returned, the
-# report) of the pattern's last passing full check; one entry per face at most
-_CHECKED = {}
+def _full_check(h) -> ChamberReport:
+    """Run every partition check at one effective class; return its report.
 
-
-def _check_class(h, den: int) -> ChamberReport:
-    """Check the partition at one effective class and return its report.
-
-    h is the class's H vector times den, integers.  Every check of
-    _full_check reads the class through its sign pattern alone (the nef
-    test too: the first three planes are the coordinate planes), so each
-    pattern is checked in full once and its report is kept in _CHECKED.
-    A later class of the pattern gets that report back as long as
-    _placement is the same function and returns the same placement object;
-    after a cache clear or a patch of _placement the pattern is checked in
-    full again.  A failure is never kept.
-    """
-    signs = _plane_signs(h)
-    own = _placement(signs)
-    seen = _CHECKED.get(signs)
-    if seen is not None and seen[0] is _placement and seen[1] is own:
-        return seen[2]
-    report = _full_check(h, den)
-    _CHECKED[signs] = (_placement, own, report)
-    return report
-
-
-def _full_check(h, den: int) -> ChamberReport:
-    """Run every census check at one effective class; return its report.
-
-    h is the class's H vector times den, integers.  Two placements are read,
+    h is an integer H vector of the class.  Two placements are read,
     from the signs of h and of the reversed vector, the mirror's under
     picard.xi (H1 <-> H3).  They hold what accepting_regions, classify (apart
     from the small-wall certificate) and forced_base_loci return.  It checks
@@ -528,26 +502,26 @@ def _full_check(h, den: int) -> ChamberReport:
     """
     placement = _placement(_plane_signs(h))
     if len(placement.accepted) != 1:
-        raise AssertionError("regions %r accept %r" % (list(placement.accepted), _named(h, den)))
+        raise AssertionError("regions %r accept %r" % (list(placement.accepted), _named(h)))
     # _reported, which needs the class to name it, runs only without a report
-    report = placement.report or _reported(placement, _named(h, den))
+    report = placement.report or _reported(placement, _named(h))
 
     dual = _placement(_plane_signs(h[::-1]))
-    mirror = dual.report or _reported(dual, _named(h[::-1], den))
+    mirror = dual.report or _reported(dual, _named(h[::-1]))
     if mirror.chamber_id != _XI_CHAMBER[report.chamber_id]:
         raise AssertionError("duality maps chamber %d to %d at %r"
-                             % (report.chamber_id, mirror.chamber_id, _named(h, den)))
+                             % (report.chamber_id, mirror.chamber_id, _named(h)))
     if mirror.base_locus != _xi_pieces(report.base_locus):
-        raise AssertionError("duality breaks base locus at %r" % (_named(h, den),))
+        raise AssertionError("duality breaks base locus at %r" % (_named(h),))
     if mirror.position != _xi_position(report.position):
-        raise AssertionError("duality breaks position at %r" % (_named(h, den),))
+        raise AssertionError("duality breaks position at %r" % (_named(h),))
     if mirror.model_label != _XI_MODEL.get(report.model_label, report.model_label):
-        raise AssertionError("duality breaks model label at %r" % (_named(h, den),))
+        raise AssertionError("duality breaks model label at %r" % (_named(h),))
 
     if not locus_subset(placement.forced, report.base_locus):
-        raise AssertionError("forced locus exceeds reported locus at %r" % (_named(h, den),))
+        raise AssertionError("forced locus exceeds reported locus at %r" % (_named(h),))
     if (report.base_locus == frozenset()) != all(c >= 0 for c in h):
-        raise AssertionError("empty locus must coincide with nef at %r" % (_named(h, den),))
+        raise AssertionError("empty locus must coincide with nef at %r" % (_named(h),))
     return report
 
 
@@ -556,8 +530,8 @@ def face_census() -> dict:
 
     Every answer of the classifier depends only on a class's sign pattern,
     and _faces holds one vector of each pattern, so this covers every
-    nonzero class.  Each effective face gets _check_class, the census's
-    checks; no region may accept a non-effective face.  Returns the face
+    nonzero class.  Each effective face gets _full_check, every partition
+    check; no region may accept a non-effective face.  Returns the face
     counts by dimension, the effective faces per chamber and the number of
     non-effective faces.
     """
@@ -567,10 +541,10 @@ def face_census() -> dict:
     for h in itertools.chain(*faces[1:]):
         placement = _placement(_plane_signs(h))
         if placement.failure is None:
-            counts[_check_class(h, 1).chamber_id] += 1
+            counts[_full_check(h).chamber_id] += 1
         elif placement.accepted:
             raise AssertionError("regions %r accept non-effective %r"
-                                 % (list(placement.accepted), _named(h, 1)))
+                                 % (list(placement.accepted), _named(h)))
         else:
             non_effective += 1
     return {
@@ -581,13 +555,14 @@ def face_census() -> dict:
 
 
 def chamber_census(samples: int, seed: int) -> dict:
-    """Classify seeded random effective classes and verify the partition.
+    """Count seeded random effective classes by the chamber that owns them.
 
     Alternates region-targeted samples (so every chamber is exercised) with
     uniform effective samples.  Each sample is an integer vector, its class's H
-    vector times a fixed denominator, and gets _check_class, which checks each
-    sign pattern in full once: a later sample of a checked pattern costs its
-    draw, its sign pattern and one placement lookup.
+    vector times a fixed denominator, and is counted by its placement alone:
+    its draw, its sign pattern and one placement lookup.  It checks nothing
+    face_census does not: every check reads a class through its sign pattern
+    alone, and face_census checks one class of every pattern.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -598,7 +573,8 @@ def chamber_census(samples: int, seed: int) -> dict:
             h, den = _sample_region(rng, (i // 2) % 8 + 1), 2
         else:
             h, den = _sample_effective(rng), 3
-        counts[_check_class(h, den).chamber_id] += 1
+        placement = _placement(_plane_signs(h))
+        counts[(placement.report or _reported(placement, _named(h, den))).chamber_id] += 1
     result = {
         "samples": samples,
         "chamber_counts": {str(cid): counts[cid] for cid in range(1, 9)},

@@ -27,11 +27,6 @@ SCHEMA = "cq/1"
 # m = 39.  A larger m is rejected with exit 2 before anything is drawn.
 MAX_PENCIL_M = 39
 
-# Largest sample count `cq chamber --census` accepts.  A census classifies
-# about 150,000 samples a second on one 2.1 GHz Xeon core, so this bound runs
-# in about 2 s there; larger counts are rejected with exit 2.
-MAX_CENSUS = 250_000
-
 # `cq chow` admits a shape by its predicted work (_chow_work), in
 # multiply-adds of 64-bit words, and rejects work over MAX_CHOW_WORK with
 # exit 2 before any kernel runs.  Whole commands on one 2.1 GHz Xeon core:
@@ -322,16 +317,14 @@ def cmd_table(args) -> int:
 
 
 def cmd_chamber(args) -> int:
-    if args.census is not None:
-        if args.census > MAX_CENSUS:
-            raise ValueError("chamber --census is at most %d (got %d)" % (MAX_CENSUS, args.census))
+    if args.census:
         try:
-            res = chambers.chamber_census(args.census, args.seed)
+            res = chambers.face_census()
         except (AssertionError, RuntimeError) as exc:
             # a census check failed: the verification ran, exit 1
             sys.stderr.write("error: %s\n" % exc)
             return 1
-        _emit("chamber-census", seed=args.seed, **res)
+        _emit("chamber-census", **res)
         return 0
     if args.segment is not None:
         t = parse_rat(args.segment)
@@ -350,7 +343,7 @@ def cmd_chamber(args) -> int:
 
 def _check_schubert_work(k: int, n: int, work: int) -> None:
     if work > MAX_SCHUBERT_WORK:
-        raise ValueError("an expression on G(%d,%d) takes at most %d units of work"
+        raise ValueError("sigma1^m on G(%d,%d) takes at most %d units of work"
                          % (k, n, MAX_SCHUBERT_WORK))
 
 
@@ -463,10 +456,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("chamber", help="effective-cone chamber of a divisor class")
     g = p.add_mutually_exclusive_group()
     g.add_argument("--divisor", help="divisor class as JSON")
-    g.add_argument("--census", type=int,
-                   help="random-sample partition check, at most %d samples" % MAX_CENSUS)
+    g.add_argument("--census", action="store_true",
+                   help="check the partition on one class of every face of the chamber planes")
     g.add_argument("--segment", help="parameter t on the segment t*H1 + (1-t)*H3")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_chamber)
 
     p = sub.add_parser("schubert", help="the class sigma1^m on a Grassmannian")

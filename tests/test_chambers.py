@@ -29,6 +29,7 @@ from completequadrics.chambers import (
     chamber_census,
     classify,
     classify_segment,
+    face_census,
     FORCING_CURVES,
     forced_base_loci,
     locus_label,
@@ -598,7 +599,7 @@ def test_census_counts_pinned():
     assert hashlib.sha256(json.dumps(counts, sort_keys=True).encode()).hexdigest() == CENSUS_POOL_DIGEST
 
 
-# -- the census's two placements against the public API -------------------------
+# -- the census's placements against the public API and the full check ------
 
 def census_draws(samples, seed):
     """The classes chamber_census(samples, seed) draws, in order."""
@@ -607,28 +608,21 @@ def census_draws(samples, seed):
     return [DivisorClass(3, "H", tuple(Fraction(x, den) for x in h)) for h, den in draws]
 
 
-def recorded_checks(monkeypatch, run):
-    """Each _check_class call while run() runs: its report and the (sign
-    pattern, placement) lookups it made.  _placement is patched, so no
-    report kept under the real one is reused."""
-    checks, lookups = [], []
-    real_check, real_placement = chambers._check_class, chambers._placement
+def recorded_lookups(monkeypatch, run):
+    """The (sign pattern, placement) of each _placement call while run()
+    runs."""
+    lookups = []
+    real = chambers._placement
 
     def placement(signs):
-        found = real_placement(signs)
+        found = real(signs)
         lookups.append((signs, found))
         return found
 
-    def check(h, den):
-        lookups.clear()
-        report = real_check(h, den)
-        checks.append((report, lookups[:]))
-        return report
-
-    monkeypatch.setattr(chambers, "_placement", placement)
-    monkeypatch.setattr(chambers, "_check_class", check)
-    run()
-    return checks
+    with monkeypatch.context() as patch:
+        patch.setattr(chambers, "_placement", placement)
+        run()
+    return lookups
 
 
 def without_certificate(report):
@@ -643,38 +637,38 @@ def xi_image(report):
 
 
 def test_census_reads_what_the_public_api_returns(monkeypatch):
-    # every sample's answer against classify of its class and of the mirror;
-    # a sample reads one placement, a full check also its own again and the
-    # mirror's, and each sign pattern gets one full check
+    # a sample reads one placement: its class's, which holds what the public
+    # calls return for the class
     seeds = range(16)
-    checks = recorded_checks(monkeypatch, lambda: [chamber_census(50, s) for s in seeds])
+    lookups = recorded_lookups(monkeypatch, lambda: [chamber_census(50, s) for s in seeds])
     draws = [d for s in seeds for d in census_draws(50, s)]
-    assert len(checks) == len(draws)
-    full = set()
-    for d, (report, lookups) in zip(draws, checks):
-        mirror = classify(xi(d))
-        assert without_certificate(report) == without_certificate(classify(d)), d
+    assert len(lookups) == len(draws)
+    for d, (signs, own) in zip(draws, lookups):
+        assert signs == chambers._signs(d), d
+        assert list(own.accepted) == accepting_regions(d), d
+        assert without_certificate(own.report) == without_certificate(classify(d)), d
+        assert own.forced == forced_base_loci(d), d
+
+
+def test_full_check_reads_what_the_public_api_returns(monkeypatch):
+    # a full check reads its class's placement and the mirror's: the second
+    # from the reversed vector, which holds what classify returns for xi(d)
+    for h in itertools.chain(*chambers._faces()[1:]):
+        d = DivisorClass(3, "H", h)
+        if chambers._placement(chambers._signs(d)).failure is not None:
+            continue
+        lookups = recorded_lookups(monkeypatch, lambda: chambers._full_check(h))
+        report, mirror = classify(d), classify(xi(d))
+        assert [signs for signs, _ in lookups] == [chambers._signs(d), chambers._signs(xi(d))], h
+        assert without_certificate(lookups[0][1].report) == without_certificate(report), h
+        assert without_certificate(lookups[1][1].report) == without_certificate(mirror), h
         assert xi_image(report) == (mirror.chamber_id, mirror.base_locus, mirror.position,
-                                    mirror.model_label), d
-        assert len(lookups) in (1, 3), d
-        for signs, own in lookups[:2]:
-            assert signs == chambers._signs(d), d
-            assert list(own.accepted) == accepting_regions(d), d
-            assert without_certificate(own.report) == without_certificate(report), d
-            assert own.forced == forced_base_loci(d), d
-        if len(lookups) == 3:
-            mirror_signs, dual = lookups[2]
-            assert mirror_signs == chambers._signs(xi(d)), d
-            assert without_certificate(dual.report) == without_certificate(mirror), d
-            assert lookups[0][0] not in full, d
-            full.add(lookups[0][0])
-    assert full == {chambers._signs(d) for d in draws}
+                                    mirror.model_label), h
 
 
 def test_census_builds_no_class_per_sample(monkeypatch):
     # a passing sample reads its pattern from the integer vector its draw
-    # holds: no class, Fraction or integer_h per sample.  It looks up one
-    # placement, and the one full check of each pattern two more.
+    # holds: no class, Fraction or integer_h per sample, and one placement
     calls = {"integer_h": 0, "DivisorClass": 0, "Fraction": 0}
 
     def counted(name):
@@ -687,18 +681,16 @@ def test_census_builds_no_class_per_sample(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(chambers, name, counted(name))
-    checks = recorded_checks(monkeypatch, lambda: chamber_census(50, 3))
-    rng = random.Random(3)
-    patterns = {chambers._plane_signs(integer_draw(rng, i)[0]) for i in range(50)}
+    lookups = recorded_lookups(monkeypatch, lambda: chamber_census(50, 3))
     assert calls == {"integer_h": 0, "DivisorClass": 0, "Fraction": 0}
-    assert len(checks) == 50 and sum(len(lookups) for _, lookups in checks) == 50 + 2 * len(patterns)
-    assert len(patterns) < 50
+    assert len(lookups) == 50
     assert not hasattr(chambers, "xi")
 
 
 def test_checked_report_depends_on_the_sign_pattern_alone():
-    # the key of _CHECKED is sound: a full check of any effective integer
-    # class, at any den, gives the report of the listed face of its pattern
+    # _full_check reads a class through its sign pattern alone: a full check
+    # of any effective integer class, or of its H vector times den, gives
+    # the report of the listed face of its pattern
     faces = {chambers._plane_signs(v): v for v in itertools.chain(*chambers._faces())}
     checked = 0
     for h in itertools.product(range(-6, 7), repeat=3):
@@ -707,49 +699,41 @@ def test_checked_report_depends_on_the_sign_pattern_alone():
         assert effective == (chambers._placement(signs).failure is None), h
         if not effective:
             continue
-        chambers._CHECKED.clear()
-        face = chambers._check_class(faces[signs], 1)
+        face = chambers._full_check(faces[signs])
         for den in (1, 2, 3):
-            chambers._CHECKED.clear()
-            assert chambers._check_class(h, den) == face, (h, den)
-            assert chambers._CHECKED[signs][2] == face
+            assert chambers._full_check(tuple(den * x for x in h)) == face, (h, den)
             checked += 1
-    chambers._CHECKED.clear()
     assert checked == 3 * 764
 
 
-def test_memo_gives_what_a_full_check_per_sample_gives(monkeypatch):
-    # the benchmark's census pool, once through _check_class and once with
-    # every sample checked in full
-    def run(check):
-        reports = []
+def test_census_counts_equal_a_full_check_per_sample():
+    # the benchmark's census pool, counted by placement and again by a full
+    # check of every sample
+    def full_check_counts(seed):
+        # the draws of chamber_census(50, seed), each counted by _full_check
+        rng = random.Random(seed)
+        counts = {str(cid): 0 for cid in range(1, 9)}
+        for i in range(50):
+            counts[str(chambers._full_check(integer_draw(rng, i)[0]).chamber_id)] += 1
+        return counts
 
-        def recorded(h, den):
-            reports.append(check(h, den))
-            return reports[-1]
+    census = [chamber_census(50, s)["chamber_counts"] for s in range(128)]
+    assert census == [full_check_counts(s) for s in range(128)]
 
-        with monkeypatch.context() as patch:
-            patch.setattr(chambers, "_check_class", recorded)
-            results = [chamber_census(50, s) for s in range(128)]
-        return results, reports
 
-    full_checks = []
-    real_full = chambers._full_check
+def test_census_runs_no_full_check(monkeypatch):
+    # face_census is the one place the partition is checked; the census only
+    # counts, and its counts stay those pinned above
+    def refuse(*args):
+        raise AssertionError("_full_check called")
 
-    def full(h, den):
-        full_checks.append(h)
-        return real_full(h, den)
-
-    chambers._CHECKED.clear()
-    monkeypatch.setattr(chambers, "_full_check", full)
-    memo = run(chambers._check_class)
-    assert len(full_checks) == len(chambers._CHECKED) < 100
-    assert memo == run(full)
-    assert len(full_checks) - len(chambers._CHECKED) == 128 * 50
+    monkeypatch.setattr(chambers, "_full_check", refuse)
+    counts = [chamber_census(50, s)["chamber_counts"] for s in range(128)]
+    assert hashlib.sha256(json.dumps(counts, sort_keys=True).encode()).hexdigest() == CENSUS_POOL_DIGEST
 
 
 def test_reversed_h_vector_has_the_mirror_signs():
-    # the census takes the mirror's pattern from the reversed integer H
+    # the full check takes the mirror's pattern from the reversed integer H
     # vector; on walls and rays too, it is the pattern of xi(d)
     checked = 0
     for h in half_integer_box(-4, 4):
@@ -761,18 +745,19 @@ def test_reversed_h_vector_has_the_mirror_signs():
     assert checked == 4912
 
 
-# -- every census failure exit, forced on the first sample ---------------------
-
-SEED = 2
-
+# -- every partition failure exit, forced on the first effective face ----------
 
 @pytest.fixture
-def first_class():
-    """The census's first class at SEED, drawn by the Fraction code."""
-    d = fraction_draw(random.Random(SEED), 0)
-    # a nef class off the H1 = H3 plane, so its mirror has another sign pattern
-    assert all(c >= 0 for c in d.coeffs) and d.coeffs[0] != d.coeffs[2]
-    assert "Fraction(" in repr(d)
+def first_face():
+    """The first effective face face_census checks, as a class; found
+    without filling the placement cache, which a test may patch REGIONS
+    under."""
+    h = next(h for h in itertools.chain(*chambers._faces()[1:])
+             if chambers._placement.__wrapped__(chambers._plane_signs(h)).failure is None)
+    d = chambers._named(h)
+    # a nef class off the H1 = H3 plane, so its mirror has another sign
+    # pattern, checked after it
+    assert h == (0, 0, 1) and d == H(0, 0, 1)
     return d
 
 
@@ -787,7 +772,7 @@ def fresh_placements():
 
 def census_failure():
     with pytest.raises(AssertionError) as info:
-        chamber_census(1, SEED)
+        face_census()
     return str(info.value)
 
 
@@ -810,9 +795,9 @@ def patch_placement(monkeypatch, d, change):
     monkeypatch.setattr(chambers, "_placement", placement)
 
 
-def test_several_regions_accept(monkeypatch, fresh_placements, first_class):
+def test_several_regions_accept(monkeypatch, fresh_placements, first_face):
     monkeypatch.setattr(chambers, "REGIONS", REGIONS + (REGIONS[0],))
-    assert census_failure() == "regions [1, 1] accept %r" % (first_class,)
+    assert census_failure() == "regions [1, 1] accept %r" % (first_face,)
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -821,32 +806,41 @@ def test_several_regions_accept(monkeypatch, fresh_placements, first_class):
     ("position", "ray P", "duality breaks position at %r"),
     ("model_label", MODEL_FLIP, "duality breaks model label at %r"),
 ])
-def test_duality_breaks(monkeypatch, first_class, field, value, message):
-    mirror = xi(first_class)
+def test_duality_breaks(monkeypatch, first_face, field, value, message):
+    mirror = xi(first_face)
     patch_placement(monkeypatch, mirror, lambda p: {"report": replaced(p.report, **{field: value})})
-    assert census_failure() == message % (first_class,)
+    assert census_failure() == message % (first_face,)
 
 
-def test_forced_locus_exceeds_reported(monkeypatch, first_class):
-    patch_placement(monkeypatch, first_class, lambda p: {"forced": frozenset({"E2"})})
-    assert census_failure() == "forced locus exceeds reported locus at %r" % (first_class,)
+def test_forced_locus_exceeds_reported(monkeypatch, first_face):
+    patch_placement(monkeypatch, first_face, lambda p: {"forced": frozenset({"E2"})})
+    assert census_failure() == "forced locus exceeds reported locus at %r" % (first_face,)
 
 
 @pytest.mark.parametrize("mirrored", [False, True], ids=["class", "mirror"])
-def test_class_escapes_the_cover(monkeypatch, first_class, mirrored):
+def test_class_escapes_the_cover(monkeypatch, first_face, mirrored):
     # the error names the class whose placement has no report
-    d = xi(first_class) if mirrored else first_class
+    d = xi(first_face) if mirrored else first_face
     patch_placement(monkeypatch, d, lambda p: {"report": None, "failure": None})
     with pytest.raises(RuntimeError) as info:
-        chamber_census(1, SEED)
+        face_census()
     assert str(info.value) == "effective class escaped the chamber cover: %r" % (d,)
 
 
-def test_empty_locus_differs_from_nef(monkeypatch, fresh_placements, first_class):
+def test_census_escaped_cover_raises(monkeypatch):
+    # a draw without a report fails in the census too, named by its class
+    d = census_draws(1, 0)[0]
+    patch_placement(monkeypatch, d, lambda p: {"report": None, "failure": None})
+    with pytest.raises(RuntimeError) as info:
+        chamber_census(1, 0)
+    assert str(info.value) == "effective class escaped the chamber cover: %r" % (d,)
+
+
+def test_empty_locus_differs_from_nef(monkeypatch, fresh_placements, first_face):
     spec = REGIONS[0]
     moved = RegionSpec(spec.chamber_id, spec.cones, spec.position_basis, frozenset({"E2"}))
     monkeypatch.setattr(chambers, "REGIONS", (moved,) + REGIONS[1:])
-    assert census_failure() == "empty locus must coincide with nef at %r" % (first_class,)
+    assert census_failure() == "empty locus must coincide with nef at %r" % (first_face,)
 
 
 def test_import_builds_no_rows_or_placements():
@@ -880,7 +874,6 @@ def cold_tables():
     def clear():
         for cache in caches:
             cache.cache_clear()
-        chambers._CHECKED.clear()
 
     clear()
     yield
@@ -905,6 +898,7 @@ def test_cold_census_solves_nothing(monkeypatch, cold_tables):
     normals, facets, forcing = chambers._plane_table()
     assert len(normals) == 11
     assert chamber_census(50, 0)["samples"] == 50
+    assert face_census()["non_effective"] == 141
     assert chambers._placement.cache_info().currsize > 0
 
 

@@ -21,7 +21,7 @@ SRC = pathlib.Path(completequadrics.__file__).resolve().parent.parent
 
 
 DIGESTS = {
-    "chamber_map": "cc62479eaeeda922d39c37e121393dadfb3b55d7ba54e2cab76061eb77e2d580",
+    "chamber_map": "78e91477077752b7094f3447f244fd8dcb5d21a4a71a8459ef3cb0051132ef46",
     "chow_limits": "29aca90e29b323830a1e99a28b286912ac1d84b512ca5f2a0249bfd19f8a461a",
     "intersection_table": "7241cb3d67fd8543e4ae0f2961c156a02b5fbeec67d185cb9c24156af7ab5e2f",
     "schubert_count": "a6950b528e44c1c0db49741e49f348ed59ec5a1f6ea99e61eb45716fb5706a34",

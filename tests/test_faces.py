@@ -61,8 +61,8 @@ def test_normals_closed_under_reversal():
 
 
 def test_census_pool_lands_on_faces(monkeypatch):
-    # every draw of the benchmark's census pool, and its mirror, has the sign
-    # pattern of a listed face
+    # every draw of the benchmark's census pool has the sign pattern of a
+    # listed face
     read, real = set(), chambers._placement
 
     def placement(signs):
