@@ -65,6 +65,13 @@ def test_chamber_census_prints_the_face_census():
     assert data == dict(cli.chambers.face_census(), schema="cq/1", command="chamber-census")
 
 
+def test_chamber_census_small():
+    # a seeded sample census is a library call; cq chamber --census checks faces
+    data = cli.chambers.chamber_census(200, 1)
+    assert data["all_eight_hit"] is True
+    assert sum(data["chamber_counts"].values()) == 200
+
+
 @pytest.mark.parametrize("argv", [["--census", "10"], ["--census", "--seed", "0"]])
 def test_census_takes_no_count_or_seed(monkeypatch, argv):
     calls = []
@@ -739,6 +746,16 @@ def test_pencil_non_transversal_draw_exits_one():
     assert out == ""
     assert err == ("error: the pencil of seed 31 is not transversal: 2 singular members "
                    "with multiplicity, 1 distinct\n")
+
+
+def test_census_10000_output_pinned():
+    # the census JSON as cq chamber --census 10000 --seed 0 printed it, recorded
+    # before the classifier moved to integer facet rows
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit("chamber-census", seed=0, **cli.chambers.chamber_census(10000, 0))
+    digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    assert digest == "fe59aa600a6eeaa079f1f220398647328e84dfe2ff32b65686717a688e2018a3"
 
 
 def test_pencil_verify_table():
