@@ -16,15 +16,17 @@ quadrics.SymmetricForm, chowform._int_plucker and chowform.ProjectivePoint;
 mat_mul only checks its factors there and multiplies them as they are.
 Integers the package has drawn and certified itself skip it: the Chow-form
 identity check of the verify module hands its symmetric integer matrices
-straight to _sym_det.
+straight to _symmetric_det.
 
 Rational work runs on Python integers wherever it can.  _echelon, a
 rank-revealing Bareiss elimination, is the one general elimination routine:
-ff_det, mat_rank and solve_exact run it on integers.  ff_det of a rational
-matrix is the determinant of the scaled matrix over the scale to the n-th
-power.  int_det_poly gives the coefficients of a pencil's determinant
-form det(A + tB), for symmetric A and B, from _sym_det, a symmetric Bareiss
-elimination over the upper triangle.
+mat_rank, solve_exact and _int_det, the integer determinant of ff_det, run
+it on integers.  ff_det of a rational matrix is the determinant of the
+scaled matrix over the scale to the n-th power.  int_det_poly gives the
+coefficients of a pencil's determinant form det(A + tB), for symmetric A
+and B, from _sym_det, a symmetric Bareiss elimination over the upper
+triangle that seeks no pivot: at a zero pivot it gives the matrix to
+_int_det, as _symmetric_det does.
 
 Integer polynomials are read from one evaluation (Kronecker substitution,
 _kronecker): with every coefficient bounded by H and 2^K > 2H, the value at
@@ -293,43 +295,21 @@ def _back_substitute(a, n, col):
     return [Fraction(v, d) for v in y]
 
 
-def _sym_swap(u, k, r):
-    # exchange indices k < r of the trailing block u[k:], rows and columns
-    # alike: in the upper triangle a_kk trades with a_rr, a_ky with a_yr for
-    # k < y < r, and a_ky with a_ry for y > r, while a_kr stays
-    rk, rr = u[k], u[r]
-    rk[0], rr[0] = rr[0], rk[0]
-    for y in range(k + 1, r):
-        rk[y - k], u[y][r - y] = u[y][r - y], rk[y - k]
-    rk[r - k + 1:], rr[1:] = rr[1:], rk[r - k + 1:]
-
-
-def _sym_add(u, k, c):
-    # add row and column c > k to row and column k; only row k changes in
-    # the upper triangle, and its diagonal gains a_kc twice and a_cc once
-    row = u[k]
-    u[k] = [x + (u[c][y - c] if y >= c else u[y][c - y]) for y, x in enumerate(row, k)]
-    u[k][0] += row[c - k] + u[c][0]
-
-
 def _sym_det(u, stage=None):
-    """Determinant of a symmetric integer matrix by symmetric Bareiss elimination.
+    """Determinant of a symmetric integer matrix by symmetric Bareiss
+    elimination, or None at a zero pivot.
 
     u holds the upper triangle, u[i] = [a_ii, a_i,i+1, ..., a_i,n-1], and is
     eliminated in place.  A Bareiss step keeps the trailing block symmetric,
-    so only its entries j >= i are updated.  A zero diagonal pivot is
-    exchanged, row and column together, with a later nonzero diagonal entry.
-    When every remaining diagonal entry is zero, row and column c, where
-    a_kc != 0, are added to row and column k: a congruence, which leaves the
-    determinant unchanged and makes the pivot 2 a_kc.  A zero trailing row
-    makes the determinant 0.  Both moves act on rows and columns not yet
-    eliminated, so each step still divides exactly by the previous pivot.
+    so only its entries j >= i are updated.  The pivot of step k is the
+    leading principal minor of k + 1 rows, and each step divides exactly by
+    the one before while no pivot is zero.  No pivot is sought: at a zero
+    pivot the elimination stops and returns None, and the caller takes the
+    general elimination (_int_det) of the full matrix.
 
     stage = (s, widen) runs steps 0..s-1 on a narrower packing of the matrix
     (int_det_poly): before step s, widen(u, prev) rewrites the trailing rows
-    u[s:] in place and returns the new last pivot.  A congruence before
-    step s would break the bound that packing rests on, so there the
-    elimination stops and returns None.
+    u[s:] in place and returns the new last pivot.
     """
     n = len(u)
     prev = 1
@@ -338,24 +318,30 @@ def _sym_det(u, stage=None):
         if k == s and widen:
             prev = widen(u, prev)
         row = u[k]
-        if not row[0]:
-            r = next((i for i in range(k + 1, n) if u[i][0]), None)
-            if r is not None:
-                _sym_swap(u, k, r)
-            else:
-                c = next((c for c, x in enumerate(row, k) if x), None)
-                if c is None:
-                    return 0
-                if k < s:
-                    return None
-                _sym_add(u, k, c)
-            row = u[k]
         pivot = row[0]
+        if not pivot:
+            return None
         for i in range(k + 1, n):
             f = row[i - k]
             u[i] = [(pivot * x - f * y) // prev for x, y in zip(u[i], row[i - k:])]
         prev = pivot
     return u[n - 1][0]
+
+
+def _int_det(a) -> int:
+    """Determinant of a square integer matrix, eliminated in place by
+    _echelon: the sign of its row swaps times its last pivot, or 0 when a
+    column has no pivot."""
+    n = len(a)
+    pivots, sign = _echelon(a, n)
+    return sign * a[n - 1][n - 1] if len(pivots) == n else 0
+
+
+def _symmetric_det(rows) -> int:
+    """Determinant of a symmetric integer matrix: _sym_det of a copy of its
+    upper triangle, or, at a zero pivot, _int_det of a copy of the rows."""
+    det = _sym_det([list(r[i:]) for i, r in enumerate(rows)])
+    return _int_det([list(r) for r in rows]) if det is None else det
 
 
 def _is_symmetric(a) -> bool:
@@ -490,6 +476,8 @@ def int_det_poly(a, b) -> list:
     n + 1 coefficients from one symmetric elimination (_sym_det) of
     A + 2^K B, an elimination of (nK)-bit integers instead of n + 1 of small
     ones, or, past its bit limit, from one elimination at each t = 0..n.
+    Where _sym_det meets a zero pivot, A + tB at the same t is eliminated
+    by _int_det, the general elimination of ff_det.
 
     From n = _STAGE_MIN_N on, that one elimination runs in two widths.
     Before Bareiss step s = 2n/3 every entry is a minor of A + xB on at
@@ -498,12 +486,12 @@ def int_det_poly(a, b) -> list:
     its bit length plus one, steps 0..s-1 run on A + 2^k0 B.  Each trailing
     entry and the last pivot are then read as s + 2 balanced base-2^k0
     digits (a remainder raises ExactLinalgError) and evaluated at 2^K, and
-    steps s..n-2 finish at full width.  A nonzero minor stays nonzero at
-    both widths, so both take the same symmetric exchanges, which permute
-    rows and keep the bound; the determinant is the integer one width
-    gives, and its coefficients come out bit-identical.  A congruence
-    (_sym_add) changes the rows and breaks the bound, so a pencil that
-    needs one before step s is eliminated again at full width.
+    steps s..n-2 finish at full width.  A leading minor vanishes at 2^k0
+    exactly when it vanishes as a polynomial, its coefficients being under
+    the bound, and so exactly when it vanishes at 2^K: both widths meet the
+    same zero pivots.  Without one, the determinant is the integer one
+    width gives, and its coefficients come out bit-identical; with one, the
+    staged elimination returns None as the one-width one would.
     """
     n = len(a)
     if not (a and len(b) == n and _is_symmetric(a) and _is_symmetric(b)):
@@ -519,16 +507,18 @@ def int_det_poly(a, b) -> list:
         # _KRONECKER_BITS lie far below 2^k0 > 2^(s+2)
         if k0 and t > 1 << k0:
             det = _sym_det(_pencil_upper(a, b, 1 << k0), (s, lambda u, prev: _widen(u, prev, s, k0, t)))
-            if det is not None:
-                return [det]
-        return [_sym_det(_pencil_upper(a, b, t))]
+        else:
+            det = _sym_det(_pencil_upper(a, b, t))
+        if det is None:
+            det = _int_det([[x + t * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)])
+        return [det]
 
     return _kronecker(det_at, n, math.prod(norms))[0]
 
 
 def ff_det(m):
     """Determinant of a square rational matrix: one Bareiss elimination
-    (_echelon) of the matrix scaled to integers by L (_int_rows), over L to
+    (_int_det) of the matrix scaled to integers by L (_int_rows), over L to
     the n-th power."""
     a, scale = _int_rows(m)
     n = len(a)
@@ -536,8 +526,7 @@ def ff_det(m):
         raise ValueError("empty matrix")
     if len(a[0]) != n:
         raise ValueError("determinant of a non-square matrix")
-    pivots, sign = _echelon(a, n)
-    return Fraction(sign * a[n - 1][n - 1] if len(pivots) == n else 0, scale ** n)
+    return Fraction(_int_det(a), scale ** n)
 
 
 def mat_rank(m) -> int:

@@ -114,17 +114,15 @@ def _into_h(basis: str, x) -> tuple:
 
 def _from_h(basis: str, g, scale: int) -> tuple:
     """Coordinates in basis E or mixed of the class with H coordinates
-    g / scale, g integers: the Cartan relation run backwards in integers,
-    row by row, with no solve."""
+    g / scale, g integers: the Cartan relation run backwards in integers
+    (_scaled_e), with no solve."""
     n = len(g)
-    if basis == "E":
-        return tuple(Fraction(x, (n + 1) * scale) for x in _scaled_e(g))
-    # mixed: E_n has coordinate 0, so from the last row up
-    # b_{j-1} = 2b_j - b_{j+1} - g_j, and row 1 leaves the H_1 coordinate
-    b = [0] * (n + 2)
-    for j in range(n, 1, -1):
-        b[j - 1] = 2 * b[j] - b[j + 1] - g[j - 1]
-    return tuple(Fraction(x, scale) for x in (g[0] - 2 * b[1] + b[2], *b[1:n]))
+    e = _scaled_e(g)
+    if basis == "mixed":
+        # E_n = (n+1)H_1 - sum_{j<n} (n+1-j)E_j moves the E_n coordinate
+        # onto H_1 and the E_j
+        e = [(n + 1) * e[-1], *(x - (n + 1 - j) * e[-1] for j, x in enumerate(e[:-1], 1))]
+    return tuple(Fraction(x, (n + 1) * scale) for x in e)
 
 
 def _scaled_e(h) -> list:

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import chambers, chowform, pencils, picard, quadrics, schubert
 from ._value import Record
-from .exact import _sym_det, ff_det
+from .exact import _symmetric_det, ff_det
 
 
 class CheckResult(Record):
@@ -32,13 +32,6 @@ class CheckResult(Record):
         return {f: getattr(self, f) for f in self._fields}
 
 
-def _sym_int_det(rows) -> int:
-    """Determinant of a symmetric integer matrix, by one symmetric Bareiss
-    elimination of a copy of its upper triangle (exact._sym_det); the
-    right-hand side of check_chow_identity."""
-    return _sym_det([list(r[i:]) for i, r in enumerate(rows)])
-
-
 def check_chow_identity(seed: int = 0, min_pairs: int = 100) -> CheckResult:
     """Wedge-coordinate evaluation equals the restricted determinant.
 
@@ -46,8 +39,9 @@ def check_chow_identity(seed: int = 0, min_pairs: int = 100) -> CheckResult:
     basis B.  The right-hand side is taken in integers from the same draws,
     with no second rank check: random_form's den is 1 and _random_basis has
     certified B, so det(B^T Q B) is the symmetric integer determinant
-    (_sym_int_det) of the congruence quadrics._int_congruence(q.ints, columns
-    of B).  The two sides share no computation.
+    (exact._symmetric_det) of the congruence
+    quadrics._int_congruence(q.ints, columns of B).  The two sides share no
+    computation.
     """
     result = functools.partial(CheckResult, "chow-form-identity", (
         "plucker(B)^T compound(Q,k) plucker(B) = det(B^T Q B) for random "
@@ -62,7 +56,7 @@ def check_chow_identity(seed: int = 0, min_pairs: int = 100) -> CheckResult:
             q = quadrics.random_form(n, n + 1, quadrics._randbelow(rng, 1 << 30))
             b = quadrics._random_basis(rng, n + 1, k)
             lhs = chowform.chow_eval(q, k, b)
-            rhs = _sym_int_det(quadrics._int_congruence(q.ints, list(zip(*b))))
+            rhs = _symmetric_det(quadrics._int_congruence(q.ints, list(zip(*b))))
             if lhs != rhs:
                 return result(False, "mismatch at n=%d k=%d: %s != %s" % (n, k, lhs, rhs))
             done += 1
@@ -131,10 +125,12 @@ def check_boundary_numbers(seeds: int = 20, max_n: int = 10) -> CheckResult:
     The total is the degree of the determinant form, so it holds by
     construction; each form f is also checked against determinants taken
     directly, by the general elimination of ff_det on the integer matrices
-    of the two random_form members (den 1), which shares no code with the
-    symmetric elimination behind the form: its top coefficient is det Q1,
+    of the two random_form members (den 1): its top coefficient is det Q1,
     and 2^(m+1) f(1 : -1/2), at a point that is not an interpolation node,
-    is det(2 Q0 - Q1).
+    is det(2 Q0 - Q1).  The form comes from the symmetric elimination
+    exact._sym_det, which shares no code with ff_det unless it meets a zero
+    pivot and gives way to ff_det's own exact._int_det; no pencil drawn here
+    meets one.
 
     The pencil and its closed form depend on m = n - k alone, so each m is
     drawn once per seed; a failure names n = m + 1 and k = 1, which

@@ -7,14 +7,15 @@ and mat_rank and solve_exact against the largest nonvanishing minor, also where 
 elimination skips columns; the inverse solve_exact gives column by column by
 multiplying back; root counts against explicit factorizations and the
 integer gcd against a Euclidean gcd over Fraction.  The symmetric
-elimination is checked against the general one (ff_det on integers),
-int_det_poly against per-point ff_det interpolated over Fraction (it
-rejects non-symmetric or mismatched pairs), on both sides of the packed bit
-length where it stops reading all coefficients from one elimination, and
-so is its staged elimination (narrow first steps, one repack): through
-exchanges and congruences in either stage, with digits near the narrow
-bound, and at a narrowed width, which must raise; and the mod-P squarefree
-certificate against the remainder sequence alone.
+elimination is checked against the general one (ff_det on integers), also
+where a zero pivot sends it to the general one, int_det_poly against
+per-point ff_det interpolated over Fraction (it rejects non-symmetric or
+mismatched pairs), on both sides of the packed bit length where it stops
+reading all coefficients from one elimination, and so is its staged
+elimination (narrow first steps, one repack): through a zero pivot in
+either stage, with digits near the narrow bound, and at a narrowed width,
+which must raise; and the mod-P squarefree certificate against the
+remainder sequence alone.
 Raw input is checked where it enters: a float or a bool raises TypeError and
 ragged rows raise ValueError, in the kernels and in the callers that pass
 raw matrices, vectors or scalars through.
@@ -30,7 +31,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from completequadrics import chambers, exact, pencils
+from completequadrics import chambers, exact, pencils, verify
 from completequadrics.chambers import classify_segment
 from completequadrics.chowform import ProjectivePoint, chow_eval
 from completequadrics.exact import (
@@ -127,54 +128,51 @@ def _sparse_symmetric(rng, n):
     return m
 
 
-def _spy_moves(monkeypatch):
-    # record each symmetric swap and congruence step _sym_det takes
-    moves = []
-    for name in ("_sym_swap", "_sym_add"):
-        move = getattr(exact, name)
-        monkeypatch.setattr(exact, name, lambda u, k, j, name=name, move=move: (
-            moves.append((name, k, j)), move(u, k, j)))
-    return moves
-
-
-def test_sym_det_matches_int_det_on_sparse_symmetric(monkeypatch):
-    moves = _spy_moves(monkeypatch)
+def test_sym_det_matches_int_det_on_sparse_symmetric():
+    # sparse draws meet zero pivots, where _sym_det stops with None and
+    # _symmetric_det takes the general elimination of a copy of the rows
     kinds = set()
     for seed in range(400):
         rng = random.Random(1500 + seed)
         m = _sparse_symmetric(rng, rng.randint(1, 8))
-        del moves[:]
-        d = exact._sym_det(_upper(m))
+        kept = [r[:] for r in m]
+        d = exact._symmetric_det(m)
         assert type(d) is int
         assert d == ff_det(m), m
-        kinds.update(name for name, _, _ in moves)
+        assert m == kept
+        straight = exact._sym_det(_upper(m))
+        assert straight in (None, d)
+        kinds.add("fallback" if straight is None else "straight")
         kinds.add("singular" if d == 0 else "nonsingular")
-    assert kinds == {"_sym_swap", "_sym_add", "singular", "nonsingular"}
+    assert kinds == {"fallback", "straight", "singular", "nonsingular"}
 
 
 @pytest.mark.parametrize("m, det, taken", [
-    # a00 = 0: exchanged with the later nonzero a22
-    ([[0, 1, 0], [1, 0, 2], [0, 2, 3]], -3, [("_sym_swap", 0, 2)]),
-    # every diagonal entry zero: row and column 1 added to 0, pivot 2 a01
-    ([[0, 1], [1, 0]], -1, [("_sym_add", 0, 1)]),
-    ([[0, 0, 2], [0, 0, 3], [2, 3, 0]], 0, [("_sym_add", 0, 2)]),
+    # taken: the step whose pivot, a leading principal minor, is the first
+    # to vanish before the last step; a00 = 0 beside a nonzero a22
+    ([[0, 1, 0], [1, 0, 2], [0, 2, 3]], -3, [0]),
+    # every diagonal entry zero
+    ([[0, 1], [1, 0]], -1, [0]),
+    ([[0, 0, 2], [0, 0, 3], [2, 3, 0]], 0, [0]),
     # after the first step the trailing diagonal is all zero
-    ([[1, 1, 1], [1, 1, 2], [1, 2, 1]], -1, [("_sym_add", 1, 2)]),
+    ([[1, 1, 1], [1, 1, 2], [1, 2, 1]], -1, [1]),
     # zero trailing rows: at the first step, and after one
-    ([[0, 0], [0, 0]], 0, []),
-    ([[0, 0, 0], [0, 0, 4], [0, 4, 0]], 0, []),
-    ([[2, 4, 6], [4, 8, 12], [6, 12, 18]], 0, []),
-    # singular after a swap
-    ([[0, 0], [0, 5]], 0, [("_sym_swap", 0, 1)]),
-    ([[1, 1, 0], [1, 1, 0], [0, 0, 3]], 0, [("_sym_swap", 1, 2)]),
+    ([[0, 0], [0, 0]], 0, [0]),
+    ([[0, 0, 0], [0, 0, 4], [0, 4, 0]], 0, [0]),
+    ([[2, 4, 6], [4, 8, 12], [6, 12, 18]], 0, [1]),
+    # singular beside a zero pivot
+    ([[0, 0], [0, 5]], 0, [0]),
+    ([[1, 1, 0], [1, 1, 0], [0, 0, 3]], 0, [1]),
+    # one entry: the last pivot is the determinant, zero or not
     ([[7]], 7, []),
     ([[0]], 0, []),
 ])
-def test_sym_det_forced_branches(monkeypatch, m, det, taken):
-    moves = _spy_moves(monkeypatch)
+def test_sym_det_forced_branches(m, det, taken):
     assert cofactor_det(m) == det
-    assert exact._sym_det(_upper(m)) == det
-    assert moves == taken
+    minors = [cofactor_det([r[:k + 1] for r in m[:k + 1]]) for k in range(len(m) - 1)]
+    assert taken == [k for k, x in enumerate(minors) if not x][:1]
+    assert exact._sym_det(_upper(m)) == (None if taken else det)
+    assert exact._symmetric_det(m) == det
 
 
 def _interpolation_oracle(a, b):
@@ -410,49 +408,50 @@ def _zero_diagonal(rng, size):
     return m
 
 
-def _dominant(rng, size):
+def _dominant(rng, size, low=40):
     m = _dense_symmetric(rng, size, 3)
     for i in range(size):
-        m[i][i] = 40 + i
+        m[i][i] = low + i
     return m
+
+
+def _staged_fallback(monkeypatch, a, b):
+    # (calls, repacks, fallbacks) of int_det_poly on a pencil of the
+    # Kronecker path, fallbacks the size of each matrix _int_det eliminates;
+    # read before the oracle, whose ff_det runs _int_det too
+    calls, repacks = _counted_stages(monkeypatch)
+    fallbacks = []
+    int_det = exact._int_det
+    monkeypatch.setattr(exact, "_int_det", lambda m: fallbacks.append(len(m)) or int_det(m))
+    coeffs = int_det_poly(a, b)
+    counts = (calls[:], repacks[:], fallbacks[:])
+    assert coeffs == _interpolation_oracle(a, b)
+    return counts
 
 
 @pytest.mark.parametrize("n", [12, 15, 17])
 def test_staged_int_det_poly_exchanges_in_either_stage(monkeypatch, n):
-    # a zero leading diagonal entry forces a symmetric exchange: at step 0,
-    # on the narrow packing, or at step s, after the repack; a permutation
-    # keeps the bound, so neither leaves the staged route
+    # a zero leading diagonal entry is a zero pivot: at step 0, on the
+    # narrow packing, or at step s, after the repack; either way the one
+    # evaluation at 2^K takes the general elimination of A + 2^K B
     s = 2 * n // 3
     rng = random.Random("exchange:%d" % n)
-    for first, second, step in ((_zero_first_diagonal, _dominant, 0), (_dominant, _zero_first_diagonal, s)):
+    for first, second, repacks in ((_zero_first_diagonal, _dominant, []), (_dominant, _zero_first_diagonal, [s])):
         a, b = _stage_pair(rng, n, first, second)
-        moves = _spy_moves(monkeypatch)
-        calls, repacks = _counted_stages(monkeypatch)
-        assert int_det_poly(a, b) == _interpolation_oracle(a, b)
-        assert (calls, repacks) == ([n], [s])
-        assert moves == [("_sym_swap", step, step + 1)]
+        assert _staged_fallback(monkeypatch, a, b) == ([n], repacks, [n])
 
 
 @pytest.mark.parametrize("n", [12, 15, 17])
 def test_staged_int_det_poly_congruence(monkeypatch, n):
-    # an all-zero trailing diagonal needs the congruence _sym_add, which
-    # breaks the bound of the narrow packing: before step s the pencil is
-    # eliminated again at one width, from step s on the stage goes through
+    # an all-zero trailing diagonal, which a symmetric elimination cannot
+    # pivot on by any exchange: at step 0 and at step s the one evaluation
+    # takes the general elimination, whose row swaps find a pivot
     s = 2 * n // 3
     rng = random.Random("congruence:%d" % n)
     a, b = _zero_diagonal(rng, n), _zero_diagonal(rng, n)
-    moves = _spy_moves(monkeypatch)
-    calls, repacks = _counted_stages(monkeypatch)
-    assert int_det_poly(a, b) == _interpolation_oracle(a, b)
-    assert (calls, repacks) == ([n, n], [])
-    # the moves of the one-width elimination; the staged one stopped first
-    assert moves[0] == ("_sym_add", 0, 1)
+    assert _staged_fallback(monkeypatch, a, b) == ([n], [], [n])
     a, b = _stage_pair(rng, n, _dominant, _zero_diagonal)
-    del moves[:]
-    calls, repacks = _counted_stages(monkeypatch)
-    assert int_det_poly(a, b) == _interpolation_oracle(a, b)
-    assert (calls, repacks) == ([n], [s])
-    assert moves[0] == ("_sym_add", s, s + 1)
+    assert _staged_fallback(monkeypatch, a, b) == ([n], [s], [n])
 
 
 @pytest.mark.parametrize("n, bits", [(12, 22), (14, 16), (17, 10)])
@@ -501,11 +500,32 @@ def test_staged_int_det_poly_dispatch(monkeypatch):
         assert (calls, repacks) == ([n] * (n + 1), [])
 
 
+def test_drawn_pencils_take_no_general_elimination(monkeypatch):
+    # the benchmark's ladder pencils (P^4..P^16, seeds 0..15) and those of
+    # check_boundary_numbers(seeds=20) meet no zero pivot, so int_det_poly
+    # never hands them to _int_det, and the ff_det values the check
+    # compares their forms with share no code with those forms
+    results = []
+    sym_det = exact._sym_det
+    monkeypatch.setattr(exact, "_sym_det", lambda u, *stage: results.append(sym_det(u, *stage)) or results[-1])
+    for m in range(4, 17):
+        for seed in range(16):
+            pencils.random_pencil(m, seed)
+    ladder = results[:]
+    del results[:]
+    assert verify.check_boundary_numbers(seeds=20).passed
+    assert len(ladder) >= 13 * 16 and len(results) >= 9 * 20
+    assert None not in ladder + results
+
+
 def test_staged_int_det_poly_refuses_a_narrow_packing(monkeypatch):
     # every norm k0 is sized by read as 2: the minors at the repack leave a
     # remainder after their s + 2 digits, and raise there, before the full
-    # width could read a wrong determinant
-    a, b = _pair_of_bits(16, 8)
+    # width could read a wrong determinant; the pair is positive definite
+    # (each diagonal entry 200 + i above its row's off-diagonal sum, at most
+    # 45), so no leading minor of A + xB, x >= 0, vanishes before the repack
+    rng = random.Random("narrow")
+    a, b = _dominant(rng, 16, 200), _dominant(rng, 16, 200)
     monkeypatch.setattr(exact, "sorted", lambda norms: [2] * len(norms), raising=False)
     calls, repacks = _counted_stages(monkeypatch)
     with pytest.raises(exact.ExactLinalgError, match="pencil minor exceeds its coefficient bound"):

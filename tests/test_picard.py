@@ -472,6 +472,8 @@ KERNEL_CALLERS = {
     "_interpolate": {"exact._kronecker"},
     "_kronecker": {"exact.int_det_poly", "chowform._compound_poly", "chowform.wedge2_example_matrix"},
     "_compound_poly": {"chowform._family_limit"},
+    "_sym_det": {"exact.int_det_poly", "exact._symmetric_det"},
+    "_int_det": {"exact.int_det_poly", "exact._symmetric_det", "exact.ff_det"},
 }
 
 
@@ -483,13 +485,16 @@ def test_one_rank_checked_pencil_draw():
 
 
 @pytest.mark.parametrize("name, user", [("int_det_poly", "pencils.py"), ("_interpolate", None),
-                                        ("_kronecker", "chowform.py"), ("_compound_poly", None)])
+                                        ("_kronecker", "chowform.py"), ("_compound_poly", None),
+                                        ("_sym_det", None), ("_int_det", None)])
 def test_one_caller_per_kernel(name, user):
     # pencil determinant forms are the one use of int_det_poly; the digit
     # unpacking of _kronecker serves it, the Chow-form limits' compounds
     # (_compound_poly) and the wedge example's Kronecker read of the flag
     # parameters, and only _kronecker interpolates; every family limit takes
     # its compound through _family_limit, so a second limit path fails here;
+    # the symmetric elimination serves int_det_poly and _symmetric_det, and
+    # at a zero pivot both give way to _int_det, the integer core of ff_det;
     # user is the one module outside the kernel's own that reads it, if any
     assert _importers(name) == ({user} if user else set())
     assert _callers(name) == KERNEL_CALLERS[name]

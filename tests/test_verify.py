@@ -93,7 +93,7 @@ def _fake_report(chamber_id):
 
 def _patch_identity(mp):
     mp.setattr(chowform, "chow_eval", lambda q, k, b: Fraction(1))
-    mp.setattr(verify, "_sym_int_det", lambda rows: 2)
+    mp.setattr(verify, "_symmetric_det", lambda rows: 2)
 
 
 def _patch_table_rows(mp):
@@ -359,9 +359,9 @@ def test_chow_identity_rhs_is_the_restricted_determinant(monkeypatch):
     # the integer right-hand side of every pair equals ff_det of the form
     # restricted by the public restrict, on the pair's own draws
     pairs, rhs = [], []
-    evaluate, det = chowform.chow_eval, verify._sym_int_det
+    evaluate, det = chowform.chow_eval, verify._symmetric_det
     monkeypatch.setattr(chowform, "chow_eval", lambda q, k, b: pairs.append((q, b)) or evaluate(q, k, b))
-    monkeypatch.setattr(verify, "_sym_int_det", lambda rows: rhs.append(det(rows)) or rhs[-1])
+    monkeypatch.setattr(verify, "_symmetric_det", lambda rows: rhs.append(det(rows)) or rhs[-1])
     for seed in range(4):
         del pairs[:], rhs[:]
         assert verify.check_chow_identity(seed=seed, min_pairs=18).passed
