@@ -25,8 +25,10 @@ it on integers.  ff_det of a rational matrix is the determinant of the
 scaled matrix over the scale to the n-th power.  int_det_poly gives the
 coefficients of a pencil's determinant form det(A + tB), for symmetric A
 and B, from _sym_det, a symmetric Bareiss elimination over the upper
-triangle that seeks no pivot: at a zero pivot it gives the matrix to
-_int_det, as _symmetric_det does.
+triangle that takes two steps a pass (Bareiss's two-step method, Math.
+Comp. 22, 1968: three products and one exact division an entry where two
+single steps take four and two) and seeks no pivot: at a zero pivot it
+gives the matrix to _int_det, as _symmetric_det does.
 
 Integer polynomials are read from one evaluation (Kronecker substitution,
 _kronecker): with every coefficient bounded by H and 2^K > 2H, the value at
@@ -39,7 +41,8 @@ From n = _STAGE_MIN_N on, int_det_poly runs the first 2n/3 steps of that
 elimination at the narrower width their minors need, and repacks the
 trailing entries at 2^K for the rest.
 That path is taken while the packed length deg * K is at most
-_KRONECKER_BITS (3200), under the measured crossover of 3500-4400 bits.
+_KRONECKER_BITS (3200), near the measured one-width crossover of
+3100-4800 bits and under the staged one of about 6000.
 Past it, CPython's quadratic big-integer division makes the one evaluation
 slower than deg + 1 small ones, so the values at x = 0..deg are interpolated
 (_interpolate, whose one caller is _kronecker).  poly_gcd runs a primitive
@@ -296,8 +299,8 @@ def _back_substitute(a, n, col):
 
 
 def _sym_det(u, stage=None):
-    """Determinant of a symmetric integer matrix by symmetric Bareiss
-    elimination, or None at a zero pivot.
+    """Determinant of a symmetric integer matrix by symmetric two-step
+    Bareiss elimination, or None at a zero pivot.
 
     u holds the upper triangle, u[i] = [a_ii, a_i,i+1, ..., a_i,n-1], and is
     eliminated in place.  A Bareiss step keeps the trailing block symmetric,
@@ -307,24 +310,54 @@ def _sym_det(u, stage=None):
     pivot the elimination stops and returns None, and the caller takes the
     general elimination (_int_det) of the full matrix.
 
+    Steps k and k + 1 run as one pass (Bareiss's two-step method, Math.
+    Comp. 22, 1968).  With p the last pivot and a = a_kk, b = a_k,k+1,
+    c = a_k+1,k+1, the pivot of step k + 1 is c0 = (ac - b^2) / p; row
+    i >= k + 2 takes e_i = (b a_ki - a a_k+1,i) / p and
+    g_i = (b a_k+1,i - c a_ki) / p, and its entry j >= i becomes
+    (c0 a_ij + e_i a_k+1,j + g_i a_kj) / p, three products and one division
+    where two single steps take four and two.  Each quotient is a minor
+    (Sylvester's identity), so every division is exact, and rows k + 2 on
+    hold what two single steps give; row k + 1 is left as it was, a pivot
+    row no later step reads.  Both pivots a and c0
+    are tested, so None is returned on exactly the matrices a single-step
+    elimination stops on.  A step left over runs alone: the last one, which
+    updates one entry, and the one before step s of a stage.
+
     stage = (s, widen) runs steps 0..s-1 on a narrower packing of the matrix
     (int_det_poly): before step s, widen(u, prev) rewrites the trailing rows
     u[s:] in place and returns the new last pivot.
     """
     n = len(u)
     prev = 1
-    s, widen = stage or (0, None)
-    for k in range(n - 1):
-        if k == s and widen:
+    s, widen = stage or (n, None)
+    k = 0
+    while k < n - 1:
+        if k == s:
             prev = widen(u, prev)
         row = u[k]
-        pivot = row[0]
-        if not pivot:
+        a = row[0]
+        if not a:
             return None
-        for i in range(k + 1, n):
-            f = row[i - k]
-            u[i] = [(pivot * x - f * y) // prev for x, y in zip(u[i], row[i - k:])]
-        prev = pivot
+        if k + 2 == n or k + 1 == s:
+            for i in range(k + 1, n):
+                f = row[i - k]
+                u[i] = [(a * x - f * y) // prev for x, y in zip(u[i], row[i - k:])]
+            prev = a
+            k += 1
+            continue
+        nxt = u[k + 1]
+        b, c = row[1], nxt[0]
+        c0 = (a * c - b * b) // prev
+        if not c0:
+            return None
+        for i in range(k + 2, n):
+            x, y = row[i - k], nxt[i - k - 1]
+            e = (b * x - a * y) // prev
+            g = (b * y - c * x) // prev
+            u[i] = [(c0 * z + e * w + g * v) // prev for z, w, v in zip(u[i], nxt[i - k - 1:], row[i - k:])]
+        prev = c0
+        k += 2
     return u[n - 1][0]
 
 
@@ -373,34 +406,37 @@ def _interpolate(values) -> list:
 
 # Largest predicted packed length deg * K, in bits, for which _kronecker
 # reads a polynomial's coefficients from one evaluation at x = 2^K.  Below
-# it one symmetric elimination of a pencil was 1.3-4x faster than n + 1
-# eliminations and an interpolation, 1 x 1 and 2 x 2 pairs included; above
-# it CPython's quadratic big-integer division makes it slower.  The two
-# paths crossed at about 3500 bits for entries of 30 bits, 3700 for 100
-# bits and 4400 for 3 bits and for random_form pencils (one 2.1 GHz Xeon
-# core, Python 3.11.7).  Compounds of a pencil (chowform._compound_poly)
-# cross over near the limit too: with 64-bit entries, one compound at 2^K
-# took about as long as k + 1 small ones at n = 9, k = 7 (3318 packed
-# bits), and 1.3-1.4x as long at n = 10, k = 9 (5481 bits).  The largest
-# pencil of the pencil-ladder benchmark (P^16) packs at most 2567 bits,
-# that of cq pencil --n 40 --k 1 15960.  int_det_poly stages its one
-# elimination (_STAGE_MIN_N) only under this limit.  Past it, forcing the
-# staged evaluation through was about even with the per-point path for
-# cq pencil --n 25 --k 1 (5850 bits, 0.95x; one width 1.5x) and slower
-# at --n 31 (9331 bits, 1.6x; one width 2.5x) and --n 40 (2.9x; one
-# width 4.7x).
+# it one symmetric elimination of a pencil was up to 4x faster than n + 1
+# eliminations and an interpolation, 2 x 2 pairs included, and about level
+# just under it; above it CPython's quadratic big-integer division makes it
+# slower.  With the two-step elimination of _sym_det at one width, the two
+# paths crossed at about 3100 bits for 6 x 6 pairs of 85-100-bit entries, 3400 for entries
+# of 30 bits, 4200 for random_form pencils and 4800 for entries of 3 bits
+# (one core of a shared 2-vCPU Xeon machine, Python 3.11.7); staged from
+# n = _STAGE_MIN_N on, random_form pencils crossed at about 6000 bits.
+# Compounds of a pencil (chowform._compound_poly) cross over near the limit
+# too: with 64-bit entries, one compound at 2^K took about as long as
+# k + 1 small ones at n = 9, k = 7 (3318 packed bits), and 1.3-1.4x as long
+# at n = 10, k = 9 (5481 bits).  The largest pencil of the pencil-ladder
+# benchmark (P^16) packs at most 2567 bits, that of cq pencil --n 40 --k 1
+# 15960.  int_det_poly stages its one elimination (_STAGE_MIN_N) only under
+# this limit.  Past it, forcing the staged evaluation through beat the
+# per-point path for cq pencil --n 25 --k 1 (5850 bits, 0.82x; one width
+# 1.45x) and lost at --n 31 (9331 bits, 1.6x; one width 2.8x) and --n 40
+# (2.7x; one width 4.6x).
 _KRONECKER_BITS = 3200
 
 # Smallest n at which int_det_poly runs steps 0..s-1, s = 2n/3, of its one
 # elimination of A + 2^K B at the narrower 2^k0 that the minors of those
 # steps need, then repacks the trailing block at 2^K.  Per determinant, on
 # the pencil-ladder pencils (16 seeds a size, one core of a shared 2-vCPU
-# Xeon machine, Python 3.11.7), against one width throughout: 1.12x at
-# n = 9, 1.07x at n = 10 and 0.98x at n = 11, where the repack costs about
-# what the narrow steps save; 0.95x at n = 12, 0.89x at 13, 0.86x at 14
-# and 0.76x at 17.
-# Splitting at n/2 took 3-11% longer than at 2n/3 for n = 15..17 and was
-# level at n = 14; splitting at n/3 or 3n/4 took longer still.
+# Xeon machine, Python 3.11.7), against one width throughout, both on the
+# two-step elimination: 1.13-1.15x at n = 9..11, where the repack costs more
+# than the narrow steps save; 0.97x at n = 12, 0.93x at 13, 0.91x at 14,
+# 0.85x at 15, 0.81x at 16 and 0.79x at 17.
+# Splitting at n/2 took 3-9% longer than at 2n/3 for n = 12..17, at 3n/4
+# 0-5% longer and at n/3 15-33% longer; rounding s to an even step, so that
+# no single step precedes the repack, was level within 1%.
 _STAGE_MIN_N = 12
 
 
@@ -483,7 +519,10 @@ def int_det_poly(a, b) -> list:
     Before Bareiss step s = 2n/3 every entry is a minor of A + xB on at
     most s + 1 rows, a polynomial of degree s + 1 or less in x whose
     coefficients the product of the s + 1 largest row norms bounds; with k0
-    its bit length plus one, steps 0..s-1 run on A + 2^k0 B.  Each trailing
+    its bit length plus one, steps 0..s-1 run on A + 2^k0 B, two a pass,
+    and step s - 1 alone where s is odd, so that a pass ends at step s: its
+    entries there are the minors of the single-step elimination (Bareiss,
+    Math. Comp. 22, 1968), and the bound holds for them.  Each trailing
     entry and the last pivot are then read as s + 2 balanced base-2^k0
     digits (a remainder raises ExactLinalgError) and evaluated at 2^K, and
     steps s..n-2 finish at full width.  A leading minor vanishes at 2^k0

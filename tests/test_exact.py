@@ -7,8 +7,10 @@ and mat_rank and solve_exact against the largest nonvanishing minor, also where 
 elimination skips columns; the inverse solve_exact gives column by column by
 multiplying back; root counts against explicit factorizations and the
 integer gcd against a Euclidean gcd over Fraction.  The symmetric
-elimination is checked against the general one (ff_det on integers), also
-where a zero pivot sends it to the general one, int_det_poly against
+two-step elimination is checked against the general one (ff_det on
+integers), also where a zero pivot sends it to the general one, and against
+the single-step loop it replaced (one_step_sym_det), value for value and
+None for None, also at the step where a stage repacks; int_det_poly against
 per-point ff_det interpolated over Fraction (it rejects non-symmetric or
 mismatched pairs), on both sides of the packed bit length where it stops
 reading all coefficients from one elimination, and so is its staged
@@ -173,6 +175,123 @@ def test_sym_det_forced_branches(m, det, taken):
     assert taken == [k for k, x in enumerate(minors) if not x][:1]
     assert exact._sym_det(_upper(m)) == (None if taken else det)
     assert exact._symmetric_det(m) == det
+
+
+def one_step_sym_det(u, stage=None):
+    # oracle: the single-step symmetric Bareiss elimination, one pivot and
+    # one exact division a step, with the stage and the None of _sym_det
+    n = len(u)
+    prev = 1
+    s, widen = stage or (0, None)
+    for k in range(n - 1):
+        if k == s and widen:
+            prev = widen(u, prev)
+        row = u[k]
+        pivot = row[0]
+        if not pivot:
+            return None
+        for i in range(k + 1, n):
+            f = row[i - k]
+            u[i] = [(pivot * x - f * y) // prev for x, y in zip(u[i], row[i - k:])]
+        prev = pivot
+    return u[n - 1][0]
+
+
+def _both_sym_dets(m, s=None):
+    # (_sym_det, oracle) on copies of the upper triangle of m; with a step s,
+    # each also gives the last pivot and the trailing rows u[s:] it reaches
+    # before step s, through a widen that keeps the width
+    results = []
+    for sym_det in (exact._sym_det, one_step_sym_det):
+        seen = []
+        stage = (s, lambda u, prev: seen.append((prev, [r[:] for r in u[s:]])) or prev) if s else None
+        results.append((sym_det(_upper(m), stage), seen))
+    return results
+
+
+def _zero_leading_minor(rng, n, r):
+    # a leading r x r block P D P^T, with P unit lower triangular and D
+    # diagonal, d_r-1 = 0: its leading principal minors are d_0 ... d_j, so
+    # the first to vanish has r rows (step r - 1); the rows and columns past
+    # the block are drawn, so the whole matrix can be nonsingular
+    m = _dense_symmetric(rng, n, 3)
+    p = [[1 if i == j else rng.randint(-2, 2) if j < i else 0 for j in range(r)] for i in range(r)]
+    d = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(r - 1)] + [0]
+    for i in range(r):
+        for j in range(r):
+            m[i][j] = sum(p[i][k] * d[k] * p[j][k] for k in range(r))
+    return m
+
+
+@pytest.mark.parametrize("n", range(1, 14))
+def test_sym_det_matches_the_one_step_oracle(n):
+    # dense and sparse draws, eliminated whole and with a stage at every
+    # step s, whose widen records the pivot and trailing rows at step s: the
+    # two-step passes reach the one-step values there, after a single step
+    # where s is odd, and return None on the same matrices
+    rng = random.Random("one-step:%d" % n)
+    outcomes = set()
+    for draw in (_dense_symmetric, _sparse_symmetric):
+        for _ in range(30):
+            m = draw(rng, n)
+            whole = _both_sym_dets(m)
+            assert whole[0] == whole[1], m
+            det = whole[0][0]
+            assert det is None or det == ff_det(m)
+            outcomes.add(det is None)
+            for s in range(1, n - 1):
+                staged = _both_sym_dets(m, s)
+                assert staged[0] == staged[1], (m, s)
+                assert staged[0][0] == det and (det is None or len(staged[0][1]) == 1)
+    assert outcomes == ({False} if n == 1 else {False, True})
+
+
+@pytest.mark.parametrize("n", range(2, 14))
+def test_sym_det_zero_leading_minor_in_either_step_of_a_pair(n):
+    # a first vanishing leading minor of r rows is the pivot of step r - 1:
+    # the a of a pass when r - 1 is even, its c0 when r - 1 is odd, and
+    # either under a stage that shifts the pairing; _sym_det and the oracle
+    # both return None, and _symmetric_det takes the general elimination
+    rng = random.Random("zero-minor:%d" % n)
+    dets = []
+    for r in range(1, n):
+        m = _zero_leading_minor(rng, n, r)
+        minors = [ff_det([row[:k + 1] for row in m[:k + 1]]) for k in range(n)]
+        assert [k for k, x in enumerate(minors) if not x][:1] == [r - 1]
+        assert _both_sym_dets(m) == [(None, [])] * 2
+        for s in range(1, n - 1):
+            staged = _both_sym_dets(m, s)
+            assert staged[0] == staged[1] and staged[0][0] is None
+            assert len(staged[0][1]) == (s < r)
+        dets.append(exact._symmetric_det(m))
+        assert dets[-1] == minors[-1]
+    assert any(dets)
+
+
+def test_sym_det_matches_the_one_step_oracle_on_ladder_pencils(monkeypatch):
+    # the benchmark's ladder pool, P^4..P^16 x seeds 0..15, with int_det_poly
+    # held to one width at every size and then staged at every size: each
+    # elimination it runs gives what the one-step oracle gives on a copy,
+    # and both widths read the same coefficients
+    pool = [pencils._scaled(p.q0, p.q1)[:2]
+            for p in (pencils.random_pencil(m, seed) for m in range(4, 17) for seed in range(16))]
+    sym_det = exact._sym_det
+    staged = []
+
+    def both(u, stage=None):
+        expected = one_step_sym_det([r[:] for r in u], stage)
+        det = sym_det(u, stage)
+        assert det == expected is not None
+        staged.append(stage is not None)
+        return det
+
+    monkeypatch.setattr(exact, "_sym_det", both)
+    forms = []
+    for stage_min_n in (18, 1):
+        monkeypatch.setattr(exact, "_STAGE_MIN_N", stage_min_n)
+        forms.append([int_det_poly(a, b) for a, b in pool])
+    assert forms[0] == forms[1]
+    assert staged == [False] * 208 + [True] * 208
 
 
 def _interpolation_oracle(a, b):
@@ -429,7 +548,7 @@ def _staged_fallback(monkeypatch, a, b):
     return counts
 
 
-@pytest.mark.parametrize("n", [12, 15, 17])
+@pytest.mark.parametrize("n", range(12, 18))
 def test_staged_int_det_poly_exchanges_in_either_stage(monkeypatch, n):
     # a zero leading diagonal entry is a zero pivot: at step 0, on the
     # narrow packing, or at step s, after the repack; either way the one
@@ -441,7 +560,7 @@ def test_staged_int_det_poly_exchanges_in_either_stage(monkeypatch, n):
         assert _staged_fallback(monkeypatch, a, b) == ([n], repacks, [n])
 
 
-@pytest.mark.parametrize("n", [12, 15, 17])
+@pytest.mark.parametrize("n", range(12, 18))
 def test_staged_int_det_poly_congruence(monkeypatch, n):
     # an all-zero trailing diagonal, which a symmetric elimination cannot
     # pivot on by any exchange: at step 0 and at step s the one evaluation
@@ -454,14 +573,14 @@ def test_staged_int_det_poly_congruence(monkeypatch, n):
     assert _staged_fallback(monkeypatch, a, b) == ([n], [s], [n])
 
 
-@pytest.mark.parametrize("n, bits", [(12, 22), (14, 16), (17, 10)])
+@pytest.mark.parametrize("n, bits", [(12, 22), (13, 18), (14, 16), (15, 14), (16, 12), (17, 10)])
 @pytest.mark.parametrize("signs", ["low", "high", "mixed"])
 def test_staged_int_det_poly_near_the_bound(monkeypatch, n, bits, signs):
     # diagonal pairs whose minors at the repack fill their digits: with
     # E = 2^bits - 3 every norm rounds up to 2^bits - 1, so k0 - 1 =
     # bits (s + 1), and the digit E^(s+1) lies within 4% of the balanced
-    # range 2^(k0-1); the largest entry size whose pair packs under
-    # _KRONECKER_BITS at each n
+    # range 2^(k0-1); at each n = 12..17 the pair packs under
+    # _KRONECKER_BITS and the pair with entries 4 times as large does not
     e = (1 << bits) - 3
     s = 2 * n // 3
     alt = [(-1) ** i for i in range(n)]
@@ -521,16 +640,18 @@ def test_drawn_pencils_take_no_general_elimination(monkeypatch):
 def test_staged_int_det_poly_refuses_a_narrow_packing(monkeypatch):
     # every norm k0 is sized by read as 2: the minors at the repack leave a
     # remainder after their s + 2 digits, and raise there, before the full
-    # width could read a wrong determinant; the pair is positive definite
-    # (each diagonal entry 200 + i above its row's off-diagonal sum, at most
-    # 45), so no leading minor of A + xB, x >= 0, vanishes before the repack
+    # width could read a wrong determinant, at every n = 12..17, either
+    # parity of s; each pair is positive definite (each diagonal entry
+    # 200 + i above its row's off-diagonal sum, at most 48), so no leading
+    # minor of A + xB, x >= 0, vanishes before the repack
     rng = random.Random("narrow")
-    a, b = _dominant(rng, 16, 200), _dominant(rng, 16, 200)
     monkeypatch.setattr(exact, "sorted", lambda norms: [2] * len(norms), raising=False)
-    calls, repacks = _counted_stages(monkeypatch)
-    with pytest.raises(exact.ExactLinalgError, match="pencil minor exceeds its coefficient bound"):
-        int_det_poly(a, b)
-    assert (calls, repacks) == ([16], [10])
+    for n in range(12, 18):
+        a, b = _dominant(rng, n, 200), _dominant(rng, n, 200)
+        calls, repacks = _counted_stages(monkeypatch)
+        with pytest.raises(exact.ExactLinalgError, match="pencil minor exceeds its coefficient bound"):
+            int_det_poly(a, b)
+        assert (calls, repacks) == ([n], [2 * n // 3])
 
 
 def test_int_det_poly_rejects_mismatched_sizes():
