@@ -8,15 +8,15 @@ shared faces.
 
 The classifier solves no linear system, per class or at set-up.  The facet
 rows of a generator triple (a, b, c) are the cross products b x c, c x a and
-a x b of its integer H vectors, signed by det(a, b, c): positive multiples
-of the rows of the inverse generator matrix.  These rows, for each triple
-named in REGIONS and for the effective cone over E1, E2, E3, and every
-forcing-curve pairing lie on one of eleven planes through the origin.  A
-class's sign pattern is the signs of the dot products of any positive
-multiple of its integer H vector with the eleven plane normals: each public
-call scales the H vector to integers once (picard.integer_h); the censuses
-read the integer vector a face or a draw holds, and face_census the
-mirror's as that vector reversed.  Region, position, nef and effectivity
+a x b of its integer H vectors, signed by det(a, b, c) (picard.facet_rows):
+positive multiples of the rows of the inverse generator matrix.  These rows,
+for each triple named in REGIONS and for the effective cone over E1, E2, E3,
+and every forcing-curve pairing lie on one of eleven planes through the
+origin.  A class's sign pattern is the signs of the dot products of any
+positive multiple of its integer H vector with the eleven plane normals:
+each public call scales the H vector to integers once (picard.integer_h);
+the censuses read the integer vector a face or a draw holds, and face_census
+the mirror's as that vector reversed.  Region, position, nef and effectivity
 tests and forced loci are then read from one placement per sign pattern,
 built on first use and cached; each cone's test is compiled once into
 (plane, orientation, strict) facets (_cone_tests).  The eleven planes cut
@@ -51,9 +51,11 @@ from .picard import (
     H1_3,
     H2_3,
     H3_3,
+    _cross,
     class_P,
     convert,
     curves_x3,
+    facet_rows,
     integer_h,
     pair,
 )
@@ -164,27 +166,20 @@ _EFF = (("E1", "E2", "E3"), (">=", ">=", ">="))
 _NEF = (("H1", "H2", "H3"), (">=", ">=", ">="))
 
 
-def _cross(a, b) -> tuple:
-    a0, a1, a2 = a
-    b0, b1, b2 = b
-    return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
-
-
 @functools.cache
 def _plane_table() -> tuple:
     """The distinct planes of the classifier's rows, and where each row lies.
 
-    The facet rows of a generator triple (a, b, c) in REGIONS or _EFF are
-    sign(det) (b x c, c x a, a x b) with det = a . (b x c), integer rows
-    that are positive multiples of the rows of the inverse of the matrix
-    with columns a, b, c (picard.facet_rows); the forcing-curve rows are
-    the curves' Fl coordinates.  Each row is a positive or negative multiple
-    of one of a few primitive integer normals (11 of them for 33 facet
-    rows).  Returns the normals, the (plane index, orientation) pair of each
-    triple's rows, and the (plane index, orientation, piece) of each forcing
-    curve: a row's dot product with a class has the sign of orientation
-    times the sign of the plane's.  Built on first use, from the integer
-    vectors in _GEN_H and CURVE_TABLE_X3 alone.
+    The facet rows of each generator triple in REGIONS or _EFF are
+    picard.facet_rows of the generators' integer H vectors; the
+    forcing-curve rows are the curves' Fl coordinates.  Each row is a
+    positive or negative multiple of one of a few primitive integer normals
+    (11 of them for 33 facet rows).  Returns the normals, the (plane index,
+    orientation) pair of each triple's rows, and the (plane index,
+    orientation, piece) of each forcing curve: a row's dot product with a
+    class has the sign of orientation times the sign of the plane's.  Built
+    on first use, from the integer vectors in _GEN_H and CURVE_TABLE_X3
+    alone.
     """
     normals = {}
 
@@ -194,18 +189,10 @@ def _plane_table() -> tuple:
         normal = tuple(orient * x // g for x in row)
         return normals.setdefault(normal, len(normals)), orient
 
-    def rows(gens):
-        # the rows of the adjugate of the matrix with columns a, b, c
-        a, b, c = (_GEN_H[g] for g in gens)
-        adjugate = (_cross(b, c), _cross(c, a), _cross(a, b))
-        det = sum(map(operator.mul, a, adjugate[0]))
-        if not det:
-            raise ValueError("generators %s are linearly dependent" % (gens,))
-        return [tuple(x if det > 0 else -x for x in row) for row in adjugate]
-
     triples = [gens for spec in REGIONS for gens, _ in spec.cones]
     triples += [spec.position_basis for spec in REGIONS] + [_EFF[0]]
-    facets = {gens: tuple(place(row) for row in rows(gens)) for gens in dict.fromkeys(triples)}
+    facets = {gens: tuple(map(place, facet_rows(*(_GEN_H[g] for g in gens))))
+              for gens in dict.fromkeys(triples)}
     fl = {name: coeffs for name, coeffs, _ in CURVE_TABLE_X3}
     forcing = tuple(place(fl[name]) + (piece,) for name, piece in FORCING_CURVES)
     return tuple(normals), facets, forcing
@@ -429,8 +416,7 @@ _XI_MODEL = {MODEL_P9: MODEL_P9_DUAL, MODEL_P9_DUAL: MODEL_P9}
 
 
 def _xi_pieces(pieces) -> frozenset:
-    swap = {"E1": "E3", "E3": "E1"}
-    return frozenset(swap.get(p, p) for p in pieces)
+    return frozenset(_XI_GEN.get(p, p) for p in pieces)
 
 
 def _xi_position(position: str) -> str:

@@ -23,8 +23,9 @@ SCHEMA = "cq/1"
 
 # `cq pencil --n N --k K` counts the singular members of one random pencil
 # on P^m, m = N - K (pencils.marking_pencil); on one 2.1 GHz Xeon core the
-# command takes 0.025-0.03 s at m = 19, 0.11 s at m = 29 and 0.36-0.39 s at
-# m = 39.  A larger m is rejected with exit 2 before anything is drawn.
+# command takes 0.009-0.013 s at m = 19, 0.041-0.049 s at m = 29 and
+# 0.145-0.157 s at m = 39, in process.  A larger m is rejected with exit 2
+# before anything is drawn.
 MAX_PENCIL_M = 39
 
 # `cq chow` admits a shape by its predicted work (_chow_work), in

@@ -80,7 +80,7 @@ class UnderdeterminedSystem(ExactLinalgError):
 
 def parse_rat(s) -> Fraction:
     """Parse "p/q", "p" or a decimal such as "0.5" (also accepts ints and
-    floats, but not booleans) into a Fraction in lowest terms.
+    floats, but not booleans or None) into a Fraction in lowest terms.
 
     Exponent notation is rejected in text: "1e5000" would build a 5001-digit
     integer before anything could check its size.  A float is read from its
@@ -89,6 +89,8 @@ def parse_rat(s) -> Fraction:
     """
     if isinstance(s, Fraction):
         return s
+    if s is None:
+        raise ValueError("null is not a number")
     if isinstance(s, bool):
         raise ValueError("a boolean is not a number: %r" % s)
     if isinstance(s, int):

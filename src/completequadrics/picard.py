@@ -14,19 +14,20 @@ Fl_1..Fl_n dual to the H_i; all intersection pairings reduce to this
 duality, which lets the whole X_3 intersection table be regenerated from
 its H columns alone.
 
-A class is placed against a tuple of generators by the signs of its
-coordinates in them.  For the nef and effective cones these are its H and
-E coordinates.  For any other tuple they are the integer facet rows of the
-tuple (facet_rows, computed once per tuple) dotted with the class's integer
-H vector (integer_h), which is how the movable-cone test here reads them.
-The n = 3 chamber classifier takes the same rows, up to positive factors,
-from cross products of its generators' integer H vectors
-(chambers._plane_table), so it solves nothing here.
+A class is placed against a cone by the signs of its coordinates in the
+cone's generators, read from its integer H vector (integer_h), a positive
+multiple of its H coordinates.  For the nef and effective cones these are
+that vector and its E coordinates times n + 1 (_scaled_e).  For a
+triple of generators on the n = 3 space they are the vector's dot products
+with the triple's facet rows (facet_rows): signed cross products of the
+generators' integer H vectors, positive multiples of the rows of the
+inverse generator matrix.  The movable cone and the chamber classifier
+(chambers._plane_table) both read them, so neither solves anything.
 """
 
 from __future__ import annotations
 
-import functools
+import operator
 from fractions import Fraction
 from math import gcd
 
@@ -164,33 +165,29 @@ class ConeMembership(Record):
 def cone_membership(d: DivisorClass, cone: str) -> ConeMembership:
     """Membership in the nef, effective or (n=3) movable cone.
 
-    nef: nonnegative H coefficients; eff: nonnegative E coefficients; mov
-    (n=3 only): the cone generated by H_1, H_2, H_3 and P, tested as the
-    union of the simplicial cones (H_1,H_2,H_3) and (H_1,H_3,P), each read
-    through its integer facet rows.  The interior flag asks for strictly
-    positive coefficients in an accepting generator triple, so points of
-    the shared internal wall (H_1,H_3) are not flagged interior.
+    Each cone is read through one or more coordinate systems of the class,
+    all from its integer H vector: the class is inside when every coordinate
+    of some system is >= 0, and interior when every one is > 0.  nef: the H
+    coordinates; eff: the E coordinates; mov (n=3 only): the cone generated
+    by H_1, H_2, H_3 and P, the union of the simplicial cones (H_1,H_2,H_3)
+    and (H_1,H_3,P), so its H coordinates and its coordinates in H_1, H_3,
+    P (through facet_rows).  Points of the shared internal wall (H_1,H_3)
+    are therefore not flagged interior.
     """
+    h = integer_h(d)
     if cone == "nef":
-        h = convert(d, "H").coeffs
-        return ConeMembership(all(c >= 0 for c in h), all(c > 0 for c in h))
-    if cone == "eff":
-        # the E coordinates, or their signs: _scaled_e of the integer H vector
-        e = d.coeffs if d.basis == "E" else _scaled_e(integer_h(d))
-        return ConeMembership(all(c >= 0 for c in e), all(c > 0 for c in e))
-    if cone == "mov":
+        systems = [h]
+    elif cone == "eff":
+        systems = [_scaled_e(h)]
+    elif cone == "mov":
         if d.n != 3:
             raise ValueError("movable cone data is only available for n = 3")
-        h = integer_h(d)
-        contains = interior = False
-        for triple in ((H1_3, H2_3, H3_3), (H1_3, H3_3, class_P())):
-            x = [sum(a * c for a, c in zip(row, h)) for row in facet_rows(triple)]
-            if all(c >= 0 for c in x):
-                contains = True
-                if all(c > 0 for c in x):
-                    interior = True
-        return ConeMembership(contains, interior)
-    raise ValueError("unknown cone %r" % (cone,))
+        rows = facet_rows(*(integer_h(g) for g in (H1_3, H3_3, class_P())))
+        systems = [h, [sum(map(operator.mul, row, h)) for row in rows]]
+    else:
+        raise ValueError("unknown cone %r" % (cone,))
+    return ConeMembership(any(all(x >= 0 for x in xs) for xs in systems),
+                          any(all(x > 0 for x in xs) for xs in systems))
 
 
 def canonical(n: int, method: str = "nefbasis") -> DivisorClass:
@@ -268,19 +265,27 @@ def class_P() -> DivisorClass:
     return DivisorClass(3, "H", (4, -2, 4))
 
 
-@functools.cache
-def facet_rows(gens: tuple) -> tuple:
-    """Integer rows giving the signs of a class's coordinates in gens.
+def _cross(a, b) -> tuple:
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
 
-    Row i of the inverse of the matrix whose columns are the H coordinates
-    of gens, scaled by the lcm of its denominators: its dot product with the
-    H coordinates of a class is the class's i-th coordinate in gens times a
-    positive number.  That row solves x . h_j = [i = j] over the generators'
-    H vectors h_j (solve_exact).  Computed once per tuple of generators.
+
+def facet_rows(a, b, c) -> tuple:
+    """Integer rows giving the signs of a class's coordinates in a, b, c.
+
+    a, b, c are integer H vectors on the n = 3 space.  The rows are
+    sign(det) (b x c, c x a, a x b), det = a . (b x c): the rows of the
+    adjugate of the matrix with columns a, b, c, signed so that they are
+    |det| times the rows of its inverse.  Row i dotted with the H vector of
+    a class is |det| times the class's i-th coordinate in a, b, c.  Raises
+    ValueError when the vectors are linearly dependent.
     """
-    hs = [convert(g, "H").coeffs for g in gens]
-    unit = [[int(i == j) for j in range(len(hs))] for i in range(len(hs))]
-    return tuple(tuple(clear_denominators([solve_exact(hs, e)])[0][0]) for e in unit)
+    rows = (_cross(b, c), _cross(c, a), _cross(a, b))
+    det = sum(map(operator.mul, a, rows[0]))
+    if not det:
+        raise ValueError("generators %r are linearly dependent" % ((a, b, c),))
+    return tuple(tuple(x if det > 0 else -x for x in row) for row in rows)
 
 
 def integer_h(d: DivisorClass) -> list:

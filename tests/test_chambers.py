@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import math
 import os
 import pathlib
 import random
@@ -37,12 +38,12 @@ from completequadrics.chambers import (
 )
 from completequadrics.exact import InconsistentSystem, solve_exact
 from completequadrics.picard import (
+    ConeMembership,
     DivisorClass,
     class_P,
     cone_membership,
     convert,
     curves_x3,
-    facet_rows,
     integer_h,
     pair,
     xi,
@@ -368,6 +369,24 @@ class TestIntegerClassifier:
             checked += 1
         assert checked == 4912
 
+    def test_cone_membership_on_every_face(self):
+        # one class of each nonzero face: the cones of picard agree with the
+        # chamber table; Eff is the effective classes, Nef chamber 1 and Mov
+        # chambers 1 and 2, each interior only inside its chambers
+        faces = list(itertools.chain(*chambers._faces()[1:]))
+        assert len(faces) == 230
+        for h in faces:
+            d = DivisorClass(3, "H", h)
+            try:
+                report = classify(d)
+                effective, chamber, interior = True, report.chamber_id, report.position == "interior"
+            except ValueError:  # not effective
+                effective, chamber, interior = False, None, False
+            assert cone_membership(d, "eff").contains == effective, h
+            nef, mov = chamber == 1, chamber in (1, 2)
+            assert cone_membership(d, "nef") == ConeMembership(nef, nef and interior), h
+            assert cone_membership(d, "mov") == ConeMembership(mov, mov and interior), h
+
 
 # -- the row-based classifier, kept as the reference of the sign patterns ------
 
@@ -381,7 +400,10 @@ MODELS_ON_NEF_FACES = {
 
 
 def reference_rows(gens):
-    return facet_rows(tuple(GENERATORS[g] for g in gens))
+    # the rows of the inverse generator matrix, each solved for and scaled
+    # by the lcm of its denominators: the oracle of picard.facet_rows
+    matrix = [[GEN_H[g][i] for g in gens] for i in range(3)]
+    return [[x * math.lcm(*(y.denominator for y in row)) for x in row] for row in _inverse(matrix)]
 
 
 def dot(row, h):
@@ -470,7 +492,7 @@ class TestSignPatternPlacement:
 
     def test_every_face_matches_the_row_reference(self):
         # one class of each of the 231 sign patterns, so every placement the
-        # classifier can build is compared with the facet_rows reference
+        # classifier can build is compared with the solved row reference
         faces = list(itertools.chain(*chambers._faces()))
         assert len(faces) == 231
         for h in faces:
@@ -844,14 +866,13 @@ def test_empty_locus_differs_from_nef(monkeypatch, fresh_placements, first_face)
 
 
 def test_import_builds_no_rows_or_placements():
-    # facet rows, plane table, cone tests, reports and placements are built
-    # on first use, not at import, so the benchmark's set-up time cannot
-    # absorb them
+    # plane table, cone tests, reports and placements are built on first
+    # use, not at import, so the benchmark's set-up time cannot absorb them
     code = (
         "import completequadrics\n"
-        "from completequadrics import chambers, picard\n"
-        "caches = (picard.facet_rows, chambers._plane_table, chambers._cone_tests,\n"
-        "          chambers._report_for, chambers._placement)\n"
+        "from completequadrics import chambers\n"
+        "caches = (chambers._plane_table, chambers._cone_tests, chambers._report_for,\n"
+        "          chambers._placement)\n"
         "print([f.cache_info().currsize for f in caches])\n"
     )
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
@@ -860,7 +881,7 @@ def test_import_builds_no_rows_or_placements():
         env=dict(os.environ, PYTHONPATH=path), timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[0, 0, 0, 0, 0]\n"
+    assert proc.stdout == "[0, 0, 0, 0]\n"
 
 
 # -- the constant tables: built in integers, and never read stale --------------
@@ -882,7 +903,7 @@ def cold_tables():
 
 def test_cold_census_solves_nothing(monkeypatch, cold_tables):
     # the plane table comes from integer cross products of the generators'
-    # H vectors: no facet_rows, no Picard conversion, no linear solve,
+    # H vectors (facet_rows): no Picard conversion and no linear solve,
     # wherever a module holds them
     from completequadrics import exact, picard
 
@@ -891,7 +912,7 @@ def test_cold_census_solves_nothing(monkeypatch, cold_tables):
             raise AssertionError("%s called" % name)
         return call
 
-    for name in ("facet_rows", "convert", "solve_exact"):
+    for name in ("convert", "solve_exact"):
         for module in (exact, picard, chambers):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse(name))

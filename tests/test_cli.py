@@ -6,6 +6,7 @@ import io
 import itertools
 import json
 import math
+import os
 import pathlib
 import random
 import re
@@ -989,6 +990,19 @@ def test_json_boolean_entries_rejected(argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ["chow", "--form", "[[null]]", "--k", "1"],
+    ["chow", "--form", "[[1,0],[0,1]]", "--limit-toward", "[[null,0],[0,0]]", "--k", "1"],
+    ["cone", "--divisor", '{"basis":"H","coeffs":[null,0,0]}', "--cone", "nef"],
+    ["pair", "--curve", '{"n":3,"coeffs":[1,null,1]}', "--divisor", '{"basis":"H","coeffs":[1,1,1]}'],
+], ids=["form", "limit-toward", "divisor", "curve"])
+def test_json_null_entries_rejected(argv):
+    # a JSON null is None, which must not be read as the text "None"
+    code, out, err = run(argv)
+    assert code == 2 and out == ""
+    assert err == "error: null is not a number\n"
+
+
+@pytest.mark.parametrize("argv", [
     ["cone", "--divisor", '{"basis":"H","coeffs":5}', "--cone", "nef"],
     ["cone", "--divisor", '{"basis":"H","coeffs":null}', "--cone", "nef"],
     ["chow", "--form", '{"matrix":5}', "--k", "1"],
@@ -1047,9 +1061,12 @@ def test_nested_json_entries_rejected(nested, flat):
 
 
 def test_console_script_wiring():
+    # the child finds the package where this process found it
+    src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "completequadrics.cli", "canonical", "--n", "2"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["divisor"]["coeffs"] == ["-2", "-2"]

@@ -175,16 +175,19 @@ def test_basis_matrix_errors():
         derive_class_from_pairings([], 3, basis="bogus")
 
 
-def test_facet_rows_are_cached_integer_inverse_rows():
-    triple = (H1_3, H3_3, class_P())
-    rows = facet_rows(triple)
-    assert facet_rows(triple) is rows
-    assert all(type(x) is int for row in rows for x in row)
-    cols = [convert(g, "H").coeffs for g in triple]
-    matrix = [[c[i] for c in cols] for i in range(3)]
-    # each row is a positive multiple of a row of the inverse
-    product = [[sum(rows[i][k] * matrix[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
-    assert all((product[i][j] > 0) if i == j else (product[i][j] == 0) for i in range(3) for j in range(3))
+def test_facet_rows_are_integer_inverse_rows():
+    # in either orientation of the triple, so for either sign of its det
+    for triple in ((H1_3, H3_3, class_P()), (H3_3, H1_3, class_P())):
+        cols = [integer_h(g) for g in triple]
+        rows = facet_rows(*cols)
+        assert all(type(x) is int for row in rows for x in row)
+        matrix = [[c[i] for c in cols] for i in range(3)]
+        # each row is a positive multiple of a row of the inverse
+        product = [[sum(rows[i][k] * matrix[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
+        assert all((product[i][j] > 0) if i == j else (product[i][j] == 0) for i in range(3) for j in range(3))
+    # P + 4 E2 = 6 H2
+    with pytest.raises(ValueError, match="linearly dependent"):
+        facet_rows(integer_h(H2_3), integer_h(class_P()), integer_h(E2_3))
 
 
 def test_integer_h_is_a_positive_multiple():
@@ -428,11 +431,11 @@ def _importers(name):
 
 
 def test_only_picard_inverts_a_matrix():
-    # the generator-matrix inverse behind facet_rows is read row by row from
-    # solve_exact, the one rational solver: only picard solves, conversions
-    # between bases do not, and no other routine back-substitutes
+    # solve_exact, the one rational solver, has one reader: a class derived
+    # from curve pairings.  Conversions between bases and facet rows solve
+    # nothing, and no other routine back-substitutes
     assert _importers("solve_exact") == {"picard.py"}
-    assert _callers("solve_exact") == {"picard.facet_rows", "picard.derive_class_from_pairings"}
+    assert _callers("solve_exact") == {"picard.derive_class_from_pairings"}
     assert _callers("_back_substitute") == {"exact.solve_exact"}
 
 
