@@ -10,7 +10,6 @@ is what ties the lattice pairings of the picard module to geometry.
 
 from __future__ import annotations
 
-import math
 import random
 from fractions import Fraction
 from functools import cached_property
@@ -64,39 +63,20 @@ class Pencil(Record):
 
     @cached_property
     def _det_ints(self) -> list:
-        # the integer coefficients of det(A + tB), computed on first use and
-        # kept, with L the common denominator and A = L Q0, B = L Q1 integral:
-        # L^size times those of det(Q0 + tQ1), with the same zeros and roots.
-        # Like det_form, kept in the instance __dict__, outside the fields,
+        # the integer coefficients c_j of det(A + tB), A = q0.ints and
+        # B = q1.ints, computed on first use and kept: with d0, d1 the
+        # members' dens, c_j is d0^(size-j) d1^j times the t^j coefficient
+        # of det(Q0 + tQ1), so the zeros are the same and the roots scale
+        # by d0/d1 > 0.  Kept in the instance __dict__, outside the fields,
         # so equality and the hash still read q0 and q1 only; a raise is not
         # kept.
-        a, b, _ = _scaled(self.q0, self.q1)
-        return _det_binary(a, b)
-
-    @cached_property
-    def det_form(self) -> BinaryForm:
-        """det(s Q0 + t Q1), computed on first use and kept: the kept
-        integer coefficients over L^size."""
-        denom = math.lcm(self.q0.den, self.q1.den) ** (self.q0.n + 1)
-        return BinaryForm(tuple(Fraction(x, denom) for x in self._det_ints))
+        return _det_binary(self.q0.ints, self.q1.ints)
 
 
 class BinaryForm(Record):
     """Homogeneous binary form sum c_d s^(deg-d) t^d, coeffs = (c_0, .., c_deg)."""
 
     _fields = ("coeffs",)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-
-def _scaled(q0: SymmetricForm, q1: SymmetricForm) -> tuple:
-    # (L Q0, L Q1, L) as integer rows, L the lcm of both forms' denominators;
-    # a form whose den is L is handed through as its ints
-    scale = math.lcm(q0.den, q1.den)
-    return (*(q.ints if q.den == scale else [[x * (scale // q.den) for x in r] for r in q.ints]
-              for q in (q0, q1)), scale)
 
 
 def _det_binary(a, b) -> list:
@@ -109,8 +89,11 @@ def _det_binary(a, b) -> list:
 
 
 def pencil_det_form(p: Pencil) -> BinaryForm:
-    """The binary form det(s Q0 + t Q1), of degree m+1 when not identically zero."""
-    return p.det_form
+    """The binary form det(s Q0 + t Q1), of degree m+1 when not identically
+    zero, built on each call from the kept integer coefficients c_j as
+    c_j / (d0^(size-j) d1^j)."""
+    d0, d1, size = p.q0.den, p.q1.den, p.q0.n + 1
+    return BinaryForm(tuple(Fraction(c, d0 ** (size - j) * d1 ** j) for j, c in enumerate(p._det_ints)))
 
 
 class DegenerationCount(Record):
@@ -130,8 +113,9 @@ def _count_binary_roots(coeffs) -> DegenerationCount:
 def count_degenerations(p: Pencil) -> DegenerationCount:
     """Number of singular members of the pencil, with and without multiplicity.
 
-    Counted on the kept integer coefficients of det(A + tB), a positive
-    multiple of the determinant form, so no Fraction is built.
+    Counted on the kept integer coefficients of det(A + tB), whose zeros
+    and roots, up to the factor d0/d1 > 0, are those of the determinant
+    form, so no Fraction is built.
     """
     return _count_binary_roots(p._det_ints)
 

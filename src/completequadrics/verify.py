@@ -257,14 +257,6 @@ def check_wedge_contraction(max_n: int = 4) -> CheckResult:
     ))
 
 
-def _proportional_support(got: dict, expected: dict) -> bool:
-    if set(got) != set(expected):
-        return False
-    items = sorted(expected)
-    k0 = items[0]
-    return all(got[k] * expected[k0] == got[k0] * expected[k] for k in items)
-
-
 def check_chow_limits(draws: int = 20, seed: int = 0) -> CheckResult:
     """Limit Chow forms of the two basic degenerating families."""
     result = functools.partial(CheckResult, "chow-limits", (
@@ -319,7 +311,10 @@ def check_chow_limits(draws: int = 20, seed: int = 0) -> CheckResult:
         pt = chowform.chow_limit(*rank1(*co), 2)
         pairs = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
         expected = {p: Fraction(v) for p, v in zip(pairs, co) if v}
-        if not _proportional_support(chowform.limit_support_coefficients(pt), expected):
+        got = chowform.limit_support_coefficients(pt)
+        keys = sorted(expected)
+        if set(got) != set(expected) or not pencils._proportional(
+                [got[k] for k in keys], [expected[k] for k in keys]):
             return result(False, "rank-1 support at %r" % (co,))
     return result(True)
 

@@ -1,5 +1,6 @@
 """Chamber classifier: region ownership, duality, and census invariants."""
 
+import functools
 import hashlib
 import itertools
 import json
@@ -399,11 +400,14 @@ MODELS_ON_NEF_FACES = {
 }
 
 
+@functools.cache
 def reference_rows(gens):
     # the rows of the inverse generator matrix, each solved for and scaled
-    # by the lcm of its denominators: the oracle of picard.facet_rows
+    # by the lcm of its denominators: the oracle of picard.facet_rows.  Its
+    # inputs are the gens tuple and the constant GEN_H, so it is solved once
+    # per triple and kept, as tuples
     matrix = [[GEN_H[g][i] for g in gens] for i in range(3)]
-    return [[x * math.lcm(*(y.denominator for y in row)) for x in row] for row in _inverse(matrix)]
+    return tuple(tuple(x * math.lcm(*(y.denominator for y in row)) for x in row) for row in _inverse(matrix))
 
 
 def dot(row, h):

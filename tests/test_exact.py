@@ -273,8 +273,9 @@ def test_sym_det_matches_the_one_step_oracle_on_ladder_pencils(monkeypatch):
     # held to one width at every size and then staged at every size: each
     # elimination it runs gives what the one-step oracle gives on a copy,
     # and both widths read the same coefficients
-    pool = [pencils._scaled(p.q0, p.q1)[:2]
-            for p in (pencils.random_pencil(m, seed) for m in range(4, 17) for seed in range(16))]
+    pencil_pool = [pencils.random_pencil(m, seed) for m in range(4, 17) for seed in range(16)]
+    assert all(p.q0.den == p.q1.den == 1 for p in pencil_pool)
+    pool = [(p.q0.ints, p.q1.ints) for p in pencil_pool]
     sym_det = exact._sym_det
     staged = []
 
@@ -606,7 +607,8 @@ def test_staged_int_det_poly_dispatch(monkeypatch):
     # takes its own elimination
     for m in range(8, 17):
         p = pencils.random_pencil(m, 3)
-        a, b, _ = pencils._scaled(p.q0, p.q1)
+        assert p.q0.den == p.q1.den == 1
+        a, b = p.q0.ints, p.q1.ints
         calls, repacks = _counted_stages(monkeypatch)
         int_det_poly(a, b)
         assert calls == [m + 1]

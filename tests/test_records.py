@@ -192,10 +192,10 @@ def test_unhashable_field_makes_record_unhashable():
 
 def test_cached_det_form_outside_equality_and_hash():
     p, q = _pencil(), _pencil()
-    form = p.det_form
-    assert p.det_form is form and "det_form" in vars(p) and "det_form" not in vars(q)
+    ints = p._det_ints
+    assert p._det_ints is ints and "_det_ints" in vars(p) and "_det_ints" not in vars(q)
     assert p == q and hash(p) == hash(q) == hash((p.q0, p.q1))
-    assert "det_form" not in repr(p)
+    assert "_det_ints" not in repr(p)
 
 
 def test_constructor_checks_kept_in_order():
