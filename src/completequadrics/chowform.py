@@ -21,6 +21,10 @@ from one integer compound at x = 2^K (_compound_poly) read back as base-2^K
 digits by exact._kronecker, which also reads the three flag parameters of
 wedge2_example_matrix from one _flag_limit.  flag_wedge compares integer
 Pluecker vectors.
+
+A compound is symmetric, and every kernel here reads only its upper
+triangle, the entries (S, T) with S <= T that _int_minors returns; the
+public outputs chow_limit and wedge2_example_matrix mirror it.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import operator
 
 from ._value import Record
 from .exact import _int_rows, _kronecker
-from .quadrics import SymmetricForm, _int_minors, _laplace_cols
+from .quadrics import SymmetricForm, _int_minors, _laplace_cols, _mirror
 
 
 class ProjectivePoint(Record):
@@ -118,11 +122,12 @@ def chow_eval(q: SymmetricForm, k: int, basis) -> Fraction:
     Neither p nor the compound matrix is built in Fractions.  With Lb the
     lcm of the denominators of B, v = Lb**k p holds the integer maximal
     minors of Lb B (_int_plucker), and C = q.den**k compound(q, k) the
-    integer minors of q.ints from one Laplace pass (quadrics._int_minors).
-    C is symmetric, so the form is summed in integers over the pairs S <= T
-    only, as sum_S v_S (C_SS v_S + 2 sum_{T > S} C_ST v_T), and divided
-    once by Lb**(2k) q.den**k.  Neither side of the identity is computed
-    from the other.
+    integer minors of q.ints from one Laplace pass (quadrics._int_minors),
+    which holds the pairs S <= T of the symmetric C, row S starting at C_SS.
+    The form is summed in integers over those pairs, as
+    sum_S v_S (C_SS v_S + 2 sum_{T > S} C_ST v_T), and divided once by
+    Lb**(2k) q.den**k.  Neither side of the identity is computed from the
+    other.
     """
     _, kb, v, lv = _int_plucker(basis, q.n + 1)
     if kb != k:
@@ -131,24 +136,25 @@ def chow_eval(q: SymmetricForm, k: int, basis) -> Fraction:
     total = 0
     for s, (vs, row) in enumerate(zip(v, c)):
         if vs:
-            total += vs * (row[s] * vs + 2 * sum(map(operator.mul, row[s + 1:], v[s + 1:])))
+            total += vs * (row[0] * vs + 2 * sum(map(operator.mul, row[1:], v[s + 1:])))
     return Fraction(total, lv * lv * q.den ** k)
 
 
 def _compound_poly(coeffs, deg: int, k: int) -> list:
-    """Rows of the k-th compound of the symmetric integer matrix polynomial
-    C_0 + C_1 x + ... + C_d x^d, with coeffs = [C_0, ..., C_d], each entry
-    as the deg + 1 coefficients of a k x k minor, lowest first; deg bounds
-    the degree of every minor.
+    """The upper triangle of the k-th compound of the symmetric integer
+    matrix polynomial C_0 + C_1 x + ... + C_d x^d, coeffs = [C_0, ..., C_d]:
+    row a holds the entries (S_a, T_b) for b >= a, as quadrics._int_minors
+    does, each as the deg + 1 coefficients of a k x k minor, lowest first;
+    deg bounds the degree of every minor.
 
     With S_ij = sum_d |C_d[i][j]|, the sum of the absolute coefficients of
     a product of polynomials is at most the product of theirs, so a minor
     on rows R and columns T has at most per(S[R, T]), and so at most the
     product over R of the row sums of S.  H, the product of the k largest
     row sums, bounds every coefficient of every minor, and exact._kronecker
-    reads the entries S <= T as balanced base-2^K digits of one integer
-    compound (quadrics._int_minors) at x = 2^K, or, past its bit limit,
-    interpolates them from the compounds at x = 0..deg.  Each is mirrored.
+    reads the entries as balanced base-2^K digits of one integer compound
+    (quadrics._int_minors) at x = 2^K, or, past its bit limit, interpolates
+    them from the compounds at x = 0..deg.
     """
     sums = sorted(sum(map(abs, itertools.chain(*entries))) for entries in zip(*coeffs))
     bound = prod(sums[-k:])
@@ -156,22 +162,19 @@ def _compound_poly(coeffs, deg: int, k: int) -> list:
     def values_at(x):
         powers = [x ** d for d in range(len(coeffs))]
         matrix = [[sum(map(operator.mul, entry, powers)) for entry in zip(*rows)] for rows in zip(*coeffs)]
-        return [v for a, row in enumerate(_int_minors(matrix, k)) for v in row[a:]]
+        return [v for row in _int_minors(matrix, k) for v in row]
 
     entries = iter(_kronecker(values_at, deg, bound))
     size = comb(len(coeffs[0]), k)
-    rows = [[None] * size for _ in range(size)]
-    for a in range(size):
-        for b in range(a, size):
-            rows[a][b] = rows[b][a] = next(entries)
-    return rows
+    return [list(itertools.islice(entries, size - a)) for a in range(size)]
 
 
 def _family_limit(coeffs, deg: int, k: int) -> tuple:
     """(order, rows): the lowest power x^order at which the k-th compound of
     C_0 + C_1 x + ... + C_d x^d, coeffs = [C_0, ..., C_d], with minors of
-    degree at most deg, has a nonzero entry, and that coefficient's rows,
-    from one _compound_poly; ValueError when every k-minor vanishes."""
+    degree at most deg, has a nonzero entry, and the upper triangle of that
+    coefficient, rows as _compound_poly's, from one _compound_poly;
+    ValueError when every k-minor vanishes."""
     rows = _compound_poly(coeffs, deg, k)
     for order in range(deg + 1):
         limit = [[e[order] for e in row] for row in rows]
@@ -192,12 +195,13 @@ def chow_limit(q0: SymmetricForm, q1: SymmetricForm, k: int) -> ProjectivePoint:
     The limit is _family_limit of [q0.ints, q1.ints], of degree k in t.
     With d0, d1 the dens, A + tB = d0 (q0 + (d1 / d0) t q1): its lowest
     coefficient is that of q0 + t*q1 times the positive factor
-    d0**k (d1 / d0)**order, which the projective point drops.
+    d0**k (d1 / d0)**order, which the projective point drops.  The limit
+    comes as an upper triangle and is mirrored for the point.
     """
     if q0.n != q1.n:
         raise ValueError("forms must share an ambient space")
     _, rows = _family_limit([q0.ints, q1.ints], k, k)
-    return ProjectivePoint([e for row in rows for e in row])
+    return ProjectivePoint([e for row in _mirror(rows) for e in row])
 
 
 def limit_support_coefficients(point: ProjectivePoint) -> dict:
@@ -228,7 +232,8 @@ def limit_support_coefficients(point: ProjectivePoint) -> dict:
 # term, x^(k(k-1)/2), belongs to the subset {0..k-1} alone, so its limit is
 # the rank-one form v v^T with v the Pluecker vector of the first k rows of
 # M (Cauchy-Binet).  flag_wedge reads constancy off v; the wedge-contraction
-# check compares v v^T with the limit _flag_limit takes directly.
+# check compares the upper triangle of v v^T with the limit _flag_limit takes
+# directly.
 
 
 def _flag_matrix(n: int, ts) -> list:
@@ -245,7 +250,8 @@ def _flag_plucker(n: int, k: int, ts) -> list:
 
 
 def _flag_limit(n: int, k: int, ts) -> list:
-    """Rows of the x -> 0 limit of the k-th compound of M^T D M, in integers.
+    """The upper triangle of the x -> 0 limit of the k-th compound of
+    M^T D M, in integers, rows as _compound_poly's.
 
     M^T D M = sum_d x^d m_d m_d^T over the rows m_d of the flag matrix M, so
     _family_limit takes the coefficient matrices m_d m_d^T; each entry is a
@@ -291,16 +297,18 @@ def wedge2_example_matrix() -> list:
 
     Each t_j lies in one row and one column of M^T D M, so every entry has
     degree at most 2 in each t_j, and t1^a t2^b t3^c -> X^(a + 3b + 9c) is
-    one-to-one: digit i of _flag_limit(3, 2, (X, X^3, X^9)), read by
-    exact._kronecker, is the coefficient of t1^(i % 3) t2^(i // 3 % 3)
-    t3^(i // 9).  M^T D M has nonnegative coefficients, so the row sums of
-    M^T M at t = (1, 1, 1) are the sums _compound_poly bounds by, and the
-    two largest bound every coefficient.
+    one-to-one: digit i of an entry of _flag_limit(3, 2, (X, X^3, X^9)),
+    read by exact._kronecker, is the coefficient of t1^(i % 3)
+    t2^(i // 3 % 3) t3^(i // 9).  The 21 entries of its upper triangle are
+    read, 27 digits each, and mirrored.  M^T D M has nonnegative
+    coefficients, so the row sums of M^T M at t = (1, 1, 1) are the sums
+    _compound_poly bounds by, and the two largest bound every coefficient.
     """
     def values_at(x):
         return [e for row in _flag_limit(3, 2, (x, x ** 3, x ** 9)) for e in row]
 
     sums = sorted(sum(r[i] * sum(r) for r in _flag_matrix(3, (1, 1, 1))) for i in range(4))
     entries = iter(_kronecker(values_at, 26, sums[-1] * sums[-2]))
-    return [[{(i % 3, i // 3 % 3, i // 9): c for i, c in enumerate(next(entries)) if c}
-             for _ in range(6)] for _ in range(6)]
+    upper = [list(itertools.islice(entries, 6 - a)) for a in range(6)]
+    return [[{(i % 3, i // 3 % 3, i // 9): c for i, c in enumerate(e) if c} for e in row]
+            for row in _mirror(upper)]

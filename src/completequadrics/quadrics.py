@@ -11,7 +11,9 @@ and every kernel computes in those integers.  The k-th compound, the matrix
 of all k x k minors, is taken in one Laplace pass: level 2 is taken by the
 two products of each 2 x 2 minor, and each higher level of minors expands
 into the level below along one row, over subset tables that are built on
-first use and cached per shape (_int_minors).
+first use and cached per shape (_int_minors).  The compound is symmetric,
+so the pass keeps its upper triangle, which every kernel reads; compound()
+mirrors it.
 """
 
 from __future__ import annotations
@@ -109,7 +111,15 @@ def restrict(q: SymmetricForm, basis) -> SymmetricForm:
 
 
 def _independent(b, cols: int) -> bool:
-    # the columns of b are independent: one elimination of a copy of b
+    """Whether the cols columns of the integer matrix b are independent:
+    one elimination of a copy of b, or of b^T when b is tall.
+
+    The rank is the same either way, and the elimination of b^T runs on its
+    cols rows, not on the more rows of b.  A square b stays b itself, where
+    the transpose would only add a copy.
+    """
+    if len(b) > cols:
+        return len(_echelon(list(map(list, zip(*b))), len(b))[0]) == cols
     return len(_echelon([r[:] for r in b], cols)[0]) == cols
 
 
@@ -154,14 +164,24 @@ def compound(q: SymmetricForm, k: int) -> SymmetricForm:
     compound of a rank-r rational form is C(r, k).
 
     The integer minors of q.ints come from one Laplace pass (_int_minors),
-    and each entry is such a minor over q.den**k.
+    which holds the pairs S <= T; they are mirrored here, and each entry is
+    such a minor over q.den**k.
     """
-    return SymmetricForm._unchecked(_int_minors(q.ints, k), q.den ** k)
+    return SymmetricForm._unchecked(_mirror(_int_minors(q.ints, k)), q.den ** k)
+
+
+def _mirror(upper) -> list:
+    """The full rows of a symmetric matrix from its upper triangle, row a
+    holding the entries (a, b) for b >= a."""
+    return [[upper[b][a - b] for b in range(a)] + list(row) for a, row in enumerate(upper)]
 
 
 def _int_minors(ints, k: int) -> list:
-    """Rows of the k-th compound of a symmetric integer matrix A, in
-    lexicographic subset order: entry (S, T) is det A[S, T].
+    """The upper triangle of the k-th compound of a symmetric integer
+    matrix A, in lexicographic subset order: row a holds det A[S_a, T_b] for
+    the subsets T_b >= S_a, so row[0] is the diagonal entry.  The minors
+    with S > T equal these (det A[S, T] = det A[T, S]), and only
+    compound() and the public outputs of chowform mirror them.
 
     The minors are built level by level.  Level 2 is taken by its two
     products, r_s[c] r_t[d] - r_s[d] r_t[c] for rows s < t and columns
@@ -170,14 +190,13 @@ def _int_minors(ints, k: int) -> list:
     R[1:], which level j - 1 already holds.  Every row set at level j is
     the tail of a k-subset, so that level only needs the j-subsets of
     range(k - j, size), over all column j-subsets (_laplace_rows,
-    _laplace_cols).  det A[S, T] = det A[T, S] for a symmetric A, so level
-    k takes only the pairs S <= T and mirrors them.
+    _laplace_cols), and level k takes only the pairs S <= T.
     """
     size = len(ints)
     if not 1 <= k <= size:
         raise ValueError("k out of range")
     if k == 1:
-        return ints
+        return [r[a:] for a, r in enumerate(ints)]
     pairs = _laplace_pairs(size)
     # at level k, row a (the subset S) only needs the columns T >= S
     level = [[rs[c] * rt[d] - rs[d] * rt[c] for c, d in (pairs[a:] if k == 2 else pairs)]
@@ -191,7 +210,7 @@ def _int_minors(ints, k: int) -> list:
             level = [[sum(map(operator.mul, entries(signed[s]), minors(level[tail])))
                       for entries, minors in (cols[a:] if j == k else cols)]
                      for a, (s, tail) in enumerate(_laplace_rows(size, k, j))]
-    return [[level[b][a - b] for b in range(a)] + row for a, row in enumerate(level)]
+    return level
 
 
 @functools.cache
@@ -291,10 +310,11 @@ def _random_basis(rng, rows: int, cols: int) -> list:
     """Random rows x cols integer matrix of rank cols, entries in -3..3.
 
     The first of the matrices _int_matrix draws whose columns are
-    independent: the invertible M of random_form and the points and
-    subspaces that pencil tangencies and the Chow-form identity are counted
-    on.  More columns than rows can never be independent, so that shape
-    raises ValueError before anything is drawn.
+    independent (_independent): the invertible M of random_form and the
+    points and subspaces that pencil tangencies and the Chow-form identity
+    are counted on.  A square draw is eliminated as it is, a tall one as its
+    transpose, on its cols rows.  More columns than rows can never be
+    independent, so that shape raises ValueError before anything is drawn.
     """
     if cols > rows:
         raise ValueError("a %d x %d matrix cannot have rank %d" % (rows, cols, cols))

@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 import operator
 import random
-from fractions import Fraction
 
 from . import chambers, chowform, pencils, picard, quadrics, schubert
 from ._value import Record
@@ -41,8 +40,10 @@ def check_chow_identity(seed: int = 0, min_pairs: int = 100) -> CheckResult:
     certified B, so det(B^T Q B) is the symmetric integer determinant
     (exact._symmetric_det) of the congruence
     quadrics._int_congruence(q.ints, columns of B).  The two sides share no
-    computation.
+    computation.  min_pairs < 1 would check nothing and raises ValueError.
     """
+    if min_pairs < 1:
+        raise ValueError("min_pairs must be at least 1")
     result = functools.partial(CheckResult, "chow-form-identity", (
         "plucker(B)^T compound(Q,k) plucker(B) = det(B^T Q B) for random "
         "forms and subspaces, n in {2,3,4}, all k"
@@ -103,7 +104,10 @@ def direct_count_entries(seed: int) -> list:
 
 
 def check_direct_counts(seeds: int = 20) -> CheckResult:
-    """Pencil degeneration counts equal the corresponding lattice pairings."""
+    """Pencil degeneration counts equal the corresponding lattice pairings;
+    seeds < 1 would check nothing and raises ValueError."""
+    if seeds < 1:
+        raise ValueError("seeds must be at least 1")
     result = functools.partial(CheckResult, "degeneration-counts", (
         "one pencil per family counts 9 table entries (G.H1, G.H2, G.H3 and "
         "C1.H2, C1.H3, C2.H1, L2.H3 by tangencies, G.E3 and C1.E3 by "
@@ -134,8 +138,13 @@ def check_boundary_numbers(seeds: int = 20, max_n: int = 10) -> CheckResult:
 
     The pencil and its closed form depend on m = n - k alone, so each m is
     drawn once per seed; a failure names n = m + 1 and k = 1, which
-    `cq pencil --n m+1 --k 1 --seed s` replays.
+    `cq pencil --n m+1 --k 1 --seed s` replays.  seeds < 1 or max_n < 2
+    would check nothing and raise ValueError.
     """
+    if seeds < 1:
+        raise ValueError("seeds must be at least 1")
+    if max_n < 2:
+        raise ValueError("max_n must be at least 2")
     result = functools.partial(CheckResult, "boundary-pencil-numbers", (
         "random marking pencils on P^(n-k) degenerate n-k+1 times, n <= %d; "
         "each determinant form has top coefficient det Q1 and value "
@@ -223,8 +232,12 @@ def check_wedge_contraction(max_n: int = 4) -> CheckResult:
     For each (n, k) the limit taken directly, from the compound of M^T D M
     as a polynomial in x, is compared with v v^T for the Pluecker vector v of
     the first k rows of M, at t = (2, 3, ..., n + 1); neither side is
-    computed from the other.
+    computed from the other.  Both are upper triangles, the limit's as
+    _flag_limit returns it.  max_n < 2 would check nothing and raises
+    ValueError.
     """
+    if max_n < 2:
+        raise ValueError("max_n must be at least 2")
     result = functools.partial(CheckResult, "wedge-contraction", (
         "flag_wedge(n,k,j) is projectively constant iff j != k for "
         "2 <= n <= %d; the n=3, k=2 limit is the rank-one outer product" % max_n
@@ -237,7 +250,7 @@ def check_wedge_contraction(max_n: int = 4) -> CheckResult:
                 limit = chowform._flag_limit(n, k, ts)
             except AssertionError as exc:
                 return result(False, "n=%d k=%d %s" % (n, k, exc))
-            if limit != [[x * y for y in v] for x in v]:
+            if limit != [[x * y for y in v[a:]] for a, x in enumerate(v)]:
                 return result(False, "n=%d k=%d limit is not v v^T" % (n, k))
             for j in range(1, n + 1):
                 constant = chowform.flag_wedge(n, k, j)
@@ -258,7 +271,11 @@ def check_wedge_contraction(max_n: int = 4) -> CheckResult:
 
 
 def check_chow_limits(draws: int = 20, seed: int = 0) -> CheckResult:
-    """Limit Chow forms of the two basic degenerating families."""
+    """Limit Chow forms of the two basic degenerating families; the support
+    coefficients are integers and are compared with the integer draws.
+    draws < 1 would check nothing and raises ValueError."""
+    if draws < 1:
+        raise ValueError("draws must be at least 1")
     result = functools.partial(CheckResult, "chow-limits", (
         "rank-2 limits are supported on p0^2; rank-1 limits reproduce the "
         "marking conic in line coordinates, %d random draws each" % draws
@@ -310,7 +327,7 @@ def check_chow_limits(draws: int = 20, seed: int = 0) -> CheckResult:
             co[0] = 1
         pt = chowform.chow_limit(*rank1(*co), 2)
         pairs = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
-        expected = {p: Fraction(v) for p, v in zip(pairs, co) if v}
+        expected = {p: v for p, v in zip(pairs, co) if v}
         got = chowform.limit_support_coefficients(pt)
         keys = sorted(expected)
         if set(got) != set(expected) or not pencils._proportional(

@@ -391,6 +391,12 @@ def family_coeffs(q0, q1):
     return [ints[:q0.n + 1], ints[q0.n + 1:]]
 
 
+def mirror(upper):
+    # the full symmetric matrix whose row a, from its diagonal on, is upper[a]
+    size = len(upper)
+    return [[upper[min(a, b)][abs(a - b)] for b in range(size)] for a in range(size)]
+
+
 @pytest.mark.parametrize("family, args, order", [
     (rank2_family, (2, 3, 5), 0),  # q0 = x0 x1 has a nonzero 2 x 2 minor
     (rank1_family, (1, 2, 3, 4, 5, 6), 1),  # q0 = x0^2 has none
@@ -401,7 +407,8 @@ def test_family_limit_order(family, args, order):
     assert got == order
     expected = [[e[order] for e in row] for row in chowform._compound_poly(coeffs, 2, 2)]
     assert rows == expected and any(map(any, rows))
-    assert ProjectivePoint([e for row in rows for e in row]) == chow_limit(*family(*args), 2)
+    assert [len(row) for row in rows] == [6, 5, 4, 3, 2, 1]
+    assert ProjectivePoint([e for row in mirror(rows) for e in row]) == chow_limit(*family(*args), 2)
 
 
 @pytest.mark.parametrize("n", [1, 3])
@@ -501,7 +508,7 @@ def grid_poly(values: dict) -> dict:
 def test_wedge2_example_matrix_matches_grid_oracle(monkeypatch):
     # one direct limit, read by Kronecker substitution, against the limits at
     # the 27 points of {0, 1, 2}^3 interpolated in each flag parameter
-    grid = {t: chowform._flag_limit(3, 2, t) for t in itertools.product(range(3), repeat=3)}
+    grid = {t: mirror(chowform._flag_limit(3, 2, t)) for t in itertools.product(range(3), repeat=3)}
     expected = [[grid_poly({t: m[r][c] for t, m in grid.items()}) for c in range(6)] for r in range(6)]
     real, read = chowform._flag_limit, exact._kronecker
     calls, bounds = [], []
@@ -522,7 +529,8 @@ def test_flag_wedge_constant_iff_j_differs(n):
 
 
 def outer(v):
-    return [[x * y for y in v] for x in v]
+    # the upper triangle of v v^T, as _flag_limit returns a limit
+    return [[x * y for y in v[a:]] for a, x in enumerate(v)]
 
 
 def test_flag_wedge_surviving_parameter():
@@ -534,7 +542,8 @@ def test_flag_wedge_surviving_parameter():
         assert v == [1, t, 0, 0, 0, 0]
         limit = chowform._flag_limit(3, 2, (0, t, 0))
         assert limit == outer(v)
-        assert limit[0][1] == t and limit[1][1] == t * t
+        # entries (0, 1) and (1, 1); row 1 of the upper triangle starts at (1, 1)
+        assert limit[0][1] == t and limit[1][0] == t * t
     assert flag_wedge(3, 2, 1) is True
     for t in range(4):
         assert chowform._flag_plucker(3, 2, (t, 0, 0)) == [1, 0, 0, 0, 0, 0]
@@ -600,9 +609,10 @@ def per_point_compound(coeffs, deg, k):
         return [[sum(c[i][j] * x ** d for d, c in enumerate(coeffs)) for j in range(len(coeffs[0]))]
                 for i in range(len(coeffs[0]))]
 
+    # the upper triangles of the compounds, entry by entry
     tables = [quadrics._int_minors(at(x), k) for x in range(deg + 1)]
     size = len(tables[0])
-    return [[exact._interpolate([t[a][b] for t in tables]) for b in range(size)] for a in range(size)]
+    return [[exact._interpolate([t[a][b] for t in tables]) for b in range(size - a)] for a in range(size)]
 
 
 def minor_bound(coeffs, k):
@@ -730,6 +740,6 @@ def test_limits_take_one_compound(monkeypatch):
 def test_compound_poly_refuses_digits_past_the_bound(monkeypatch):
     # a minor past the coefficient bound leaves digits above the deg + 1
     # read off, and is refused rather than truncated
-    monkeypatch.setattr(chowform, "_int_minors", lambda m, j: [[1 << 4000] * len(m)] * len(m))
+    monkeypatch.setattr(chowform, "_int_minors", lambda m, j: [[1 << 4000] * (len(m) - a) for a in range(len(m))])
     with pytest.raises(exact.ExactLinalgError, match="bound"):
         chowform._compound_poly([[[1, 0], [0, 1]], [[0, 1], [1, 0]]], 1, 1)

@@ -237,14 +237,22 @@ def symmetric_int_matrices(rng):
 
 def test_int_minors_match_per_minor_int_det():
     # the Laplace pass against one integer determinant (ff_det) per minor,
-    # both halves, for every k
+    # for every size 1..7 and every k: _int_minors holds the pairs S <= T,
+    # row a starting at its diagonal entry, and compound() the full
+    # symmetric matrix, both halves
+    sizes = set()
     for rows in symmetric_int_matrices(random.Random(19)):
         rows = [list(r) for r in rows]
         size = len(rows)
+        sizes.add(size)
         for k in range(1, size + 1):
             subsets = list(itertools.combinations(range(size), k))
             expect = [[ff_det([[rows[i][j] for j in t] for i in s]) for t in subsets] for s in subsets]
-            assert _int_minors(rows, k) == expect, (rows, k)
+            upper = [list(r[a:]) for a, r in enumerate(expect)]
+            assert [list(r) for r in _int_minors(rows, k)] == upper, (rows, k)
+            full = compound(SymmetricForm(rows), k)
+            assert full.den == 1 and [list(r) for r in full.ints] == expect, (rows, k)
+    assert sizes == set(range(1, 8))
 
 
 def test_compound_scales_by_the_denominators(monkeypatch):
@@ -398,6 +406,55 @@ def test_small_ints_replay_randint(count):
         rng, old = random.Random(seed), random.Random(seed)
         assert _small_ints(rng, count) == [old.randint(-3, 3) for _ in range(count)]
         assert rng.getstate() == old.getstate()
+
+
+def independent_cases(rng):
+    # (b, cols) for every shape with rows 1..6 and cols 1..rows + 1: random
+    # entries in -3..3, one matrix with a planted dependent column (a
+    # combination of two others, or the zero column when cols is 1) and one
+    # with a repeated row
+    for rows in range(1, 7):
+        for cols in range(1, rows + 2):
+            for trial in range(12):
+                b = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
+                if trial % 3 == 1:
+                    for r in b:
+                        r[-1] = 2 * r[0] - r[cols // 2] if cols > 1 else 0
+                elif trial % 3 == 2 and rows > 1:
+                    b[-1] = list(b[0])
+                yield b, cols
+
+
+def test_independent_matches_mat_rank():
+    seen = {True: 0, False: 0}
+    for b, cols in independent_cases(random.Random(23)):
+        copy = [r[:] for r in b]
+        got = quadrics._independent(b, cols)
+        assert got is (mat_rank(b) == cols), (b, cols)
+        assert b == copy
+        seen[got] += 1
+    assert min(seen.values()) > 100
+
+
+def test_independent_eliminates_the_shorter_side(monkeypatch):
+    # a tall basis is eliminated as its transpose, on its cols rows; a square
+    # or wide one as it is
+    handed = []
+    echelon = quadrics._echelon
+
+    def spy(a, cols):
+        handed.append(([r[:] for r in a], cols))
+        return echelon(a, cols)
+
+    monkeypatch.setattr(quadrics, "_echelon", spy)
+    for b, cols in independent_cases(random.Random(29)):
+        del handed[:]
+        quadrics._independent(b, cols)
+        rows = len(b)
+        if rows > cols:
+            assert handed == [([list(c) for c in zip(*b)], rows)], (b, cols)
+        else:
+            assert handed == [(b, cols)], (b, cols)
 
 
 class _NoDraws:

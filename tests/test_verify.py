@@ -32,6 +32,31 @@ def test_run_all_quick_passes():
     assert all(r.passed for r in results), [r for r in results if not r.passed]
 
 
+@pytest.mark.parametrize("check, kwargs, name", [
+    (verify.check_chow_identity, {"min_pairs": 0}, "min_pairs"),
+    (verify.check_chow_identity, {"min_pairs": -1}, "min_pairs"),
+    (verify.check_chow_limits, {"draws": 0}, "draws"),
+    (verify.check_chow_limits, {"draws": -3}, "draws"),
+    (verify.check_direct_counts, {"seeds": 0}, "seeds"),
+    (verify.check_boundary_numbers, {"seeds": 0}, "seeds"),
+    (verify.check_boundary_numbers, {"max_n": 1}, "max_n"),
+    (verify.check_boundary_numbers, {"max_n": 0}, "max_n"),
+    (verify.check_wedge_contraction, {"max_n": 1}, "max_n"),
+])
+def test_checks_refuse_sizes_that_check_nothing(check, kwargs, name):
+    # each of these would pass after checking nothing
+    with pytest.raises(ValueError, match=name):
+        check(**kwargs)
+
+
+def test_checks_accept_their_smallest_sizes():
+    assert verify.check_chow_identity(min_pairs=1).passed
+    assert verify.check_chow_limits(draws=1).passed
+    assert verify.check_direct_counts(seeds=1).passed
+    assert verify.check_boundary_numbers(seeds=1, max_n=2).passed
+    assert verify.check_wedge_contraction(max_n=2).passed
+
+
 def test_result_json_shape():
     res = verify.check_table()
     js = res.to_json()
@@ -390,7 +415,10 @@ def test_chow_identity_eliminates_only_its_draws(monkeypatch):
         assert verify.check_chow_identity(seed=seed, min_pairs=1).passed
         # one pass over the nine (n, k), each pair two draws or more
         assert len(drawn) >= 18
-        assert eliminated == drawn, seed
+        # a tall subspace (k < n + 1) is rank-tested on its transpose
+        assert eliminated == [d if len(d) <= len(d[0]) else [list(c) for c in zip(*d)]
+                              for d in drawn], seed
+        assert any(len(d) > len(d[0]) for d in drawn)
 
 
 def test_chow_limit_draws_are_randint_draws(monkeypatch):
